@@ -121,8 +121,14 @@ class HMatrixOptions:
     max_rank:
         Hard cap on the ACA rank of an admissible block.
     workers:
-        Worker threads used by the parallel leaf-block assembly; same
-        semantics as :attr:`HSSOptions.workers`.
+        Worker threads of the block assembly; same semantics as
+        :attr:`HSSOptions.workers`.  The parallel tasks are the dense leaf
+        extractions and the *waves* of admissible blocks (consecutive
+        leaves packed to a fixed size and compressed together by the
+        wavefront ACA, see :func:`repro.hmatrix.build_hmatrix`) — not
+        single admissible blocks.  The wave geometry does not depend on
+        this value, so every worker count builds the same H matrix bit
+        for bit.
     """
 
     leaf_size: int = 64

@@ -48,7 +48,8 @@ from ..clustering.tree import ClusterNode, ClusterTree
 from ..config import HMatrixOptions, HSSOptions
 from ..hss.compressed import CompressedKernel, compress_kernel
 from ..hss.ulv import ULVFactorization
-from ..lowrank.aca import aca
+from ..kernels.operator import KernelOperator
+from ..lowrank.aca import aca_blocks
 from ..obs import global_registry
 from ..parallel.executor import BlockExecutor
 from ..utils.timing import TimingLog
@@ -219,11 +220,20 @@ class _ShardState:
         arrays: Dict[str, np.ndarray] = {}
         coupling_ranks: Dict[Tuple[int, int], int] = {}
         with log.phase("coupling_aca"):
-            for (s, t) in cfg.owned_pairs:
-                U, V = self._compress_pair(kernel, spec, s, t)
-                arrays[f"pair.{s}.{t}.U"] = U
-                arrays[f"pair.{s}.{t}.V"] = V
-                coupling_ranks[(s, t)] = U.shape[1]
+            # All owned inter-shard blocks in one wavefront: the worker sees
+            # the full dataset, so any pair it is assigned is computable
+            # locally.
+            bounds = cfg.boundaries
+            results = aca_blocks(
+                KernelOperator(self.X, kernel),
+                [(bounds[s], bounds[s + 1]) for s, _ in cfg.owned_pairs],
+                [(bounds[t], bounds[t + 1]) for _, t in cfg.owned_pairs],
+                rel_tol=spec.coupling_rel_tol,
+                max_rank=spec.coupling_max_rank)
+            for (s, t), result in zip(cfg.owned_pairs, results):
+                arrays[f"pair.{s}.{t}.U"] = result.lowrank.U
+                arrays[f"pair.{s}.{t}.V"] = result.lowrank.V
+                coupling_ranks[(s, t)] = result.rank
 
         hss_stats = hss.statistics()
         info = {
@@ -272,30 +282,6 @@ class _ShardState:
             "recompressed": False,
             "n_local": self.stop - self.start,
         }
-
-    def _compress_pair(self, kernel, spec: FitSpec, s: int,
-                       t: int) -> Tuple[np.ndarray, np.ndarray]:
-        """ACA-compress the kernel block between shards ``s`` and ``t``."""
-        cfg = self.config
-        rows = np.arange(cfg.boundaries[s], cfg.boundaries[s + 1],
-                         dtype=np.intp)
-        cols = np.arange(cfg.boundaries[t], cfg.boundaries[t + 1],
-                         dtype=np.intp)
-        X = self.X
-
-        def row_fn(i: int) -> np.ndarray:
-            return np.asarray(kernel.block(X, rows[i:i + 1], cols),
-                              dtype=np.float64).ravel()
-
-        def col_fn(j: int) -> np.ndarray:
-            return np.asarray(kernel.block(X, rows, cols[j:j + 1]),
-                              dtype=np.float64).ravel()
-
-        result = aca(rows.size, cols.size, row_fn, col_fn,
-                     rel_tol=spec.coupling_rel_tol,
-                     max_rank=spec.coupling_max_rank)
-        return (np.ascontiguousarray(result.lowrank.U, dtype=np.float64),
-                np.ascontiguousarray(result.lowrank.V, dtype=np.float64))
 
     # ------------------------------------------------------- solve protocol
     def couple(self, F: np.ndarray) -> np.ndarray:

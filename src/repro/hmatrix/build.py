@@ -6,21 +6,28 @@ are ever evaluated, which is what makes the H construction quasi-linear and
 is the reason the paper uses it to accelerate the HSS sampling stage.
 Inadmissible leaf blocks are extracted densely.
 
-Every leaf block is independent of every other, so the assembly is a single
-parallel map over the block-tree leaves (the operator's element counters
-are thread-safe); results are collected in leaf order, so parallel and
-serial builds produce identical H matrices.
+The admissible leaves are not compressed one by one: consecutive leaves
+are packed into **waves** and every wave is one call of the wavefront ACA
+(:func:`repro.lowrank.aca_blocks`), which advances all its blocks together
+with a few array operations per cross step.  A wave holds at most
+:data:`WAVE_BUDGET` rows plus columns (a lone larger block gets a wave of
+its own), which bounds the working set; the waves are a pure function of
+the block list, never of the worker count.  Waves and dense leaves are
+independent tasks handed to the executor and collected in order, and the
+factors of a block do not depend on its wave mates, so parallel and serial
+builds produce identical H matrices.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
 from ..clustering.tree import ClusterTree
 from ..config import HMatrixOptions
-from ..lowrank.aca import aca
+from ..lowrank.aca import ACAResult, aca_blocks
+from ..obs import trace
 from ..parallel.executor import BlockExecutor, resolve_workers
 from ..utils.timing import TimingLog
 from ..utils.validation import check_array_2d
@@ -28,38 +35,26 @@ from .bbox import cluster_geometries
 from .block_tree import BlockClusterTree
 from .hmatrix import HBlock, HMatrix
 
+#: Upper bound on the summed rows + columns of the blocks of one wave.  An
+#: unbounded wave doubled the peak memory of a fit (its factor buffers and
+#: per-step temporaries scale with this sum times the rank); a few thousand
+#: is already past the point where the interpreter overhead per step stops
+#: mattering.  A constant, not an option: the wave geometry decides nothing
+#: about the result.
+WAVE_BUDGET = 8192
 
-def _assemble_leaf(operator, btree: BlockClusterTree, block_id: int,
-                   opts: HMatrixOptions) -> HBlock:
-    """Extract (dense) or compress (ACA) one leaf block of the partition."""
-    rows, cols = btree.block_ranges(block_id)
-    row_idx = np.arange(rows.start, rows.stop, dtype=np.intp)
-    col_idx = np.arange(cols.start, cols.stop, dtype=np.intp)
-    node = btree.blocks[block_id]
-    if not node.admissible:
-        dense = np.asarray(operator.block(row_idx, col_idx), dtype=np.float64)
-        return HBlock(block_id, rows, cols, dense=dense)
 
-    def row_fn(i: int) -> np.ndarray:
-        return np.asarray(
-            operator.block(row_idx[i:i + 1], col_idx), dtype=np.float64).ravel()
-
-    def col_fn(j: int) -> np.ndarray:
-        return np.asarray(
-            operator.block(row_idx, col_idx[j:j + 1]), dtype=np.float64).ravel()
-
-    result = aca(row_idx.size, col_idx.size, row_fn, col_fn,
-                 rel_tol=opts.rel_tol, max_rank=opts.max_rank)
-    lowrank = result.lowrank
-    # If ACA did not converge within the rank budget, fall back to a
-    # dense block when that is actually cheaper; correctness first.
-    if not result.converged and opts.max_rank is None:
-        dense_bytes = row_idx.size * col_idx.size * 8
-        if lowrank.nbytes >= dense_bytes:
-            dense = np.asarray(operator.block(row_idx, col_idx),
-                               dtype=np.float64)
-            return HBlock(block_id, rows, cols, dense=dense)
-    return HBlock(block_id, rows, cols, lowrank=lowrank)
+def _pack_waves(block_ids: List[int], sizes: List[int]) -> List[List[int]]:
+    """Split ``block_ids`` into consecutive runs of summed size within the budget."""
+    waves: List[List[int]] = []
+    load = 0
+    for block_id, size in zip(block_ids, sizes):
+        if not waves or load + size > WAVE_BUDGET:
+            waves.append([])
+            load = 0
+        waves[-1].append(block_id)
+        load += size
+    return waves
 
 
 def build_hmatrix(
@@ -76,9 +71,12 @@ def build_hmatrix(
     Parameters
     ----------
     operator:
-        Partially matrix-free operator (``block(rows, cols)``) representing
-        the matrix **in the permuted ordering** of ``tree``.  Its ``block``
-        method must be thread-safe when more than one worker is used.
+        Partially matrix-free operator representing the matrix **in the
+        permuted ordering** of ``tree``: ``block(rows, cols)`` for the
+        dense leaves, ``row_segments`` / ``col_segments`` (see
+        :class:`repro.kernels.KernelOperator`) for the ACA of the
+        admissible ones.  All three must be thread-safe when more than one
+        worker is used.
     X_permuted:
         The reordered data points (used only for the geometric admissibility
         condition).
@@ -88,7 +86,10 @@ def build_hmatrix(
         :class:`repro.config.HMatrixOptions`; ``options.workers`` selects
         the parallelism when no ``executor`` is passed.
     timing:
-        Optional log; an ``h_construction`` phase is added.
+        Optional log; an ``h_construction`` phase is added.  The build also
+        runs under an ``hmatrix.build`` trace span whose attributes record
+        ``admissible_blocks``, ``dense_blocks``, ``waves``, ``iterations``
+        (wavefront steps summed over the waves) and ``max_rank``.
     executor:
         Optional shared :class:`repro.parallel.BlockExecutor`; callers
         running several training phases should pass one executor so the
@@ -112,7 +113,7 @@ def build_hmatrix(
         workers=resolve_workers(opts.workers))
 
     try:
-        with log.phase("h_construction"):
+        with trace.span("hmatrix.build") as span, log.phase("h_construction"):
             if block_tree is not None:
                 btree = block_tree
             else:
@@ -121,10 +122,42 @@ def build_hmatrix(
                                          eta=opts.admissibility_eta,
                                          leaf_size=opts.leaf_size,
                                          criterion=opts.admissibility)
-            blocks = ex.map(
-                lambda block_id: _assemble_leaf(operator, btree, block_id, opts),
-                list(btree.leaves()))
+            leaves = btree.leaves()
+            ranges = {i: btree.block_ranges(i) for i in leaves}
+            admissible = [i for i in leaves if btree.blocks[i].admissible]
+            dense = [i for i in leaves if not btree.blocks[i].admissible]
+
+            def extract(i: int) -> HBlock:
+                rows, cols = ranges[i]
+                values = operator.block(
+                    np.arange(rows.start, rows.stop, dtype=np.intp),
+                    np.arange(cols.start, cols.stop, dtype=np.intp))
+                return HBlock(i, rows, cols,
+                              dense=np.asarray(values, dtype=np.float64))
+
+            def compress(wave: List[int]) -> List[ACAResult]:
+                return aca_blocks(
+                    operator,
+                    [(ranges[i][0].start, ranges[i][0].stop) for i in wave],
+                    [(ranges[i][1].start, ranges[i][1].stop) for i in wave],
+                    rel_tol=opts.rel_tol, max_rank=opts.max_rank)
+
+            waves = _pack_waves(admissible, [
+                rows.stop - rows.start + cols.stop - cols.start
+                for rows, cols in (ranges[i] for i in admissible)])
+            by_id = {blk.block_id: blk for blk in ex.map(extract, dense)}
+            compressed = ex.map(compress, waves)
+            for wave, results in zip(waves, compressed):
+                for i, result in zip(wave, results):
+                    by_id[i] = HBlock(i, *ranges[i], lowrank=result.lowrank)
+            span.attributes.update(
+                admissible_blocks=len(admissible), dense_blocks=len(dense),
+                waves=len(waves),
+                iterations=sum(max(r.rows_sampled for r in results)
+                               for results in compressed),
+                max_rank=max((r.rank for results in compressed
+                              for r in results), default=0))
     finally:
         if own_executor:
             ex.shutdown()
-    return HMatrix(btree, blocks)
+    return HMatrix(btree, [by_id[i] for i in leaves])

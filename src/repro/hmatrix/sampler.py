@@ -68,6 +68,16 @@ class HMatrixSampler:
         """Exact element extraction (delegated to the exact operator)."""
         return self.exact.block(rows, cols)
 
+    def row_segments(self, rows: np.ndarray, starts: np.ndarray,
+                     lengths: np.ndarray) -> np.ndarray:
+        """Exact batched row-segment extraction (delegated)."""
+        return self.exact.row_segments(rows, starts, lengths)
+
+    def col_segments(self, cols: np.ndarray, starts: np.ndarray,
+                     lengths: np.ndarray) -> np.ndarray:
+        """Exact batched column-segment extraction (delegated)."""
+        return self.exact.col_segments(cols, starts, lengths)
+
     def diag(self) -> np.ndarray:
         return self.exact.diag()
 

@@ -40,6 +40,23 @@ class Kernel(abc.ABC):
         """Dense kernel matrix ``K[i, j] = K(X[i], Y[j])``."""
         return self._evaluate_sq(pairwise_sq_dists(X, Y))
 
+    def from_inner_products(self, dots: np.ndarray, sq_x: np.ndarray,
+                            sq_y: np.ndarray) -> np.ndarray:
+        """Kernel values from inner products and squared norms.
+
+        ``dots`` holds ``<x, y>`` per entry, ``sq_x`` / ``sq_y`` the
+        matching ``||x||^2`` / ``||y||^2`` (anything broadcastable against
+        ``dots``).  This is the hook that lets
+        :class:`repro.kernels.KernelOperator` cache the norms once and
+        feed every extraction from GEMM/GEMV results; radial kernels
+        expand ``||x - y||^2`` exactly like
+        :func:`repro.kernels.distance.pairwise_sq_dists`, inner-product
+        kernels override it and ignore the norms.
+        """
+        D = sq_x + sq_y - 2.0 * dots
+        np.maximum(D, 0.0, out=D)
+        return self._evaluate_sq(D)
+
     def block(self, X: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Sub-block ``K[rows, cols]`` of the kernel matrix of ``X``.
 

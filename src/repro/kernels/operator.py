@@ -24,9 +24,10 @@ from typing import Optional
 import numpy as np
 
 from ..obs import global_registry
+from ..utils.ragged import ragged_ranges, segment_offsets
 from ..utils.validation import check_array_2d, check_non_negative
 from .base import Kernel
-from .distance import blockwise_sq_dists, pairwise_sq_dists
+from .distance import _sq_norms, blockwise_sq_dists, pairwise_sq_dists
 
 
 class KernelOperator:
@@ -75,7 +76,12 @@ class KernelOperator:
         self.block_size = int(block_size)
         self.executor = executor
         self.col_tile = None if col_tile is None else int(col_tile)
+        # ||x_i||^2 of every point, once: every element extraction needs the
+        # norms of its rows and columns, and an H-matrix build makes tens of
+        # thousands of extractions.  Read-only afterwards, so thread-safe.
+        self._sq_norms = _sq_norms(self.X)
         #: number of kernel element evaluations performed through ``block``
+        #: and the segment extractions
         self.element_evaluations = 0
         #: number of full matrix-vector style sweeps performed
         self.matvec_sweeps = 0
@@ -94,6 +100,7 @@ class KernelOperator:
     # ------------------------------------------------------------------ shape
     @property
     def shape(self) -> tuple:
+        """``(n, n)``."""
         n = self.X.shape[0]
         return (n, n)
 
@@ -104,17 +111,73 @@ class KernelOperator:
 
     @property
     def dtype(self):
+        """Entry type of the represented matrix (``float64``)."""
         return np.dtype(np.float64)
 
     # -------------------------------------------------------------- elements
+    def _count_elements(self, count: int) -> None:
+        with self._counter_lock:
+            self.element_evaluations += count
+        self._m_elements.inc(count)
+
     def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """Extract the sub-block ``K[rows, cols]`` (element extraction)."""
         rows = np.asarray(rows, dtype=np.intp)
         cols = np.asarray(cols, dtype=np.intp)
-        with self._counter_lock:
-            self.element_evaluations += int(rows.size) * int(cols.size)
-        self._m_elements.inc(int(rows.size) * int(cols.size))
-        return self.kernel.block(self.X, rows, cols)
+        self._count_elements(int(rows.size) * int(cols.size))
+        return self.kernel.from_inner_products(
+            self.X[rows] @ self.X[cols].T,
+            self._sq_norms[rows][:, None], self._sq_norms[cols][None, :])
+
+    def row_segments(self, rows: np.ndarray, starts: np.ndarray,
+                     lengths: np.ndarray) -> np.ndarray:
+        """Batched extraction of one contiguous row piece per segment.
+
+        Segment ``b`` is ``K[rows[b], starts[b] : starts[b] + lengths[b]]``;
+        the segments are returned concatenated in one 1-D array.  This is
+        what the wavefront ACA (:func:`repro.lowrank.aca_blocks`) samples
+        with: cluster ranges are contiguous in the permuted ordering, so a
+        segment's inner products are one GEMV on a *view* of ``X`` — no
+        gather of points — and everything after them (norms, distances,
+        the kernel function) is one vectorised pass over all segments.
+        Counts ``sum(lengths)`` element evaluations, the entries actually
+        evaluated.
+
+        Parameters
+        ----------
+        rows:
+            Row index of every segment, shape ``(B,)``.
+        starts, lengths:
+            First column and number of columns of every segment.
+
+        Returns
+        -------
+        numpy.ndarray
+            The ``sum(lengths)`` kernel values, segment after segment.
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        starts = np.asarray(starts, dtype=np.intp)
+        lengths = np.asarray(lengths, dtype=np.intp)
+        index, offsets = ragged_ranges(starts, lengths)
+        self._count_elements(int(offsets[-1]))
+        X = self.X
+        dots = np.empty(offsets[-1])
+        for row, start, lo, hi in zip(rows.tolist(), starts.tolist(),
+                                      offsets[:-1].tolist(),
+                                      offsets[1:].tolist()):
+            np.dot(X[start:start + hi - lo], X[row], out=dots[lo:hi])
+        return self.kernel.from_inner_products(
+            dots, np.repeat(self._sq_norms[rows], lengths),
+            self._sq_norms[index])
+
+    def col_segments(self, cols: np.ndarray, starts: np.ndarray,
+                     lengths: np.ndarray) -> np.ndarray:
+        """Segment ``b`` is ``K[starts[b] : starts[b] + lengths[b], cols[b]]``.
+
+        The kernel matrix is symmetric and so is its arithmetic, entry by
+        entry: this is :meth:`row_segments`, to the last bit.
+        """
+        return self.row_segments(cols, starts, lengths)
 
     def diag(self) -> np.ndarray:
         """Diagonal of the kernel matrix (all ones for normalized kernels)."""
@@ -227,6 +290,19 @@ class ShiftedKernelOperator(KernelOperator):
                 B = B + self.lam * eq
         return B
 
+    def row_segments(self, rows: np.ndarray, starts: np.ndarray,
+                     lengths: np.ndarray) -> np.ndarray:
+        values = super().row_segments(rows, starts, lengths)
+        if self.lam != 0.0:
+            rows = np.asarray(rows, dtype=np.intp)
+            starts = np.asarray(starts, dtype=np.intp)
+            lengths = np.asarray(lengths, dtype=np.intp)
+            on_diag = np.flatnonzero((rows >= starts) & (rows < starts + lengths))
+            if on_diag.size:
+                offsets = segment_offsets(lengths)[:-1]
+                values[(offsets + rows - starts)[on_diag]] += self.lam
+        return values
+
     def diag(self) -> np.ndarray:
         return super().diag() + self.lam
 
@@ -273,6 +349,29 @@ class DenseMatrixOperator:
         with self._counter_lock:
             self.element_evaluations += int(rows.size) * int(cols.size)
         return self.A[np.ix_(rows, cols)]
+
+    def _segments(self, fixed: np.ndarray, starts: np.ndarray,
+                  lengths: np.ndarray):
+        """``(repeated fixed index, ragged running index)`` of the segments."""
+        lengths = np.asarray(lengths, dtype=np.intp)
+        index, offsets = ragged_ranges(np.asarray(starts, dtype=np.intp),
+                                       lengths)
+        with self._counter_lock:
+            self.element_evaluations += int(offsets[-1])
+        return np.repeat(np.asarray(fixed, dtype=np.intp), lengths), index
+
+    def row_segments(self, rows: np.ndarray, starts: np.ndarray,
+                     lengths: np.ndarray) -> np.ndarray:
+        """Concatenated ``A[rows[b], starts[b] : starts[b] + lengths[b]]``
+        (see :meth:`KernelOperator.row_segments`)."""
+        fixed, index = self._segments(rows, starts, lengths)
+        return self.A[fixed, index]
+
+    def col_segments(self, cols: np.ndarray, starts: np.ndarray,
+                     lengths: np.ndarray) -> np.ndarray:
+        """Concatenated ``A[starts[b] : starts[b] + lengths[b], cols[b]]``."""
+        fixed, index = self._segments(cols, starts, lengths)
+        return self.A[index, fixed]
 
     def diag(self) -> np.ndarray:
         return np.diag(self.A).copy()

@@ -37,6 +37,10 @@ class PolynomialKernel(Kernel):
         Yv = X if Y is None else np.asarray(Y, dtype=np.float64)
         return (self.gamma * (X @ Yv.T) + self.coef0) ** self.degree
 
+    def from_inner_products(self, dots: np.ndarray, sq_x: np.ndarray,
+                            sq_y: np.ndarray) -> np.ndarray:
+        return (self.gamma * dots + self.coef0) ** self.degree
+
     def block(self, X: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         return self.matrix(X[np.asarray(rows, dtype=np.intp)],

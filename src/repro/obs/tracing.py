@@ -42,18 +42,24 @@ class Span:
         Wall seconds from entry to exit (0 while the span is open).
     children:
         Spans opened (and closed) while this span was active.
+    attributes:
+        Facts about the work the span timed (counts, sizes), set by the
+        code inside the ``with`` body: ``span.attributes["waves"] = 12``.
+        Values should be JSON-serializable.
     """
 
     name: str
     start: float = 0.0
     elapsed: float = 0.0
     children: List["Span"] = field(default_factory=list)
+    attributes: Dict[str, object] = field(default_factory=dict)
 
     def as_dict(self) -> Dict:
         """Plain-dict form of the span tree (JSON-serializable)."""
         return {
             "name": self.name,
             "elapsed": self.elapsed,
+            "attributes": dict(self.attributes),
             "children": [c.as_dict() for c in self.children],
         }
 

@@ -1,4 +1,5 @@
-"""Small shared utilities: validation, RNG handling, timing, byte formatting."""
+"""Small shared utilities: validation, RNG handling, timing, byte formatting,
+ragged index arithmetic."""
 
 from .validation import (
     check_array_2d,
@@ -12,6 +13,7 @@ from .validation import (
 from .random import as_generator, spawn_generators
 from .timing import Timer, TimingLog
 from .bytes import nbytes_of_arrays, format_bytes, megabytes
+from .ragged import ragged_ranges, segment_offsets
 
 __all__ = [
     "check_array_2d",
@@ -28,4 +30,6 @@ __all__ = [
     "nbytes_of_arrays",
     "format_bytes",
     "megabytes",
+    "ragged_ranges",
+    "segment_offsets",
 ]

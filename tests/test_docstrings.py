@@ -23,7 +23,9 @@ import repro.distributed as distributed
 import repro.obs as obs
 import repro.server as server
 from repro.hss import CompressedKernel, CompressionStructure, ULVFactorization
+from repro.kernels import Kernel, KernelOperator
 from repro.krr import KernelRidgeClassifier, KRRPipeline, OneVsAllClassifier
+from repro.lowrank import aca, aca_blocks
 from repro.serving import ModelStore, PredictionEngine, PredictionService
 from repro.tuning import (BanditTuner, GridSearch, KRRObjective, RandomSearch,
                           TuningResult)
@@ -32,12 +34,16 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: the API-reference surface documented in docs/api.md, beyond
 #: repro.distributed's own exports (the tuning-fabric surfaces of
-#: docs/tuning.md ride along: recompress / factor_many / the searchers)
+#: docs/tuning.md ride along: recompress / factor_many / the searchers;
+#: so do the element-extraction / wavefront-ACA pieces of docs/api.md)
 DOCUMENTED_API = [KRRPipeline, KernelRidgeClassifier, OneVsAllClassifier,
                   ModelStore, PredictionEngine, PredictionService,
                   CompressedKernel, CompressionStructure, ULVFactorization,
                   KRRObjective, GridSearch, RandomSearch, BanditTuner,
-                  TuningResult]
+                  TuningResult, Kernel, KernelOperator]
+
+#: documented free functions outside the three fully-exported packages
+DOCUMENTED_FUNCTIONS = [aca, aca_blocks]
 
 
 def _distributed_exports():
@@ -137,7 +143,8 @@ def test_public_class_is_numpy_documented(cls):
     "fn", [obj for _, obj in _distributed_exports()
            if inspect.isfunction(obj)]
     + [obj for _, obj in _obs_exports() if inspect.isfunction(obj)]
-    + [obj for _, obj in _server_exports() if inspect.isfunction(obj)],
+    + [obj for _, obj in _server_exports() if inspect.isfunction(obj)]
+    + DOCUMENTED_FUNCTIONS,
     ids=lambda fn: fn.__name__)
 def test_public_function_is_numpy_documented(fn):
     doc = inspect.getdoc(fn) or ""

@@ -2,17 +2,25 @@
 
 from __future__ import annotations
 
+import cProfile
+import gc
+
 import numpy as np
 import pytest
+from aca_oracle import aca_loop
 
+from repro import obs
 from repro.clustering import cluster
 from repro.config import HMatrixOptions, HSSOptions
+from repro.datasets import standardize, susy_like
 from repro.hmatrix import (BlockClusterTree, BoundingBox, ClusterGeometry,
                            HMatrixSampler, build_hmatrix,
                            centroid_admissibility, cluster_bounding_boxes,
                            cluster_geometries, strong_admissibility)
-from repro.hss import build_hss_randomized
-from repro.kernels import GaussianKernel, ShiftedKernelOperator
+from repro.hmatrix import build as hmatrix_build
+from repro.hss import build_hss_randomized, compress_kernel
+from repro.kernels import (DenseMatrixOperator, GaussianKernel, KernelOperator,
+                           ShiftedKernelOperator)
 
 
 def _clustered_points(n=300, d=4, n_clusters=6, seed=0):
@@ -166,7 +174,146 @@ class TestHMatrixBuild:
         assert loose.nbytes <= tight.nbytes
 
 
+def _same_blocks(a, b) -> bool:
+    """Two H matrices agree bit for bit, block by block."""
+    if len(a.blocks) != len(b.blocks):
+        return False
+    for x, y in zip(a.blocks, b.blocks):
+        if (x.block_id, x.row_slice, x.col_slice) != (
+                y.block_id, y.row_slice, y.col_slice):
+            return False
+        if (x.dense is None) != (y.dense is None):
+            return False
+        if x.dense is not None:
+            if not np.array_equal(x.dense, y.dense):
+                return False
+        elif not (np.array_equal(x.lowrank.U, y.lowrank.U)
+                  and np.array_equal(x.lowrank.V, y.lowrank.V)):
+            return False
+    return True
+
+
+@pytest.fixture()
+def wave_setup():
+    """Uniform 2-D points: ~90 admissible blocks of many sizes, ranks to 18."""
+    X = np.random.default_rng(0).uniform(size=(400, 2))
+    result = cluster(X, method="two_means", leaf_size=16, seed=0)
+    op = ShiftedKernelOperator(result.X, GaussianKernel(h=0.5), 1.0)
+    return result, op, HMatrixOptions(leaf_size=16, rel_tol=1e-6)
+
+
+class TestWaveAssembly:
+    """Admissible leaves are compressed in waves; the waves decide nothing."""
+
+    def test_blocks_are_what_the_one_block_loop_computes(self, wave_setup):
+        # On an explicit matrix the extraction is a plain gather, so the
+        # comparison with the oracle loop is exact.
+        result, op, opts = wave_setup
+        A = op.to_dense()
+        opts = opts.with_(max_rank=9)
+        hm = build_hmatrix(DenseMatrixOperator(A), result.X, result.tree, opts)
+        lowrank = [b for b in hm.blocks if b.lowrank is not None]
+        assert len(lowrank) > 50
+        assert {b.rank for b in lowrank} >= {4, 9}     # stopped early and capped
+        for blk in lowrank:
+            sub = A[blk.row_slice, blk.col_slice]
+            ref = aca_loop(*sub.shape, lambda i: sub[i, :], lambda j: sub[:, j],
+                           rel_tol=opts.rel_tol, max_rank=opts.max_rank)
+            assert np.array_equal(blk.lowrank.U, ref.U)
+            assert np.array_equal(blk.lowrank.V, ref.V)
+        for blk in hm.blocks:
+            if blk.dense is not None:
+                assert np.array_equal(blk.dense, A[blk.row_slice, blk.col_slice])
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_any_worker_count_builds_the_same_matrix(self, wave_setup,
+                                                     monkeypatch, workers):
+        result, op, opts = wave_setup
+        # a budget small enough that this 400-point problem has many waves
+        monkeypatch.setattr(hmatrix_build, "WAVE_BUDGET", 300)
+        serial = build_hmatrix(op, result.X, result.tree, opts.with_(workers=1))
+        threaded = build_hmatrix(op, result.X, result.tree,
+                                 opts.with_(workers=workers))
+        assert _same_blocks(serial, threaded)
+
+    def test_wave_geometry_does_not_change_the_matrix(self, wave_setup,
+                                                      monkeypatch):
+        result, op, opts = wave_setup
+        one_wave = build_hmatrix(op, result.X, result.tree, opts)
+        monkeypatch.setattr(hmatrix_build, "WAVE_BUDGET", 1)    # a wave per block
+        per_block = build_hmatrix(op, result.X, result.tree, opts)
+        assert _same_blocks(one_wave, per_block)
+
+    def test_pack_waves(self, monkeypatch):
+        monkeypatch.setattr(hmatrix_build, "WAVE_BUDGET", 10)
+        pack = hmatrix_build._pack_waves
+        assert pack([], []) == []
+        assert pack([7, 8, 9], [4, 6, 1]) == [[7, 8], [9]]
+        # a block above the budget travels alone, order is kept
+        assert pack([1, 2, 3, 4], [3, 50, 5, 5]) == [[1], [2], [3, 4]]
+
+    def test_recompress_equals_cold_build(self, hmatrix_setup):
+        result, _ = hmatrix_setup
+        first = compress_kernel(result.X, result.tree, GaussianKernel(h=1.5),
+                                seed=0)
+        moved = first.recompress(GaussianKernel(h=2.5))
+        cold = compress_kernel(result.X, result.tree, GaussianKernel(h=2.5),
+                               seed=0)
+        assert _same_blocks(moved.hmatrix, cold.hmatrix)
+
+    def test_span_reports_the_assembly(self, hmatrix_setup):
+        result, _ = hmatrix_setup
+        with obs.trace.span("test.root") as root:
+            compressed = compress_kernel(result.X, result.tree,
+                                         GaussianKernel(h=1.5), seed=0)
+        outer = root.find("kernel.compress")
+        assert [c.name for c in outer.children] == ["hmatrix.build", "hss.build"]
+        span = outer.children[0]
+        assert span.find("h_construction") is not None
+        stats = compressed.hmatrix.statistics()
+        attrs = span.attributes
+        assert attrs["admissible_blocks"] == stats.admissible_blocks > 0
+        assert attrs["dense_blocks"] == stats.dense_blocks > 0
+        assert attrs["max_rank"] == stats.max_rank > 0
+        assert attrs["waves"] == 1
+        assert attrs["max_rank"] <= attrs["iterations"] <= 150
+        assert span.as_dict()["attributes"] == attrs
+
+    def test_call_count_budget(self):
+        """Per-block Python must not creep back into the assembly.
+
+        The one-block-at-a-time loop made 530 423 Python + C calls on this
+        fixture (604 admissible blocks, 359 dense); the wavefront makes
+        about 71 000.  The budget is under a third of the old count.
+        """
+        X, _ = susy_like(512, seed=0)
+        result = cluster(standardize(X), method="two_means", leaf_size=16,
+                         seed=0)
+        op = KernelOperator(result.X, GaussianKernel(h=1.0))
+        opts = HMatrixOptions(leaf_size=16, workers=1)
+        profiler = cProfile.Profile()
+        gc.collect()
+        gc.disable()
+        try:
+            hm = profiler.runcall(
+                lambda: build_hmatrix(op, result.X, result.tree, options=opts))
+        finally:
+            gc.enable()
+        stats = hm.statistics()
+        assert (stats.admissible_blocks, stats.dense_blocks) == (604, 359)
+        calls = sum(entry.callcount for entry in profiler.getstats())
+        assert calls <= 150_000, calls
+
+
 class TestHMatrixSampler:
+    def test_sampler_delegates_segment_extraction(self, hmatrix_setup):
+        result, op = hmatrix_setup
+        hm = build_hmatrix(op, result.X, result.tree)
+        sampler = HMatrixSampler(hm, op)
+        args = (np.array([4, 40]), np.array([0, 38]), np.array([9, 5]))
+        assert np.array_equal(sampler.row_segments(*args), op.row_segments(*args))
+        assert np.array_equal(sampler.col_segments(*args), op.col_segments(*args))
+
     def test_sampler_products_and_elements(self, hmatrix_setup):
         result, op = hmatrix_setup
         hm = build_hmatrix(op, result.X, result.tree, HMatrixOptions(rel_tol=1e-7))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.kernels import (DenseMatrixOperator, GaussianKernel, KernelOperator,
-                           ShiftedKernelOperator)
+                           PolynomialKernel, ShiftedKernelOperator)
 
 
 @pytest.fixture()
@@ -159,3 +159,79 @@ class TestCounterThreadSafety:
         executor.map(lambda _i: (op.matvec(v), op.block(rows, cols)), range(300))
         assert op.matvec_sweeps == 300
         assert op.element_evaluations == 300 * rows.size * cols.size
+
+
+def _segments(seed, n, count=12):
+    """Random (fixed index, start, length) triples, some empty, some on the diagonal."""
+    rng = np.random.default_rng(seed)
+    fixed = rng.integers(0, n, size=count)
+    starts = rng.integers(0, n - 1, size=count)
+    lengths = np.minimum(rng.integers(0, 20, size=count), n - starts)
+    lengths[0] = 0
+    starts[1], lengths[1] = max(int(fixed[1]) - 2, 0), 5   # crosses the diagonal
+    return fixed, starts, lengths
+
+
+class TestSegmentExtraction:
+    """``row_segments`` / ``col_segments`` are ``block`` on contiguous pieces."""
+
+    @pytest.mark.parametrize("kernel", [GaussianKernel(h=1.2),
+                                        PolynomialKernel(degree=3, gamma=0.5)],
+                             ids=["gaussian", "polynomial"])
+    @pytest.mark.parametrize("lam", [None, 0.0, 2.5])
+    def test_matches_block_entry_for_entry(self, kernel, lam):
+        X = np.random.default_rng(3).standard_normal((60, 5))
+        op = (KernelOperator(X, kernel) if lam is None
+              else ShiftedKernelOperator(X, kernel, lam))
+        fixed, starts, lengths = _segments(0, 60)
+        before = op.element_evaluations
+        rows = op.row_segments(fixed, starts, lengths)
+        cols = op.col_segments(fixed, starts, lengths)
+        # nothing padded: exactly the entries asked for were evaluated
+        assert op.element_evaluations - before == 2 * lengths.sum()
+        assert rows.shape == (lengths.sum(),)
+        assert np.array_equal(rows, cols)      # symmetric to the last bit
+        expected = np.concatenate([
+            op.block(np.array([f]), np.arange(s, s + l)).ravel()
+            for f, s, l in zip(fixed, starts, lengths)])
+        np.testing.assert_allclose(rows, expected, rtol=1e-13, atol=1e-15)
+        if lam:
+            shifted_on_diag = rows[np.cumsum(lengths)[0] + fixed[1] - starts[1]]
+            plain = KernelOperator(X, kernel).row_segments(
+                fixed, starts, lengths)
+            assert shifted_on_diag == plain[lengths[0] + fixed[1] - starts[1]] + lam
+            assert np.count_nonzero(rows != plain) == np.count_nonzero(
+                (fixed >= starts) & (fixed < starts + lengths))
+
+    def test_dense_operator_is_not_assumed_symmetric(self):
+        A = np.random.default_rng(5).standard_normal((30, 30))
+        op = DenseMatrixOperator(A)
+        fixed, starts, lengths = _segments(1, 30)
+        rows = op.row_segments(fixed, starts, lengths)
+        cols = op.col_segments(fixed, starts, lengths)
+        assert op.element_evaluations == 2 * lengths.sum()
+        assert np.array_equal(rows, np.concatenate(
+            [A[f, s:s + l] for f, s, l in zip(fixed, starts, lengths)]))
+        assert np.array_equal(cols, np.concatenate(
+            [A[s:s + l, f] for f, s, l in zip(fixed, starts, lengths)]))
+
+    def test_global_element_counter_counts_segments(self):
+        from repro.obs import global_registry
+        counter = global_registry().counter(
+            "repro_kernel_element_evaluations_total")
+        op = KernelOperator(np.random.default_rng(0).standard_normal((40, 3)),
+                            GaussianKernel(h=1.0))
+        before = counter.value
+        op.row_segments(np.array([1, 2]), np.array([5, 9]), np.array([7, 11]))
+        assert counter.value - before == 18
+
+
+def test_block_uses_cached_norms_without_changing_values():
+    """The norm cache is an optimisation of ``block``, not a new formula."""
+    X = np.random.default_rng(8).standard_normal((200, 8))
+    for kernel in (GaussianKernel(h=0.9), PolynomialKernel(degree=2)):
+        op = KernelOperator(X, kernel)
+        rows = np.array([0, 5, 5, 199, 17])
+        cols = np.arange(40, 123)
+        assert np.array_equal(op.block(rows, cols), kernel.block(X, rows, cols))
+        assert np.array_equal(op.block(cols, cols), kernel.block(X, cols, cols))
