@@ -79,7 +79,7 @@ def test_partial_fit_beats_cold_fit():
 
     # correctness alongside the speed claim: the streamed model matches a
     # cold fit on the final effective data (within compression tolerance)
-    eff_X, eff_y = clf.X_train_.copy(), clf._y_perm.copy()
+    eff_X, eff_y = clf.X_train_.copy(), clf._targets_perm.copy()
     t2 = time.perf_counter()
     cold = KernelRidgeClassifier(h=1.0, lam=1.0, solver="hss",
                                  seed=0).fit(eff_X, eff_y)

@@ -3,8 +3,8 @@
 The tuning fabric prices the three move classes of a hyper-parameter
 search very differently (``lam_move ≪ h_move ≪ cold``, see
 ``docs/tuning.md``): a λ-move refits the resident compression (one ULV,
-batch-prefactored per λ column via ``factor_many``), an h-move
-recompresses on the retained clustering / admissibility structure
+batch-prefactored per λ column via ``factor_many``), an h-move re-fits
+the resident solver on its retained tree, block cluster tree reused
 (``refit_kernel``), and only the very first evaluation pays a cold
 build.  This benchmark runs the *same* H x L grid twice through the
 real HSS training stack:
@@ -97,7 +97,7 @@ def test_tuning_fabric_grid_speedup(benchmark, tuning_problem):
                                        lam_bounds=(0.25, 8.0))
     grid_points = POINTS_PER_DIM ** 2
 
-    # --- fabric: per-h cache + structure-reuse recompression + prefactor
+    # --- fabric: per-h cache + h-moves on the retained tree + prefactor
     fabric = _TimedObjective(_make_objective(tuning_problem))
     t0 = time.perf_counter()
     fabric_result = GridSearch(space, points_per_dim=POINTS_PER_DIM) \
@@ -125,7 +125,7 @@ def test_tuning_fabric_grid_speedup(benchmark, tuning_problem):
     assert fabric_result.best_config == cold_result.best_config
     assert fabric_result.best_value == cold_result.best_value
 
-    # Move accounting: one cold build, (H-1) structure-reuse h-moves,
+    # Move accounting: one cold build, (H-1) retained-tree h-moves,
     # H·(L-1) λ-refits — kernel constructions ≪ grid points.
     assert fabric_moves == {"cold": 1,
                             "h_move": POINTS_PER_DIM - 1,

@@ -31,7 +31,7 @@ The library provides:
   :class:`repro.serving.PredictionService`) — :mod:`repro.serving`;
 * process-sharded training and serving over subtree ownership, mirroring
   the paper's rank-per-subtree MPI runs
-  (:class:`repro.distributed.DistributedKRRPipeline`,
+  (``KRRPipeline(shards=...)``,
   :class:`repro.distributed.ShardedPredictionService`) —
   :mod:`repro.distributed`;
 * unified observability — metrics registry, span tracing, per-request
@@ -68,8 +68,7 @@ from .krr import (KernelRidgeClassifier, KernelRidgeRegressor, KRRPipeline,
 from .datasets import load_dataset
 from .serving import (ModelStore, PredictionEngine, PredictionService,
                       load_model, save_model)
-from .distributed import (DistributedKRRPipeline, ShardPlan,
-                          ShardedPredictionService)
+from .distributed import ShardPlan, ShardedPredictionService
 from .runtime import RuntimeConfig, resolve_runtime_config
 
 __version__ = "1.0.0"
@@ -101,7 +100,6 @@ __all__ = [
     "PredictionService",
     "save_model",
     "load_model",
-    "DistributedKRRPipeline",
     "ShardPlan",
     "ShardedPredictionService",
     "RuntimeConfig",

@@ -32,7 +32,6 @@ shared-memory-machine reproduction of that architecture with
   drop-in ``KernelSystemSolver`` wired into
   :class:`repro.krr.KernelRidgeClassifier` / :class:`repro.krr.KRRPipeline`
   through their ``shards=`` knob;
-* :mod:`repro.distributed.pipeline` — :class:`DistributedKRRPipeline`;
 * :mod:`repro.distributed.service` — :class:`ShardedPredictionService`,
   fanning prediction batches across per-shard
   :class:`repro.serving.PredictionEngine`\\ s.
@@ -46,7 +45,6 @@ from .comm import (ArraySpec, BlockChannel, DistributedError, SharedArray,
 from .coordinator import Coordinator
 from .factors import ShardedFactors, ShardedULVSolver
 from .grid import WorkerGrid
-from .pipeline import DistributedKRRPipeline
 from .plan import ShardPlan, resolve_shards
 from .service import ShardedPredictionService
 from .solver import DistributedSolver
@@ -57,7 +55,6 @@ __all__ = [
     "BlockChannel",
     "Coordinator",
     "DistributedError",
-    "DistributedKRRPipeline",
     "DistributedSolver",
     "FitSpec",
     "ShardPlan",

@@ -233,58 +233,6 @@ class Coordinator:
             Aggregate fit report: per-phase timings (max over shards),
             memory, ranks and the coupling-rank map.
         """
-        return self._fit_round("fit")
-
-    def recompress(self, kernel: Kernel,
-                   lam: Optional[float] = None) -> Dict[str, object]:
-        """Kernel change on the warm grid: numerics + coupling round only.
-
-        Every worker keeps its resident local tree and H-matrix
-        admissibility partition and redoes the kernel-dependent numerics
-        (HSS generators, local ULV) plus the — kernel-dependent, unlike a
-        λ-refit — inter-shard coupling blocks; the coordinator then
-        re-runs the full capacitance bookkeeping.  Per-shard sampling
-        streams are re-derived from ``(seed, shard_id)`` exactly like a
-        cold fit, so the distributed state is bitwise identical to
-        fitting the new kernel cold on the same plan.  No process is
-        spawned — this is the warm-grid *h*-move of a 2-D sweep.
-
-        Parameters
-        ----------
-        kernel:
-            The new kernel (e.g. a different bandwidth).
-        lam:
-            Optional new ridge shift; ``None`` keeps the current one.
-
-        Returns
-        -------
-        dict
-            Aggregate report, same shape as :meth:`fit`'s.
-
-        Raises
-        ------
-        RuntimeError
-            If called before :meth:`fit`, or when this coordinator's fit
-            is no longer the grid's resident state (see :attr:`current`).
-        """
-        if not self._fitted:
-            raise RuntimeError(
-                "coordinator must fit() before recompress()")
-        self._check_current()
-        from ..serving.serialize import kernel_to_spec
-        self.kernel_spec = kernel_to_spec(kernel)
-        if lam is not None:
-            self.lam = float(lam)
-        try:
-            return self._fit_round("recompress")
-        except BaseException:
-            # Same invariant as refit(): never leave a half-rebuilt state
-            # claiming to be a consistent fit.
-            self._fitted = False
-            raise
-
-    def _fit_round(self, tag: str) -> Dict[str, object]:
-        """One full build round (``fit`` or ``recompress`` command)."""
         grid = self.grid.start()
         plan = self.plan
         spec = FitSpec(
@@ -299,7 +247,7 @@ class Coordinator:
             coupling_max_rank=self.coupling_max_rank,
         )
         t0 = time.perf_counter()
-        grid.broadcast(tag, payload=spec)
+        grid.broadcast("fit", payload=spec)
         self._fit_generation = grid.fit_generation
         infos: List[dict] = []
         factors: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
@@ -378,8 +326,6 @@ class Coordinator:
             "random_vectors": max(i["random_vectors"] for i in infos),
             "coupling_rank": R,
             "coupling_ranks": {p: factors[p][0].shape[1] for p in pairs},
-            "structure_reuses": sum(
-                1 for i in infos if i.get("structure_reused", False)),
         }
         return self.fit_info
 

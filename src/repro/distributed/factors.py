@@ -251,6 +251,11 @@ class ShardedULVSolver(KernelSystemSolver):
             "repro.distributed.DistributedSolver instead (lambda-only "
             "refit() is supported)")
 
+    # Refuse up front: the base fit() would first drop the report and any
+    # streamed corrections of the restored state.  This covers
+    # refit_kernel() too, which is a fit on the retained context.
+    fit = _fit_impl
+
     def _refit_impl(self, lam: float) -> None:
         # Offline λ-refit over the persisted λ-free per-shard compressions:
         # re-factor every local ULV at the new shift and reassemble the

@@ -380,7 +380,7 @@ class WorkerGrid:
     def broadcast(self, tag: str, per_shard_arrays=None, payload=None) -> None:
         """Send one command to every worker.
 
-        A ``fit``, ``recompress`` or ``refit`` broadcast advances
+        A ``fit`` or ``refit`` broadcast advances
         :attr:`fit_generation`:
         the workers' resident factors now belong to the new (re)fit, and
         any coordinator that recorded an earlier generation becomes stale.
@@ -397,7 +397,7 @@ class WorkerGrid:
         """
         if not self._workers:
             raise RuntimeError("worker grid is not running; call start()")
-        if tag in ("fit", "recompress", "refit"):
+        if tag in ("fit", "refit"):
             self.fit_generation += 1
         for shard in range(len(self._workers)):
             arrays = (None if per_shard_arrays is None

@@ -8,9 +8,12 @@ classifiers and pipelines gain process-level sharding through the ordinary
 :class:`repro.distributed.WorkerGrid` — **reusing** a live grid whenever
 the plan and dataset match (warm fit: zero new processes), whether that
 grid was spawned by a previous ``fit`` of this solver or passed in
-explicitly for a hyper-parameter sweep.  ``solve`` runs the distributed
-Woodbury solve (multi-RHS in one round trip) while the grid is up, and
-falls back to the in-process :class:`repro.distributed.ShardedULVSolver`
+explicitly for a hyper-parameter sweep.  A bandwidth move
+(``refit_kernel``) is exactly such a warm ``fit`` on the retained tree:
+each worker reuses its resident block cluster tree and redoes the
+kernel-dependent numerics and coupling blocks.  ``solve`` runs the
+distributed Woodbury solve (multi-RHS in one round trip) while the grid
+is up, and falls back to the in-process :class:`repro.distributed.ShardedULVSolver`
 over the collected per-shard factors after ``close()`` — so trained models
 keep full re-solve capability with no worker processes, and persist that
 way (see :mod:`repro.distributed.factors`).
@@ -209,13 +212,11 @@ class DistributedSolver(KernelSystemSolver):
                 self._owned_grid.shutdown()
             raise
         self.compression_count += 1
-        # Streaming context: partial_fit builds its Woodbury correction
-        # blocks against these points, with the base solves fanned out
-        # through _solve_impl (live coordinator round-trips while the grid
-        # is up — the workers hold the factors the correction right-hand
-        # sides are solved against — or the collected in-process factors
-        # after close()).
-        self._stream_context = (X_permuted, kernel)
+        # partial_fit builds its Woodbury correction blocks against the
+        # fit context, with the base solves fanned out through _solve_impl
+        # (live coordinator round-trips while the grid is up — the workers
+        # hold the factors the correction right-hand sides are solved
+        # against — or the collected in-process factors after close()).
         self.report.shards = self.plan_.n_shards
         self.report.workers = max(1, int(self.workers or 1))
         self.report.timings = dict(info["timings"])
@@ -270,45 +271,6 @@ class DistributedSolver(KernelSystemSolver):
             "reused by a newer fit) and no factors were collected "
             "(collect_factors=False); a full fit is required to change "
             "lambda")
-
-    # ---------------------------------------------------------- kernel refit
-    def _refit_kernel_impl(self, kernel, lam: float) -> None:
-        # Kernel moves need the live grid: the coupling blocks are
-        # kernel-dependent (unlike a λ-refit), so the workers must redo
-        # their numerics + coupling round.  The resident local trees and
-        # admissibility partitions are reused — no process is spawned and
-        # no geometry is recomputed.
-        if self.coordinator_ is None or not self.coordinator_.current:
-            # Grid down (close() after training) or reused by a newer
-            # fit: the collected factors cannot express a kernel change,
-            # so rebuild distributed from the retained context — a fresh
-            # fit of the new kernel, trivially identical to a cold one.
-            context = getattr(self, "_stream_context", None)
-            if context is None or self.plan_ is None:
-                raise RuntimeError(
-                    "distributed workers are not running and no training "
-                    "context was retained; a full fit is required to "
-                    "change the kernel")
-            X_permuted, _ = context
-            self._fit_impl(X_permuted, self.plan_.tree, kernel, lam)
-            return
-        info = self.coordinator_.recompress(kernel, lam=lam)
-        self.compression_count += 1
-        if self.collect_factors:
-            # Both the HSS generators and the ULV payload changed: a full
-            # re-collect is required (refresh_factors only ships ulv.*).
-            self.factors_ = self.coordinator_.collect_factors()
-            self._local_solver = None
-        self._stream_context = (self._stream_context[0], kernel) \
-            if getattr(self, "_stream_context", None) is not None else None
-        self.report.timings = dict(info["timings"])
-        self.report.hss_memory_mb = float(info["hss_memory_mb"])
-        self.report.hmatrix_memory_mb = float(info["hmatrix_memory_mb"])
-        self.report.memory_mb = (float(info["hss_memory_mb"])
-                                 + float(info["hmatrix_memory_mb"])
-                                 + float(info["coupling_memory_mb"]))
-        self.report.max_rank = int(info["max_rank"])
-        self.report.random_vectors = int(info["random_vectors"])
 
     # ----------------------------------------------------------------- solve
     def _solve_impl(self, y: np.ndarray) -> np.ndarray:

@@ -158,31 +158,25 @@ class _ShardState:
         self.z: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------ fit
-    def fit(self, spec: FitSpec,
-            reuse_structure: bool = False
-            ) -> Tuple[dict, Dict[str, np.ndarray]]:
-        """Full local build; with ``reuse_structure`` the h-move variant.
+    def fit(self, spec: FitSpec) -> Tuple[dict, Dict[str, np.ndarray]]:
+        """Full local build: compression, ULV and owned coupling blocks.
 
-        ``reuse_structure=True`` serves the ``recompress`` command: the
-        resident compression's kernel-independent skeleton (local tree
-        geometry + H-matrix admissibility partition) is kept and only the
-        kernel-dependent numerics and coupling blocks are redone.  The
-        sampling stream is re-derived from ``(seed, shard_id)`` exactly
-        like a cold fit, so the result is bitwise identical to fitting
-        the new kernel cold on this grid.
+        The shard's dataset and local tree are fixed at spawn time, so
+        the block cluster tree of a previous fit is handed back to the
+        compression, which reuses it when its recorded options still
+        match this ``spec`` — a warm-grid bandwidth move then skips the
+        geometry pass.  The sampling stream is re-derived from
+        ``(seed, shard_id)`` every time, so a warm fit is bitwise
+        identical to a cold one on this grid.
         """
         cfg = self.config
         from ..serving.serialize import kernel_from_spec
         kernel = kernel_from_spec(spec.kernel_spec)
         X_local = self.X[self.start:self.stop]
         log = TimingLog()
-
-        structure = None
-        if reuse_structure:
-            if self.compressed is None:
-                raise RuntimeError(
-                    "worker received 'recompress' before 'fit'")
-            structure = self.compressed.structure
+        block_tree = None
+        if self.compressed is not None:
+            block_tree = getattr(self.compressed.hmatrix, "block_tree", None)
 
         # Refitting replaces all per-fit state; stale coupling factors of a
         # previous fit must not leak into the new capacitance system, and
@@ -210,7 +204,7 @@ class _ShardState:
             hmatrix_options=spec.hmatrix_options,
             use_hmatrix_sampling=spec.use_hmatrix_sampling,
             seed=rng, timing=log, executor=self.executor,
-            structure=structure)
+            block_tree=block_tree)
         hss = self.compressed.hss
         stats_random_vectors = self.compressed.report.random_vectors
         hmatrix_memory_mb = self.compressed.report.hmatrix_memory_mb
@@ -245,7 +239,6 @@ class _ShardState:
             "coupling_ranks": coupling_ranks,
             "n_local": self.stop - self.start,
             "recompressed": True,
-            "structure_reused": structure is not None,
         }
         return info, arrays
 
@@ -400,12 +393,6 @@ def worker_main(config: WorkerConfig, x_spec: ArraySpec,
                     # Ship the worker's *cumulative* telemetry with every
                     # reply that carries a report; the coordinator absorbs
                     # with replace semantics, so this never double-counts.
-                    info["metrics"] = global_registry().local_snapshot()
-                    response.send("fitted", info, arrays=out)
-                elif tag == "recompress":
-                    # Kernel change on a warm grid: keep the resident
-                    # structural skeleton, redo numerics + coupling.
-                    info, out = state.fit(payload, reuse_structure=True)
                     info["metrics"] = global_registry().local_snapshot()
                     response.send("fitted", info, arrays=out)
                 elif tag == "refit":

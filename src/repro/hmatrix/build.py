@@ -95,11 +95,13 @@ def build_hmatrix(
         running several training phases should pass one executor so the
         thread pool is reused across phases.
     block_tree:
-        Optional pre-built :class:`repro.hmatrix.BlockClusterTree` of an
-        earlier build over the *same* ``(X_permuted, tree, options)``.  The
-        admissibility partition is purely geometric (kernel-independent),
-        so a bandwidth change can reuse it and skip the geometry pass —
-        only the block numerics are redone.
+        Optional :class:`repro.hmatrix.BlockClusterTree` of an earlier
+        build over the same ``X_permuted``.  The admissibility partition
+        is purely geometric (kernel-independent), so a bandwidth change
+        reuses it and skips the geometry pass — only the block numerics
+        are redone.  It is reused only when its recorded ``tree`` is this
+        ``tree`` and its ``eta`` / ``leaf_size`` / ``criterion`` equal the
+        options'; otherwise the partition is rebuilt.
 
     Returns
     -------
@@ -114,7 +116,10 @@ def build_hmatrix(
 
     try:
         with trace.span("hmatrix.build") as span, log.phase("h_construction"):
-            if block_tree is not None:
+            if (block_tree is not None and block_tree.tree is tree
+                    and block_tree.eta == opts.admissibility_eta
+                    and block_tree.leaf_size == opts.leaf_size
+                    and block_tree.criterion == opts.admissibility):
                 btree = block_tree
             else:
                 geometries = cluster_geometries(X_permuted, tree)

@@ -33,7 +33,7 @@ from .hss_matrix import HSSMatrix
 from .build_dense import build_hss_from_dense
 from .build_random import build_hss_randomized, SamplingStats
 from .compressed import (CompressedKernel, CompressionReport,
-                         CompressionStructure, compress_kernel)
+                         compress_kernel)
 from .ulv import ULVFactorization
 from .memory import HSSStatistics
 from .streaming import DriftBudget, StreamingULVSolver
@@ -48,7 +48,6 @@ __all__ = [
     "SamplingStats",
     "CompressedKernel",
     "CompressionReport",
-    "CompressionStructure",
     "compress_kernel",
     "ULVFactorization",
     "HSSStatistics",

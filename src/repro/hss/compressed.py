@@ -75,45 +75,6 @@ class CompressionReport:
 
 
 @dataclass
-class CompressionStructure:
-    """The kernel-independent skeleton of one compression.
-
-    Everything here depends only on the geometry (``X_permuted``, the
-    cluster tree, the admissibility partition) and the build options —
-    not on the kernel values.  A bandwidth (*h*) move can therefore keep
-    the structure and redo only the numerics: that is exactly what
-    :meth:`CompressedKernel.recompress` does.
-
-    Parameters
-    ----------
-    X_permuted:
-        Training points in the permuted ordering of ``tree``.
-    tree:
-        Cluster tree defining the HSS partition.
-    block_tree:
-        The H-matrix admissibility partition
-        (:class:`repro.hmatrix.BlockClusterTree`), or ``None`` when
-        H-matrix sampling is off.
-    hss_options, hmatrix_options, use_hmatrix_sampling, seed:
-        The build options the structure was created with; replays use the
-        same options and the same seed so the rebuild is bitwise
-        reproducible.
-    matmat_col_tile:
-        Column tile of the exact-sampling operator (see
-        :func:`compress_kernel`).
-    """
-
-    X_permuted: np.ndarray
-    tree: ClusterTree
-    block_tree: Optional[object] = None
-    hss_options: Optional[HSSOptions] = None
-    hmatrix_options: Optional[HMatrixOptions] = None
-    use_hmatrix_sampling: bool = True
-    seed: object = 0
-    matmat_col_tile: Optional[int] = None
-
-
-@dataclass
 class CompressedKernel:
     """A λ-free HSS compression of one kernel matrix plus its build report.
 
@@ -121,8 +82,7 @@ class CompressedKernel:
     tree)`` and consumed by :meth:`repro.hss.ULVFactorization.factor`,
     which applies the ridge shift ``+ lam I`` at factorization time.  The
     same instance can therefore be re-factored at arbitrarily many λ
-    values without any recompression, and :meth:`recompress` rebuilds the
-    numerics for a *new* kernel while keeping the structural skeleton.
+    values without any recompression.
 
     Parameters
     ----------
@@ -132,16 +92,15 @@ class CompressedKernel:
     report:
         Build statistics (:class:`CompressionReport`).
     hmatrix:
-        The auxiliary H matrix used for sampling, or ``None``.
-    structure:
-        The kernel-independent :class:`CompressionStructure` enabling
-        cheap *h*-moves, or ``None`` for deserialized artifacts.
+        The auxiliary H matrix used for sampling, or ``None``.  Its
+        ``block_tree`` is the kernel-independent part of the build: pass
+        it back to :func:`compress_kernel` to skip the geometry pass of a
+        bandwidth move.
     """
 
     hss: HSSMatrix
     report: CompressionReport = field(default_factory=CompressionReport)
     hmatrix: Optional[object] = None
-    structure: Optional[CompressionStructure] = None
 
     @property
     def tree(self) -> ClusterTree:
@@ -198,56 +157,6 @@ class CompressedKernel:
         return ULVFactorization.factor_many(self, lams, timing=timing,
                                             executor=executor)
 
-    def recompress(self, kernel: Kernel,
-                   timing: Optional[TimingLog] = None,
-                   executor: Optional[BlockExecutor] = None
-                   ) -> "CompressedKernel":
-        """Rebuild the numerics for ``kernel`` on the existing structure.
-
-        The cluster tree, permutation and H-matrix admissibility
-        partition are kernel-independent; only the ACA/dense block
-        numerics and the randomized HSS generators depend on the kernel
-        values.  This replays exactly those stages — with the structure's
-        original options and seed — so the result is **bitwise
-        identical** to a cold :func:`compress_kernel` of ``kernel`` on
-        the same tree, at a fraction of the cost.
-
-        Parameters
-        ----------
-        kernel:
-            The new kernel (e.g. a different bandwidth *h*).
-        timing:
-            Optional :class:`repro.utils.TimingLog`.
-        executor:
-            Optional shared :class:`repro.parallel.BlockExecutor`.
-
-        Returns
-        -------
-        CompressedKernel
-            A **new** compression of ``kernel`` carrying the same
-            structure; ``self`` is left untouched.
-
-        Raises
-        ------
-        RuntimeError
-            If this compression carries no structure (deserialized
-            artifacts drop it).
-        """
-        if self.structure is None:
-            raise RuntimeError(
-                "this CompressedKernel carries no CompressionStructure "
-                "(deserialized artifacts drop it); run a cold "
-                "compress_kernel instead")
-        s = self.structure
-        return compress_kernel(
-            s.X_permuted, s.tree, kernel,
-            hss_options=s.hss_options,
-            hmatrix_options=s.hmatrix_options,
-            use_hmatrix_sampling=s.use_hmatrix_sampling,
-            seed=s.seed, timing=timing, executor=executor,
-            matmat_col_tile=s.matmat_col_tile,
-            structure=s)
-
 
 def compress_kernel(
     X_permuted: np.ndarray,
@@ -260,7 +169,7 @@ def compress_kernel(
     timing: Optional[TimingLog] = None,
     executor: Optional[BlockExecutor] = None,
     matmat_col_tile: Optional[int] = None,
-    structure: Optional[CompressionStructure] = None,
+    block_tree=None,
 ) -> CompressedKernel:
     """Build the λ-free HSS compression of ``K(X_permuted)``.
 
@@ -289,12 +198,14 @@ def compress_kernel(
         Column-tile size of the exact kernel operator's ``matmat`` (only
         exercised when ``use_hmatrix_sampling`` is ``False``); ``None``
         keeps the untiled single-GEMM row sweep.
-    structure:
-        Optional :class:`CompressionStructure` of an earlier build over
-        the same ``(X_permuted, tree, options)``: the admissibility
-        partition is reused and only the kernel-dependent numerics are
-        redone.  This is the fast path behind
-        :meth:`CompressedKernel.recompress`.
+    block_tree:
+        Optional :class:`repro.hmatrix.BlockClusterTree` of an earlier
+        build (``compressed.hmatrix.block_tree``).  The admissibility
+        partition is purely geometric, so a bandwidth move reuses it and
+        redoes only the kernel-dependent numerics — bitwise identical to
+        a cold build.  :func:`repro.hmatrix.build_hmatrix` checks the
+        block tree's recorded tree and options against this call's and
+        rebuilds the partition when they differ.
 
     Returns
     -------
@@ -313,13 +224,12 @@ def compress_kernel(
     sampler = operator
     hmatrix = None
     hmatrix_memory_mb = 0.0
-    reuse_btree = structure.block_tree if structure is not None else None
     with trace.span("kernel.compress"):
         if use_hmatrix_sampling:
             hmatrix = build_hmatrix(operator, X_permuted, tree,
                                     options=h_opts, timing=log,
                                     executor=executor,
-                                    block_tree=reuse_btree)
+                                    block_tree=block_tree)
             sampler = HMatrixSampler(hmatrix, operator, executor=executor)
             hmatrix_memory_mb = megabytes(hmatrix.nbytes)
 
@@ -338,12 +248,4 @@ def compress_kernel(
         max_rank=hss_stats.max_rank,
         random_vectors=stats.random_vectors,
     )
-    if structure is None:
-        structure = CompressionStructure(
-            X_permuted=X_permuted, tree=tree,
-            block_tree=hmatrix.block_tree if hmatrix is not None else None,
-            hss_options=opts, hmatrix_options=h_opts,
-            use_hmatrix_sampling=use_hmatrix_sampling, seed=seed,
-            matmat_col_tile=matmat_col_tile)
-    return CompressedKernel(hss=hss, report=report, hmatrix=hmatrix,
-                            structure=structure)
+    return CompressedKernel(hss=hss, report=report, hmatrix=hmatrix)

@@ -8,7 +8,9 @@ The package provides:
   sampling, and :class:`CGSolver` — matrix-free conjugate gradients),
 * :class:`KernelRidgeClassifier` — the two-class classifier of Algorithm 1,
 * :class:`OneVsAllClassifier` — the multi-class extension (Section 2),
-* :class:`KernelRidgeRegressor` — plain regression with the same solvers,
+* :class:`KernelRidgeRegressor` — plain regression with the same solvers
+  (all three are target-encoding shells over the one lifecycle core in
+  :mod:`repro.krr.estimator`),
 * :class:`KRRPipeline` — the full pipeline including the clustering
   preprocessing (Step 0), used by every experiment in the benchmark
   harness,

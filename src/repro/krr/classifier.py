@@ -9,68 +9,31 @@ The classifier performs all five steps of Algorithm 1:
 3. compute the kernel vector of every test point against the training set,
 4. predict ``sign(w . K'(x'))``.
 
-Labels are ±1 as in the paper; :class:`repro.krr.OneVsAllClassifier`
-extends this to multi-class problems.
+Steps 0–3 and the model's whole lifecycle are the shared
+:class:`repro.krr.estimator.KernelRidgeEstimator`; this module adds the
+±1 label encoding of the paper and Step 4.
+:class:`repro.krr.OneVsAllClassifier` extends this to multi-class
+problems.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
-
 import numpy as np
 
-from ..clustering.api import ClusteringResult, cluster
-from ..config import ClusteringOptions
-from ..kernels.base import Kernel, get_kernel
-from ..kernels.distance import blockwise_sq_dists
-from ..utils.validation import (check_array_2d, check_labels_binary,
-                                check_non_negative, check_positive,
-                                check_same_dimension)
-from .solvers import KernelSystemSolver, build_training_solver
+from ..utils.validation import check_labels_binary
+from .estimator import KernelRidgeEstimator
 
 
-class KernelRidgeClassifier:
+class KernelRidgeClassifier(KernelRidgeEstimator):
     """Gaussian kernel ridge regression classifier with ±1 labels.
 
     Parameters
     ----------
-    h:
-        Gaussian bandwidth (ignored if an explicit ``kernel`` is given).
-    lam:
-        Ridge regularization parameter ``lambda``.
-    solver:
-        Solver name (``"dense"``, ``"hss"``, ``"cg"``) or a pre-constructed
-        :class:`repro.krr.solvers.KernelSystemSolver` instance.
-    clustering:
-        Name of the preprocessing ordering (``"two_means"``, ``"kd"``,
-        ``"pca"``, ``"natural"``, ...) or a :class:`ClusteringOptions`.
-    kernel:
-        Kernel name or :class:`repro.kernels.Kernel` instance;
-        default Gaussian with bandwidth ``h``.
-    leaf_size:
-        Leaf size of the cluster / HSS tree (paper default 16).
-    seed:
-        Seed controlling the random parts (two-means seeding, HSS sampling).
-    workers:
-        Worker threads for the training phases when ``solver`` is the
-        ``"hss"`` name (the only solver with a threaded training path;
-        ignored for ``"dense"`` / ``"cg"`` and for pre-constructed solver
-        instances, which carry their own setting).  ``None`` defers to
-        ``REPRO_WORKERS`` / serial; see
-        :func:`repro.parallel.resolve_workers`.
-    shards:
-        Worker *processes* for the training phases when ``solver`` is the
-        ``"hss"`` name: the training solve then runs through
-        :class:`repro.distributed.DistributedSolver`, each process owning
-        a subtree of the cluster tree.  ``None`` defers to
-        ``REPRO_SHARDS`` (single process when unset); see
-        :func:`repro.distributed.resolve_shards`.  Prediction is
-        unaffected — the trained weights live in this process either way.
+    h, lam, solver, clustering, kernel, leaf_size, seed, workers, shards,
     solver_options:
-        Extra keyword arguments forwarded to
-        :func:`repro.krr.solvers.build_training_solver` when ``solver`` is
-        given by name (e.g. ``hss_options``, or ``grid`` /
-        ``collect_factors`` for the sharded path).
+        See :class:`repro.krr.estimator.KernelRidgeEstimator`, which also
+        provides ``fit`` / ``refit`` / ``refit_kernel`` / ``partial_fit``
+        / ``recompress``, ``decision_function`` and ``save`` / ``load``.
 
     Examples
     --------
@@ -84,401 +47,20 @@ class KernelRidgeClassifier:
     True
     """
 
-    def __init__(
-        self,
-        h: float = 1.0,
-        lam: float = 1.0,
-        solver: Union[str, KernelSystemSolver] = "hss",
-        clustering: Union[str, ClusteringOptions] = "two_means",
-        kernel: Union[str, Kernel, None] = None,
-        leaf_size: int = 16,
-        seed=0,
-        workers: Optional[int] = None,
-        shards: Optional[int] = None,
-        solver_options: Optional[dict] = None,
-    ):
-        self.h = check_positive(h, "h")
-        self.lam = check_non_negative(lam, "lam")
-        self.leaf_size = int(leaf_size)
-        self.seed = seed
-        self.workers = workers
-        self.shards = shards
-        if isinstance(kernel, Kernel):
-            self.kernel = kernel
-        elif kernel is None:
-            self.kernel = get_kernel("gaussian", h=self.h)
-        else:
-            self.kernel = get_kernel(kernel, h=self.h)
-        self._solver_spec = solver
-        self._solver_options = dict(solver_options or {})
-        self._clustering_spec = clustering
-        # Fitted state
-        self.solver_: Optional[KernelSystemSolver] = None
-        self.clustering_: Optional[ClusteringResult] = None
-        self.weights_: Optional[np.ndarray] = None
-        self.X_train_: Optional[np.ndarray] = None
-        #: permuted ±1 training targets, kept so λ-only refits can re-solve
-        self._y_perm: Optional[np.ndarray] = None
-        #: drift bookkeeping of the last partial_fit (None = never streamed)
-        self.stream_info_: Optional[dict] = None
-
-    # ------------------------------------------------------------------ fit
-    def _make_solver(self) -> KernelSystemSolver:
-        return build_training_solver(self._solver_spec, seed=self.seed,
-                                     workers=self.workers, shards=self.shards,
-                                     solver_options=self._solver_options)
-
-    def _run_clustering(self, X: np.ndarray) -> ClusteringResult:
-        if isinstance(self._clustering_spec, ClusteringOptions):
-            return cluster(X, options=self._clustering_spec)
-        return cluster(X, method=self._clustering_spec, leaf_size=self.leaf_size,
-                       seed=self.seed)
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "KernelRidgeClassifier":
-        """Train on ``(X, y)`` with ±1 labels.
-
-        The data is reordered (Step 0), the training system is factored
-        (Step 2) and the weight vector is stored in the permuted ordering,
-        together with the permuted training points needed at prediction
-        time.
-        """
-        X = check_array_2d(X, "X")
-        y = check_labels_binary(y, "y")
-        if y.shape[0] != X.shape[0]:
+    def _encode_targets(self, y, n_rows, name, fitting):
+        y = check_labels_binary(y, name)
+        if y.shape[0] != n_rows:
             raise ValueError(
-                f"X has {X.shape[0]} rows but y has {y.shape[0]} entries")
-
-        self.clustering_ = self._run_clustering(X)
-        X_perm = self.clustering_.X
-        y_perm = self.clustering_.permute_labels(y)
-
-        self.solver_ = self._make_solver()
-        self.solver_.fit(X_perm, self.clustering_.tree, self.kernel, self.lam)
-        self.weights_ = self.solver_.solve(y_perm)
-        self.X_train_ = X_perm
-        self._y_perm = y_perm
-        self.stream_info_ = None
-        # Training is done: release any solver worker threads.  A later
-        # solver_.solve() (e.g. re-solving for a new right-hand side)
-        # lazily re-creates the pool.
-        close = getattr(self.solver_, "close", None)
-        if close is not None:
-            close()
-        return self
-
-    def refit(self, lam: float) -> "KernelRidgeClassifier":
-        """Re-train at a new ridge parameter without recompressing.
-
-        The clustering, the kernel and the solver's λ-independent state
-        (the :class:`repro.hss.CompressedKernel` for the HSS path, the
-        kernel matrix for the dense path) are reused; only the
-        shift-dependent factorization and the training solve are redone,
-        so a λ sweep costs one compression plus one cheap refit per value.
-        The resulting weights are identical to a cold :meth:`fit` at the
-        same ``lam`` (bitwise for the serial solvers).  Also works on a
-        model reloaded from an artifact saved by this version (the
-        permuted training targets ride in the archive).
-
-        Parameters
-        ----------
-        lam:
-            The new ridge parameter.
-
-        Returns
-        -------
-        KernelRidgeClassifier
-            ``self``, refitted at ``lam``.
-
-        Raises
-        ------
-        RuntimeError
-            If the model is unfitted, the solver does not support
-            λ-only refits, or a legacy artifact lacks the training
-            targets / a λ-free compression.
-        """
-        if self.solver_ is None or self.weights_ is None:
-            raise RuntimeError("classifier must be fitted before refit()")
-        if self._y_perm is None:
-            raise RuntimeError(
-                "no training targets available for refit (artifact saved "
-                "by an older version); call fit() instead")
-        lam = check_non_negative(lam, "lam")
-        self.solver_.refit(lam)
-        weights = self.solver_.solve(self._y_perm)
-        # Only adopt the new λ and weights together, once both the solver
-        # refit and the re-solve succeeded; a failure in either must not
-        # leave the model reporting a λ its weights do not have.
-        self.lam = lam
-        self.weights_ = weights
-        close = getattr(self.solver_, "close", None)
-        if close is not None:
-            close()
-        return self
-
-    def refit_kernel(self, h, lam: Optional[float] = None
-                     ) -> "KernelRidgeClassifier":
-        """Re-train at a new bandwidth without redoing the structure.
-
-        The clustering, permutation and — for the HSS path — the H-matrix
-        admissibility partition are kernel-independent and stay resident;
-        only the kernel-dependent numerics are rebuilt (see
-        :meth:`repro.krr.solvers.KernelSystemSolver.refit_kernel`).  The
-        resulting weights are identical to a cold :meth:`fit` at the same
-        ``(h, lam)`` (bitwise for the serial solvers) at a fraction of the
-        cost: this is the *h*-move of a 2-D hyperparameter sweep, sitting
-        between the cheap λ-only :meth:`refit` and a full cold fit.
-
-        Parameters
-        ----------
-        h:
-            New bandwidth (same kernel family), or a
-            :class:`repro.kernels.Kernel` instance to swap in directly.
-        lam:
-            Optional new ridge parameter; ``None`` keeps the current one.
-
-        Returns
-        -------
-        KernelRidgeClassifier
-            ``self``, refitted for the new kernel.
-
-        Raises
-        ------
-        RuntimeError
-            If the model is unfitted, the solver does not support kernel
-            refits, or a legacy artifact lacks the training targets.
-        """
-        if self.solver_ is None or self.weights_ is None:
-            raise RuntimeError(
-                "classifier must be fitted before refit_kernel()")
-        if self._y_perm is None:
-            raise RuntimeError(
-                "no training targets available for refit_kernel (artifact "
-                "saved by an older version); call fit() instead")
-        stream = self.solver_.stream
-        if stream is not None and stream.active:
-            raise RuntimeError(
-                "streamed updates are in effect; the Woodbury corrections "
-                "were built against the old kernel and cannot survive a "
-                "kernel change — call recompress() first")
-        if isinstance(h, Kernel):
-            kernel = h
-            new_h = float(getattr(kernel, "h", self.h))
-        else:
-            new_h = check_positive(h, "h")
-            kernel = get_kernel(self.kernel.name, h=new_h)
-        new_lam = self.lam if lam is None else check_non_negative(lam, "lam")
-        self.solver_.refit_kernel(kernel, new_lam)
-        weights = self.solver_.solve(self._y_perm)
-        # Adopt kernel, h, λ and weights together only after both the
-        # solver rebuild and the re-solve succeeded (same invariant as
-        # refit()).
-        self.kernel = kernel
-        self.h = new_h
-        self.lam = new_lam
-        self.weights_ = weights
-        close = getattr(self.solver_, "close", None)
-        if close is not None:
-            close()
-        return self
-
-    # ------------------------------------------------------------- streaming
-    def _check_streamable(self) -> None:
-        if self.solver_ is None or self.weights_ is None:
-            raise RuntimeError(
-                "classifier must be fitted before streaming updates")
-
-    def _validate_update(self, X_new, y_new, remove):
-        """Shared add/remove validation; returns ``(X_new, y_add, idx)``."""
-        if (X_new is None) != (y_new is None):
-            raise ValueError("X_new and y_new must be given together")
-        y_add = None
-        if X_new is not None:
-            X_new = check_array_2d(X_new, "X_new")
-            check_same_dimension(X_new, self.X_train_, ("X_new", "X_train"))
-        idx = None
-        if remove is not None:
-            raw = np.asarray(remove, dtype=np.intp).ravel()
-            idx = np.unique(raw)
-            if idx.size != raw.size:
-                raise ValueError("remove contains duplicate indices")
-            n = self.X_train_.shape[0]
-            if idx.size and (idx[0] < 0 or idx[-1] >= n):
-                raise ValueError(
-                    f"remove indices must lie in [0, {n}), got "
-                    f"[{idx[0]}, {idx[-1]}]")
-        if X_new is None and (idx is None or not idx.size):
-            raise ValueError(
-                "nothing to update: pass X_new/y_new and/or remove")
-        return X_new, y_add, idx
-
-    def _apply_stream_update(self, X_new, y_eff, idx):
-        """Mutate the solver and re-solve; roll the stream back on failure."""
-        prev = None
-        if self.solver_.stream is not None:
-            prev = self.solver_.stream.state_arrays()
-        try:
-            self.solver_.partial_fit(X_add=X_new, remove=idx)
-            return self.solver_.solve(y_eff)
-        except BaseException:
-            stream = self.solver_.stream
-            if stream is not None:
-                if prev is not None:
-                    stream.restore_state(**prev)
-                else:
-                    stream.restore_state(
-                        np.arange(stream.n_base, dtype=np.intp),
-                        np.empty((0, stream.X_base.shape[1])))
-            raise
-
-    def _finish_stream_update(self, stream, weights, y_eff) -> None:
-        """Adopt the updated state and record drift bookkeeping."""
-        self.X_train_ = stream.X_effective
-        self.weights_ = weights
-        budget = stream.budget
-        residual = None
-        if budget.residual_tol > 0:
-            residual = stream.residual_estimate(weights, y_eff)
-        breached, reason = budget.check(stream, residual)
-        self.stream_info_ = dict(stream.drift_stats())
-        self.stream_info_.update(
-            {"breached": breached, "breach_reason": reason,
-             "residual": residual})
-        close = getattr(self.solver_, "close", None)
-        if close is not None:
-            close()
-
-    def partial_fit(self, X_new=None, y_new=None, remove=None,
-                    budget=None) -> "KernelRidgeClassifier":
-        """Stream rows into / out of the fitted model without refitting.
-
-        Removals (``remove``, indices into the *current* training-set
-        ordering — the rows of ``X_train_``) are applied first, then
-        ``(X_new, y_new)`` rows are appended; both land as Woodbury
-        corrections around the existing factors and the weight vector is
-        re-solved against the updated system (see
-        :class:`repro.hss.StreamingULVSolver`).  ``stream_info_`` records
-        the resulting correction rank and whether the drift budget is
-        breached — a breached budget calls for :meth:`recompress`.
-
-        Parameters
-        ----------
-        X_new, y_new:
-            Rows to append and their ±1 labels (given together).
-        remove:
-            Indices into the current training ordering to drop.
-        budget:
-            Optional :class:`repro.hss.DriftBudget` overriding the
-            stream's thresholds.
-
-        Returns
-        -------
-        KernelRidgeClassifier
-            ``self``, serving the updated training set.
-        """
-        self._check_streamable()
-        if self._y_perm is None:
-            raise RuntimeError(
-                "no training targets available for partial_fit (artifact "
-                "saved by an older version); call fit() instead")
-        X_new, y_add, idx = self._validate_update(X_new, y_new, remove)
-        if X_new is not None:
-            y_add = check_labels_binary(y_new, "y_new")
-            if y_add.shape[0] != X_new.shape[0]:
-                raise ValueError(
-                    f"X_new has {X_new.shape[0]} rows but y_new has "
-                    f"{y_add.shape[0]} entries")
-        y_eff = self._y_perm
-        if idx is not None and idx.size:
-            y_eff = np.delete(y_eff, idx, axis=0)
-        if y_add is not None:
-            y_eff = np.concatenate([y_eff, y_add])
-        weights = self._apply_stream_update(X_new, y_eff, idx)
-        stream = self.solver_.stream
-        if budget is not None:
-            stream.budget = budget
-        self._y_perm = y_eff
-        self._finish_stream_update(stream, weights, y_eff)
-        return self
-
-    def recompress(self) -> "KernelRidgeClassifier":
-        """Cold-refit on the current effective training set.
-
-        Re-clusters, recompresses and re-factors from scratch, dropping
-        every streamed correction.  Because the clustering is
-        deterministic in the row order, the result is bitwise identical
-        to a cold :meth:`fit` on ``(X_train_, labels)`` in the same row
-        order — this is the drift-budget escape hatch, and what the
-        serving tier hot-swaps in after a breach.
-        """
-        self._check_streamable()
-        if self._y_perm is None:
-            raise RuntimeError(
-                "no training targets available for recompress (artifact "
-                "saved by an older version); call fit() instead")
-        from ..hss.streaming import record_recompression
-        self.fit(self.X_train_.copy(), self._y_perm.copy())
-        record_recompression()
-        return self
-
-    # -------------------------------------------------------------- predict
-    def decision_function(self, X_test: np.ndarray, block_size: int = 1024) -> np.ndarray:
-        """Real-valued scores ``w . K'(x')`` for every test point (Step 3/4).
-
-        Computed in row blocks so the ``m x n`` test kernel matrix is never
-        fully materialised.
-        """
-        if self.weights_ is None:
-            raise RuntimeError("classifier must be fitted before predicting")
-        X_test = check_array_2d(X_test, "X_test")
-        check_same_dimension(X_test, self.X_train_, ("X_test", "X_train"))
-        scores = np.empty(X_test.shape[0], dtype=np.float64)
-        for rows, sq in blockwise_sq_dists(X_test, self.X_train_, block_size=block_size):
-            scores[rows] = self.kernel._evaluate_sq(sq) @ self.weights_
-        return scores
+                f"{name} has {y.shape[0]} entries for {n_rows} rows")
+        return y
 
     def predict(self, X_test: np.ndarray) -> np.ndarray:
         """Predicted ±1 labels (Step 4: the sign of the decision values)."""
         scores = self.decision_function(X_test)
-        labels = np.where(scores >= 0.0, 1.0, -1.0)
-        return labels
+        return np.where(scores >= 0.0, 1.0, -1.0)
 
     def score(self, X_test: np.ndarray, y_test: np.ndarray) -> float:
         """Prediction accuracy on a labelled test set (Eq. (2.1))."""
         y_test = check_labels_binary(y_test, "y_test")
         from .metrics import accuracy
         return accuracy(y_test, self.predict(X_test))
-
-    # ---------------------------------------------------------- persistence
-    def save(self, path: str, metadata: Optional[dict] = None,
-             include_factorization: bool = True):
-        """Persist the fitted classifier to a checksummed ``.npz`` artifact.
-
-        See :func:`repro.serving.save_model`; the returned
-        :class:`repro.serving.ModelArtifact` describes the written file.
-        """
-        from ..serving import save_model
-        return save_model(self, path, metadata=metadata,
-                          include_factorization=include_factorization)
-
-    @classmethod
-    def load(cls, path: str) -> "KernelRidgeClassifier":
-        """Load a classifier saved with :meth:`save` (checksum-verified).
-
-        The reloaded model reproduces the original's predictions exactly.
-        """
-        from ..serving import load_model_as
-        return load_model_as(path, cls)
-
-    # ------------------------------------------------------------ reporting
-    @property
-    def report(self):
-        """The :class:`repro.krr.SolveReport` of the training solve."""
-        if self.solver_ is None:
-            raise RuntimeError("classifier must be fitted first")
-        return self.solver_.report
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        solver = (self._solver_spec if isinstance(self._solver_spec, str)
-                  else type(self._solver_spec).__name__)
-        return (f"KernelRidgeClassifier(h={self.h}, lam={self.lam}, "
-                f"solver={solver!r}, clustering={self._clustering_spec!r})")

@@ -13,28 +13,23 @@ can be shared across all the classes: only the right-hand side changes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 
-from ..clustering.api import ClusteringResult, cluster
-from ..config import ClusteringOptions
-from ..kernels.base import Kernel, get_kernel
-from ..kernels.distance import blockwise_sq_dists
-from ..utils.validation import check_array_2d, check_vector
-from .solvers import KernelSystemSolver, build_training_solver
+from .estimator import KernelRidgeEstimator
 
 
-class OneVsAllClassifier:
+class OneVsAllClassifier(KernelRidgeEstimator):
     """Multi-class classifier built from shared-factorization binary KRR.
 
     Parameters
     ----------
     h, lam, solver, clustering, kernel, leaf_size, seed, workers, shards,
     solver_options:
-        Same meaning as for :class:`repro.krr.KernelRidgeClassifier` —
-        ``shards > 1`` routes the shared training solve through the
-        process-sharded :class:`repro.distributed.DistributedSolver`.
+        See :class:`repro.krr.estimator.KernelRidgeEstimator`, which also
+        provides the lifecycle verbs, ``decision_function`` (one signed
+        score column per class) and ``save`` / ``load``.
 
     Notes
     -----
@@ -48,205 +43,40 @@ class OneVsAllClassifier:
     per class.
     """
 
-    def __init__(
-        self,
-        h: float = 1.0,
-        lam: float = 1.0,
-        solver: Union[str, KernelSystemSolver] = "hss",
-        clustering: Union[str, ClusteringOptions] = "two_means",
-        kernel: Union[str, Kernel, None] = None,
-        leaf_size: int = 16,
-        seed=0,
-        workers: Optional[int] = None,
-        shards: Optional[int] = None,
-        solver_options: Optional[dict] = None,
-    ):
-        self.h = float(h)
-        self.lam = float(lam)
-        self.leaf_size = int(leaf_size)
-        self.seed = seed
-        self.workers = workers
-        self.shards = shards
-        if isinstance(kernel, Kernel):
-            self.kernel = kernel
-        elif kernel is None:
-            self.kernel = get_kernel("gaussian", h=self.h)
-        else:
-            self.kernel = get_kernel(kernel, h=self.h)
-        self._solver_spec = solver
-        self._solver_options = dict(solver_options or {})
-        self._clustering_spec = clustering
-        self.classes_: Optional[np.ndarray] = None
-        self.weights_: Optional[np.ndarray] = None  # (n_train, n_classes)
-        self.X_train_: Optional[np.ndarray] = None
-        self.solver_: Optional[KernelSystemSolver] = None
-        self.clustering_: Optional[ClusteringResult] = None
-        #: permuted ±1 one-vs-all targets (n_train x n_classes), kept so
-        #: λ-only refits can re-solve all classes in one multi-RHS call
-        self._targets_perm: Optional[np.ndarray] = None
-        #: drift bookkeeping of the last partial_fit (None = never streamed)
-        self.stream_info_: Optional[dict] = None
+    #: sorted label vocabulary of the last fit (one weight column each)
+    classes_: Optional[np.ndarray] = None
 
-    def _make_solver(self) -> KernelSystemSolver:
-        return build_training_solver(self._solver_spec, seed=self.seed,
-                                     workers=self.workers, shards=self.shards,
-                                     solver_options=self._solver_options)
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "OneVsAllClassifier":
-        """Train on integer / string class labels (2 or more classes)."""
-        X = check_array_2d(X, "X")
+    def _encode_targets(self, y, n_rows, name, fitting):
         y = np.asarray(y)
-        if y.ndim != 1 or y.shape[0] != X.shape[0]:
-            raise ValueError("y must be 1-D with one label per row of X")
-        self.classes_ = np.unique(y)
-        if self.classes_.size < 2:
-            raise ValueError("need at least two distinct classes")
-
-        if isinstance(self._clustering_spec, ClusteringOptions):
-            self.clustering_ = cluster(X, options=self._clustering_spec)
+        if y.ndim != 1 or y.shape[0] != n_rows:
+            raise ValueError(
+                f"{name} must be 1-D with one label per row ({n_rows})")
+        if fitting:
+            classes = np.unique(y)
+            if classes.size < 2:
+                raise ValueError("need at least two distinct classes")
+            self.classes_ = classes
         else:
-            self.clustering_ = cluster(X, method=self._clustering_spec,
-                                       leaf_size=self.leaf_size, seed=self.seed)
-        X_perm = self.clustering_.X
-        y_perm = y[self.clustering_.perm]
-
-        self.solver_ = self._make_solver()
-        self.solver_.fit(X_perm, self.clustering_.tree, self.kernel, self.lam)
-
-        # One ±1 right-hand side per class, all solved against the shared
-        # factorization in a single multi-RHS call — on the distributed
-        # path this is one coordinator round trip for every class at once.
-        targets = np.where(y_perm[:, None] == self.classes_[None, :], 1.0, -1.0)
-        self.weights_ = np.ascontiguousarray(
-            self.solver_.solve(targets), dtype=np.float64)
-        self.X_train_ = X_perm
-        self._targets_perm = targets
-        self.stream_info_ = None
-        # Training is done: release any solver worker threads (a later
-        # solver_.solve() lazily re-creates the pool).
-        close = getattr(self.solver_, "close", None)
-        if close is not None:
-            close()
-        return self
-
-    def partial_fit(self, X_new=None, y_new=None, remove=None,
-                    budget=None) -> "OneVsAllClassifier":
-        """Stream rows into / out of the fitted ensemble without refitting.
-
-        Same contract as
-        :meth:`repro.krr.KernelRidgeClassifier.partial_fit`, with class
-        labels instead of ±1 targets: removals (indices into the current
-        ``X_train_`` ordering) are applied first, then the appended rows'
-        labels are expanded into ±1 one-vs-all target rows against the
-        *fitted* ``classes_`` — labels unseen at :meth:`fit` time are
-        rejected (a new class changes the weight matrix shape and needs a
-        full refit).  All ``c`` weight vectors are re-solved in one
-        multi-RHS pass through the Woodbury correction.
-        """
-        from .classifier import KernelRidgeClassifier
-        KernelRidgeClassifier._check_streamable(self)
-        if self._targets_perm is None:
-            raise RuntimeError(
-                "no training targets available for partial_fit (artifact "
-                "saved by an older version); call fit() instead")
-        X_new, _, idx = KernelRidgeClassifier._validate_update(
-            self, X_new, y_new, remove)
-        t_add = None
-        if X_new is not None:
-            y_add = np.asarray(y_new)
-            if y_add.ndim != 1 or y_add.shape[0] != X_new.shape[0]:
-                raise ValueError(
-                    "y_new must be 1-D with one label per row of X_new")
-            unseen = np.setdiff1d(np.unique(y_add), self.classes_)
+            unseen = np.setdiff1d(np.unique(y), self.classes_)
             if unseen.size:
                 raise ValueError(
                     f"labels {unseen.tolist()} were not present at fit "
                     "time; adding a new class requires a full fit()")
-            t_add = np.where(y_add[:, None] == self.classes_[None, :],
-                             1.0, -1.0)
-        targets = self._targets_perm
-        if idx is not None and idx.size:
-            targets = np.delete(targets, idx, axis=0)
-        if t_add is not None:
-            targets = np.vstack([targets, t_add])
-        targets = np.ascontiguousarray(targets, dtype=np.float64)
-        weights = KernelRidgeClassifier._apply_stream_update(
-            self, X_new, targets, idx)
-        weights = np.ascontiguousarray(weights, dtype=np.float64)
-        stream = self.solver_.stream
-        if budget is not None:
-            stream.budget = budget
-        self._targets_perm = targets
-        KernelRidgeClassifier._finish_stream_update(
-            self, stream, weights, targets)
-        return self
+        # One ±1 target column per class.
+        return np.where(y[:, None] == self.classes_[None, :], 1.0, -1.0)
 
-    def recompress(self) -> "OneVsAllClassifier":
-        """Cold-refit on the current effective training set.
+    def _decode_targets(self, targets):
+        return self.classes_[np.argmax(targets, axis=1)]
 
-        Bitwise identical to a cold :meth:`fit` on the effective data in
-        its current row order (the clustering is deterministic per row
-        order); drops every streamed correction.
-        """
-        if self.solver_ is None or self.weights_ is None:
-            raise RuntimeError(
-                "classifier must be fitted before recompress()")
-        if self._targets_perm is None:
-            raise RuntimeError(
-                "no training targets available for recompress (artifact "
-                "saved by an older version); call fit() instead")
-        from ..hss.streaming import record_recompression
-        labels = self.classes_[np.argmax(self._targets_perm, axis=1)]
-        self.fit(self.X_train_.copy(), labels)
-        record_recompression()
-        return self
-
-    def refit(self, lam: float) -> "OneVsAllClassifier":
-        """Re-train all classes at a new ridge parameter without recompressing.
-
-        The shared factorization is refitted once
-        (:meth:`repro.krr.solvers.KernelSystemSolver.refit`) and all ``c``
-        one-vs-all weight vectors are re-solved in a single multi-RHS
-        call, so a λ sweep over a multi-class model costs one compression
-        total plus one ULV + one multi-RHS solve per value.
-
-        Parameters
-        ----------
-        lam:
-            The new ridge parameter.
-
-        Returns
-        -------
-        OneVsAllClassifier
-            ``self``, refitted at ``lam``.
-        """
-        if self.solver_ is None or self.weights_ is None:
-            raise RuntimeError("classifier must be fitted before refit()")
-        if self._targets_perm is None:
-            raise RuntimeError(
-                "no training targets available for refit (artifact saved "
-                "by an older version); call fit() instead")
-        lam = float(lam)
-        self.solver_.refit(lam)
-        weights = np.ascontiguousarray(
-            self.solver_.solve(self._targets_perm), dtype=np.float64)
-        # λ and weights adopted together, only after refit + solve succeed.
-        self.lam = lam
-        self.weights_ = weights
-        close = getattr(self.solver_, "close", None)
-        if close is not None:
-            close()
-        return self
-
-    def decision_function(self, X_test: np.ndarray, block_size: int = 1024) -> np.ndarray:
-        """Per-class confidence scores ``|w_c . K'(x')|`` (paper's Section 2)."""
-        if self.weights_ is None:
-            raise RuntimeError("classifier must be fitted before predicting")
-        X_test = check_array_2d(X_test, "X_test")
-        scores = np.empty((X_test.shape[0], self.classes_.size), dtype=np.float64)
-        for rows, sq in blockwise_sq_dists(X_test, self.X_train_, block_size=block_size):
-            scores[rows] = self.kernel._evaluate_sq(sq) @ self.weights_
-        return scores
+    def fit(self, X: np.ndarray, y: np.ndarray) -> "OneVsAllClassifier":
+        """Train on integer / string class labels (2 or more classes)."""
+        classes = self.classes_
+        try:
+            return super().fit(X, y)
+        except BaseException:
+            # A failed fit keeps the label vocabulary of the old weights.
+            self.classes_ = classes
+            raise
 
     def predict(self, X_test: np.ndarray) -> np.ndarray:
         """Predicted class labels: argmax of the per-class decision scores.
@@ -265,27 +95,3 @@ class OneVsAllClassifier:
         y_test = np.asarray(y_test)
         from .metrics import accuracy
         return accuracy(y_test, self.predict(X_test))
-
-    # ---------------------------------------------------------- persistence
-    def save(self, path: str, metadata: Optional[dict] = None,
-             include_factorization: bool = True):
-        """Persist the fitted ensemble to a checksummed ``.npz`` artifact.
-
-        See :func:`repro.serving.save_model`.
-        """
-        from ..serving import save_model
-        return save_model(self, path, metadata=metadata,
-                          include_factorization=include_factorization)
-
-    @classmethod
-    def load(cls, path: str) -> "OneVsAllClassifier":
-        """Load an ensemble saved with :meth:`save` (checksum-verified)."""
-        from ..serving import load_model_as
-        return load_model_as(path, cls)
-
-    @property
-    def report(self):
-        """The :class:`repro.krr.SolveReport` of the shared training solve."""
-        if self.solver_ is None:
-            raise RuntimeError("classifier must be fitted first")
-        return self.solver_.report

@@ -11,7 +11,7 @@ figure in :mod:`repro.experiments`) is a thin layer over this class.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -19,7 +19,6 @@ from ..config import ClusteringOptions, HMatrixOptions, HSSOptions
 from ..utils.timing import TimingLog
 from .classifier import KernelRidgeClassifier
 from .metrics import accuracy
-from .solvers import HSSSolver, KernelSystemSolver, make_solver
 
 
 @dataclass
@@ -106,11 +105,14 @@ class KRRPipeline:
         :func:`repro.parallel.resolve_workers`.
     shards:
         Worker *processes* for the training phases, each owning a subtree
-        of the cluster tree as in the paper's MPI runs (requires the
-        ``"hss"`` solver).  ``None`` defers to ``REPRO_SHARDS`` (1 when
-        unset); with more than one shard the training solve goes through
+        of the cluster tree as in the paper's MPI runs.  An explicit
+        count above one requires the ``"hss"`` solver; ``None`` defers to
+        ``REPRO_SHARDS`` (1 when unset), which the other solvers ignore.
+        With more than one shard the training solve goes through
         :class:`repro.distributed.DistributedSolver` and the reported
-        ``shards`` field records the process count.  Sharded and serial
+        ``shards`` field records the process count; pass the trained
+        ``classifier_`` to :class:`repro.distributed.ShardedPredictionService`
+        to serve it cut at the same shard boundaries.  Sharded and serial
         runs agree within the compression tolerance (see
         :mod:`repro.distributed`).
     coupling_rel_tol, coupling_max_rank, cut_level:
@@ -216,33 +218,58 @@ class KRRPipeline:
             kernel=config.kernel.name,
         )
 
-    def _build_solver(self) -> Union[str, KernelSystemSolver]:
-        from ..distributed.plan import resolve_shards
-        n_shards = resolve_shards(self.shards)
-        if n_shards > 1:
-            if self.solver_name != "hss":
-                raise ValueError(
-                    f"process sharding requires the 'hss' solver, got "
-                    f"{self.solver_name!r}")
-            from ..distributed.solver import DistributedSolver
-            return DistributedSolver(
-                shards=n_shards,
-                hss_options=self.hss_options,
-                hmatrix_options=self.hmatrix_options,
-                use_hmatrix_sampling=self.use_hmatrix_sampling,
-                seed=self.seed,
-                workers=self.workers,
-                coupling_rel_tol=self.coupling_rel_tol,
-                coupling_max_rank=self.coupling_max_rank,
-                cut_level=self.cut_level,
-                grid=self.grid)
-        if self.solver_name == "hss":
-            return HSSSolver(hss_options=self.hss_options,
-                             hmatrix_options=self.hmatrix_options,
-                             use_hmatrix_sampling=self.use_hmatrix_sampling,
-                             seed=self.seed,
-                             workers=self.workers)
-        return make_solver(self.solver_name)
+    def _solver_options(self) -> dict:
+        """Constructor keywords of the named solver (hss-only knobs)."""
+        if self.solver_name != "hss":
+            return {}
+        return {"hss_options": self.hss_options,
+                "hmatrix_options": self.hmatrix_options,
+                "use_hmatrix_sampling": self.use_hmatrix_sampling,
+                "coupling_rel_tol": self.coupling_rel_tol,
+                "coupling_max_rank": self.coupling_max_rank,
+                "cut_level": self.cut_level,
+                "grid": self.grid}
+
+    def _report(self, log: TimingLog, X_test, y_test,
+                dataset_name: Optional[str],
+                solver_timings: bool = True) -> PipelineReport:
+        """Evaluate ``classifier_`` and build the report of the last verb.
+
+        The one place a :class:`PipelineReport` is assembled: the model's
+        current hyper-parameters and size, the solver's memory / rank
+        statistics and — unless ``solver_timings`` is false — its phase
+        timings, overlaid with the verb's own ``log``.  Accuracy is
+        ``nan`` without a test set; the dataset tag defaults to the
+        previous report's.
+        """
+        clf = self.classifier_
+        acc, n_test = float("nan"), 0
+        if X_test is not None and y_test is not None:
+            with log.phase("predict_total"):
+                y_pred = clf.predict(X_test)
+            acc = accuracy(np.asarray(y_test, dtype=np.float64), y_pred)
+            n_test = int(np.asarray(X_test).shape[0])
+        if dataset_name is None:
+            dataset_name = self.report_.dataset if self.report_ else ""
+        solve = clf.report
+        timings = dict(solve.timings) if solver_timings else {}
+        timings.update(log.as_dict())
+        self.report_ = PipelineReport(
+            dataset=dataset_name, clustering=self.clustering,
+            solver=self.solver_name, kernel=self.kernel_name,
+            h=self.h, lam=self.lam,
+            n_train=int(clf.X_train_.shape[0]), n_test=n_test,
+            dim=int(clf.X_train_.shape[1]), accuracy=acc,
+            memory_mb=solve.memory_mb, hss_memory_mb=solve.hss_memory_mb,
+            hmatrix_memory_mb=solve.hmatrix_memory_mb,
+            max_rank=solve.max_rank, workers=solve.workers,
+            shards=solve.shards, timings=timings)
+        return self.report_
+
+    def _trained(self, verb: str) -> KernelRidgeClassifier:
+        if self.classifier_ is None:
+            raise RuntimeError(f"pipeline must run() before {verb}()")
+        return self.classifier_
 
     def run(
         self,
@@ -255,39 +282,14 @@ class KRRPipeline:
         """Train, predict and evaluate; return the full report."""
         log = TimingLog()
         clf = KernelRidgeClassifier(
-            h=self.h, lam=self.lam, solver=self._build_solver(),
+            h=self.h, lam=self.lam, solver=self.solver_name,
             clustering=self.clustering, kernel=self.kernel_name,
-            leaf_size=self.leaf_size, seed=self.seed)
+            leaf_size=self.leaf_size, seed=self.seed, workers=self.workers,
+            shards=self.shards, solver_options=self._solver_options())
         with log.phase("train_total"):
             clf.fit(X_train, y_train)
-        with log.phase("predict_total"):
-            y_pred = clf.predict(X_test)
-        acc = accuracy(np.asarray(y_test, dtype=np.float64), y_pred)
         self.classifier_ = clf
-
-        report = PipelineReport(
-            dataset=dataset_name,
-            clustering=self.clustering,
-            solver=self.solver_name,
-            kernel=self.kernel_name,
-            h=self.h,
-            lam=self.lam,
-            n_train=int(np.asarray(X_train).shape[0]),
-            n_test=int(np.asarray(X_test).shape[0]),
-            dim=int(np.asarray(X_train).shape[1]),
-            accuracy=acc,
-        )
-        solve_report = clf.report
-        report.memory_mb = solve_report.memory_mb
-        report.hss_memory_mb = solve_report.hss_memory_mb
-        report.hmatrix_memory_mb = solve_report.hmatrix_memory_mb
-        report.max_rank = solve_report.max_rank
-        report.workers = solve_report.workers
-        report.shards = solve_report.shards
-        report.timings = dict(solve_report.timings)
-        report.timings.update(log.as_dict())
-        self.report_ = report
-        return report
+        return self._report(log, X_test, y_test, dataset_name)
 
     def refit(
         self,
@@ -325,46 +327,13 @@ class KRRPipeline:
             comparing it against the cold run's report shows the saving
             directly.
         """
-        if self.classifier_ is None:
-            raise RuntimeError("pipeline must run() before refit()")
+        clf = self._trained("refit")
         log = TimingLog()
         with log.phase("train_total"):
-            self.classifier_.refit(float(lam))
+            clf.refit(float(lam))
         # Adopted only after the classifier refit succeeded.
         self.lam = float(lam)
-        acc = float("nan")
-        n_test = 0
-        if X_test is not None and y_test is not None:
-            with log.phase("predict_total"):
-                y_pred = self.classifier_.predict(X_test)
-            acc = accuracy(np.asarray(y_test, dtype=np.float64), y_pred)
-            n_test = int(np.asarray(X_test).shape[0])
-
-        previous = self.report_
-        solve_report = self.classifier_.report
-        report = PipelineReport(
-            dataset=(dataset_name if dataset_name is not None
-                     else (previous.dataset if previous else "")),
-            clustering=self.clustering,
-            solver=self.solver_name,
-            kernel=self.kernel_name,
-            h=self.h,
-            lam=self.lam,
-            n_train=(previous.n_train if previous else 0),
-            n_test=n_test,
-            dim=(previous.dim if previous else 0),
-            accuracy=acc,
-            memory_mb=solve_report.memory_mb,
-            hss_memory_mb=solve_report.hss_memory_mb,
-            hmatrix_memory_mb=solve_report.hmatrix_memory_mb,
-            max_rank=solve_report.max_rank,
-            workers=solve_report.workers,
-            shards=solve_report.shards,
-        )
-        report.timings = dict(solve_report.timings)
-        report.timings.update(log.as_dict())
-        self.report_ = report
-        return report
+        return self._report(log, X_test, y_test, dataset_name)
 
     def refit_kernel(
         self,
@@ -375,9 +344,9 @@ class KRRPipeline:
     ) -> PipelineReport:
         """Re-train the last :meth:`run`'s classifier at a new bandwidth.
 
-        The clustering, permutation and H-matrix admissibility partition
-        stay resident; only the kernel-dependent numerics are rebuilt —
-        see :meth:`repro.krr.KernelRidgeClassifier.refit_kernel`.  This is
+        The clustering and permutation stay resident and the solver is
+        re-fitted on the tree it holds (block cluster tree reused) — see
+        :meth:`repro.krr.KernelRidgeClassifier.refit_kernel`.  This is
         the *h*-move of a 2-D hyperparameter sweep: cheaper than a cold
         :meth:`run`, dearer than a λ-only :meth:`refit`.
 
@@ -397,49 +366,16 @@ class KRRPipeline:
         -------
         PipelineReport
             A fresh report for the refitted model; its timings are the
-            recompression's own phases, so comparing against the cold
-            run's report shows the structure-reuse saving directly.
+            re-fit's own phases, so comparing against the cold run's
+            report shows what the retained tree saved.
         """
-        if self.classifier_ is None:
-            raise RuntimeError("pipeline must run() before refit_kernel()")
+        clf = self._trained("refit_kernel")
         log = TimingLog()
         with log.phase("train_total"):
-            self.classifier_.refit_kernel(float(h))
+            clf.refit_kernel(float(h))
         # Adopted only after the classifier rebuild succeeded.
         self.h = float(h)
-        acc = float("nan")
-        n_test = 0
-        if X_test is not None and y_test is not None:
-            with log.phase("predict_total"):
-                y_pred = self.classifier_.predict(X_test)
-            acc = accuracy(np.asarray(y_test, dtype=np.float64), y_pred)
-            n_test = int(np.asarray(X_test).shape[0])
-
-        previous = self.report_
-        solve_report = self.classifier_.report
-        report = PipelineReport(
-            dataset=(dataset_name if dataset_name is not None
-                     else (previous.dataset if previous else "")),
-            clustering=self.clustering,
-            solver=self.solver_name,
-            kernel=self.kernel_name,
-            h=self.h,
-            lam=self.lam,
-            n_train=(previous.n_train if previous else 0),
-            n_test=n_test,
-            dim=(previous.dim if previous else 0),
-            accuracy=acc,
-            memory_mb=solve_report.memory_mb,
-            hss_memory_mb=solve_report.hss_memory_mb,
-            hmatrix_memory_mb=solve_report.hmatrix_memory_mb,
-            max_rank=solve_report.max_rank,
-            workers=solve_report.workers,
-            shards=solve_report.shards,
-        )
-        report.timings = dict(solve_report.timings)
-        report.timings.update(log.as_dict())
-        self.report_ = report
-        return report
+        return self._report(log, X_test, y_test, dataset_name)
 
     def partial_fit(
         self,
@@ -476,44 +412,12 @@ class KRRPipeline:
         PipelineReport
             A fresh report for the updated model.
         """
-        if self.classifier_ is None:
-            raise RuntimeError("pipeline must run() before partial_fit()")
+        clf = self._trained("partial_fit")
         log = TimingLog()
         with log.phase("update_total"):
-            self.classifier_.partial_fit(X_new=X_new, y_new=y_new,
-                                         remove=remove)
-        acc = float("nan")
-        n_test = 0
-        if X_test is not None and y_test is not None:
-            with log.phase("predict_total"):
-                y_pred = self.classifier_.predict(X_test)
-            acc = accuracy(np.asarray(y_test, dtype=np.float64), y_pred)
-            n_test = int(np.asarray(X_test).shape[0])
-
-        previous = self.report_
-        solve_report = self.classifier_.report
-        report = PipelineReport(
-            dataset=(dataset_name if dataset_name is not None
-                     else (previous.dataset if previous else "")),
-            clustering=self.clustering,
-            solver=self.solver_name,
-            kernel=self.kernel_name,
-            h=self.h,
-            lam=self.lam,
-            n_train=int(self.classifier_.X_train_.shape[0]),
-            n_test=n_test,
-            dim=(previous.dim if previous else 0),
-            accuracy=acc,
-            memory_mb=solve_report.memory_mb,
-            hss_memory_mb=solve_report.hss_memory_mb,
-            hmatrix_memory_mb=solve_report.hmatrix_memory_mb,
-            max_rank=solve_report.max_rank,
-            workers=solve_report.workers,
-            shards=solve_report.shards,
-        )
-        report.timings = log.as_dict()
-        self.report_ = report
-        return report
+            clf.partial_fit(X_new=X_new, y_new=y_new, remove=remove)
+        return self._report(log, X_test, y_test, dataset_name,
+                            solver_timings=False)
 
     # ------------------------------------------------------------ observability
     def dump_metrics(self, path: str) -> str:
@@ -542,8 +446,7 @@ class KRRPipeline:
         a :class:`repro.serving.ModelStore` listing shows the headline
         numbers without opening the archive.
         """
-        if self.classifier_ is None:
-            raise RuntimeError("pipeline must run() before save()")
+        self._trained("save")
         from ..serving import metadata_from_report
         meta = metadata_from_report(self.report_) if self.report_ is not None else {}
         meta.update(metadata or {})

@@ -10,131 +10,28 @@ introduction.
 
 from __future__ import annotations
 
-from typing import Optional, Union
-
 import numpy as np
 
-from ..clustering.api import ClusteringResult, cluster
-from ..config import ClusteringOptions
-from ..kernels.base import Kernel, get_kernel
-from ..kernels.distance import blockwise_sq_dists
-from ..utils.validation import (check_array_2d, check_non_negative,
-                                check_positive, check_same_dimension,
-                                check_vector)
-from .solvers import KernelSystemSolver, build_training_solver
+from ..utils.validation import check_vector
+from .estimator import KernelRidgeEstimator
 
 
-class KernelRidgeRegressor:
+class KernelRidgeRegressor(KernelRidgeEstimator):
     """Kernel ridge regression with interchangeable hierarchical solvers.
 
-    Parameters mirror :class:`repro.krr.KernelRidgeClassifier` (including
-    the ``workers`` / ``shards`` parallelism knobs — the training stage is
-    identical); the target vector ``y`` is real-valued.
+    Parameters and lifecycle verbs are those of
+    :class:`repro.krr.estimator.KernelRidgeEstimator` — the training
+    stage is identical — with a real-valued target vector ``y``.  There
+    is no artifact format for regressors: ``save`` raises
+    :class:`repro.serving.ArtifactError`.
     """
 
-    def __init__(
-        self,
-        h: float = 1.0,
-        lam: float = 1.0,
-        solver: Union[str, KernelSystemSolver] = "hss",
-        clustering: Union[str, ClusteringOptions] = "two_means",
-        kernel: Union[str, Kernel, None] = None,
-        leaf_size: int = 16,
-        seed=0,
-        workers: Optional[int] = None,
-        shards: Optional[int] = None,
-        solver_options: Optional[dict] = None,
-    ):
-        self.h = check_positive(h, "h")
-        self.lam = check_non_negative(lam, "lam")
-        self.leaf_size = int(leaf_size)
-        self.seed = seed
-        self.workers = workers
-        self.shards = shards
-        if isinstance(kernel, Kernel):
-            self.kernel = kernel
-        elif kernel is None:
-            self.kernel = get_kernel("gaussian", h=self.h)
-        else:
-            self.kernel = get_kernel(kernel, h=self.h)
-        self._solver_spec = solver
-        self._solver_options = dict(solver_options or {})
-        self._clustering_spec = clustering
-        self.solver_: Optional[KernelSystemSolver] = None
-        self.clustering_: Optional[ClusteringResult] = None
-        self.weights_: Optional[np.ndarray] = None
-        self.X_train_: Optional[np.ndarray] = None
-        #: permuted training targets, kept so λ-only refits can re-solve
-        self._y_perm: Optional[np.ndarray] = None
-
-    def _make_solver(self) -> KernelSystemSolver:
-        return build_training_solver(self._solver_spec, seed=self.seed,
-                                     workers=self.workers, shards=self.shards,
-                                     solver_options=self._solver_options)
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "KernelRidgeRegressor":
-        """Fit the regressor on real-valued targets."""
-        X = check_array_2d(X, "X")
-        y = check_vector(y, "y", length=X.shape[0])
-        if isinstance(self._clustering_spec, ClusteringOptions):
-            self.clustering_ = cluster(X, options=self._clustering_spec)
-        else:
-            self.clustering_ = cluster(X, method=self._clustering_spec,
-                                       leaf_size=self.leaf_size, seed=self.seed)
-        X_perm = self.clustering_.X
-        y_perm = self.clustering_.tree.permute_vector(y)
-        self.solver_ = self._make_solver()
-        self.solver_.fit(X_perm, self.clustering_.tree, self.kernel, self.lam)
-        self.weights_ = self.solver_.solve(y_perm)
-        self.X_train_ = X_perm
-        self._y_perm = y_perm
-        # Training is done: release any solver worker threads/processes
-        # (a later solver_.solve() re-creates or falls back as needed).
-        close = getattr(self.solver_, "close", None)
-        if close is not None:
-            close()
-        return self
-
-    def refit(self, lam: float) -> "KernelRidgeRegressor":
-        """Re-train at a new ridge parameter without recompressing.
-
-        Mirrors :meth:`repro.krr.KernelRidgeClassifier.refit`: the
-        solver's λ-independent state is reused and only the factorization
-        plus the training solve are redone.
-
-        Parameters
-        ----------
-        lam:
-            The new ridge parameter.
-
-        Returns
-        -------
-        KernelRidgeRegressor
-            ``self``, refitted at ``lam``.
-        """
-        if self.solver_ is None or self.weights_ is None:
-            raise RuntimeError("regressor must be fitted before refit()")
-        lam = check_non_negative(lam, "lam")
-        self.solver_.refit(lam)
-        weights = self.solver_.solve(self._y_perm)
-        # λ and weights adopted together, only after refit + solve succeed.
-        self.lam = lam
-        self.weights_ = weights
-        close = getattr(self.solver_, "close", None)
-        if close is not None:
-            close()
-        return self
+    def _encode_targets(self, y, n_rows, name, fitting):
+        return check_vector(y, name, length=n_rows)
 
     def predict(self, X_test: np.ndarray, block_size: int = 1024) -> np.ndarray:
         """Predicted real values for the test points."""
-        if self.weights_ is None:
-            raise RuntimeError("regressor must be fitted before predicting")
-        X_test = check_array_2d(X_test, "X_test")
-        check_same_dimension(X_test, self.X_train_, ("X_test", "X_train"))
-        out = np.empty(X_test.shape[0], dtype=np.float64)
-        for rows, sq in blockwise_sq_dists(X_test, self.X_train_, block_size=block_size):
-            out[rows] = self.kernel._evaluate_sq(sq) @ self.weights_
-        return out
+        return self.decision_function(X_test, block_size=block_size)
 
     def score(self, X_test: np.ndarray, y_test: np.ndarray) -> float:
         """Coefficient of determination (R^2) on a test set."""
@@ -145,10 +42,3 @@ class KernelRidgeRegressor:
         if ss_tot == 0.0:
             return 1.0 if ss_res == 0.0 else 0.0
         return 1.0 - ss_res / ss_tot
-
-    @property
-    def report(self):
-        """The :class:`repro.krr.SolveReport` of the training solve."""
-        if self.solver_ is None:
-            raise RuntimeError("regressor must be fitted first")
-        return self.solver_.report

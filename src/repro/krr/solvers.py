@@ -85,6 +85,11 @@ class KernelSystemSolver(abc.ABC):
         self.lam_: Optional[float] = None
         #: streaming wrapper once partial_fit has been called (else None)
         self._stream: Optional[StreamingULVSolver] = None
+        #: ``(X_permuted, tree, kernel)`` of the last fit — what
+        #: :meth:`refit_kernel` re-fits on and what streaming corrections
+        #: and lazy dense refits rebuild kernel blocks from (``None``
+        #: before a fit and for factor-only restored artifacts)
+        self._context = None
 
     @abc.abstractmethod
     def _fit_impl(self, X_permuted: np.ndarray, tree: Optional[ClusterTree],
@@ -116,6 +121,7 @@ class KernelSystemSolver(abc.ABC):
         self.report = SolveReport(solver=self.name)
         self._stream = None  # a cold fit starts a fresh streaming history
         self._fit_impl(X_permuted, tree, kernel, lam)
+        self._context = (X_permuted, tree, kernel)
         self._fitted = True
         self.lam_ = float(lam)
         return self
@@ -172,17 +178,18 @@ class KernelSystemSolver(abc.ABC):
 
     def refit_kernel(self, kernel: Kernel,
                      lam: Optional[float] = None) -> "KernelSystemSolver":
-        """Rebuild the fitted system for a *new kernel* on the same data.
+        """Re-fit the system for a *new kernel* on the retained context.
 
-        The kernel-independent structure — the cluster tree, permutation
-        and H-matrix admissibility partition for the HSS solver, the
-        retained training points for the dense solver, the matrix-free
-        operator for CG — is reused; only the kernel-dependent numerics
-        are redone.  For the HSS solver the result is bitwise identical
-        to a cold :meth:`fit` of the new kernel on the same tree (see
-        :meth:`repro.hss.CompressedKernel.recompress`), at a fraction of
-        the cost: this is the cheap *h*-move of a bandwidth sweep, the
-        middle rung of the move-cost ladder λ ≪ h ≪ cold.
+        An *h*-move is a plain :meth:`fit` on the ``(X_permuted, tree)``
+        the solver was last fitted on, so the result is bitwise identical
+        to a cold fit of the new kernel on the same tree.  What the move
+        saves over a cold training run is everything upstream of the
+        solver (clustering, permutation) plus — for the HSS solver — the
+        H-matrix block cluster tree, which is kernel-independent and
+        reused while its recorded tree and options still match: the
+        middle rung of the move-cost ladder λ ≪ h < cold.  Streamed
+        corrections and the refit counter restart exactly as after any
+        other fit.
 
         Parameters
         ----------
@@ -200,28 +207,19 @@ class KernelSystemSolver(abc.ABC):
         Raises
         ------
         RuntimeError
-            If the solver has not been fitted, or retains no state to
-            rebuild from (e.g. a factor-only legacy artifact).
+            If the solver has not been fitted, or retains no context to
+            re-fit on (e.g. a factor-only legacy artifact).
         """
         if not self._fitted:
             raise RuntimeError(
                 "solver must be fitted before calling refit_kernel()")
-        new_lam = self.lam_ if lam is None else float(lam)
-        check_non_negative(new_lam, "lam")
-        # A kernel change invalidates any streamed Woodbury corrections:
-        # they were built against the old kernel's factors.
-        self._stream = None
-        self._refit_kernel_impl(kernel, float(new_lam))
-        # The rebuilt numerics are a fresh λ-free state: the refit counter
-        # restarts exactly as after a cold fit.
-        self.report.refits = 0
-        self.lam_ = float(new_lam)
-        return self
-
-    def _refit_kernel_impl(self, kernel: Kernel, lam: float) -> None:
-        """Kernel-swap re-fit; overridden by structure-reusing solvers."""
-        raise NotImplementedError(
-            f"the {self.name!r} solver does not support kernel refits")
+        if self._context is None:
+            raise RuntimeError(
+                f"the {self.name!r} solver retains no training points to "
+                "re-fit a new kernel on; a full fit is required")
+        X_permuted, tree, _ = self._context
+        return self.fit(X_permuted, tree, kernel,
+                        self.lam_ if lam is None else lam)
 
     def partial_fit(self, X_add=None, remove=None) -> "KernelSystemSolver":
         """Stream rows into / out of the fitted system without re-factoring.
@@ -270,13 +268,12 @@ class KernelSystemSolver(abc.ABC):
 
     def _ensure_stream(self) -> StreamingULVSolver:
         if self._stream is None:
-            context = getattr(self, "_stream_context", None)
-            if context is None:
+            if self._context is None:
                 raise RuntimeError(
                     f"the {self.name!r} solver does not support streaming "
                     "updates (no training points retained to build "
                     "correction blocks from)")
-            X_base, kernel = context
+            X_base, _, kernel = self._context
             self._stream = StreamingULVSolver(
                 self._stream_base_solve, X_base, kernel, self.lam_)
         return self._stream
@@ -324,10 +321,8 @@ class DenseSolver(KernelSystemSolver):
         with log.phase("factorization"):
             self._cho = scipy.linalg.cho_factor(K, lower=True)
         # The λ-free matrix is NOT retained (fit-once users keep the old
-        # memory profile); refits rebuild it lazily from this context.
+        # memory profile); refits rebuild it lazily from the fit context.
         self._K = None
-        self._refit_context = (X_permuted, kernel)
-        self._stream_context = self._refit_context
         self.report.timings = log.as_dict()
         self.report.memory_mb = megabytes(K.nbytes)
 
@@ -337,36 +332,17 @@ class DenseSolver(KernelSystemSolver):
             # First refit (or restored from an artifact): rebuild the
             # λ-free kernel matrix once from the stored training points;
             # further refits reuse it and pay only the factorization.
-            context = getattr(self, "_refit_context", None)
-            if context is None:
+            if self._context is None:
                 raise RuntimeError(
                     "dense solver holds no kernel matrix and no training "
                     "points to rebuild it from; a full fit is required")
-            X_permuted, kernel = context
+            X_permuted, _, kernel = self._context
             with log.phase("construction"):
                 self._K = kernel.matrix(X_permuted)
         with log.phase("factorization"):
             A = self._K.copy()
             A[np.diag_indices_from(A)] += lam
             self._cho = scipy.linalg.cho_factor(A, lower=True)
-        self.report.timings = log.as_dict()
-
-    def _refit_kernel_impl(self, kernel: Kernel, lam: float) -> None:
-        context = getattr(self, "_refit_context", None)
-        if context is None:
-            raise RuntimeError(
-                "dense solver retains no training points to rebuild the "
-                "kernel matrix from; a full fit is required")
-        X_permuted, _ = context
-        log = TimingLog()
-        with log.phase("construction"):
-            self._K = kernel.matrix(X_permuted)
-        with log.phase("factorization"):
-            A = self._K.copy()
-            A[np.diag_indices_from(A)] += lam
-            self._cho = scipy.linalg.cho_factor(A, lower=True)
-        self._refit_context = (X_permuted, kernel)
-        self._stream_context = self._refit_context
         self.report.timings = log.as_dict()
 
     def _solve_impl(self, y: np.ndarray) -> np.ndarray:
@@ -471,13 +447,18 @@ class HSSSolver(KernelSystemSolver):
         self._executor = BlockExecutor(workers=n_workers)
         self._prefactored = {}
         try:
+            # The resident block cluster tree rides along: an h-move on
+            # the same tree and options reuses it (build_hmatrix decides
+            # from the block tree's own recorded fields), any other fit
+            # rebuilds it.
             self.compressed_ = compress_kernel(
                 X_permuted, tree, kernel,
                 hss_options=self.hss_options,
                 hmatrix_options=self.hmatrix_options,
                 use_hmatrix_sampling=self.use_hmatrix_sampling,
                 seed=self.seed, timing=log, executor=self._executor,
-                matmat_col_tile=self.matmat_col_tile)
+                matmat_col_tile=self.matmat_col_tile,
+                block_tree=getattr(self.hmatrix_, "block_tree", None))
             self.compression_count += 1
             self._hss_lam_free = True
             self.hss_ = self.compressed_.hss
@@ -489,7 +470,6 @@ class HSSSolver(KernelSystemSolver):
             # Failed fits must not orphan a live thread pool.
             self._executor.shutdown()
             raise
-        self._stream_context = (X_permuted, kernel)
         build = self.compressed_.report
         self.report.timings = log.as_dict()
         self.report.hmatrix_memory_mb = build.hmatrix_memory_mb
@@ -581,55 +561,6 @@ class HSSSolver(KernelSystemSolver):
                 self.report.timings.get(name, 0.0) + sec
         return self
 
-    def _refit_kernel_impl(self, kernel: Kernel, lam: float) -> None:
-        self._check_lam_free()
-        context = getattr(self, "_stream_context", None)
-        if context is None:
-            raise RuntimeError(
-                "HSS solver retains no training points to recompress "
-                "from; a full fit is required")
-        X_permuted, _ = context
-        if self._executor is None:
-            self._executor = BlockExecutor(workers=self._resolve_workers())
-        log = TimingLog()
-        try:
-            structure = (self.compressed_.structure
-                         if self.compressed_ is not None else None)
-            if structure is not None:
-                # Structure-reuse h-move: redo only the kernel-dependent
-                # numerics on the resident admissibility partition.
-                self.compressed_ = self.compressed_.recompress(
-                    kernel, timing=log, executor=self._executor)
-            else:
-                # Restored artifact (the structure is not persisted):
-                # fall back to a cold compression on the resident tree.
-                self.compressed_ = compress_kernel(
-                    X_permuted, self.hss_.tree, kernel,
-                    hss_options=self.hss_options,
-                    hmatrix_options=self.hmatrix_options,
-                    use_hmatrix_sampling=self.use_hmatrix_sampling,
-                    seed=self.seed, timing=log, executor=self._executor,
-                    matmat_col_tile=self.matmat_col_tile)
-            self.compression_count += 1
-            self._hss_lam_free = True
-            self.hss_ = self.compressed_.hss
-            self.hmatrix_ = self.compressed_.hmatrix
-            self._prefactored = {}
-            self.factorization_ = ULVFactorization.factor(
-                self.compressed_, lam=lam, timing=log,
-                executor=self._executor)
-        except BaseException:
-            self._executor.shutdown()
-            raise
-        self._stream_context = (X_permuted, kernel)
-        build = self.compressed_.report
-        self.report.timings = log.as_dict()
-        self.report.hmatrix_memory_mb = build.hmatrix_memory_mb
-        self.report.hss_memory_mb = build.hss_memory_mb
-        self.report.memory_mb = build.memory_mb
-        self.report.max_rank = build.max_rank
-        self.report.random_vectors = build.random_vectors
-
     def _solve_impl(self, y: np.ndarray) -> np.ndarray:
         log = TimingLog()
         w = self.factorization_.solve(y, timing=log)
@@ -668,12 +599,12 @@ class CGSolver(KernelSystemSolver):
         self._operator.lam = lam
         self.report.timings = {}
 
-    def _refit_kernel_impl(self, kernel: Kernel, lam: float) -> None:
-        # Equally trivial for the matrix-free operator: both the kernel
-        # and the shift are fields read per matvec.
-        self._operator.kernel = kernel
-        self._operator.lam = lam
-        self.report.timings = {}
+    def _ensure_stream(self) -> StreamingULVSolver:
+        # Woodbury corrections are built around exact base solves; CG
+        # keeps no factorization to wrap.
+        raise RuntimeError(
+            "the 'cg' solver does not support streaming updates (no "
+            "factorization to build correction blocks around)")
 
     def _solve_impl(self, y: np.ndarray) -> np.ndarray:
         op = self._operator
@@ -751,7 +682,9 @@ def build_training_solver(spec, seed=0, workers: Optional[int] = None,
         Worker-thread knob for the ``"hss"`` training path (``None``
         defers to the option objects / ``REPRO_WORKERS``).
     shards:
-        Worker-process knob; ``None`` defers to ``REPRO_SHARDS``.
+        Worker-process knob; ``None`` defers to ``REPRO_SHARDS``, which
+        only ever applies to the ``"hss"`` solver.  An *explicit* count
+        above one with any other named solver is an error.
     solver_options:
         Extra keyword arguments for the named solver's constructor
         (explicit keys win over the knobs above).  Sharded-only options
@@ -768,15 +701,25 @@ def build_training_solver(spec, seed=0, workers: Optional[int] = None,
     -------
     KernelSystemSolver
         The ready-to-fit training solver.
+
+    Raises
+    ------
+    ValueError
+        If ``shards`` explicitly asks for more than one process and
+        ``spec`` names a solver other than ``"hss"``.
     """
     if isinstance(spec, KernelSystemSolver):
         return spec
+    from ..distributed.plan import resolve_shards
     opts = dict(solver_options or {})
-    if str(spec).strip().lower() == "hss":
+    is_hss = str(spec).strip().lower() == "hss"
+    if not is_hss and shards is not None and resolve_shards(shards) > 1:
+        raise ValueError(
+            f"process sharding requires the 'hss' solver, got {spec!r}")
+    if is_hss:
         opts.setdefault("seed", seed)
         if workers is not None:
             opts.setdefault("workers", workers)
-        from ..distributed.plan import resolve_shards
         n_shards = resolve_shards(
             shards if shards is not None else opts.get("shards"))
         if n_shards > 1:

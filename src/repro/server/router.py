@@ -300,6 +300,34 @@ class ModelRouter:
         return {"model": name, "old_revision": old.revision,
                 "new_revision": new.revision, "swapped": True}
 
+    def _apply_and_swap(self, name: str, verb: str, what: str, meta: dict,
+                        *args, **kwargs):
+        """Load ``name``, call one lifecycle verb, re-save, hot-swap.
+
+        The shared body of :meth:`refit`, :meth:`update` and the
+        background recompression: the stored model is loaded, ``verb`` is
+        called with ``args`` / ``kwargs``, the result is re-saved under
+        the record's metadata patched with ``meta`` (a ``None`` value
+        drops the key) — bumping the store revision — and traffic flips
+        to it via :meth:`swap`.  ``what`` names the capability in the
+        error raised for a model without that verb.  Returns the mutated
+        model and the swap result.
+        """
+        self._entry(name)  # must already be served
+        model = self.store.load(name)
+        method = getattr(model, verb, None)
+        if method is None:
+            raise RouterError(f"model {name!r} does not support {what}")
+        method(*args, **kwargs)
+        patched = dict(self.store.record(name).metadata)
+        for key, value in meta.items():
+            if value is None:
+                patched.pop(key, None)
+            else:
+                patched[key] = value
+        self.store.save(model, name, metadata=patched, overwrite=True)
+        return model, self.swap(name)
+
     def refit(self, name: str, lam: float) -> Dict[str, object]:
         """Refit ``name`` at a new λ, re-save, and hot-swap to the result.
 
@@ -321,18 +349,8 @@ class ModelRouter:
         dict
             The :meth:`swap` result plus ``"lam"``.
         """
-        self._entry(name)  # must already be served
-        model = self.store.load(name)
-        refit = getattr(model, "refit", None)
-        if refit is None:
-            raise RouterError(
-                f"model {name!r} does not support refit(lam)")
-        refit(float(lam))
-        record = self.store.record(name)
-        meta = dict(record.metadata)
-        meta["lambda"] = float(lam)
-        self.store.save(model, name, metadata=meta, overwrite=True)
-        result = self.swap(name)
+        _, result = self._apply_and_swap(
+            name, "refit", "refit(lam)", {"lambda": float(lam)}, float(lam))
         result["lam"] = float(lam)
         return result
 
@@ -380,22 +398,14 @@ class ModelRouter:
         if mode not in ("auto", "force", "off"):
             raise RouterError(
                 f"recompress must be 'auto', 'force' or 'off', got {mode!r}")
-        self._entry(name)  # must already be served
-        model = self.store.load(name)
-        partial_fit = getattr(model, "partial_fit", None)
-        if partial_fit is None:
-            raise RouterError(
-                f"model {name!r} does not support streaming updates")
+        self._entry(name)  # an unknown model is reported before bad rows
         X_arr = None if X_new is None else np.asarray(X_new, dtype=np.float64)
         y_arr = None if y_new is None else np.asarray(y_new)
-        partial_fit(X_new=X_arr, y_new=y_arr, remove=remove,
-                    budget=self.stream_budget)
+        model, result = self._apply_and_swap(
+            name, "partial_fit", "streaming updates", {"streamed": True},
+            X_new=X_arr, y_new=y_arr, remove=remove,
+            budget=self.stream_budget)
         info = dict(getattr(model, "stream_info_", None) or {})
-        record = self.store.record(name)
-        meta = dict(record.metadata)
-        meta["streamed"] = True
-        self.store.save(model, name, metadata=meta, overwrite=True)
-        result = self.swap(name)
         result["stream"] = info
         should = mode == "force" or (mode == "auto"
                                      and bool(info.get("breached")))
@@ -450,18 +460,9 @@ class ModelRouter:
     def _recompress_job(self, name: str) -> None:
         """Background worker: cold-refit the effective data and hot-swap."""
         try:
-            model = self.store.load(name)
-            recompress = getattr(model, "recompress", None)
-            if recompress is None:
-                raise RouterError(
-                    f"model {name!r} does not support recompress()")
-            recompress()
-            record = self.store.record(name)
-            meta = dict(record.metadata)
-            meta.pop("streamed", None)
-            meta["recompressed"] = True
-            self.store.save(model, name, metadata=meta, overwrite=True)
-            swap = self.swap(name)
+            _, swap = self._apply_and_swap(
+                name, "recompress", "recompress()",
+                {"streamed": None, "recompressed": True})
             self._recompress_results[name] = {"status": "completed",
                                               "swap": swap}
         except Exception as exc:  # noqa: BLE001 - surfaced via results dict

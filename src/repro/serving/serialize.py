@@ -72,6 +72,8 @@ FORMAT_VERSION = 2
 
 KIND_BINARY = "kernel_ridge_classifier"
 KIND_MULTICLASS = "one_vs_all_classifier"
+#: archive key of the permuted training targets, per model kind
+_TARGETS_KEY = {KIND_BINARY: "model.y_perm", KIND_MULTICLASS: "model.targets"}
 
 
 class ArtifactError(RuntimeError):
@@ -505,15 +507,17 @@ def _solver_arrays(solver: Optional[KernelSystemSolver],
 
 
 def _attach_stream(solver: KernelSystemSolver, config: Dict[str, object],
-                   arrays: Dict[str, np.ndarray], X_train: np.ndarray,
-                   kernel: Kernel) -> KernelSystemSolver:
+                   arrays: Dict[str, np.ndarray], tree: ClusterTree,
+                   X_train: np.ndarray, kernel: Kernel) -> KernelSystemSolver:
     """Reattach the streaming layer of a restored solver.
 
-    Every factor-carrying restored solver gets a streaming context so
-    ``partial_fit`` works offline on reloaded artifacts; artifacts saved
-    with live corrections (``streaming`` config flag) additionally
-    rehydrate the correction state, with the base factors applying to the
-    stored ``stream.X_base`` rather than the effective training set.
+    Every factor-carrying restored solver gets its fit context back so
+    ``partial_fit`` / ``refit`` / ``refit_kernel`` work offline on
+    reloaded artifacts; artifacts saved with live corrections
+    (``streaming`` config flag) additionally rehydrate the correction
+    state, with the base factors — and therefore the context — applying
+    to the stored ``stream.X_base`` rather than the effective training
+    set.
     """
     if not getattr(solver, "_fitted", False):
         return solver
@@ -526,14 +530,10 @@ def _attach_stream(solver: KernelSystemSolver, config: Dict[str, object],
             raise ArtifactError(
                 f"artifact flags streaming state but is missing {exc}"
             ) from exc
-        solver._stream_context = (X_base, kernel)
-        if isinstance(solver, DenseSolver):
-            # Dense refits rebuild the kernel matrix from the *base* rows
-            # (the Cholesky factor is over X_base, not the effective set).
-            solver._refit_context = (X_base, kernel)
+        solver._context = (X_base, tree, kernel)
         solver._ensure_stream().restore_state(kept, X_add)
     else:
-        solver._stream_context = (X_train, kernel)
+        solver._context = (X_train, tree, kernel)
     return solver
 
 
@@ -550,7 +550,7 @@ def _restore_solver(config: Dict[str, object], arrays: Dict[str, np.ndarray],
                 f"corrupted sharded-factor payload: {exc}") from exc
         solver = ShardedULVSolver(factors)
         solver.lam_ = lam
-        return _attach_stream(solver, config, arrays, X_train, kernel)
+        return _attach_stream(solver, config, arrays, tree, X_train, kernel)
     if state == "hss":
         hss = hss_from_arrays(arrays, tree)
         solver = HSSSolver(seed=config.get("seed"))
@@ -561,7 +561,7 @@ def _restore_solver(config: Dict[str, object], arrays: Dict[str, np.ndarray],
             solver.factorization_ = ulv_from_arrays(arrays, hss)
         solver._fitted = solver.factorization_ is not None
         solver.lam_ = lam
-        return _attach_stream(solver, config, arrays, X_train, kernel)
+        return _attach_stream(solver, config, arrays, tree, X_train, kernel)
     if state == "dense":
         solver = DenseSolver()
         solver._cho = (np.asarray(arrays["solver.cho_c"], dtype=np.float64),
@@ -569,9 +569,8 @@ def _restore_solver(config: Dict[str, object], arrays: Dict[str, np.ndarray],
         solver._fitted = True
         solver.lam_ = lam
         # The λ-free kernel matrix is not persisted; refit() rebuilds it
-        # lazily from the stored training points.
-        solver._refit_context = (X_train, kernel)
-        return _attach_stream(solver, config, arrays, X_train, kernel)
+        # lazily from the restored fit context.
+        return _attach_stream(solver, config, arrays, tree, X_train, kernel)
     if state == "cg":
         max_iter = config.get("cg_max_iter")
         solver = CGSolver(tol=float(config.get("cg_tol", 1e-6)),
@@ -645,12 +644,9 @@ def save_model(model, path: str, metadata: Optional[Dict[str, object]] = None,
     # Permuted training targets (when the model still holds them): with
     # the factorization included, a reloaded model can then refit() at a
     # new lambda entirely offline.  Old readers ignore the extra key.
-    if kind == KIND_BINARY and getattr(model, "_y_perm", None) is not None:
-        arrays["model.y_perm"] = np.asarray(model._y_perm, dtype=np.float64)
-    if kind == KIND_MULTICLASS and \
-            getattr(model, "_targets_perm", None) is not None:
-        arrays["model.targets"] = np.asarray(model._targets_perm,
-                                             dtype=np.float64)
+    if model._targets_perm is not None:
+        arrays[_TARGETS_KEY[kind]] = np.asarray(model._targets_perm,
+                                                dtype=np.float64)
     if kind == KIND_MULTICLASS:
         classes = np.asarray(model.classes_)
         if classes.dtype == object:
@@ -719,10 +715,8 @@ def load_model(path: str):
                                          tree=tree, X=X_train)
     model.X_train_ = X_train
     model.weights_ = weights
-    if "model.y_perm" in arrays:
-        model._y_perm = np.asarray(arrays["model.y_perm"], dtype=np.float64)
-    if "model.targets" in arrays:
-        model._targets_perm = np.asarray(arrays["model.targets"],
+    if _TARGETS_KEY[kind] in arrays:
+        model._targets_perm = np.asarray(arrays[_TARGETS_KEY[kind]],
                                          dtype=np.float64)
     model.solver_ = _restore_solver(config, arrays, tree, X_train, kernel, lam)
     return model

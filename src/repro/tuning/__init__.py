@@ -23,9 +23,9 @@ so a refit-capable objective (``KRRObjective``, either backend) pays one
 kernel build / compression per distinct ``h`` and a cheap refit per λ.
 
 The cost model is three-tiered (``lam_move`` ≪ ``h_move`` ≪ ``cold``;
-see :data:`MOVE_COSTS` and ``docs/tuning.md``): an ``h``-move
-recompresses on the retained clustering / admissibility structure
-(:meth:`repro.krr.solvers.KernelSystemSolver.refit_kernel`) instead of
+see :data:`MOVE_COSTS` and ``docs/tuning.md``): an ``h``-move re-fits a
+resident solver on its retained tree, block cluster tree reused
+(:meth:`repro.krr.solvers.KernelSystemSolver.refit_kernel`), instead of
 rebuilding from scratch, searchers announce λ groups up front so the
 objective can batch-factor every shift in one shared sweep
 (:meth:`KRRObjective.prepare_lam_schedule`), and ``KRRObjective(cv=K)``

@@ -64,8 +64,8 @@ class EvaluationRecord:
           a factorization (or a prefactored lookup) + solve was paid;
         * ``"h_move"`` — a resident solver was re-targeted to the new
           ``h`` via :meth:`~repro.krr.solvers.KernelSystemSolver.refit_kernel`
-          (structure-reuse recompression: the clustering, permutation and
-          admissibility partition were kept, only the kernel numerics were
+          (a fit on its retained tree: the clustering, permutation and
+          block cluster tree were kept, only the kernel numerics were
           redone);
         * ``"cold"`` — everything was built from scratch.
     """
@@ -330,7 +330,7 @@ class KRRObjective:
         Returns the resident state to be *re-targeted* (an ``h``-move)
         instead of discarded: the hss backend hands the popped solver to
         :meth:`~repro.krr.solvers.KernelSystemSolver.refit_kernel`, which
-        recompresses on the retained clustering / admissibility structure.
+        re-fits it on its retained tree (block cluster tree reused).
         Returns ``None`` while the cache still has room (the new ``h``
         then gets a cold build without sacrificing a resident one).
         """
@@ -367,11 +367,11 @@ class KRRObjective:
     def _evaluate_hss(self, h: float, lam: float) -> Tuple[float, bool, bool, str]:
         """HSS evaluation: compress once per h, ULV-refit per λ.
 
-        ``h``-misses with a full cache ride the recompression path: the
-        LRU-oldest resident solver keeps its clustering, permutation and
-        admissibility partition and redoes only the kernel numerics
-        (bitwise identical to a cold build on the same tree), which is
-        the ``h_move ≪ cold`` cost asymmetry the searchers exploit.
+        ``h``-misses with a full cache ride the ``refit_kernel`` path: the
+        LRU-oldest resident solver is re-fitted on its retained tree,
+        keeping its block cluster tree and redoing only the kernel
+        numerics (bitwise identical to a cold build on the same tree) —
+        the ``h_move`` rung of the move-cost ladder.
         """
         from ..clustering.api import cluster
         from ..krr.solvers import HSSSolver

@@ -54,6 +54,43 @@ def wait_until(predicate, timeout: float = 10.0, interval: float = 0.01,
         time.sleep(interval)
 
 
+def same_hmatrix_blocks(a, b) -> bool:
+    """Two H matrices agree bit for bit, block by block."""
+    if len(a.blocks) != len(b.blocks):
+        return False
+    for x, y in zip(a.blocks, b.blocks):
+        if (x.block_id, x.row_slice, x.col_slice) != (
+                y.block_id, y.row_slice, y.col_slice):
+            return False
+        if (x.dense is None) != (y.dense is None):
+            return False
+        if x.dense is not None:
+            if not np.array_equal(x.dense, y.dense):
+                return False
+        elif not (np.array_equal(x.lowrank.U, y.lowrank.U)
+                  and np.array_equal(x.lowrank.V, y.lowrank.V)):
+            return False
+    return True
+
+
+def assert_same_arrays(obj_a, obj_b, names) -> None:
+    """The named array attributes of two objects agree bit for bit."""
+    for name in names:
+        a, b = getattr(obj_a, name, None), getattr(obj_b, name, None)
+        if a is None or b is None:
+            assert a is None and b is None, name
+            continue
+        assert np.array_equal(np.asarray(a), np.asarray(b)), name
+
+
+def assert_same_hss(hss_a, hss_b) -> None:
+    """Two HSS matrices hold bitwise-equal generators on every node."""
+    assert hss_a.n == hss_b.n
+    for node_id in range(hss_a.tree.n_nodes):
+        assert_same_arrays(hss_a.node_data[node_id], hss_b.node_data[node_id],
+                           ("D", "U", "V", "B12", "B21"))
+
+
 @pytest.fixture(scope="session")
 def suite_workers() -> int:
     """Worker-thread count the suite is running with (1 = serial leg)."""

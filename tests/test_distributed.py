@@ -28,7 +28,7 @@ from repro.clustering import cluster
 from repro.config import HSSOptions
 from repro.datasets import load_dataset, standardize, susy_like
 from repro.distributed import (Coordinator, DistributedError,
-                               DistributedKRRPipeline, DistributedSolver,
+                               DistributedSolver,
                                ShardPlan, ShardedPredictionService,
                                WorkerGrid, resolve_shards)
 from repro.distributed.comm import ArraySpec, BlockChannel, SharedArray
@@ -200,8 +200,8 @@ class TestComm:
 def test_sharded_matches_serial_predictions(small_problem, serial_run, shards):
     data = small_problem
     serial_pipeline, serial_report = serial_run
-    dist = DistributedKRRPipeline(h=data.h, lam=data.lam, hss_options=TIGHT,
-                                  seed=0, shards=shards)
+    dist = KRRPipeline(h=data.h, lam=data.lam, hss_options=TIGHT, seed=0,
+                       shards=shards)
     report = dist.run(data.X_train, data.y_train, data.X_test, data.y_test,
                       dataset_name="susy")
     assert report.shards == shards
@@ -219,7 +219,8 @@ def test_sharded_matches_serial_predictions(small_problem, serial_run, shards):
     assert report.accuracy == pytest.approx(serial_report.accuracy, abs=1e-12)
 
     # The sharded serving front-end reproduces the sharded classifier.
-    with dist.sharded_service(batch_size=64, cache_size=32) as svc:
+    with ShardedPredictionService(dist.classifier_, batch_size=64,
+                                  cache_size=32) as svc:
         assert svc.n_shards == shards
         labels = svc.predict_many(data.X_test)
         scores = svc.decision_many(data.X_test)

@@ -22,9 +22,11 @@ import pytest
 import repro.distributed as distributed
 import repro.obs as obs
 import repro.server as server
-from repro.hss import CompressedKernel, CompressionStructure, ULVFactorization
+from repro.hss import CompressedKernel, ULVFactorization
 from repro.kernels import Kernel, KernelOperator
-from repro.krr import KernelRidgeClassifier, KRRPipeline, OneVsAllClassifier
+from repro.krr import (KernelRidgeClassifier, KernelRidgeRegressor,
+                       KRRPipeline, OneVsAllClassifier)
+from repro.krr.estimator import KernelRidgeEstimator
 from repro.lowrank import aca, aca_blocks
 from repro.serving import ModelStore, PredictionEngine, PredictionService
 from repro.tuning import (BanditTuner, GridSearch, KRRObjective, RandomSearch,
@@ -34,11 +36,13 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: the API-reference surface documented in docs/api.md, beyond
 #: repro.distributed's own exports (the tuning-fabric surfaces of
-#: docs/tuning.md ride along: recompress / factor_many / the searchers;
-#: so do the element-extraction / wavefront-ACA pieces of docs/api.md)
-DOCUMENTED_API = [KRRPipeline, KernelRidgeClassifier, OneVsAllClassifier,
+#: docs/tuning.md ride along: factor_many / the searchers; so do the
+#: element-extraction / wavefront-ACA pieces of docs/api.md); the
+#: estimator core carries the lifecycle verbs its three shells inherit
+DOCUMENTED_API = [KRRPipeline, KernelRidgeEstimator, KernelRidgeClassifier,
+                  OneVsAllClassifier, KernelRidgeRegressor,
                   ModelStore, PredictionEngine, PredictionService,
-                  CompressedKernel, CompressionStructure, ULVFactorization,
+                  CompressedKernel, ULVFactorization,
                   KRRObjective, GridSearch, RandomSearch, BanditTuner,
                   TuningResult, Kernel, KernelOperator]
 

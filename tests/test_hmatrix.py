@@ -8,6 +8,7 @@ import gc
 import numpy as np
 import pytest
 from aca_oracle import aca_loop
+from conftest import same_hmatrix_blocks
 
 from repro import obs
 from repro.clustering import cluster
@@ -174,25 +175,6 @@ class TestHMatrixBuild:
         assert loose.nbytes <= tight.nbytes
 
 
-def _same_blocks(a, b) -> bool:
-    """Two H matrices agree bit for bit, block by block."""
-    if len(a.blocks) != len(b.blocks):
-        return False
-    for x, y in zip(a.blocks, b.blocks):
-        if (x.block_id, x.row_slice, x.col_slice) != (
-                y.block_id, y.row_slice, y.col_slice):
-            return False
-        if (x.dense is None) != (y.dense is None):
-            return False
-        if x.dense is not None:
-            if not np.array_equal(x.dense, y.dense):
-                return False
-        elif not (np.array_equal(x.lowrank.U, y.lowrank.U)
-                  and np.array_equal(x.lowrank.V, y.lowrank.V)):
-            return False
-    return True
-
-
 @pytest.fixture()
 def wave_setup():
     """Uniform 2-D points: ~90 admissible blocks of many sizes, ranks to 18."""
@@ -234,7 +216,7 @@ class TestWaveAssembly:
         serial = build_hmatrix(op, result.X, result.tree, opts.with_(workers=1))
         threaded = build_hmatrix(op, result.X, result.tree,
                                  opts.with_(workers=workers))
-        assert _same_blocks(serial, threaded)
+        assert same_hmatrix_blocks(serial, threaded)
 
     def test_wave_geometry_does_not_change_the_matrix(self, wave_setup,
                                                       monkeypatch):
@@ -242,7 +224,7 @@ class TestWaveAssembly:
         one_wave = build_hmatrix(op, result.X, result.tree, opts)
         monkeypatch.setattr(hmatrix_build, "WAVE_BUDGET", 1)    # a wave per block
         per_block = build_hmatrix(op, result.X, result.tree, opts)
-        assert _same_blocks(one_wave, per_block)
+        assert same_hmatrix_blocks(one_wave, per_block)
 
     def test_pack_waves(self, monkeypatch):
         monkeypatch.setattr(hmatrix_build, "WAVE_BUDGET", 10)
@@ -251,15 +233,6 @@ class TestWaveAssembly:
         assert pack([7, 8, 9], [4, 6, 1]) == [[7, 8], [9]]
         # a block above the budget travels alone, order is kept
         assert pack([1, 2, 3, 4], [3, 50, 5, 5]) == [[1], [2], [3, 4]]
-
-    def test_recompress_equals_cold_build(self, hmatrix_setup):
-        result, _ = hmatrix_setup
-        first = compress_kernel(result.X, result.tree, GaussianKernel(h=1.5),
-                                seed=0)
-        moved = first.recompress(GaussianKernel(h=2.5))
-        cold = compress_kernel(result.X, result.tree, GaussianKernel(h=2.5),
-                               seed=0)
-        assert _same_blocks(moved.hmatrix, cold.hmatrix)
 
     def test_span_reports_the_assembly(self, hmatrix_setup):
         result, _ = hmatrix_setup

@@ -1,0 +1,306 @@
+"""The lifecycle contract, once for every estimator and solver.
+
+``fit``, ``refit``, ``refit_kernel``, ``partial_fit`` and ``recompress``
+are written once in :mod:`repro.krr.estimator`; the three estimators only
+encode their targets.  So the contract is stated once too, over
+estimator ∈ {binary, one-vs-all, regressor} × solver ∈ {dense, hss}:
+
+* every verb ends bitwise equal to the cold fit of the state it reached;
+* a solver failure inside any verb leaves the model's hyper-parameters,
+  weights and stored targets untouched;
+
+plus what makes the h-move cheap without a second code path:
+
+* ``compress_kernel(block_tree=...)`` is bitwise a cold compression, and a
+  block tree recorded for another tree or other options is rebuilt;
+* on a warm ``shards = 2`` grid an h-move spawns nothing and equals a cold
+  fit on the same grid.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from conftest import assert_same_hss, same_hmatrix_blocks
+
+from repro.clustering import cluster
+from repro.config import HMatrixOptions
+from repro.datasets import gaussian_mixture
+from repro.hss import ULVFactorization, compress_kernel
+from repro.kernels import GaussianKernel
+from repro.krr import (KernelRidgeClassifier, KernelRidgeRegressor,
+                       OneVsAllClassifier)
+from repro.krr.solvers import KernelSystemSolver
+
+ESTIMATORS = {"binary": KernelRidgeClassifier,
+              "one-vs-all": OneVsAllClassifier,
+              "regressor": KernelRidgeRegressor}
+N_ADD = 12
+REMOVE = np.array([3, 40, 41, 200])
+
+
+def _labels(kind: str, X: np.ndarray, y_binary: np.ndarray) -> np.ndarray:
+    if kind == "binary":
+        return y_binary
+    if kind == "one-vs-all":
+        return (y_binary > 0).astype(int) + (X[:, 0] > 0).astype(int)
+    return np.sin(X[:, 0]) + 0.25 * y_binary
+
+
+@pytest.fixture(scope="module")
+def points():
+    X, y = gaussian_mixture(n=260 + N_ADD, d=3, n_components=4,
+                            separation=3.0, noise=0.7, seed=0)
+    return X, y
+
+
+@pytest.fixture(params=sorted(ESTIMATORS))
+def kind(request):
+    return request.param
+
+
+@pytest.fixture(params=["dense", "hss"])
+def solver(request):
+    return request.param
+
+
+@pytest.fixture
+def problem(points, kind):
+    """``(X, y, X_add, y_add)`` with the targets of this estimator kind."""
+    X, y_binary = points
+    y = _labels(kind, X, y_binary)
+    return X[:-N_ADD], y[:-N_ADD], X[-N_ADD:], y[-N_ADD:]
+
+
+def _make(kind: str, solver: str, h: float = 1.0, lam: float = 1.0):
+    # shards=1: the bitwise claims are the serial solvers', whatever
+    # REPRO_SHARDS says
+    return ESTIMATORS[kind](h=h, lam=lam, solver=solver, seed=0, shards=1)
+
+
+def test_every_verb_ends_at_the_cold_fit_of_its_state(kind, solver, problem):
+    X, y, X_add, y_add = problem
+
+    def cold(h, lam, X_fit=X, y_fit=y):
+        return _make(kind, solver, h=h, lam=lam).fit(X_fit, y_fit)
+
+    model = cold(1.0, 1.0)
+
+    model.refit(2.0)
+    assert model.lam == 2.0
+    np.testing.assert_array_equal(model.weights_, cold(1.0, 2.0).weights_)
+    if solver == "hss":
+        assert model.solver_.compression_count == 1
+
+    model.refit_kernel(1.7, lam=0.5)
+    assert (model.h, model.lam, model.kernel.h) == (1.7, 0.5, 1.7)
+    np.testing.assert_array_equal(model.weights_, cold(1.7, 0.5).weights_)
+    if solver == "hss":
+        assert model.solver_.compression_count == 2
+
+    # the effective training set, from the inputs alone: the permuted
+    # rows minus the removed ones, then the appended rows
+    perm = model.clustering_.perm
+    X_eff = np.vstack([np.delete(X[perm], REMOVE, axis=0), X_add])
+    y_eff = np.concatenate([np.delete(y[perm], REMOVE), y_add])
+    model.partial_fit(X_add, y_add, remove=REMOVE)
+    np.testing.assert_array_equal(model.X_train_, X_eff)
+    assert model.solver_.stream.active
+    streamed = cold(1.7, 0.5, X_eff, y_eff)
+    if solver == "dense":
+        # exact algebra; the hss bound at a pinned compression tolerance
+        # is tests/test_streaming.py's
+        np.testing.assert_allclose(model.decision_function(X[:32]),
+                                   streamed.decision_function(X[:32]),
+                                   rtol=0, atol=1e-8)
+
+    model.recompress()
+    assert model.solver_.stream is None and model.stream_info_ is None
+    np.testing.assert_array_equal(model.weights_, streamed.weights_)
+    np.testing.assert_array_equal(model.predict(X[:32]),
+                                  streamed.predict(X[:32]))
+
+
+VERBS = {
+    "fit": lambda m, p: m.fit(p[0], p[1]),
+    "refit": lambda m, p: m.refit(4.0),
+    "refit_kernel": lambda m, p: m.refit_kernel(2.5, lam=4.0),
+    "partial_fit": lambda m, p: m.partial_fit(p[2], p[3], remove=REMOVE),
+    "recompress": lambda m, p: m.recompress(),
+}
+
+
+@pytest.mark.parametrize("verb", sorted(VERBS))
+def test_a_failed_verb_leaves_the_model_untouched(kind, solver, problem, verb,
+                                                  monkeypatch):
+    X, y, X_add, y_add = problem
+    model = _make(kind, solver).fit(X, y)
+    if verb == "recompress":
+        model.partial_fit(X_add, y_add)
+    before = dict(h=model.h, lam=model.lam, kernel=model.kernel,
+                  weights=model.weights_, targets=model._targets_perm,
+                  X_train=model.X_train_, solver=model.solver_,
+                  scores=model.decision_function(X[:16]))
+    frozen = (model.weights_.copy(), model._targets_perm.copy())
+
+    def boom(self, y):
+        raise FloatingPointError("injected solver failure")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(KernelSystemSolver, "solve", boom)
+        with pytest.raises(FloatingPointError, match="injected"):
+            VERBS[verb](model, problem)
+
+    assert (model.h, model.lam) == (before["h"], before["lam"])
+    for name, attr in (("kernel", "kernel"), ("weights", "weights_"),
+                       ("targets", "_targets_perm"), ("X_train", "X_train_"),
+                       ("solver", "solver_")):
+        assert getattr(model, attr) is before[name], name
+    np.testing.assert_array_equal(model.weights_, frozen[0])
+    np.testing.assert_array_equal(model._targets_perm, frozen[1])
+    np.testing.assert_array_equal(model.decision_function(X[:16]),
+                                  before["scores"])
+    if verb == "partial_fit":
+        # the half-applied stream update was rolled back with it
+        assert not model.solver_.stream.active
+
+
+def test_bad_input_is_refused_the_same_way_by_every_estimator(kind, problem):
+    with pytest.raises(ValueError, match="lam must be a non-negative"):
+        ESTIMATORS[kind](lam=-1.0)
+    with pytest.raises(ValueError, match="h must be a positive"):
+        ESTIMATORS[kind](h=0.0)
+    X, y, _, _ = problem
+    model = _make(kind, "dense").fit(X, y)
+    with pytest.raises(ValueError, match="X_test and X_train must have the "
+                                         "same number of columns"):
+        model.decision_function(X[:4, :2])
+    with pytest.raises(ValueError):
+        model.partial_fit(X[:4], y[:3])
+
+
+@pytest.mark.parametrize("entry", ["classifier", "pipeline"])
+def test_shard_dispatch_is_the_same_at_both_entry_points(points, entry,
+                                                         monkeypatch):
+    """Only an *explicit* shard count can refuse a non-hss solver."""
+    from repro.krr import KRRPipeline
+
+    X, y = points
+
+    def train(**kwargs):
+        if entry == "classifier":
+            return KernelRidgeClassifier(solver="dense", **kwargs).fit(X, y)
+        pipeline = KRRPipeline(solver="dense", **kwargs)
+        pipeline.run(X, y, X[:8], y[:8])
+        return pipeline.classifier_
+
+    reference = train().weights_
+    monkeypatch.setenv("REPRO_SHARDS", "2")
+    np.testing.assert_array_equal(train().weights_, reference)
+    with pytest.raises(ValueError, match="requires the 'hss' solver"):
+        train(shards=2)
+
+
+# ---------------------------------------------------------------------------
+# block-tree reuse: what an h-move keeps, decided from the tree's own fields
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def clustered(points):
+    X, _ = points
+    return cluster(X, method="two_means", leaf_size=16, seed=0)
+
+
+@pytest.fixture(scope="module")
+def first(clustered):
+    return compress_kernel(clustered.X, clustered.tree, GaussianKernel(h=1.5),
+                           seed=0)
+
+
+def _assert_same_compression(a, b, n):
+    assert same_hmatrix_blocks(a.hmatrix, b.hmatrix)
+    assert_same_hss(a.hss, b.hss)
+    rhs = np.random.default_rng(7).normal(size=n)
+    np.testing.assert_array_equal(
+        ULVFactorization.factor(a, lam=0.5).solve(rhs),
+        ULVFactorization.factor(b, lam=0.5).solve(rhs))
+
+
+def test_block_tree_reuse_is_bitwise_a_cold_compression(clustered, first):
+    X, tree = clustered.X, clustered.tree
+    moved = compress_kernel(X, tree, GaussianKernel(h=2.5), seed=0,
+                            block_tree=first.hmatrix.block_tree)
+    assert moved.hmatrix.block_tree is first.hmatrix.block_tree
+    cold = compress_kernel(X, tree, GaussianKernel(h=2.5), seed=0)
+    _assert_same_compression(moved, cold, X.shape[0])
+    # and h-moves chain: back to the first bandwidth on the moved tree
+    back = compress_kernel(X, tree, GaussianKernel(h=1.5), seed=0,
+                           block_tree=moved.hmatrix.block_tree)
+    _assert_same_compression(back, first, X.shape[0])
+
+
+@pytest.mark.parametrize("mismatch", ["eta", "leaf_size", "criterion", "tree"])
+def test_mismatched_block_tree_is_rebuilt_not_reused(points, clustered, first,
+                                                     mismatch):
+    X, tree = clustered.X, clustered.tree
+    options = HMatrixOptions()
+    if mismatch == "eta":
+        options = options.with_(admissibility_eta=3.0)
+    elif mismatch == "leaf_size":
+        options = options.with_(leaf_size=32)
+    elif mismatch == "criterion":
+        options = options.with_(admissibility="box")
+    else:   # an equal tree, but not the one the block tree was built on
+        tree = cluster(points[0], method="two_means", leaf_size=16,
+                       seed=0).tree
+    stale = first.hmatrix.block_tree
+    given = compress_kernel(X, tree, GaussianKernel(h=2.5), seed=0,
+                            hmatrix_options=options, block_tree=stale)
+    rebuilt = given.hmatrix.block_tree
+    assert rebuilt is not stale and rebuilt.tree is tree
+    assert (rebuilt.eta, rebuilt.leaf_size, rebuilt.criterion) == (
+        options.admissibility_eta, options.leaf_size, options.admissibility)
+    cold = compress_kernel(X, tree, GaussianKernel(h=2.5), seed=0,
+                           hmatrix_options=options)
+    _assert_same_compression(given, cold, X.shape[0])
+
+
+def test_solver_reuses_its_block_tree_only_across_h_moves(points):
+    X, y = points
+    model = KernelRidgeClassifier(h=1.0, lam=1.0, solver="hss", seed=0,
+                                  shards=1).fit(X, y)
+    block_tree = model.solver_.hmatrix_.block_tree
+    model.refit_kernel(2.0)
+    assert model.solver_.hmatrix_.block_tree is block_tree
+    model.recompress()      # a fresh clustering: nothing to carry over
+    assert model.solver_.hmatrix_.block_tree is not block_tree
+
+
+# ---------------------------------------------------------------------------
+# warm grid: an h-move is a plain fit round on the resident workers
+# ---------------------------------------------------------------------------
+
+def test_warm_grid_h_move_spawns_nothing_and_equals_cold(points):
+    from repro.distributed import WorkerGrid
+
+    X, y = points
+    grid = WorkerGrid.from_data(X, shards=2, clustering="two_means",
+                                leaf_size=16, seed=0)
+
+    def on_grid(h, lam):
+        return KernelRidgeClassifier(h=h, lam=lam, solver="hss", shards=2,
+                                     solver_options={"grid": grid})
+
+    try:
+        warm = on_grid(1.0, 1.0).fit(X, y)
+        spawned = grid.spawn_count
+        assert spawned == 2
+        warm.refit_kernel(2.3, lam=0.5)
+        assert grid.spawn_count == spawned
+        assert warm.solver_.warm_start_
+        assert warm.solver_.compression_count == 2
+        cold = on_grid(2.3, 0.5).fit(X, y)
+        assert grid.spawn_count == spawned
+        np.testing.assert_array_equal(warm.weights_, cold.weights_)
+    finally:
+        grid.shutdown()

@@ -6,9 +6,11 @@ solvers (the λ-free compression is deterministic, and the shift is applied
 identically at factor time either way), within the sharded tolerance for
 the distributed path — while performing **zero** recompressions and, on a
 warm :class:`repro.distributed.WorkerGrid`, zero process spawns.  These
-tests pin every layer of that contract: solvers, classifiers/regressor,
-pipeline, tuning objective, persistence (refit after artifact reload) and
-the distributed grid, plus the tiled kernel-operator ``matmat`` satellite.
+tests pin every layer of that contract: solvers, the binary classifier
+(``tests/test_lifecycle_contract.py`` runs the same verbs over all three
+estimators), pipeline, tuning objective, persistence (refit after
+artifact reload) and the distributed grid, plus the tiled kernel-operator
+``matmat`` satellite.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from repro.clustering import cluster
 from repro.config import HSSOptions
 from repro.datasets import gaussian_mixture
 from repro.kernels import GaussianKernel, KernelOperator
-from repro.krr import (KernelRidgeClassifier, KernelRidgeRegressor,
-                       KRRPipeline, OneVsAllClassifier)
+from repro.krr import (KernelRidgeClassifier, KRRPipeline,
+                       OneVsAllClassifier)
 from repro.krr.solvers import CGSolver, DenseSolver, HSSSolver
 from repro.parallel import BlockExecutor
 
@@ -93,28 +95,6 @@ class TestSerialRefitEquivalence:
         clf.refit(3.0)
         np.testing.assert_array_equal(clf.weights_,
                                       _cold_weights(X, y, 3.0, "cg"))
-
-    def test_regressor_refit_bitwise(self, data):
-        X, _ = data
-        rng = np.random.default_rng(5)
-        y = np.sin(X[:, 0]) + 0.1 * rng.standard_normal(X.shape[0])
-        reg = KernelRidgeRegressor(h=1.0, lam=1.0, solver="hss", seed=0)
-        reg.fit(X, y)
-        reg.refit(2.0)
-        cold = KernelRidgeRegressor(h=1.0, lam=2.0, solver="hss", seed=0)
-        cold.fit(X, y)
-        np.testing.assert_array_equal(reg.weights_, cold.weights_)
-
-    def test_multiclass_refit_bitwise_single_compression(self, data):
-        X, y_bin = data
-        y = (y_bin > 0).astype(int) + (X[:, 0] > 0).astype(int)
-        ova = OneVsAllClassifier(h=1.0, lam=1.0, solver="hss", seed=0)
-        ova.fit(X, y)
-        ova.refit(2.0)
-        assert ova.solver_.compression_count == 1
-        cold = OneVsAllClassifier(h=1.0, lam=2.0, solver="hss", seed=0)
-        cold.fit(X, y)
-        np.testing.assert_array_equal(ova.weights_, cold.weights_)
 
     def test_unfitted_refit_raises(self):
         with pytest.raises(RuntimeError, match="fitted"):
@@ -206,7 +186,7 @@ class TestRefitAfterReload:
         X, y = data
         clf = KernelRidgeClassifier(h=1.0, lam=1.0, solver="hss", seed=0)
         clf.fit(X, y)
-        clf._y_perm = None  # simulate an old-version artifact
+        clf._targets_perm = None  # simulate an old-version artifact
         clf.save(str(tmp_path / "old.npz"))
         loaded = KernelRidgeClassifier.load(str(tmp_path / "old.npz"))
         with pytest.raises(RuntimeError, match="older version"):

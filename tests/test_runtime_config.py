@@ -20,6 +20,15 @@ from repro.runtime import (RuntimeConfig, SCHEMA, TomlError, known_keys,
 from repro.runtime.toml_io import _parse_minimal
 
 
+@pytest.fixture(autouse=True)
+def no_repro_env(monkeypatch):
+    """This module asserts defaults and provenance, so the suite's own
+    ``REPRO_*`` knobs (CI runs a ``REPRO_WORKERS=2`` leg) must not leak in;
+    tests that want one set it themselves."""
+    for name in [n for n in os.environ if n.startswith("REPRO_")]:
+        monkeypatch.delenv(name)
+
+
 # --------------------------------------------------------------- precedence
 class TestPrecedence:
     def test_defaults_only(self):

@@ -106,7 +106,7 @@ def test_random_interleaving_matches_cold_fit(solver, options, tol, seed):
     clf = KernelRidgeClassifier(h=1.0, lam=1.0, solver=solver,
                                 solver_options=options).fit(X, y)
     # the oracle tracks the model's own (permuted) training ordering
-    oracle_X, oracle_y = clf.X_train_.copy(), clf._y_perm.copy()
+    oracle_X, oracle_y = clf.X_train_.copy(), clf._targets_perm.copy()
     cursor = 0
     for op in _random_ops(rng, N_BASE, N_POOL):
         oracle_X, oracle_y, cursor = _apply(
@@ -114,7 +114,7 @@ def test_random_interleaving_matches_cold_fit(solver, options, tol, seed):
 
     # bookkeeping: the streamed training set is exactly the oracle's
     assert np.array_equal(clf.X_train_, oracle_X)
-    assert np.array_equal(clf._y_perm, oracle_y)
+    assert np.array_equal(clf._targets_perm, oracle_y)
 
     # equivalence: streamed decisions match a cold fit on the final data
     cold = KernelRidgeClassifier(h=1.0, lam=clf.lam, solver=solver,
@@ -133,7 +133,7 @@ def test_sharded_interleaving_matches_serial_and_cold():
                                     solver_options=TIGHT).fit(X, y)
     serial = KernelRidgeClassifier(h=1.0, lam=1.0, solver="hss",
                                    solver_options=TIGHT).fit(X, y)
-    oracle_X, oracle_y = sharded.X_train_.copy(), sharded._y_perm.copy()
+    oracle_X, oracle_y = sharded.X_train_.copy(), sharded._targets_perm.copy()
     cursor_a = cursor_b = 0
     dummy = (None, None)
     for op in _random_ops(rng_a, N_BASE, N_POOL, n_ops=5):
@@ -208,7 +208,7 @@ def test_forced_breach_and_bitwise_recompression():
     assert "max_updates" in info["breach_reason"]
     assert info["correction_rank"] == 7
 
-    eff_X, eff_y = clf.X_train_.copy(), clf._y_perm.copy()
+    eff_X, eff_y = clf.X_train_.copy(), clf._targets_perm.copy()
     clf.recompress()
     cold = KernelRidgeClassifier(h=1.0, lam=1.0, solver="hss",
                                  solver_options=TIGHT).fit(eff_X, eff_y)

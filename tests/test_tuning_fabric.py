@@ -1,11 +1,12 @@
-"""The (h, λ) tuning fabric: recompression, batched factorization, CV.
+"""The (h, λ) tuning fabric: h-moves, batched factorization, CV.
 
-Pins the contracts of ``docs/tuning.md``:
+Pins the contracts of ``docs/tuning.md`` (the h-move itself — a fit on
+the retained tree with the block cluster tree reused, bitwise a cold
+build, serially and on a warm ``shards = 2`` grid — is pinned by
+``tests/test_lifecycle_contract.py``):
 
-* ``CompressedKernel.recompress(kernel)`` is **bitwise identical** to a
-  cold ``compress_kernel`` on the same tree — serially, with
-  ``shards = 2`` (the coordinator's ``recompress`` round), and through
-  the cold-compress fallback after an artifact reload;
+* an h-move after an artifact reload rides a cold compression on the
+  restored tree and still equals a cold fit bitwise;
 * ``ULVFactorization.factor_many`` is bitwise identical per shift to
   sequential ``factor`` calls, and ``HSSSolver.prefactor`` hands those
   factorizations to later refits unchanged;
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from conftest import assert_same_arrays
 
 from repro.clustering import cluster
 from repro.datasets import gaussian_mixture
@@ -29,7 +31,6 @@ from repro.krr.solvers import HSSSolver
 from repro.tuning import (GridSearch, KRRObjective, ParameterSpace,
                           RandomSearch)
 
-_HSS_ARRAYS = ("D", "U", "V", "B12", "B21")
 _FACTOR_ARRAYS = ("omega", "q", "lower", "d_hat1", "d_hat2", "u_hat",
                   "g1", "g2")
 
@@ -51,63 +52,11 @@ def compressed_pair(data):
     return clustering, compressed
 
 
-def _assert_same_arrays(obj_a, obj_b, names):
-    for name in names:
-        a, b = getattr(obj_a, name, None), getattr(obj_b, name, None)
-        if a is None or b is None:
-            assert a is None and b is None, name
-            continue
-        assert np.array_equal(np.asarray(a), np.asarray(b)), name
-
-
-def _assert_hss_equal(hss_a, hss_b):
-    assert hss_a.n == hss_b.n
-    for node_id in range(hss_a.tree.n_nodes):
-        _assert_same_arrays(hss_a.node_data[node_id],
-                            hss_b.node_data[node_id], _HSS_ARRAYS)
-
-
 # ---------------------------------------------------------------------------
-# recompress: bitwise identical to a cold compression on the same tree
+# h-move after a reload: bitwise identical to a cold fit
 # ---------------------------------------------------------------------------
 
-class TestRecompressBitwise:
-    def test_serial_recompress_equals_cold_compress(self, compressed_pair):
-        clustering, compressed = compressed_pair
-        new_kernel = GaussianKernel(h=2.3)
-        warm = compressed.recompress(new_kernel)
-        cold = compress_kernel(clustering.X, clustering.tree, new_kernel,
-                               seed=0)
-        _assert_hss_equal(warm.hss, cold.hss)
-        rng = np.random.default_rng(7)
-        b = rng.normal(size=clustering.X.shape[0])
-        x_warm = ULVFactorization.factor(warm, lam=0.5).solve(b)
-        x_cold = ULVFactorization.factor(cold, lam=0.5).solve(b)
-        np.testing.assert_array_equal(x_warm, x_cold)
-        # the structure survives the round-trip, so h-moves chain
-        again = warm.recompress(GaussianKernel(h=1.0))
-        _assert_hss_equal(again.hss, compressed.hss)
-
-    def test_recompress_requires_structure(self, compressed_pair):
-        _, compressed = compressed_pair
-        stripped = type(compressed)(hss=compressed.hss,
-                                    report=compressed.report,
-                                    hmatrix=compressed.hmatrix,
-                                    structure=None)
-        with pytest.raises(RuntimeError, match="CompressionStructure"):
-            stripped.recompress(GaussianKernel(h=2.0))
-
-    def test_classifier_refit_kernel_bitwise_serial(self, data):
-        X, y = data
-        warm = KernelRidgeClassifier(h=1.0, lam=1.0, solver="hss", seed=0)
-        warm.fit(X, y)
-        warm.refit_kernel(2.3, lam=0.5)
-        cold = KernelRidgeClassifier(h=2.3, lam=0.5, solver="hss", seed=0)
-        cold.fit(X, y)
-        np.testing.assert_array_equal(warm.weights_, cold.weights_)
-        assert warm.h == 2.3 and warm.lam == 0.5
-        assert warm.solver_.compression_count == 2
-
+class TestReloadedKernelMove:
     def test_refit_kernel_after_artifact_reload(self, tmp_path, data):
         X, y = data
         # shards=1 pins the single-process artifact format: a sharded
@@ -118,35 +67,14 @@ class TestRecompressBitwise:
         clf.fit(X, y)
         clf.save(str(tmp_path / "model.npz"))
         loaded = KernelRidgeClassifier.load(str(tmp_path / "model.npz"))
-        # artifacts do not persist the CompressionStructure: this rides
-        # the cold-compress fallback, still bitwise equal to a cold fit
+        # artifacts do not persist the H matrix, so there is no block
+        # tree to reuse: a cold compression on the restored tree, still
+        # bitwise equal to a cold fit
         loaded.refit_kernel(2.3, lam=0.5)
         cold = KernelRidgeClassifier(h=2.3, lam=0.5, solver="hss", seed=0,
                                      shards=1)
         cold.fit(X, y)
         np.testing.assert_array_equal(loaded.weights_, cold.weights_)
-
-    def test_distributed_recompress_bitwise_shards2(self, data):
-        from repro.distributed import WorkerGrid
-
-        X, y = data
-        grid = WorkerGrid.from_data(X, shards=2, clustering="two_means",
-                                    leaf_size=16, seed=0)
-        try:
-            warm = KernelRidgeClassifier(h=1.0, lam=1.0, solver="hss",
-                                         shards=2,
-                                         solver_options={"grid": grid})
-            warm.fit(X, y)
-            warm.refit_kernel(2.3, lam=0.5)
-            info = warm.solver_.coordinator_.fit_info
-            assert info.get("structure_reuses") == 2
-            cold = KernelRidgeClassifier(h=2.3, lam=0.5, solver="hss",
-                                         shards=2,
-                                         solver_options={"grid": grid})
-            cold.fit(X, y)
-            np.testing.assert_array_equal(warm.weights_, cold.weights_)
-        finally:
-            grid.shutdown()
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +95,8 @@ class TestFactorManyBitwise:
                 if ref_factors is None:
                     assert fac._factors[node_id] is None
                     continue
-                _assert_same_arrays(fac._factors[node_id], ref_factors,
-                                    _FACTOR_ARRAYS)
+                assert_same_arrays(fac._factors[node_id], ref_factors,
+                                   _FACTOR_ARRAYS)
             np.testing.assert_array_equal(fac.solve(b), ref.solve(b))
 
     def test_prefactor_feeds_refits_bitwise(self, data):
