@@ -58,7 +58,7 @@ from . import runtime
 from . import clustering, datasets, hmatrix, hss, kernels, krr, lowrank, utils
 from . import serving
 from . import distributed
-from .config import (ClusteringOptions, HMatrixOptions, HSSOptions, KRROptions)
+from .config import ClusteringOptions, HMatrixOptions, HSSOptions
 from .clustering import ClusterTree, cluster
 from .hss import HSSMatrix, ULVFactorization, build_hss_from_dense, build_hss_randomized
 from .hmatrix import HMatrix, HMatrixSampler, build_hmatrix
@@ -77,7 +77,6 @@ __all__ = [
     "ClusteringOptions",
     "HMatrixOptions",
     "HSSOptions",
-    "KRROptions",
     "ClusterTree",
     "cluster",
     "HSSMatrix",

@@ -9,13 +9,15 @@ One entry point for the whole model lifecycle, driven by the layered
     repro refit --new-lam 4.0        # cheap λ-only re-train of the model
     repro update --add new.npz       # stream rows in (Woodbury partial_fit)
     repro serve --check              # one-shot serving self-test
-    repro bench                      # micro-benchmark of the lifecycle
+    repro bench --workload lowdim    # the perf ledger (BENCHMARK.json)
     repro inspect config             # every knob + its provenance layer
     repro env                        # host context + REPRO_* mapping
 
 Every subcommand is idempotent and writes a machine-readable JSON result
 (``repro_<command>.json`` by default, ``--json PATH`` to move it) next to
-its human-readable summary.  Errors print to stderr and exit with code 2.
+its human-readable summary; ``bench`` instead passes its arguments, output
+and exit status between the caller and ``python -m benchmarks.ledger run``.
+Errors print to stderr and exit with code 2.
 """
 
 from __future__ import annotations
@@ -42,9 +44,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Kernel ridge regression with hierarchical matrix "
-                    "compression: train, tune, refit, serve, bench and "
+                    "compression: train, tune, refit, update, serve and "
                     "inspect — all from one layered config "
-                    "(repro.toml < REPRO_* env < flags).")
+                    "(repro.toml < REPRO_* env < flags); bench runs the "
+                    "perf ledger.")
     from .. import __version__
     parser.add_argument("--version", action="version",
                         version=f"repro {__version__}")

@@ -1,119 +1,41 @@
-"""``repro bench`` — config-driven micro-benchmark of the lifecycle."""
+"""``repro bench`` — run the perf ledger of this source checkout."""
 
 from __future__ import annotations
 
 import argparse
-import time
+import json
+import os
+import subprocess
+import sys
 
-import numpy as np
+from ._common import CLIError
 
-from ._common import (add_config_arguments, effective_h_lam, emit,
-                      load_bundle, maybe_dump_metrics, resolve_config)
+MANIFEST = "BENCHMARK.json"
 
 
 def add_parser(subparsers) -> argparse.ArgumentParser:
-    """Register the ``bench`` subcommand.
-
-    Parameters
-    ----------
-    subparsers:
-        The argparse subparsers action of the umbrella parser.
-
-    Returns
-    -------
-    argparse.ArgumentParser
-        The subcommand parser.
-    """
+    """Register the ``bench`` subcommand; returns its parser."""
+    # "+" as the only prefix character: every argument, `--workload` and
+    # `-h` included, is a positional that goes to the ledger untouched.
     parser = subparsers.add_parser(
-        "bench",
-        help="time the train -> refit -> serve lifecycle on the config",
-        description="A config-driven micro-benchmark: one cold train, a "
-                    "sweep of λ-only refits (showing the compress-once/"
-                    "refit-many saving) and a serving throughput probe, "
-                    "all stamped with the host context.")
-    add_config_arguments(parser)
-    parser.add_argument(
-        "--refits", type=int, default=3, metavar="K",
-        help="number of λ-only refits to time (default 3)")
-    parser.add_argument(
-        "--serve-queries", type=int, default=128, metavar="N",
-        help="queries pushed through the engine probe (default 128)")
+        "bench", prefix_chars="+", add_help=False,
+        help=f"run the perf ledger ({MANIFEST}) of this source checkout")
+    parser.add_argument("ledger_args", nargs="*")
     parser.set_defaults(func=run)
     return parser
 
 
 def run(args: argparse.Namespace) -> int:
-    """Execute ``repro bench``.
-
-    Parameters
-    ----------
-    args:
-        Parsed command-line namespace.
-
-    Returns
-    -------
-    int
-        Process exit code.
-    """
-    from ..krr import KRRPipeline
-    from ..serving import PredictionEngine
-
-    config = resolve_config(args)
-    data = load_bundle(config)
-    h, lam = effective_h_lam(config, data)
-
-    pipeline = KRRPipeline.from_config(config, h=h, lam=lam)
-    t0 = time.perf_counter()
-    report = pipeline.run(data.X_train, data.y_train,
-                          data.X_test, data.y_test,
-                          dataset_name=config.dataset.name)
-    train_s = time.perf_counter() - t0
-
-    refit_times = []
-    lams = [lam * (2.0 ** (k + 1)) for k in range(max(0, int(args.refits)))]
-    for new_lam in lams:
-        t0 = time.perf_counter()
-        pipeline.refit(new_lam)
-        refit_times.append(time.perf_counter() - t0)
-
-    n = max(1, min(int(args.serve_queries), data.X_test.shape[0]))
-    queries = np.asarray(data.X_test[:n], dtype=np.float64)
-    engine = PredictionEngine.from_config(config, pipeline.classifier_)
-    t0 = time.perf_counter()
-    engine.predict_many(queries)
-    serve_s = time.perf_counter() - t0
-
-    result = {
-        "dataset": config.dataset.name,
-        "n_train": report.n_train,
-        "n_test": report.n_test,
-        "accuracy": report.accuracy,
-        "train_seconds": train_s,
-        "refit_seconds": refit_times,
-        "mean_refit_seconds": (float(np.mean(refit_times))
-                               if refit_times else None),
-        "refit_speedup": (train_s / float(np.mean(refit_times))
-                          if refit_times else None),
-        "serve_queries": int(n),
-        "serve_seconds": serve_s,
-        "serve_qps": n / serve_s if serve_s > 0 else None,
-    }
-    human = [
-        f"bench on {config.dataset.name} (n_train={report.n_train}, "
-        f"solver={report.solver}):",
-        f"  cold train   {train_s:8.3f}s  "
-        f"(accuracy {report.accuracy_percent:.2f}%)",
-    ]
-    if refit_times:
-        human.append(
-            f"  λ-only refit {float(np.mean(refit_times)):8.3f}s mean over "
-            f"{len(refit_times)} refits "
-            f"({train_s / float(np.mean(refit_times)):.1f}x vs cold train)")
-    human.append(
-        f"  serve probe  {serve_s:8.3f}s for {n} queries "
-        f"({n / serve_s:.0f} qps)" if serve_s > 0
-        else f"  serve probe  <0.001s for {n} queries")
-    dumped = maybe_dump_metrics(config)
-    if dumped:
-        result["metrics_dump"] = dumped
-    return emit(args, "bench", config, result, human)
+    """Execute ``repro bench``; returns the ledger's exit status."""
+    root = start = os.getcwd()
+    while not os.path.isfile(os.path.join(root, MANIFEST)):
+        root, below = os.path.dirname(root), root
+        if root == below:
+            raise CLIError(
+                f"no {MANIFEST} at or above {start}: `repro bench` runs "
+                f"the perf ledger of a source checkout, run it inside one")
+    with open(os.path.join(root, MANIFEST), encoding="utf-8") as fh:
+        command = list(json.load(fh)["command"])
+    if command[0] == "python3":
+        command[0] = sys.executable  # the interpreter `repro` runs under
+    return subprocess.run(command + args.ledger_args, cwd=root).returncode

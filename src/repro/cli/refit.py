@@ -62,13 +62,15 @@ def run(args: argparse.Namespace) -> int:
     store = ModelStore.from_config(config)
     name = config.serving.model
     try:
-        model = store.load(name)
+        old_lam = float(store.artifact(name).config["lam"])
+        if args.no_save:
+            model = store.load(name)
+            model.refit(float(lam))
+        else:
+            model, record = store.apply(name, "refit", float(lam),
+                                        meta={"lambda": float(lam)})
     except ArtifactError as exc:
         raise CLIError(f"{exc} (run `repro train` first)") from exc
-
-    old_lam = float(getattr(model, "lam", float("nan")))
-    try:
-        model.refit(float(lam))
     except RuntimeError as exc:
         raise CLIError(str(exc)) from exc
 
@@ -89,9 +91,6 @@ def run(args: argparse.Namespace) -> int:
         f"test accuracy at new lam: {100 * accuracy:.2f}%",
     ]
     if not args.no_save:
-        record = store.save(model, name, metadata={"lam": float(lam),
-                                                   "refit": True},
-                            overwrite=True)
         result["checksum"] = record.checksum
         human.append(f"saved refitted model (checksum "
                      f"{record.checksum[:12]}...)")

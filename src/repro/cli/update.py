@@ -6,7 +6,7 @@ are applied to the stored model as a low-rank Woodbury correction
 recompression, no refactorization — and the streamed artifact is saved
 back under the same name.  When the drift budget from the ``[stream]``
 config section is breached (or ``--recompress force``), the corrections
-are folded back into a fresh compression before saving.
+are then folded back into a fresh compression, which is saved in turn.
 
 Against a running ``repro serve`` daemon, ``--url`` posts the same update
 to ``POST /models/<name>/update`` instead, which hot-swaps the served
@@ -175,47 +175,48 @@ def run(args: argparse.Namespace) -> int:
     if args.url:
         return _run_remote(args, config, name, X_new, y_new, remove, mode)
 
-    from ..hss.streaming import DriftBudget
+    from ..hss.streaming import DriftBudget, should_recompress
     store = ModelStore.from_config(config)
+    rows = dict(X_new=X_new, y_new=y_new, remove=remove,
+                budget=DriftBudget.from_config(config))
     try:
-        model = store.load(name)
+        if args.no_save:
+            model = store.load(name)
+            model.partial_fit(**rows)
+        else:
+            model, record = store.apply(name, "partial_fit", **rows,
+                                        meta={"streamed": True})
+        info = dict(model.stream_info_ or {})
+        recompressed = should_recompress(mode, info)
+        if recompressed and args.no_save:
+            model.recompress()
+        elif recompressed:  # re-saved once more, like the daemon's job
+            model, record = store.apply(
+                name, "recompress",
+                meta={"streamed": None, "recompressed": True})
     except ArtifactError as exc:
         raise CLIError(f"{exc} (run `repro train` first)") from exc
-
-    stream_cfg = config.stream
-    budget = DriftBudget(max_updates=stream_cfg.max_updates,
-                         max_fraction=stream_cfg.max_fraction,
-                         residual_tol=stream_cfg.residual_tol,
-                         sample_size=stream_cfg.sample_size)
-    n_before = int(model.X_train_.shape[0])
-    try:
-        model.partial_fit(X_new=X_new, y_new=y_new, remove=remove,
-                          budget=budget)
     except (RuntimeError, ValueError) as exc:
         raise CLIError(str(exc)) from exc
-    info = dict(model.stream_info_ or {})
 
-    recompressed = False
-    if mode == "force" or (mode == "auto" and info.get("breached")):
-        model.recompress()
-        recompressed = True
-
+    n_after = int(model.X_train_.shape[0])
+    added = 0 if X_new is None else int(X_new.shape[0])
+    removed = 0 if remove is None else len(set(remove))
     result = {
         "model": name,
         "store": store.root,
-        "n_train_before": n_before,
-        "n_train_after": int(model.X_train_.shape[0]),
-        "added": 0 if X_new is None else int(X_new.shape[0]),
-        "removed": 0 if remove is None else len(remove),
+        "n_train_before": n_after - added + removed,
+        "n_train_after": n_after,
+        "added": added,
+        "removed": removed,
         "stream": info,
         "recompress_mode": mode,
         "recompressed": recompressed,
         "saved": not args.no_save,
     }
     human = [
-        f"updated model {name!r}: {n_before} -> "
-        f"{result['n_train_after']} training rows "
-        f"(+{result['added']} / -{result['removed']})",
+        f"updated model {name!r}: {result['n_train_before']} -> "
+        f"{n_after} training rows (+{added} / -{removed})",
         f"correction rank {info.get('correction_rank')} "
         f"(budget breached: {info.get('breached', False)}"
         + (f", {info.get('breach_reason')}" if info.get("breached") else "")
@@ -229,9 +230,6 @@ def run(args: argparse.Namespace) -> int:
         result["test_accuracy"] = accuracy
         human.append(f"test accuracy after update: {100 * accuracy:.2f}%")
     if not args.no_save:
-        metadata = {"streamed": not recompressed,
-                    "recompressed": recompressed}
-        record = store.save(model, name, metadata=metadata, overwrite=True)
         result["checksum"] = record.checksum
         result["revision"] = record.revision
         human.append(f"saved updated model (revision {record.revision}, "

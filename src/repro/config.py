@@ -190,40 +190,3 @@ class ClusteringOptions:
             raise ValueError("max_iter must be >= 1")
         if self.balance_threshold < 1:
             raise ValueError("balance_threshold must be >= 1")
-
-
-@dataclass(frozen=True)
-class KRROptions:
-    """Options for kernel ridge regression classification (Algorithm 1).
-
-    Parameters
-    ----------
-    h:
-        Gaussian kernel bandwidth.
-    lam:
-        Ridge regularization parameter ``lambda``.
-    solver:
-        ``"dense"`` (exact Cholesky), ``"hss"`` (compressed ULV solve) or
-        ``"cg"`` (conjugate gradient on the exact kernel).
-    kernel:
-        Kernel name understood by :func:`repro.kernels.get_kernel`.
-    """
-
-    h: float = 1.0
-    lam: float = 1.0
-    solver: str = "hss"
-    kernel: str = "gaussian"
-
-    def __post_init__(self) -> None:
-        if self.h <= 0:
-            raise ValueError("h must be positive")
-        if self.lam < 0:
-            raise ValueError("lam must be non-negative")
-        if self.solver not in ("dense", "hss", "cg"):
-            raise ValueError(f"unknown solver {self.solver!r}")
-
-
-DEFAULT_HSS_OPTIONS = HSSOptions()
-DEFAULT_HMATRIX_OPTIONS = HMatrixOptions()
-DEFAULT_CLUSTERING_OPTIONS = ClusteringOptions()
-DEFAULT_KRR_OPTIONS = KRROptions()

@@ -25,7 +25,8 @@ paper:
   paper's primary performance metrics.
 * :class:`StreamingULVSolver` / :class:`DriftBudget` — streaming row
   insertion/deletion as Woodbury corrections around the factored system,
-  with drift thresholds deciding when to recompress from scratch.
+  with drift thresholds (and :func:`should_recompress`, the policy on
+  top of them) deciding when to recompress from scratch.
 """
 
 from .generators import HSSNodeData
@@ -36,11 +37,12 @@ from .compressed import (CompressedKernel, CompressionReport,
                          compress_kernel)
 from .ulv import ULVFactorization
 from .memory import HSSStatistics
-from .streaming import DriftBudget, StreamingULVSolver
+from .streaming import DriftBudget, StreamingULVSolver, should_recompress
 
 __all__ = [
     "DriftBudget",
     "StreamingULVSolver",
+    "should_recompress",
     "HSSNodeData",
     "HSSMatrix",
     "build_hss_from_dense",

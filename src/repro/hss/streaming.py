@@ -64,7 +64,7 @@ import scipy.linalg
 from ..kernels.base import Kernel
 from ..obs import global_registry
 
-__all__ = ["DriftBudget", "StreamingULVSolver"]
+__all__ = ["DriftBudget", "StreamingULVSolver", "should_recompress"]
 
 _UPDATES_HELP = "Streamed training rows applied as Woodbury corrections"
 _RANK_HELP = "Current Woodbury correction rank (removed + added rows)"
@@ -123,6 +123,27 @@ class DriftBudget:
     residual_tol: float = 0.0
     sample_size: int = 64
 
+    @classmethod
+    def from_config(cls, config) -> "DriftBudget":
+        """The budget a :class:`repro.runtime.RuntimeConfig` describes.
+
+        Parameters
+        ----------
+        config:
+            The resolved runtime config; its ``[stream]`` section
+            supplies the four thresholds.
+
+        Returns
+        -------
+        DriftBudget
+            The configured budget.
+        """
+        stream = config.stream
+        return cls(max_updates=stream.max_updates,
+                   max_fraction=stream.max_fraction,
+                   residual_tol=stream.residual_tol,
+                   sample_size=stream.sample_size)
+
     def check(self, stream: "StreamingULVSolver",
               residual: Optional[float] = None) -> Tuple[bool, str]:
         """Whether the budget is breached, and why.
@@ -146,6 +167,29 @@ class DriftBudget:
                 return True, (f"sampled residual {residual:.3e} exceeds "
                               f"residual_tol={self.residual_tol:.3e}")
         return False, ""
+
+
+def should_recompress(mode: str, info: dict) -> bool:
+    """Whether a streamed model is due for recompression.
+
+    The one policy behind ``repro update`` and the model router.
+
+    Parameters
+    ----------
+    mode:
+        The ``stream.recompress`` policy: ``"force"`` always
+        recompresses, ``"auto"`` only once the drift budget is breached,
+        ``"off"`` never.
+    info:
+        Drift bookkeeping of the model after the update (its
+        ``stream_info_``, see :meth:`StreamingULVSolver.drift_stats`).
+
+    Returns
+    -------
+    bool
+        ``True`` when the corrections should be folded into a cold fit.
+    """
+    return mode == "force" or (mode == "auto" and bool(info.get("breached")))
 
 
 class StreamingULVSolver:

@@ -455,9 +455,6 @@ class _NullMetric:
     def observe(self, value: float) -> None:
         pass
 
-    def labels_(self, **labels):  # pragma: no cover - alias, unused
-        return self
-
     def labels(self, **labels) -> "_NullMetric":
         return self
 

@@ -1,10 +1,10 @@
-"""Host-context stamping shared by the CLI and the benchmark harness.
+"""Host-context stamping of the CLI's results.
 
 One canonical description of the machine and process environment a run
 executed on — git revision, interpreter / numpy versions, platform, core
-counts and the ``REPRO_*`` environment — so benchmark JSON records
-(``benchmarks/_harness.py``), ``repro env`` and every CLI result stamp
-the *same* fields and stay comparable across commits and hosts.
+counts and the ``REPRO_*`` environment — so ``repro env`` and every CLI
+result stamp the *same* fields and stay comparable across commits and
+hosts.
 """
 
 from __future__ import annotations

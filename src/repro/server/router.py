@@ -39,7 +39,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..hss.streaming import DriftBudget
+from ..hss.streaming import DriftBudget, should_recompress
 from ..obs import RequestTrail, global_registry
 from ..serving import ModelStore, PredictionEngine, PredictionService
 
@@ -157,8 +157,9 @@ class ModelRouter:
         config:
             The resolved runtime config; ``serving.*`` supplies the
             engine/service knobs, ``server.drain_timeout`` the drain
-            budget and ``distributed.workers`` / ``distributed.shards``
-            the backend parallelism.
+            budget, ``distributed.workers`` / ``distributed.shards``
+            the backend parallelism and ``stream.*`` the drift budget
+            and recompression policy.
         store:
             Optional already-open store (``None`` opens
             ``serving.store``).
@@ -168,14 +169,6 @@ class ModelRouter:
         ModelRouter
             The configured router (no models served yet).
         """
-        stream = getattr(config, "stream", None)
-        budget, mode = None, "auto"
-        if stream is not None:
-            budget = DriftBudget(max_updates=stream.max_updates,
-                                 max_fraction=stream.max_fraction,
-                                 residual_tol=stream.residual_tol,
-                                 sample_size=stream.sample_size)
-            mode = stream.recompress
         return cls(store if store is not None
                    else ModelStore.from_config(config),
                    batch_size=config.serving.batch_size,
@@ -185,8 +178,8 @@ class ModelRouter:
                    workers=config.distributed.workers,
                    shards=config.distributed.shards,
                    drain_timeout=config.server.drain_timeout,
-                   stream_budget=budget,
-                   recompress_mode=mode)
+                   stream_budget=DriftBudget.from_config(config),
+                   recompress_mode=config.stream.recompress)
 
     # ------------------------------------------------------------- generations
     def _build_generation(self, name: str, trail: RequestTrail) -> _Generation:
@@ -300,32 +293,16 @@ class ModelRouter:
         return {"model": name, "old_revision": old.revision,
                 "new_revision": new.revision, "swapped": True}
 
-    def _apply_and_swap(self, name: str, verb: str, what: str, meta: dict,
-                        *args, **kwargs):
-        """Load ``name``, call one lifecycle verb, re-save, hot-swap.
+    def _apply_and_swap(self, name: str, verb: str, *args, **kwargs):
+        """:meth:`ModelStore.apply` on a served model, then :meth:`swap`.
 
         The shared body of :meth:`refit`, :meth:`update` and the
-        background recompression: the stored model is loaded, ``verb`` is
-        called with ``args`` / ``kwargs``, the result is re-saved under
-        the record's metadata patched with ``meta`` (a ``None`` value
-        drops the key) — bumping the store revision — and traffic flips
-        to it via :meth:`swap`.  ``what`` names the capability in the
-        error raised for a model without that verb.  Returns the mutated
-        model and the swap result.
+        background recompression: the store loads the model, calls the
+        verb and re-saves it (bumping the revision), and traffic flips to
+        the result.  Returns the mutated model and the swap result.
         """
         self._entry(name)  # must already be served
-        model = self.store.load(name)
-        method = getattr(model, verb, None)
-        if method is None:
-            raise RouterError(f"model {name!r} does not support {what}")
-        method(*args, **kwargs)
-        patched = dict(self.store.record(name).metadata)
-        for key, value in meta.items():
-            if value is None:
-                patched.pop(key, None)
-            else:
-                patched[key] = value
-        self.store.save(model, name, metadata=patched, overwrite=True)
+        model, _ = self.store.apply(name, verb, *args, **kwargs)
         return model, self.swap(name)
 
     def refit(self, name: str, lam: float) -> Dict[str, object]:
@@ -350,7 +327,7 @@ class ModelRouter:
             The :meth:`swap` result plus ``"lam"``.
         """
         _, result = self._apply_and_swap(
-            name, "refit", "refit(lam)", {"lambda": float(lam)}, float(lam))
+            name, "refit", float(lam), meta={"lambda": float(lam)})
         result["lam"] = float(lam)
         return result
 
@@ -402,14 +379,11 @@ class ModelRouter:
         X_arr = None if X_new is None else np.asarray(X_new, dtype=np.float64)
         y_arr = None if y_new is None else np.asarray(y_new)
         model, result = self._apply_and_swap(
-            name, "partial_fit", "streaming updates", {"streamed": True},
-            X_new=X_arr, y_new=y_arr, remove=remove,
-            budget=self.stream_budget)
-        info = dict(getattr(model, "stream_info_", None) or {})
+            name, "partial_fit", X_new=X_arr, y_new=y_arr, remove=remove,
+            budget=self.stream_budget, meta={"streamed": True})
+        info = dict(model.stream_info_ or {})
         result["stream"] = info
-        should = mode == "force" or (mode == "auto"
-                                     and bool(info.get("breached")))
-        if should:
+        if should_recompress(mode, info):
             result["recompress"] = self._schedule_recompress(name, wait=wait)
         else:
             result["recompress"] = {"mode": mode, "scheduled": False}
@@ -461,8 +435,8 @@ class ModelRouter:
         """Background worker: cold-refit the effective data and hot-swap."""
         try:
             _, swap = self._apply_and_swap(
-                name, "recompress", "recompress()",
-                {"streamed": None, "recompressed": True})
+                name, "recompress",
+                meta={"streamed": None, "recompressed": True})
             self._recompress_results[name] = {"status": "completed",
                                               "swap": swap}
         except Exception as exc:  # noqa: BLE001 - surfaced via results dict

@@ -6,7 +6,8 @@ training points is one ``(b, d) x (d, n)`` matrix product followed by an
 elementwise kernel evaluation, exactly the tiled computation in
 :func:`repro.kernels.distance.blockwise_sq_dists`.  Answering queries one
 at a time instead degrades every product to a GEMV and loses an order of
-magnitude of throughput (see ``benchmarks/bench_serving_throughput.py``).
+magnitude of throughput (the perf ledger's ``engine.single_row_us``
+against ``engine.batch1k_s``).
 
 :class:`PredictionEngine` therefore coalesces incoming queries into
 micro-batches, evaluates each batch with the same blocked primitives the

@@ -343,6 +343,47 @@ class ModelStore:
         record = self.record(name)
         return load_model(record.archive_path)
 
+    def apply(self, name: str, verb: str, *args,
+              meta: Optional[Dict[str, object]] = None, **kwargs):
+        """Load ``name``, call one lifecycle verb on it and save it back.
+
+        The load → verb → re-save sequence behind ``repro refit``,
+        ``repro update`` and the router's refit / update / recompression.
+        The re-save goes through :meth:`save` (per-model lock, revision
+        + 1) and keeps the stored record's metadata — what training
+        recorded about the model survives — patched with ``meta``.
+
+        Parameters
+        ----------
+        name:
+            Registry key of the model.
+        verb:
+            Name of the model method to call (``"refit"``,
+            ``"partial_fit"``, ``"recompress"``).
+        *args, **kwargs:
+            Passed to the verb.
+        meta:
+            Metadata keys to set on the new record; a ``None`` value
+            drops the key.
+
+        Returns
+        -------
+        tuple
+            ``(model, record)``: the mutated model and its new catalog
+            entry.
+        """
+        record = self.record(name)
+        model = load_model(record.archive_path)
+        getattr(model, verb)(*args, **kwargs)
+        metadata = dict(record.metadata)
+        for key, value in (meta or {}).items():
+            if value is None:
+                metadata.pop(key, None)
+            else:
+                metadata[key] = value
+        return model, self.save(model, name, metadata=metadata,
+                                overwrite=True)
+
     def record(self, name: str) -> ModelRecord:
         """Catalog entry of the named model (reads only the JSON record)."""
         path = self._model_dir(name)

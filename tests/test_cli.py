@@ -1,7 +1,8 @@
 """Tests for the ``repro`` umbrella CLI.
 
 In-process tests per subcommand (fast: tiny datasets, main() called
-directly) plus one subprocess lifecycle smoke that runs
+directly; ``repro bench`` against a stubbed ``subprocess.run``) plus one
+subprocess lifecycle smoke that runs
 train -> tune -> refit -> serve --check -> inspect via
 ``python -m repro.cli``, asserting every JSON result parses and the
 refit-λ prediction matches an in-Python reference.
@@ -22,6 +23,7 @@ from repro.serving import ModelStore
 pytestmark = pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
 
 SMALL = ["--n-train", "160", "--n-test", "48", "-q"]
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run_cli(tmp_path, monkeypatch, argv):
@@ -32,6 +34,19 @@ def run_cli(tmp_path, monkeypatch, argv):
 def read_result(tmp_path, command):
     with open(tmp_path / f"repro_{command}.json", encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def spy_on_subprocess_run(monkeypatch, returncode):
+    """Replace ``subprocess.run`` (tier-1 never runs the ledger); returns
+    the list its ``(command, kwargs)`` calls are appended to."""
+    calls = []
+
+    def fake_run(command, **kwargs):
+        calls.append((command, kwargs))
+        return subprocess.CompletedProcess(command, returncode)
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    return calls
 
 
 class TestTrain:
@@ -95,6 +110,42 @@ class TestTuneRefitServe:
         assert served.lam == 6.0
         np.testing.assert_array_equal(served.predict(data.X_test),
                                       reference.predict(data.X_test))
+
+    def test_refit_and_update_keep_the_training_record(self, tmp_path,
+                                                       monkeypatch):
+        """Regression: both verbs used to re-save with a fresh metadata
+        dict, wiping what ``repro train`` had recorded."""
+        store = ModelStore(str(tmp_path / "models"))
+        assert run_cli(tmp_path, monkeypatch, ["train", *SMALL]) == 0
+        trained = store.record("model").metadata
+        assert trained["dataset"] == "gas" and "accuracy_percent" in trained
+
+        assert run_cli(tmp_path, monkeypatch,
+                       ["refit", "--new-lam", "6.0", *SMALL]) == 0
+        assert read_result(tmp_path, "refit")["result"]["old_lam"] == \
+            trained["lambda"]
+        assert store.record("model").metadata == {**trained, "lambda": 6.0}
+
+        fresh = load_dataset("gas", n_train=160, n_test=48, seed=7)
+        np.savez(tmp_path / "rows.npz", X=fresh.X_train[:8],
+                 y=fresh.y_train[:8])
+        update = ["update", "--add", "rows.npz", "--remove", "3,17", *SMALL]
+        assert run_cli(tmp_path, monkeypatch, update) == 0
+        result = read_result(tmp_path, "update")["result"]
+        assert (result["n_train_before"], result["n_train_after"]) == \
+            (160, 166)
+        assert result["revision"] == 3 and not result["recompressed"]
+        assert store.record("model").metadata == {
+            **trained, "lambda": 6.0, "streamed": True}
+
+        # a forced fold re-saves twice, like the daemon's background job
+        assert run_cli(tmp_path, monkeypatch,
+                       [*update, "--recompress", "force"]) == 0
+        result = read_result(tmp_path, "update")["result"]
+        assert result["revision"] == 5 and result["recompressed"]
+        assert store.record("model").metadata == {
+            **trained, "lambda": 6.0, "recompressed": True}
+        assert store.load("model").stream_info_ is None
 
     def test_refit_without_model_errors(self, tmp_path, monkeypatch, capsys):
         assert run_cli(tmp_path, monkeypatch,
@@ -170,14 +221,32 @@ class TestInspectEnvBench:
             "distributed.workers"
         assert doc["result"]["host"]["python"]
 
-    def test_bench_lifecycle(self, tmp_path, monkeypatch):
+    def test_bench_runs_the_manifest_command_at_the_checkout_root(
+            self, monkeypatch):
+        calls = spy_on_subprocess_run(monkeypatch, returncode=0)
+        monkeypatch.chdir(os.path.join(REPO_ROOT, "tests"))  # walks up
+        assert main(["bench", "--workload", "lowdim", "--seed", "3"]) == 0
+        with open(os.path.join(REPO_ROOT, "BENCHMARK.json")) as fh:
+            manifest = json.load(fh)["command"]
+        (command, kwargs), = calls
+        assert command[0] in (manifest[0], sys.executable)
+        assert command[1:] == manifest[1:] + ["--workload", "lowdim",
+                                              "--seed", "3"]
+        assert kwargs["cwd"] == REPO_ROOT
+
+    def test_bench_returns_the_ledgers_exit_status(self, monkeypatch):
+        spy_on_subprocess_run(monkeypatch, returncode=1)
+        monkeypatch.chdir(REPO_ROOT)
+        assert main(["bench", "--workload", "lowdim"]) == 1
+
+    def test_bench_outside_a_checkout_is_a_cli_error(self, tmp_path,
+                                                     monkeypatch, capsys):
+        calls = spy_on_subprocess_run(monkeypatch, returncode=0)
         assert run_cli(tmp_path, monkeypatch,
-                       ["bench", "--refits", "1", "--serve-queries", "16",
-                        *SMALL]) == 0
-        result = read_result(tmp_path, "bench")["result"]
-        assert result["train_seconds"] > 0
-        assert len(result["refit_seconds"]) == 1
-        assert result["serve_queries"] == 16
+                       ["bench", "--workload", "lowdim"]) == 2
+        err = capsys.readouterr().err
+        assert "BENCHMARK.json" in err and "source checkout" in err
+        assert calls == []
 
 
 class TestErrors:

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.config import (ClusteringOptions, HMatrixOptions, HSSOptions,
-                          KRROptions)
+from repro.config import ClusteringOptions, HMatrixOptions, HSSOptions
 
 
 class TestHSSOptions:
@@ -67,19 +66,3 @@ class TestClusteringOptions:
     def test_invalid_values_raise(self, kwargs):
         with pytest.raises(ValueError):
             ClusteringOptions(**kwargs)
-
-
-class TestKRROptions:
-    def test_defaults(self):
-        opts = KRROptions()
-        assert opts.solver == "hss"
-        assert opts.kernel == "gaussian"
-
-    @pytest.mark.parametrize("kwargs", [
-        {"h": 0.0},
-        {"lam": -1.0},
-        {"solver": "unknown"},
-    ])
-    def test_invalid_values_raise(self, kwargs):
-        with pytest.raises(ValueError):
-            KRROptions(**kwargs)

@@ -326,6 +326,19 @@ def test_admission_control_sheds_load_with_429(store, fitted):
                              {"inputs": X[:1].tolist()})
         assert status == 200
 
+        # over-offered eightfold: each client gets a served 200 or an
+        # immediate 429 -- never a drop, a hang or a 5xx
+        del results[:]
+        burst = [threading.Thread(target=client, daemon=True)
+                 for _ in range(8)]
+        for thread in burst:
+            thread.start()
+        for thread in burst:
+            thread.join(15.0)
+        statuses = [status for status, _, _ in results]
+        assert len(statuses) == 8 and set(statuses) <= {200, 429}
+        assert 200 in statuses
+
         # the shed request is visible in the metrics
         _, text, _ = _get(f"{url}/metrics")
         rejected = [value for key, value in parse_prometheus(text).items()
@@ -443,6 +456,35 @@ def test_router_serve_is_idempotent(store, fitted):
     finally:
         router.close()
     assert router.names() == []
+
+
+def test_router_update_follows_the_configured_drift_policy(store, fitted):
+    """``[stream]`` reaches the router as a budget and a policy: an update
+    within budget is re-saved as streamed, a breach under ``auto`` folds
+    it in a second re-save, and both keep the record's other metadata."""
+    X, y, _ = fitted
+    router = ModelRouter.from_config(
+        _make_config(store, **{"stream.max_updates": 3}), store=store)
+    assert router.stream_budget.max_updates == 3
+    try:
+        router.serve(MODEL)
+        router.refit(MODEL, 0.5)
+        within = router.update(MODEL, X_new=X[:2], y_new=y[:2])
+        assert within["new_revision"] == 3
+        assert not within["stream"]["breached"]
+        assert within["recompress"] == {"mode": "auto", "scheduled": False}
+        assert store.record(MODEL).metadata == {"lambda": 0.5,
+                                                "streamed": True}
+
+        breach = router.update(MODEL, remove=[0, 1], wait=True)
+        assert breach["stream"]["breached"]
+        assert breach["recompress"]["status"] == "completed"
+        assert router.active_revision(MODEL) == 5
+        assert store.record(MODEL).metadata == {"lambda": 0.5,
+                                                "recompressed": True}
+        assert store.load(MODEL).X_train_.shape[0] == X.shape[0]
+    finally:
+        router.close()
 
 
 # ------------------------------------------------------------------- daemon

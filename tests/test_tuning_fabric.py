@@ -184,6 +184,9 @@ class TestMoveAccounting:
         with KRRObjective(X, y, X_val, y_val, solver="hss", leaf_size=16,
                           seed=0) as fabric:
             res = GridSearch(space, points_per_dim=3).optimize(fabric)
+            # evaluating the last point again hits the resident compression
+            fabric({key: res.history[-1][key] for key in ("h", "lam")})
+            assert fabric.last_move == "lam_move"
             constructions = fabric.kernel_constructions
         # 3x3 grid, λ fastest: one cold build, two h-moves, six λ-moves
         assert res.moves == {"cold": 1, "h_move": 2, "lam_move": 6}
@@ -191,9 +194,11 @@ class TestMoveAccounting:
         with KRRObjective(X, y, X_val, y_val, solver="hss", leaf_size=16,
                           seed=0, cache_kernels=False) as all_cold:
             ref = GridSearch(space, points_per_dim=3).optimize(all_cold)
-        assert [e["objective"] for e in res.history] == \
-            [e["objective"] for e in ref.history]
+        assert res.evaluations == ref.evaluations == 9
+        assert [(e["h"], e["lam"], e["objective"]) for e in res.history] == \
+            [(e["h"], e["lam"], e["objective"]) for e in ref.history]
         assert res.best_config == ref.best_config
+        assert res.best_value == ref.best_value
         assert ref.moves == {"cold": 9}
 
     def test_random_search_predrawn_groups_preserve_rng(self):
