@@ -36,7 +36,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..obs import global_registry
-from ..serving import ModelStore
+from ..serving import ArtifactError, ModelStore
 from .http import (HttpError, HttpRequest, HttpResponse, read_request,
                    render_response)
 from .router import ModelNotServed, ModelRouter, RouterError
@@ -239,7 +239,9 @@ class ServerApp:
             response = exc.response()
         except ModelNotServed as exc:
             response = HttpError(404, str(exc)).response()
-        except RouterError as exc:
+        except (RouterError, ArtifactError) as exc:
+            # An unreadable stored revision is the store's state, not a
+            # server fault: the active generation keeps answering.
             response = HttpError(409, str(exc)).response()
         except ValueError as exc:
             response = HttpError(400, str(exc)).response()

@@ -8,8 +8,11 @@ ever pickled, so artifacts are safe to load from untrusted storage and
 stable across library versions) together with a JSON header describing the
 payload:
 
-* every array is stored under a dotted hierarchical key
-  (``tree.perm``, ``hss.7.D``, ``ulv.3.omega``, ``model.weights``),
+* every array has a dotted hierarchical key (``tree.perm``, ``hss.7.D``,
+  ``ulv.3.omega``, ``model.weights``); the archive holds three members
+  whatever the tree size — the header, an index (key, dtype, shape, byte
+  offset and memory order per array) and one ``uint8`` payload every
+  array is a view into,
 * the header records a format tag, a schema version, the model kind, the
   scalar configuration (kernel name and parameters, ``h``, ``lambda``,
   solver) and a SHA-256 checksum over all array payloads,
@@ -28,7 +31,12 @@ Schema history (full layout spec in ``docs/serving.md``):
   ``shards > 1`` persist their per-shard ULV factors and coupling state
   under ``dist.*`` (solver state ``sharded``), restoring to an in-process
   :class:`repro.distributed.ShardedULVSolver` with full re-solve
-  capability.  Version-1 artifacts remain readable.
+  capability.
+* **version 3** — the packed container: the same keys and arrays, but
+  one payload member plus an index instead of one zip member per array
+  (7 084 members for a 531-node tree made a reload cost 60 % of a cold
+  fit).  Written for every model; versions 1 and 2 remain readable, the
+  reader picking the container from the header's version.
 
 Since the compress-once/refit-many split, artifacts additionally carry the
 λ-free compression (the stored ``hss.*`` / ``dist.*.hss.*`` generators no
@@ -43,10 +51,14 @@ compression is not λ-free).
 
 from __future__ import annotations
 
+import contextlib
 import datetime
 import hashlib
 import json
+import math
 import os
+import uuid
+import zipfile
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -61,14 +73,15 @@ from ..kernels.base import Kernel, get_kernel
 from ..krr.classifier import KernelRidgeClassifier
 from ..krr.multiclass import OneVsAllClassifier
 from ..krr.solvers import CGSolver, DenseSolver, HSSSolver, KernelSystemSolver
+from ..obs.tracing import trace
 from ..utils.timing import TimingLog
 
 #: format tag written into every artifact header
 FORMAT_TAG = "repro.serving/model"
-#: highest schema version this library reads and writes; artifacts are
-#: stamped with the lowest version able to express them (2 added the
-#: ``dist.*`` sharded-factor section; see docs/serving.md)
-FORMAT_VERSION = 2
+#: schema version this library writes, and the highest it reads (3 is the
+#: packed container; 1 and 2 stored one zip member per array — see
+#: docs/serving.md)
+FORMAT_VERSION = 3
 
 KIND_BINARY = "kernel_ridge_classifier"
 KIND_MULTICLASS = "one_vs_all_classifier"
@@ -327,6 +340,12 @@ def kernel_from_spec(spec: Dict[str, object]) -> Kernel:
 # --------------------------------------------------------------------------
 
 _HEADER_KEY = "__artifact__"
+_INDEX_KEY = "__index__"
+_PAYLOAD_KEY = "__payload__"
+#: every array starts at a multiple of this many bytes inside the payload
+_ALIGN = 64
+#: newest schema version that stored one zip member per array
+_LAST_PER_MEMBER_VERSION = 2
 
 
 def _payload_checksum(arrays: Dict[str, np.ndarray]) -> str:
@@ -335,64 +354,171 @@ def _payload_checksum(arrays: Dict[str, np.ndarray]) -> str:
     for key in sorted(arrays):
         a = np.ascontiguousarray(arrays[key])
         digest.update(f"{key}|{a.dtype.str}|{a.shape}".encode("utf-8"))
-        digest.update(a.tobytes())
+        digest.update(a)  # the C-ordered buffer itself
     return digest.hexdigest()
+
+
+def _memory_bytes(a: np.ndarray):
+    """Memory order of ``a`` and its buffer as a flat ``uint8`` view.
+
+    Contiguous arrays are not copied and keep their order: BLAS picks its
+    kernel by layout, so the order is part of the bitwise reload contract
+    (``.npy`` keeps it too, as ``fortran_order``).  Anything else is
+    stored C-ordered.
+    """
+    if a.flags.c_contiguous:
+        return "C", a.reshape(-1).view(np.uint8)
+    if a.flags.f_contiguous:
+        return "F", a.T.reshape(-1).view(np.uint8)
+    return "C", np.ascontiguousarray(a).reshape(-1).view(np.uint8)
+
+
+def _write_json_member(zf: zipfile.ZipFile, key: str, document,
+                       compress_type: int = zipfile.ZIP_STORED) -> None:
+    """``document`` as UTF-8 JSON in a ``uint8`` ``.npy`` member."""
+    info = zipfile.ZipInfo(key + ".npy")
+    info.compress_type = compress_type
+    raw = json.dumps(document, sort_keys=True).encode("utf-8")
+    with zf.open(info, "w", force_zip64=True) as member:
+        np.lib.format.write_array(member, np.frombuffer(raw, dtype=np.uint8),
+                                  allow_pickle=False)
 
 
 def _write_archive(path: str, header: Dict[str, object],
                    arrays: Dict[str, np.ndarray]) -> None:
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    payload = dict(arrays)
-    payload[_HEADER_KEY] = np.frombuffer(header_bytes, dtype=np.uint8)
+    index, chunks, end = [], [], 0
+    for key, a in arrays.items():
+        a = np.asarray(a)
+        order, raw = _memory_bytes(a)
+        offset = -(-end // _ALIGN) * _ALIGN
+        index.append({"key": key, "dtype": a.dtype.str,
+                      "shape": list(a.shape), "offset": offset,
+                      "order": order})
+        chunks.append((offset, raw))
+        end = offset + raw.size
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    # Write to a temp file and publish atomically, so saving over an
-    # existing artifact can never leave a truncated archive behind if the
-    # process dies mid-write.
-    tmp_path = path + ".tmp"
-    with open(tmp_path, "wb") as fh:
-        np.savez(fh, **payload)
-    os.replace(tmp_path, path)
+    # Write to a temp file of our own and publish atomically: saving over
+    # an existing artifact never leaves a truncated archive behind if the
+    # process dies mid-write, and the data is on disk before the name is.
+    tmp_path = f"{path}.{uuid.uuid4().hex}.tmp"
+    try:
+        with open(tmp_path, "xb") as fh:
+            with zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED) as zf:
+                _write_json_member(zf, _HEADER_KEY, header)
+                # ~90 bytes of JSON per array: deflated, a tenth of that.
+                _write_json_member(zf, _INDEX_KEY, index,
+                                   zipfile.ZIP_DEFLATED)
+                # Each buffer goes straight into the member; staging the
+                # payload first would hold a second copy of the model.
+                with zf.open(_PAYLOAD_KEY + ".npy", "w",
+                             force_zip64=True) as member:
+                    np.lib.format.write_array_header_1_0(
+                        member, {"descr": "|u1", "fortran_order": False,
+                                 "shape": (end,)})
+                    pos = 0
+                    for offset, raw in chunks:
+                        if offset > pos:
+                            member.write(bytes(offset - pos))
+                        member.write(raw)
+                        pos = offset + raw.size
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp_path, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp_path)
+        raise
 
 
-def read_artifact(path: str) -> ModelArtifact:
-    """Read and validate only the header of an artifact (cheap).
+def _unpack(path: str, index_raw: np.ndarray,
+            payload: np.ndarray) -> Dict[str, np.ndarray]:
+    """The arrays of a packed archive, as writable views into ``payload``.
 
-    Only the small JSON header entry is decompressed; the array payload
-    (which may be hundreds of MB) is not touched, so this is safe to call
-    when listing large model catalogs.
+    The index comes from outside the program: every entry is checked
+    against the payload before a view is made, so a torn or hand-crafted
+    index raises :class:`ArtifactError` and never yields an array.
+    """
+    try:
+        index = json.loads(bytes(index_raw).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ArtifactError(f"{path!r} has a corrupted index: {exc}") from exc
+    arrays: Dict[str, np.ndarray] = {}
+    end = 0
+    try:
+        for entry in index:
+            key, offset = entry["key"], entry["offset"]
+            dtype, shape = np.dtype(str(entry["dtype"])), entry["shape"]
+            if not isinstance(key, str) or key in arrays:
+                raise ValueError(f"key {key!r} is duplicated or not a string")
+            if dtype.hasobject:
+                raise ValueError(f"{key!r} has object dtype {dtype}")
+            if any(type(n) is not int or n < 0 for n in shape):
+                raise ValueError(f"{key!r} has shape {shape}")
+            # Ascending offsets: no two (writable) views share bytes.
+            if type(offset) is not int or offset < end or offset % _ALIGN:
+                raise ValueError(f"{key!r} has offset {offset}")
+            end = offset + dtype.itemsize * math.prod(shape)
+            if end > payload.nbytes:
+                raise ValueError(
+                    f"{key!r} ends at byte {end} of a {payload.nbytes}-byte "
+                    f"payload")
+            arrays[key] = np.ndarray(shape, dtype=dtype, buffer=payload,
+                                     offset=offset, order=entry["order"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ArtifactError(f"{path!r} has a malformed index: {exc}") from exc
+    return arrays
+
+
+@contextlib.contextmanager
+def _open_archive(path: str):
+    """The archive as an ``NpzFile``; whatever fails while it is open —
+    here or in the caller's ``with`` body — leaves as :class:`ArtifactError`.
     """
     if not os.path.exists(path):
         raise ArtifactError(f"model artifact {path!r} does not exist")
     try:
         with np.load(path, allow_pickle=False) as npz:
-            if _HEADER_KEY not in npz.files:
-                raise ArtifactError(
-                    f"{path!r} is not a repro model artifact (no header)")
-            header_raw = npz[_HEADER_KEY]
+            yield npz
     except ArtifactError:
         raise
     except Exception as exc:
+        # A truncated / bit-flipped archive can fail in many layers
+        # (zipfile, the npy reader, zlib); all of them mean "corrupted".
         raise ArtifactError(f"cannot read model artifact {path!r}: {exc}") from exc
-    header = _parse_header(path, header_raw)
+
+
+def read_artifact(path: str) -> ModelArtifact:
+    """Read and validate only the header of an artifact (cheap).
+
+    Only the small JSON header member is read — the same member in every
+    container version; the index and the array payload (which may be
+    hundreds of MB) are not touched, so this is safe to call when listing
+    large model catalogs.
+    """
+    with _open_archive(path) as npz:
+        header = _read_header(path, npz)
     return _artifact_from_header(path, header)
 
 
-def _parse_header(path: str, header_raw: np.ndarray) -> Dict[str, object]:
-    """Decode the JSON header and validate format tag / schema version."""
+def _read_header(path: str, npz) -> Dict[str, object]:
+    """Decode the JSON header member; validate format tag / schema version."""
+    if _HEADER_KEY not in npz.files:
+        raise ArtifactError(
+            f"{path!r} is not a repro model artifact (no header)")
     try:
-        header = json.loads(bytes(header_raw).decode("utf-8"))
+        header = json.loads(bytes(npz[_HEADER_KEY]).decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ArtifactError(f"{path!r} has a corrupted header: {exc}") from exc
     if header.get("format") != FORMAT_TAG:
         raise ArtifactError(
             f"{path!r} has format tag {header.get('format')!r}, "
             f"expected {FORMAT_TAG!r}")
-    version = int(header.get("version", -1))
-    if version > FORMAT_VERSION:
+    header["version"] = int(header.get("version", -1))
+    if header["version"] > FORMAT_VERSION:
         raise ArtifactError(
-            f"{path!r} was written with schema version {version}; this "
-            f"library only reads versions <= {FORMAT_VERSION}")
+            f"{path!r} was written with schema version {header['version']}; "
+            f"this library only reads versions <= {FORMAT_VERSION}")
     return header
 
 
@@ -409,21 +535,12 @@ def _artifact_from_header(path: str, header: Dict[str, object]) -> ModelArtifact
 
 
 def _read_archive(path: str, verify: bool = True):
-    if not os.path.exists(path):
-        raise ArtifactError(f"model artifact {path!r} does not exist")
-    try:
-        with np.load(path, allow_pickle=False) as npz:
-            arrays = {k: npz[k] for k in npz.files}
-    except ArtifactError:
-        raise
-    except Exception as exc:
-        # A truncated / bit-flipped archive can fail in many layers
-        # (zipfile, the npy reader, zlib); all of them mean "corrupted".
-        raise ArtifactError(f"cannot read model artifact {path!r}: {exc}") from exc
-    header_raw = arrays.pop(_HEADER_KEY, None)
-    if header_raw is None:
-        raise ArtifactError(f"{path!r} is not a repro model artifact (no header)")
-    header = _parse_header(path, header_raw)
+    with _open_archive(path) as npz:
+        header = _read_header(path, npz)
+        if header["version"] <= _LAST_PER_MEMBER_VERSION:
+            arrays = {k: npz[k] for k in npz.files if k != _HEADER_KEY}
+        else:
+            arrays = _unpack(path, npz[_INDEX_KEY], npz[_PAYLOAD_KEY])
     if verify:
         expected = header.get("checksum")
         actual = _payload_checksum(arrays)
@@ -637,41 +754,40 @@ def save_model(model, path: str, metadata: Optional[Dict[str, object]] = None,
             f"cannot serialize object of type {type(model).__name__}; expected "
             f"KernelRidgeClassifier or OneVsAllClassifier")
 
-    config, arrays = _model_config(model, include_factorization)
-    arrays.update(tree_to_arrays(model.clustering_.tree))
-    arrays["model.X_train"] = np.asarray(model.X_train_, dtype=np.float64)
-    arrays["model.weights"] = np.asarray(model.weights_, dtype=np.float64)
-    # Permuted training targets (when the model still holds them): with
-    # the factorization included, a reloaded model can then refit() at a
-    # new lambda entirely offline.  Old readers ignore the extra key.
-    if model._targets_perm is not None:
-        arrays[_TARGETS_KEY[kind]] = np.asarray(model._targets_perm,
-                                                dtype=np.float64)
-    if kind == KIND_MULTICLASS:
-        classes = np.asarray(model.classes_)
-        if classes.dtype == object:
-            # np.savez would silently pickle an object array, producing an
-            # artifact that load_model (allow_pickle=False) cannot read.
-            raise ArtifactError(
-                "class labels have object dtype and cannot be serialized "
-                "without pickle; refit with numeric or fixed-width string "
-                "labels (e.g. y.astype(str))")
-        arrays["model.classes"] = classes
+    with trace.span("artifact.save") as span:
+        config, arrays = _model_config(model, include_factorization)
+        arrays.update(tree_to_arrays(model.clustering_.tree))
+        arrays["model.X_train"] = np.asarray(model.X_train_, dtype=np.float64)
+        arrays["model.weights"] = np.asarray(model.weights_, dtype=np.float64)
+        # Permuted training targets (when the model still holds them): with
+        # the factorization included, a reloaded model can then refit() at
+        # a new lambda entirely offline.
+        if model._targets_perm is not None:
+            arrays[_TARGETS_KEY[kind]] = np.asarray(model._targets_perm,
+                                                    dtype=np.float64)
+        if kind == KIND_MULTICLASS:
+            classes = np.asarray(model.classes_)
+            if classes.dtype == object:
+                # Object arrays hold pointers, not data: nothing but pickle
+                # could store them, and artifacts never carry pickles.
+                raise ArtifactError(
+                    "class labels have object dtype and cannot be serialized "
+                    "without pickle; refit with numeric or fixed-width string "
+                    "labels (e.g. y.astype(str))")
+            arrays["model.classes"] = classes
 
-    # Stamp the lowest schema version able to express the payload, so
-    # version-1 readers keep accepting artifacts without version-2-only
-    # sections (only the dist.* sharded section requires the bump).
-    version = 2 if config.get("solver_state") == "sharded" else 1
-    header = {
-        "format": FORMAT_TAG,
-        "version": version,
-        "kind": kind,
-        "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "checksum": _payload_checksum(arrays),
-        "config": config,
-        "metadata": dict(metadata or {}),
-    }
-    _write_archive(path, header, arrays)
+        header = {
+            "format": FORMAT_TAG,
+            "version": FORMAT_VERSION,
+            "kind": kind,
+            "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+            "checksum": _payload_checksum(arrays),
+            "config": config,
+            "metadata": dict(metadata or {}),
+        }
+        _write_archive(path, header, arrays)
+        span.attributes.update(bytes=os.path.getsize(path),
+                               arrays=len(arrays), version=FORMAT_VERSION)
     return _artifact_from_header(path, header)
 
 
@@ -679,12 +795,23 @@ def load_model(path: str):
     """Load a classifier saved by :func:`save_model`.
 
     The checksum is verified, arrays are restored bitwise and the solver
-    state (HSS + ULV, dense Cholesky, CG operator, or the version-2
-    per-shard ULV factors of a sharded fit) is reattached, so the returned
-    model predicts — and, when the factorization was included, solves —
-    exactly like the original.
+    state (HSS + ULV, dense Cholesky, CG operator, or the per-shard ULV
+    factors of a sharded fit) is reattached, so the returned model
+    predicts — and, when the factorization was included, solves — exactly
+    like the original.  The arrays of the model are writable views into
+    the archive's one payload buffer (for artifacts of schema version 3;
+    older ones load one array per zip member).
     """
-    header, arrays = _read_archive(path, verify=True)
+    with trace.span("artifact.load") as span:
+        header, arrays = _read_archive(path, verify=True)
+        span.attributes.update(bytes=os.path.getsize(path),
+                               arrays=len(arrays), version=header["version"])
+        return _model_from_arrays(path, header, arrays)
+
+
+def _model_from_arrays(path: str, header: Dict[str, object],
+                       arrays: Dict[str, np.ndarray]):
+    """The fitted classifier a verified ``(header, arrays)`` pair describes."""
     kind = header.get("kind")
     config = dict(header.get("config") or {})
     try:

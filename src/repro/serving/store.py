@@ -167,6 +167,7 @@ class ModelStore:
         return os.path.join(self.root, name)
 
     def _lock_path(self, name: str) -> str:
+        self._model_dir(name)  # an invalid name raises before any file exists
         # Leading dot keeps lock files out of catalog listings (_NAME_RE
         # requires names to start with an alphanumeric character).
         return os.path.join(self.root, f".{name}{LOCK_FILENAME}")
@@ -195,7 +196,6 @@ class ModelStore:
         include_factorization:
             Forwarded to :func:`repro.serving.save_model`.
         """
-        path = self._model_dir(name)
         meta: Dict[str, object] = {}
         if report is not None:
             meta.update(metadata_from_report(report))
@@ -214,35 +214,48 @@ class ModelStore:
                 raise FileExistsError(
                     f"model {name!r} already exists in {self.root}; pass "
                     f"overwrite=True to replace it")
-            # save_model publishes the archive atomically; the record
-            # follows with its own atomic rename, so a crash mid-save never
-            # corrupts a previously good artifact (the archive header stays
-            # the source of truth if the crash lands between the renames).
-            record_path = os.path.join(path, RECORD_FILENAME)
-            # Monotonic revision: previous record's counter + 1, read and
-            # stamped under the same lock that serializes the renames, so
-            # two racing writers can never publish the same revision and a
-            # reader comparing revisions always observes a re-save.
-            revision = self._current_revision(name) + 1
-            artifact = save_model(model, os.path.join(path, ARCHIVE_FILENAME),
-                                  metadata=meta,
-                                  include_factorization=include_factorization)
-            record = ModelRecord(name=name, path=path, kind=artifact.kind,
-                                 checksum=artifact.checksum,
-                                 created=artifact.created,
-                                 version=artifact.version,
-                                 revision=revision, metadata=meta)
-            tmp_path = f"{record_path}.{os.getpid()}.tmp"
-            with open(tmp_path, "w", encoding="utf-8") as fh:
-                json.dump({"name": record.name, "kind": record.kind,
-                           "checksum": record.checksum,
-                           "created": record.created,
-                           "version": record.version,
-                           "revision": record.revision,
-                           "metadata": record.metadata},
-                          fh, indent=2, sort_keys=True)
-            os.replace(tmp_path, record_path)
-            self._append_version_entry(name, record)
+            return self._publish(model, name, meta, include_factorization)
+
+    def _publish(self, model, name: str, meta: Dict[str, object],
+                 include_factorization: bool = True) -> ModelRecord:
+        """Write archive, record and history row; caller holds the lock.
+
+        The shared body of :meth:`save` and :meth:`apply`.  It takes no
+        lock of its own: every ``_exclusive_lock`` call opens its own file
+        descriptor, so nesting one would block on the caller's.
+        """
+        path = self._model_dir(name)
+        # save_model publishes the archive atomically; the record follows
+        # with its own atomic rename, so a crash mid-save never corrupts a
+        # previously good artifact (the archive header stays the source of
+        # truth if the crash lands between the renames).
+        record_path = os.path.join(path, RECORD_FILENAME)
+        # Monotonic revision: previous record's counter + 1, read and
+        # stamped under the same lock that serializes the renames, so two
+        # racing writers can never publish the same revision and a reader
+        # comparing revisions always observes a re-save.
+        revision = self._current_revision(name) + 1
+        artifact = save_model(model, os.path.join(path, ARCHIVE_FILENAME),
+                              metadata=meta,
+                              include_factorization=include_factorization)
+        record = ModelRecord(name=name, path=path, kind=artifact.kind,
+                             checksum=artifact.checksum,
+                             created=artifact.created,
+                             version=artifact.version,
+                             revision=revision, metadata=meta)
+        tmp_path = f"{record_path}.{os.getpid()}.tmp"
+        with open(tmp_path, "w", encoding="utf-8") as fh:
+            json.dump({"name": record.name, "kind": record.kind,
+                       "checksum": record.checksum,
+                       "created": record.created,
+                       "version": record.version,
+                       "revision": record.revision,
+                       "metadata": record.metadata},
+                      fh, indent=2, sort_keys=True)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp_path, record_path)
+        self._append_version_entry(name, record)
         return record
 
     # -------------------------------------------------------------- versions
@@ -349,9 +362,12 @@ class ModelStore:
 
         The load → verb → re-save sequence behind ``repro refit``,
         ``repro update`` and the router's refit / update / recompression.
-        The re-save goes through :meth:`save` (per-model lock, revision
-        + 1) and keeps the stored record's metadata — what training
-        recorded about the model survives — patched with ``meta``.
+        The per-model lock is held from before the load until the new
+        record is published, so two overlapping calls on one model run one
+        after the other and the second starts from the first's result
+        (revisions *r* + 1 and *r* + 2, both effects kept).  The re-save
+        keeps the stored record's metadata — what training recorded about
+        the model survives — patched with ``meta``.
 
         Parameters
         ----------
@@ -372,17 +388,17 @@ class ModelStore:
             ``(model, record)``: the mutated model and its new catalog
             entry.
         """
-        record = self.record(name)
-        model = load_model(record.archive_path)
-        getattr(model, verb)(*args, **kwargs)
-        metadata = dict(record.metadata)
-        for key, value in (meta or {}).items():
-            if value is None:
-                metadata.pop(key, None)
-            else:
-                metadata[key] = value
-        return model, self.save(model, name, metadata=metadata,
-                                overwrite=True)
+        with _exclusive_lock(self._lock_path(name)):
+            record = self.record(name)
+            model = load_model(record.archive_path)
+            getattr(model, verb)(*args, **kwargs)
+            metadata = dict(record.metadata)
+            for key, value in (meta or {}).items():
+                if value is None:
+                    metadata.pop(key, None)
+                else:
+                    metadata[key] = value
+            return model, self._publish(model, name, metadata)
 
     def record(self, name: str) -> ModelRecord:
         """Catalog entry of the named model (reads only the JSON record)."""

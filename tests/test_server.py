@@ -277,6 +277,26 @@ def test_refit_bumps_revision_and_changes_lambda(server, store, fitted):
                           refitted.predict(X[:8]))
 
 
+def test_torn_newer_revision_fails_the_swap_not_the_service(server, store,
+                                                            fitted):
+    """A revision whose archive is torn cannot be swapped in: the admin
+    call gets a 409 naming the artifact, never a 5xx, and the active
+    generation keeps answering."""
+    X, _, clf = fitted
+    app, url = server
+    archive = store.save(clf, MODEL, overwrite=True).archive_path
+    os.truncate(archive, os.path.getsize(archive) // 2)
+    for route, body in (("swap", {}), ("refit", {"lam": 0.5}),
+                        ("update", {"remove": [0]})):
+        status, out, _ = _post(f"{url}/models/{MODEL}/{route}", body)
+        assert status == 409, (route, out)
+        assert "cannot read model artifact" in out["error"], (route, out)
+    assert app.router.active_revision(MODEL) == 1
+    status, out, _ = _post(f"{url}/v1/predict", {"inputs": X[:8].tolist()})
+    assert status == 200 and out["version"] == 1
+    assert np.array_equal(np.asarray(out["predictions"]), clf.predict(X[:8]))
+
+
 def test_versions_endpoint_tracks_history(server, store, fitted):
     _, _, clf = fitted
     _, url = server

@@ -1,10 +1,10 @@
-"""Persistence of ``shards > 1`` models (version-2 sharded artifacts).
+"""Persistence of ``shards > 1`` models (the ``dist.*`` artifact section).
 
 The acceptance contract of the sharded-artifact schema:
 
 * a model trained with ``shards=2`` round-trips through
   :class:`repro.serving.ModelStore` with its per-shard ULV factors and
-  coupling state (``dist.*`` section, schema version 2);
+  coupling state (``dist.*`` section, introduced by schema version 2);
 * loaded **in a genuinely fresh process**, it predicts identically and
   ``solve()`` with a *new* right-hand side matches the serial HSS solver
   within the compression tolerance;
@@ -31,6 +31,7 @@ from repro.distributed import ShardedPredictionService, ShardedULVSolver
 from repro.krr import KernelRidgeClassifier, OneVsAllClassifier
 from repro.krr.solvers import HSSSolver
 from repro.serving import ModelStore, read_artifact
+from repro.serving.serialize import FORMAT_VERSION
 
 #: tight compression tolerance, as in tests/test_distributed.py: keeps the
 #: sharded-vs-serial deviation far below the decision margins
@@ -64,19 +65,19 @@ def serial_reference(problem, sharded_model):
     solver.close()
 
 
-def test_sharded_artifact_schema_v2(tmp_path, sharded_model):
+def test_sharded_artifact_schema(tmp_path, sharded_model):
     store = ModelStore(tmp_path)
     record = store.save(sharded_model, "susy-sharded")
-    assert record.version == 2
+    assert record.version == FORMAT_VERSION == 3
     artifact = read_artifact(record.archive_path)
-    assert artifact.version == 2
+    assert artifact.version == 3
     assert artifact.config["solver_state"] == "sharded"
     assert artifact.config["shards"] == 2
 
 
-def test_unsharded_artifacts_stay_version_1(tmp_path, problem):
-    """Writers stamp the lowest expressible version: models without a
-    ``dist.*`` section remain readable by version-1 libraries."""
+def test_unsharded_artifacts_carry_the_same_version(tmp_path, problem):
+    """One writer, one container: a model without a ``dist.*`` section is
+    stamped with the same version as a sharded one."""
     # shards=1 pinned explicitly so the CI REPRO_SHARDS=2 leg still
     # exercises the single-process save path here.
     clf = KernelRidgeClassifier(h=problem.h, lam=problem.lam, solver="hss",
@@ -84,8 +85,8 @@ def test_unsharded_artifacts_stay_version_1(tmp_path, problem):
                                 solver_options={"hss_options": TIGHT})
     clf.fit(problem.X_train, problem.y_train)
     record = ModelStore(tmp_path).save(clf, "plain-hss")
-    assert record.version == 1
-    assert read_artifact(record.archive_path).version == 1
+    assert record.version == FORMAT_VERSION
+    assert read_artifact(record.archive_path).version == FORMAT_VERSION
 
 
 def test_fresh_process_load_and_resolve(tmp_path, problem, sharded_model,
@@ -244,7 +245,7 @@ def test_multiclass_sharded_persistence(tmp_path, problem):
     assert ova.weights_.shape == (problem.X_train.shape[0], ova.classes_.size)
     store = ModelStore(tmp_path)
     record = store.save(ova, "ova-sharded")
-    assert record.version == 2
+    assert record.version == FORMAT_VERSION
     loaded = store.load("ova-sharded")
     assert isinstance(loaded.solver_, ShardedULVSolver)
     assert np.array_equal(loaded.predict(problem.X_test),

@@ -12,6 +12,8 @@ entry that describes a different archive.
 from __future__ import annotations
 
 import multiprocessing
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -124,7 +126,6 @@ def test_lock_serializes_in_process(tmp_path):
     """The lock context blocks a second acquirer until released."""
     fcntl = pytest.importorskip("fcntl")
     del fcntl
-    import threading
 
     lock_path = str(tmp_path / LOCK_FILENAME)
     order = []
@@ -165,3 +166,60 @@ def test_non_overwrite_save_still_raises(tmp_path):
     with pytest.raises(FileExistsError):
         store.save(clf, "once")
     store.save(clf, "once", overwrite=True)  # explicit overwrite still works
+
+
+def test_overlapping_apply_calls_keep_both_effects(tmp_path, monkeypatch):
+    """``apply`` holds the per-model lock from its load to its publish.
+
+    A slowed ``refit`` overlaps a ``partial_fit`` on the same entry — in
+    the daemon, ``POST .../update`` arriving while a refit or a background
+    recompression runs.  When only the re-save took the lock, both calls
+    started from revision 1 and the later save silently dropped the
+    streamed rows and the ``streamed`` flag while both reported success.
+    """
+    pytest.importorskip("fcntl")
+    X, y = gaussian_mixture(n=232, d=3, seed=0)
+    clf = KernelRidgeClassifier(h=1.0, lam=1.0, solver="dense").fit(
+        X[:200], y[:200])
+    store = ModelStore(str(tmp_path))
+    store.save(clf, "m", metadata={"dataset": "gmix"})
+
+    in_refit = threading.Event()
+    plain_refit = KernelRidgeClassifier.refit
+
+    def slow_refit(self, lam):
+        in_refit.set()
+        time.sleep(0.5)  # long enough for the whole partial_fit call
+        return plain_refit(self, lam)
+
+    monkeypatch.setattr(KernelRidgeClassifier, "refit", slow_refit)
+    revisions, errors = {}, []
+
+    def call(verb, *args, **kwargs):
+        try:
+            revisions[verb] = store.apply("m", verb, *args, **kwargs)[1].revision
+        except Exception as exc:  # surfaced via the assert below
+            errors.append(exc)
+
+    refit = threading.Thread(target=call, args=("refit", 8.0),
+                             kwargs={"meta": {"lambda": 8.0}})
+    update = threading.Thread(target=call,
+                              args=("partial_fit", X[200:], y[200:]),
+                              kwargs={"meta": {"streamed": True}})
+    refit.start()
+    assert in_refit.wait(30.0), "refit never started"
+    update.start()
+    for thread in (refit, update):
+        thread.join(60.0)
+        assert not thread.is_alive()
+    assert not errors, errors
+
+    assert revisions == {"refit": 2, "partial_fit": 3}
+    record = store.record("m")
+    assert record.revision == 3
+    assert record.metadata == {"dataset": "gmix", "lambda": 8.0,
+                               "streamed": True}
+    model = store.load("m")
+    assert model.lam == 8.0
+    assert model.X_train_.shape[0] == 232
+    assert [e["revision"] for e in store.versions("m")] == [1, 2, 3]
