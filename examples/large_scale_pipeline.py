@@ -37,22 +37,20 @@ def main(max_n: int = 8192) -> None:
     # ./repro.toml or REPRO_* env vars retune the whole sweep (the flag
     # layer only pins the rel_tol this example's table is calibrated for).
     config = resolve_runtime_config(flags={"hss.rel_tol": 0.1})
-    c = config.clustering
 
     for n in sizes:
         data = load_dataset("susy", n_train=n, n_test=256,
                             seed=config.dataset.seed)
-        clustering = cluster(data.X_train, method=c.method,
-                             leaf_size=c.leaf_size, seed=c.seed)
+        clustering = cluster(data.X_train, options=config.clustering)
         operator = ShiftedKernelOperator(clustering.X, GaussianKernel(h=data.h),
                                          data.lam)
 
         t0 = time.perf_counter()
         hmatrix = build_hmatrix(operator, clustering.X, clustering.tree,
-                                config.hmatrix_options())
+                                config.hmatrix)
         sampler = HMatrixSampler(hmatrix, operator)
         hss, stats = build_hss_randomized(sampler, clustering.tree,
-                                          config.hss_options(), rng=0)
+                                          config.hss, rng=0)
         construction = time.perf_counter() - t0
 
         t0 = time.perf_counter()

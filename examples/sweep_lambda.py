@@ -47,11 +47,10 @@ def main(n_train: int = 2048, n_test: int = 512) -> None:
 
     clf = KernelRidgeClassifier(
         h=data.h, lam=lambdas[0], solver=config.solver.name,
-        clustering=config.clustering.method,
-        leaf_size=config.clustering.leaf_size, seed=config.clustering.seed,
+        clustering=config.clustering, seed=config.clustering.seed,
         workers=config.distributed.workers,
-        solver_options={"hss_options": config.hss_options(),
-                        "hmatrix_options": config.hmatrix_options(),
+        solver_options={"hss_options": config.hss,
+                        "hmatrix_options": config.hmatrix,
                         "use_hmatrix_sampling":
                             config.solver.use_hmatrix_sampling})
     t0 = time.perf_counter()

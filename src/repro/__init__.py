@@ -27,12 +27,11 @@ The library provides:
   :mod:`repro.experiments`;
 * model persistence (checksummed ``.npz`` artifacts, a directory-backed
   :class:`repro.serving.ModelStore`) and batched online prediction serving
-  (:class:`repro.serving.PredictionEngine`,
+  (:class:`repro.serving.PredictionEngine` and its sharded variant
+  :class:`repro.serving.ShardedPredictionEngine`,
   :class:`repro.serving.PredictionService`) — :mod:`repro.serving`;
-* process-sharded training and serving over subtree ownership, mirroring
-  the paper's rank-per-subtree MPI runs
-  (``KRRPipeline(shards=...)``,
-  :class:`repro.distributed.ShardedPredictionService`) —
+* process-sharded training over subtree ownership, mirroring the paper's
+  rank-per-subtree MPI runs (``KRRPipeline(shards=...)``) —
   :mod:`repro.distributed`;
 * unified observability — metrics registry, span tracing, per-request
   status trails and Prometheus/JSON exporters across the train / refit /
@@ -67,8 +66,8 @@ from .krr import (KernelRidgeClassifier, KernelRidgeRegressor, KRRPipeline,
                   OneVsAllClassifier)
 from .datasets import load_dataset
 from .serving import (ModelStore, PredictionEngine, PredictionService,
-                      load_model, save_model)
-from .distributed import ShardPlan, ShardedPredictionService
+                      ShardedPredictionEngine, load_model, save_model)
+from .distributed import ShardPlan
 from .runtime import RuntimeConfig, resolve_runtime_config
 
 __version__ = "1.0.0"
@@ -100,7 +99,7 @@ __all__ = [
     "save_model",
     "load_model",
     "ShardPlan",
-    "ShardedPredictionService",
+    "ShardedPredictionEngine",
     "RuntimeConfig",
     "resolve_runtime_config",
     "obs",

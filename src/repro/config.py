@@ -2,7 +2,9 @@
 
 The defaults mirror the settings used throughout the paper:
 
-* HSS leaf size of 16 (Section 4.3: "chosen to be 16 for HSS"),
+* HSS leaf size of 16 (Section 4.3: "chosen to be 16 for HSS") — the HSS
+  partition *is* the cluster tree, so this is
+  :attr:`ClusteringOptions.leaf_size`,
 * compression tolerance of 0.1 (Section 5.2: "With STRUMPACK tolerance set
   to be at most 0.1, the prediction accuracy does not seem to depend on the
   preprocessing methods"),
@@ -10,7 +12,10 @@ The defaults mirror the settings used throughout the paper:
   chosen per dataset (Table 2 / Table 3).
 
 Configuration objects are plain frozen dataclasses so they can be hashed,
-compared and safely shared between threads.
+compared and safely shared between threads.  They are also the ``hss`` /
+``hmatrix`` / ``clustering`` sections of :class:`repro.runtime.RuntimeConfig`
+(every field except ``workers`` is a ``repro.toml`` key), so this module is
+the one place these defaults and their range checks live.
 """
 
 from __future__ import annotations
@@ -23,12 +28,12 @@ from typing import Optional
 class HSSOptions:
     """Options controlling HSS compression and factorization.
 
+    The size of the diagonal (leaf) blocks is not an option here: the HSS
+    partition is the cluster tree handed to the builder, whose leaves are
+    sized by :attr:`ClusteringOptions.leaf_size`.
+
     Parameters
     ----------
-    leaf_size:
-        Maximum size of a diagonal (leaf) block.  The paper uses 16; larger
-        leaves reduce tree depth (and Python overhead) at the cost of larger
-        dense diagonal blocks.
     rel_tol:
         Relative tolerance used by the low-rank compression of off-diagonal
         (Hankel) blocks.  This is the analogue of STRUMPACK's
@@ -66,7 +71,6 @@ class HSSOptions:
         produce bitwise-identical factorizations.
     """
 
-    leaf_size: int = 16
     rel_tol: float = 1e-1
     abs_tol: float = 1e-8
     max_rank: Optional[int] = None
@@ -78,8 +82,6 @@ class HSSOptions:
     workers: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.leaf_size < 1:
-            raise ValueError(f"leaf_size must be >= 1, got {self.leaf_size}")
         if self.rel_tol <= 0:
             raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
         if self.abs_tol < 0:

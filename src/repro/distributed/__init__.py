@@ -1,4 +1,4 @@
-"""Process-sharded training and serving over subtree ownership.
+"""Process-sharded training over subtree ownership.
 
 The paper's strong-scaling results come from distributed-memory runs where
 every MPI rank owns a subtree of the cluster tree, ranks are launched once
@@ -31,10 +31,11 @@ shared-memory-machine reproduction of that architecture with
 * :mod:`repro.distributed.solver` — :class:`DistributedSolver`, the
   drop-in ``KernelSystemSolver`` wired into
   :class:`repro.krr.KernelRidgeClassifier` / :class:`repro.krr.KRRPipeline`
-  through their ``shards=`` knob;
-* :mod:`repro.distributed.service` — :class:`ShardedPredictionService`,
-  fanning prediction batches across per-shard
-  :class:`repro.serving.PredictionEngine`\\ s.
+  through their ``shards=`` knob.
+
+Serving a model cut at the same shard boundaries is
+:class:`repro.serving.ShardedPredictionEngine`, which picks up the
+:class:`ShardPlan` a sharded-trained (or reloaded) model carries.
 
 See ``docs/architecture.md`` for the data-flow picture and
 ``docs/api.md`` for the public API reference.
@@ -46,7 +47,6 @@ from .coordinator import Coordinator
 from .factors import ShardedFactors, ShardedULVSolver
 from .grid import WorkerGrid
 from .plan import ShardPlan, resolve_shards
-from .service import ShardedPredictionService
 from .solver import DistributedSolver
 from .worker import FitSpec, WorkerConfig
 
@@ -60,7 +60,6 @@ __all__ = [
     "ShardPlan",
     "SharedArray",
     "ShardedFactors",
-    "ShardedPredictionService",
     "ShardedULVSolver",
     "WorkerConfig",
     "WorkerCrashedError",

@@ -179,33 +179,6 @@ class WorkerGrid:
                                    cut_level=cut_level)
         return cls(plan, result.X, **grid_options).start()
 
-    @classmethod
-    def from_config(cls, config, X: np.ndarray) -> "WorkerGrid":
-        """Start a grid over ``X`` per a :class:`repro.runtime.RuntimeConfig`.
-
-        Convenience wrapper over :meth:`from_data` pulling the shard
-        count, clustering knobs and cut level from the config, so the
-        grid matches a pipeline built from the same config and can be
-        reused warm via its ``grid=`` knob.
-
-        Parameters
-        ----------
-        config:
-            The resolved runtime config.
-        X:
-            Training points in their original (unpermuted) ordering.
-
-        Returns
-        -------
-        WorkerGrid
-            A started grid (processes already spawned).
-        """
-        return cls.from_data(X, shards=config.distributed.shards,
-                             clustering=config.clustering.method,
-                             leaf_size=config.clustering.leaf_size,
-                             seed=config.clustering.seed,
-                             cut_level=config.distributed.cut_level)
-
     # ------------------------------------------------------------- lifecycle
     @property
     def running(self) -> bool:

@@ -121,38 +121,6 @@ class DistributedSolver(KernelSystemSolver):
         #: full distributed compressions performed (λ-only refits add none)
         self.compression_count = 0
 
-    @classmethod
-    def from_config(cls, config, grid: Optional[WorkerGrid] = None
-                    ) -> "DistributedSolver":
-        """Build a sharded solver from a :class:`repro.runtime.RuntimeConfig`.
-
-        Parameters
-        ----------
-        config:
-            The resolved runtime config; the distributed section supplies
-            the shard count, coupling knobs and ``collect_factors``, the
-            hss/hmatrix/solver sections the compression options.
-        grid:
-            Optional warm :class:`WorkerGrid` to reuse.
-
-        Returns
-        -------
-        DistributedSolver
-            The configured solver.
-        """
-        d = config.distributed
-        return cls(shards=d.shards,
-                   hss_options=config.hss_options(),
-                   hmatrix_options=config.hmatrix_options(),
-                   use_hmatrix_sampling=config.solver.use_hmatrix_sampling,
-                   seed=config.clustering.seed,
-                   workers=d.workers,
-                   coupling_rel_tol=d.coupling_rel_tol,
-                   coupling_max_rank=d.coupling_max_rank,
-                   cut_level=d.cut_level,
-                   grid=grid,
-                   collect_factors=d.collect_factors)
-
     # ------------------------------------------------------------------- grid
     def _resolve_grid(self, plan: ShardPlan,
                       X_permuted: np.ndarray) -> WorkerGrid:

@@ -57,7 +57,7 @@ def run_ablation_sampling(dataset: str = "susy", n_train: int = 2048,
     opts = hss_options if hss_options is not None else HSSOptions()
     data = load_dataset(dataset, n_train=n_train, n_test=64, seed=seed)
     clustering = cluster(data.X_train, method="two_means",
-                         leaf_size=opts.leaf_size, seed=seed)
+                         leaf_size=16, seed=seed)
     result = SamplingAblationResult(dataset=dataset, n=n_train)
 
     for label, use_h in (("dense sampling", False), ("hmatrix sampling", True)):
@@ -106,9 +106,8 @@ def run_ablation_leafsize(dataset: str = "gas", n_train: int = 1024,
     data = load_dataset(dataset, n_train=n_train, n_test=256, seed=seed)
     result = LeafSizeAblationResult(dataset=dataset)
     for leaf in leaf_sizes:
-        opts = HSSOptions(leaf_size=int(leaf))
         pipeline = KRRPipeline(h=data.h, lam=data.lam, clustering="two_means",
-                               solver="hss", leaf_size=int(leaf), hss_options=opts,
+                               solver="hss", leaf_size=int(leaf),
                                use_hmatrix_sampling=False, seed=seed)
         rep = pipeline.run(data.X_train, data.y_train, data.X_test, data.y_test,
                            dataset_name=dataset)
@@ -210,7 +209,7 @@ def run_ablation_kd_split(dataset: str = "covtype", n_train: int = 1024,
     result = KDSplitAblationResult(dataset=dataset)
     opts = HSSOptions()
     for label, use_median in (("mean split", False), ("median split", True)):
-        tree = kd_tree(data.X_train, leaf_size=opts.leaf_size,
+        tree = kd_tree(data.X_train, leaf_size=16,
                        use_median=use_median, seed=seed)
         Xp = tree.apply_permutation(data.X_train)
         operator = ShiftedKernelOperator(Xp, GaussianKernel(h=data.h), data.lam)

@@ -63,7 +63,7 @@ def run_fig5_memory_vs_h(
     X = standardize(X)
     result = Fig5Result(n=n, lam=lam, h_values=list(h_values))
     for ordering in orderings:
-        clustering = cluster(X, method=ordering, leaf_size=opts.leaf_size, seed=seed)
+        clustering = cluster(X, method=ordering, leaf_size=16, seed=seed)
         result.memory_mb[ordering] = {}
         result.max_rank[ordering] = {}
         for h in h_values:

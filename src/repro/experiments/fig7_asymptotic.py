@@ -97,7 +97,7 @@ def run_fig7_asymptotic(
     for n in sizes:
         X, _ = susy_like(int(n), seed=seed)
         X = standardize(X)
-        clustering = cluster(X, method="two_means", leaf_size=hss_opts.leaf_size,
+        clustering = cluster(X, method="two_means", leaf_size=16,
                              seed=seed)
         operator = ShiftedKernelOperator(clustering.X, GaussianKernel(h=h), lam)
         hmatrix = build_hmatrix(operator, clustering.X, clustering.tree,

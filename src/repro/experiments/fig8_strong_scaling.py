@@ -205,7 +205,7 @@ def run_fig8_strong_scaling(
         data = load_dataset(name, n_train=n_train, n_test=64, seed=seed + idx,
                             **kwargs)
         clustering = cluster(data.X_train, method="two_means",
-                             leaf_size=opts.leaf_size, seed=seed)
+                             leaf_size=16, seed=seed)
         operator = ShiftedKernelOperator(clustering.X, GaussianKernel(h=data.h),
                                          data.lam)
         hss, stats = build_hss_randomized(operator, clustering.tree, options=opts,

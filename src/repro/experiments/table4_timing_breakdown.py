@@ -86,7 +86,7 @@ def run_table4_timing_breakdown(
     for idx, name in enumerate(datasets):
         data = load_dataset(name, n_train=n_train, n_test=64, seed=seed + idx)
         clustering = cluster(data.X_train, method="two_means",
-                             leaf_size=hss_opts.leaf_size, seed=seed)
+                             leaf_size=16, seed=seed)
         operator = ShiftedKernelOperator(clustering.X, GaussianKernel(h=data.h),
                                          data.lam)
         log = TimingLog()

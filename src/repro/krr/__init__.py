@@ -18,7 +18,7 @@ The package provides:
 """
 
 from .solvers import (DenseSolver, HSSSolver, CGSolver, make_solver,
-                      solver_from_config, SolveReport)
+                      SolveReport)
 from .classifier import KernelRidgeClassifier
 from .multiclass import OneVsAllClassifier
 from .regression import KernelRidgeRegressor
@@ -30,7 +30,6 @@ __all__ = [
     "HSSSolver",
     "CGSolver",
     "make_solver",
-    "solver_from_config",
     "SolveReport",
     "KernelRidgeClassifier",
     "OneVsAllClassifier",

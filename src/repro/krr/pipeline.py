@@ -11,7 +11,7 @@ figure in :mod:`repro.experiments`) is a thin layer over this class.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Union
 
 import numpy as np
 
@@ -87,11 +87,13 @@ class KRRPipeline:
         Kernel bandwidth and ridge parameter.
     clustering:
         Ordering method name (``"natural"``, ``"two_means"``, ``"kd"``,
-        ``"pca"``, ...).
+        ``"pca"``, ...) or a full :class:`repro.config.ClusteringOptions`,
+        whose leaf size, seed and per-method knobs (``max_iter``,
+        ``balance_threshold``) then drive the reordering.
     solver:
         ``"dense"``, ``"hss"`` or ``"cg"``.
     leaf_size:
-        Cluster-tree / HSS leaf size.
+        Cluster-tree / HSS leaf size (with ``clustering`` given by name).
     hss_options, hmatrix_options:
         Compression options used when ``solver == "hss"``.
     use_hmatrix_sampling:
@@ -111,13 +113,17 @@ class KRRPipeline:
         With more than one shard the training solve goes through
         :class:`repro.distributed.DistributedSolver` and the reported
         ``shards`` field records the process count; pass the trained
-        ``classifier_`` to :class:`repro.distributed.ShardedPredictionService`
+        ``classifier_`` to :class:`repro.serving.ShardedPredictionEngine`
         to serve it cut at the same shard boundaries.  Sharded and serial
         runs agree within the compression tolerance (see
         :mod:`repro.distributed`).
     coupling_rel_tol, coupling_max_rank, cut_level:
         Inter-shard coupling compression knobs forwarded to the
         distributed solver (ignored when ``shards`` resolves to 1).
+    collect_factors:
+        Whether a sharded fit ships the per-shard factors back into this
+        process (see :class:`repro.distributed.DistributedSolver`; ignored
+        when ``shards`` resolves to 1).
     grid:
         Optional warm :class:`repro.distributed.WorkerGrid` for the
         sharded path: repeated :meth:`run` calls (hyper-parameter sweeps)
@@ -135,7 +141,7 @@ class KRRPipeline:
         self,
         h: float = 1.0,
         lam: float = 1.0,
-        clustering: str = "two_means",
+        clustering: Union[str, ClusteringOptions] = "two_means",
         solver: str = "hss",
         leaf_size: int = 16,
         hss_options: Optional[HSSOptions] = None,
@@ -149,6 +155,7 @@ class KRRPipeline:
         cut_level: Optional[int] = None,
         grid=None,
         kernel: str = "gaussian",
+        collect_factors: bool = True,
     ):
         self.h = float(h)
         self.lam = float(lam)
@@ -165,6 +172,7 @@ class KRRPipeline:
         self.coupling_rel_tol = coupling_rel_tol
         self.coupling_max_rank = coupling_max_rank
         self.cut_level = cut_level
+        self.collect_factors = bool(collect_factors)
         self.grid = grid
         self.classifier_: Optional[KernelRidgeClassifier] = None
         self.report_: Optional[PipelineReport] = None
@@ -176,10 +184,11 @@ class KRRPipeline:
         """Build a pipeline from a :class:`repro.runtime.RuntimeConfig`.
 
         Maps the config's sections onto the constructor arguments — the
-        two paths are equivalent, so a pipeline built here produces
-        bitwise-identical results to the same explicit constructor call
-        (enforced by ``tests/test_runtime_config.py``).  Explicit
-        constructor-style overrides always win over the config.
+        ``clustering`` / ``hss`` / ``hmatrix`` sections are passed whole,
+        being the option objects themselves — so a pipeline built here
+        produces bitwise-identical results to the same explicit
+        constructor call (enforced by ``tests/test_runtime_config.py``).
+        Explicit constructor-style overrides always win over the config.
 
         Parameters
         ----------
@@ -202,11 +211,11 @@ class KRRPipeline:
         return cls(
             h=float(h) if h is not None else config.kernel.h,
             lam=float(lam) if lam is not None else config.kernel.lam,
-            clustering=config.clustering.method,
+            clustering=config.clustering,
             solver=config.solver.name,
             leaf_size=config.clustering.leaf_size,
-            hss_options=config.hss_options(),
-            hmatrix_options=config.hmatrix_options(),
+            hss_options=config.hss,
+            hmatrix_options=config.hmatrix,
             use_hmatrix_sampling=config.solver.use_hmatrix_sampling,
             seed=config.clustering.seed,
             workers=d.workers,
@@ -216,6 +225,7 @@ class KRRPipeline:
             cut_level=d.cut_level,
             grid=grid,
             kernel=config.kernel.name,
+            collect_factors=d.collect_factors,
         )
 
     def _solver_options(self) -> dict:
@@ -228,19 +238,18 @@ class KRRPipeline:
                 "coupling_rel_tol": self.coupling_rel_tol,
                 "coupling_max_rank": self.coupling_max_rank,
                 "cut_level": self.cut_level,
+                "collect_factors": self.collect_factors,
                 "grid": self.grid}
 
     def _report(self, log: TimingLog, X_test, y_test,
-                dataset_name: Optional[str],
-                solver_timings: bool = True) -> PipelineReport:
-        """Evaluate ``classifier_`` and build the report of the last verb.
+                dataset_name: Optional[str]) -> PipelineReport:
+        """Evaluate ``classifier_`` and build the report of its last verb.
 
         The one place a :class:`PipelineReport` is assembled: the model's
         current hyper-parameters and size, the solver's memory / rank
-        statistics and — unless ``solver_timings`` is false — its phase
-        timings, overlaid with the verb's own ``log``.  Accuracy is
-        ``nan`` without a test set; the dataset tag defaults to the
-        previous report's.
+        statistics and phase timings, overlaid with the pipeline's own
+        ``log``.  Accuracy is ``nan`` without a test set; the dataset tag
+        defaults to the previous report's.
         """
         clf = self.classifier_
         acc, n_test = float("nan"), 0
@@ -252,12 +261,13 @@ class KRRPipeline:
         if dataset_name is None:
             dataset_name = self.report_.dataset if self.report_ else ""
         solve = clf.report
-        timings = dict(solve.timings) if solver_timings else {}
+        timings = dict(solve.timings)
         timings.update(log.as_dict())
         self.report_ = PipelineReport(
-            dataset=dataset_name, clustering=self.clustering,
+            dataset=dataset_name,
+            clustering=getattr(self.clustering, "method", self.clustering),
             solver=self.solver_name, kernel=self.kernel_name,
-            h=self.h, lam=self.lam,
+            h=clf.h, lam=clf.lam,
             n_train=int(clf.X_train_.shape[0]), n_test=n_test,
             dim=int(clf.X_train_.shape[1]), accuracy=acc,
             memory_mb=solve.memory_mb, hss_memory_mb=solve.hss_memory_mb,
@@ -291,150 +301,40 @@ class KRRPipeline:
         self.classifier_ = clf
         return self._report(log, X_test, y_test, dataset_name)
 
-    def refit(
+    def evaluate(
         self,
-        lam: float,
         X_test: Optional[np.ndarray] = None,
         y_test: Optional[np.ndarray] = None,
         dataset_name: Optional[str] = None,
     ) -> PipelineReport:
-        """Re-train the last :meth:`run`'s classifier at a new ``lam``.
+        """Re-score the last :meth:`run`'s classifier in its current state.
 
-        The kernel compression (and, on the sharded path, the worker
-        grid's resident per-shard compressions) is reused; only the
-        shift-dependent factorization and the training solve are redone —
-        see :meth:`repro.krr.KernelRidgeClassifier.refit`.  This is the
-        cheap inner step of a regularization sweep: run once, then refit
-        per λ.
+        The lifecycle verbs live on the classifier
+        (:meth:`~repro.krr.KernelRidgeClassifier.refit`,
+        ``refit_kernel``, ``partial_fit``, ``recompress``); after any of
+        them this builds the matching report, so a regularization sweep is
+        ``pipeline.classifier_.refit(lam); pipeline.evaluate(Xt, yt)``.
 
         Parameters
         ----------
-        lam:
-            The new ridge parameter.
         X_test, y_test:
-            Optional test set; when both are given the refitted model is
-            re-evaluated and the returned report carries the new accuracy
+            Optional test set; when both are given the model is
+            re-evaluated and the report carries the new accuracy
             (otherwise the accuracy field is ``nan``).
         dataset_name:
             Optional dataset tag of the returned report; defaults to the
-            last run's.
+            last report's.
 
         Returns
         -------
         PipelineReport
-            A fresh report for the refitted model; its timings are the
-            refit's own phases (factorization + solve + prediction), so
-            comparing it against the cold run's report shows the saving
-            directly.
+            A fresh report: ``h`` / ``lam`` / ``n_train`` are read from the
+            classifier, the timings are the phases of its last verb (plus
+            ``predict_total``), so comparing it against the cold run's
+            report shows what the verb saved.
         """
-        clf = self._trained("refit")
-        log = TimingLog()
-        with log.phase("train_total"):
-            clf.refit(float(lam))
-        # Adopted only after the classifier refit succeeded.
-        self.lam = float(lam)
-        return self._report(log, X_test, y_test, dataset_name)
-
-    def refit_kernel(
-        self,
-        h: float,
-        X_test: Optional[np.ndarray] = None,
-        y_test: Optional[np.ndarray] = None,
-        dataset_name: Optional[str] = None,
-    ) -> PipelineReport:
-        """Re-train the last :meth:`run`'s classifier at a new bandwidth.
-
-        The clustering and permutation stay resident and the solver is
-        re-fitted on the tree it holds (block cluster tree reused) — see
-        :meth:`repro.krr.KernelRidgeClassifier.refit_kernel`.  This is
-        the *h*-move of a 2-D hyperparameter sweep: cheaper than a cold
-        :meth:`run`, dearer than a λ-only :meth:`refit`.
-
-        Parameters
-        ----------
-        h:
-            The new kernel bandwidth (same kernel family).
-        X_test, y_test:
-            Optional test set; when both are given the refitted model is
-            re-evaluated and the returned report carries the new accuracy
-            (otherwise the accuracy field is ``nan``).
-        dataset_name:
-            Optional dataset tag of the returned report; defaults to the
-            last run's.
-
-        Returns
-        -------
-        PipelineReport
-            A fresh report for the refitted model; its timings are the
-            re-fit's own phases, so comparing against the cold run's
-            report shows what the retained tree saved.
-        """
-        clf = self._trained("refit_kernel")
-        log = TimingLog()
-        with log.phase("train_total"):
-            clf.refit_kernel(float(h))
-        # Adopted only after the classifier rebuild succeeded.
-        self.h = float(h)
-        return self._report(log, X_test, y_test, dataset_name)
-
-    def partial_fit(
-        self,
-        X_new: Optional[np.ndarray] = None,
-        y_new: Optional[np.ndarray] = None,
-        remove=None,
-        X_test: Optional[np.ndarray] = None,
-        y_test: Optional[np.ndarray] = None,
-        dataset_name: Optional[str] = None,
-    ) -> PipelineReport:
-        """Stream rows into / out of the last :meth:`run`'s classifier.
-
-        The update lands as a Woodbury correction around the resident
-        factors (:meth:`repro.krr.KernelRidgeClassifier.partial_fit`) —
-        no recompression, no re-factorization.  The returned report's
-        timings are the update's own phases, so comparing against the
-        cold run's report shows the streaming saving directly; its
-        ``n_train`` reflects the *effective* training set.
-
-        Parameters
-        ----------
-        X_new, y_new:
-            Rows to append and their ±1 labels (given together).
-        remove:
-            Indices into the current training ordering to drop.
-        X_test, y_test:
-            Optional test set for re-evaluation (accuracy is ``nan``
-            when omitted).
-        dataset_name:
-            Optional dataset tag; defaults to the last run's.
-
-        Returns
-        -------
-        PipelineReport
-            A fresh report for the updated model.
-        """
-        clf = self._trained("partial_fit")
-        log = TimingLog()
-        with log.phase("update_total"):
-            clf.partial_fit(X_new=X_new, y_new=y_new, remove=remove)
-        return self._report(log, X_test, y_test, dataset_name,
-                            solver_timings=False)
-
-    # ------------------------------------------------------------ observability
-    def dump_metrics(self, path: str) -> str:
-        """Export the process's merged telemetry snapshot to ``path``.
-
-        Convenience hook over :func:`repro.obs.dump_metrics`: writes the
-        global registry's merged view (including any per-shard snapshots a
-        distributed fit absorbed) — Prometheus text for ``.prom`` /
-        ``.txt`` paths, JSON otherwise — and returns the path.
-
-        Parameters
-        ----------
-        path:
-            Destination file path.
-        """
-        from ..obs import dump_metrics
-        return dump_metrics(path)
+        self._trained("evaluate")
+        return self._report(TimingLog(), X_test, y_test, dataset_name)
 
     # -------------------------------------------------------------- persistence
     def save(self, path: str, metadata: Optional[dict] = None,

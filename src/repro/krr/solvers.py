@@ -737,42 +737,3 @@ def build_training_solver(spec, seed=0, workers: Optional[int] = None,
                     "start_method"):
             opts.pop(key, None)
     return make_solver(spec, **opts)
-
-
-def solver_from_config(config, grid=None) -> KernelSystemSolver:
-    """Build the training solver a :class:`repro.runtime.RuntimeConfig` implies.
-
-    The config-spine twin of :func:`build_training_solver`: the solver
-    name, compression options, seed and workers/shards knobs all come
-    from the config's sections, and ``shards > 1`` routes through the
-    process-sharded :class:`repro.distributed.DistributedSolver` exactly
-    like the constructor path.
-
-    Parameters
-    ----------
-    config:
-        The resolved :class:`repro.runtime.RuntimeConfig`.
-    grid:
-        Optional warm :class:`repro.distributed.WorkerGrid` for the
-        sharded path.
-
-    Returns
-    -------
-    KernelSystemSolver
-        The ready-to-fit training solver.
-    """
-    d = config.distributed
-    solver_options = {}
-    if config.solver.name == "hss":
-        solver_options = {
-            "hss_options": config.hss_options(),
-            "hmatrix_options": config.hmatrix_options(),
-            "use_hmatrix_sampling": config.solver.use_hmatrix_sampling,
-            "coupling_rel_tol": d.coupling_rel_tol,
-            "coupling_max_rank": d.coupling_max_rank,
-            "cut_level": d.cut_level,
-        }
-    return build_training_solver(config.solver.name,
-                                 seed=config.clustering.seed,
-                                 workers=d.workers, shards=d.shards,
-                                 solver_options=solver_options, grid=grid)

@@ -16,8 +16,9 @@ Quick start::
     from repro.runtime import resolve_runtime_config
 
     cfg = resolve_runtime_config(path="repro.toml")
-    pipeline = cfg.make_pipeline()        # a ready KRRPipeline
-    print(cfg.source("hss.rel_tol"))      # "file"
+    pipeline = KRRPipeline.from_config(cfg)   # a ready KRRPipeline
+    solver = HSSSolver(hss_options=cfg.hss)   # sections are the option objects
+    print(cfg.source("hss.rel_tol"))          # "file"
 """
 
 from .config import (

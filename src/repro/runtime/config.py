@@ -10,10 +10,12 @@ explicit precedence chain::
 and every resolved value remembers *where it came from* (its
 ``provenance``: ``"default"``, ``"file"``, ``"env"`` or ``"flag"``), so
 ``repro inspect config`` can print the origin of every knob.  The section
-objects are plain frozen dataclasses; converting them to the library's
-existing option objects (:meth:`RuntimeConfig.hss_options`, ...) re-runs
-those objects' own validation, so a config that resolves cleanly also
-constructs cleanly.
+objects are plain frozen dataclasses that validate themselves in
+``__post_init__`` — a section built by hand is checked by the same code as
+one resolved from a file — and the ``hss`` / ``hmatrix`` / ``clustering``
+sections *are* the library's option objects (:mod:`repro.config`):
+``config.hss`` is what :class:`repro.krr.HSSSolver` takes,
+``config.clustering`` what :func:`repro.clustering.cluster` takes.
 
 Environment variables follow the generic naming scheme
 ``REPRO_<SECTION>_<FIELD>`` (e.g. ``REPRO_HSS_REL_TOL``,
@@ -45,6 +47,13 @@ CONFIG_FILENAME = "repro.toml"
 # section dataclasses (defaults are the "built-in defaults" layer)
 # ---------------------------------------------------------------------------
 
+def _check_choice(key: str, value: str, choices: Tuple[str, ...]) -> None:
+    if value not in choices:
+        listed = ", ".join(repr(c) for c in choices[:-1])
+        raise ValueError(
+            f"{key} must be {listed} or {choices[-1]!r}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DatasetSection:
     """Which dataset to generate and at what size."""
@@ -54,6 +63,10 @@ class DatasetSection:
     n_test: int = 512
     seed: int = 0
     normalize: bool = True
+
+    def __post_init__(self) -> None:
+        if self.n_train < 2 or self.n_test < 1:
+            raise ValueError("dataset.n_train must be >= 2 and n_test >= 1")
 
 
 @dataclass(frozen=True)
@@ -69,6 +82,12 @@ class KernelSection:
     h: float = 1.0
     lam: float = 1.0
 
+    def __post_init__(self) -> None:
+        if self.h <= 0:
+            raise ValueError("kernel.h must be positive")
+        if self.lam < 0:
+            raise ValueError("kernel.lam must be non-negative")
+
 
 @dataclass(frozen=True)
 class SolverSection:
@@ -77,42 +96,8 @@ class SolverSection:
     name: str = "hss"
     use_hmatrix_sampling: bool = True
 
-
-@dataclass(frozen=True)
-class ClusteringSection:
-    """Preprocessing / reordering step (mirrors ClusteringOptions)."""
-
-    method: str = "two_means"
-    leaf_size: int = 16
-    max_iter: int = 20
-    balance_threshold: float = 100.0
-    seed: int = 0
-
-
-@dataclass(frozen=True)
-class HSSSection:
-    """HSS compression knobs (mirrors HSSOptions, minus ``workers``)."""
-
-    leaf_size: int = 16
-    rel_tol: float = 1e-1
-    abs_tol: float = 1e-8
-    max_rank: Optional[int] = None
-    initial_samples: int = 32
-    sample_increment: int = 16
-    max_adaptive_rounds: int = 12
-    oversampling: int = 8
-    symmetric: bool = True
-
-
-@dataclass(frozen=True)
-class HMatrixSection:
-    """H-matrix compression knobs (mirrors HMatrixOptions)."""
-
-    leaf_size: int = 64
-    admissibility_eta: float = 1.0
-    admissibility: str = "centroid"
-    rel_tol: float = 1e-2
-    max_rank: Optional[int] = None
+    def __post_init__(self) -> None:
+        _check_choice("solver.name", self.name, ("dense", "hss", "cg"))
 
 
 @dataclass(frozen=True)
@@ -138,6 +123,15 @@ class TuningSection:
     #: cost (λ-refit ≪ recompression ≪ cold) when the objective reports it
     cost_aware: bool = True
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        _check_choice("tuning.strategy", self.strategy,
+                      ("grid", "random", "bandit"))
+        _check_choice("tuning.backend", self.backend, ("dense", "hss"))
+        if not (0.0 < self.val_fraction < 1.0):
+            raise ValueError("tuning.val_fraction must be in (0, 1)")
+        if self.cv < 1:
+            raise ValueError("tuning.cv must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -171,6 +165,19 @@ class ServerSection:
     #: maximum query rows accepted in one POST /v1/predict body
     max_batch: int = 256
 
+    def __post_init__(self) -> None:
+        if not (0 <= self.port <= 65535):
+            raise ValueError(
+                "server.port must be in [0, 65535] (0 = ephemeral)")
+        if self.max_queue < 1:
+            raise ValueError("server.max_queue must be >= 1")
+        if self.drain_timeout < 0:
+            raise ValueError("server.drain_timeout must be >= 0")
+        if self.max_batch < 1:
+            raise ValueError("server.max_batch must be >= 1")
+        if not self.host:
+            raise ValueError("server.host must be non-empty")
+
 
 @dataclass(frozen=True)
 class StreamSection:
@@ -194,6 +201,18 @@ class StreamSection:
     #: server-side recompression policy: auto (on breach), force or off
     recompress: str = "auto"
 
+    def __post_init__(self) -> None:
+        if self.max_updates < 1:
+            raise ValueError("stream.max_updates must be >= 1")
+        if not (0.0 < self.max_fraction <= 1.0):
+            raise ValueError("stream.max_fraction must be in (0, 1]")
+        if self.residual_tol < 0:
+            raise ValueError("stream.residual_tol must be >= 0 (0 disables)")
+        if self.sample_size < 1:
+            raise ValueError("stream.sample_size must be >= 1")
+        _check_choice("stream.recompress", self.recompress,
+                      ("auto", "force", "off"))
+
 
 @dataclass(frozen=True)
 class DistributedSection:
@@ -206,6 +225,12 @@ class DistributedSection:
     cut_level: Optional[int] = None
     collect_factors: bool = True
 
+    def __post_init__(self) -> None:
+        for name in ("workers", "shards"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"distributed.{name} must be >= 0 or none")
+
 
 @dataclass(frozen=True)
 class ObsSection:
@@ -215,13 +240,15 @@ class ObsSection:
     dump_path: str = ""
 
 
+#: section name -> the dataclass that holds (and validates) its values; the
+#: compression and clustering sections are the library's own option objects
 _SECTION_TYPES = {
     "dataset": DatasetSection,
     "kernel": KernelSection,
     "solver": SolverSection,
-    "clustering": ClusteringSection,
-    "hss": HSSSection,
-    "hmatrix": HMatrixSection,
+    "clustering": ClusteringOptions,
+    "hss": HSSOptions,
+    "hmatrix": HMatrixOptions,
     "tuning": TuningSection,
     "serving": ServingSection,
     "server": ServerSection,
@@ -331,11 +358,13 @@ class Knob:
 
     def default(self) -> Any:
         """The built-in default value."""
-        section_cls = _SECTION_TYPES[self.section]
-        for f in fields(section_cls):
-            if f.name == self.name:
-                return f.default
-        raise KeyError(self.key)  # pragma: no cover - schema bug
+        return next(f.default for f in fields(_SECTION_TYPES[self.section])
+                    if f.name == self.name)
+
+
+#: option-object fields that are not config keys: ``distributed.workers``
+#: reaches the solvers as their explicit ``workers=`` argument instead
+_NOT_KNOBS = ("hss.workers", "hmatrix.workers")
 
 
 def _build_schema() -> List[Knob]:
@@ -365,6 +394,8 @@ def _build_schema() -> List[Knob]:
     for section, cls in _SECTION_TYPES.items():
         for f in fields(cls):
             key = f"{section}.{f.name}"
+            if key in _NOT_KNOBS:
+                continue
             kind = kinds.get(key)
             if kind is None:
                 kind = {int: "int", float: "float", bool: "bool",
@@ -400,8 +431,11 @@ class RuntimeConfig:
 
     Instances are produced by :func:`resolve_runtime_config` (or the
     :meth:`resolve` classmethod); the section attributes are frozen
-    dataclasses holding plain values, and :attr:`provenance` maps every
-    dotted key to the layer that supplied it.
+    dataclasses holding plain values — ``hss``, ``hmatrix`` and
+    ``clustering`` are :class:`repro.config.HSSOptions`,
+    :class:`repro.config.HMatrixOptions` and
+    :class:`repro.config.ClusteringOptions` themselves — and
+    :attr:`provenance` maps every dotted key to the layer that supplied it.
 
     Parameters
     ----------
@@ -419,9 +453,9 @@ class RuntimeConfig:
     dataset: DatasetSection = field(default_factory=DatasetSection)
     kernel: KernelSection = field(default_factory=KernelSection)
     solver: SolverSection = field(default_factory=SolverSection)
-    clustering: ClusteringSection = field(default_factory=ClusteringSection)
-    hss: HSSSection = field(default_factory=HSSSection)
-    hmatrix: HMatrixSection = field(default_factory=HMatrixSection)
+    clustering: ClusteringOptions = field(default_factory=ClusteringOptions)
+    hss: HSSOptions = field(default_factory=HSSOptions)
+    hmatrix: HMatrixOptions = field(default_factory=HMatrixOptions)
     tuning: TuningSection = field(default_factory=TuningSection)
     serving: ServingSection = field(default_factory=ServingSection)
     server: ServerSection = field(default_factory=ServerSection)
@@ -479,72 +513,6 @@ class RuntimeConfig:
         return [{"key": k.key, "value": self.get(k.key),
                  "source": self.source(k.key)} for k in SCHEMA]
 
-    # ------------------------------------------------------- option adapters
-    def hss_options(self) -> HSSOptions:
-        """Build the :class:`repro.config.HSSOptions` this config implies.
-
-        Returns
-        -------
-        HSSOptions
-            With ``workers`` taken from the distributed section.
-        """
-        s = self.hss
-        return HSSOptions(leaf_size=s.leaf_size, rel_tol=s.rel_tol,
-                          abs_tol=s.abs_tol, max_rank=s.max_rank,
-                          initial_samples=s.initial_samples,
-                          sample_increment=s.sample_increment,
-                          max_adaptive_rounds=s.max_adaptive_rounds,
-                          oversampling=s.oversampling,
-                          symmetric=s.symmetric,
-                          workers=self.distributed.workers)
-
-    def hmatrix_options(self) -> HMatrixOptions:
-        """Build the :class:`repro.config.HMatrixOptions` this config implies.
-
-        Returns
-        -------
-        HMatrixOptions
-            With ``workers`` taken from the distributed section.
-        """
-        s = self.hmatrix
-        return HMatrixOptions(leaf_size=s.leaf_size,
-                              admissibility_eta=s.admissibility_eta,
-                              admissibility=s.admissibility,
-                              rel_tol=s.rel_tol, max_rank=s.max_rank,
-                              workers=self.distributed.workers)
-
-    def clustering_options(self) -> ClusteringOptions:
-        """Build the :class:`repro.config.ClusteringOptions` this config implies.
-
-        Returns
-        -------
-        ClusteringOptions
-            Mirroring the clustering section.
-        """
-        s = self.clustering
-        return ClusteringOptions(method=s.method, leaf_size=s.leaf_size,
-                                 max_iter=s.max_iter,
-                                 balance_threshold=s.balance_threshold,
-                                 seed=s.seed)
-
-    def make_pipeline(self, h: Optional[float] = None,
-                      lam: Optional[float] = None):
-        """Construct a ready-to-run :class:`repro.krr.KRRPipeline`.
-
-        Parameters
-        ----------
-        h, lam:
-            Optional hyper-parameter overrides (e.g. the dataset's paper
-            values when the kernel section was left at its defaults).
-
-        Returns
-        -------
-        repro.krr.KRRPipeline
-            Configured exactly as the equivalent constructor call.
-        """
-        from ..krr.pipeline import KRRPipeline
-        return KRRPipeline.from_config(self, h=h, lam=lam)
-
     # ------------------------------------------------------------- exporters
     def section_dict(self, section: str) -> Dict[str, Any]:
         """Plain ``{field: value}`` mapping of one section.
@@ -557,11 +525,11 @@ class RuntimeConfig:
         Returns
         -------
         dict
-            Field values in declaration order.
+            Values of the section's knobs in schema order.
         """
-        cls = _SECTION_TYPES[section]
         obj = getattr(self, section)
-        return {f.name: getattr(obj, f.name) for f in fields(cls)}
+        return {k.name: getattr(obj, k.name) for k in SCHEMA
+                if k.section == section}
 
     def to_dict(self) -> Dict[str, Dict[str, Any]]:
         """Nested ``{section: {field: value}}`` mapping of all sections.
@@ -760,67 +728,10 @@ def resolve_runtime_config(path: Optional[str] = None,
         resolved[knob.key] = value
         provenance[knob.key] = src
 
-    sections = {}
-    for name, cls in _SECTION_TYPES.items():
-        kwargs = {f.name: resolved[f"{name}.{f.name}"] for f in fields(cls)}
-        sections[name] = cls(**kwargs)
-    config = RuntimeConfig(provenance=provenance, config_path=config_path,
-                           **sections)
-    _validate(config)
-    return config
-
-
-def _validate(config: RuntimeConfig) -> None:
-    """Fail fast on values the downstream constructors would reject."""
-    # Re-run the frozen option dataclasses' own __post_init__ validation.
-    config.hss_options()
-    config.hmatrix_options()
-    config.clustering_options()
-    if config.solver.name not in ("dense", "hss", "cg"):
-        raise ValueError(
-            f"solver.name must be 'dense', 'hss' or 'cg', got "
-            f"{config.solver.name!r}")
-    if config.tuning.strategy not in ("grid", "random", "bandit"):
-        raise ValueError(
-            f"tuning.strategy must be 'grid', 'random' or 'bandit', got "
-            f"{config.tuning.strategy!r}")
-    if config.tuning.backend not in ("dense", "hss"):
-        raise ValueError(
-            f"tuning.backend must be 'dense' or 'hss', got "
-            f"{config.tuning.backend!r}")
-    if not (0.0 < config.tuning.val_fraction < 1.0):
-        raise ValueError("tuning.val_fraction must be in (0, 1)")
-    if config.tuning.cv < 1:
-        raise ValueError("tuning.cv must be >= 1")
-    if config.kernel.h <= 0:
-        raise ValueError("kernel.h must be positive")
-    if config.kernel.lam < 0:
-        raise ValueError("kernel.lam must be non-negative")
-    if config.dataset.n_train < 2 or config.dataset.n_test < 1:
-        raise ValueError("dataset.n_train must be >= 2 and n_test >= 1")
-    for key in ("distributed.workers", "distributed.shards"):
-        value = config.get(key)
-        if value is not None and value < 0:
-            raise ValueError(f"{key} must be >= 0 or none")
-    if not (0 <= config.server.port <= 65535):
-        raise ValueError("server.port must be in [0, 65535] (0 = ephemeral)")
-    if config.server.max_queue < 1:
-        raise ValueError("server.max_queue must be >= 1")
-    if config.server.drain_timeout < 0:
-        raise ValueError("server.drain_timeout must be >= 0")
-    if config.server.max_batch < 1:
-        raise ValueError("server.max_batch must be >= 1")
-    if not config.server.host:
-        raise ValueError("server.host must be non-empty")
-    if config.stream.max_updates < 1:
-        raise ValueError("stream.max_updates must be >= 1")
-    if not (0.0 < config.stream.max_fraction <= 1.0):
-        raise ValueError("stream.max_fraction must be in (0, 1]")
-    if config.stream.residual_tol < 0:
-        raise ValueError("stream.residual_tol must be >= 0 (0 disables)")
-    if config.stream.sample_size < 1:
-        raise ValueError("stream.sample_size must be >= 1")
-    if config.stream.recompress not in ("auto", "force", "off"):
-        raise ValueError(
-            f"stream.recompress must be 'auto', 'force' or 'off', got "
-            f"{config.stream.recompress!r}")
+    # Each section's constructor validates its own values.
+    sections = {
+        name: cls(**{k.name: resolved[k.key] for k in SCHEMA
+                     if k.section == name})
+        for name, cls in _SECTION_TYPES.items()}
+    return RuntimeConfig(provenance=provenance, config_path=config_path,
+                         **sections)

@@ -1,124 +1,21 @@
-"""Minimal TOML reading/writing for ``repro.toml`` runtime configs.
+"""TOML reading/writing for ``repro.toml`` runtime configs.
 
-Reading prefers the stdlib :mod:`tomllib` (Python 3.11+).  On older
-interpreters (3.9/3.10, which the package still supports) a tiny fallback
-parser handles the subset of TOML a ``repro.toml`` actually uses: comments,
-``[section]`` tables, and ``key = value`` pairs whose values are strings,
-booleans, integers or floats.  Arrays, dotted keys, multi-line strings and
-dates are *not* part of the config schema and are rejected with a clear
-error by the fallback.
-
-Writing (:func:`dumps_toml`) emits the same subset, so a config written by
-:meth:`repro.runtime.RuntimeConfig.to_toml` always round-trips through
-either reader.
+Reading is the stdlib :mod:`tomllib` (Python 3.11+, the package's floor)
+with its decode error translated to :class:`TomlError`.  Writing
+(:func:`dumps_toml`) emits the subset of TOML a ``repro.toml`` uses —
+``[section]`` tables of ``key = value`` pairs whose values are strings,
+booleans, integers or floats, plus trailing comments — so a config written
+by :meth:`repro.runtime.RuntimeConfig.to_toml` always round-trips.
 """
 
 from __future__ import annotations
 
-import re
+import tomllib
 from typing import Any, Dict, Mapping, Optional
-
-try:  # Python >= 3.11
-    import tomllib as _tomllib
-except ImportError:  # pragma: no cover - py3.9/3.10 fallback
-    _tomllib = None
 
 
 class TomlError(ValueError):
     """Raised when a config file cannot be parsed."""
-
-
-_SECTION_RE = re.compile(r"^\[([A-Za-z0-9_.-]+)\]$")
-_KEY_RE = re.compile(r"^([A-Za-z0-9_-]+)\s*=\s*(.+)$")
-_INT_RE = re.compile(r"^[+-]?\d+(_\d+)*$")
-_FLOAT_RE = re.compile(
-    r"^[+-]?(\d+(_\d+)*)?(\.\d+(_\d+)*)?([eE][+-]?\d+)?$")
-
-
-def _strip_comment(line: str) -> str:
-    """Drop a trailing ``#`` comment, honouring quoted strings."""
-    out = []
-    quote: Optional[str] = None
-    for ch in line:
-        if quote is None:
-            if ch == "#":
-                break
-            if ch in ("'", '"'):
-                quote = ch
-        elif ch == quote:
-            quote = None
-        out.append(ch)
-    return "".join(out).strip()
-
-
-def _parse_scalar(text: str, lineno: int) -> Any:
-    text = text.strip()
-    if not text:
-        raise TomlError(f"line {lineno}: missing value")
-    if text.startswith('"') or text.startswith("'"):
-        quote = text[0]
-        if len(text) < 2 or not text.endswith(quote):
-            raise TomlError(f"line {lineno}: unterminated string {text!r}")
-        body = text[1:-1]
-        if quote == '"':
-            body = (body.replace("\\\\", "\\").replace('\\"', '"')
-                    .replace("\\n", "\n").replace("\\t", "\t"))
-        return body
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    if text.startswith("["):
-        raise TomlError(
-            f"line {lineno}: arrays are not part of the repro.toml schema")
-    if _INT_RE.match(text):
-        return int(text.replace("_", ""))
-    if _FLOAT_RE.match(text) and any(c in text for c in ".eE"):
-        try:
-            return float(text.replace("_", ""))
-        except ValueError:
-            pass
-    raise TomlError(f"line {lineno}: cannot parse value {text!r}")
-
-
-def _parse_minimal(text: str) -> Dict[str, Any]:
-    """Parse the repro.toml subset without :mod:`tomllib`.
-
-    Parameters
-    ----------
-    text:
-        The file contents.
-
-    Returns
-    -------
-    dict
-        Nested ``{section: {key: value}}`` mapping (top-level keys land in
-        the root mapping, like tomllib).
-    """
-    root: Dict[str, Any] = {}
-    table = root
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
-        if not line:
-            continue
-        sec = _SECTION_RE.match(line)
-        if sec:
-            name = sec.group(1)
-            table = root
-            for part in name.split("."):
-                table = table.setdefault(part, {})
-                if not isinstance(table, dict):
-                    raise TomlError(
-                        f"line {lineno}: [{name}] collides with a value")
-            continue
-        kv = _KEY_RE.match(line)
-        if not kv:
-            raise TomlError(f"line {lineno}: cannot parse {raw.strip()!r}")
-        key, value = kv.group(1), _parse_scalar(kv.group(2), lineno)
-        if key in table and isinstance(table[key], dict):
-            raise TomlError(f"line {lineno}: {key!r} collides with a table")
-        table[key] = value
-    return root
 
 
 def loads_toml(text: str) -> Dict[str, Any]:
@@ -134,12 +31,10 @@ def loads_toml(text: str) -> Dict[str, Any]:
     dict
         Nested mapping of tables to key/value pairs.
     """
-    if _tomllib is not None:
-        try:
-            return _tomllib.loads(text)
-        except _tomllib.TOMLDecodeError as exc:
-            raise TomlError(str(exc)) from exc
-    return _parse_minimal(text)
+    try:
+        return tomllib.loads(text)
+    except tomllib.TOMLDecodeError as exc:
+        raise TomlError(str(exc)) from exc
 
 
 def load_toml(path: str) -> Dict[str, Any]:

@@ -41,7 +41,8 @@ import numpy as np
 
 from ..hss.streaming import DriftBudget, should_recompress
 from ..obs import RequestTrail, global_registry
-from ..serving import ModelStore, PredictionEngine, PredictionService
+from ..serving import (ModelStore, PredictionEngine, PredictionService,
+                       ShardedPredictionEngine)
 
 __all__ = ["ModelRouter", "RouterError", "ModelNotServed"]
 
@@ -97,8 +98,8 @@ class ModelRouter:
         Engine worker threads (``None`` → serial).
     shards:
         When > 1, generations are backed by a
-        :class:`repro.distributed.ShardedPredictionService` over the same
-        duck-typed engine contract (per-shard GEMMs behind one service).
+        :class:`repro.serving.ShardedPredictionEngine` (per-shard GEMMs
+        behind the same service) instead of the plain engine.
     drain_timeout:
         Seconds a retired generation gets to drain its backlog.
     trail_size:
@@ -187,8 +188,7 @@ class ModelRouter:
         record = self.store.latest(name)
         model = self.store.load(name)
         if self.shards is not None and int(self.shards) > 1:
-            from ..distributed import ShardedPredictionService
-            engine = ShardedPredictionService(
+            engine = ShardedPredictionEngine(
                 model, shards=int(self.shards), batch_size=self.batch_size,
                 cache_size=self.cache_size)
         else:

@@ -16,6 +16,14 @@ training-time classifier uses (so batched predictions match
 :class:`repro.parallel.BlockExecutor`, and keeps an LRU cache of computed
 kernel rows so repeated query points — common under real traffic — skip
 the distance computation entirely.
+
+Prediction also decomposes along training shard boundaries — the decision
+value ``w . K'(x')`` is a sum of per-shard partial scores
+``w_s . K(x', X_s)`` — and :class:`ShardedPredictionEngine` is the same
+engine with that one step changed: each partial is the workload of a plain
+engine over the shard's slice of the training set, evaluated on a thread
+pool (the per-shard GEMMs release the GIL) and reduced in shard order, so
+results are deterministic for any schedule.
 """
 
 from __future__ import annotations
@@ -24,7 +32,7 @@ import hashlib
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import List, Optional
 
 import numpy as np
@@ -366,3 +374,135 @@ class PredictionEngine:
         return (f"PredictionEngine(n_train={self.n_train}, "
                 f"batch_size={self.batch_size}, cache_size={cache}, "
                 f"workers={self.executor.workers})")
+
+
+class _ShardModelView:
+    """A fitted-model facade restricted to one shard's training rows."""
+
+    def __init__(self, model, start: int, stop: int):
+        self.kernel = model.kernel
+        self.X_train_ = np.ascontiguousarray(model.X_train_[start:stop],
+                                             dtype=np.float64)
+        self.weights_ = np.asarray(model.weights_[start:stop],
+                                   dtype=np.float64)
+        # Partial engines must return raw scores; class reduction happens
+        # once at the front after summing across shards.
+        self.classes_ = None
+
+
+def _shard_boundaries(n: int, plan, shards: Optional[int]) -> np.ndarray:
+    if plan is not None:
+        if plan.n != n:
+            raise ValueError(
+                f"plan covers {plan.n} points but the model has {n} "
+                f"training rows")
+        return np.asarray(plan.boundaries, dtype=np.intp)
+    n_shards = int(shards or 1)
+    if n_shards < 1:
+        raise ValueError("shards must be >= 1")
+    # Equal split (a plan gives training-aligned boundaries; without one,
+    # prediction sharding is free to cut anywhere).
+    return np.linspace(0, n, n_shards + 1).astype(np.intp)
+
+
+class ShardedPredictionEngine(PredictionEngine):
+    """A :class:`PredictionEngine` scoring as a sum of per-shard partials.
+
+    Only the score computation differs from the base engine: ``predict`` /
+    ``predict_many``, the context manager and the :class:`EngineStats`
+    shape are shared, so it sits behind a
+    :class:`repro.serving.PredictionService` or the HTTP router like any
+    engine.
+
+    Parameters
+    ----------
+    model:
+        A fitted binary or one-vs-all classifier (typically trained with
+        ``shards > 1``; any fitted model works — prediction sharding is
+        independent of how training was parallelized).
+    plan:
+        Optional :class:`repro.distributed.ShardPlan`; when given, the
+        shard engines are cut at the training shard boundaries.  Otherwise
+        ``shards`` equal slices.  When *neither* is given, a plan carried
+        by the model's solver (sharded-trained or reloaded sharded models)
+        is used, falling back to a single shard.
+    shards:
+        Number of shards when no ``plan`` is given.
+    batch_size, cache_size, cache_rows:
+        Forwarded to every per-shard engine (each keeps its own cache of
+        partial scores).
+
+    Examples
+    --------
+    >>> import numpy as np
+    >>> from repro.datasets import gaussian_mixture
+    >>> from repro.krr import KernelRidgeClassifier
+    >>> from repro.serving import ShardedPredictionEngine
+    >>> X, y = gaussian_mixture(n=128, d=4, seed=0)
+    >>> clf = KernelRidgeClassifier(h=1.0, lam=1.0, solver="dense").fit(X, y)
+    >>> with ShardedPredictionEngine(clf, shards=2) as engine:
+    ...     labels = engine.predict_many(X[:16])
+    >>> bool(np.array_equal(labels, clf.predict(X[:16])))
+    True
+    """
+
+    def __init__(self, model, plan=None, shards: Optional[int] = None,
+                 batch_size: int = 1024, cache_size: int = 0,
+                 cache_rows: bool = False):
+        super().__init__(model, batch_size=batch_size)
+        if plan is None and shards is None:
+            # Sharded-trained (or reloaded sharded) models carry their plan
+            # on the solver; default to its training boundaries.
+            plan = getattr(getattr(model, "solver_", None), "plan_", None)
+        self.boundaries = _shard_boundaries(self.n_train, plan, shards)
+        self.engines: List[PredictionEngine] = [
+            PredictionEngine(_ShardModelView(model, int(start), int(stop)),
+                             batch_size=batch_size, cache_size=cache_size,
+                             cache_rows=cache_rows)
+            for start, stop in zip(self.boundaries[:-1], self.boundaries[1:])]
+        # serial_threshold=1: the default threshold of 2 would run the
+        # common two-shard fan-out sequentially on the calling thread.
+        self.executor = BlockExecutor(workers=len(self.engines),
+                                      serial_threshold=1)
+
+    @property
+    def n_shards(self) -> int:
+        """Number of per-shard engines."""
+        return len(self.engines)
+
+    def decision_many(self, X: np.ndarray) -> np.ndarray:
+        """Decision scores of a batch: sum of per-shard partial scores.
+
+        The reduction runs in shard order, so the scores are deterministic;
+        they can differ from the unsharded engine's in the last bits
+        (floating-point association), which is why equivalence tests
+        compare with an ``allclose`` tolerance.  :attr:`stats` is refreshed
+        to the counters summed over the shard engines, each of which sees
+        every query.
+        """
+        partials = self.executor.map(
+            lambda engine: engine.decision_many(X), self.engines)
+        total = partials[0]
+        for part in partials[1:]:
+            total += part
+        with self._stats_lock:
+            for f in fields(EngineStats):
+                setattr(self.stats, f.name,
+                        sum(getattr(e.stats, f.name) for e in self.engines))
+        return total
+
+    def reset_stats(self) -> None:
+        """Zero the counters of every shard engine and the summed view."""
+        for engine in self.engines:
+            engine.reset_stats()
+        super().reset_stats()
+
+    def close(self) -> None:
+        """Release the fan-out pool and the shard engines' threads."""
+        super().close()
+        for engine in self.engines:
+            engine.close()
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (f"ShardedPredictionEngine(shards={self.n_shards}, "
+                f"n_train={self.n_train})")

@@ -118,7 +118,7 @@ class PredictionService:
                  model_version: int = 0,
                  trail: Optional[RequestTrail] = None):
         # Duck-typed engine contract: anything with predict_many + X_train
-        # serves (PredictionEngine, ShardedPredictionService, ...); fitted
+        # serves (PredictionEngine, ShardedPredictionEngine, ...); fitted
         # classifiers are wrapped in a default engine.
         if not (hasattr(engine, "predict_many")
                 and getattr(engine, "X_train", None) is not None):

@@ -32,6 +32,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 import scipy.linalg
 
+from ..config import ClusteringOptions
 from ..kernels.gaussian import GaussianKernel
 from ..krr.metrics import accuracy
 from ..utils.validation import check_array_2d, check_labels_binary
@@ -113,6 +114,12 @@ class KRRObjective:
         Clustering / sampling knobs of the ``"hss"`` backend (the
         clustering depends on neither ``h`` nor ``lam``, so it is computed
         exactly once).
+    clustering:
+        Ordering of the ``"hss"`` backend: a method name, reordered at
+        ``leaf_size`` / ``seed``, or a full
+        :class:`repro.config.ClusteringOptions` (which then supplies its
+        own leaf size and seed) — tune on the ordering the model will be
+        trained with.
     hss_options, hmatrix_options, use_hmatrix_sampling:
         Compression options of the ``"hss"`` backend.
     cv:
@@ -140,7 +147,8 @@ class KRRObjective:
                  hss_options=None,
                  hmatrix_options=None,
                  use_hmatrix_sampling: bool = True,
-                 cv: int = 1):
+                 cv: int = 1,
+                 clustering="two_means"):
         self.X_train = check_array_2d(X_train, "X_train")
         self.y_train = check_labels_binary(y_train, "y_train")
         self.X_val = check_array_2d(X_val, "X_val")
@@ -168,6 +176,7 @@ class KRRObjective:
         self.cache_size = int(cache_size)
         self.leaf_size = int(leaf_size)
         self.seed = seed
+        self.clustering = clustering
         self.hss_options = hss_options
         self.hmatrix_options = hmatrix_options
         self.use_hmatrix_sampling = bool(use_hmatrix_sampling)
@@ -188,9 +197,9 @@ class KRRObjective:
         """Build an objective from a :class:`repro.runtime.RuntimeConfig`.
 
         The tuning section supplies the backend (``tuning.backend``) and
-        per-``h`` cache size; the clustering / compression sections flow
-        into the ``"hss"`` backend exactly as the constructor arguments
-        would.
+        per-``h`` cache size; the clustering / compression sections are
+        handed to the ``"hss"`` backend whole, so it tunes on the ordering
+        and tolerances ``repro train`` will use.
 
         Parameters
         ----------
@@ -212,10 +221,12 @@ class KRRObjective:
                    solver=config.tuning.backend,
                    leaf_size=config.clustering.leaf_size,
                    seed=config.clustering.seed,
-                   hss_options=config.hss_options(),
-                   hmatrix_options=config.hmatrix_options(),
+                   hss_options=config.hss.with_(
+                       workers=config.distributed.workers),
+                   hmatrix_options=config.hmatrix,
                    use_hmatrix_sampling=config.solver.use_hmatrix_sampling,
-                   cv=getattr(config.tuning, "cv", 1))
+                   cv=config.tuning.cv,
+                   clustering=config.clustering)
 
     # ------------------------------------------------------------------ call
     def __call__(self, config: Dict[str, float]) -> float:
@@ -377,9 +388,14 @@ class KRRObjective:
         from ..krr.solvers import HSSSolver
 
         if self._clustering is None:
-            self._clustering = cluster(self.X_train, method="two_means",
-                                       leaf_size=self.leaf_size,
-                                       seed=self.seed)
+            if isinstance(self.clustering, ClusteringOptions):
+                self._clustering = cluster(self.X_train,
+                                           options=self.clustering)
+            else:
+                self._clustering = cluster(self.X_train,
+                                           method=self.clustering,
+                                           leaf_size=self.leaf_size,
+                                           seed=self.seed)
         clustering = self._clustering
         y_perm = clustering.permute_labels(self.y_train)
 

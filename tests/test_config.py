@@ -10,19 +10,20 @@ from repro.config import ClusteringOptions, HMatrixOptions, HSSOptions
 class TestHSSOptions:
     def test_defaults_match_paper(self):
         opts = HSSOptions()
-        assert opts.leaf_size == 16          # Section 4.3
+        # Section 4.3's HSS leaf size of 16 is the cluster tree's
+        assert ClusteringOptions().leaf_size == 16
         assert opts.rel_tol == pytest.approx(0.1)  # Section 5.2
         assert opts.symmetric is True
 
     def test_with_replaces_fields(self):
-        opts = HSSOptions().with_(rel_tol=1e-4, leaf_size=32)
+        opts = HSSOptions().with_(rel_tol=1e-4, max_rank=32)
         assert opts.rel_tol == 1e-4
-        assert opts.leaf_size == 32
+        assert opts.max_rank == 32
         # original untouched (frozen dataclass)
         assert HSSOptions().rel_tol == pytest.approx(0.1)
 
     @pytest.mark.parametrize("kwargs", [
-        {"leaf_size": 0},
+        {"workers": -1},
         {"rel_tol": 0.0},
         {"rel_tol": -1.0},
         {"abs_tol": -1e-3},

@@ -28,14 +28,14 @@ from repro.clustering import cluster
 from repro.config import HSSOptions
 from repro.datasets import load_dataset, standardize, susy_like
 from repro.distributed import (Coordinator, DistributedError,
-                               DistributedSolver,
-                               ShardPlan, ShardedPredictionService,
+                               DistributedSolver, ShardPlan,
                                WorkerGrid, resolve_shards)
 from repro.distributed.comm import ArraySpec, BlockChannel, SharedArray
 from repro.kernels import GaussianKernel
 from repro.krr import KernelRidgeClassifier, KRRPipeline
 from repro.krr.solvers import HSSSolver
-from repro.serving import shard_plan_from_arrays, shard_plan_to_arrays
+from repro.serving import (ShardedPredictionEngine, shard_plan_from_arrays,
+                           shard_plan_to_arrays)
 
 #: compression tolerance pinned tight so sharded-vs-serial deviations stay
 #: far below the decision margins (documented contract: the coupling ACA
@@ -219,8 +219,8 @@ def test_sharded_matches_serial_predictions(small_problem, serial_run, shards):
     assert report.accuracy == pytest.approx(serial_report.accuracy, abs=1e-12)
 
     # The sharded serving front-end reproduces the sharded classifier.
-    with ShardedPredictionService(dist.classifier_, batch_size=64,
-                                  cache_size=32) as svc:
+    with ShardedPredictionEngine(dist.classifier_, batch_size=64,
+                                 cache_size=32) as svc:
         assert svc.n_shards == shards
         labels = svc.predict_many(data.X_test)
         scores = svc.decision_many(data.X_test)
@@ -246,7 +246,7 @@ def test_sharded_service_on_plain_model(small_problem):
     data = small_problem
     clf = KernelRidgeClassifier(h=data.h, lam=data.lam, solver="dense")
     clf.fit(data.X_train, data.y_train)
-    with ShardedPredictionService(clf, shards=3, batch_size=64) as svc:
+    with ShardedPredictionEngine(clf, shards=3, batch_size=64) as svc:
         labels = svc.predict_many(data.X_test)
         scores = svc.decision_many(data.X_test)
     assert np.array_equal(labels, clf.predict(data.X_test))
@@ -254,7 +254,7 @@ def test_sharded_service_on_plain_model(small_problem):
                        rtol=1e-9, atol=1e-11)
     # Counters are summed over the per-shard engines, each of which saw
     # every query of both calls.
-    assert svc.stats().queries == 3 * 2 * data.X_test.shape[0]
+    assert svc.stats.queries == 3 * 2 * data.X_test.shape[0]
 
 
 # ---------------------------------------------------------------------------

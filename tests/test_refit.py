@@ -126,7 +126,8 @@ class TestPipelineRefit:
         Xt, yt = test_data
         pipe = KRRPipeline(h=1.0, lam=1.0, solver="hss", seed=0)
         pipe.run(X, y, Xt, yt, dataset_name="mixture")
-        report = pipe.refit(2.0, X_test=Xt, y_test=yt)
+        pipe.classifier_.refit(2.0)
+        report = pipe.evaluate(X_test=Xt, y_test=yt)
         cold = KRRPipeline(h=1.0, lam=2.0, solver="hss", seed=0)
         cold_report = cold.run(X, y, Xt, yt, dataset_name="mixture")
         assert report.lam == 2.0
@@ -135,9 +136,9 @@ class TestPipelineRefit:
         np.testing.assert_array_equal(pipe.classifier_.weights_,
                                       cold.classifier_.weights_)
 
-    def test_refit_before_run_raises(self):
+    def test_evaluate_before_run_raises(self):
         with pytest.raises(RuntimeError, match="run"):
-            KRRPipeline().refit(1.0)
+            KRRPipeline().evaluate()
 
 
 # ---------------------------------------------------------------------------

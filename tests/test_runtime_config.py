@@ -2,22 +2,31 @@
 
 Pins the resolution contract the CLI and the `from_config` constructors
 rely on: precedence (defaults < repro.toml < REPRO_* env < flags) with
-per-value provenance, the TOML round trip (including the minimal-parser
-fallback), strict validation of unknown keys and garbage env values, and
-— the backward-compatibility guarantee — that a config-built pipeline
-produces bitwise-identical predictions to the legacy constructor path.
+per-value provenance, the TOML round trip, strict validation of unknown
+keys and garbage env values, that no key resolves and then does nothing,
+that docs/cli.md lists the schema as it is, and — the
+backward-compatibility guarantee — that a config-built pipeline produces
+bitwise-identical predictions to the legacy constructor path.
 """
 
 import os
+import re
 
 import numpy as np
 import pytest
 
+from repro.config import ClusteringOptions, HMatrixOptions, HSSOptions
 from repro.datasets import load_dataset
 from repro.krr import KRRPipeline
 from repro.runtime import (RuntimeConfig, SCHEMA, TomlError, known_keys,
                            loads_toml, resolve_runtime_config)
-from repro.runtime.toml_io import _parse_minimal
+from repro.runtime.config import (DatasetSection, DistributedSection,
+                                  KernelSection, ServerSection,
+                                  SolverSection, StreamSection,
+                                  TuningSection)
+from repro.tuning import KRRObjective
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.fixture(autouse=True)
@@ -139,6 +148,40 @@ class TestValidation:
         with pytest.raises(FileNotFoundError):
             resolve_runtime_config(path="/nonexistent/repro.toml")
 
+    def test_removed_hss_leaf_size_key_fails_loudly(self, tmp_path):
+        """The HSS partition is the cluster tree: its leaf size is
+        ``clustering.leaf_size``, and a file still setting the old dead
+        key is told so instead of being silently ignored."""
+        path = tmp_path / "repro.toml"
+        path.write_text("[hss]\nleaf_size = 32\n")
+        with pytest.raises(TomlError, match="hss.leaf_size"):
+            resolve_runtime_config(path=str(path))
+
+    @pytest.mark.parametrize("build", [
+        lambda: DatasetSection(n_train=1),
+        lambda: KernelSection(h=0.0),
+        lambda: KernelSection(lam=-1.0),
+        lambda: SolverSection(name="magic"),
+        lambda: ClusteringOptions(leaf_size=0),
+        lambda: HSSOptions(rel_tol=0.0),
+        lambda: HMatrixOptions(admissibility="sphere"),
+        lambda: TuningSection(strategy="anneal"),
+        lambda: TuningSection(backend="cg"),
+        lambda: TuningSection(val_fraction=1.0),
+        lambda: TuningSection(cv=0),
+        lambda: ServerSection(port=70000),
+        lambda: ServerSection(max_queue=0),
+        lambda: ServerSection(host=""),
+        lambda: StreamSection(max_fraction=0.0),
+        lambda: StreamSection(recompress="sometimes"),
+        lambda: DistributedSection(shards=-1),
+    ])
+    def test_sections_validate_themselves(self, build):
+        """One validation path: a section built by hand is checked by the
+        same ``__post_init__`` as one resolved from a file."""
+        with pytest.raises(ValueError):
+            build()
+
 
 # ---------------------------------------------------------------- round trip
 class TestTomlRoundTrip:
@@ -154,17 +197,36 @@ class TestTomlRoundTrip:
         assert reloaded == cfg
         assert reloaded.source("kernel.h") == "file"
 
-    def test_minimal_parser_agrees_with_tomllib(self):
-        text = ('# comment\n[kernel]\nname = "gaussian"  # trailing\n'
-                'h = 1.5\nlam = 1e-2\n\n[dataset]\nnormalize = false\n'
-                'n_train = 1024\n')
-        assert _parse_minimal(text) == loads_toml(text)
+    def test_option_dataclass_sections_round_trip(self, tmp_path):
+        """The hss / hmatrix / clustering sections are the option objects
+        themselves; every knob of theirs survives to_toml -> resolve, and
+        their ``workers`` fields are not keys."""
+        cfg = resolve_runtime_config(flags={
+            "hss.rel_tol": 0.05, "hss.max_rank": 48, "hss.symmetric": False,
+            "hmatrix.admissibility": "box", "hmatrix.leaf_size": 32,
+            "clustering.method": "kd", "clustering.balance_threshold": 2.0,
+            "clustering.max_iter": 5, "distributed.workers": 2})
+        assert type(cfg.hss) is HSSOptions
+        assert type(cfg.hmatrix) is HMatrixOptions
+        assert type(cfg.clustering) is ClusteringOptions
+        assert cfg.hss.workers is None and cfg.hmatrix.workers is None
+        text = cfg.to_toml()
+        assert text.count("workers") == 1       # distributed.workers only
+        path = tmp_path / "saved.toml"
+        path.write_text(text)
+        reloaded = resolve_runtime_config(path=str(path))
+        assert reloaded == cfg
+        assert reloaded.hss == HSSOptions(rel_tol=0.05, max_rank=48,
+                                          symmetric=False)
 
-    def test_minimal_parser_rejects_bad_lines(self):
+    def test_malformed_toml_raises_toml_error(self, tmp_path):
+        for text in ("[kernel\nh = 1.0\n", "just some words\n"):
+            with pytest.raises(TomlError):
+                loads_toml(text)
+        path = tmp_path / "repro.toml"
+        path.write_text("[kernel\nh = 1.0\n")
         with pytest.raises(TomlError):
-            _parse_minimal("[kernel\nh = 1.0\n")
-        with pytest.raises(TomlError):
-            _parse_minimal("just some words\n")
+            resolve_runtime_config(path=str(path))
 
     def test_unset_optionals_survive_round_trip(self, tmp_path):
         cfg = resolve_runtime_config()
@@ -230,11 +292,149 @@ class TestBackwardCompatibility:
         assert pipeline.solver_name == "hss"
         assert pipeline.kernel_name == "gaussian"
 
-    def test_make_pipeline_overrides(self):
+    def test_from_config_overrides(self):
         cfg = resolve_runtime_config(flags={"kernel.h": 2.0})
-        pipeline = cfg.make_pipeline(lam=0.125)
+        pipeline = KRRPipeline.from_config(cfg, lam=0.125)
         assert pipeline.h == 2.0      # from config
         assert pipeline.lam == 0.125  # explicit override wins
+
+
+# -------------------------------------------------------------- no dead keys
+def _pipeline(flags):
+    return KRRPipeline.from_config(resolve_runtime_config(flags=flags))
+
+
+def _solver_options(flags):
+    return _pipeline(flags)._solver_options()
+
+
+def _trained_perm(flags):
+    """Training permutation of a small config-built dense pipeline."""
+    data = load_dataset("gas", n_train=96, n_test=16, seed=0)
+    pipe = _pipeline({"solver.name": "dense", "clustering.leaf_size": 8,
+                      **flags})
+    pipe.run(data.X_train, data.y_train, data.X_test, data.y_test)
+    return pipe.classifier_.clustering_.perm.tolist()
+
+
+def _hss_objective(flags):
+    data = load_dataset("gas", n_train=64, n_test=16, seed=0)
+    cfg = resolve_runtime_config(flags={"tuning.backend": "hss", **flags})
+    return KRRObjective.from_config(cfg, data.X_train, data.y_train,
+                                    data.X_test, data.y_test)
+
+
+def _objective_ordering(flags):
+    """The ordering method the hss tuning backend actually clusters with."""
+    objective = _hss_objective(flags)
+    objective({"h": 1.0, "lam": 1.0})
+    return objective._clustering.method
+
+
+def _both(attr):
+    """``attr`` of the pipeline and of the hss tuning objective."""
+    return lambda flags: (getattr(_pipeline(flags), attr),
+                          getattr(_hss_objective(flags), attr))
+
+
+#: key -> (non-default value, observer of what ``from_config`` builds from
+#: a flag layer — a tuple when both the pipeline and the tuning objective
+#: read the key, and then both must move); the option-object sections are
+#: added field by field below
+OBSERVABLE = {
+    "clustering.method": ("kd", lambda flags: (
+        _trained_perm(flags), _objective_ordering(flags))),
+    "clustering.leaf_size": (8, _both("leaf_size")),
+    "clustering.max_iter": (1, _trained_perm),
+    "clustering.balance_threshold": (1.0, lambda flags: _trained_perm(
+        {"clustering.method": "kd", **flags})),
+    "clustering.seed": (7, _both("seed")),
+    "solver.name": ("cg", lambda flags: _pipeline(flags).solver_name),
+    "solver.use_hmatrix_sampling": (False, _both("use_hmatrix_sampling")),
+    "distributed.workers": (2, lambda flags: (
+        _pipeline(flags).workers,
+        _hss_objective(flags).hss_options.workers)),
+    "distributed.shards": (2, lambda flags: _pipeline(flags).shards),
+    "distributed.coupling_rel_tol": (0.5, lambda flags: _solver_options(
+        flags)["coupling_rel_tol"]),
+    "distributed.coupling_max_rank": (7, lambda flags: _solver_options(
+        flags)["coupling_max_rank"]),
+    "distributed.cut_level": (1, lambda flags: _solver_options(
+        flags)["cut_level"]),
+    "distributed.collect_factors": (False, lambda flags: _solver_options(
+        flags)["collect_factors"]),
+}
+
+
+def _option_field(options_name, field):
+    """``field`` of the option object the solver / the objective is given."""
+    return lambda flags: (
+        getattr(_solver_options(flags)[options_name], field),
+        getattr(getattr(_hss_objective(flags), options_name), field))
+
+
+for _section, _values in {
+        "hss": {"rel_tol": 0.05, "abs_tol": 1e-6, "max_rank": 48,
+                "initial_samples": 16, "sample_increment": 8,
+                "max_adaptive_rounds": 6, "oversampling": 4,
+                "symmetric": False},
+        "hmatrix": {"leaf_size": 32, "admissibility_eta": 2.0,
+                    "admissibility": "box", "rel_tol": 0.05,
+                    "max_rank": 48}}.items():
+    for _field, _value in _values.items():
+        OBSERVABLE[f"{_section}.{_field}"] = (
+            _value, _option_field(f"{_section}_options", _field))
+
+
+class TestNoDeadKeys:
+    """Every key of the training sections changes what ``from_config``
+    builds — none may resolve, print a provenance and then do nothing."""
+
+    def test_table_covers_the_training_sections(self):
+        training = [k for k in known_keys() if k.split(".")[0] in (
+            "clustering", "hss", "hmatrix", "solver", "distributed")]
+        assert sorted(OBSERVABLE) == sorted(training)
+        assert len(known_keys()) == 66
+
+    @pytest.mark.parametrize("key", sorted(OBSERVABLE))
+    def test_non_default_value_is_observable(self, key):
+        value, observe = OBSERVABLE[key]
+        assert value != resolve_runtime_config().get(key)
+        changed, default = observe({key: value}), observe({})
+        if not isinstance(changed, tuple):
+            changed, default = (changed,), (default,)
+        assert all(c != d for c, d in zip(changed, default))
+
+    def test_sections_reach_the_solver_whole(self):
+        cfg = resolve_runtime_config(flags={"hss.rel_tol": 0.05})
+        pipeline = KRRPipeline.from_config(cfg)
+        assert pipeline._solver_options()["hss_options"] is cfg.hss
+        assert pipeline._solver_options()["hmatrix_options"] is cfg.hmatrix
+        assert pipeline.clustering is cfg.clustering
+
+
+# -------------------------------------------------------- docs match schema
+def test_cli_docs_list_exactly_the_schema():
+    """The sample ``repro.toml`` of docs/cli.md is the key table: every
+    knob, at its built-in default; unset-by-default knobs appear as
+    commented ``# key = example`` lines."""
+    with open(os.path.join(REPO_ROOT, "docs", "cli.md")) as fh:
+        page = fh.read()
+    block = page.split("## `repro.toml` schema")[1]
+    block = block.split("```toml\n")[1].split("```")[0]
+    documented = {f"{section}.{name}": value
+                  for section, table in loads_toml(block).items()
+                  for name, value in table.items()}
+    section = None
+    for line in block.splitlines():
+        header = re.match(r"\[(\w+)\]", line)
+        unset = re.match(r"# (\w+) = ", line)
+        if header:
+            section = header.group(1)
+        elif unset:
+            documented[f"{section}.{unset.group(1)}"] = None
+    defaults = {knob.key: knob.default() for knob in SCHEMA}
+    assert documented == defaults
 
 
 # -------------------------------------------------------------- env snapshot

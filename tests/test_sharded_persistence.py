@@ -10,7 +10,7 @@ The acceptance contract of the sharded-artifact schema:
   within the compression tolerance;
 * the restored :class:`repro.distributed.ShardedULVSolver` reproduces the
   live distributed solves, re-saves losslessly, and feeds its shard plan
-  to :class:`repro.distributed.ShardedPredictionService`;
+  to :class:`repro.serving.ShardedPredictionEngine`;
 * multi-class models (one multi-RHS distributed solve for all classes)
   persist the same way.
 """
@@ -27,10 +27,10 @@ import pytest
 
 from repro.config import HSSOptions
 from repro.datasets import load_dataset
-from repro.distributed import ShardedPredictionService, ShardedULVSolver
+from repro.distributed import ShardedULVSolver
 from repro.krr import KernelRidgeClassifier, OneVsAllClassifier
 from repro.krr.solvers import HSSSolver
-from repro.serving import ModelStore, read_artifact
+from repro.serving import ModelStore, ShardedPredictionEngine, read_artifact
 from repro.serving.serialize import FORMAT_VERSION
 
 #: tight compression tolerance, as in tests/test_distributed.py: keeps the
@@ -160,7 +160,7 @@ def test_loaded_model_drives_sharded_service(tmp_path, problem, sharded_model):
     store.save(sharded_model, "served")
     loaded = store.load("served")
     assert loaded.solver_.plan_.n_shards == 2
-    with ShardedPredictionService(loaded, batch_size=64) as svc:
+    with ShardedPredictionEngine(loaded, batch_size=64) as svc:
         assert svc.n_shards == 2
         labels = svc.predict_many(problem.X_test)
     assert np.array_equal(labels, sharded_model.predict(problem.X_test))

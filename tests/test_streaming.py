@@ -30,7 +30,7 @@ from repro.hss import DriftBudget
 from repro.krr import KernelRidgeClassifier, OneVsAllClassifier
 
 #: tight compression so the cold-fit comparison tolerance is meaningful
-TIGHT = {"hss_options": HSSOptions(rel_tol=1e-6, leaf_size=16)}
+TIGHT = {"hss_options": HSSOptions(rel_tol=1e-6)}
 
 #: (solver name, solver_options, decision-function tolerance vs cold fit)
 SOLVERS = [("dense", None, 1e-8), ("hss", TIGHT, 1e-3)]
