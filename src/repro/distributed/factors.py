@@ -31,7 +31,6 @@ import numpy as np
 import scipy.linalg
 
 from ..clustering.tree import ClusterTree
-from ..hss.ulv import ULVFactorization
 from ..krr.solvers import KernelSystemSolver
 from ..utils.timing import TimingLog
 from .plan import ShardPlan
@@ -277,9 +276,8 @@ class ShardedULVSolver(KernelSystemSolver):
                 R = factors.coupling_rank
                 C = np.eye(R)
                 for s in range(factors.plan.n_shards):
-                    hss = self._ulv[s].hss  # λ-free local compression
-                    ulv = ULVFactorization(hss, lam=lam)
-                    self._ulv[s] = ulv
+                    # same λ-free local compression, resident transforms
+                    ulv = self._ulv[s] = self._ulv[s].refactor(lam)
                     F = factors.F[s]
                     H = np.zeros_like(F) if F.shape[1] == 0 else ulv.solve(F)
                     self._H[s] = H

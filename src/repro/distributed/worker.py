@@ -264,12 +264,19 @@ class _ShardState:
         if self.compressed is None:
             raise RuntimeError("worker received 'refit' before 'fit'")
         log = TimingLog()
-        # Release the previous factors before (not after) refactoring so a
-        # refit never holds two ULVs at once.
+        # Release the coupling/solve state before (not after) refactoring.
+        # The previous ULV stays until the new one exists: its left
+        # transforms are shared by reference, so the overlap is one
+        # factorization plus the λ-dependent half of the next (right
+        # transforms, triangular and reduced blocks), never two whole ones.
         self.F = self.H = self.z = None
-        self.ulv = None
-        self.ulv = ULVFactorization.factor(self.compressed, lam=float(lam),
-                                           timing=log, executor=self.executor)
+        if self.ulv is not None and self.ulv.hss is self.compressed.hss:
+            self.ulv = self.ulv.refactor(float(lam), timing=log,
+                                         executor=self.executor)
+        else:
+            self.ulv = ULVFactorization.factor(
+                self.compressed, lam=float(lam), timing=log,
+                executor=self.executor)
         return {
             "timings": dict(log.phases),
             "recompressed": False,

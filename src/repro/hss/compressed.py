@@ -134,29 +134,6 @@ class CompressedKernel:
         return ULVFactorization.factor(self, lam=lam, timing=timing,
                                        executor=executor)
 
-    def factor_many(self, lams, timing: Optional[TimingLog] = None,
-                    executor: Optional[BlockExecutor] = None):
-        """Factor ``K + lam I`` at several shifts sharing the sweep setup.
-
-        Parameters
-        ----------
-        lams:
-            Iterable of ridge shifts.
-        timing:
-            Optional :class:`repro.utils.TimingLog` receiving the
-            ``factorization`` phase.
-        executor:
-            Optional shared :class:`repro.parallel.BlockExecutor`.
-
-        Returns
-        -------
-        list of repro.hss.ULVFactorization
-            One factorization per shift, each bitwise identical to a
-            sequential :meth:`factor` call at that shift.
-        """
-        return ULVFactorization.factor_many(self, lams, timing=timing,
-                                            executor=executor)
-
 
 def compress_kernel(
     X_permuted: np.ndarray,

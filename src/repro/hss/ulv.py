@@ -34,15 +34,33 @@ redoing the H-matrix or HSS construction.  This is the paper's
 Section-5.3 observation ("When the parameter lambda changes, we only need
 to update the diagonal entries of the HSS matrix") promoted into the
 factorization API.
+
+The same observation holds inside the sweep.  Step 1 never sees the
+shift: ``Omega_i`` and ``U_hat_i`` come from a QR of the row basis, a
+stored generator at a leaf and an assembly of the children's ``U_hat``
+above.  Steps 2 and 3 do (the shifted diagonal reaches every ``Q_i``,
+triangular factor, reduced block and the root).  So a factorization
+built from another one of the same :class:`repro.hss.HSSMatrix` —
+:meth:`ULVFactorization.refactor` — takes every node's ``Omega_i`` and
+``U_hat_i`` from it **by reference** and runs steps 2 and 3 only, through
+the one elimination routine a cold factorization runs.  Arrays shared
+this way are read-only by convention: nothing writes into a stored
+factor, so the older factorization keeps solving unchanged.
+
+The per-node work is a handful of small dense operations, so the node
+kernel calls ``dgeqrf`` / ``dorgqr`` / ``dtrtrs`` directly rather than
+their ``scipy.linalg`` wrappers (same routines, same workspace sizes,
+same bits) and checks each input for infs and NaNs itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import dgeqrf, dorgqr, dtrtrs
 
 from ..parallel.executor import BlockExecutor, SERIAL_EXECUTOR
 from ..utils.timing import TimingLog
@@ -57,7 +75,8 @@ class _NodeFactors:
     n_loc: int = 0
     #: number of locally eliminated unknowns (``n_loc - rank(U)`` when positive)
     n_elim: int = 0
-    #: left orthogonal transform (``Omega``), shape ``(n_loc, n_loc)``
+    #: left orthogonal transform (``Omega``), shape ``(n_loc, n_loc)``;
+    #: λ-free — shared by reference between factorizations of one HSS matrix
     omega: Optional[np.ndarray] = None
     #: right orthogonal transform (``Q``), shape ``(n_loc, n_loc)``
     q: Optional[np.ndarray] = None
@@ -67,7 +86,8 @@ class _NodeFactors:
     #: unknowns (``d_hat1``) and to surviving unknowns (``d_hat2``)
     d_hat1: Optional[np.ndarray] = None
     d_hat2: Optional[np.ndarray] = None
-    #: reduced row basis ``U_hat`` (``n_keep x rank(U)``)
+    #: reduced row basis ``U_hat`` (``n_keep x rank(U)``); λ-free and shared
+    #: by reference like ``omega``
     u_hat: Optional[np.ndarray] = None
     #: split of ``Q^T V``: rows of the eliminated part (``g1``) and kept part (``g2``)
     g1: Optional[np.ndarray] = None
@@ -88,36 +108,73 @@ class _NodeFactors:
         return total
 
 
-class _SharedSweep:
-    """λ-independent elimination state shared across ridge shifts.
+def _require_finite(a: np.ndarray) -> None:
+    """Refuse infs and NaNs before they reach LAPACK and then the weights."""
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
 
-    The left orthogonal transform of every node comes from a QR of the
-    node's row basis ``U`` — and ``U`` never sees the diagonal shift: at
-    leaves it is a stored generator, and at internal nodes it is
-    assembled from the children's (λ-independent) ``U_hat`` blocks.  One
-    instance of this cache therefore lets
-    :meth:`ULVFactorization.factor_many` compute each node's ``(Omega,
-    U_hat)`` pair and internal-``U`` assembly exactly once and reuse them
-    for every shift, while all λ-dependent quantities (the shifted
-    diagonals, the right transforms ``Q``, the triangular factors) are
-    recomputed per shift — keeping each factorization bitwise identical
-    to a sequential :meth:`ULVFactorization.factor` call.
+
+def _with_optimal_workspace(routine, *args, **kwargs):
+    """Call a LAPACK routine at the workspace size it asks for itself.
+
+    The block size LAPACK picks depends on the workspace it is given, so
+    this is what keeps the results those of scipy's ``qr`` wrapper.
     """
+    lwork = int(routine(*args, lwork=-1, **kwargs)[-2][0])
+    *out, _, info = routine(*args, lwork=lwork, **kwargs)
+    if info != 0:
+        raise ValueError(f"LAPACK {routine.__name__} failed (info={info})")
+    return out
 
-    def __init__(self):
-        #: node_id -> (omega, u_hat) from the QR of the node's U
-        self.qr: Dict[int, tuple] = {}
-        #: node_id -> assembled internal-node row basis U
-        self.u_mats: Dict[int, np.ndarray] = {}
+
+def _qr_full(a: np.ndarray):
+    """Householder QR of a tall matrix (``rows >= cols``): ``(Q, packed)``.
+
+    ``Q`` is the full ``rows x rows`` orthogonal factor and
+    ``np.triu(packed[:cols])`` the square top of ``R`` — bitwise what
+    scipy's ``qr(a, mode="full")`` returns, from the same ``dgeqrf`` /
+    ``dorgqr`` calls, without the wrapper around them.
+    """
+    rows, cols = a.shape
+    if cols == 0:
+        return np.identity(rows), np.empty((rows, 0))
+    packed, tau = _with_optimal_workspace(dgeqrf, a)
+    q = np.empty((rows, rows), order="F")
+    q[:, :cols] = packed
+    q, = _with_optimal_workspace(dorgqr, q, tau, overwrite_a=1)
+    return q, packed
 
 
-@dataclass
-class _SolveState:
-    """Per-node right-hand-side data produced by the forward sweep."""
+def _solve_lower(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``lower^{-1} b`` by ``dtrtrs``.
 
-    z1: Optional[np.ndarray] = None
-    b_hat: Optional[np.ndarray] = None
-    beta: Optional[np.ndarray] = None
+    Like scipy's triangular-solve wrapper, a matrix that is not
+    Fortran-ordered (a factor read back from an artifact can be either) is
+    handed over as the transposed system, so both orders keep their bits.
+    """
+    if lower.flags.f_contiguous:
+        x, info = dtrtrs(lower, b, lower=1)
+    else:
+        x, info = dtrtrs(lower.T, b, lower=0, trans=1)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dtrtrs")
+    return x
+
+
+def _level_schedule(tree):
+    """``(node_id, left, right, start, stop)`` per node, by level, root first.
+
+    ``left < 0`` marks a leaf.  Everything the factor and solve sweeps ask
+    of the cluster tree, read off once.
+    """
+    levels = [[] for _ in range(tree.depth() + 1)]
+    for node_id, nd in enumerate(tree.nodes):
+        levels[nd.level].append(
+            (node_id, nd.left, nd.right, nd.start, nd.stop))
+    return tuple(tuple(level) for level in levels)
 
 
 class ULVFactorization:
@@ -135,7 +192,7 @@ class ULVFactorization:
         ``A + lam I`` while ``hss`` itself stays λ-free.  Only the dense
         leaf diagonal blocks are shifted (copies; the generators are never
         mutated), which is what makes λ-refits cheap — see
-        :meth:`factor`.
+        :meth:`refactor`.
     executor:
         Optional shared :class:`repro.parallel.BlockExecutor`.  Both the
         factorization and the two solve sweeps are level-synchronous
@@ -143,6 +200,14 @@ class ULVFactorization:
         eliminated / swept concurrently, with results committed in node
         order so any worker count produces bitwise-identical factors and
         solutions.
+    prior:
+        A factorization of the same ``hss`` object at any shift (what
+        :meth:`refactor` passes).  Every node then takes its left transform
+        ``omega`` and reduced row basis ``u_hat`` from ``prior`` by
+        reference instead of recomputing them — they come from a QR of
+        the row bases, which never see the shift — and only the
+        λ-dependent half of the elimination runs.  The result is bitwise
+        the cold factorization and keeps no reference to ``prior`` itself.
 
     Notes
     -----
@@ -150,29 +215,36 @@ class ULVFactorization:
     enough for the downstream use; like STRUMPACK used as a solver at
     tolerance 0.1 in the paper, the result is an *approximate* direct
     solver whose residual is governed by the compression tolerance.
+
+    Factorizations of one HSS matrix share their ``omega`` / ``u_hat``
+    arrays, so stored factors are read-only by convention: nothing in the
+    package writes into a ``_NodeFactors`` array after it is built.
     """
 
     def __init__(self, hss: HSSMatrix, timing: Optional[TimingLog] = None,
                  executor: Optional[BlockExecutor] = None, lam: float = 0.0,
-                 shared: Optional[_SharedSweep] = None):
+                 prior: Optional["ULVFactorization"] = None):
+        if prior is not None and prior.hss is not hss:
+            raise ValueError(
+                "prior factors a different HSS matrix; its transforms "
+                "cannot be reused")
         self.hss = hss
         self.lam = float(lam)
         self._executor = executor
-        self._shared = shared
         log = timing if timing is not None else TimingLog()
         with log.phase("factorization"):
-            self._factor()
+            self._factor(prior)
         self.timing = log
 
     @classmethod
     def factor(cls, compressed, lam: float = 0.0,
                timing: Optional[TimingLog] = None,
                executor: Optional[BlockExecutor] = None) -> "ULVFactorization":
-        """Factor a λ-free compression as ``A + lam I``.
+        """Factor a λ-free compression as ``A + lam I``, cold.
 
-        This is the refit entry point of the compress-once / refit-many
-        split: the expensive compression is reused unchanged and only the
-        ``O(n r^2)`` ULV elimination is redone for the new shift.
+        The expensive compression is reused unchanged and the ``O(n r^2)``
+        ULV elimination runs in full; with a factorization of the same
+        compression at hand, :meth:`refactor` skips its λ-free half.
 
         Parameters
         ----------
@@ -191,27 +263,51 @@ class ULVFactorization:
         Returns
         -------
         ULVFactorization
-            Factors of ``A + lam I``; bitwise identical to factoring the
-            same compression cold at that ``lam``.
+            Factors of ``A + lam I``.
         """
         hss = getattr(compressed, "hss", compressed)
         return cls(hss, timing=timing, executor=executor, lam=lam)
+
+    def refactor(self, lam: float, timing: Optional[TimingLog] = None,
+                 executor: Optional[BlockExecutor] = None
+                 ) -> "ULVFactorization":
+        """Factor the same HSS matrix at another shift from these factors.
+
+        This is the refit entry point of the compress-once / refit-many
+        split.  The new factorization shares this one's λ-free arrays
+        (``omega``, ``u_hat``) by reference and recomputes the rest, so it
+        is **bitwise identical** to a cold :meth:`factor` at ``lam``; this
+        object is left untouched and keeps solving.
+
+        Parameters
+        ----------
+        lam:
+            Diagonal shift of the new factorization.
+        timing:
+            Optional :class:`repro.utils.TimingLog` receiving the
+            ``factorization`` phase.
+        executor:
+            Optional shared :class:`repro.parallel.BlockExecutor`.
+
+        Returns
+        -------
+        ULVFactorization
+            Factors of ``A + lam I``, holding no reference to ``self``.
+        """
+        return type(self)(self.hss, timing=timing, executor=executor,
+                          lam=lam, prior=self)
 
     @classmethod
     def factor_many(cls, compressed, lams,
                     timing: Optional[TimingLog] = None,
                     executor: Optional[BlockExecutor] = None
                     ) -> List["ULVFactorization"]:
-        """Factor one compression at several shifts, sharing sweep setup.
+        """Factor one compression at several shifts: cold once, then warm.
 
-        The per-node left transforms (QR of the λ-free row bases) and the
-        internal-node ``U`` assemblies are computed once and reused for
-        every shift via a :class:`_SharedSweep` cache; only the genuinely
-        λ-dependent work (shifted diagonals, right transforms, triangular
-        factors, root LU) is redone per shift.  Each returned
-        factorization is **bitwise identical** to a sequential
-        :meth:`factor` call at that shift — the shared arrays are exactly
-        the values the cold path would recompute.
+        The first shift is a cold :meth:`factor`; every later one is a
+        :meth:`refactor` from it, so the λ-free half of the sweep runs
+        once.  Each returned factorization is **bitwise identical** to a
+        cold :meth:`factor` call at that shift.
 
         Parameters
         ----------
@@ -231,11 +327,14 @@ class ULVFactorization:
         list of ULVFactorization
             One factorization per entry of ``lams``, in order.
         """
-        hss = getattr(compressed, "hss", compressed)
-        shared = _SharedSweep()
-        return [cls(hss, timing=timing, executor=executor, lam=float(lam),
-                    shared=shared)
-                for lam in lams]
+        lams = [float(lam) for lam in lams]
+        if not lams:
+            return []
+        first = cls.factor(compressed, lam=lams[0], timing=timing,
+                           executor=executor)
+        return [first] + [first.refactor(lam, timing=timing,
+                                         executor=executor)
+                          for lam in lams[1:]]
 
     @property
     def executor(self) -> BlockExecutor:
@@ -248,147 +347,142 @@ class ULVFactorization:
         ex = getattr(self, "_executor", None)
         return ex if ex is not None else SERIAL_EXECUTOR
 
+    @property
+    def _schedule(self):
+        """The tree's :func:`_level_schedule`, read off on first use.
+
+        A factorization built from a ``prior`` starts with its schedule; a
+        deserialized one (see :attr:`executor`) has none yet.
+        """
+        levels = getattr(self, "_levels", None)
+        if levels is None:
+            levels = self._levels = _level_schedule(self.hss.tree)
+        return levels
+
     # ---------------------------------------------------------------- factor
-    def _eliminate(self, node_id: int, D: np.ndarray, U: np.ndarray,
-                   V: np.ndarray) -> _NodeFactors:
-        """Perform the two orthogonal transforms and local elimination."""
+    @staticmethod
+    def _eliminate(D: np.ndarray, U: Optional[np.ndarray], V: np.ndarray,
+                   prior: Optional[_NodeFactors]) -> _NodeFactors:
+        """The two orthogonal transforms and the local elimination.
+
+        ``U`` is only read when there is no ``prior`` node to take
+        ``omega`` / ``u_hat`` from.
+        """
         n_loc = D.shape[0]
-        ru = U.shape[1]
-        fac = _NodeFactors(n_loc=n_loc)
+        ru = U.shape[1] if prior is None else prior.u_hat.shape[1]
 
         if ru >= n_loc:
             # Nothing can be eliminated locally; pass everything up unchanged.
-            fac.n_elim = 0
-            fac.omega = None
-            fac.q = None
-            fac.lower = np.zeros((0, 0))
-            fac.d_hat1 = np.zeros((n_loc, 0))
-            fac.d_hat2 = D.copy()
-            fac.u_hat = U.copy()
-            fac.g1 = np.zeros((0, V.shape[1]))
-            fac.g2 = V.copy()
-            return fac
+            return _NodeFactors(
+                n_loc=n_loc, n_elim=0, lower=np.zeros((0, 0)),
+                d_hat1=np.zeros((n_loc, 0)), d_hat2=D.copy(),
+                u_hat=U.copy() if prior is None else prior.u_hat,
+                g1=np.zeros((0, V.shape[1])), g2=V.copy())
 
         # 1) Omega U = [U_hat; 0]  via a full QR of U.  U never carries
-        # the ridge shift, so across a factor_many λ batch the QR inputs
-        # are bitwise identical — the shared cache skips the recompute.
-        shared = getattr(self, "_shared", None)
-        cached = shared.qr.get(node_id) if shared is not None else None
-        if cached is not None:
-            omega, u_hat = cached
+        # the ridge shift, so a prior factorization's pair is this one's.
+        if prior is None:
+            _require_finite(U)
+            q_left, packed = _qr_full(U)
+            omega = q_left.T
+            u_hat = np.triu(packed[:ru])
         else:
-            qfull, rfull = scipy.linalg.qr(U, mode="full")
-            omega = qfull.T
-            u_hat = rfull[:ru]
-            if shared is not None:
-                shared.qr[node_id] = (omega, u_hat)
+            omega, u_hat = prior.omega, prior.u_hat
         n_elim = n_loc - ru
         d_tilde = omega @ D
 
         # 2) Make the decoupled rows lower triangular: W Q = [L 0].
         W = d_tilde[ru:]
-        qf, rf = scipy.linalg.qr(W.T, mode="full")
-        Q = qf
-        lower = rf[:n_elim].T  # (n_elim, n_elim) lower triangular
-
+        _require_finite(W)
+        Q, packed = _qr_full(W.T)
         d_top = d_tilde[:ru] @ Q
-        fac.n_elim = n_elim
-        fac.omega = omega
-        fac.q = Q
-        fac.lower = lower
-        fac.d_hat1 = d_top[:, :n_elim]
-        fac.d_hat2 = d_top[:, n_elim:]
-        fac.u_hat = u_hat
         G = Q.T @ V
-        fac.g1 = G[:n_elim]
-        fac.g2 = G[n_elim:]
-        return fac
+        return _NodeFactors(
+            n_loc=n_loc, n_elim=n_elim, omega=omega, q=Q,
+            lower=np.triu(packed[:n_elim]).T,  # (n_elim, n_elim) lower
+            d_hat1=d_top[:, :n_elim], d_hat2=d_top[:, n_elim:],
+            u_hat=u_hat, g1=G[:n_elim], g2=G[n_elim:])
 
-    def _factor(self) -> None:
-        tree = self.hss.tree
+    def _factor(self, prior: Optional["ULVFactorization"]) -> None:
         data = self.hss.node_data
+        root = self.hss.tree.root
         lam = self.lam
-        self._factors: List[Optional[_NodeFactors]] = [None] * tree.n_nodes
+        if prior is not None:
+            self._levels = prior._schedule
+        prior_factors = prior._factors if prior is not None else None
+        factors: List[Optional[_NodeFactors]] = [None] * len(data)
         self._root_lu = None
 
-        # Reduced (D, U, V) passed from children to parents.
-        reduced: Dict[int, Dict[str, np.ndarray]] = {}
-
-        def factor_node(node_id: int):
-            """Eliminate one node; returns (factors, reduced_entry, root_lu)."""
-            nd = tree.node(node_id)
+        def factor_node(entry):
+            """Eliminate one node; returns (factors, root_lu)."""
+            node_id, left, right, start, stop = entry
             d = data[node_id]
+            warm = prior_factors is not None and node_id != root
+            U = None
 
-            if nd.is_leaf:
+            if left < 0:
                 # The ridge shift lives only on the dense leaf diagonals;
                 # shifting a copy here (exactly like HSSMatrix.shifted)
                 # keeps the stored generators λ-free and reusable.
+                D = d.D
                 if lam != 0.0:
-                    D = d.D.copy()
-                    D[np.diag_indices_from(D)] += lam
-                else:
-                    D = d.D
-                U = d.U if d.U is not None else np.zeros((nd.size, 0))
-                V = d.V if d.V is not None else np.zeros((nd.size, 0))
+                    D = D.copy()
+                    D.reshape(-1)[::D.shape[0] + 1] += lam
+                if not warm:
+                    U = d.U if d.U is not None \
+                        else np.zeros((stop - start, 0))
+                V = d.V if d.V is not None else np.zeros((stop - start, 0))
             else:
-                c1, c2 = nd.left, nd.right
-                f1, f2 = self._factors[c1], self._factors[c2]
-                r1, r2 = reduced[c1], reduced[c2]
-                top_right = f1.u_hat @ d.B12 @ r2["V"].T
-                bottom_left = f2.u_hat @ d.B21 @ r1["V"].T
-                D = np.block([[r1["D"], top_right], [bottom_left, r2["D"]]])
-                if node_id == tree.root or d.U is None:
-                    U = np.zeros((D.shape[0], 0))
-                    V = np.zeros((D.shape[0], 0))
+                # The reduced (D, V) a child hands up are its d_hat2 / g2.
+                f1, f2 = factors[left], factors[right]
+                n1, n = f1.n_keep, f1.n_keep + f2.n_keep
+                D = np.empty((n, n))
+                D[:n1, :n1] = f1.d_hat2
+                D[:n1, n1:] = f1.u_hat @ d.B12 @ f2.g2.T
+                D[n1:, :n1] = f2.u_hat @ d.B21 @ f1.g2.T
+                D[n1:, n1:] = f2.d_hat2
+                if node_id == root or d.U is None:
+                    U = np.zeros((n, 0))
+                    V = np.zeros((n, 0))
                 else:
                     # The assembled U is λ-independent (children's u_hat
-                    # come from λ-free QRs); V is not — its r["V"] factors
+                    # come from λ-free QRs) and only feeds the QR a prior
+                    # factorization already did; V is not — its g2 factors
                     # pass through the shift-dependent right transforms.
-                    shared = getattr(self, "_shared", None)
-                    U = shared.u_mats.get(node_id) if shared is not None \
-                        else None
-                    if U is None:
+                    if not warm:
                         ru1 = f1.u_hat.shape[1]
-                        U = np.vstack([f1.u_hat @ d.U[:ru1],
-                                       f2.u_hat @ d.U[ru1:]])
-                        if shared is not None:
-                            shared.u_mats[node_id] = U
-                    rv1 = r1["V"].shape[1]
-                    V = np.vstack([r1["V"] @ d.V[:rv1], r2["V"] @ d.V[rv1:]])
+                        U = np.empty((n, d.U.shape[1]))
+                        U[:n1] = f1.u_hat @ d.U[:ru1]
+                        U[n1:] = f2.u_hat @ d.U[ru1:]
+                    rv1 = f1.g2.shape[1]
+                    V = np.empty((n, d.V.shape[1]))
+                    V[:n1] = f1.g2 @ d.V[:rv1]
+                    V[n1:] = f2.g2 @ d.V[rv1:]
 
-            if node_id == tree.root:
+            if node_id == root:
                 # Final dense system of the surviving unknowns.
-                root_lu = scipy.linalg.lu_factor(D) if D.shape[0] > 0 else None
-                fac = _NodeFactors(n_loc=D.shape[0], n_elim=0)
-                fac.d_hat2 = D
-                fac.u_hat = np.zeros((D.shape[0], 0))
-                fac.g1 = np.zeros((0, 0))
-                fac.g2 = np.zeros((D.shape[0], 0))
-                fac.lower = np.zeros((0, 0))
-                fac.d_hat1 = np.zeros((D.shape[0], 0))
-                return fac, None, root_lu
+                n = D.shape[0]
+                root_lu = scipy.linalg.lu_factor(D) if n > 0 else None
+                return _NodeFactors(
+                    n_loc=n, n_elim=0, lower=np.zeros((0, 0)),
+                    d_hat1=np.zeros((n, 0)), d_hat2=D,
+                    u_hat=np.zeros((n, 0)), g1=np.zeros((0, 0)),
+                    g2=np.zeros((n, 0))), root_lu
 
-            fac = self._eliminate(node_id, D, U, V)
-            return fac, {"D": fac.d_hat2, "V": fac.g2}, None
+            return self._eliminate(
+                D, U, V, prior_factors[node_id] if warm else None), None
 
         # Level-synchronous bottom-up elimination: nodes of one level only
         # read their children's (already committed) factors, so each level
         # is one parallel map.
-        for level_nodes in reversed(tree.levels()):
-            results = self.executor.map(factor_node, level_nodes)
-            for node_id, (fac, red, root_lu) in zip(level_nodes, results):
-                self._factors[node_id] = fac
-                if red is not None:
-                    reduced[node_id] = red
-                if node_id == tree.root:
+        for level in reversed(self._schedule):
+            results = self.executor.map(factor_node, level)
+            for entry, (fac, root_lu) in zip(level, results):
+                factors[entry[0]] = fac
+                if entry[0] == root:
                     self._root_size = fac.n_loc
                     self._root_lu = root_lu
-            # Children's reduced blocks have been consumed by this level.
-            for node_id in level_nodes:
-                nd = tree.node(node_id)
-                if not nd.is_leaf:
-                    reduced.pop(nd.left, None)
-                    reduced.pop(nd.right, None)
+        self._factors = factors
 
     # ----------------------------------------------------------------- solve
     def solve(self, b: np.ndarray, timing: Optional[TimingLog] = None) -> np.ndarray:
@@ -406,6 +500,11 @@ class ULVFactorization:
         -------
         numpy.ndarray
             Solution with the same shape as ``b`` (permuted ordering).
+
+        Raises
+        ------
+        ValueError
+            If ``b`` has the wrong number of rows or holds infs or NaNs.
         """
         log = timing if timing is not None else self.timing
         with log.phase("solve"):
@@ -417,98 +516,92 @@ class ULVFactorization:
         B = b[:, None] if single else b
         if B.shape[0] != self.hss.n:
             raise ValueError(f"b has {B.shape[0]} rows, expected {self.hss.n}")
+        _require_finite(B)
         nrhs = B.shape[1]
-        tree = self.hss.tree
         data = self.hss.node_data
+        factors = self._factors
+        root = self.hss.tree.root
+        schedule = self._schedule
 
-        state: List[_SolveState] = [
-            _SolveState() for _ in range(tree.n_nodes)]
-        levels = tree.levels()
+        # Per-node right-hand-side data produced by the forward sweep.
+        z1: List[Optional[np.ndarray]] = [None] * len(factors)
+        b_hat: List[Optional[np.ndarray]] = [None] * len(factors)
+        beta: List[Optional[np.ndarray]] = [None] * len(factors)
 
         # ------------------------------ forward (bottom-up) sweep
-        def forward_node(node_id: int) -> _SolveState:
-            nd = tree.node(node_id)
+        def forward_node(entry):
+            """Returns the node's ``(z1, b_hat, beta)``."""
+            node_id, left, right, start, stop = entry
             d = data[node_id]
-            fac = self._factors[node_id]
-            st = _SolveState()
+            fac = factors[node_id]
 
-            if nd.is_leaf:
-                b_loc = B[nd.start:nd.stop]
+            if left < 0:
+                b_loc = B[start:stop]
             else:
-                c1, c2 = nd.left, nd.right
-                st1, st2 = state[c1], state[c2]
-                f1, f2 = self._factors[c1], self._factors[c2]
-                rhs1 = st1.b_hat - f1.u_hat @ (d.B12 @ st2.beta)
-                rhs2 = st2.b_hat - f2.u_hat @ (d.B21 @ st1.beta)
-                b_loc = np.vstack([rhs1, rhs2])
+                f1, f2 = factors[left], factors[right]
+                n1 = f1.n_keep
+                b_loc = np.empty((n1 + f2.n_keep, nrhs))
+                np.subtract(b_hat[left], f1.u_hat @ (d.B12 @ beta[right]),
+                            out=b_loc[:n1])
+                np.subtract(b_hat[right], f2.u_hat @ (d.B21 @ beta[left]),
+                            out=b_loc[n1:])
 
-            if node_id == tree.root:
+            if node_id == root:
                 if self._root_lu is not None and b_loc.shape[0] > 0:
-                    st.b_hat = scipy.linalg.lu_solve(self._root_lu, b_loc)
-                else:
-                    st.b_hat = np.zeros((0, nrhs))
-                return st
+                    return None, scipy.linalg.lu_solve(self._root_lu,
+                                                       b_loc), None
+                return None, np.zeros((0, nrhs)), None
 
             if fac.n_elim > 0:
+                ru = fac.u_hat.shape[1]
                 b_tilde = fac.omega @ b_loc
-                z1 = scipy.linalg.solve_triangular(
-                    fac.lower, b_tilde[fac.u_hat.shape[1]:], lower=True)
-                st.z1 = z1
-                st.b_hat = b_tilde[:fac.u_hat.shape[1]] - fac.d_hat1 @ z1
-                beta_local = fac.g1.T @ z1
+                z = _solve_lower(fac.lower, b_tilde[ru:])
+                reduced = b_tilde[:ru] - fac.d_hat1 @ z
+                beta_local = fac.g1.T @ z
             else:
-                st.z1 = np.zeros((0, nrhs))
-                st.b_hat = b_loc.copy()
+                z = np.zeros((0, nrhs))
+                reduced = b_loc.copy()
                 beta_local = np.zeros((fac.g2.shape[1], nrhs))
 
-            if nd.is_leaf:
-                st.beta = beta_local
-            else:
-                stacked = np.vstack([state[nd.left].beta, state[nd.right].beta])
-                carried = d.V.T @ stacked if d.V is not None and d.V.shape[1] > 0 \
-                    else np.zeros((0, nrhs))
-                if carried.shape[0] != beta_local.shape[0]:
-                    # Shapes agree by construction (both are col_rank of node).
-                    raise AssertionError("inconsistent beta dimensions")
-                st.beta = carried + beta_local
-            return st
+            if left >= 0 and d.V is not None and d.V.shape[1] > 0:
+                beta_local = d.V.T @ np.concatenate(
+                    (beta[left], beta[right])) + beta_local
+            return z, reduced, beta_local
 
-        for level_nodes in reversed(levels):
-            results = self.executor.map(forward_node, level_nodes)
-            for node_id, st in zip(level_nodes, results):
-                state[node_id] = st
-            for node_id in level_nodes:
-                nd = tree.node(node_id)
-                if not nd.is_leaf:
+        for level in reversed(schedule):
+            results = self.executor.map(forward_node, level)
+            for entry, (z, reduced, beta_node) in zip(level, results):
+                node_id, left, right = entry[:3]
+                z1[node_id], b_hat[node_id], beta[node_id] = \
+                    z, reduced, beta_node
+                if left >= 0:
                     # children right-hand-side buffers are no longer needed
-                    state[nd.left].b_hat = None
-                    state[nd.right].b_hat = None
+                    b_hat[left] = b_hat[right] = None
 
         # ------------------------------ backward (top-down) sweep
         X = np.zeros((self.hss.n, nrhs))
-        z2: Dict[int, np.ndarray] = {tree.root: state[tree.root].b_hat}
+        # surviving unknowns handed down by the parent (the root's own solve)
+        z2: List[Optional[np.ndarray]] = [None] * len(factors)
+        z2[root] = b_hat[root]
 
-        def backward_node(node_id: int) -> np.ndarray:
-            fac = self._factors[node_id]
-            st = state[node_id]
-            if node_id == tree.root:
-                return z2[node_id]
-            mine = z2[node_id]
-            if fac.n_elim > 0:
-                return fac.q @ np.vstack([st.z1, mine])
-            return mine
+        def backward_node(entry) -> np.ndarray:
+            node_id = entry[0]
+            fac = factors[node_id]
+            if node_id != root and fac.n_elim > 0:
+                return fac.q @ np.concatenate((z1[node_id], z2[node_id]))
+            return z2[node_id]
 
-        for level_nodes in levels:
-            results = self.executor.map(backward_node, level_nodes)
-            for node_id, x_local in zip(level_nodes, results):
-                nd = tree.node(node_id)
-                z2.pop(node_id, None)
-                if nd.is_leaf:
-                    X[nd.start:nd.stop] = x_local
+        for level in schedule:
+            results = self.executor.map(backward_node, level)
+            for (node_id, left, right, start, stop), x_local in zip(level,
+                                                                    results):
+                z2[node_id] = None
+                if left < 0:
+                    X[start:stop] = x_local
                 else:
-                    f1 = self._factors[nd.left]
-                    z2[nd.left] = x_local[:f1.n_keep]
-                    z2[nd.right] = x_local[f1.n_keep:]
+                    n1 = factors[left].n_keep
+                    z2[left] = x_local[:n1]
+                    z2[right] = x_local[n1:]
 
         return X.ravel() if single else X
 

@@ -425,8 +425,6 @@ class HSSSolver(KernelSystemSolver):
         #: legacy artifacts that baked the shift in at compression time)
         self._hss_lam_free = True
         self._executor: Optional[BlockExecutor] = None
-        #: λ -> ULVFactorization cache filled by :meth:`prefactor`
-        self._prefactored: Dict[float, ULVFactorization] = {}
 
     def _resolve_workers(self) -> int:
         spec = self.workers
@@ -445,7 +443,6 @@ class HSSSolver(KernelSystemSolver):
         if self._executor is not None:
             self._executor.shutdown()
         self._executor = BlockExecutor(workers=n_workers)
-        self._prefactored = {}
         try:
             # The resident block cluster tree rides along: an h-move on
             # the same tree and options reuses it (build_hmatrix decides
@@ -493,73 +490,26 @@ class HSSSolver(KernelSystemSolver):
 
     def _refit_impl(self, lam: float) -> None:
         self._check_lam_free()
-        cached = getattr(self, "_prefactored", None)
-        if cached:
-            hit = cached.get(float(lam))
-            if hit is not None:
-                # Adopt the batch-built factorization (bitwise identical
-                # to factoring here — see ULVFactorization.factor_many);
-                # the refit itself then costs nothing.
-                self.factorization_ = hit
-                self.report.timings = {"factorization": 0.0}
-                return
         if self._executor is None:
             self._executor = BlockExecutor(workers=self._resolve_workers())
         log = TimingLog()
+        resident = self.factorization_
         try:
-            self.factorization_ = ULVFactorization(
-                self.hss_, timing=log, executor=self._executor, lam=lam)
+            # The λ-free half of the elimination is taken from the
+            # resident factors whenever they factor this very compression
+            # (after a fit, a refit, a reload or streamed updates).
+            if resident is not None and resident.hss is self.hss_:
+                self.factorization_ = resident.refactor(
+                    lam, timing=log, executor=self._executor)
+            else:
+                self.factorization_ = ULVFactorization(
+                    self.hss_, timing=log, executor=self._executor, lam=lam)
         except BaseException:
             # Failed refits must not orphan a live thread pool (same
             # invariant as the fit path).
             self._executor.shutdown()
             raise
         self.report.timings = log.as_dict()
-
-    def prefactor(self, lams) -> "HSSSolver":
-        """Batch-factor the resident compression at several ridge shifts.
-
-        One :meth:`repro.hss.ULVFactorization.factor_many` sweep shares
-        the λ-independent elimination setup (QR of the row bases,
-        internal-node assemblies) across all shifts; subsequent
-        :meth:`~KernelSystemSolver.refit` calls at any of the given λ
-        values adopt the cached factorization for free.  The cache is
-        dropped on the next :meth:`~KernelSystemSolver.fit` or
-        :meth:`~KernelSystemSolver.refit_kernel`.
-
-        Parameters
-        ----------
-        lams:
-            Ridge shifts to pre-factor.
-
-        Returns
-        -------
-        HSSSolver
-            ``self``, with the λ cache populated.
-        """
-        if not self._fitted:
-            raise RuntimeError(
-                "solver must be fitted before calling prefactor()")
-        self._check_lam_free()
-        lams = [float(l) for l in lams]
-        for lam in lams:
-            check_non_negative(lam, "lam")
-        if self._executor is None:
-            self._executor = BlockExecutor(workers=self._resolve_workers())
-        log = TimingLog()
-        try:
-            source = self.compressed_ if self.compressed_ is not None \
-                else self.hss_
-            factors = ULVFactorization.factor_many(
-                source, lams, timing=log, executor=self._executor)
-        except BaseException:
-            self._executor.shutdown()
-            raise
-        self._prefactored = dict(zip(lams, factors))
-        for name, sec in log.as_dict().items():
-            self.report.timings[name] = \
-                self.report.timings.get(name, 0.0) + sec
-        return self
 
     def _solve_impl(self, y: np.ndarray) -> np.ndarray:
         log = TimingLog()

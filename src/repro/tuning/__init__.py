@@ -26,9 +26,9 @@ The cost model is three-tiered (``lam_move`` ≪ ``h_move`` ≪ ``cold``;
 see :data:`MOVE_COSTS` and ``docs/tuning.md``): an ``h``-move re-fits a
 resident solver on its retained tree, block cluster tree reused
 (:meth:`repro.krr.solvers.KernelSystemSolver.refit_kernel`), instead of
-rebuilding from scratch, searchers announce λ groups up front so the
-objective can batch-factor every shift in one shared sweep
-(:meth:`KRRObjective.prepare_lam_schedule`), and ``KRRObjective(cv=K)``
+rebuilding from scratch, every λ-move refactors from the resident
+factors and so shares the λ-free half of the ULV sweep
+(:meth:`repro.hss.ULVFactorization.refactor`), and ``KRRObjective(cv=K)``
 swaps the held-out score for K-fold cross-validation computed as
 fold-removal multi-RHS solves on the shared factorization.  Every
 evaluation's move class is recorded (``EvaluationRecord.move``,

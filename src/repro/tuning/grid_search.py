@@ -106,32 +106,8 @@ class GridSearch:
             configs = order_lam_fastest(configs)
         if self.max_evaluations is not None:
             configs = configs[: int(self.max_evaluations)]
-        # Announce each contiguous λ-group to schedule-aware objectives
-        # (KRRObjective.prepare_lam_schedule) so the group's first
-        # evaluation batch-factors the whole λ column in one shared sweep.
-        prepare = getattr(objective, "prepare_lam_schedule", None)
-        for start, stop in _contiguous_groups(configs):
-            if prepare is not None and stop - start > 1:
-                prepare([c["lam"] for c in configs[start:stop] if "lam" in c])
-            for config in configs[start:stop]:
-                value = objective(config)
-                result.record(config, value, refit=observed_refit(objective),
-                              move=observed_move(objective))
+        for config in configs:
+            value = objective(config)
+            result.record(config, value, refit=observed_refit(objective),
+                          move=observed_move(objective))
         return result
-
-
-def _contiguous_groups(configs: List[Dict[str, float]]):
-    """Yield ``(start, stop)`` runs of configs sharing all non-``lam`` keys.
-
-    Only *contiguous* runs are grouped, so the evaluation order is always
-    exactly the input order regardless of how the configs were arranged.
-    """
-    start = 0
-    for i in range(1, len(configs) + 1):
-        if i == len(configs) or _group_key(configs[i]) != _group_key(configs[start]):
-            yield start, i
-            start = i
-
-
-def _group_key(config: Dict[str, float]) -> tuple:
-    return tuple(sorted((k, v) for k, v in config.items() if k != "lam"))

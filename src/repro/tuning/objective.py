@@ -62,7 +62,7 @@ class EvaluationRecord:
         Cost class of the evaluation, cheapest first:
 
         * ``"lam_move"`` — the per-``h`` cache held the λ-free state, only
-          a factorization (or a prefactored lookup) + solve was paid;
+          a factorization + solve was paid;
         * ``"h_move"`` — a resident solver was re-targeted to the new
           ``h`` via :meth:`~repro.krr.solvers.KernelSystemSolver.refit_kernel`
           (a fit on its retained tree: the clustering, permutation and
@@ -187,9 +187,6 @@ class KRRObjective:
         self._cache: "dict[float, tuple]" = {}
         # clustering is (h, λ)-independent, computed exactly once (hss)
         self._clustering = None
-        # λ values announced by the searcher for the upcoming group;
-        # consumed (batch-prefactored) by the next hss evaluation.
-        self._lam_schedule: Optional[List[float]] = None
 
     @classmethod
     def from_config(cls, config, X_train: np.ndarray, y_train: np.ndarray,
@@ -273,47 +270,6 @@ class KRRObjective:
                 "repro_tune_cache_misses_total",
                 "Tuning evaluations that missed the per-h state cache").inc()
         return acc
-
-    # ------------------------------------------------------------- scheduling
-    def prepare_lam_schedule(self, lams) -> None:
-        """Announce the λ values about to be evaluated for one ``h`` group.
-
-        Cost-aware searchers call this right before a run of evaluations
-        that share everything but ``lam``.  The ``"hss"`` backend then
-        batch-factors the whole schedule on the group's first evaluation
-        (:meth:`repro.krr.solvers.HSSSolver.prefactor`, which shares the
-        λ-independent per-node orthogonalization sweep across shifts via
-        :meth:`repro.hss.ULVFactorization.factor_many`), so each later
-        λ-move inside the group is a cache lookup + solve.  The dense
-        backend ignores the announcement (its per-λ refactor is already a
-        single Cholesky).  Each schedule is consumed by exactly one
-        evaluation; announcing an empty schedule clears a pending one.
-
-        Parameters
-        ----------
-        lams:
-            The λ values of the upcoming group, in evaluation order.
-        """
-        lams = [float(l) for l in lams]
-        self._lam_schedule = lams if (lams and self.solver == "hss") else None
-
-    def _consume_schedule(self, solver, lam: float, exclude_current: bool) -> None:
-        """Batch-prefactor the pending λ schedule on ``solver`` (hss only)."""
-        schedule, self._lam_schedule = self._lam_schedule, None
-        if not schedule:
-            return
-        prefactor = getattr(solver, "prefactor", None)
-        if prefactor is None:
-            return
-        seen = set()
-        pending = []
-        for l in schedule:
-            if l in seen or (exclude_current and l == lam):
-                continue
-            seen.add(l)
-            pending.append(l)
-        if pending:
-            prefactor(pending)
 
     def _cache_get(self, h: float):
         """Fetch (and LRU-refresh) the λ-independent state cached for ``h``."""
@@ -405,9 +361,6 @@ class KRRObjective:
         if cached is not None:
             solver, K_val = cached
             move = "lam_move"
-            # Prefactor before the refit so the refit adopts the batched
-            # factorization (bitwise identical to a sequential one).
-            self._consume_schedule(solver, lam, exclude_current=False)
             solver.refit(lam)
         else:
             resident = self._pop_for_reuse()
@@ -422,8 +375,6 @@ class KRRObjective:
                                    use_hmatrix_sampling=self.use_hmatrix_sampling,
                                    seed=self.seed)
                 solver.fit(clustering.X, clustering.tree, kernel, lam)
-            # fit/refit_kernel already factored `lam`; prefactor the rest.
-            self._consume_schedule(solver, lam, exclude_current=True)
             K_val = (None if self.cv > 1
                      else kernel.matrix(self.X_val, clustering.X))
             self._cache_put(h, (solver, K_val))

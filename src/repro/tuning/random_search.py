@@ -64,27 +64,18 @@ class RandomSearch:
         rng = as_generator(self.seed)
         result = TuningResult()
         has_lam = "lam" in self.space.names
-        prepare = getattr(objective, "prepare_lam_schedule", None)
         lam_param = (next(p for p in self.space.parameters
                           if p.name == "lam") if has_lam else None)
         evaluated = 0
         while evaluated < self.budget:
             config = self.space.sample(rng)
-            # Pre-draw the whole group's λ values (the draws consume the
-            # rng in the same order as interleaved drawing would, since
-            # evaluations never touch it) so a schedule-aware objective
-            # can batch-factor the group on its first evaluation.
-            group = [config]
-            if has_lam:
-                for _ in range(min(self.lam_sweep - 1,
-                                   self.budget - evaluated - 1)):
-                    sweep = dict(config)
-                    sweep["lam"] = lam_param.sample(rng)
-                    group.append(sweep)
-            if prepare is not None and len(group) > 1:
-                prepare([c["lam"] for c in group])
-            for member in group:
-                result.record(member, objective(member),
+            # λ-only follow-ups inside the group: same h, fresh lam draws.
+            sweeps = (min(self.lam_sweep, self.budget - evaluated)
+                      if has_lam else 1)
+            for i in range(sweeps):
+                if i > 0:
+                    config = dict(config, lam=lam_param.sample(rng))
+                result.record(config, objective(config),
                               refit=observed_refit(objective),
                               move=observed_move(objective))
                 evaluated += 1

@@ -37,7 +37,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: the API-reference surface documented in docs/api.md, beyond
 #: repro.distributed's own exports (the tuning-fabric surfaces of
-#: docs/tuning.md ride along: factor_many / the searchers; so do the
+#: docs/tuning.md ride along: refactor / the searchers; so do the
 #: element-extraction / wavefront-ACA pieces of docs/api.md); the
 #: estimator core carries the lifecycle verbs its three shells inherit
 DOCUMENTED_API = [KRRPipeline, KernelRidgeEstimator, KernelRidgeClassifier,

@@ -6,7 +6,7 @@ stored one zip member per array (schema versions 1 and 2; see
 reader's ``version <= 2`` path: each loads with its checksum verified,
 predicts what its writer predicted, re-saves as a version-3 archive with an
 unchanged checksum, and takes every lifecycle verb a freshly saved model
-takes.
+takes — a ``refit`` from the factors it was stored with included.
 """
 
 from __future__ import annotations
@@ -16,7 +16,9 @@ import zipfile
 
 import numpy as np
 import pytest
+from conftest import cold_refactor
 
+from repro.hss import ULVFactorization
 from repro.serving import load_model, read_artifact
 from repro.serving.serialize import FORMAT_VERSION
 
@@ -97,3 +99,16 @@ def test_lifecycle_verbs_work_on_the_loaded_model(name, expected):
         model.refit_kernel(1.2)
         assert model.h == 1.2 and np.all(np.isfinite(model.weights_))
         assert not np.array_equal(model.weights_, original)
+
+
+@pytest.mark.parametrize("name", ["hss", "ova", "sharded", "midstream"])
+def test_refit_from_the_stored_factors_is_bitwise_a_cold_factorization(
+        name, monkeypatch):
+    """The λ-free half read back from a legacy archive is the cold one."""
+    warm, cold = _load(name), _load(name)
+    warm.refit(2.0)
+    with monkeypatch.context() as patch:
+        patch.setattr(ULVFactorization, "refactor", cold_refactor)
+        cold.refit(2.0)
+    assert np.array_equal(warm.weights_, cold.weights_)
+    assert not np.array_equal(warm.weights_, _load(name).weights_)

@@ -8,6 +8,11 @@ estimator ∈ {binary, one-vs-all, regressor} × solver ∈ {dense, hss}:
 * every verb ends bitwise equal to the cold fit of the state it reached;
 * a solver failure inside any verb leaves the model's hyper-parameters,
   weights and stored targets untouched;
+* a λ-move refactors from the resident factors — after a fit, a reload or
+  streamed updates — and is bitwise the cold factorization all the same;
+  the factors it started from keep solving and are released afterwards;
+* non-finite generators are refused by the cold and the warm factorization
+  alike, leaving the previous factors and weights in place;
 
 plus what makes the h-move cheap without a second code path:
 
@@ -19,9 +24,12 @@ plus what makes the h-move cheap without a second code path:
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
-from conftest import assert_same_hss, same_hmatrix_blocks
+from conftest import assert_same_hss, cold_refactor, same_hmatrix_blocks
 
 from repro.clustering import cluster
 from repro.config import HMatrixOptions
@@ -163,6 +171,82 @@ def test_a_failed_verb_leaves_the_model_untouched(kind, solver, problem, verb,
     if verb == "partial_fit":
         # the half-applied stream update was rolled back with it
         assert not model.solver_.stream.active
+
+
+def test_lam_move_from_resident_factors_is_bitwise_cold(kind, problem,
+                                                        tmp_path, monkeypatch):
+    X, y, X_add, y_add = problem
+    loaded = _make(kind, "hss").fit(X, y)
+    if kind != "regressor":     # which has no artifact kind
+        # after a reload the resident factors are the artifact's
+        loaded.save(str(tmp_path / "model.npz"))
+        loaded = type(loaded).load(str(tmp_path / "model.npz"))
+    resident = loaded.solver_.factorization_
+    assert resident.hss is loaded.solver_.hss_
+    loaded.refit(2.0)
+    after = loaded.solver_.factorization_
+    root = after.hss.tree.root
+    assert all(new.u_hat is old.u_hat for i, (new, old) in enumerate(
+        zip(after._factors, resident._factors)) if i != root)
+    np.testing.assert_array_equal(
+        loaded.weights_, _make(kind, "hss", lam=2.0).fit(X, y).weights_)
+
+    # after streamed updates: the same weights as a refit that shares nothing
+    streamed = [_make(kind, "hss").fit(X, y) for _ in range(2)]
+    for twin in streamed:
+        twin.partial_fit(X_add, y_add, remove=REMOVE)
+    streamed[0].refit(0.5)
+    with monkeypatch.context() as patch:
+        patch.setattr(ULVFactorization, "refactor", cold_refactor)
+        streamed[1].refit(0.5)
+    assert streamed[0].solver_.stream.active
+    np.testing.assert_array_equal(streamed[0].weights_, streamed[1].weights_)
+
+
+def test_replaced_factors_keep_solving_and_are_then_released(points):
+    X, y = points
+    model = _make("binary", "hss").fit(X, y)
+    old = model.solver_.factorization_
+    rhs = np.random.default_rng(3).normal(size=(X.shape[0], 2))
+    answer = old.solve(rhs)
+
+    # a serving generation built on `old` answers during and after the swap
+    new = old.refactor(2.0)
+    np.testing.assert_array_equal(old.solve(rhs), answer)
+    assert not np.array_equal(new.solve(rhs), answer)
+    del new
+
+    ref = weakref.ref(old)
+    del old
+    model.refit(2.0)
+    gc.collect()
+    assert ref() is None
+    assert model.solver_.factorization_.lam == 2.0
+
+
+@pytest.mark.parametrize("generator", ["D", "B12"])
+def test_non_finite_generators_fail_loudly_cold_and_warm(points, generator):
+    X, y = points
+    model = _make("binary", "hss").fit(X, y)
+    solver = model.solver_
+    tree, data = solver.hss_.tree, solver.hss_.node_data
+    node = tree.leaves()[2] if generator == "D" \
+        else tree.node(tree.leaves()[2]).parent
+    before = (solver.factorization_, model.weights_, model.lam)
+    frozen = model.weights_.copy()
+
+    getattr(data[node], generator)[0, 0] = np.nan
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        ULVFactorization.factor(solver.hss_, lam=1.0)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        solver.factorization_.refactor(2.0)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        model.refit(2.0)
+
+    assert (solver.factorization_, model.weights_, model.lam) == before
+    np.testing.assert_array_equal(model.weights_, frozen)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        solver.factorization_.solve(np.full(X.shape[0], np.inf))
 
 
 def test_bad_input_is_refused_the_same_way_by_every_estimator(kind, problem):

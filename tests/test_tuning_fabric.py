@@ -7,9 +7,10 @@ build, serially and on a warm ``shards = 2`` grid — is pinned by
 
 * an h-move after an artifact reload rides a cold compression on the
   restored tree and still equals a cold fit bitwise;
-* ``ULVFactorization.factor_many`` is bitwise identical per shift to
-  sequential ``factor`` calls, and ``HSSSolver.prefactor`` hands those
-  factorizations to later refits unchanged;
+* ``ULVFactorization.refactor`` — the λ-free half taken by reference from
+  resident factors — is bitwise a cold ``factor`` at every shift of a
+  chain, so are ``factor_many`` and sequential ``refit`` calls, and a
+  refit costs well under the calls it cost before the factors were reused;
 * ``KRRObjective(cv=K)``'s fold-removal multi-RHS solves agree with
   per-fold cold fits;
 * the searchers classify moves (``cold`` / ``h_move`` / ``lam_move``)
@@ -17,6 +18,9 @@ build, serially and on a warm ``shards = 2`` grid — is pinned by
 """
 
 from __future__ import annotations
+
+import cProfile
+import pstats
 
 import numpy as np
 import pytest
@@ -78,8 +82,25 @@ class TestReloadedKernelMove:
 
 
 # ---------------------------------------------------------------------------
-# factor_many: bitwise identical per shift to sequential factor
+# refactor / factor_many: bitwise a cold factor at every shift
 # ---------------------------------------------------------------------------
+
+def _assert_same_factorization(fac, ref, rhs):
+    for got, want in zip(fac._factors, ref._factors):
+        assert (got.n_loc, got.n_elim) == (want.n_loc, want.n_elim)
+        assert_same_arrays(got, want, _FACTOR_ARRAYS)
+    assert fac._root_size == ref._root_size
+    for b in rhs:
+        np.testing.assert_array_equal(fac.solve(b), ref.solve(b))
+
+
+def _total_calls(fn) -> int:
+    profile = cProfile.Profile()
+    profile.enable()
+    fn()
+    profile.disable()
+    return pstats.Stats(profile).total_calls
+
 
 class TestFactorManyBitwise:
     LAMS = (0.25, 1.0, 4.0)
@@ -90,32 +111,91 @@ class TestFactorManyBitwise:
         rng = np.random.default_rng(11)
         b = rng.normal(size=(clustering.X.shape[0], 2))
         for lam, fac in zip(self.LAMS, batched):
-            ref = ULVFactorization.factor(compressed, lam=lam)
-            for node_id, ref_factors in enumerate(ref._factors):
-                if ref_factors is None:
-                    assert fac._factors[node_id] is None
-                    continue
-                assert_same_arrays(fac._factors[node_id], ref_factors,
-                                   _FACTOR_ARRAYS)
-            np.testing.assert_array_equal(fac.solve(b), ref.solve(b))
+            _assert_same_factorization(
+                fac, ULVFactorization.factor(compressed, lam=lam), [b])
 
-    def test_prefactor_feeds_refits_bitwise(self, data):
+    # a single-leaf tree is all root: nothing to share, still the same path;
+    # at h = 1e-3 the kernel matrix is the identity to working precision and
+    # the row bases have no columns: the left transform is an identity
+    @pytest.mark.parametrize("method, leaf_size, h", [
+        ("two_means", 16, 1.0), ("natural", 16, 1.0), ("two_means", 512, 1.0),
+        ("two_means", 16, 1e-3)])
+    def test_refactor_chain_equals_cold_factor(self, data, method, leaf_size,
+                                               h):
+        X, _ = data
+        clustering = cluster(X, method=method, leaf_size=leaf_size, seed=0)
+        compressed = compress_kernel(clustering.X, clustering.tree,
+                                     GaussianKernel(h=h), seed=0)
+        root = clustering.tree.root
+        rng = np.random.default_rng(5)
+        rhs = [rng.normal(size=X.shape[0]), rng.normal(size=(X.shape[0], 4))]
+        lam = 1.0
+        resident = ULVFactorization.factor(compressed, lam=lam)
+        inner = [f for i, f in enumerate(resident._factors) if i != root]
+        if leaf_size >= X.shape[0]:
+            assert not inner
+        elif h == 1.0:
+            # nodes that eliminate nothing next to nodes that do
+            assert {f.n_elim == 0 for f in inner} == {True, False}
+        else:
+            assert any(f.u_hat.shape[1] == 0 < f.n_elim for f in inner)
+        for shift in (0.0, 0.5 * lam, 2.0 * lam):
+            warm = resident.refactor(shift)
+            assert warm.lam == shift and warm.hss is compressed.hss
+            _assert_same_factorization(
+                warm, ULVFactorization.factor(compressed, lam=shift), rhs)
+            # the λ-free half is the resident one, not a recomputation
+            for i, (new, old) in enumerate(zip(warm._factors,
+                                               resident._factors)):
+                if i != root:
+                    assert new.omega is old.omega and new.u_hat is old.u_hat
+            resident = warm     # the next refit starts from this one
+
+    def test_refactor_refuses_another_compression(self, compressed_pair):
+        clustering, compressed = compressed_pair
+        other = compress_kernel(clustering.X, clustering.tree,
+                                GaussianKernel(h=1.0), seed=0)
+        resident = ULVFactorization.factor(compressed, lam=1.0)
+        with pytest.raises(ValueError, match="different HSS matrix"):
+            ULVFactorization(other.hss, lam=2.0, prior=resident)
+
+    def test_sequential_refits_share_the_resident_half(self, data):
         X, y = data
-        # prefactor/factor_many live on the in-process HSSSolver; shards=1
-        # keeps the classifier off the process-sharded path under
+        # shards=1 keeps the classifier on the in-process HSSSolver under
         # REPRO_SHARDS overrides.
         warm = KernelRidgeClassifier(h=1.0, lam=self.LAMS[0], solver="hss",
                                      seed=0, shards=1)
         warm.fit(X, y)
-        warm.solver_.prefactor(self.LAMS[1:])
-        assert set(warm.solver_._prefactored) == set(self.LAMS[1:])
         for lam in self.LAMS[1:]:
+            before = warm.solver_.factorization_
             warm.refit(lam)
-            # adoption, not re-factorization
-            assert warm.solver_.report.timings["factorization"] == 0.0
+            after = warm.solver_.factorization_
+            assert after is not before and after.lam == lam
+            root = after.hss.tree.root
+            assert all(new.u_hat is old.u_hat for i, (new, old) in enumerate(
+                zip(after._factors, before._factors)) if i != root)
             np.testing.assert_array_equal(
                 warm.weights_, _cold_weights(X, y, h=1.0, lam=lam))
         assert warm.solver_.compression_count == 1
+
+    #: what one ``refit`` / one cold ``factor`` of the fixture below cost at
+    #: the commit before refits reused the resident factors (cProfile's
+    #: ``total_calls``; the count repeats exactly, a time would not)
+    CALLS_BEFORE = {"refit": 25348, "factor": 16856}
+
+    def test_refit_call_count_guard(self):
+        X, y = gaussian_mixture(n=512, d=3, n_components=4, separation=3.0,
+                                noise=0.7, seed=0)
+        # workers=1: cProfile sees the calling thread only
+        clf = KernelRidgeClassifier(h=1.0, lam=1.0, solver="hss",
+                                    clustering="two_means", leaf_size=16,
+                                    seed=0, shards=1, workers=1).fit(X, y)
+        hss = clf.solver_.hss_
+        assert hss.tree.n_nodes == 99
+        assert _total_calls(lambda: clf.refit(2.0)) \
+            <= 0.65 * self.CALLS_BEFORE["refit"]
+        assert _total_calls(lambda: ULVFactorization.factor(hss, lam=1.0)) \
+            <= self.CALLS_BEFORE["factor"]
 
 
 def _cold_weights(X, y, h, lam):
