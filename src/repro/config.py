@@ -50,9 +50,17 @@ class HSSOptions:
         Minimum number of random vectors added whenever the adaptive
         construction detects that the current sample does not capture the
         range (STRUMPACK's ``--hss_dd``); the sample at least doubles at
-        every enlargement so high-rank problems converge in O(log n) rounds.
+        every enlargement so high-rank problems converge in O(log n)
+        rounds.  An enlargement is a restart: a fresh sample of the new
+        width is drawn and the attempt at the old width is discarded
+        (:mod:`repro.hss.build_random` says why, and why that costs one
+        subtree rather than the tree).
     max_adaptive_rounds:
-        Safety bound on the number of sampling enlargement rounds.  The
+        Safety bound on the number of attempts that may ask for a bigger
+        sample.  When the last of them still meets a saturated node, one
+        more sample of the grown width is drawn and its ranks are accepted
+        as they are, so a build makes at most ``max_adaptive_rounds + 1``
+        sampling sweeps (``SamplingStats.rounds`` counts them).  The
         default of 12 allows the geometric growth to reach the full matrix
         dimension for any practical problem size.
     oversampling:
@@ -63,10 +71,11 @@ class HSSOptions:
         compression for the columns, halving the work.  Kernel matrices are
         symmetric so this defaults to ``True``.
     workers:
-        Worker threads used by the level-parallel construction and ULV
-        factorization.  ``None`` defers to the ``REPRO_WORKERS``
-        environment variable (serial when unset), ``0`` uses all visible
-        cores, positive values are taken literally — see
+        Worker threads used by the construction (whole subtrees of the
+        randomized walk, tree levels of the deterministic one) and the
+        level-parallel ULV factorization.  ``None`` defers to the
+        ``REPRO_WORKERS`` environment variable (serial when unset), ``0``
+        uses all visible cores, positive values are taken literally — see
         :func:`repro.parallel.resolve_workers`.  Parallel and serial runs
         produce bitwise-identical factorizations.
     """

@@ -188,7 +188,10 @@ class HMatrix:
     # ------------------------------------------------------------ statistics
     @property
     def nbytes(self) -> int:
-        return sum(b.nbytes for b in self.blocks)
+        total = 0
+        for blk in self.blocks:
+            total += (blk.dense if blk.dense is not None else blk.lowrank).nbytes
+        return total
 
     @property
     def max_rank(self) -> int:

@@ -170,7 +170,7 @@ def compress_kernel(
         build phases are accumulated into it.
     executor:
         Optional shared :class:`repro.parallel.BlockExecutor` driving the
-        level-parallel builders (and the tiled exact-sampling matvec).
+        H-matrix and HSS builders (and the tiled exact-sampling matvec).
     matmat_col_tile:
         Column-tile size of the exact kernel operator's ``matmat`` (only
         exercised when ``use_hmatrix_sampling`` is ``False``); ``None``
@@ -210,10 +210,18 @@ def compress_kernel(
             sampler = HMatrixSampler(hmatrix, operator, executor=executor)
             hmatrix_memory_mb = megabytes(hmatrix.nbytes)
 
-        with trace.span("hss.build"):
+        with trace.span("hss.build") as span:
             hss, stats = build_hss_randomized(sampler, tree, options=opts,
                                               rng=seed, timing=log,
                                               executor=executor)
+            span.attributes.update(
+                rounds=stats.rounds,
+                random_vectors=stats.random_vectors,
+                nodes=tree.n_nodes,
+                nodes_compressed=stats.nodes_compressed,
+                nodes_discarded=stats.nodes_discarded,
+                sample_seconds=stats.sample_time,
+                discarded_seconds=stats.discarded_time)
     global_registry().counter(
         "repro_kernel_compressions_total",
         "λ-free kernel compressions built (HSS builds)").inc()

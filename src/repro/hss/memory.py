@@ -77,7 +77,7 @@ class HSSStatistics:
         return cls(
             n=hss.n,
             total_bytes=total,
-            max_rank=hss.max_rank,
+            max_rank=max(rank_per_level.values(), default=0),
             leaf_count=len(tree.leaves()),
             level_count=tree.depth() + 1,
             rank_per_level=rank_per_level,

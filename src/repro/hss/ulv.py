@@ -62,6 +62,8 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.lapack import dgeqrf, dorgqr, dtrtrs
 
+from ..lowrank.lapack import (raise_trtrs_info, require_finite,
+                              with_optimal_workspace)
 from ..parallel.executor import BlockExecutor, SERIAL_EXECUTOR
 from ..utils.timing import TimingLog
 from .hss_matrix import HSSMatrix
@@ -108,25 +110,6 @@ class _NodeFactors:
         return total
 
 
-def _require_finite(a: np.ndarray) -> None:
-    """Refuse infs and NaNs before they reach LAPACK and then the weights."""
-    if not np.isfinite(a).all():
-        raise ValueError("array must not contain infs or NaNs")
-
-
-def _with_optimal_workspace(routine, *args, **kwargs):
-    """Call a LAPACK routine at the workspace size it asks for itself.
-
-    The block size LAPACK picks depends on the workspace it is given, so
-    this is what keeps the results those of scipy's ``qr`` wrapper.
-    """
-    lwork = int(routine(*args, lwork=-1, **kwargs)[-2][0])
-    *out, _, info = routine(*args, lwork=lwork, **kwargs)
-    if info != 0:
-        raise ValueError(f"LAPACK {routine.__name__} failed (info={info})")
-    return out
-
-
 def _qr_full(a: np.ndarray):
     """Householder QR of a tall matrix (``rows >= cols``): ``(Q, packed)``.
 
@@ -138,10 +121,10 @@ def _qr_full(a: np.ndarray):
     rows, cols = a.shape
     if cols == 0:
         return np.identity(rows), np.empty((rows, 0))
-    packed, tau = _with_optimal_workspace(dgeqrf, a)
+    packed, tau = with_optimal_workspace(dgeqrf, a)
     q = np.empty((rows, rows), order="F")
     q[:, :cols] = packed
-    q, = _with_optimal_workspace(dorgqr, q, tau, overwrite_a=1)
+    q, = with_optimal_workspace(dorgqr, q, tau, overwrite_a=1)
     return q, packed
 
 
@@ -156,11 +139,8 @@ def _solve_lower(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
         x, info = dtrtrs(lower, b, lower=1)
     else:
         x, info = dtrtrs(lower.T, b, lower=0, trans=1)
-    if info > 0:
-        raise np.linalg.LinAlgError(
-            f"singular matrix: resolution failed at diagonal {info - 1}")
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of dtrtrs")
+    if info != 0:
+        raise_trtrs_info(info)
     return x
 
 
@@ -382,7 +362,7 @@ class ULVFactorization:
         # 1) Omega U = [U_hat; 0]  via a full QR of U.  U never carries
         # the ridge shift, so a prior factorization's pair is this one's.
         if prior is None:
-            _require_finite(U)
+            require_finite(U)
             q_left, packed = _qr_full(U)
             omega = q_left.T
             u_hat = np.triu(packed[:ru])
@@ -393,7 +373,7 @@ class ULVFactorization:
 
         # 2) Make the decoupled rows lower triangular: W Q = [L 0].
         W = d_tilde[ru:]
-        _require_finite(W)
+        require_finite(W)
         Q, packed = _qr_full(W.T)
         d_top = d_tilde[:ru] @ Q
         G = Q.T @ V
@@ -516,7 +496,7 @@ class ULVFactorization:
         B = b[:, None] if single else b
         if B.shape[0] != self.hss.n:
             raise ValueError(f"b has {B.shape[0]} rows, expected {self.hss.n}")
-        _require_finite(B)
+        require_finite(B)
         nrhs = B.shape[1]
         data = self.hss.node_data
         factors = self._factors

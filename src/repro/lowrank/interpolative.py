@@ -13,15 +13,22 @@ selecting ``|J| = r`` rows (columns) via a column-pivoted QR.  The skeleton
 indices ``J`` are what makes the *partially matrix-free* construction work:
 the coupling generators ``B_ij`` are later read off the original matrix at
 the skeleton rows/columns only.
+
+An ID needs the ``R`` factor and the pivots of that QR, never its ``Q``,
+and the HSS construction runs one per tree node: the kernel calls
+``dgeqp3`` and ``dtrtrs`` directly (:mod:`repro.lowrank.lapack`) and
+returns bitwise what ``scipy.linalg.qr`` + ``solve_triangular`` would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dtrtrs
 
+from .lapack import pivoted_qr, raise_trtrs_info
 from .rrqr import rank_from_tolerance
 
 
@@ -52,28 +59,33 @@ class InterpolativeDecomposition:
         self.rank = int(self.rank)
 
 
-def _pivoted_qr_interp(M: np.ndarray, rel_tol: float, abs_tol: float,
-                       max_rank) -> InterpolativeDecomposition:
-    """Column ID of ``M`` (select columns): ``M ~= M[:, J] @ P``."""
+def _column_interp(M: np.ndarray, rel_tol: float, abs_tol: float, max_rank
+                   ) -> Tuple[np.ndarray, np.ndarray, int]:
+    """``(P, J, r)`` of the column ID ``M ~= M[:, J] @ P``.
+
+    The pivoted QR stays packed: the rank is read off its diagonal,
+    ``R11`` and ``R12`` are views of it and no ``Q`` is formed.
+    """
     m, n = M.shape
     if m == 0 or n == 0:
-        return InterpolativeDecomposition(np.zeros((0, n)), np.zeros(0, dtype=np.intp), 0)
-    Q, R, piv = scipy.linalg.qr(M, mode="economic", pivoting=True)
-    rank = rank_from_tolerance(np.diag(R), rel_tol, abs_tol, max_rank)
-    piv = np.asarray(piv, dtype=np.intp)
+        return np.zeros((0, n)), np.zeros(0, dtype=np.intp), 0
+    packed, piv, _ = pivoted_qr(M)
+    rank = rank_from_tolerance(packed.diagonal(), rel_tol, abs_tol, max_rank)
     if rank == 0:
-        return InterpolativeDecomposition(np.zeros((0, n)), np.zeros(0, dtype=np.intp), 0)
-    R11 = R[:rank, :rank]
-    R12 = R[:rank, rank:]
-    # T solves R11 T = R12 (well conditioned because R11 comes from pivoted QR).
-    if R12.shape[1] > 0:
-        T = scipy.linalg.solve_triangular(R11, R12, lower=False)
-    else:
-        T = np.zeros((rank, 0))
+        return np.zeros((0, n)), np.zeros(0, dtype=np.intp), 0
     P = np.empty((rank, n), dtype=np.float64)
     P[:, piv[:rank]] = np.eye(rank)
-    P[:, piv[rank:]] = T
-    return InterpolativeDecomposition(P, piv[:rank].copy(), rank)
+    if rank < n:
+        # T solves R11 T = R12 (well conditioned because R11 comes from
+        # pivoted QR), as the transposed system: that is how scipy's
+        # triangular solve hands over an R11 that is not Fortran-ordered,
+        # and the no-transpose upper solve rounds differently.
+        T, info = dtrtrs(packed[:rank, :rank].T, packed[:rank, rank:],
+                         lower=1, trans=1)
+        if info != 0:
+            raise_trtrs_info(info)
+        P[:, piv[rank:]] = T
+    return P, piv[:rank].copy(), rank
 
 
 def column_id(M: np.ndarray, rel_tol: float = 1e-8, abs_tol: float = 0.0,
@@ -91,7 +103,8 @@ def column_id(M: np.ndarray, rel_tol: float = 1e-8, abs_tol: float = 0.0,
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2:
         raise ValueError(f"M must be 2-dimensional, got shape {M.shape}")
-    return _pivoted_qr_interp(M, rel_tol, abs_tol, max_rank)
+    return InterpolativeDecomposition(
+        *_column_interp(M, rel_tol, abs_tol, max_rank))
 
 
 def row_id(M: np.ndarray, rel_tol: float = 1e-8, abs_tol: float = 0.0,
@@ -103,5 +116,5 @@ def row_id(M: np.ndarray, rel_tol: float = 1e-8, abs_tol: float = 0.0,
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2:
         raise ValueError(f"M must be 2-dimensional, got shape {M.shape}")
-    cid = _pivoted_qr_interp(M.T, rel_tol, abs_tol, max_rank)
-    return InterpolativeDecomposition(cid.interp.T, cid.skeleton, cid.rank)
+    P, skeleton, rank = _column_interp(M.T, rel_tol, abs_tol, max_rank)
+    return InterpolativeDecomposition(P.T, skeleton, rank)

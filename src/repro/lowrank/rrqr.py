@@ -5,7 +5,9 @@ from __future__ import annotations
 from typing import Tuple
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dorgqr
+
+from .lapack import pivoted_qr, with_optimal_workspace
 
 
 def rank_from_tolerance(R_diag: np.ndarray, rel_tol: float, abs_tol: float = 0.0,
@@ -53,6 +55,9 @@ def rrqr(A: np.ndarray, rel_tol: float = 1e-8, abs_tol: float = 0.0,
     m, n = A.shape
     if m == 0 or n == 0:
         return (np.zeros((m, 0)), np.zeros((0, n)), np.arange(n, dtype=np.intp), 0)
-    Q, R, piv = scipy.linalg.qr(A, mode="economic", pivoting=True)
-    rank = rank_from_tolerance(np.diag(R), rel_tol, abs_tol, max_rank)
-    return Q[:, :rank], R[:rank], np.asarray(piv, dtype=np.intp), rank
+    packed, piv, tau = pivoted_qr(A)
+    k = min(m, n)
+    rank = rank_from_tolerance(packed.diagonal(), rel_tol, abs_tol, max_rank)
+    R = np.triu(packed[:k])
+    Q, = with_optimal_workspace(dorgqr, packed[:, :k], tau, overwrite_a=1)
+    return Q[:, :rank], R[:rank], piv, rank

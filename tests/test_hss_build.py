@@ -5,11 +5,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import obs
 from repro.clustering import cluster, natural_tree
 from repro.config import HSSOptions
-from repro.hss import (HSSMatrix, build_hss_from_dense, build_hss_randomized)
-from repro.kernels import (DenseMatrixOperator, GaussianKernel,
+from repro.datasets import load_dataset
+from repro.hss import (HSSMatrix, build_hss_from_dense, build_hss_randomized,
+                       build_random, compress_kernel)
+from repro.kernels import (DenseMatrixOperator, GaussianKernel, KernelOperator,
                            ShiftedKernelOperator)
+from repro.utils.random import as_generator
 
 
 def _clustered_kernel(n=200, d=6, h=1.0, lam=1.0, seed=0, method="two_means"):
@@ -174,3 +178,275 @@ class TestStatistics:
         K, result = _clustered_kernel(n=400, seed=10)
         hss = build_hss_from_dense(K, result.tree, HSSOptions(rel_tol=0.1))
         assert hss.nbytes < K.nbytes / 2
+
+
+# --------------------------------------------------------------------------
+# The subtree-ordered walk: same generators as a level-order walk, found out
+# sooner when the sample is too small.
+
+_GENERATORS = ("D", "U", "V", "B12", "B21", "row_skeleton", "col_skeleton")
+
+
+class _SweepCounting:
+    """An operator that records every sampling sweep's width and every
+    block request."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.n = inner.n if hasattr(inner, "n") else inner.shape[0]
+        self.sweeps = []
+        self.blocks = []
+
+    def matmat(self, V):
+        self.sweeps.append(V.shape[1])
+        return self.inner.matmat(V)
+
+    def rmatmat(self, V):
+        return self.inner.rmatmat(V)
+
+    def block(self, rows, cols):
+        self.blocks.append((rows, cols))
+        return self.inner.block(rows, cols)
+
+
+def _level_order_reference(operator, tree, opts, seed):
+    """The walk the builder used to make, through the builder's node kernel.
+
+    Every attempt compresses the whole tree level by level, deepest level
+    first, and a saturated node restarts all of it on a wider sample; the
+    restart rule and the random stream are the builder's.  Returns the
+    generators and the widths of the attempts.
+    """
+    rng = as_generator(seed)
+    nodes = build_random._node_schedule(tree)
+    leaves = {}
+    for node_id in tree.leaves():
+        index = tree.indices(node_id)
+        leaves[node_id] = (index, np.asarray(operator.block(index, index),
+                                             dtype=np.float64))
+    widths = []
+
+    def attempt(n_random, accept_saturated):
+        widths.append(n_random)
+        sample = build_random._Sample(operator, opts, rng, n_random, leaves,
+                                      tree.root, accept_saturated)
+        node_data, carries = [None] * tree.n_nodes, {}
+        for level in reversed(tree.levels()):
+            for node_id in level:
+                node_data[node_id], carries[node_id] = sample.node(
+                    nodes[node_id], node_data, carries)
+        return node_data
+
+    n = tree.n
+    n_random = min(max(opts.initial_samples, 2 * opts.oversampling + 2), n)
+    for _ in range(opts.max_adaptive_rounds):
+        try:
+            return attempt(n_random, False), widths
+        except build_random._SaturatedSample:
+            if n_random >= n:
+                break
+            n_random = min(max(2 * n_random,
+                               n_random + opts.sample_increment), n)
+    return attempt(n_random, True), widths
+
+
+def _unclustered_like(n=512, method="natural"):
+    """The ledger's ``unclustered`` recipe at a test's size."""
+    data = load_dataset("susy", n_train=n, n_test=16, seed=0)
+    result = cluster(data.X_train, method=method, leaf_size=16, seed=0)
+    return result, GaussianKernel(h=data.h)
+
+
+def _walk_case(name):
+    """``(operator, tree, options)`` of one row of the walk table."""
+    symmetry, method = name.split("-")[:2]
+    result, kernel = _unclustered_like(method=method)
+    if method == "two_means":
+        assert len({result.tree.node(i).level
+                    for i in result.tree.leaves()}) > 1      # unbalanced
+    if name.endswith("rounds-exhausted"):
+        opts = HSSOptions(rel_tol=1e-3, max_adaptive_rounds=2)
+    elif name.endswith("small-start"):
+        opts = HSSOptions(initial_samples=16, oversampling=4)
+    else:
+        opts = HSSOptions()
+    if symmetry == "symmetric":
+        return KernelOperator(result.X, kernel), result.tree, opts
+    # a column scaling keeps the off-diagonal ranks and breaks the symmetry
+    scale = 1.0 + 0.5 * np.sin(np.arange(result.X.shape[0]))
+    A = kernel.matrix(result.X) * scale[None, :]
+    assert not np.allclose(A, A.T)
+    return DenseMatrixOperator(A), result.tree, opts.with_(symmetric=False)
+
+
+class TestSubtreeOrderedWalk:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("case,attempts", [
+        ("symmetric-natural", 2),
+        ("symmetric-natural-small-start", 3),        # two restarts
+        ("symmetric-two_means-small-start", 2),
+        ("symmetric-natural-rounds-exhausted", 3),   # last attempt accepts
+        ("nonsymmetric-natural-small-start", 3),
+        ("nonsymmetric-two_means-small-start", 2),
+    ])
+    def test_generators_bitwise_equal_a_level_order_walk(self, case, attempts,
+                                                         workers):
+        operator, tree, opts = _walk_case(case)
+        reference, widths = _level_order_reference(operator, tree, opts, seed=5)
+        assert len(widths) == attempts
+
+        counting = _SweepCounting(operator)
+        hss, stats = build_hss_randomized(
+            counting, tree, opts.with_(workers=workers), rng=5)
+        assert counting.sweeps == widths
+        assert (stats.rounds, stats.random_vectors) == (len(widths), widths[-1])
+        for node_id, (got, want) in enumerate(zip(hss.node_data, reference)):
+            for name in _GENERATORS:
+                a, b = getattr(got, name), getattr(want, name)
+                assert (a is None) == (b is None), (node_id, name)
+                if a is not None:
+                    assert a.dtype == b.dtype and a.shape == b.shape
+                    assert np.array_equal(a, b), (node_id, name)
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_cut_partitions_the_tree(self, workers):
+        for method in ("natural", "two_means"):
+            tree = _unclustered_like(method=method)[0].tree
+            nodes = build_random._node_schedule(tree)
+            cut, above = build_random._subtree_cut(nodes, tree.root, workers)
+            if workers == 1:
+                assert (cut, above) == ([tree.root], [])
+            else:
+                assert len(cut) >= 4 * workers
+            below = [node[0] for top in cut
+                     for node in build_random._postorder(nodes, top)]
+            over = [i for level in above for i in level]
+            assert sorted(below + over) == list(range(tree.n_nodes))
+            # children before parents, inside every subtree and above the cut
+            seen = set()
+            for node_id in below + over:
+                nd = tree.node(node_id)
+                assert nd.is_leaf or {nd.left, nd.right} <= seen
+                seen.add(node_id)
+
+    def test_single_leaf_and_two_leaf_trees(self):
+        rng = np.random.default_rng(2)
+        for n in (10, 24):
+            X = rng.standard_normal((n, 2))
+            tree = natural_tree(X, leaf_size=16)
+            K = GaussianKernel(h=1.0).matrix(X)
+            for workers in (1, 2):
+                hss, stats = build_hss_randomized(
+                    DenseMatrixOperator(K), tree,
+                    HSSOptions(rel_tol=1e-10, workers=workers), rng=0)
+                np.testing.assert_allclose(hss.to_dense(), K, atol=1e-8)
+                assert stats.nodes_compressed == tree.n_nodes
+                assert stats.nodes_discarded == 0
+
+    def test_a_discarded_attempt_costs_a_subtree_not_the_tree(self, monkeypatch):
+        """Level by level, an attempt at this fixture's first width met its
+        saturated node after 33 of 63 compressions; in post-order it is met
+        right after its own subtree."""
+        result, kernel = _unclustered_like()
+        operator = _SweepCounting(KernelOperator(result.X, kernel))
+        per_attempt = []
+        compress = build_random.row_id
+
+        def counted(*args, **kwargs):
+            while len(per_attempt) < len(operator.sweeps):
+                per_attempt.append(0)
+            per_attempt[-1] += 1
+            return compress(*args, **kwargs)
+
+        monkeypatch.setattr(build_random, "row_id", counted)
+        hss, stats = build_hss_randomized(operator, result.tree,
+                                          HSSOptions(workers=1), rng=0)
+        n_nodes = result.tree.n_nodes
+        assert stats.rounds == len(per_attempt) >= 2
+        assert per_attempt[-1] == n_nodes - 1          # the root compresses nothing
+        for discarded in per_attempt[:-1]:
+            assert discarded <= n_nodes // 4
+        assert stats.nodes_discarded == sum(per_attempt[:-1])
+        assert stats.nodes_compressed == stats.nodes_discarded + n_nodes
+        assert 0.0 < stats.discarded_time < stats.construction_time
+
+    def test_leaf_blocks_are_extracted_once_per_build(self):
+        """They are exact entries no sample changes; re-extracting them per
+        attempt was pure kernel evaluation."""
+        result, kernel = _unclustered_like()
+        operator = _SweepCounting(KernelOperator(result.X, kernel))
+        hss, stats = build_hss_randomized(operator, result.tree, HSSOptions(),
+                                          rng=0)
+        assert stats.rounds >= 2
+        diagonal = [rows for rows, cols in operator.blocks
+                    if rows.shape == cols.shape and np.array_equal(rows, cols)]
+        assert len(diagonal) == len(result.tree.leaves())
+
+    def test_call_count_guard(self):
+        """Per-node Python must not creep back into the walk.
+
+        On this fixture (105 nodes, one attempt) the level-order builder on
+        the ``scipy.linalg`` wrappers made 19 247 Python + C calls, 183 per
+        node visit; the lean walk makes about 66 per visit.
+        """
+        import cProfile
+        import pstats
+
+        result, kernel = _unclustered_like(method="two_means")
+        operator = KernelOperator(result.X, kernel)
+        opts = HSSOptions(workers=1)
+        build_hss_randomized(operator, result.tree, opts, rng=0)   # warm caches
+        profiler = cProfile.Profile()
+        profiler.enable()
+        _, stats = build_hss_randomized(operator, result.tree, opts, rng=0)
+        profiler.disable()
+        calls = pstats.Stats(profiler).total_calls
+        assert calls <= 85 * stats.nodes_compressed, (
+            f"{calls} calls for {stats.nodes_compressed} node visits")
+
+
+class TestSamplingStats:
+    def test_accept_saturated_paths_count_every_sweep(self):
+        """``max_adaptive_rounds`` exhausted: the last sweep ran at the grown
+        width, and was reported under the previous round's numbers."""
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((200, 2))
+        tree = natural_tree(X, leaf_size=100)
+        operator = _SweepCounting(
+            DenseMatrixOperator(GaussianKernel(h=1.0).matrix(X)))
+        opts = HSSOptions(rel_tol=1e-14, abs_tol=0.0, max_adaptive_rounds=2)
+        _, stats = build_hss_randomized(operator, tree, opts, rng=0)
+        assert operator.sweeps == [32, 64, 128]
+        assert stats.rounds == 3
+        assert stats.random_vectors == 128
+
+    def test_full_width_sample_is_redrawn_once_and_counted(self):
+        """``n_random >= n``: a saturated node cannot ask for more columns, so
+        one more full-width sweep is accepted as it is."""
+        rng = np.random.default_rng(1)
+        n, r = 18, 7
+        A = 3.0 * np.eye(n) + (rng.standard_normal((n, r))
+                               @ rng.standard_normal((r, n)))
+        tree = natural_tree(rng.standard_normal((n, 2)), leaf_size=9)
+        operator = _SweepCounting(DenseMatrixOperator(A))
+        # 9-row leaves of off-diagonal rank 7 >= 18 - 12: "saturated" at a
+        # width that cannot grow
+        opts = HSSOptions(rel_tol=1e-10, abs_tol=0.0, oversampling=12,
+                          symmetric=False)
+        hss, stats = build_hss_randomized(operator, tree, opts, rng=0)
+        np.testing.assert_allclose(hss.to_dense(), A, atol=1e-8)
+        assert operator.sweeps == [n, n]
+        assert (stats.rounds, stats.random_vectors) == (2, n)
+        assert stats.nodes_discarded > 0
+
+    def test_span_reports_the_wasted_part(self):
+        result, kernel = _unclustered_like()
+        with obs.trace.span("test.root") as root:
+            compress_kernel(result.X, result.tree, kernel, seed=0)
+        attrs = root.find("hss.build").attributes
+        assert attrs["nodes"] == result.tree.n_nodes
+        assert attrs["rounds"] >= 2 and attrs["random_vectors"] >= 64
+        assert attrs["nodes_compressed"] == attrs["nodes"] + attrs["nodes_discarded"]
+        assert 0 < attrs["nodes_discarded"] < (attrs["rounds"] - 1) * attrs["nodes"]
+        assert 0.0 < attrs["discarded_seconds"]
+        assert 0.0 < attrs["sample_seconds"]
