@@ -101,6 +101,45 @@ class ClusterTree:
                     raise ValueError(
                         f"children of node {i} do not partition [{node.start}, {node.stop})")
 
+    # ------------------------------------------------------------- node table
+    def node_table(self) -> np.ndarray:
+        """The nodes as one ``(n_nodes, 6)`` int64 table.
+
+        Returns
+        -------
+        numpy.ndarray
+            Rows of ``(start, stop, left, right, parent, level)`` — the
+            ``tree.nodes`` array of a model artifact and the wire format
+            shard workers receive their local tree in.
+        """
+        return np.array(
+            [[nd.start, nd.stop, nd.left, nd.right, nd.parent, nd.level]
+             for nd in self.nodes], dtype=np.int64)
+
+    @classmethod
+    def from_node_table(cls, perm: np.ndarray, table: np.ndarray,
+                        root: int = 0) -> "ClusterTree":
+        """Rebuild a tree from its permutation and :meth:`node_table`.
+
+        Parameters
+        ----------
+        perm:
+            Permutation array of the tree.
+        table:
+            ``(n_nodes, 6)`` integer table as written by :meth:`node_table`.
+        root:
+            Index of the root node.
+
+        Returns
+        -------
+        ClusterTree
+            The validated tree.
+        """
+        # columns are in ClusterNode's field order
+        nodes = [ClusterNode(*row)
+                 for row in np.asarray(table, dtype=np.int64).tolist()]
+        return cls(perm, nodes, root=root)
+
     # -------------------------------------------------------------- accessors
     @property
     def n(self) -> int:

@@ -4,34 +4,38 @@ The paper's strong-scaling results come from distributed-memory runs where
 every MPI rank owns a subtree of the cluster tree, ranks are launched once
 and per-rank factors stay resident across solves.  This package is the
 shared-memory-machine reproduction of that architecture with
-``multiprocessing`` — true process-level parallelism past the GIL:
+``multiprocessing`` — true process-level parallelism past the GIL.
 
+The factorization is block-diagonal ULV solves plus one Woodbury
+capacitance correction, written once as a *shard kernel* and a *coupling
+system* that run over either of *two transports*:
+
+* :mod:`repro.distributed.shard` — :class:`ShardKernel`, one shard's local
+  HSS / ULV factors and coupling columns with its four steps (``refit``,
+  ``couple``, ``solve``, ``correct``): the same class resident in a
+  worker, shipped back by ``collect`` and restored from an artifact;
+* :mod:`repro.distributed.factors` — :class:`ShardedFactors` /
+  :class:`ShardedULVSolver`, the coupling system: the capacitance matrix
+  of the top separator levels, the refit round and the Woodbury solve,
+  against whichever transport holds the kernels; persisted as the
+  ``dist.*`` artifact section;
+* the transports — :class:`ShardList` (kernels in this process) and
+  :mod:`repro.distributed.grid`'s :class:`WorkerGrid`, the persistent
+  process grid: one worker per shard, spawned once and reused warm across
+  arbitrarily many rounds, over the shared-memory numpy transport of
+  :mod:`repro.distributed.comm` (:class:`SharedArray`,
+  :class:`BlockChannel`: payloads are never pickled) and the command table
+  of :mod:`repro.distributed.worker` (:class:`WorkerConfig` at spawn,
+  :class:`FitSpec` per fit);
 * :mod:`repro.distributed.plan` — :class:`ShardPlan`, the bitwise
   deterministic cut of the cluster tree into ``P`` contiguous subtree
   shards (plus :func:`resolve_shards` / ``REPRO_SHARDS``);
-* :mod:`repro.distributed.comm` — shared-memory numpy transport
-  (:class:`SharedArray`, :class:`BlockChannel`): only tiny handles ride
-  the queues, payloads are never pickled;
-* :mod:`repro.distributed.grid` — :class:`WorkerGrid`, the persistent,
-  context-managed process grid: one worker per shard, spawned once and
-  reused warm across arbitrarily many fit / solve rounds (hyper-parameter
-  sweeps respawn nothing);
-* :mod:`repro.distributed.worker` — shard worker processes building their
-  local HSS / H-matrix pieces and partial ULV factors with the existing
-  level-parallel builders; spawn-time state in :class:`WorkerConfig`,
-  per-fit state in :class:`FitSpec`;
-* :mod:`repro.distributed.coordinator` — :class:`Coordinator`, which
-  merges the top separator levels (the low-rank inter-shard coupling) into
-  a small capacitance system and drives the distributed factor / solve
-  (multi-RHS in one round trip) over a grid;
-* :mod:`repro.distributed.factors` — :class:`ShardedFactors` /
-  :class:`ShardedULVSolver`: per-shard ULV factors shipped back from the
-  workers, persisted in version-2 model artifacts and re-solvable
-  in-process without any worker grid;
+* :mod:`repro.distributed.coordinator` — :class:`Coordinator`, the ``fit``
+  round that builds both halves in a grid, and the guard that keeps later
+  rounds off a grid another fit has reused;
 * :mod:`repro.distributed.solver` — :class:`DistributedSolver`, the
-  drop-in ``KernelSystemSolver`` wired into
-  :class:`repro.krr.KernelRidgeClassifier` / :class:`repro.krr.KRRPipeline`
-  through their ``shards=`` knob.
+  drop-in ``KernelSystemSolver`` behind every ``shards=`` knob; its verbs
+  run on whoever holds the fit's factors at that moment.
 
 Serving a model cut at the same shard boundaries is
 :class:`repro.serving.ShardedPredictionEngine`, which picks up the
@@ -47,6 +51,7 @@ from .coordinator import Coordinator
 from .factors import ShardedFactors, ShardedULVSolver
 from .grid import WorkerGrid
 from .plan import ShardPlan, resolve_shards
+from .shard import ShardKernel, ShardList
 from .solver import DistributedSolver
 from .worker import FitSpec, WorkerConfig
 
@@ -57,6 +62,8 @@ __all__ = [
     "DistributedError",
     "DistributedSolver",
     "FitSpec",
+    "ShardKernel",
+    "ShardList",
     "ShardPlan",
     "SharedArray",
     "ShardedFactors",

@@ -62,21 +62,26 @@ class ArraySpec:
         Array shape.
     dtype:
         NumPy dtype string (``np.dtype.str``).
+    order:
+        Memory order of the data, ``"C"`` or ``"F"``.  BLAS picks its
+        kernel by layout, so a shipped array keeps the sender's order —
+        the same rule artifacts follow — and computes the same bits on
+        either side of the queue.
     """
 
     name: str
     shape: Tuple[int, ...]
     dtype: str
+    order: str = "C"
 
 
 class SharedArray:
     """A numpy array backed by a named shared-memory segment.
 
-    Create on the sending side with :meth:`from_array` (or :meth:`create`
-    plus a write through :attr:`array`), ship the :attr:`spec`, and attach
-    on the receiving side with :meth:`attach`.  ``close`` detaches the
-    local mapping; ``unlink`` destroys the segment and must only be called
-    by the creator.
+    Create on the sending side with :meth:`from_array`, ship the
+    :attr:`spec`, and attach on the receiving side with :meth:`attach`.
+    ``close`` detaches the local mapping; ``unlink`` destroys the segment
+    and must only be called by the creator.
 
     Parameters
     ----------
@@ -84,35 +89,31 @@ class SharedArray:
         The underlying :class:`multiprocessing.shared_memory.SharedMemory`
         segment (use the factory classmethods rather than constructing
         directly).
-    shape, dtype:
+    shape, dtype, order:
         Array layout inside the segment.
     owner:
         Whether this process created the segment (and must unlink it).
     """
 
     def __init__(self, shm: shared_memory.SharedMemory,
-                 shape: Tuple[int, ...], dtype: np.dtype, owner: bool):
+                 shape: Tuple[int, ...], dtype: np.dtype, owner: bool,
+                 order: str = "C"):
         self._shm = shm
         self.shape = tuple(int(s) for s in shape)
         self.dtype = np.dtype(dtype)
+        self.order = order
         self.owner = bool(owner)
         self._closed = False
 
     # ------------------------------------------------------------- factories
     @classmethod
-    def create(cls, shape: Tuple[int, ...],
-               dtype=np.float64) -> "SharedArray":
-        """Allocate a fresh owned segment of the given layout."""
-        dtype = np.dtype(dtype)
-        nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-        shm = shared_memory.SharedMemory(create=True, size=max(1, nbytes))
-        return cls(shm, shape, dtype, owner=True)
-
-    @classmethod
     def from_array(cls, a: np.ndarray) -> "SharedArray":
-        """Allocate an owned segment and copy ``a`` into it."""
-        a = np.ascontiguousarray(a)
-        sa = cls.create(a.shape, a.dtype)
+        """Allocate an owned segment and copy ``a`` into it, in its order."""
+        a = np.asarray(a)
+        fortran = a.flags.f_contiguous and not a.flags.c_contiguous
+        shm = shared_memory.SharedMemory(create=True, size=max(1, a.nbytes))
+        sa = cls(shm, a.shape, a.dtype, owner=True,
+                 order="F" if fortran else "C")
         if a.size:
             sa.array[...] = a
         return sa
@@ -121,7 +122,8 @@ class SharedArray:
     def attach(cls, spec: ArraySpec) -> "SharedArray":
         """Map an existing segment by its :class:`ArraySpec` (not owned)."""
         shm = shared_memory.SharedMemory(name=spec.name)
-        return cls(shm, spec.shape, np.dtype(spec.dtype), owner=False)
+        return cls(shm, spec.shape, np.dtype(spec.dtype), owner=False,
+                   order=spec.order)
 
     # ------------------------------------------------------------- accessors
     @property
@@ -129,13 +131,14 @@ class SharedArray:
         """A numpy view of the segment (valid until :meth:`close`)."""
         if self._closed:
             raise RuntimeError("shared array has been closed")
-        return np.ndarray(self.shape, dtype=self.dtype, buffer=self._shm.buf)
+        return np.ndarray(self.shape, dtype=self.dtype, buffer=self._shm.buf,
+                          order=self.order)
 
     @property
     def spec(self) -> ArraySpec:
         """The picklable :class:`ArraySpec` handle of this segment."""
         return ArraySpec(name=self._shm.name, shape=self.shape,
-                         dtype=self.dtype.str)
+                         dtype=self.dtype.str, order=self.order)
 
     # -------------------------------------------------------------- lifetime
     def close(self) -> None:
@@ -209,10 +212,6 @@ class BlockChannel:
     def __init__(self, queue):
         self.queue = queue
         self._inflight: List[SharedArray] = []
-        #: messages published through :meth:`send` over the channel lifetime
-        self.messages_sent = 0
-        #: total array payload bytes that rode through shared memory
-        self.bytes_sent = 0
         reg = global_registry()
         self._m_messages = reg.counter(
             "repro_transport_messages_total",
@@ -232,8 +231,6 @@ class BlockChannel:
             self._inflight.append(sa)
             specs[key] = sa.spec
             msg_bytes += sa.array.nbytes
-        self.bytes_sent += msg_bytes
-        self.messages_sent += 1
         self._m_messages.inc()
         if msg_bytes:
             self._m_bytes.inc(msg_bytes)

@@ -2,13 +2,8 @@
 
 The paper's MPI runs amortize process startup across many factor / solve
 calls: ranks are launched once and every rank keeps its subtree's ULV
-factors resident between solves.  The first cut of :mod:`repro.distributed`
-(PR 3) instead respawned the whole process grid on every ``fit`` — worker
-startup (process spawn + interpreter + NumPy import) dominated small runs
-and made hyper-parameter sweeps pay the launch cost per configuration.
-
-:class:`WorkerGrid` closes that gap.  It owns exactly the *spawn-time*
-state of the distributed path:
+factors resident between solves.  :class:`WorkerGrid` does the same.  It
+owns exactly the *spawn-time* state of the distributed path:
 
 * one worker process per shard of a :class:`repro.distributed.ShardPlan`,
 * the permuted training set, published once into shared memory,
@@ -35,14 +30,15 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import List, Optional
 
 import numpy as np
 
 from ..obs import global_registry
 from .comm import (BlockChannel, DistributedError, SharedArray,
                    WorkerCrashedError)
-from .plan import ShardPlan
+from .plan import ShardPlan, resolve_shards
 from .worker import WorkerConfig, worker_main
 
 
@@ -59,13 +55,13 @@ def _start_method(override: Optional[str] = None) -> str:
     return "spawn"
 
 
+@dataclass
 class _WorkerHandle:
     """One worker process plus its two message channels."""
 
-    def __init__(self, process, request: BlockChannel, response: BlockChannel):
-        self.process = process
-        self.request = request
-        self.response = response
+    process: multiprocessing.Process
+    request: BlockChannel
+    response: BlockChannel
 
     @property
     def alive(self) -> bool:
@@ -133,7 +129,7 @@ class WorkerGrid:
         #: refuse to drive solves against a grid another fit has reused
         self.fit_generation = 0
         # Cached wire-format tree for compatible_with() (cheap memcmp).
-        self._tree_table = ShardPlan.node_table(plan.tree)
+        self._tree_table = plan.tree.node_table()
 
     # --------------------------------------------------------------- factory
     @classmethod
@@ -171,7 +167,6 @@ class WorkerGrid:
             A started grid (processes already spawned).
         """
         from ..clustering.api import cluster
-        from .plan import resolve_shards
 
         result = cluster(np.asarray(X, dtype=np.float64), method=clustering,
                          leaf_size=leaf_size, seed=seed)
@@ -184,11 +179,6 @@ class WorkerGrid:
     def running(self) -> bool:
         """``True`` while every worker process of the grid is alive."""
         return bool(self._workers) and all(w.alive for w in self._workers)
-
-    @property
-    def n_shards(self) -> int:
-        """Number of shards (and worker processes) of the grid."""
-        return self.plan.n_shards
 
     def start(self) -> "WorkerGrid":
         """Spawn the worker processes and publish the shared dataset.
@@ -209,12 +199,10 @@ class WorkerGrid:
         plan = self.plan
         for shard in range(plan.n_shards):
             local_tree = plan.subtree(shard)
-            tree_shm = SharedArray.from_array(
-                ShardPlan.node_table(local_tree))
+            tree_shm = SharedArray.from_array(local_tree.node_table())
             self._segments.append(tree_shm)
             config = WorkerConfig(
                 shard_id=shard,
-                n_shards=plan.n_shards,
                 boundaries=tuple(int(b) for b in plan.boundaries),
                 workers=self.worker_threads,
                 owned_pairs=tuple(plan.owned_pairs(shard)),
@@ -306,99 +294,66 @@ class WorkerGrid:
         """
         if plan != self.plan:
             return False
-        if not np.array_equal(ShardPlan.node_table(plan.tree),
-                              self._tree_table):
+        if not np.array_equal(plan.tree.node_table(), self._tree_table):
             return False
         X_permuted = np.asarray(X_permuted)
         return (X_permuted.shape == self.X.shape
                 and np.array_equal(X_permuted, self.X))
 
     # --------------------------------------------------------------- protocol
-    def _fail_fast(self, shard: int, exc: Exception) -> None:
+    def _fail_fast(self, shard: int, exc: DistributedError) -> None:
         """Terminate the whole grid and re-raise on any worker failure."""
         self.shutdown()
-        if isinstance(exc, DistributedError):
-            raise type(exc)(f"shard {shard}: {exc}") from None
-        raise exc
+        raise type(exc)(f"shard {shard}: {exc}") from None
 
-    def send(self, shard: int, tag: str, payload=None, arrays=None) -> None:
-        """Send one command to one worker (fail-fast if it is dead).
+    def round(self, tag: str, reply: str, payload=None,
+              per_shard_arrays=None) -> List[tuple]:
+        """One protocol round: send every worker a command, gather the replies.
+
+        A ``fit`` or ``refit`` round advances :attr:`fit_generation`: the
+        workers' resident factors now belong to the new (re)fit, and any
+        coordinator that recorded an earlier generation becomes stale.
+        Telemetry a worker attached to its reply (its *cumulative* local
+        snapshot) is folded into the registry, which keeps only the latest
+        snapshot per shard, so repeated rounds never double-count.
 
         Parameters
         ----------
-        shard:
-            Target shard id.
-        tag:
-            Protocol command name.
+        tag, reply:
+            Protocol command name, and the reply tag it requires.
         payload:
-            Small picklable payload (scalars / option dataclasses).
-        arrays:
-            Optional ``{name: ndarray}`` payloads; these ride through
-            shared memory, never through pickle.
+            Small picklable payload shared by all workers.
+        per_shard_arrays:
+            Optional per-worker ``{name: ndarray}`` dicts; these ride
+            through shared memory, never through pickle.
+
+        Returns
+        -------
+        list of tuple
+            ``(payload, arrays)`` of every worker's reply, in shard order.
 
         Raises
         ------
-        WorkerCrashedError
-            If the target worker process is already dead (the grid is torn
-            down first).
-        """
-        if not self._workers:
-            raise RuntimeError("worker grid is not running; call start()")
-        w = self._workers[shard]
-        if not w.alive:
-            self._fail_fast(shard, WorkerCrashedError(
-                "worker process is dead"))
-        w.request.send(tag, payload, arrays=arrays)
-
-    def broadcast(self, tag: str, per_shard_arrays=None, payload=None) -> None:
-        """Send one command to every worker.
-
-        A ``fit`` or ``refit`` broadcast advances
-        :attr:`fit_generation`:
-        the workers' resident factors now belong to the new (re)fit, and
-        any coordinator that recorded an earlier generation becomes stale.
-
-        Parameters
-        ----------
-        tag:
-            Protocol command name.
-        per_shard_arrays:
-            Optional list (length ``n_shards``) of per-worker array dicts.
-        payload:
-            Payload shared by all workers (e.g. a
-            :class:`repro.distributed.FitSpec`).
+        DistributedError
+            On a dead worker, an error reply, a protocol violation or a
+            missed deadline — the whole grid is torn down first
+            (fail-fast, no orphans).
         """
         if not self._workers:
             raise RuntimeError("worker grid is not running; call start()")
         if tag in ("fit", "refit"):
             self.fit_generation += 1
-        for shard in range(len(self._workers)):
-            arrays = (None if per_shard_arrays is None
-                      else per_shard_arrays[shard])
-            self.send(shard, tag, payload, arrays=arrays)
+        for shard, w in enumerate(self._workers):
+            if not w.alive:
+                self._fail_fast(shard, WorkerCrashedError(
+                    "worker process is dead"))
+            w.request.send(tag, payload, arrays=(
+                None if per_shard_arrays is None else per_shard_arrays[shard]))
+        return [self._recv(shard, reply)
+                for shard in range(len(self._workers))]
 
-    def recv(self, shard: int, expected: str):
-        """Receive one reply from one worker, enforcing the protocol.
-
-        Parameters
-        ----------
-        shard:
-            Shard id whose reply to wait for.
-        expected:
-            The reply tag the protocol requires next.
-
-        Returns
-        -------
-        tuple
-            ``(payload, arrays)`` of the reply.
-
-        Raises
-        ------
-        DistributedError
-            On a worker error reply, a protocol violation, a crash or a
-            missed deadline — in every case the whole grid is torn down
-            first (fail-fast, no orphans).
-        """
+    def _recv(self, shard: int, expected: str):
+        """One worker's reply (telemetry absorbed), or the grid torn down."""
         w = self._workers[shard]
         try:
             tag, payload, arrays = w.response.recv(
@@ -413,50 +368,32 @@ class WorkerGrid:
         if tag != expected:
             self._fail_fast(shard, DistributedError(
                 f"protocol error: expected {expected!r}, got {tag!r}"))
+        if isinstance(payload, dict) and "metrics" in payload:
+            global_registry().absorb(str(shard), payload.pop("metrics"))
         return payload, arrays
 
-    def ping(self, timeout: Optional[float] = None) -> bool:
-        """Round-trip a ``ping`` through every worker (health check).
+    # ---------------------------------------------------------- shard backend
+    # The four calls of the coupling system (see ShardedULVSolver), answered
+    # by the kernels resident in the workers: one round each, one entry per
+    # shard in and out.
+    def refit(self, lam: float) -> List[dict]:
+        """:meth:`ShardKernel.refit` in every worker (advances the generation)."""
+        return [out for out, _ in self.round("refit", "refitted", payload=lam)]
 
-        Parameters
-        ----------
-        timeout:
-            Optional per-reply deadline override in seconds.
+    def couple(self, F) -> List[np.ndarray]:
+        """:meth:`ShardKernel.couple` in every worker."""
+        return [arrays["M"] for _, arrays in self.round(
+            "couple", "coupled", per_shard_arrays=[{"F": f} for f in F])]
 
-        Returns
-        -------
-        bool
-            ``True`` if every worker answered; a dead or wedged worker
-            raises through the fail-fast path instead.
-        """
-        if not self.running:
-            return False
-        saved = self.response_timeout
-        if timeout is not None:
-            self.response_timeout = float(timeout)
-        try:
-            self.broadcast("ping")
-            for shard in range(len(self._workers)):
-                self.recv(shard, "pong")
-        finally:
-            self.response_timeout = saved
-        return True
+    def solve(self, y) -> List[np.ndarray]:
+        """:meth:`ShardKernel.solve` in every worker."""
+        return [arrays["g"] for _, arrays in self.round(
+            "solve", "partial", per_shard_arrays=[{"y": b} for b in y])]
 
-    # ------------------------------------------------------------------ stats
-    def transport_stats(self) -> Dict[str, int]:
-        """Aggregate request-channel transport counters of the grid.
-
-        Returns
-        -------
-        dict
-            ``messages_sent`` and ``bytes_sent`` summed over the per-worker
-            request channels (coordinator -> worker direction).
-        """
-        return {
-            "messages_sent": sum(w.request.messages_sent
-                                 for w in self._workers),
-            "bytes_sent": sum(w.request.bytes_sent for w in self._workers),
-        }
+    def correct(self, c) -> List[np.ndarray]:
+        """:meth:`ShardKernel.correct` in every worker."""
+        return [arrays["w"] for _, arrays in self.round(
+            "correct", "solved", per_shard_arrays=[{"c": v} for v in c])]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "running" if self.running else "stopped"

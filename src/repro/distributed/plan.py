@@ -228,12 +228,6 @@ class ShardPlan:
         """Per-shard point counts, in shard order."""
         return np.diff(self.boundaries)
 
-    def shard_of(self, position: int) -> int:
-        """Shard owning one permuted position."""
-        if not 0 <= position < self.n:
-            raise ValueError("position out of range")
-        return int(np.searchsorted(self.boundaries, position, side="right")) - 1
-
     def shard_frontier(self, shard: int) -> List[int]:
         """Frontier node ids owned by ``shard`` (in position order)."""
         return [f for f, o in zip(self.frontier, self.owner) if o == shard]
@@ -260,28 +254,6 @@ class ShardPlan:
                 if self.pair_owner(s, t) == shard]
 
     # ------------------------------------------------------------ subtrees
-    @staticmethod
-    def node_table(tree: ClusterTree) -> np.ndarray:
-        """Flatten a tree's nodes into one ``(n_nodes, 6)`` int64 table.
-
-        Parameters
-        ----------
-        tree:
-            Any :class:`repro.clustering.ClusterTree`.
-
-        Returns
-        -------
-        numpy.ndarray
-            Rows of ``(start, stop, left, right, parent, level)`` — the
-            wire format shipped to shard workers at spawn time and the
-            payload compared by :meth:`WorkerGrid.compatible_with
-            <repro.distributed.WorkerGrid.compatible_with>` to decide
-            whether a warm grid can be reused for a new fit.
-        """
-        return np.array(
-            [[nd.start, nd.stop, nd.left, nd.right, nd.parent, nd.level]
-             for nd in tree.nodes], dtype=np.int64)
-
     def subtree(self, shard: int) -> ClusterTree:
         """The local cluster tree of one shard (positions ``[0, size)``).
 

@@ -11,10 +11,11 @@ grid was spawned by a previous ``fit`` of this solver or passed in
 explicitly for a hyper-parameter sweep.  A bandwidth move
 (``refit_kernel``) is exactly such a warm ``fit`` on the retained tree:
 each worker reuses its resident block cluster tree and redoes the
-kernel-dependent numerics and coupling blocks.  ``solve`` runs the
-distributed Woodbury solve (multi-RHS in one round trip) while the grid
-is up, and falls back to the in-process :class:`repro.distributed.ShardedULVSolver`
-over the collected per-shard factors after ``close()`` — so trained models
+kernel-dependent numerics and coupling blocks.  ``refit`` and ``solve``
+run on whoever holds the fit's factors at that moment: the coordinator
+(one protocol round per step, multi-RHS in one round trip) while its fit is
+the grid's resident state, the same coupling system over the shard kernels
+collected at fit time once the grid is closed or reused — so trained models
 keep full re-solve capability with no worker processes, and persist that
 way (see :mod:`repro.distributed.factors`).
 """
@@ -27,9 +28,8 @@ import numpy as np
 
 from ..config import HMatrixOptions, HSSOptions
 from ..krr.solvers import KernelSystemSolver
-from ..utils.timing import TimingLog
 from .coordinator import Coordinator
-from .factors import ShardedFactors, ShardedULVSolver
+from .factors import ShardedFactors
 from .grid import WorkerGrid
 from .plan import ShardPlan, resolve_shards
 
@@ -115,7 +115,6 @@ class DistributedSolver(KernelSystemSolver):
         #: collected per-shard factors of the last fit (``None`` when
         #: ``collect_factors=False``); powers post-close solves + saving
         self.factors_: Optional[ShardedFactors] = None
-        self._local_solver: Optional[ShardedULVSolver] = None
         #: whether the last fit reused a live grid (zero process spawns)
         self.warm_start_: bool = False
         #: full distributed compressions performed (λ-only refits add none)
@@ -158,7 +157,6 @@ class DistributedSolver(KernelSystemSolver):
         plan = ShardPlan.from_tree(tree, n_shards, cut_level=self.cut_level)
         grid = self._resolve_grid(plan, X_permuted)
         self.plan_ = grid.plan
-        self._local_solver = None
         self.factors_ = None
         self.coordinator_ = Coordinator.on_grid(
             grid, kernel, lam,
@@ -180,11 +178,9 @@ class DistributedSolver(KernelSystemSolver):
                 self._owned_grid.shutdown()
             raise
         self.compression_count += 1
-        # partial_fit builds its Woodbury correction blocks against the
-        # fit context, with the base solves fanned out through _solve_impl
-        # (live coordinator round-trips while the grid is up — the workers
-        # hold the factors the correction right-hand sides are solved
-        # against — or the collected in-process factors after close()).
+        # One coupling system serves every later verb, whoever holds the
+        # factors then; its refit and solve phases land in this report.
+        self.coordinator_.system.report = self.report
         self.report.shards = self.plan_.n_shards
         self.report.workers = max(1, int(self.workers or 1))
         self.report.timings = dict(info["timings"])
@@ -196,84 +192,41 @@ class DistributedSolver(KernelSystemSolver):
         self.report.max_rank = int(info["max_rank"])
         self.report.random_vectors = int(info["random_vectors"])
 
-    # ----------------------------------------------------------------- refit
-    def _refit_impl(self, lam: float) -> None:
-        # Live grid first: workers keep their λ-free local compressions
-        # resident, so the refit costs one local ULV per shard plus the
-        # capacitance merge — zero spawns, zero recompressions.
-        if self.coordinator_ is not None and self.coordinator_.current:
-            info = self.coordinator_.refit(lam)
-            if int(info.get("recompressions", 0)) != 0:
-                raise AssertionError(
-                    "distributed refit performed a recompression")
-            if self.collect_factors:
-                if self.factors_ is not None:
-                    # Only the ULV payload + capacitance changed: refresh
-                    # them into the existing factors instead of re-shipping
-                    # the (λ-free, identical) HSS generators per refit.
-                    self.coordinator_.refresh_factors(self.factors_)
-                else:
-                    self.factors_ = self.coordinator_.collect_factors()
-                self._local_solver = None
-            self.report.timings = dict(info["timings"])
-            return
-        if self.factors_ is not None:
-            # Grid down (close() after training) or reused by a newer fit:
-            # refit offline over the collected λ-free factors.
-            if self._local_solver is None:
-                self._local_solver = ShardedULVSolver(self.factors_)
-            try:
-                self._local_solver.refit(lam)
-            except BaseException:
-                # A failure mid-refit leaves the shared ShardedFactors
-                # with shards at mixed λ; drop both so later solves and
-                # saves fail loudly instead of using them.
-                self.factors_ = None
-                self._local_solver = None
-                raise
-            self.report.timings = dict(self._local_solver.report.timings)
-            self._local_solver.report.timings.clear()
-            return
-        raise RuntimeError(
-            "distributed workers are not running (or the shared grid was "
-            "reused by a newer fit) and no factors were collected "
-            "(collect_factors=False); a full fit is required to change "
-            "lambda")
+    # --------------------------------------------------------- refit / solve
+    def _resident(self):
+        """Whoever holds *this* fit's factors right now.
 
-    # ----------------------------------------------------------------- solve
-    def _solve_impl(self, y: np.ndarray) -> np.ndarray:
-        # The live path requires the coordinator's fit to still be the
-        # grid's resident state: on a shared grid, a later fit by another
-        # solver replaces the worker-resident factors, and mixing them
-        # with this solver's capacitance state would be silently wrong.
-        if self.coordinator_ is not None and self.coordinator_.current:
-            log = TimingLog()
-            with log.phase("solve"):
-                w = self.coordinator_.solve(y)
-            for name, sec in log.phases.items():
-                self.report.timings[name] = \
-                    self.report.timings.get(name, 0.0) + sec
-            return w
+        The coordinator while its fit is the grid's resident state (a
+        later fit on a shared grid replaces the worker-resident factors;
+        mixing them with this fit's capacitance state would be silently
+        wrong), else the coupling system over the shard kernels collected
+        at fit time.  Both answer ``refit(lam)`` and ``solve(y)`` alike.
+        """
+        coordinator = self.coordinator_
+        if coordinator is not None and coordinator.current:
+            return coordinator
         if self.factors_ is not None:
-            # Grid down (close() after training) or reused by a newer fit:
-            # solve in-process over the factors collected at fit time —
-            # same math, and guaranteed to be *this* fit's factors.  Route
-            # through solve() (not _solve_impl) so a local solver whose
-            # refit failed mid-way (_fitted=False) refuses loudly instead
-            # of serving mixed-λ factors.
-            if self._local_solver is None:
-                self._local_solver = ShardedULVSolver(self.factors_)
-            w = self._local_solver.solve(y)
-            for name, sec in self._local_solver.report.timings.items():
-                self.report.timings[name] = \
-                    self.report.timings.get(name, 0.0) + sec
-            self._local_solver.report.timings.clear()
-            return w
+            return coordinator.system
         raise RuntimeError(
             "distributed workers are not running (or the shared grid was "
             "reused by a newer fit) and no factors were collected "
-            "(collect_factors=False); refit to solve for new right-hand "
-            "sides")
+            "(collect_factors=False); a full fit is required before "
+            "refit() or solve()")
+
+    def _refit_impl(self, lam: float) -> None:
+        holder = self._resident()
+        try:
+            holder.refit(lam)
+        except BaseException:
+            if holder is not self.coordinator_:
+                # The in-process shards are at mixed λ; drop them so later
+                # solves and saves fail loudly instead of using them.  (A
+                # failed grid round leaves them whole at the previous λ.)
+                self.factors_ = None
+            raise
+
+    def _solve_impl(self, y: np.ndarray) -> np.ndarray:
+        return self._resident().solve(y)
 
     # ------------------------------------------------------------- lifecycle
     def close(self) -> None:

@@ -68,6 +68,11 @@ class SolveReport:
         """Accumulated seconds of the named phase (0.0 if absent)."""
         return self.timings.get(name, 0.0)
 
+    def add_timings(self, log: TimingLog) -> None:
+        """Add the phases of ``log`` to :attr:`timings` (summing shared ones)."""
+        for name, sec in log.phases.items():
+            self.timings[name] = self.timings.get(name, 0.0) + sec
+
     @property
     def total_time(self) -> float:
         return float(sum(self.timings.values()))
@@ -349,8 +354,7 @@ class DenseSolver(KernelSystemSolver):
         log = TimingLog()
         with log.phase("solve"):
             w = scipy.linalg.cho_solve(self._cho, y)
-        for name, sec in log.as_dict().items():
-            self.report.timings[name] = self.report.timings.get(name, 0.0) + sec
+        self.report.add_timings(log)
         return w
 
 
@@ -514,8 +518,7 @@ class HSSSolver(KernelSystemSolver):
     def _solve_impl(self, y: np.ndarray) -> np.ndarray:
         log = TimingLog()
         w = self.factorization_.solve(y, timing=log)
-        for name, sec in log.as_dict().items():
-            self.report.timings[name] = self.report.timings.get(name, 0.0) + sec
+        self.report.add_timings(log)
         return w
 
     def close(self) -> None:
@@ -580,8 +583,7 @@ class CGSolver(KernelSystemSolver):
                 out[:, j] = w
                 iterations = max(iterations, counter.count)
         self.report.iterations = iterations
-        for name, sec in log.as_dict().items():
-            self.report.timings[name] = self.report.timings.get(name, 0.0) + sec
+        self.report.add_timings(log)
         return out.ravel() if single else out
 
 

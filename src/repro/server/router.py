@@ -183,10 +183,21 @@ class ModelRouter:
                    recompress_mode=config.stream.recompress)
 
     # ------------------------------------------------------------- generations
-    def _build_generation(self, name: str, trail: RequestTrail) -> _Generation:
-        """Load the latest store revision and start a serving generation."""
+    def _build_generation(self, name: str, trail: RequestTrail,
+                          applied=None) -> _Generation:
+        """Start a serving generation of the latest store revision.
+
+        ``applied`` is the ``(model, record)`` a :meth:`ModelStore.apply`
+        of this router just published: while that record is still the
+        store's latest the model in hand *is* the archive's content, so it
+        is served as is; once an overlapping ``apply`` has published a
+        newer revision, that one is loaded instead.
+        """
         record = self.store.latest(name)
-        model = self.store.load(name)
+        if applied is not None and applied[1].revision == record.revision:
+            model = applied[0]
+        else:
+            model = self.store.load(name)
         if self.shards is not None and int(self.shards) > 1:
             engine = ShardedPredictionEngine(
                 model, shards=int(self.shards), batch_size=self.batch_size,
@@ -270,6 +281,11 @@ class ModelRouter:
         dict
             ``{"model", "old_revision", "new_revision", "swapped"}``.
         """
+        return self._swap(name, force, wait)
+
+    def _swap(self, name: str, force: bool = False, wait: bool = False,
+              applied=None) -> Dict[str, object]:
+        """:meth:`swap`, given what :meth:`_build_generation` can reuse."""
         entry = self._entry(name)
         with entry.lock:
             if entry.active is None:
@@ -279,7 +295,7 @@ class ModelRouter:
             if latest == old.revision and not force:
                 return {"model": name, "old_revision": old.revision,
                         "new_revision": old.revision, "swapped": False}
-            new = self._build_generation(name, entry.trail)
+            new = self._build_generation(name, entry.trail, applied)
             entry.active = new  # the atomic flip: new requests route here
             self._m_revision.labels(model=name).set(new.revision)
             self._m_swaps.labels(model=name).inc()
@@ -299,11 +315,12 @@ class ModelRouter:
         The shared body of :meth:`refit`, :meth:`update` and the
         background recompression: the store loads the model, calls the
         verb and re-saves it (bumping the revision), and traffic flips to
-        the result.  Returns the mutated model and the swap result.
+        the result — the model in hand, not a second load of what was
+        just saved.  Returns the mutated model and the swap result.
         """
         self._entry(name)  # must already be served
-        model, _ = self.store.apply(name, verb, *args, **kwargs)
-        return model, self.swap(name)
+        applied = self.store.apply(name, verb, *args, **kwargs)
+        return applied[0], self._swap(name, applied=applied)
 
     def refit(self, name: str, lam: float) -> Dict[str, object]:
         """Refit ``name`` at a new λ, re-save, and hot-swap to the result.

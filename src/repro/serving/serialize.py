@@ -65,7 +65,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ..clustering.api import ClusteringResult
-from ..clustering.tree import ClusterNode, ClusterTree
+from ..clustering.tree import ClusterTree
 from ..hss.generators import HSSNodeData
 from ..hss.hss_matrix import HSSMatrix
 from ..hss.ulv import ULVFactorization, _NodeFactors
@@ -142,12 +142,9 @@ class ModelArtifact:
 
 def tree_to_arrays(tree: ClusterTree, prefix: str = "tree.") -> Dict[str, np.ndarray]:
     """Flatten a :class:`ClusterTree` into a dictionary of arrays."""
-    nodes = np.array(
-        [[nd.start, nd.stop, nd.left, nd.right, nd.parent, nd.level]
-         for nd in tree.nodes], dtype=np.int64)
     return {
         f"{prefix}perm": np.asarray(tree.perm, dtype=np.int64),
-        f"{prefix}nodes": nodes,
+        f"{prefix}nodes": tree.node_table(),
         f"{prefix}root": np.array([tree.root], dtype=np.int64),
     }
 
@@ -160,10 +157,7 @@ def tree_from_arrays(arrays: Dict[str, np.ndarray], prefix: str = "tree.") -> Cl
         root = int(arrays[f"{prefix}root"][0])
     except KeyError as exc:
         raise ArtifactError(f"artifact is missing cluster-tree array {exc}") from exc
-    nodes = [ClusterNode(start=int(r[0]), stop=int(r[1]), left=int(r[2]),
-                         right=int(r[3]), parent=int(r[4]), level=int(r[5]))
-             for r in node_table]
-    return ClusterTree(perm, nodes, root=root)
+    return ClusterTree.from_node_table(perm, node_table, root)
 
 
 def shard_plan_to_arrays(plan, prefix: str = "shardplan.") -> Dict[str, np.ndarray]:

@@ -29,7 +29,7 @@ from repro.config import HSSOptions
 from repro.datasets import load_dataset, standardize, susy_like
 from repro.distributed import (Coordinator, DistributedError,
                                DistributedSolver, ShardPlan,
-                               WorkerGrid, resolve_shards)
+                               WorkerCrashedError, WorkerGrid, resolve_shards)
 from repro.distributed.comm import ArraySpec, BlockChannel, SharedArray
 from repro.kernels import GaussianKernel
 from repro.krr import KernelRidgeClassifier, KRRPipeline
@@ -264,13 +264,11 @@ def test_sharded_service_on_plain_model(small_problem):
 def test_worker_crash_fails_fast_without_orphans(clustered_tree):
     result = clustered_tree
     plan = ShardPlan.from_tree(result.tree, 2)
-    coordinator = Coordinator(plan, result.X, GaussianKernel(h=1.0), 1.0,
-                              hss_options=HSSOptions(rel_tol=1e-2),
-                              response_timeout=120.0)
+    grid = WorkerGrid(plan, result.X, response_timeout=120.0)
+    coordinator = Coordinator.on_grid(grid, GaussianKernel(h=1.0), 1.0,
+                                      hss_options=HSSOptions(rel_tol=1e-2))
     try:
-        coordinator.start()
         coordinator.fit()
-        grid = coordinator.grid
         processes = [w.process for w in grid._workers]
         assert all(p.is_alive() for p in processes)
         # Kill one worker mid-protocol, then ask for work: the coordinator
@@ -289,7 +287,37 @@ def test_worker_crash_fails_fast_without_orphans(clustered_tree):
         assert grid._workers == []
         assert not grid.running
     finally:
-        coordinator.shutdown()
+        grid.shutdown()
+
+
+def test_worker_killed_before_refit_keeps_the_previous_lambda(small_problem):
+    """A worker dying ahead of a refit round fails the refit loudly, leaves
+    no process behind, and the solver keeps answering at the λ it had —
+    bitwise — from the shard kernels collected at fit time."""
+    X_perm, tree, kernel, lam = _cluster_problem(small_problem)
+    rhs = np.random.default_rng(29).standard_normal(tree.n)
+    solver = _make_distributed_solver()
+    try:
+        solver.fit(X_perm, tree, kernel, lam)
+        grid = solver._owned_grid
+        processes = [w.process for w in grid._workers]
+        w_before = solver.solve(rhs).copy()     # live, through the grid
+        grid._workers[1].request.send("_crash")
+        with pytest.raises(WorkerCrashedError):
+            solver.refit(2.0 * lam)
+        wait_until(lambda: not any(p.is_alive() for p in processes),
+                   timeout=10.0, interval=0.05,
+                   message="worker processes were orphaned")
+        assert not grid.running and grid._workers == []
+        assert solver.lam_ == lam and solver.report.refits == 0
+        assert not solver.coordinator_.current
+        assert np.array_equal(solver.solve(rhs), w_before)
+        # ... and an offline refit still works from that state.
+        solver.refit(2.0 * lam)
+        assert solver.lam_ == 2.0 * lam
+        assert not np.array_equal(solver.solve(rhs), w_before)
+    finally:
+        solver.close()
 
 
 def test_solve_after_close_uses_collected_factors(small_problem):
@@ -536,6 +564,38 @@ class TestWarmGrid:
         finally:
             cold.close()
         assert np.array_equal(w_offline, w_cold)
+
+    def test_grid_and_collected_shards_are_one_computation(self,
+                                                           small_problem):
+        """The live grid and the shard kernels collected from it are two
+        transports of one coupling system: ``solve`` and ``refit`` through
+        either give bitwise-equal results."""
+        X_perm, tree, kernel, lam = _cluster_problem(small_problem)
+        rhs = np.random.default_rng(31).standard_normal((tree.n, 3))
+        with WorkerGrid(ShardPlan.from_tree(tree, 2), X_perm) as grid:
+            def fitted():
+                solver = DistributedSolver(shards=2, hss_options=TIGHT,
+                                           seed=0, grid=grid)
+                return solver.fit(X_perm, tree, kernel, lam)
+
+            offline, live = fitted(), fitted()   # the later fit owns the grid
+            assert live.coordinator_.current
+            assert not offline.coordinator_.current
+            system = live.coordinator_.system
+            w_live = live.solve(rhs)
+            assert np.array_equal(w_live, offline.solve(rhs))
+            assert np.array_equal(
+                w_live, system.woodbury(rhs, live.factors_.shards))
+
+            live.refit(3.0 * lam)                # refit round on the grid
+            offline.refit(3.0 * lam)             # same round, in-process
+            assert live.coordinator_.current
+            assert np.array_equal(live.factors_.C, offline.factors_.C)
+            w_live = live.solve(rhs)
+            assert np.array_equal(w_live, offline.solve(rhs))
+            # the kernels mirrored from the refitted workers agree too
+            assert np.array_equal(
+                w_live, system.woodbury(rhs, live.factors_.shards))
 
     def test_restarted_grid_reads_as_stale(self, clustered_tree):
         """shutdown()+start() respawns factor-less workers; a coordinator

@@ -32,7 +32,7 @@ from conftest import wait_until
 
 from repro.datasets import gaussian_mixture
 from repro.krr import KernelRidgeClassifier
-from repro.obs import parse_prometheus
+from repro.obs import parse_prometheus, trace
 from repro.runtime import resolve_runtime_config
 from repro.server import ModelNotServed, ModelRouter, ServerApp
 from repro.serving import ModelStore
@@ -503,6 +503,45 @@ def test_router_update_follows_the_configured_drift_policy(store, fitted):
         assert store.record(MODEL).metadata == {"lambda": 0.5,
                                                 "recompressed": True}
         assert store.load(MODEL).X_train_.shape[0] == X.shape[0]
+    finally:
+        router.close()
+
+
+def test_router_mutation_loads_the_archive_once(store, fitted, monkeypatch):
+    """A mutation serves the model ``ModelStore.apply`` hands back: one
+    archive load per ``update``, not one for the verb and one for the
+    swap, and the new generation predicts what a reloaded model does."""
+    X, y, _ = fitted
+
+    def loads(span):
+        return (span.name == "artifact.load") + sum(map(loads, span.children))
+
+    router = ModelRouter(store)
+    try:
+        router.serve(MODEL)
+        with trace.span("update") as root:
+            result = router.update(MODEL, X_new=X[:3], y_new=y[:3],
+                                   recompress="off")
+        assert result["swapped"] and result["new_revision"] == 2
+        assert loads(root) == 1
+        reloaded = store.load(MODEL)
+        assert reloaded.X_train_.shape[0] == X.shape[0] + 3
+        assert np.array_equal(router.predict(MODEL, X), reloaded.predict(X))
+
+        # An overlapping writer that publishes between the router's apply
+        # and its swap is what gets served, by the load this test just
+        # showed the ordinary case skips.
+        apply = store.apply
+
+        def overtaken(name, verb, *args, **kwargs):
+            applied = apply(name, verb, *args, **kwargs)
+            apply(name, "refit", 0.25)
+            return applied
+
+        monkeypatch.setattr(store, "apply", overtaken)
+        assert router.refit(MODEL, 4.0)["new_revision"] == 4
+        served = router._entry(MODEL).active.service.engine.model
+        assert served.lam == store.load(MODEL).lam == 0.25
     finally:
         router.close()
 

@@ -17,7 +17,9 @@ The acceptance contract of the sharded-artifact schema:
 
 from __future__ import annotations
 
+import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -73,6 +75,32 @@ def test_sharded_artifact_schema(tmp_path, sharded_model):
     assert artifact.version == 3
     assert artifact.config["solver_state"] == "sharded"
     assert artifact.config["shards"] == 2
+
+
+def test_sharded_section_is_the_documented_layout(tmp_path, sharded_model):
+    """The ``dist.*`` keys of a freshly saved ``shards=2`` archive are the
+    rows of the "Sharded section" table of ``docs/serving.md`` — every
+    key documented, every documented row present."""
+    with open(os.path.join(os.path.dirname(_SRC_DIR), "docs", "serving.md"),
+              encoding="utf-8") as fh:
+        section = fh.read().split("### Sharded section (`dist.*`)")[1]
+    table = section.split("\n\n")[2]
+    documented = re.findall(r"`(dist\.[^`]+)`", "".join(
+        line.split("|")[1] for line in table.splitlines()[2:]))
+    patterns = [re.compile(re.escape(name).replace("<s>", r"[01]")
+                           .replace(r"\.\*", r"\..+") + "$")
+                for name in documented]
+    assert len(patterns) == 10
+
+    record = ModelStore(tmp_path).save(sharded_model, "layout")
+    with np.load(record.archive_path, allow_pickle=False) as npz:
+        index = json.loads(bytes(npz["__index__"]).decode("utf-8"))
+    keys = [e["key"] for e in index if e["key"].startswith("dist.")]
+    assert keys
+    for key in keys:
+        assert any(p.match(key) for p in patterns), f"undocumented {key}"
+    for name, p in zip(documented, patterns):
+        assert any(p.match(key) for key in keys), f"no key for {name}"
 
 
 def test_unsharded_artifacts_carry_the_same_version(tmp_path, problem):
