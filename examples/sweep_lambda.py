@@ -13,8 +13,9 @@ uses, so ``REPRO_*`` env vars and a ``./repro.toml`` apply here too):
 2. fit cold at the first λ (clustering + λ-free compression + ULV
    factorization + solve),
 3. sweep the remaining λ values with ``clf.refit(lam)`` — each point
-   reuses the resident :class:`repro.hss.CompressedKernel` and redoes
-   only the ``O(n r^2)`` ULV factorization and the training solve.
+   reuses the resident λ-free HSS matrix (``clf.solver_.hss_``; the H
+   matrix of the compression is long gone) and redoes only the
+   ``O(n r^2)`` ULV factorization and the training solve.
 
 Every refit is numerically identical (bitwise) to a cold fit at that λ.
 The shell equivalent of one sweep step:  ``repro refit --new-lam 2.0``.

@@ -40,7 +40,7 @@ import numpy as np
 
 from ..clustering.tree import ClusterTree
 from ..config import HMatrixOptions, HSSOptions
-from ..hss.compressed import CompressedKernel, compress_kernel
+from ..hss.compressed import compress_kernel
 from ..hss.ulv import ULVFactorization
 from ..kernels.operator import KernelOperator
 from ..lowrank.aca import aca_blocks
@@ -127,9 +127,9 @@ class _ShardState(ShardKernel):
         self.config = config
         self.X = X                    # full permuted dataset (shared view)
         self.tree = tree              # local subtree, positions [0, size)
-        #: λ-free compression of the local diagonal block; kept resident
-        #: between commands so its block cluster tree serves the next fit
-        self.compressed: Optional[CompressedKernel] = None
+        #: H-matrix block cluster tree of the last fit, handed to the next
+        #: one (the H matrix itself is a temporary of the compression)
+        self.block_tree = None
 
     # ------------------------------------------------------------------ fit
     def fit(self, spec: FitSpec) -> Tuple[dict, Dict[str, np.ndarray]]:
@@ -149,9 +149,6 @@ class _ShardState(ShardKernel):
         X_local = self.X[cfg.boundaries[cfg.shard_id]:
                          cfg.boundaries[cfg.shard_id + 1]]
         log = TimingLog()
-        block_tree = None
-        if self.compressed is not None:
-            block_tree = getattr(self.compressed.hmatrix, "block_tree", None)
 
         # Refitting replaces all per-fit state; stale coupling factors of a
         # previous fit must not leak into the new capacitance system, and
@@ -161,7 +158,6 @@ class _ShardState(ShardKernel):
         # handles.
         self.F = self.H = self.z = None
         self.ulv = None
-        self.compressed = None
         if self.executor is None:
             # One pool for the worker's lifetime: the thread count is
             # spawn-time-fixed, so warm refits reuse it instead of paying
@@ -173,14 +169,15 @@ class _ShardState(ShardKernel):
         # λ-free compression of the local diagonal block: the shift is
         # applied at ULV-factor time, so a later "refit" command reuses
         # this compression and redoes only the factorization.
-        self.compressed = compress_kernel(
+        compressed = compress_kernel(
             X_local, self.tree, kernel,
             hss_options=spec.hss_options,
             hmatrix_options=spec.hmatrix_options,
             use_hmatrix_sampling=spec.use_hmatrix_sampling,
             seed=rng, timing=log, executor=self.executor,
-            block_tree=block_tree)
-        self.ulv = ULVFactorization.factor(self.compressed, lam=spec.lam,
+            block_tree=self.block_tree)
+        self.block_tree = compressed.block_tree
+        self.ulv = ULVFactorization.factor(compressed.hss, lam=spec.lam,
                                            timing=log, executor=self.executor)
 
         arrays: Dict[str, np.ndarray] = {}
@@ -199,13 +196,12 @@ class _ShardState(ShardKernel):
                 arrays[f"pair.{s}.{t}.U"] = result.lowrank.U
                 arrays[f"pair.{s}.{t}.V"] = result.lowrank.V
 
-        hss_stats = self.compressed.hss.statistics()
-        build = self.compressed.report
+        build = compressed.report
         info = {
             "timings": dict(log.phases),
-            "hss_memory_mb": hss_stats.memory_mb,
+            "hss_memory_mb": build.hss_memory_mb,
             "hmatrix_memory_mb": build.hmatrix_memory_mb,
-            "max_rank": hss_stats.max_rank,
+            "max_rank": build.max_rank,
             "random_vectors": build.random_vectors,
         }
         return info, arrays

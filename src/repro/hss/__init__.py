@@ -16,11 +16,14 @@ paper:
 * :class:`ULVFactorization` — the ULV factorization and solve
   (Chandrasekaran, Gu & Pals 2006), with separate factor / solve phases as
   timed in the paper's Table 4.  The ridge shift ``+ lam I`` is applied at
-  factorization time (``ULVFactorization.factor(compressed, lam)``), not
-  at compression time.
+  factorization time (``ULVFactorization.factor(hss, lam)``), not at
+  compression time.
 * :class:`CompressedKernel` / :func:`compress_kernel` — the λ-free
   compression stage (H matrix + HSS of the unshifted kernel), built once
-  per ``(dataset, kernel, tree)`` and re-factored cheaply per λ.
+  per ``(dataset, kernel, tree)`` and re-factored cheaply per λ.  The H
+  matrix only drives the sampling and is released with the build; the
+  result keeps the HSS matrix, the H-matrix block cluster tree and the
+  build report.
 * :class:`HSSStatistics` — memory (MB) and maximum off-diagonal rank, the
   paper's primary performance metrics.
 * :class:`StreamingULVSolver` / :class:`DriftBudget` — streaming row

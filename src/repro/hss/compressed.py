@@ -10,11 +10,14 @@ kernel once per λ.
 
 :func:`compress_kernel` builds the λ-free representation exactly once per
 ``(dataset, kernel, tree)`` and returns a :class:`CompressedKernel`: the
-HSS matrix of ``K`` (no shift), the auxiliary H matrix (when used), and a
-:class:`CompressionReport` with the build timings / memory / rank
-statistics.  :meth:`repro.hss.ULVFactorization.factor` then applies any
-``lam`` at factorization time, so a λ sweep costs one compression plus one
-``O(n r^2)`` ULV per λ instead of one full build per λ.
+HSS matrix of ``K`` (no shift), the block cluster tree of the auxiliary H
+matrix (when used), and a :class:`CompressionReport` with the build
+timings / memory / rank statistics.  The H matrix itself, its kernel
+operator and its sampler are temporaries of the build, released before
+:func:`compress_kernel` returns.  :meth:`repro.hss.ULVFactorization.factor`
+then applies any ``lam`` at factorization time, so a λ sweep costs one
+compression plus one ``O(n r^2)`` ULV per λ instead of one full build per
+λ.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import numpy as np
 
 from ..clustering.tree import ClusterTree
 from ..config import HMatrixOptions, HSSOptions
+from ..hmatrix.block_tree import BlockClusterTree
 from ..kernels.base import Kernel
 from ..kernels.operator import KernelOperator
 from ..obs import global_registry
@@ -35,7 +39,12 @@ from ..utils.bytes import megabytes
 from ..utils.timing import TimingLog
 from .build_random import build_hss_randomized
 from .hss_matrix import HSSMatrix
-from .ulv import ULVFactorization
+
+#: Column-tile size of the exact kernel operator's sampling ``matmat``
+#: (only exercised when H-matrix sampling is off), chosen so a tile row
+#: fits in cache for the paper's dimensionalities.  A constant, not an
+#: option: serial, threaded and sharded builds all tile the same way.
+MATMAT_COL_TILE = 1024
 
 
 @dataclass
@@ -51,6 +60,8 @@ class CompressionReport:
         Memory of the HSS generators in MB.
     hmatrix_memory_mb:
         Memory of the auxiliary H matrix in MB (0 when H sampling is off).
+        This is build-time memory, not resident memory: the H matrix is
+        released before :func:`compress_kernel` returns.
     max_rank:
         Largest off-diagonal HSS rank.
     random_vectors:
@@ -79,60 +90,27 @@ class CompressedKernel:
     """A λ-free HSS compression of one kernel matrix plus its build report.
 
     Produced by :func:`compress_kernel` once per ``(dataset, kernel,
-    tree)`` and consumed by :meth:`repro.hss.ULVFactorization.factor`,
-    which applies the ridge shift ``+ lam I`` at factorization time.  The
-    same instance can therefore be re-factored at arbitrarily many λ
-    values without any recompression.
+    tree)``; :meth:`repro.hss.ULVFactorization.factor` factors its
+    ``hss`` as ``K + lam I`` at any ridge shift without recompression.
 
     Parameters
     ----------
     hss:
         The HSS approximation of the *unshifted* kernel matrix, in the
-        permuted ordering of ``tree``.
+        permuted ordering of its cluster tree (``hss.tree``).
+    block_tree:
+        The :class:`repro.hmatrix.BlockClusterTree` of the auxiliary H
+        matrix, or ``None`` when H sampling is off.  It is the
+        kernel-independent part of the build: pass it back to
+        :func:`compress_kernel` to skip the geometry pass of a bandwidth
+        move.
     report:
         Build statistics (:class:`CompressionReport`).
-    hmatrix:
-        The auxiliary H matrix used for sampling, or ``None``.  Its
-        ``block_tree`` is the kernel-independent part of the build: pass
-        it back to :func:`compress_kernel` to skip the geometry pass of a
-        bandwidth move.
     """
 
     hss: HSSMatrix
+    block_tree: Optional[BlockClusterTree] = None
     report: CompressionReport = field(default_factory=CompressionReport)
-    hmatrix: Optional[object] = None
-
-    @property
-    def tree(self) -> ClusterTree:
-        """The cluster tree defining the HSS partition."""
-        return self.hss.tree
-
-    @property
-    def n(self) -> int:
-        """Matrix dimension (number of training points)."""
-        return self.hss.n
-
-    def factor(self, lam: float = 0.0, timing: Optional[TimingLog] = None,
-               executor: Optional[BlockExecutor] = None) -> ULVFactorization:
-        """Factor ``K + lam I`` from this compression (no rebuild).
-
-        Parameters
-        ----------
-        lam:
-            Ridge shift of the training system.
-        timing:
-            Optional :class:`repro.utils.TimingLog` receiving the
-            ``factorization`` phase.
-        executor:
-            Optional shared :class:`repro.parallel.BlockExecutor`.
-
-        Returns
-        -------
-        repro.hss.ULVFactorization
-            Factors of ``K + lam I``.
-        """
-        return ULVFactorization.factor(self, lam=lam, timing=timing,
-                                       executor=executor)
 
 
 def compress_kernel(
@@ -145,15 +123,17 @@ def compress_kernel(
     seed=0,
     timing: Optional[TimingLog] = None,
     executor: Optional[BlockExecutor] = None,
-    matmat_col_tile: Optional[int] = None,
-    block_tree=None,
+    block_tree: Optional[BlockClusterTree] = None,
 ) -> CompressedKernel:
     """Build the λ-free HSS compression of ``K(X_permuted)``.
 
     This is the shared compression stage behind
     :class:`repro.krr.HSSSolver` and the distributed shard workers: the
-    kernel operator carries **no** ridge shift, so the result can be
-    ULV-factored at any λ via :meth:`CompressedKernel.factor`.
+    kernel operator carries **no** ridge shift, so the result's ``hss``
+    can be ULV-factored at any λ via
+    :meth:`repro.hss.ULVFactorization.factor`.  The H matrix, the kernel
+    operator and the sampler are locals of this call; only the block
+    cluster tree outlives it, in the result.
 
     Parameters
     ----------
@@ -170,19 +150,16 @@ def compress_kernel(
         build phases are accumulated into it.
     executor:
         Optional shared :class:`repro.parallel.BlockExecutor` driving the
-        H-matrix and HSS builders (and the tiled exact-sampling matvec).
-    matmat_col_tile:
-        Column-tile size of the exact kernel operator's ``matmat`` (only
-        exercised when ``use_hmatrix_sampling`` is ``False``); ``None``
-        keeps the untiled single-GEMM row sweep.
+        H-matrix and HSS builders (and the exact-sampling matmat, tiled by
+        :data:`MATMAT_COL_TILE` columns).
     block_tree:
         Optional :class:`repro.hmatrix.BlockClusterTree` of an earlier
-        build (``compressed.hmatrix.block_tree``).  The admissibility
-        partition is purely geometric, so a bandwidth move reuses it and
-        redoes only the kernel-dependent numerics — bitwise identical to
-        a cold build.  :func:`repro.hmatrix.build_hmatrix` checks the
-        block tree's recorded tree and options against this call's and
-        rebuilds the partition when they differ.
+        build (``compressed.block_tree``).  The admissibility partition
+        is purely geometric, so a bandwidth move reuses it and redoes only
+        the kernel-dependent numerics — bitwise identical to a cold
+        build.  :func:`repro.hmatrix.build_hmatrix` checks the block
+        tree's recorded tree and options against this call's and rebuilds
+        the partition when they differ.
 
     Returns
     -------
@@ -197,7 +174,7 @@ def compress_kernel(
     log = timing if timing is not None else TimingLog()
 
     operator = KernelOperator(X_permuted, kernel, executor=executor,
-                              col_tile=matmat_col_tile)
+                              col_tile=MATMAT_COL_TILE)
     sampler = operator
     hmatrix = None
     hmatrix_memory_mb = 0.0
@@ -233,4 +210,6 @@ def compress_kernel(
         max_rank=hss_stats.max_rank,
         random_vectors=stats.random_vectors,
     )
-    return CompressedKernel(hss=hss, report=report, hmatrix=hmatrix)
+    return CompressedKernel(
+        hss=hss, report=report,
+        block_tree=None if hmatrix is None else hmatrix.block_tree)

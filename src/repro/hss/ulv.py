@@ -217,10 +217,10 @@ class ULVFactorization:
         self.timing = log
 
     @classmethod
-    def factor(cls, compressed, lam: float = 0.0,
+    def factor(cls, hss: HSSMatrix, lam: float = 0.0,
                timing: Optional[TimingLog] = None,
                executor: Optional[BlockExecutor] = None) -> "ULVFactorization":
-        """Factor a λ-free compression as ``A + lam I``, cold.
+        """Factor a λ-free HSS matrix as ``A + lam I``, cold.
 
         The expensive compression is reused unchanged and the ``O(n r^2)``
         ULV elimination runs in full; with a factorization of the same
@@ -228,9 +228,9 @@ class ULVFactorization:
 
         Parameters
         ----------
-        compressed:
-            A :class:`repro.hss.CompressedKernel` (its λ-free ``hss`` is
-            factored) or a bare :class:`repro.hss.HSSMatrix`.
+        hss:
+            The λ-free :class:`repro.hss.HSSMatrix` (the ``hss`` of a
+            :class:`repro.hss.CompressedKernel`).
         lam:
             Diagonal shift; the factors represent ``A + lam I``.
         timing:
@@ -245,7 +245,6 @@ class ULVFactorization:
         ULVFactorization
             Factors of ``A + lam I``.
         """
-        hss = getattr(compressed, "hss", compressed)
         return cls(hss, timing=timing, executor=executor, lam=lam)
 
     def refactor(self, lam: float, timing: Optional[TimingLog] = None,
@@ -278,11 +277,11 @@ class ULVFactorization:
                           lam=lam, prior=self)
 
     @classmethod
-    def factor_many(cls, compressed, lams,
+    def factor_many(cls, hss: HSSMatrix, lams,
                     timing: Optional[TimingLog] = None,
                     executor: Optional[BlockExecutor] = None
                     ) -> List["ULVFactorization"]:
-        """Factor one compression at several shifts: cold once, then warm.
+        """Factor one HSS matrix at several shifts: cold once, then warm.
 
         The first shift is a cold :meth:`factor`; every later one is a
         :meth:`refactor` from it, so the λ-free half of the sweep runs
@@ -291,9 +290,8 @@ class ULVFactorization:
 
         Parameters
         ----------
-        compressed:
-            A :class:`repro.hss.CompressedKernel` or bare
-            :class:`repro.hss.HSSMatrix`.
+        hss:
+            The λ-free :class:`repro.hss.HSSMatrix`.
         lams:
             Iterable of ridge shifts, factored in order.
         timing:
@@ -310,7 +308,7 @@ class ULVFactorization:
         lams = [float(lam) for lam in lams]
         if not lams:
             return []
-        first = cls.factor(compressed, lam=lams[0], timing=timing,
+        first = cls.factor(hss, lam=lams[0], timing=timing,
                            executor=executor)
         return [first] + [first.refactor(lam, timing=timing,
                                          executor=executor)

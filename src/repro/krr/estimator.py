@@ -14,7 +14,9 @@ and from the real-valued target array ``T`` (Step 4).
 Every verb adopts its result — hyper-parameters, weights and stored
 targets together — only after the solver call *and* the training solve
 succeeded, so a failure leaves the model describing the state it was in
-before the call.
+before the call.  A solver that already moved when the training solve
+fails is moved back by the inverse step, so the model and its solver keep
+describing the same system.
 """
 
 from __future__ import annotations
@@ -147,18 +149,25 @@ class KernelRidgeEstimator:
                 "by an older version); call fit() instead")
 
     @staticmethod
-    def _train(solver: KernelSystemSolver, step, targets: np.ndarray
-               ) -> np.ndarray:
+    def _train(solver: KernelSystemSolver, step, targets: np.ndarray,
+               undo=None) -> np.ndarray:
         """Run one solver ``step`` plus the training solve; return the weights.
 
-        Done or failed, the solver's worker threads / processes are
-        released afterwards (a later ``solve()`` re-creates them or falls
-        back as needed).
+        If the solve fails after ``step`` succeeded, ``undo`` (the inverse
+        step, if any) puts the solver back at the model's state before the
+        error propagates.  Done or failed, the solver's worker threads /
+        processes are released afterwards (a later ``solve()`` re-creates
+        them or falls back as needed).
         """
         try:
             step()
-            return np.ascontiguousarray(solver.solve(targets),
-                                        dtype=np.float64)
+            try:
+                return np.ascontiguousarray(solver.solve(targets),
+                                            dtype=np.float64)
+            except BaseException:
+                if undo is not None:
+                    undo()
+                raise
         finally:
             close = getattr(solver, "close", None)
             if close is not None:
@@ -201,8 +210,8 @@ class KernelRidgeEstimator:
         """Re-train at a new ridge parameter without recompressing.
 
         The clustering, the kernel and the solver's λ-independent state
-        (the :class:`repro.hss.CompressedKernel` for the HSS path, the
-        kernel matrix for the dense path) are reused; only the
+        (the λ-free HSS matrix for the HSS path, the kernel matrix for the
+        dense path) are reused; only the
         shift-dependent factorization and the training solve are redone,
         so a λ sweep costs one compression plus one cheap refit per value.
         The resulting weights are identical to a cold :meth:`fit` at the
@@ -230,7 +239,8 @@ class KernelRidgeEstimator:
         self._require_fitted("refit()")
         lam = check_non_negative(lam, "lam")
         weights = self._train(self.solver_, lambda: self.solver_.refit(lam),
-                              self._targets_perm)
+                              self._targets_perm,
+                              undo=lambda: self.solver_.refit(self.lam))
         self.lam = lam
         self.weights_ = weights
         return self
@@ -284,7 +294,8 @@ class KernelRidgeEstimator:
         new_lam = self.lam if lam is None else check_non_negative(lam, "lam")
         weights = self._train(
             self.solver_, lambda: self.solver_.refit_kernel(kernel, new_lam),
-            self._targets_perm)
+            self._targets_perm,
+            undo=lambda: self.solver_.refit_kernel(self.kernel, self.lam))
         self.kernel = kernel
         self.h = new_h
         self.lam = new_lam

@@ -33,7 +33,7 @@ import scipy.sparse.linalg
 
 from ..clustering.tree import ClusterTree
 from ..config import HMatrixOptions, HSSOptions
-from ..hss.compressed import CompressedKernel, compress_kernel
+from ..hss.compressed import MATMAT_COL_TILE, compress_kernel
 from ..hss.streaming import StreamingULVSolver
 from ..hss.ulv import ULVFactorization
 from ..kernels.base import Kernel
@@ -52,6 +52,8 @@ class SolveReport:
     timings: Dict[str, float] = field(default_factory=dict)
     memory_mb: float = 0.0
     hss_memory_mb: float = 0.0
+    #: memory of the auxiliary H matrix in MB — build-time, not resident:
+    #: the H matrix is released once the HSS compression is built
     hmatrix_memory_mb: float = 0.0
     max_rank: int = 0
     random_vectors: int = 0
@@ -366,9 +368,11 @@ class HSSSolver(KernelSystemSolver):
     the expensive part, independent of the ridge parameter) and the ULV
     *factorization* of ``K + lam I``, which applies the shift to the
     compressed representation at factor time.  A λ-only
-    :meth:`~KernelSystemSolver.refit` therefore reuses the resident
-    :class:`repro.hss.CompressedKernel` and redoes only the ``O(n r^2)``
-    ULV — :attr:`compression_count` stays at 1 across a whole λ sweep.
+    :meth:`~KernelSystemSolver.refit` therefore reuses the resident HSS
+    matrix ``hss_`` and redoes only the ``O(n r^2)`` ULV —
+    :attr:`compression_count` stays at 1 across a whole λ sweep.  The H
+    matrix is a temporary of the compression; the solver keeps only its
+    block cluster tree ``block_tree_``, which the next fit reuses.
 
     Parameters
     ----------
@@ -390,26 +394,20 @@ class HSSSolver(KernelSystemSolver):
         for the resolution rules.  One persistent
         :class:`repro.parallel.BlockExecutor` spans the solver's lifetime,
         so the thread pool is reused across the many per-level maps.
-    matmat_col_tile:
-        Column-tile size of the exact kernel operator's sampling
-        ``matmat`` (only exercised when ``use_hmatrix_sampling`` is
-        ``False``).  The tile geometry is fixed independently of the
-        worker count, so serial and parallel runs stay bitwise identical.
     """
 
     name = "hss"
 
-    #: default column-tile size of the exact-sampling matmat (chosen so a
-    #: tile row fits in cache for the paper's dimensionalities)
-    DEFAULT_MATMAT_COL_TILE = 1024
+    #: column-tile size of the exact-sampling matmat
+    #: (:data:`repro.hss.compressed.MATMAT_COL_TILE`)
+    DEFAULT_MATMAT_COL_TILE = MATMAT_COL_TILE
 
     def __init__(self,
                  hss_options: Optional[HSSOptions] = None,
                  use_hmatrix_sampling: bool = True,
                  hmatrix_options: Optional[HMatrixOptions] = None,
                  seed=0,
-                 workers: Optional[int] = None,
-                 matmat_col_tile: Optional[int] = DEFAULT_MATMAT_COL_TILE):
+                 workers: Optional[int] = None):
         super().__init__()
         self.hss_options = hss_options if hss_options is not None else HSSOptions()
         self.hmatrix_options = (hmatrix_options if hmatrix_options is not None
@@ -417,12 +415,13 @@ class HSSSolver(KernelSystemSolver):
         self.use_hmatrix_sampling = bool(use_hmatrix_sampling)
         self.seed = seed
         self.workers = workers
-        self.matmat_col_tile = matmat_col_tile
-        #: λ-free compression of the last fit (reused by refits)
-        self.compressed_: Optional[CompressedKernel] = None
+        #: the fitted state, assigned together once compression and
+        #: factorization have both succeeded: the λ-free HSS matrix, its
+        #: ULV factors and the H-matrix block cluster tree the next fit
+        #: reuses (``None`` after an artifact reload)
         self.hss_ = None
-        self.hmatrix_ = None
         self.factorization_ = None
+        self.block_tree_ = None
         #: number of full kernel compressions performed (refits add none)
         self.compression_count = 0
         #: whether the resident HSS generators are λ-free (False only for
@@ -452,26 +451,24 @@ class HSSSolver(KernelSystemSolver):
             # the same tree and options reuses it (build_hmatrix decides
             # from the block tree's own recorded fields), any other fit
             # rebuilds it.
-            self.compressed_ = compress_kernel(
+            compressed = compress_kernel(
                 X_permuted, tree, kernel,
                 hss_options=self.hss_options,
                 hmatrix_options=self.hmatrix_options,
                 use_hmatrix_sampling=self.use_hmatrix_sampling,
                 seed=self.seed, timing=log, executor=self._executor,
-                matmat_col_tile=self.matmat_col_tile,
-                block_tree=getattr(self.hmatrix_, "block_tree", None))
+                block_tree=self.block_tree_)
             self.compression_count += 1
-            self._hss_lam_free = True
-            self.hss_ = self.compressed_.hss
-            self.hmatrix_ = self.compressed_.hmatrix
-            self.factorization_ = ULVFactorization.factor(
-                self.compressed_, lam=lam, timing=log,
-                executor=self._executor)
+            factorization = ULVFactorization.factor(
+                compressed.hss, lam=lam, timing=log, executor=self._executor)
         except BaseException:
             # Failed fits must not orphan a live thread pool.
             self._executor.shutdown()
             raise
-        build = self.compressed_.report
+        self.hss_, self.factorization_ = compressed.hss, factorization
+        self.block_tree_ = compressed.block_tree
+        self._hss_lam_free = True
+        build = compressed.report
         self.report.timings = log.as_dict()
         self.report.hmatrix_memory_mb = build.hmatrix_memory_mb
         self.report.hss_memory_mb = build.hss_memory_mb

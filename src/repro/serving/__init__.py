@@ -25,7 +25,6 @@ production KRR systems:
 from .serialize import (ArtifactError, ModelArtifact, hss_from_arrays,
                         hss_to_arrays, kernel_from_spec, kernel_to_spec,
                         load_model, load_model_as, read_artifact, save_model,
-                        shard_plan_from_arrays, shard_plan_to_arrays,
                         tree_from_arrays, tree_to_arrays, ulv_from_arrays,
                         ulv_to_arrays)
 from .store import ModelRecord, ModelStore, metadata_from_report
@@ -42,8 +41,6 @@ __all__ = [
     "read_artifact",
     "tree_to_arrays",
     "tree_from_arrays",
-    "shard_plan_to_arrays",
-    "shard_plan_from_arrays",
     "hss_to_arrays",
     "hss_from_arrays",
     "ulv_to_arrays",

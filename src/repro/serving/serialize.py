@@ -160,34 +160,6 @@ def tree_from_arrays(arrays: Dict[str, np.ndarray], prefix: str = "tree.") -> Cl
     return ClusterTree.from_node_table(perm, node_table, root)
 
 
-def shard_plan_to_arrays(plan, prefix: str = "shardplan.") -> Dict[str, np.ndarray]:
-    """Flatten a :class:`repro.distributed.ShardPlan` into arrays.
-
-    The plan references the global cluster tree, which is serialized
-    separately (:func:`tree_to_arrays`); only the cut metadata and the
-    frontier ownership are stored here.
-    """
-    return dict(plan.to_arrays(prefix=prefix))
-
-
-def shard_plan_from_arrays(arrays: Dict[str, np.ndarray], tree: ClusterTree,
-                           prefix: str = "shardplan."):
-    """Rebuild a :class:`repro.distributed.ShardPlan` over ``tree``.
-
-    The reconstructed plan is identical to the saved one (the cut is
-    bitwise deterministic), so shard boundaries, subtree structure and
-    pair ownership all round-trip exactly.
-    """
-    from ..distributed.plan import ShardPlan
-    key = f"{prefix}meta"
-    if key not in arrays:
-        raise ArtifactError("artifact does not contain a shard plan")
-    try:
-        return ShardPlan.from_arrays(arrays, tree, prefix=prefix)
-    except (KeyError, ValueError) as exc:
-        raise ArtifactError(f"corrupted shard-plan payload: {exc}") from exc
-
-
 #: HSSNodeData array attributes persisted per node
 _HSS_FIELDS = ("D", "U", "V", "B12", "B21", "row_skeleton", "col_skeleton")
 

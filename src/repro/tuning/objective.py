@@ -11,8 +11,8 @@ Two practical details from the paper are reflected here:
   objective therefore detects λ-only moves — consecutive evaluations that
   share every parameter except ``lam`` — and takes the *refit path*: with
   the dense backend it reuses the cached λ-free kernel matrices and only
-  re-factors; with the ``"hss"`` backend it reuses the resident
-  :class:`repro.hss.CompressedKernel` and redoes only the ULV
+  re-factors; with the ``"hss"`` backend it reuses the resident λ-free
+  HSS matrix and redoes only the ULV
   factorization (:meth:`repro.krr.solvers.KernelSystemSolver.refit`).
   The evaluation counter still counts every (h, lambda) pair as one run,
   exactly like the paper's "runs".

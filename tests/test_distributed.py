@@ -3,8 +3,8 @@
 Covers the acceptance contract of the subsystem:
 
 * :class:`ShardPlan` is a bitwise-deterministic, validity-checked cut of
-  the cluster tree for any shard count, and round-trips through
-  ``repro.serving.serialize``;
+  the cluster tree for any shard count, and round-trips through an
+  archive;
 * the shared-memory transport moves numpy blocks between processes
   without pickling payloads;
 * the sharded pipeline reproduces the serial pipeline's predictions
@@ -33,9 +33,8 @@ from repro.distributed import (Coordinator, DistributedError,
 from repro.distributed.comm import ArraySpec, BlockChannel, SharedArray
 from repro.kernels import GaussianKernel
 from repro.krr import KernelRidgeClassifier, KRRPipeline
-from repro.krr.solvers import HSSSolver
-from repro.serving import (ShardedPredictionEngine, shard_plan_from_arrays,
-                           shard_plan_to_arrays)
+from repro.krr.solvers import HSSSolver, KernelSystemSolver
+from repro.serving import ShardedPredictionEngine
 
 #: compression tolerance pinned tight so sharded-vs-serial deviations stay
 #: far below the decision margins (documented contract: the coupling ACA
@@ -106,15 +105,15 @@ class TestShardPlan:
         with pytest.raises(ValueError, match="leaves"):
             ShardPlan.from_tree(clustered_tree.tree, n_leaves + 1)
 
-    def test_roundtrip_through_serving_serialize(self, clustered_tree, tmp_path):
+    def test_roundtrip_through_an_archive(self, clustered_tree, tmp_path):
         plan = ShardPlan.from_tree(clustered_tree.tree, 3)
-        arrays = shard_plan_to_arrays(plan)
+        arrays = plan.to_arrays()
         # Through an actual archive, like any other persisted payload.
         path = os.path.join(tmp_path, "plan.npz")
         np.savez(path, **arrays)
         with np.load(path) as npz:
             loaded = {k: npz[k] for k in npz.files}
-        restored = shard_plan_from_arrays(loaded, clustered_tree.tree)
+        restored = ShardPlan.from_arrays(loaded, clustered_tree.tree)
         assert restored == plan
         assert np.array_equal(restored.boundaries, plan.boundaries)
         assert [t.n for t in restored.subtrees()] == \
@@ -318,6 +317,28 @@ def test_worker_killed_before_refit_keeps_the_previous_lambda(small_problem):
         assert not np.array_equal(solver.solve(rhs), w_before)
     finally:
         solver.close()
+
+
+def test_a_failed_refit_puts_the_shards_back_at_the_model_lambda(
+        small_problem, monkeypatch):
+    """A training solve that fails after a sharded λ-move re-factors the
+    shards back at the model's λ: model and solver agree again, bitwise."""
+    data = small_problem
+    clf = KernelRidgeClassifier(h=data.h, lam=data.lam, solver="hss",
+                                shards=2, seed=0,
+                                solver_options={"hss_options": TIGHT})
+    clf.fit(data.X_train, data.y_train)
+    before = clf.weights_.copy()
+
+    def boom(self, y):
+        raise FloatingPointError("injected solver failure")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(KernelSystemSolver, "solve", boom)
+        with pytest.raises(FloatingPointError, match="injected"):
+            clf.refit(4.0 * data.lam)
+    assert clf.lam == clf.solver_.lam_ == data.lam
+    np.testing.assert_array_equal(clf.refit(clf.lam).weights_, before)
 
 
 def test_solve_after_close_uses_collected_factors(small_problem):

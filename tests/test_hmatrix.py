@@ -243,7 +243,10 @@ class TestWaveAssembly:
         assert [c.name for c in outer.children] == ["hmatrix.build", "hss.build"]
         span = outer.children[0]
         assert span.find("h_construction") is not None
-        stats = compressed.hmatrix.statistics()
+        # the same assembly again, on the build's own block tree
+        stats = build_hmatrix(KernelOperator(result.X, GaussianKernel(h=1.5)),
+                              result.X, result.tree,
+                              block_tree=compressed.block_tree).statistics()
         attrs = span.attributes
         assert attrs["admissible_blocks"] == stats.admissible_blocks > 0
         assert attrs["dense_blocks"] == stats.dense_blocks > 0

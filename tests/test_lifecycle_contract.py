@@ -7,7 +7,8 @@ estimator ∈ {binary, one-vs-all, regressor} × solver ∈ {dense, hss}:
 
 * every verb ends bitwise equal to the cold fit of the state it reached;
 * a solver failure inside any verb leaves the model's hyper-parameters,
-  weights and stored targets untouched;
+  weights and stored targets untouched, and its solver at the model's
+  state;
 * a λ-move refactors from the resident factors — after a fit, a reload or
   streamed updates — and is bitwise the cold factorization all the same;
   the factors it started from keep solving and are released afterwards;
@@ -34,8 +35,9 @@ from conftest import assert_same_hss, cold_refactor, same_hmatrix_blocks
 from repro.clustering import cluster
 from repro.config import HMatrixOptions
 from repro.datasets import gaussian_mixture
+from repro.hmatrix import build_hmatrix
 from repro.hss import ULVFactorization, compress_kernel
-from repro.kernels import GaussianKernel
+from repro.kernels import GaussianKernel, KernelOperator
 from repro.krr import (KernelRidgeClassifier, KernelRidgeRegressor,
                        OneVsAllClassifier)
 from repro.krr.solvers import KernelSystemSolver
@@ -142,22 +144,30 @@ VERBS = {
 def test_a_failed_verb_leaves_the_model_untouched(kind, solver, problem, verb,
                                                   monkeypatch):
     X, y, X_add, y_add = problem
-    model = _make(kind, solver).fit(X, y)
-    if verb == "recompress":
-        model.partial_fit(X_add, y_add)
+
+    def fitted():
+        model = _make(kind, solver).fit(X, y)
+        if verb == "recompress":
+            model.partial_fit(X_add, y_add)
+        return model
+
+    def boom(self, y):
+        raise FloatingPointError("injected solver failure")
+
+    def fail(model):
+        with monkeypatch.context() as patch:
+            patch.setattr(KernelSystemSolver, "solve", boom)
+            with pytest.raises(FloatingPointError, match="injected"):
+                VERBS[verb](model, problem)
+        return model
+
+    model = fitted()
     before = dict(h=model.h, lam=model.lam, kernel=model.kernel,
                   weights=model.weights_, targets=model._targets_perm,
                   X_train=model.X_train_, solver=model.solver_,
                   scores=model.decision_function(X[:16]))
     frozen = (model.weights_.copy(), model._targets_perm.copy())
-
-    def boom(self, y):
-        raise FloatingPointError("injected solver failure")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(KernelSystemSolver, "solve", boom)
-        with pytest.raises(FloatingPointError, match="injected"):
-            VERBS[verb](model, problem)
+    fail(model)
 
     assert (model.h, model.lam) == (before["h"], before["lam"])
     for name, attr in (("kernel", "kernel"), ("weights", "weights_"),
@@ -171,6 +181,15 @@ def test_a_failed_verb_leaves_the_model_untouched(kind, solver, problem, verb,
     if verb == "partial_fit":
         # the half-applied stream update was rolled back with it
         assert not model.solver_.stream.active
+
+    # the solver is back at the model's state too: a streamed update lands
+    # where it lands on a model the verb never touched, and a λ-move to the
+    # model's own λ gives back the pre-failure weights
+    np.testing.assert_array_equal(
+        model.partial_fit(remove=REMOVE).weights_,
+        fitted().partial_fit(remove=REMOVE).weights_)
+    again = fail(fitted())
+    np.testing.assert_array_equal(again.refit(again.lam).weights_, frozen[0])
 
 
 def test_lam_move_from_resident_factors_is_bitwise_cold(kind, problem,
@@ -301,25 +320,34 @@ def first(clustered):
                            seed=0)
 
 
+def _assert_same_hmatrix(X, tree, h, block_tree, options=None):
+    """The H matrix assembled on ``block_tree`` is bitwise the cold one."""
+    operator = KernelOperator(X, GaussianKernel(h=h))
+    assert same_hmatrix_blocks(
+        build_hmatrix(operator, X, tree, options, block_tree=block_tree),
+        build_hmatrix(operator, X, tree, options))
+
+
 def _assert_same_compression(a, b, n):
-    assert same_hmatrix_blocks(a.hmatrix, b.hmatrix)
     assert_same_hss(a.hss, b.hss)
     rhs = np.random.default_rng(7).normal(size=n)
     np.testing.assert_array_equal(
-        ULVFactorization.factor(a, lam=0.5).solve(rhs),
-        ULVFactorization.factor(b, lam=0.5).solve(rhs))
+        ULVFactorization.factor(a.hss, lam=0.5).solve(rhs),
+        ULVFactorization.factor(b.hss, lam=0.5).solve(rhs))
 
 
 def test_block_tree_reuse_is_bitwise_a_cold_compression(clustered, first):
     X, tree = clustered.X, clustered.tree
     moved = compress_kernel(X, tree, GaussianKernel(h=2.5), seed=0,
-                            block_tree=first.hmatrix.block_tree)
-    assert moved.hmatrix.block_tree is first.hmatrix.block_tree
+                            block_tree=first.block_tree)
+    assert moved.block_tree is first.block_tree
     cold = compress_kernel(X, tree, GaussianKernel(h=2.5), seed=0)
+    _assert_same_hmatrix(X, tree, 2.5, first.block_tree)
     _assert_same_compression(moved, cold, X.shape[0])
     # and h-moves chain: back to the first bandwidth on the moved tree
     back = compress_kernel(X, tree, GaussianKernel(h=1.5), seed=0,
-                           block_tree=moved.hmatrix.block_tree)
+                           block_tree=moved.block_tree)
+    _assert_same_hmatrix(X, tree, 1.5, moved.block_tree)
     _assert_same_compression(back, first, X.shape[0])
 
 
@@ -337,15 +365,16 @@ def test_mismatched_block_tree_is_rebuilt_not_reused(points, clustered, first,
     else:   # an equal tree, but not the one the block tree was built on
         tree = cluster(points[0], method="two_means", leaf_size=16,
                        seed=0).tree
-    stale = first.hmatrix.block_tree
+    stale = first.block_tree
     given = compress_kernel(X, tree, GaussianKernel(h=2.5), seed=0,
                             hmatrix_options=options, block_tree=stale)
-    rebuilt = given.hmatrix.block_tree
+    rebuilt = given.block_tree
     assert rebuilt is not stale and rebuilt.tree is tree
     assert (rebuilt.eta, rebuilt.leaf_size, rebuilt.criterion) == (
         options.admissibility_eta, options.leaf_size, options.admissibility)
     cold = compress_kernel(X, tree, GaussianKernel(h=2.5), seed=0,
                            hmatrix_options=options)
+    _assert_same_hmatrix(X, tree, 2.5, stale, options)
     _assert_same_compression(given, cold, X.shape[0])
 
 
@@ -353,11 +382,12 @@ def test_solver_reuses_its_block_tree_only_across_h_moves(points):
     X, y = points
     model = KernelRidgeClassifier(h=1.0, lam=1.0, solver="hss", seed=0,
                                   shards=1).fit(X, y)
-    block_tree = model.solver_.hmatrix_.block_tree
+    block_tree = model.solver_.block_tree_
+    assert block_tree is not None
     model.refit_kernel(2.0)
-    assert model.solver_.hmatrix_.block_tree is block_tree
+    assert model.solver_.block_tree_ is block_tree
     model.recompress()      # a fresh clustering: nothing to carry over
-    assert model.solver_.hmatrix_.block_tree is not block_tree
+    assert model.solver_.block_tree_ is not block_tree
 
 
 # ---------------------------------------------------------------------------

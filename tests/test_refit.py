@@ -21,6 +21,7 @@ import pytest
 from repro.clustering import cluster
 from repro.config import HSSOptions
 from repro.datasets import gaussian_mixture
+from repro.hss import compressed as hss_compressed
 from repro.kernels import GaussianKernel, KernelOperator
 from repro.krr import (KernelRidgeClassifier, KRRPipeline,
                        OneVsAllClassifier)
@@ -305,13 +306,16 @@ class TestTiledMatmat:
         np.testing.assert_allclose(op_tiled.matmat(V), op_untiled.matmat(V),
                                    rtol=1e-12, atol=1e-12)
 
-    def test_exact_sampling_training_uses_tiles_and_stays_deterministic(self, data):
+    def test_exact_sampling_training_uses_tiles_and_stays_deterministic(
+            self, data, monkeypatch):
         X, y = data
+        # a tile narrower than the fixture, so the sampling matmat is tiled
+        monkeypatch.setattr(hss_compressed, "MATMAT_COL_TILE", 64)
         weights = {}
         for workers in (1, 2):
             solver = HSSSolver(hss_options=HSSOptions(rel_tol=1e-6),
                                use_hmatrix_sampling=False, seed=0,
-                               workers=workers, matmat_col_tile=64)
+                               workers=workers)
             clf = KernelRidgeClassifier(h=1.0, lam=1.0, solver=solver, seed=0)
             clf.fit(X, y)
             weights[workers] = clf.weights_

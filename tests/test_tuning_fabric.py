@@ -107,12 +107,12 @@ class TestFactorManyBitwise:
 
     def test_factor_many_equals_sequential(self, compressed_pair):
         clustering, compressed = compressed_pair
-        batched = ULVFactorization.factor_many(compressed, self.LAMS)
+        batched = ULVFactorization.factor_many(compressed.hss, self.LAMS)
         rng = np.random.default_rng(11)
         b = rng.normal(size=(clustering.X.shape[0], 2))
         for lam, fac in zip(self.LAMS, batched):
             _assert_same_factorization(
-                fac, ULVFactorization.factor(compressed, lam=lam), [b])
+                fac, ULVFactorization.factor(compressed.hss, lam=lam), [b])
 
     # a single-leaf tree is all root: nothing to share, still the same path;
     # at h = 1e-3 the kernel matrix is the identity to working precision and
@@ -130,7 +130,7 @@ class TestFactorManyBitwise:
         rng = np.random.default_rng(5)
         rhs = [rng.normal(size=X.shape[0]), rng.normal(size=(X.shape[0], 4))]
         lam = 1.0
-        resident = ULVFactorization.factor(compressed, lam=lam)
+        resident = ULVFactorization.factor(compressed.hss, lam=lam)
         inner = [f for i, f in enumerate(resident._factors) if i != root]
         if leaf_size >= X.shape[0]:
             assert not inner
@@ -143,7 +143,7 @@ class TestFactorManyBitwise:
             warm = resident.refactor(shift)
             assert warm.lam == shift and warm.hss is compressed.hss
             _assert_same_factorization(
-                warm, ULVFactorization.factor(compressed, lam=shift), rhs)
+                warm, ULVFactorization.factor(compressed.hss, lam=shift), rhs)
             # the λ-free half is the resident one, not a recomputation
             for i, (new, old) in enumerate(zip(warm._factors,
                                                resident._factors)):
@@ -155,7 +155,7 @@ class TestFactorManyBitwise:
         clustering, compressed = compressed_pair
         other = compress_kernel(clustering.X, clustering.tree,
                                 GaussianKernel(h=1.0), seed=0)
-        resident = ULVFactorization.factor(compressed, lam=1.0)
+        resident = ULVFactorization.factor(compressed.hss, lam=1.0)
         with pytest.raises(ValueError, match="different HSS matrix"):
             ULVFactorization(other.hss, lam=2.0, prior=resident)
 
