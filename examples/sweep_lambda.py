@@ -49,7 +49,6 @@ def main(n_train: int = 2048, n_test: int = 512) -> None:
     clf = KernelRidgeClassifier(
         h=data.h, lam=lambdas[0], solver=config.solver.name,
         clustering=config.clustering, seed=config.clustering.seed,
-        workers=config.distributed.workers,
         solver_options={"hss_options": config.hss,
                         "hmatrix_options": config.hmatrix,
                         "use_hmatrix_sampling":

@@ -14,8 +14,8 @@ The defaults mirror the settings used throughout the paper:
 Configuration objects are plain frozen dataclasses so they can be hashed,
 compared and safely shared between threads.  They are also the ``hss`` /
 ``hmatrix`` / ``clustering`` sections of :class:`repro.runtime.RuntimeConfig`
-(every field except ``workers`` is a ``repro.toml`` key), so this module is
-the one place these defaults and their range checks live.
+(every field is a ``repro.toml`` key), so this module is the one place
+these defaults and their range checks live.
 """
 
 from __future__ import annotations
@@ -70,14 +70,6 @@ class HSSOptions:
         If ``True`` the builder assumes ``A == A.T`` and reuses the row
         compression for the columns, halving the work.  Kernel matrices are
         symmetric so this defaults to ``True``.
-    workers:
-        Worker threads used by the construction (whole subtrees of the
-        randomized walk, tree levels of the deterministic one) and the
-        level-parallel ULV factorization.  ``None`` defers to the
-        ``REPRO_WORKERS`` environment variable (serial when unset), ``0``
-        uses all visible cores, positive values are taken literally — see
-        :func:`repro.parallel.resolve_workers`.  Parallel and serial runs
-        produce bitwise-identical factorizations.
     """
 
     rel_tol: float = 1e-1
@@ -88,7 +80,6 @@ class HSSOptions:
     max_adaptive_rounds: int = 12
     oversampling: int = 8
     symmetric: bool = True
-    workers: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.rel_tol <= 0:
@@ -101,8 +92,6 @@ class HSSOptions:
             raise ValueError("sample_increment must be >= 1")
         if self.max_rank is not None and self.max_rank < 1:
             raise ValueError("max_rank must be >= 1 or None")
-        if self.workers is not None and self.workers < 0:
-            raise ValueError("workers must be >= 0 or None")
 
     def with_(self, **kwargs) -> "HSSOptions":
         """Return a copy with the given fields replaced."""
@@ -131,15 +120,6 @@ class HMatrixOptions:
         blocks.
     max_rank:
         Hard cap on the ACA rank of an admissible block.
-    workers:
-        Worker threads of the block assembly; same semantics as
-        :attr:`HSSOptions.workers`.  The parallel tasks are the dense leaf
-        extractions and the *waves* of admissible blocks (consecutive
-        leaves packed to a fixed size and compressed together by the
-        wavefront ACA, see :func:`repro.hmatrix.build_hmatrix`) — not
-        single admissible blocks.  The wave geometry does not depend on
-        this value, so every worker count builds the same H matrix bit
-        for bit.
     """
 
     leaf_size: int = 64
@@ -147,7 +127,6 @@ class HMatrixOptions:
     admissibility: str = "centroid"
     rel_tol: float = 1e-2
     max_rank: Optional[int] = None
-    workers: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.leaf_size < 1:
@@ -158,8 +137,6 @@ class HMatrixOptions:
             raise ValueError("admissibility must be 'centroid' or 'box'")
         if self.rel_tol <= 0:
             raise ValueError("rel_tol must be positive")
-        if self.workers is not None and self.workers < 0:
-            raise ValueError("workers must be >= 0 or None")
 
     def with_(self, **kwargs) -> "HMatrixOptions":
         """Return a copy with the given fields replaced."""

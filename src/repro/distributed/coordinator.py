@@ -10,7 +10,7 @@ contiguous shards, write
 
 where ``D = blockdiag(M_11, ..., M_PP)`` collects the diagonal (subtree)
 blocks and ``E`` the inter-shard coupling.  Every worker compresses and
-ULV-factors its own ``M_ss`` with the existing level-parallel builders
+ULV-factors its own ``M_ss`` with the single-process builders
 (that is the bulk of the work, fully parallel across processes), and the
 coupling blocks ``M_st`` — the *top separator levels* of the global
 hierarchy, low-rank by the same clustering argument that makes HSS work —

@@ -79,9 +79,6 @@ class WorkerGrid:
     X_permuted:
         Training points in the permuted ordering of ``plan.tree``; copied
         once into shared memory and attached by every worker.
-    worker_threads:
-        ``BlockExecutor`` threads *inside* each worker process (default 1;
-        the process grid is the primary parallel axis).
     response_timeout:
         Hard per-reply deadline in seconds.  A worker that neither answers
         nor dies within it fails the whole grid (fail-fast, no hang).
@@ -108,7 +105,6 @@ class WorkerGrid:
     """
 
     def __init__(self, plan: ShardPlan, X_permuted: np.ndarray,
-                 worker_threads: int = 1,
                  response_timeout: float = 900.0,
                  start_method: Optional[str] = None):
         self.plan = plan
@@ -116,7 +112,6 @@ class WorkerGrid:
         if self.X.shape[0] != plan.n:
             raise ValueError(
                 f"X has {self.X.shape[0]} rows but the plan covers {plan.n}")
-        self.worker_threads = max(1, int(worker_threads))
         self.response_timeout = float(response_timeout)
         self._start_method = _start_method(start_method)
         self._workers: List[_WorkerHandle] = []
@@ -159,7 +154,7 @@ class WorkerGrid:
             Optional explicit tree level for the shard cut.
         **grid_options:
             Forwarded to the :class:`WorkerGrid` constructor
-            (``worker_threads``, ``response_timeout``, ``start_method``).
+            (``response_timeout``, ``start_method``).
 
         Returns
         -------
@@ -204,7 +199,6 @@ class WorkerGrid:
             config = WorkerConfig(
                 shard_id=shard,
                 boundaries=tuple(int(b) for b in plan.boundaries),
-                workers=self.worker_threads,
                 owned_pairs=tuple(plan.owned_pairs(shard)),
             )
             request_q, response_q = ctx.Queue(), ctx.Queue()

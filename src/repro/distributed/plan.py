@@ -14,7 +14,7 @@ training path of :mod:`repro.distributed`:
   and shard count always produce bit-identical plans;
 * each shard's subtrees are re-rooted into one local
   :class:`repro.clustering.ClusterTree` (synthetic merge nodes join
-  multiple frontier subtrees), which the existing level-parallel HSS / ULV
+  multiple frontier subtrees), which the single-process HSS / ULV
   builders consume unchanged.
 
 The plan also fixes the deterministic ownership of the inter-shard coupling
@@ -34,8 +34,6 @@ from ..parallel.executor import default_worker_count
 
 def resolve_shards(shards: Optional[int]) -> int:
     """Resolve a ``shards`` option value to a concrete process count.
-
-    Mirrors :func:`repro.parallel.resolve_workers`.
 
     Parameters
     ----------

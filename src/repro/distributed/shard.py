@@ -34,9 +34,6 @@ class ShardKernel:
         until the first :meth:`couple`.
     """
 
-    #: thread pool the local ULV sweeps run over (``None`` = serial)
-    executor = None
-
     def __init__(self, ulv: Optional[ULVFactorization] = None,
                  F: Optional[np.ndarray] = None):
         self.ulv = ulv
@@ -64,7 +61,7 @@ class ShardKernel:
         ulv = self._factors("refit")
         log = TimingLog()
         self.H = self.z = None
-        self.ulv = ulv.refactor(float(lam), timing=log, executor=self.executor)
+        self.ulv = ulv.refactor(float(lam), timing=log)
         return {"timings": dict(log.phases), "recompressed": False}
 
     def couple(self, F: Optional[np.ndarray] = None) -> np.ndarray:

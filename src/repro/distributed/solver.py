@@ -49,8 +49,6 @@ class DistributedSolver(KernelSystemSolver):
         :class:`repro.krr.HSSSolver`); each shard seeds its random sample
         from ``(seed, shard_id)``, so runs are deterministic for a fixed
         plan.
-    workers:
-        ``BlockExecutor`` threads inside each worker process (default 1).
     coupling_rel_tol, coupling_max_rank:
         ACA tolerance / rank cap of the inter-shard coupling blocks
         (tolerance defaults to ``hss_options.rel_tol``); this is the knob
@@ -86,7 +84,6 @@ class DistributedSolver(KernelSystemSolver):
                  hmatrix_options: Optional[HMatrixOptions] = None,
                  use_hmatrix_sampling: bool = True,
                  seed=0,
-                 workers: Optional[int] = None,
                  coupling_rel_tol: Optional[float] = None,
                  coupling_max_rank: Optional[int] = None,
                  cut_level: Optional[int] = None,
@@ -101,7 +98,6 @@ class DistributedSolver(KernelSystemSolver):
                                 else HMatrixOptions())
         self.use_hmatrix_sampling = bool(use_hmatrix_sampling)
         self.seed = seed
-        self.workers = workers
         self.coupling_rel_tol = coupling_rel_tol
         self.coupling_max_rank = coupling_max_rank
         self.cut_level = cut_level
@@ -143,7 +139,6 @@ class DistributedSolver(KernelSystemSolver):
         self.warm_start_ = False
         self._owned_grid = WorkerGrid(
             plan, X_permuted,
-            worker_threads=max(1, int(self.workers or 1)),
             response_timeout=self.response_timeout,
             start_method=self.start_method)
         return self._owned_grid
@@ -182,7 +177,6 @@ class DistributedSolver(KernelSystemSolver):
         # factors then; its refit and solve phases land in this report.
         self.coordinator_.system.report = self.report
         self.report.shards = self.plan_.n_shards
-        self.report.workers = max(1, int(self.workers or 1))
         self.report.timings = dict(info["timings"])
         self.report.hss_memory_mb = float(info["hss_memory_mb"])
         self.report.hmatrix_memory_mb = float(info["hmatrix_memory_mb"])

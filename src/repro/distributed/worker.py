@@ -13,10 +13,8 @@ while everything per-fit (kernel, ridge shift, compression options, seeds
 * on every ``fit``, builds the local diagonal block's λ-free compression
   (optional H matrix + randomized HSS, via
   :func:`repro.hss.compress_kernel`) and its ULV factorization — the
-  ridge shift is applied at factor time — with the **existing
-  level-parallel builders** over its own
-  :class:`repro.parallel.BlockExecutor`, replacing the factors of any
-  previous fit,
+  ridge shift is applied at factor time — with the same builders as
+  the single-process path, replacing the factors of any previous fit,
 * ACA-compresses the inter-shard coupling blocks it owns (it sees the full
   dataset, so any pair it is assigned is computable locally), and
 * answers every later command — ``refit``, the solve-phase steps
@@ -45,7 +43,6 @@ from ..hss.ulv import ULVFactorization
 from ..kernels.operator import KernelOperator
 from ..lowrank.aca import aca_blocks
 from ..obs import global_registry
-from ..parallel.executor import BlockExecutor
 from ..utils.timing import TimingLog
 from .comm import ArraySpec, BlockChannel, SharedArray, WorkerTimeoutError
 from .shard import ShardKernel
@@ -56,7 +53,7 @@ class WorkerConfig:
     """Spawn-time configuration of one shard worker.
 
     Only what is fixed for the worker's whole lifetime lives here — shard
-    identity, shard boundaries and thread budget.  Everything per-fit travels in
+    identity and shard boundaries.  Everything per-fit travels in
     a :class:`FitSpec` with each ``fit`` command instead, which is what
     lets a :class:`repro.distributed.WorkerGrid` stay warm across fits.
     Array payloads (dataset, local tree) never ride here either; they
@@ -69,8 +66,6 @@ class WorkerConfig:
     boundaries:
         Permuted-position boundaries of all shards (length
         ``n_shards + 1``).
-    workers:
-        Worker *threads* inside this process (1 = serial BLAS tasks).
     owned_pairs:
         Pairs ``(s, t)`` whose inter-shard coupling block this worker
         ACA-compresses during ``fit``.
@@ -78,7 +73,6 @@ class WorkerConfig:
 
     shard_id: int
     boundaries: Tuple[int, ...]
-    workers: int
     owned_pairs: Tuple[Tuple[int, int], ...]
 
 
@@ -158,11 +152,6 @@ class _ShardState(ShardKernel):
         # handles.
         self.F = self.H = self.z = None
         self.ulv = None
-        if self.executor is None:
-            # One pool for the worker's lifetime: the thread count is
-            # spawn-time-fixed, so warm refits reuse it instead of paying
-            # shutdown+spawn churn per configuration.
-            self.executor = BlockExecutor(workers=max(1, int(cfg.workers)))
         rng = np.random.default_rng(
             [cfg.shard_id] if spec.seed is None
             else [spec.seed, cfg.shard_id])
@@ -174,11 +163,10 @@ class _ShardState(ShardKernel):
             hss_options=spec.hss_options,
             hmatrix_options=spec.hmatrix_options,
             use_hmatrix_sampling=spec.use_hmatrix_sampling,
-            seed=rng, timing=log, executor=self.executor,
-            block_tree=self.block_tree)
+            seed=rng, timing=log, block_tree=self.block_tree)
         self.block_tree = compressed.block_tree
         self.ulv = ULVFactorization.factor(compressed.hss, lam=spec.lam,
-                                           timing=log, executor=self.executor)
+                                           timing=log)
 
         arrays: Dict[str, np.ndarray] = {}
         with log.phase("coupling_aca"):
@@ -205,10 +193,6 @@ class _ShardState(ShardKernel):
             "random_vectors": build.random_vectors,
         }
         return info, arrays
-
-    def close(self) -> None:
-        if self.executor is not None:
-            self.executor.shutdown()
 
 
 #: The command protocol: ``command -> (reply tag, ships metrics?, handler)``.
@@ -256,7 +240,6 @@ def worker_main(config: WorkerConfig, x_spec: ArraySpec,
     response = BlockChannel(response_queue)
     x_shm = SharedArray.attach(x_spec)
     tree_shm = SharedArray.attach(tree_spec)
-    state: Optional[_ShardState] = None
     parent = multiprocessing.parent_process()
 
     def recv_request():
@@ -303,7 +286,5 @@ def worker_main(config: WorkerConfig, x_spec: ArraySpec,
         # before issuing the next request, so the segments of the last
         # response are no longer mapped anywhere and can be destroyed.
         response.drain()
-        if state is not None:
-            state.close()
         x_shm.close()
         tree_shm.close()

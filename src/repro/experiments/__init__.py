@@ -19,7 +19,7 @@ from .fig6_tuning import run_fig6_tuning
 from .table3_large_scale import run_table3_large_scale
 from .fig7_asymptotic import run_fig7_asymptotic
 from .table4_timing_breakdown import run_table4_timing_breakdown
-from .fig8_strong_scaling import MeasuredPoint, run_fig8_strong_scaling
+from .fig8_strong_scaling import run_fig8_strong_scaling
 from .ablations import (
     run_ablation_sampling,
     run_ablation_leafsize,
@@ -38,7 +38,6 @@ __all__ = [
     "run_table3_large_scale",
     "run_fig7_asymptotic",
     "run_table4_timing_breakdown",
-    "MeasuredPoint",
     "run_fig8_strong_scaling",
     "run_ablation_sampling",
     "run_ablation_leafsize",

@@ -11,11 +11,9 @@ terms even when they have fewer points (MNIST above SUSY).
 
 This experiment builds the HSS matrix for each dataset at a reduced N,
 derives its per-level work profile, and sweeps the core count through the
-distributed cost model.  With ``measure_worker_counts`` it additionally
-runs the *real* level-parallel training path (randomized HSS compression +
-ULV factorization over a shared :class:`repro.parallel.BlockExecutor`) at
-each worker count and records the measured wall-clock — the shared-memory
-analogue of the paper's strong-scaling experiment.
+distributed cost model.  With ``measure_shard_counts`` it additionally
+runs the *real* process-sharded training path of :mod:`repro.distributed`
+at each process count and records the measured wall-clock.
 """
 
 from __future__ import annotations
@@ -29,25 +27,10 @@ from ..clustering.api import cluster
 from ..datasets import load_dataset
 from ..diagnostics.report import Table
 from ..hss.build_random import build_hss_randomized
-from ..hss.ulv import ULVFactorization
 from ..kernels.gaussian import GaussianKernel
 from ..kernels.operator import ShiftedKernelOperator
-from ..parallel.executor import BlockExecutor, resolve_workers
 from ..parallel.strong_scaling import StrongScalingPoint, simulate_strong_scaling
 from ..parallel.work_model import estimate_hss_work
-
-
-@dataclass
-class MeasuredPoint:
-    """Measured wall-clock of one real training run at a fixed worker count."""
-
-    workers: int
-    compression_time: float = 0.0
-    factorization_time: float = 0.0
-
-    @property
-    def total_time(self) -> float:
-        return self.compression_time + self.factorization_time
 
 
 @dataclass
@@ -82,8 +65,6 @@ class Fig8Curve:
     dim: int
     max_rank: int
     points: List[StrongScalingPoint] = field(default_factory=list)
-    #: real (measured) runs of the threaded training path, per worker count
-    measured: List[MeasuredPoint] = field(default_factory=list)
     #: real (measured) runs of the process-sharded path, per shard count
     measured_shards: List[MeasuredShardPoint] = field(default_factory=list)
 
@@ -94,10 +75,6 @@ class Fig8Curve:
         base = self.points[0]
         return {pt.cores: base.factorization_time / pt.factorization_time
                 for pt in self.points}
-
-    def measured_times(self) -> Dict[int, float]:
-        """Measured compression+factorization seconds keyed by worker count."""
-        return {pt.workers: pt.total_time for pt in self.measured}
 
     def measured_shard_times(self) -> Dict[int, float]:
         """Measured distributed build+solve seconds keyed by shard count."""
@@ -121,29 +98,11 @@ class Fig8Result:
             }
             for pt in curve.points:
                 row[f"{pt.cores} cores"] = f"{pt.factorization_time:.3g}"
-            for pt in curve.measured:
-                row[f"measured {pt.workers}w"] = f"{pt.total_time:.3g}"
             for pt in curve.measured_shards:
                 row[f"measured {pt.shards}p"] = f"{pt.total_time:.3g}"
                 row[f"warm {pt.shards}p"] = f"{pt.warm_build_time:.3g}"
             table.rows.append(row)
         return table
-
-
-def _measure_training(operator, tree, opts: HSSOptions, seed: int,
-                      workers: int) -> MeasuredPoint:
-    """Time one real compression + factorization run at ``workers`` threads."""
-    workers = resolve_workers(workers)
-    point = MeasuredPoint(workers=workers)
-    with BlockExecutor(workers=workers) as ex:
-        t0 = time.perf_counter()
-        hss, _ = build_hss_randomized(operator, tree, options=opts, rng=seed,
-                                      executor=ex)
-        point.compression_time = time.perf_counter() - t0
-        t1 = time.perf_counter()
-        ULVFactorization(hss, executor=ex)
-        point.factorization_time = time.perf_counter() - t1
-    return point
 
 
 def _measure_sharded_training(X_perm, tree, kernel, lam, opts: HSSOptions,
@@ -183,18 +142,15 @@ def run_fig8_strong_scaling(
     hss_options: Optional[HSSOptions] = None,
     seed: int = 0,
     mnist_ambient_dim: Optional[int] = 196,
-    measure_worker_counts: Sequence[int] = (),
     measure_shard_counts: Sequence[int] = (),
 ) -> Fig8Result:
     """Build each dataset's HSS matrix and model its factorization scaling.
 
-    ``measure_worker_counts`` (e.g. ``(1, 2, 4)``) additionally times the
-    real threaded training path at each worker count; the measured points
-    land in :attr:`Fig8Curve.measured` and extra table columns.
-    ``measure_shard_counts`` (e.g. ``(1, 2)``) does the same for the real
-    **process-sharded** path of :mod:`repro.distributed` — the measured
-    side of the paper's distributed strong-scaling experiment, reported
-    next to the cost model's prediction.
+    ``measure_shard_counts`` (e.g. ``(1, 2)``) additionally times the real
+    **process-sharded** path of :mod:`repro.distributed` at each process
+    count — the measured side of the paper's distributed strong-scaling
+    experiment, reported next to the cost model's prediction in
+    :attr:`Fig8Curve.measured_shards` and extra table columns.
     """
     opts = hss_options if hss_options is not None else HSSOptions()
     result = Fig8Result(core_counts=tuple(int(c) for c in core_counts))
@@ -212,8 +168,6 @@ def run_fig8_strong_scaling(
                                           rng=seed)
         work = estimate_hss_work(hss, n_random=stats.random_vectors)
         points = simulate_strong_scaling(work, core_counts=core_counts)
-        measured = [_measure_training(operator, clustering.tree, opts, seed, w)
-                    for w in measure_worker_counts]
         measured_shards = [
             _measure_sharded_training(clustering.X, clustering.tree,
                                       GaussianKernel(h=data.h), data.lam,
@@ -221,6 +175,6 @@ def run_fig8_strong_scaling(
             for p in measure_shard_counts]
         result.curves.append(Fig8Curve(
             dataset=name, n=hss.n, dim=data.dim,
-            max_rank=hss.max_rank, points=points, measured=measured,
+            max_rank=hss.max_rank, points=points,
             measured_shards=measured_shards))
     return result

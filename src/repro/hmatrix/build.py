@@ -12,10 +12,7 @@ are packed into **waves** and every wave is one call of the wavefront ACA
 with a few array operations per cross step.  A wave holds at most
 :data:`WAVE_BUDGET` rows plus columns (a lone larger block gets a wave of
 its own), which bounds the working set; the waves are a pure function of
-the block list, never of the worker count.  Waves and dense leaves are
-independent tasks handed to the executor and collected in order, and the
-factors of a block do not depend on its wave mates, so parallel and serial
-builds produce identical H matrices.
+the block list.  The factors of a block do not depend on its wave mates.
 """
 
 from __future__ import annotations
@@ -28,7 +25,6 @@ from ..clustering.tree import ClusterTree
 from ..config import HMatrixOptions
 from ..lowrank.aca import ACAResult, aca_blocks
 from ..obs import trace
-from ..parallel.executor import BlockExecutor, resolve_workers
 from ..utils.timing import TimingLog
 from ..utils.validation import check_array_2d
 from .bbox import cluster_geometries
@@ -63,7 +59,6 @@ def build_hmatrix(
     tree: ClusterTree,
     options: Optional[HMatrixOptions] = None,
     timing: Optional[TimingLog] = None,
-    executor: Optional[BlockExecutor] = None,
     block_tree: Optional[BlockClusterTree] = None,
 ) -> HMatrix:
     """Compress the kernel matrix of ``X_permuted`` into an H matrix.
@@ -75,25 +70,19 @@ def build_hmatrix(
         permuted ordering** of ``tree``: ``block(rows, cols)`` for the
         dense leaves, ``row_segments`` / ``col_segments`` (see
         :class:`repro.kernels.KernelOperator`) for the ACA of the
-        admissible ones.  All three must be thread-safe when more than one
-        worker is used.
+        admissible ones.
     X_permuted:
         The reordered data points (used only for the geometric admissibility
         condition).
     tree:
         Cluster tree shared with the HSS construction.
     options:
-        :class:`repro.config.HMatrixOptions`; ``options.workers`` selects
-        the parallelism when no ``executor`` is passed.
+        :class:`repro.config.HMatrixOptions`.
     timing:
         Optional log; an ``h_construction`` phase is added.  The build also
         runs under an ``hmatrix.build`` trace span whose attributes record
         ``admissible_blocks``, ``dense_blocks``, ``waves``, ``iterations``
         (wavefront steps summed over the waves) and ``max_rank``.
-    executor:
-        Optional shared :class:`repro.parallel.BlockExecutor`; callers
-        running several training phases should pass one executor so the
-        thread pool is reused across phases.
     block_tree:
         Optional :class:`repro.hmatrix.BlockClusterTree` of an earlier
         build over the same ``X_permuted``.  The admissibility partition
@@ -110,59 +99,51 @@ def build_hmatrix(
     opts = options if options is not None else HMatrixOptions()
     X_permuted = check_array_2d(X_permuted, "X_permuted")
     log = timing if timing is not None else TimingLog()
-    own_executor = executor is None
-    ex = executor if executor is not None else BlockExecutor(
-        workers=resolve_workers(opts.workers))
+    with trace.span("hmatrix.build") as span, log.phase("h_construction"):
+        if (block_tree is not None and block_tree.tree is tree
+                and block_tree.eta == opts.admissibility_eta
+                and block_tree.leaf_size == opts.leaf_size
+                and block_tree.criterion == opts.admissibility):
+            btree = block_tree
+        else:
+            geometries = cluster_geometries(X_permuted, tree)
+            btree = BlockClusterTree(tree, geometries,
+                                     eta=opts.admissibility_eta,
+                                     leaf_size=opts.leaf_size,
+                                     criterion=opts.admissibility)
+        leaves = btree.leaves()
+        ranges = {i: btree.block_ranges(i) for i in leaves}
+        admissible = [i for i in leaves if btree.blocks[i].admissible]
+        dense = [i for i in leaves if not btree.blocks[i].admissible]
 
-    try:
-        with trace.span("hmatrix.build") as span, log.phase("h_construction"):
-            if (block_tree is not None and block_tree.tree is tree
-                    and block_tree.eta == opts.admissibility_eta
-                    and block_tree.leaf_size == opts.leaf_size
-                    and block_tree.criterion == opts.admissibility):
-                btree = block_tree
-            else:
-                geometries = cluster_geometries(X_permuted, tree)
-                btree = BlockClusterTree(tree, geometries,
-                                         eta=opts.admissibility_eta,
-                                         leaf_size=opts.leaf_size,
-                                         criterion=opts.admissibility)
-            leaves = btree.leaves()
-            ranges = {i: btree.block_ranges(i) for i in leaves}
-            admissible = [i for i in leaves if btree.blocks[i].admissible]
-            dense = [i for i in leaves if not btree.blocks[i].admissible]
+        def extract(i: int) -> HBlock:
+            rows, cols = ranges[i]
+            values = operator.block(
+                np.arange(rows.start, rows.stop, dtype=np.intp),
+                np.arange(cols.start, cols.stop, dtype=np.intp))
+            return HBlock(i, rows, cols,
+                          dense=np.asarray(values, dtype=np.float64))
 
-            def extract(i: int) -> HBlock:
-                rows, cols = ranges[i]
-                values = operator.block(
-                    np.arange(rows.start, rows.stop, dtype=np.intp),
-                    np.arange(cols.start, cols.stop, dtype=np.intp))
-                return HBlock(i, rows, cols,
-                              dense=np.asarray(values, dtype=np.float64))
+        def compress(wave: List[int]) -> List[ACAResult]:
+            return aca_blocks(
+                operator,
+                [(ranges[i][0].start, ranges[i][0].stop) for i in wave],
+                [(ranges[i][1].start, ranges[i][1].stop) for i in wave],
+                rel_tol=opts.rel_tol, max_rank=opts.max_rank)
 
-            def compress(wave: List[int]) -> List[ACAResult]:
-                return aca_blocks(
-                    operator,
-                    [(ranges[i][0].start, ranges[i][0].stop) for i in wave],
-                    [(ranges[i][1].start, ranges[i][1].stop) for i in wave],
-                    rel_tol=opts.rel_tol, max_rank=opts.max_rank)
-
-            waves = _pack_waves(admissible, [
-                rows.stop - rows.start + cols.stop - cols.start
-                for rows, cols in (ranges[i] for i in admissible)])
-            by_id = {blk.block_id: blk for blk in ex.map(extract, dense)}
-            compressed = ex.map(compress, waves)
-            for wave, results in zip(waves, compressed):
-                for i, result in zip(wave, results):
-                    by_id[i] = HBlock(i, *ranges[i], lowrank=result.lowrank)
-            span.attributes.update(
-                admissible_blocks=len(admissible), dense_blocks=len(dense),
-                waves=len(waves),
-                iterations=sum(max(r.rows_sampled for r in results)
-                               for results in compressed),
-                max_rank=max((r.rank for results in compressed
-                              for r in results), default=0))
-    finally:
-        if own_executor:
-            ex.shutdown()
+        waves = _pack_waves(admissible, [
+            rows.stop - rows.start + cols.stop - cols.start
+            for rows, cols in (ranges[i] for i in admissible)])
+        by_id = {blk.block_id: blk for blk in map(extract, dense)}
+        compressed = [compress(wave) for wave in waves]
+        for wave, results in zip(waves, compressed):
+            for i, result in zip(wave, results):
+                by_id[i] = HBlock(i, *ranges[i], lowrank=result.lowrank)
+        span.attributes.update(
+            admissible_blocks=len(admissible), dense_blocks=len(dense),
+            waves=len(waves),
+            iterations=sum(max(r.rows_sampled for r in results)
+                           for results in compressed),
+            max_rank=max((r.rank for results in compressed
+                          for r in results), default=0))
     return HMatrix(btree, [by_id[i] for i in leaves])

@@ -93,24 +93,12 @@ class HMatrix:
     ----------
     block_tree, blocks:
         The block partition and its leaf blocks.
-    executor:
-        Optional :class:`repro.parallel.BlockExecutor`.  When set (or
-        passed per call), the matvec sweeps evaluate the per-block GEMMs
-        as independent tasks on the executor and accumulate the returned
-        contributions **in block order** on the calling thread — so
-        parallel and serial sweeps are bitwise identical.  This is what
-        makes the multi-RHS sampling products of the randomized HSS
-        construction scale with the worker threads instead of running as
-        one serial block sweep.
     """
 
-    def __init__(self, block_tree: BlockClusterTree, blocks: List[HBlock],
-                 executor=None):
+    def __init__(self, block_tree: BlockClusterTree, blocks: List[HBlock]):
         self.block_tree = block_tree
         self.blocks = blocks
         self._n = block_tree.tree.n
-        #: default executor of the matvec sweeps (``None`` = serial)
-        self.executor = executor
 
     @property
     def shape(self) -> tuple:
@@ -125,55 +113,40 @@ class HMatrix:
         return np.dtype(np.float64)
 
     # --------------------------------------------------------------- products
-    def _sweep(self, X: np.ndarray, transpose: bool, executor) -> np.ndarray:
-        """One block sweep, optionally with executor-parallel block GEMMs.
-
-        Contributions are always accumulated in block-list order on the
-        calling thread, so any worker count produces the bitwise-identical
-        result of the serial sweep (block row ranges overlap across tree
-        levels, which rules out accumulating inside the workers).
-        """
+    def _sweep(self, X: np.ndarray, transpose: bool) -> np.ndarray:
+        """One block sweep, accumulating contributions in block-list order."""
         out = np.zeros_like(X)
-        ex = executor if executor is not None else self.executor
-        if ex is not None and ex.workers > 1:
+        for blk in self.blocks:
             if transpose:
-                contribs = ex.map(lambda blk: blk.rproduct(X), self.blocks)
+                blk.rmatvec_into(X, out)
             else:
-                contribs = ex.map(lambda blk: blk.product(X), self.blocks)
-            for blk, c in zip(self.blocks, contribs):
-                out[blk.col_slice if transpose else blk.row_slice] += c
-        else:
-            for blk in self.blocks:
-                if transpose:
-                    blk.rmatvec_into(X, out)
-                else:
-                    blk.matvec_into(X, out)
+                blk.matvec_into(X, out)
         return out
 
-    def matvec(self, x: np.ndarray, executor=None) -> np.ndarray:
+    def matvec(self, x: np.ndarray) -> np.ndarray:
         """Compute ``A_perm @ x`` by summing leaf-block contributions."""
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
         X = x[:, None] if single else x
         if X.shape[0] != self._n:
             raise ValueError(f"x has {X.shape[0]} rows, expected {self._n}")
-        out = self._sweep(X, transpose=False, executor=executor)
+        out = self._sweep(X, transpose=False)
         return out.ravel() if single else out
 
-    def rmatvec(self, x: np.ndarray, executor=None) -> np.ndarray:
+    def rmatvec(self, x: np.ndarray) -> np.ndarray:
         """Compute ``A_perm.T @ x``."""
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 1
         X = x[:, None] if single else x
-        out = self._sweep(X, transpose=True, executor=executor)
+        out = self._sweep(X, transpose=True)
         return out.ravel() if single else out
 
-    def matmat(self, V: np.ndarray, executor=None) -> np.ndarray:
+    def matmat(self, V: np.ndarray) -> np.ndarray:
         """Blocked product ``A_perm @ V`` (same leaf sweep, multiple columns)."""
-        return self.matvec(V, executor=executor)
+        return self.matvec(V)
 
-    def rmatmat(self, V: np.ndarray, executor=None) -> np.ndarray:
-        return self.rmatvec(V, executor=executor)
+    def rmatmat(self, V: np.ndarray) -> np.ndarray:
+        return self.rmatvec(V)
 
     def to_dense(self) -> np.ndarray:
         """Materialise the full matrix (testing / small problems only)."""

@@ -33,20 +33,14 @@ class HMatrixSampler:
     exact_operator:
         The exact partially matrix-free operator (same ordering); only its
         ``block`` method is used.
-    executor:
-        Optional shared :class:`repro.parallel.BlockExecutor`: the
-        multi-RHS sampling sweeps then run the per-block GEMMs as
-        independent tasks (bitwise identical to the serial sweep; see
-        :meth:`repro.hmatrix.HMatrix.matvec`).
     """
 
-    def __init__(self, hmatrix: HMatrix, exact_operator, executor=None):
+    def __init__(self, hmatrix: HMatrix, exact_operator):
         if hmatrix.n != (exact_operator.n if hasattr(exact_operator, "n")
                          else exact_operator.shape[0]):
             raise ValueError("H matrix and exact operator dimensions differ")
         self.hmatrix = hmatrix
         self.exact = exact_operator
-        self.executor = executor
         self.matvec_sweeps = 0
 
     # ------------------------------------------------------------------ shape
@@ -83,19 +77,19 @@ class HMatrixSampler:
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         self.matvec_sweeps += 1
-        return self.hmatrix.matvec(v, executor=self.executor)
+        return self.hmatrix.matvec(v)
 
     def rmatvec(self, v: np.ndarray) -> np.ndarray:
         self.matvec_sweeps += 1
-        return self.hmatrix.rmatvec(v, executor=self.executor)
+        return self.hmatrix.rmatvec(v)
 
     def matmat(self, V: np.ndarray) -> np.ndarray:
         self.matvec_sweeps += 1
-        return self.hmatrix.matmat(V, executor=self.executor)
+        return self.hmatrix.matmat(V)
 
     def rmatmat(self, V: np.ndarray) -> np.ndarray:
         self.matvec_sweeps += 1
-        return self.hmatrix.rmatmat(V, executor=self.executor)
+        return self.hmatrix.rmatmat(V)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"HMatrixSampler(n={self.n}, hmatrix={self.hmatrix!r})"

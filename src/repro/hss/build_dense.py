@@ -5,11 +5,9 @@ compresses the off-diagonal block row / block column of every node with an
 interpolative decomposition, enforcing the nested-basis property by only
 compressing the *skeleton* rows/columns of the children at internal nodes.
 
-Within one tree level every node's compression is independent (it only
-reads the matrix and the children's skeletons, which belong to deeper
-levels), so the walk is level-synchronous: one parallel map per level,
-deepest level first.  Results are stored in node order, so the construction
-is bitwise identical for any worker count.
+A node's compression only reads the matrix and the children's skeletons,
+which belong to deeper levels, so the walk goes level by level, deepest
+level first.
 
 It touches every matrix entry, so it costs ``O(n^2 r)`` and is meant for
 testing, for modest problem sizes and as the ground truth against which the
@@ -26,7 +24,6 @@ import numpy as np
 from ..clustering.tree import ClusterTree
 from ..config import HSSOptions
 from ..lowrank.interpolative import row_id
-from ..parallel.executor import BlockExecutor, resolve_workers
 from ..utils.validation import check_square
 from .generators import HSSNodeData
 from .hss_matrix import HSSMatrix
@@ -42,7 +39,6 @@ def build_hss_from_dense(
     A: np.ndarray,
     tree: ClusterTree,
     options: Optional[HSSOptions] = None,
-    executor: Optional[BlockExecutor] = None,
 ) -> HSSMatrix:
     """Compress a dense (already permuted) matrix into HSS form.
 
@@ -56,11 +52,7 @@ def build_hss_from_dense(
     options:
         Compression options; ``rel_tol`` controls the ID truncation,
         ``max_rank`` caps the ranks.  The ``symmetric`` flag reuses the row
-        compression for the columns when ``A`` is symmetric, and
-        ``workers`` selects the level parallelism when no ``executor`` is
-        passed.
-    executor:
-        Optional shared :class:`repro.parallel.BlockExecutor`.
+        compression for the columns when ``A`` is symmetric.
 
     Returns
     -------
@@ -138,16 +130,8 @@ def build_hss_from_dense(
             data.col_skeleton = merged_cols[cid.skeleton]
         return data
 
-    own_executor = executor is None
-    ex = executor if executor is not None else BlockExecutor(
-        workers=resolve_workers(opts.workers))
-    try:
-        for level_nodes in reversed(tree.levels()):
-            results = ex.map(process_node, level_nodes)
-            for node_id, data in zip(level_nodes, results):
-                node_data[node_id] = data
-    finally:
-        if own_executor:
-            ex.shutdown()
+    for level_nodes in reversed(tree.levels()):
+        for node_id in level_nodes:
+            node_data[node_id] = process_node(node_id)
 
     return HSSMatrix(tree, node_data)

@@ -34,11 +34,8 @@ compresses every deeper level of the whole tree — most of a binary tree —
 before it meets the first saturated node; the walk here is post-order,
 subtree by subtree, so a saturated node is met right after its own subtree
 and a discarded attempt costs one subtree plus its sampling sweep.  The
-unit of work handed to the executor is a whole subtree below a cut of the
-tree (the cut is the root for a single worker); only the few nodes above
-the cut are processed level by level.  The leaf diagonal blocks are exact
-matrix entries that no sample changes, so they are extracted once per
-build, not once per attempt.
+leaf diagonal blocks are exact matrix entries that no sample changes, so
+they are extracted once per build, not once per attempt.
 
 The sampling operator can be the exact kernel operator (cost ``O(n^2)`` per
 sweep, the paper's bottleneck) or the H-matrix accelerated sampler
@@ -57,7 +54,6 @@ import numpy as np
 from ..clustering.tree import ClusterTree
 from ..config import HSSOptions
 from ..lowrank.interpolative import row_id
-from ..parallel.executor import BlockExecutor, resolve_workers
 from ..utils.random import as_generator
 from ..utils.timing import TimingLog
 from .generators import HSSNodeData
@@ -126,25 +122,6 @@ def _node_schedule(tree: ClusterTree) -> Tuple[_Node, ...]:
                  for node_id, nd in enumerate(tree.nodes))
 
 
-def _subtree_cut(nodes: Sequence[_Node], root: int, workers: int
-                 ) -> Tuple[List[int], List[List[int]]]:
-    """Split the tree into whole subtrees and the few nodes above them.
-
-    Returns ``(cut, above)``: ``cut`` lists the roots of disjoint subtrees
-    that together hold every leaf, ``above`` the internal nodes over them,
-    by level, deepest first.  A single worker gets the whole tree as one
-    subtree; more workers get several subtrees each, so that an unbalanced
-    tree still spreads and a saturated node stops little queued work.
-    """
-    wanted = 1 if workers == 1 else 4 * workers
-    cut, above = [root], []
-    while len(cut) < wanted and not all(nodes[i][5] for i in cut):
-        above.append([i for i in cut if not nodes[i][5]])
-        cut = [child for i in cut
-               for child in ((i,) if nodes[i][5] else nodes[i][1:3])]
-    return cut, above[::-1]
-
-
 def _postorder(nodes: Sequence[_Node], top: int) -> List[_Node]:
     """The subtree of ``top``, children before parents, left before right."""
     order, stack = [], [top]
@@ -174,7 +151,7 @@ class _Sample:
         self.leaves = leaves
         self.root = root
         self.accept_saturated = accept_saturated
-        #: ids of the nodes visited so far (appended to by every worker)
+        #: ids of the nodes visited so far
         self.visited: List[int] = []
         self.R = rng.standard_normal((_dimension(operator), n_random))
         self.S = np.asarray(operator.matmat(self.R), dtype=np.float64)
@@ -264,12 +241,10 @@ class _Sample:
         return data, (srow, sample_col[skel_c], data.V.T @ rcol_in,
                       data.U.T @ rrow_in)
 
-    def walk(self, order: Sequence[_Node]):
-        """Visit one subtree in post-order: ``(node_data, carries)``.
+    def walk(self, order: Sequence[_Node]) -> Dict[int, HSSNodeData]:
+        """Visit the nodes of ``order`` (a post-order): generators by node id.
 
-        Both are dictionaries by node id; a node's carry is dropped as soon
-        as its parent is done, so ``carries`` comes back holding the
-        subtree root's alone.
+        A node's carry is dropped as soon as its parent is done.
         """
         node_data: Dict[int, HSSNodeData] = {}
         carries: Dict[int, Optional[tuple]] = {}
@@ -278,34 +253,7 @@ class _Sample:
                 node, node_data, carries)
             if not node[5]:
                 del carries[node[1]], carries[node[2]]
-        return node_data, carries
-
-
-def _compress_tree(sample: _Sample, subtrees: Sequence[Sequence[_Node]],
-                   above: Sequence[Sequence[_Node]], n_nodes: int,
-                   ex: BlockExecutor) -> List[HSSNodeData]:
-    """All generators against one sample, or :class:`_SaturatedSample`.
-
-    The subtrees below the cut are one parallel map (whose fail-fast drops
-    the queued ones when a node saturates), the levels above it one map
-    each.  Workers never touch shared state — each returns its nodes'
-    generators and carries, which the calling thread commits in node
-    order.
-    """
-    node_data: List[Optional[HSSNodeData]] = [None] * n_nodes
-    carries: Dict[int, Optional[tuple]] = {}
-    for sub_data, sub_carries in ex.map(sample.walk, subtrees):
-        for node_id, data in sub_data.items():
-            node_data[node_id] = data
-        carries.update(sub_carries)
-    for level in above:
-        results = ex.map(lambda node: sample.node(node, node_data, carries),
-                         level)
-        for node, (data, carry) in zip(level, results):
-            node_data[node[0]] = data
-            carries[node[0]] = carry
-            del carries[node[1]], carries[node[2]]
-    return node_data
+        return node_data
 
 
 def build_hss_randomized(
@@ -314,7 +262,6 @@ def build_hss_randomized(
     options: Optional[HSSOptions] = None,
     rng=None,
     timing: Optional[TimingLog] = None,
-    executor: Optional[BlockExecutor] = None,
 ) -> Tuple[HSSMatrix, SamplingStats]:
     """Build an HSS approximation of ``operator`` using randomized sampling.
 
@@ -335,12 +282,6 @@ def build_hss_randomized(
     timing:
         Optional :class:`repro.utils.TimingLog`; phases ``hss_sampling`` and
         ``hss_other`` are accumulated into it.
-    executor:
-        Optional shared :class:`repro.parallel.BlockExecutor` that the
-        subtrees of the walk are handed to; when absent one is created from
-        ``options.workers``.  The construction is bitwise identical for any
-        worker count (each sample is drawn up front and a node's result
-        depends on the sample and its own subtree only).
 
     Returns
     -------
@@ -356,67 +297,58 @@ def build_hss_randomized(
     n_random = min(max(opts.initial_samples, 2 * opts.oversampling + 2), n)
     stats = SamplingStats()
     start_elements = getattr(operator, "element_evaluations", 0)
-    own_executor = executor is None
-    ex = executor if executor is not None else BlockExecutor(
-        workers=resolve_workers(opts.workers))
 
     def leaf_block(node: _Node):
         index = np.arange(node[3], node[4], dtype=np.intp)
         return index, np.asarray(operator.block(index, index), dtype=np.float64)
 
-    try:
-        t0 = time.perf_counter()
-        nodes = _node_schedule(tree)
-        cut, above_ids = _subtree_cut(nodes, tree.root, ex.workers)
-        subtrees = [_postorder(nodes, top) for top in cut]
-        above = [[nodes[i] for i in level] for level in above_ids]
-        leaf_nodes = [node for node in nodes if node[5]]
-        leaves = dict(zip((node[0] for node in leaf_nodes),
-                          ex.map(leaf_block, leaf_nodes)))
-        setup_seconds = time.perf_counter() - t0
-        stats.other_time += setup_seconds
-        log.add("hss_other", setup_seconds)
+    t0 = time.perf_counter()
+    nodes = _node_schedule(tree)
+    order = _postorder(nodes, tree.root)
+    leaf_nodes = [node for node in nodes if node[5]]
+    leaves = dict(zip((node[0] for node in leaf_nodes),
+                      map(leaf_block, leaf_nodes)))
+    setup_seconds = time.perf_counter() - t0
+    stats.other_time += setup_seconds
+    log.add("hss_other", setup_seconds)
 
-        # Attempts that may still ask for a bigger sample; the one after the
-        # last of them accepts whatever rank its sample gives.
-        strict_left = opts.max_adaptive_rounds
-        while True:
-            stats.rounds += 1
-            stats.random_vectors = n_random
-            t0 = time.perf_counter()
-            sample = _Sample(operator, opts, rng, n_random, leaves, tree.root,
-                             accept_saturated=strict_left <= 0)
-            t1 = time.perf_counter()
-            try:
-                node_data = _compress_tree(sample, subtrees, above,
-                                           tree.n_nodes, ex)
-            except _SaturatedSample:
-                node_data = None
-            t2 = time.perf_counter()
-            stats.sample_time += t1 - t0
-            stats.other_time += t2 - t1
-            log.add("hss_sampling", t1 - t0)
-            log.add("hss_other", t2 - t1)
-            stats.nodes_compressed += len(sample.visited)
-            if node_data is not None:
-                break
-            stats.nodes_discarded += len(sample.visited)
-            stats.discarded_time += t2 - t0
-            if n_random >= n:
-                # Cannot enlarge further: take a fresh full-width sample and
-                # accept its ranks.
-                strict_left = 0
-            else:
-                # Grow the sample geometrically (like STRUMPACK's doubling)
-                # so a high-rank problem is reached in O(log n) restart
-                # rounds; an additive increment would need too many rounds
-                # and could leave the compression short of its tolerance.
-                strict_left -= 1
-                n_random = min(max(2 * n_random,
-                                   n_random + opts.sample_increment), n)
-    finally:
-        if own_executor:
-            ex.shutdown()
+    # Attempts that may still ask for a bigger sample; the one after the
+    # last of them accepts whatever rank its sample gives.
+    strict_left = opts.max_adaptive_rounds
+    while True:
+        stats.rounds += 1
+        stats.random_vectors = n_random
+        t0 = time.perf_counter()
+        sample = _Sample(operator, opts, rng, n_random, leaves, tree.root,
+                         accept_saturated=strict_left <= 0)
+        t1 = time.perf_counter()
+        try:
+            walked = sample.walk(order)
+            node_data = [walked[i] for i in range(tree.n_nodes)]
+        except _SaturatedSample:
+            node_data = None
+        t2 = time.perf_counter()
+        stats.sample_time += t1 - t0
+        stats.other_time += t2 - t1
+        log.add("hss_sampling", t1 - t0)
+        log.add("hss_other", t2 - t1)
+        stats.nodes_compressed += len(sample.visited)
+        if node_data is not None:
+            break
+        stats.nodes_discarded += len(sample.visited)
+        stats.discarded_time += t2 - t0
+        if n_random >= n:
+            # Cannot enlarge further: take a fresh full-width sample and
+            # accept its ranks.
+            strict_left = 0
+        else:
+            # Grow the sample geometrically (like STRUMPACK's doubling)
+            # so a high-rank problem is reached in O(log n) restart
+            # rounds; an additive increment would need too many rounds
+            # and could leave the compression short of its tolerance.
+            strict_left -= 1
+            n_random = min(max(2 * n_random,
+                               n_random + opts.sample_increment), n)
 
     stats.element_evaluations = getattr(operator, "element_evaluations",
                                         0) - start_elements

@@ -34,7 +34,6 @@ from ..kernels.base import Kernel
 from ..kernels.operator import KernelOperator
 from ..obs import global_registry
 from ..obs.tracing import trace
-from ..parallel.executor import BlockExecutor
 from ..utils.bytes import megabytes
 from ..utils.timing import TimingLog
 from .build_random import build_hss_randomized
@@ -43,7 +42,7 @@ from .hss_matrix import HSSMatrix
 #: Column-tile size of the exact kernel operator's sampling ``matmat``
 #: (only exercised when H-matrix sampling is off), chosen so a tile row
 #: fits in cache for the paper's dimensionalities.  A constant, not an
-#: option: serial, threaded and sharded builds all tile the same way.
+#: option: single-process and sharded builds all tile the same way.
 MATMAT_COL_TILE = 1024
 
 
@@ -122,7 +121,6 @@ def compress_kernel(
     use_hmatrix_sampling: bool = True,
     seed=0,
     timing: Optional[TimingLog] = None,
-    executor: Optional[BlockExecutor] = None,
     block_tree: Optional[BlockClusterTree] = None,
 ) -> CompressedKernel:
     """Build the λ-free HSS compression of ``K(X_permuted)``.
@@ -148,10 +146,6 @@ def compress_kernel(
     timing:
         Optional :class:`repro.utils.TimingLog`; the H-matrix and HSS
         build phases are accumulated into it.
-    executor:
-        Optional shared :class:`repro.parallel.BlockExecutor` driving the
-        H-matrix and HSS builders (and the exact-sampling matmat, tiled by
-        :data:`MATMAT_COL_TILE` columns).
     block_tree:
         Optional :class:`repro.hmatrix.BlockClusterTree` of an earlier
         build (``compressed.block_tree``).  The admissibility partition
@@ -173,8 +167,7 @@ def compress_kernel(
     h_opts = hmatrix_options if hmatrix_options is not None else HMatrixOptions()
     log = timing if timing is not None else TimingLog()
 
-    operator = KernelOperator(X_permuted, kernel, executor=executor,
-                              col_tile=MATMAT_COL_TILE)
+    operator = KernelOperator(X_permuted, kernel, col_tile=MATMAT_COL_TILE)
     sampler = operator
     hmatrix = None
     hmatrix_memory_mb = 0.0
@@ -182,15 +175,13 @@ def compress_kernel(
         if use_hmatrix_sampling:
             hmatrix = build_hmatrix(operator, X_permuted, tree,
                                     options=h_opts, timing=log,
-                                    executor=executor,
                                     block_tree=block_tree)
-            sampler = HMatrixSampler(hmatrix, operator, executor=executor)
+            sampler = HMatrixSampler(hmatrix, operator)
             hmatrix_memory_mb = megabytes(hmatrix.nbytes)
 
         with trace.span("hss.build") as span:
             hss, stats = build_hss_randomized(sampler, tree, options=opts,
-                                              rng=seed, timing=log,
-                                              executor=executor)
+                                              rng=seed, timing=log)
             span.attributes.update(
                 rounds=stats.rounds,
                 random_vectors=stats.random_vectors,

@@ -64,7 +64,6 @@ from scipy.linalg.lapack import dgeqrf, dorgqr, dtrtrs
 
 from ..lowrank.lapack import (raise_trtrs_info, require_finite,
                               with_optimal_workspace)
-from ..parallel.executor import BlockExecutor, SERIAL_EXECUTOR
 from ..utils.timing import TimingLog
 from .hss_matrix import HSSMatrix
 
@@ -173,13 +172,6 @@ class ULVFactorization:
         leaf diagonal blocks are shifted (copies; the generators are never
         mutated), which is what makes λ-refits cheap — see
         :meth:`refactor`.
-    executor:
-        Optional shared :class:`repro.parallel.BlockExecutor`.  Both the
-        factorization and the two solve sweeps are level-synchronous
-        (Figure 8's parallelization): nodes within a tree level are
-        eliminated / swept concurrently, with results committed in node
-        order so any worker count produces bitwise-identical factors and
-        solutions.
     prior:
         A factorization of the same ``hss`` object at any shift (what
         :meth:`refactor` passes).  Every node then takes its left transform
@@ -202,15 +194,13 @@ class ULVFactorization:
     """
 
     def __init__(self, hss: HSSMatrix, timing: Optional[TimingLog] = None,
-                 executor: Optional[BlockExecutor] = None, lam: float = 0.0,
-                 prior: Optional["ULVFactorization"] = None):
+                 lam: float = 0.0, prior: Optional["ULVFactorization"] = None):
         if prior is not None and prior.hss is not hss:
             raise ValueError(
                 "prior factors a different HSS matrix; its transforms "
                 "cannot be reused")
         self.hss = hss
         self.lam = float(lam)
-        self._executor = executor
         log = timing if timing is not None else TimingLog()
         with log.phase("factorization"):
             self._factor(prior)
@@ -218,8 +208,7 @@ class ULVFactorization:
 
     @classmethod
     def factor(cls, hss: HSSMatrix, lam: float = 0.0,
-               timing: Optional[TimingLog] = None,
-               executor: Optional[BlockExecutor] = None) -> "ULVFactorization":
+               timing: Optional[TimingLog] = None) -> "ULVFactorization":
         """Factor a λ-free HSS matrix as ``A + lam I``, cold.
 
         The expensive compression is reused unchanged and the ``O(n r^2)``
@@ -236,19 +225,15 @@ class ULVFactorization:
         timing:
             Optional :class:`repro.utils.TimingLog` receiving the
             ``factorization`` phase.
-        executor:
-            Optional shared :class:`repro.parallel.BlockExecutor` for the
-            level-parallel elimination.
 
         Returns
         -------
         ULVFactorization
             Factors of ``A + lam I``.
         """
-        return cls(hss, timing=timing, executor=executor, lam=lam)
+        return cls(hss, timing=timing, lam=lam)
 
-    def refactor(self, lam: float, timing: Optional[TimingLog] = None,
-                 executor: Optional[BlockExecutor] = None
+    def refactor(self, lam: float, timing: Optional[TimingLog] = None
                  ) -> "ULVFactorization":
         """Factor the same HSS matrix at another shift from these factors.
 
@@ -265,21 +250,17 @@ class ULVFactorization:
         timing:
             Optional :class:`repro.utils.TimingLog` receiving the
             ``factorization`` phase.
-        executor:
-            Optional shared :class:`repro.parallel.BlockExecutor`.
 
         Returns
         -------
         ULVFactorization
             Factors of ``A + lam I``, holding no reference to ``self``.
         """
-        return type(self)(self.hss, timing=timing, executor=executor,
-                          lam=lam, prior=self)
+        return type(self)(self.hss, timing=timing, lam=lam, prior=self)
 
     @classmethod
     def factor_many(cls, hss: HSSMatrix, lams,
-                    timing: Optional[TimingLog] = None,
-                    executor: Optional[BlockExecutor] = None
+                    timing: Optional[TimingLog] = None
                     ) -> List["ULVFactorization"]:
         """Factor one HSS matrix at several shifts: cold once, then warm.
 
@@ -297,8 +278,6 @@ class ULVFactorization:
         timing:
             Optional :class:`repro.utils.TimingLog`; the ``factorization``
             phases of all shifts accumulate into it.
-        executor:
-            Optional shared :class:`repro.parallel.BlockExecutor`.
 
         Returns
         -------
@@ -308,29 +287,17 @@ class ULVFactorization:
         lams = [float(lam) for lam in lams]
         if not lams:
             return []
-        first = cls.factor(hss, lam=lams[0], timing=timing,
-                           executor=executor)
-        return [first] + [first.refactor(lam, timing=timing,
-                                         executor=executor)
+        first = cls.factor(hss, lam=lams[0], timing=timing)
+        return [first] + [first.refactor(lam, timing=timing)
                           for lam in lams[1:]]
-
-    @property
-    def executor(self) -> BlockExecutor:
-        """Executor used for the level-parallel sweeps (serial fallback).
-
-        ``getattr`` guards deserialized instances
-        (:func:`repro.serving.serialize.ulv_from_arrays` bypasses
-        ``__init__``), which solve serially unless an executor is attached.
-        """
-        ex = getattr(self, "_executor", None)
-        return ex if ex is not None else SERIAL_EXECUTOR
 
     @property
     def _schedule(self):
         """The tree's :func:`_level_schedule`, read off on first use.
 
         A factorization built from a ``prior`` starts with its schedule; a
-        deserialized one (see :attr:`executor`) has none yet.
+        deserialized one (:func:`repro.serving.serialize.ulv_from_arrays`
+        bypasses ``__init__``) has none yet.
         """
         levels = getattr(self, "_levels", None)
         if levels is None:
@@ -450,12 +417,10 @@ class ULVFactorization:
             return self._eliminate(
                 D, U, V, prior_factors[node_id] if warm else None), None
 
-        # Level-synchronous bottom-up elimination: nodes of one level only
-        # read their children's (already committed) factors, so each level
-        # is one parallel map.
+        # Bottom-up elimination, level by level: a node only reads its
+        # children's (already committed) factors.
         for level in reversed(self._schedule):
-            results = self.executor.map(factor_node, level)
-            for entry, (fac, root_lu) in zip(level, results):
+            for entry, (fac, root_lu) in zip(level, map(factor_node, level)):
                 factors[entry[0]] = fac
                 if entry[0] == root:
                     self._root_size = fac.n_loc
@@ -547,8 +512,8 @@ class ULVFactorization:
             return z, reduced, beta_local
 
         for level in reversed(schedule):
-            results = self.executor.map(forward_node, level)
-            for entry, (z, reduced, beta_node) in zip(level, results):
+            for entry, (z, reduced, beta_node) in zip(
+                    level, map(forward_node, level)):
                 node_id, left, right = entry[:3]
                 z1[node_id], b_hat[node_id], beta[node_id] = \
                     z, reduced, beta_node
@@ -570,9 +535,8 @@ class ULVFactorization:
             return z2[node_id]
 
         for level in schedule:
-            results = self.executor.map(backward_node, level)
-            for (node_id, left, right, start, stop), x_local in zip(level,
-                                                                    results):
+            for (node_id, left, right, start, stop), x_local in zip(
+                    level, map(backward_node, level)):
                 z2[node_id] = None
                 if left < 0:
                     X[start:stop] = x_local

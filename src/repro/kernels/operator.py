@@ -43,20 +43,13 @@ class KernelOperator:
     block_size:
         Row-block size used by the tiled matvec; bounds peak memory at
         ``O(block_size * n)``.
-    executor:
-        Optional shared :class:`repro.parallel.BlockExecutor`.  When set
-        together with ``col_tile``, every row block's product is split
-        into column tiles evaluated as independent tasks on the executor
-        (kernel tile assembly + partial GEMM per task) and the returned
-        partials are accumulated **in tile order** on the calling thread —
-        so any worker count produces bitwise-identical results to the
-        serial tiled sweep.
     col_tile:
         Column-tile size of the tiled ``matmat``.  ``None`` (default)
         keeps the historical one-big-GEMM-per-row-block sweep; a positive
-        value fixes the tile geometry independently of the worker count
-        (the decomposition, and hence the floating-point accumulation
-        order, never depends on how many threads execute it).
+        value splits every row block's product into column tiles (kernel
+        tile assembly + partial GEMM each) whose partials are summed in
+        tile order, so the tile geometry fixes the floating-point
+        accumulation order.
 
     Notes
     -----
@@ -66,7 +59,7 @@ class KernelOperator:
     """
 
     def __init__(self, X: np.ndarray, kernel: Kernel, block_size: int = 2048,
-                 executor=None, col_tile: Optional[int] = None):
+                 col_tile: Optional[int] = None):
         self.X = check_array_2d(X, "X")
         self.kernel = kernel
         if block_size < 1:
@@ -74,7 +67,6 @@ class KernelOperator:
         if col_tile is not None and col_tile < 1:
             raise ValueError("col_tile must be >= 1 or None")
         self.block_size = int(block_size)
-        self.executor = executor
         self.col_tile = None if col_tile is None else int(col_tile)
         # ||x_i||^2 of every point, once: every element extraction needs the
         # norms of its rows and columns, and an H-matrix build makes tens of
@@ -85,9 +77,8 @@ class KernelOperator:
         self.element_evaluations = 0
         #: number of full matrix-vector style sweeps performed
         self.matvec_sweeps = 0
-        # The counters are mutated from BlockExecutor worker threads during
-        # parallel block assembly; ``+=`` on an int is not atomic, so updates
-        # go through this lock.
+        # One operator may be shared by several threads; ``+=`` on an int
+        # is not atomic, so counter updates go through this lock.
         self._counter_lock = threading.Lock()
         reg = global_registry()
         self._m_elements = reg.counter(
@@ -203,12 +194,9 @@ class KernelOperator:
         """Compute ``K @ V`` with a row-blocked sweep (``V`` is ``(n, k)``).
 
         With :attr:`col_tile` set, each row block is further split into
-        column tiles; every ``(row block, column tile)`` kernel tile plus
-        its partial GEMM runs as an independent task on :attr:`executor`
-        (serially when no executor is attached), and the partial products
-        are summed in fixed tile order — the result is bitwise identical
-        for any worker count because the tile geometry and the
-        accumulation order are both independent of the executor.
+        column tiles; every ``(row block, column tile)`` kernel tile gets
+        its own partial GEMM and the partial products are summed in fixed
+        tile order.
         """
         V = np.asarray(V, dtype=np.float64)
         if V.ndim != 2 or V.shape[0] != self.n:
@@ -225,9 +213,7 @@ class KernelOperator:
         return out
 
     def _matmat_tiled(self, V: np.ndarray) -> np.ndarray:
-        """Column-tiled ``K @ V``: one task per (row block, column tile)."""
-        from ..parallel.executor import SERIAL_EXECUTOR
-
+        """Column-tiled ``K @ V``: one partial per (row block, column tile)."""
         n = self.n
         tile = self.col_tile
         starts = list(range(0, n, tile))
@@ -237,15 +223,13 @@ class KernelOperator:
             sq = pairwise_sq_dists(self.X[r0:r1], self.X[c0:c1])
             return self.kernel._evaluate_sq(sq) @ V[c0:c1]
 
-        ex = self.executor if self.executor is not None else SERIAL_EXECUTOR
         out = np.zeros((n, V.shape[1]), dtype=np.float64)
         for r0 in range(0, n, self.block_size):
             r1 = min(r0 + self.block_size, n)
             tasks = [(r0, r1, c0, min(c0 + tile, n)) for c0 in starts]
-            partials = ex.map(partial, tasks)
-            # Fixed-order reduction on the calling thread: the sum over
-            # column tiles is committed left to right regardless of which
-            # worker produced each partial.
+            partials = [partial(task) for task in tasks]
+            # Fixed-order reduction: the sum over column tiles is
+            # committed left to right.
             acc = partials[0]
             for block in partials[1:]:
                 acc = acc + block
@@ -274,10 +258,8 @@ class ShiftedKernelOperator(KernelOperator):
     """
 
     def __init__(self, X: np.ndarray, kernel: Kernel, lam: float,
-                 block_size: int = 2048, executor=None,
-                 col_tile: Optional[int] = None):
-        super().__init__(X, kernel, block_size=block_size, executor=executor,
-                         col_tile=col_tile)
+                 block_size: int = 2048, col_tile: Optional[int] = None):
+        super().__init__(X, kernel, block_size=block_size, col_tile=col_tile)
         self.lam = check_non_negative(lam, "lam")
 
     def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

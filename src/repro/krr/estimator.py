@@ -29,8 +29,9 @@ from ..clustering.api import ClusteringResult, cluster
 from ..config import ClusteringOptions
 from ..kernels.base import Kernel, get_kernel
 from ..kernels.distance import blockwise_sq_dists
-from ..utils.validation import (check_array_2d, check_non_negative,
-                                check_positive, check_same_dimension)
+from ..utils.validation import (check_array_2d, check_index_array,
+                                check_non_negative, check_positive,
+                                check_same_dimension)
 from .solvers import KernelSystemSolver, build_training_solver
 
 
@@ -61,12 +62,8 @@ class KernelRidgeEstimator:
     seed:
         Seed controlling the random parts (two-means seeding, HSS sampling).
     workers:
-        Worker threads for the training phases when ``solver`` is the
-        ``"hss"`` name (the only solver with a threaded training path;
-        ignored for ``"dense"`` / ``"cg"`` and for pre-constructed solver
-        instances, which carry their own setting).  ``None`` defers to
-        ``REPRO_WORKERS`` / serial; see
-        :func:`repro.parallel.resolve_workers`.
+        Ignored and read by nothing: training runs in one thread.  Kept
+        only so existing ``workers=`` calls still construct.
     shards:
         Worker *processes* for the training phases when ``solver`` is the
         ``"hss"`` name: the training solve then runs through
@@ -99,7 +96,6 @@ class KernelRidgeEstimator:
         self.lam = check_non_negative(lam, "lam")
         self.leaf_size = int(leaf_size)
         self.seed = seed
-        self.workers = workers
         self.shards = shards
         if isinstance(kernel, Kernel):
             self.kernel = kernel
@@ -155,9 +151,9 @@ class KernelRidgeEstimator:
 
         If the solve fails after ``step`` succeeded, ``undo`` (the inverse
         step, if any) puts the solver back at the model's state before the
-        error propagates.  Done or failed, the solver's worker threads /
-        processes are released afterwards (a later ``solve()`` re-creates
-        them or falls back as needed).
+        error propagates.  Done or failed, the solver's worker processes
+        are released afterwards (a later ``solve()`` re-creates them or
+        falls back as needed).
         """
         try:
             step()
@@ -193,8 +189,8 @@ class KernelRidgeEstimator:
         targets_perm = targets[clustering.perm]
 
         solver = build_training_solver(
-            self._solver_spec, seed=self.seed, workers=self.workers,
-            shards=self.shards, solver_options=self._solver_options)
+            self._solver_spec, seed=self.seed, shards=self.shards,
+            solver_options=self._solver_options)
         weights = self._train(
             solver, lambda: solver.fit(clustering.X, clustering.tree,
                                        self.kernel, self.lam), targets_perm)
@@ -315,15 +311,10 @@ class KernelRidgeEstimator:
                                          fitting=False)
         idx = None
         if remove is not None:
-            raw = np.asarray(remove, dtype=np.intp).ravel()
+            raw = check_index_array(remove, self.X_train_.shape[0], "remove")
             idx = np.unique(raw)
             if idx.size != raw.size:
                 raise ValueError("remove contains duplicate indices")
-            n = self.X_train_.shape[0]
-            if idx.size and (idx[0] < 0 or idx[-1] >= n):
-                raise ValueError(
-                    f"remove indices must lie in [0, {n}), got "
-                    f"[{idx[0]}, {idx[-1]}]")
         if X_new is None and (idx is None or not idx.size):
             raise ValueError(
                 "nothing to update: pass X_new/y_new and/or remove")

@@ -39,8 +39,6 @@ class PipelineReport:
     hss_memory_mb: float = 0.0
     hmatrix_memory_mb: float = 0.0
     max_rank: int = 0
-    #: worker threads used by the training phases (1 = serial)
-    workers: int = 1
     #: worker processes (subtree shards) used by the training phases
     shards: int = 1
     timings: Dict[str, float] = field(default_factory=dict)
@@ -70,7 +68,6 @@ class PipelineReport:
             "hss_memory_mb": round(self.hss_memory_mb, 3),
             "hmatrix_memory_mb": round(self.hmatrix_memory_mb, 3),
             "max_rank": self.max_rank,
-            "workers": self.workers,
             "shards": self.shards,
         }
         for name, sec in sorted(self.timings.items()):
@@ -100,11 +97,6 @@ class KRRPipeline:
         Whether the HSS sampling goes through the H matrix (paper default).
     seed:
         Seed shared by all random components.
-    workers:
-        Worker threads for the training phases of the HSS solver (parallel
-        and serial runs produce identical reports apart from timings).
-        ``None`` defers to the option objects / ``REPRO_WORKERS``; see
-        :func:`repro.parallel.resolve_workers`.
     shards:
         Worker *processes* for the training phases, each owning a subtree
         of the cluster tree as in the paper's MPI runs.  An explicit
@@ -148,7 +140,6 @@ class KRRPipeline:
         hmatrix_options: Optional[HMatrixOptions] = None,
         use_hmatrix_sampling: bool = True,
         seed=0,
-        workers: Optional[int] = None,
         shards: Optional[int] = None,
         coupling_rel_tol: Optional[float] = None,
         coupling_max_rank: Optional[int] = None,
@@ -167,7 +158,6 @@ class KRRPipeline:
         self.hmatrix_options = hmatrix_options
         self.use_hmatrix_sampling = bool(use_hmatrix_sampling)
         self.seed = seed
-        self.workers = workers
         self.shards = shards
         self.coupling_rel_tol = coupling_rel_tol
         self.coupling_max_rank = coupling_max_rank
@@ -218,7 +208,6 @@ class KRRPipeline:
             hmatrix_options=config.hmatrix,
             use_hmatrix_sampling=config.solver.use_hmatrix_sampling,
             seed=config.clustering.seed,
-            workers=d.workers,
             shards=d.shards,
             coupling_rel_tol=d.coupling_rel_tol,
             coupling_max_rank=d.coupling_max_rank,
@@ -272,8 +261,7 @@ class KRRPipeline:
             dim=int(clf.X_train_.shape[1]), accuracy=acc,
             memory_mb=solve.memory_mb, hss_memory_mb=solve.hss_memory_mb,
             hmatrix_memory_mb=solve.hmatrix_memory_mb,
-            max_rank=solve.max_rank, workers=solve.workers,
-            shards=solve.shards, timings=timings)
+            max_rank=solve.max_rank, shards=solve.shards, timings=timings)
         return self.report_
 
     def _trained(self, verb: str) -> KernelRidgeClassifier:
@@ -294,8 +282,8 @@ class KRRPipeline:
         clf = KernelRidgeClassifier(
             h=self.h, lam=self.lam, solver=self.solver_name,
             clustering=self.clustering, kernel=self.kernel_name,
-            leaf_size=self.leaf_size, seed=self.seed, workers=self.workers,
-            shards=self.shards, solver_options=self._solver_options())
+            leaf_size=self.leaf_size, seed=self.seed, shards=self.shards,
+            solver_options=self._solver_options())
         with log.phase("train_total"):
             clf.fit(X_train, y_train)
         self.classifier_ = clf

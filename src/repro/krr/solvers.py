@@ -38,7 +38,6 @@ from ..hss.streaming import StreamingULVSolver
 from ..hss.ulv import ULVFactorization
 from ..kernels.base import Kernel
 from ..kernels.operator import ShiftedKernelOperator
-from ..parallel.executor import BlockExecutor, resolve_workers
 from ..utils.bytes import megabytes
 from ..utils.timing import TimingLog
 from ..utils.validation import check_array_2d, check_non_negative
@@ -58,8 +57,6 @@ class SolveReport:
     max_rank: int = 0
     random_vectors: int = 0
     iterations: int = 0
-    #: worker threads used by the training phases (1 = serial)
-    workers: int = 1
     #: worker processes (subtree shards) used by the training phases
     shards: int = 1
     #: λ-only refits performed since the last full fit (0 = cold state);
@@ -382,18 +379,11 @@ class HSSSolver(KernelSystemSolver):
         If ``True`` (default) an H matrix of the kernel is built first and
         its fast matvec drives the randomized HSS sampling (Section 3.2);
         if ``False`` the exact ``O(n^2)`` kernel product is used (its
-        ``matmat`` runs column-tiled on the shared executor).
+        ``matmat`` runs column-tiled).
     hmatrix_options:
         Options of the auxiliary H matrix.
     seed:
         Seed of the random sampling.
-    workers:
-        Worker threads shared by every training phase (H assembly, HSS
-        compression, ULV factorization and solve).  ``None`` falls back to
-        ``hss_options.workers``; see :func:`repro.parallel.resolve_workers`
-        for the resolution rules.  One persistent
-        :class:`repro.parallel.BlockExecutor` spans the solver's lifetime,
-        so the thread pool is reused across the many per-level maps.
     """
 
     name = "hss"
@@ -406,15 +396,13 @@ class HSSSolver(KernelSystemSolver):
                  hss_options: Optional[HSSOptions] = None,
                  use_hmatrix_sampling: bool = True,
                  hmatrix_options: Optional[HMatrixOptions] = None,
-                 seed=0,
-                 workers: Optional[int] = None):
+                 seed=0):
         super().__init__()
         self.hss_options = hss_options if hss_options is not None else HSSOptions()
         self.hmatrix_options = (hmatrix_options if hmatrix_options is not None
                                 else HMatrixOptions())
         self.use_hmatrix_sampling = bool(use_hmatrix_sampling)
         self.seed = seed
-        self.workers = workers
         #: the fitted state, assigned together once compression and
         #: factorization have both succeeded: the λ-free HSS matrix, its
         #: ULV factors and the H-matrix block cluster tree the next fit
@@ -427,44 +415,23 @@ class HSSSolver(KernelSystemSolver):
         #: whether the resident HSS generators are λ-free (False only for
         #: legacy artifacts that baked the shift in at compression time)
         self._hss_lam_free = True
-        self._executor: Optional[BlockExecutor] = None
-
-    def _resolve_workers(self) -> int:
-        spec = self.workers
-        if spec is None:
-            spec = self.hss_options.workers
-        if spec is None:
-            spec = self.hmatrix_options.workers
-        return resolve_workers(spec)
 
     def _fit_impl(self, X_permuted, tree, kernel, lam) -> None:
         if tree is None:
             raise ValueError("HSSSolver requires the cluster tree of the reordering")
         log = TimingLog()
-        n_workers = self._resolve_workers()
-        self.report.workers = n_workers
-        if self._executor is not None:
-            self._executor.shutdown()
-        self._executor = BlockExecutor(workers=n_workers)
-        try:
-            # The resident block cluster tree rides along: an h-move on
-            # the same tree and options reuses it (build_hmatrix decides
-            # from the block tree's own recorded fields), any other fit
-            # rebuilds it.
-            compressed = compress_kernel(
-                X_permuted, tree, kernel,
-                hss_options=self.hss_options,
-                hmatrix_options=self.hmatrix_options,
-                use_hmatrix_sampling=self.use_hmatrix_sampling,
-                seed=self.seed, timing=log, executor=self._executor,
-                block_tree=self.block_tree_)
-            self.compression_count += 1
-            factorization = ULVFactorization.factor(
-                compressed.hss, lam=lam, timing=log, executor=self._executor)
-        except BaseException:
-            # Failed fits must not orphan a live thread pool.
-            self._executor.shutdown()
-            raise
+        # The resident block cluster tree rides along: an h-move on the
+        # same tree and options reuses it (build_hmatrix decides from the
+        # block tree's own recorded fields), any other fit rebuilds it.
+        compressed = compress_kernel(
+            X_permuted, tree, kernel,
+            hss_options=self.hss_options,
+            hmatrix_options=self.hmatrix_options,
+            use_hmatrix_sampling=self.use_hmatrix_sampling,
+            seed=self.seed, timing=log, block_tree=self.block_tree_)
+        self.compression_count += 1
+        factorization = ULVFactorization.factor(
+            compressed.hss, lam=lam, timing=log)
         self.hss_, self.factorization_ = compressed.hss, factorization
         self.block_tree_ = compressed.block_tree
         self._hss_lam_free = True
@@ -491,25 +458,16 @@ class HSSSolver(KernelSystemSolver):
 
     def _refit_impl(self, lam: float) -> None:
         self._check_lam_free()
-        if self._executor is None:
-            self._executor = BlockExecutor(workers=self._resolve_workers())
         log = TimingLog()
         resident = self.factorization_
-        try:
-            # The λ-free half of the elimination is taken from the
-            # resident factors whenever they factor this very compression
-            # (after a fit, a refit, a reload or streamed updates).
-            if resident is not None and resident.hss is self.hss_:
-                self.factorization_ = resident.refactor(
-                    lam, timing=log, executor=self._executor)
-            else:
-                self.factorization_ = ULVFactorization(
-                    self.hss_, timing=log, executor=self._executor, lam=lam)
-        except BaseException:
-            # Failed refits must not orphan a live thread pool (same
-            # invariant as the fit path).
-            self._executor.shutdown()
-            raise
+        # The λ-free half of the elimination is taken from the resident
+        # factors whenever they factor this very compression (after a fit,
+        # a refit, a reload or streamed updates).
+        if resident is not None and resident.hss is self.hss_:
+            self.factorization_ = resident.refactor(lam, timing=log)
+        else:
+            self.factorization_ = ULVFactorization(
+                self.hss_, timing=log, lam=lam)
         self.report.timings = log.as_dict()
 
     def _solve_impl(self, y: np.ndarray) -> np.ndarray:
@@ -517,11 +475,6 @@ class HSSSolver(KernelSystemSolver):
         w = self.factorization_.solve(y, timing=log)
         self.report.add_timings(log)
         return w
-
-    def close(self) -> None:
-        """Release the worker threads (later solves re-create them lazily)."""
-        if self._executor is not None:
-            self._executor.shutdown()
 
 
 class CGSolver(KernelSystemSolver):
@@ -606,8 +559,7 @@ def make_solver(name: str, **kwargs) -> KernelSystemSolver:
     raise ValueError(f"unknown solver {name!r}; expected 'dense', 'hss' or 'cg'")
 
 
-def build_training_solver(spec, seed=0, workers: Optional[int] = None,
-                          shards: Optional[int] = None,
+def build_training_solver(spec, seed=0, shards: Optional[int] = None,
                           solver_options: Optional[Dict] = None,
                           grid=None) -> KernelSystemSolver:
     """Resolve a classifier's solver spec honouring its parallelism knobs.
@@ -615,7 +567,7 @@ def build_training_solver(spec, seed=0, workers: Optional[int] = None,
     The shared dispatch behind :class:`repro.krr.KernelRidgeClassifier`
     and :class:`repro.krr.OneVsAllClassifier`: a pre-constructed solver
     instance passes through untouched; the ``"hss"`` name picks up the
-    ``seed`` / ``workers`` knobs and — when ``shards`` resolves to more
+    ``seed`` knob and — when ``shards`` resolves to more
     than one process (see :func:`repro.distributed.resolve_shards`) —
     routes the training solve through the process-sharded
     :class:`repro.distributed.DistributedSolver` instead.
@@ -627,9 +579,6 @@ def build_training_solver(spec, seed=0, workers: Optional[int] = None,
         :class:`KernelSystemSolver` instance.
     seed:
         Default seed injected into named ``"hss"`` solvers.
-    workers:
-        Worker-thread knob for the ``"hss"`` training path (``None``
-        defers to the option objects / ``REPRO_WORKERS``).
     shards:
         Worker-process knob; ``None`` defers to ``REPRO_SHARDS``, which
         only ever applies to the ``"hss"`` solver.  An *explicit* count
@@ -667,8 +616,6 @@ def build_training_solver(spec, seed=0, workers: Optional[int] = None,
             f"process sharding requires the 'hss' solver, got {spec!r}")
     if is_hss:
         opts.setdefault("seed", seed)
-        if workers is not None:
-            opts.setdefault("workers", workers)
         n_shards = resolve_shards(
             shards if shards is not None else opts.get("shards"))
         if n_shards > 1:

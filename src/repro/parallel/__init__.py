@@ -5,10 +5,9 @@ memory MPI code running on up to 1,024 cores of NERSC's Cori machine.  This
 environment has neither MPI nor 1,024 cores, so the package provides two
 complementary pieces (see DESIGN.md for the substitution rationale):
 
-* :class:`BlockExecutor` — a real shared-memory thread pool used to
-  assemble kernel blocks and H-matrix leaves in parallel (NumPy releases
-  the GIL inside BLAS, so threads give genuine speedups for these
-  GEMM-dominated tasks);
+* :class:`BlockExecutor` — a shared-memory thread pool the serving
+  engines evaluate test-kernel row blocks and shard partials on (NumPy
+  releases the GIL inside BLAS); training is serial per process;
 * :class:`MachineModel` / :class:`DistributedCostModel` /
   :func:`simulate_strong_scaling` — an analytic alpha–beta performance
   model of the distributed HSS/H algorithms, driven by the *measured*
@@ -26,8 +25,7 @@ from .work_model import (
 )
 from .cost_model import DistributedCostModel, PhaseTimes
 from .strong_scaling import simulate_strong_scaling, StrongScalingPoint
-from .executor import (BlockExecutor, SERIAL_EXECUTOR, default_worker_count,
-                       parallel_map, resolve_workers)
+from .executor import BlockExecutor, default_worker_count, resolve_workers
 
 __all__ = [
     "MachineModel",
@@ -41,8 +39,6 @@ __all__ = [
     "simulate_strong_scaling",
     "StrongScalingPoint",
     "BlockExecutor",
-    "SERIAL_EXECUTOR",
     "default_worker_count",
     "resolve_workers",
-    "parallel_map",
 ]

@@ -1,16 +1,15 @@
-"""Shared-memory parallel execution of independent block tasks.
+"""Shared-memory parallel execution of independent serving tasks.
 
-The kernel-block assembly (dense leaves of the H matrix, diagonal blocks of
-the HSS structure, test-kernel rows at prediction time) and the per-level
-node work of the HSS construction / ULV factorization consist of many
-independent GEMM-sized tasks.  NumPy releases the GIL inside BLAS, so a
-thread pool provides genuine speed-ups for these tasks without the pickling
-overhead of process pools.  :class:`BlockExecutor` is a thin wrapper around
+Prediction splits into independent GEMM-sized tasks (test-kernel row
+blocks, per-shard partial decisions).  NumPy releases the GIL inside BLAS,
+so a thread pool runs these tasks without the pickling overhead of process
+pools.  Training does not use it: it runs serially in one process, or
+across worker processes (:mod:`repro.distributed`).
+:class:`BlockExecutor` is a thin wrapper around
 :class:`concurrent.futures.ThreadPoolExecutor` that
 
-* holds **one persistent pool** for its lifetime (the training path issues
-  many small per-level maps; spinning a pool up and down per call is pure
-  overhead),
+* holds **one persistent pool** for its lifetime (spinning a pool up and
+  down per call is pure overhead),
 * preserves task order, so parallel and serial runs produce bitwise
   identical results for deterministic tasks,
 * propagates exceptions **eagerly**: the first failing task cancels all
@@ -27,7 +26,7 @@ from __future__ import annotations
 import os
 import threading
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
-from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
+from typing import Callable, List, Optional, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -56,8 +55,8 @@ def resolve_workers(workers: Optional[int]) -> int:
     """Resolve a ``workers`` option value to a concrete thread count.
 
     ``None`` consults the ``REPRO_WORKERS`` environment variable (the CI
-    matrix sets it to run the whole suite through the threaded paths) and
-    defaults to 1 — serial — when unset, keeping single-threaded runs
+    matrix sets it to run the suite through the threaded serving engines)
+    and defaults to 1 — serial — when unset, keeping single-threaded runs
     deterministic-by-default.  The variable must hold a positive integer;
     anything else (garbage, zero, negative) raises a :class:`ValueError`
     naming the variable instead of being silently ignored.  An explicit
@@ -181,19 +180,3 @@ class BlockExecutor:
             for future in futures:
                 if not future.done():
                     future.cancel()
-
-    def starmap(self, fn: Callable[..., R], tasks: Sequence[tuple]) -> List[R]:
-        """Like :meth:`map` but unpacks each task tuple into arguments."""
-        return self.map(lambda args: fn(*args), tasks)
-
-
-#: Shared serial executor: ``workers == 1`` never creates a thread pool, so
-#: one instance can safely serve as the default everywhere.
-SERIAL_EXECUTOR = BlockExecutor(workers=1)
-
-
-def parallel_map(fn: Callable[[T], R], tasks: Iterable[T],
-                 workers: Optional[int] = None) -> List[R]:
-    """One-shot convenience wrapper around :class:`BlockExecutor`."""
-    with BlockExecutor(workers=workers) as executor:
-        return executor.map(fn, list(tasks))

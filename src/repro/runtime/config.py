@@ -216,7 +216,7 @@ class StreamSection:
 
 @dataclass(frozen=True)
 class DistributedSection:
-    """Thread / process parallelism of the training path."""
+    """Serving engine threads and the training path's worker processes."""
 
     workers: Optional[int] = None
     shards: Optional[int] = None
@@ -362,11 +362,6 @@ class Knob:
                     if f.name == self.name)
 
 
-#: option-object fields that are not config keys: ``distributed.workers``
-#: reaches the solvers as their explicit ``workers=`` argument instead
-_NOT_KNOBS = ("hss.workers", "hmatrix.workers")
-
-
 def _build_schema() -> List[Knob]:
     kinds = {
         "dataset.name": "str", "dataset.normalize": "bool",
@@ -394,8 +389,6 @@ def _build_schema() -> List[Knob]:
     for section, cls in _SECTION_TYPES.items():
         for f in fields(cls):
             key = f"{section}.{f.name}"
-            if key in _NOT_KNOBS:
-                continue
             kind = kinds.get(key)
             if kind is None:
                 kind = {int: "int", float: "float", bool: "bool",

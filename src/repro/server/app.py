@@ -397,12 +397,11 @@ class ServerApp:
                 raise HttpError(
                     413, f"update of {X_new.shape[0]} rows exceeds "
                          f"server.max_batch={self.max_batch}; split it")
-        if remove is not None:
-            try:
-                remove = [int(i) for i in remove]
-            except (TypeError, ValueError) as exc:
-                raise HttpError(400, f'"remove" must be a list of row '
-                                     f'indices: {exc}')
+        if remove is not None and not (
+                isinstance(remove, list)
+                and all(type(i) is int for i in remove)):
+            raise HttpError(400, '"remove" must be a JSON list of integer '
+                                 f'row indices, got {remove!r}')
         recompress = payload.get("recompress")
         if recompress is not None and recompress not in ("auto", "force",
                                                          "off"):

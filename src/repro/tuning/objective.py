@@ -218,8 +218,7 @@ class KRRObjective:
                    solver=config.tuning.backend,
                    leaf_size=config.clustering.leaf_size,
                    seed=config.clustering.seed,
-                   hss_options=config.hss.with_(
-                       workers=config.distributed.workers),
+                   hss_options=config.hss,
                    hmatrix_options=config.hmatrix,
                    use_hmatrix_sampling=config.solver.use_hmatrix_sampling,
                    cv=config.tuning.cv,
@@ -285,11 +284,7 @@ class KRRObjective:
             return
         self._cache[h] = state
         while len(self._cache) > self.cache_size:
-            oldest = next(iter(self._cache))
-            evicted = self._cache.pop(oldest)
-            close = getattr(evicted[0], "close", None)
-            if close is not None:
-                close()
+            del self._cache[next(iter(self._cache))]
 
     def _pop_for_reuse(self):
         """Pop the LRU-oldest per-h state when the cache is at capacity.
@@ -386,8 +381,6 @@ class KRRObjective:
             scores = K_val @ weights
             pred = np.where(scores >= 0.0, 1.0, -1.0)
             acc = accuracy(self.y_val, pred)
-        if not self.cache_kernels:
-            solver.close()
         return acc, refit, refit, move
 
     # ----------------------------------------------------------------- k-fold
@@ -472,19 +465,14 @@ class KRRObjective:
         return counts
 
     def close(self) -> None:
-        """Release the cached per-h state (worker threads included).
+        """Drop the cached per-h state (solvers and validation kernels).
 
-        The hss backend's cached solvers each hold a
-        :class:`repro.parallel.BlockExecutor`; only LRU evictions release
-        them during a run, so call this (or use the objective as a
-        context manager) when the tuning run is done.  The objective
-        remains usable afterwards — later evaluations simply rebuild.
+        Only LRU evictions release it during a run, so call this (or use
+        the objective as a context manager) when the tuning run is done.
+        The objective remains usable afterwards — later evaluations
+        simply rebuild.
         """
-        cache, self._cache = self._cache, {}
-        for state in cache.values():
-            closer = getattr(state[0], "close", None)
-            if closer is not None:
-                closer()
+        self._cache = {}
 
     def __enter__(self) -> "KRRObjective":
         """Context-manager entry (returns ``self``)."""

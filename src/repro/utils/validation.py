@@ -68,10 +68,18 @@ def check_square(A, name: str = "A") -> np.ndarray:
 
 
 def check_index_array(idx, n: int, name: str = "indices") -> np.ndarray:
-    """Validate an integer index array with entries in ``[0, n)``."""
-    arr = np.ascontiguousarray(idx, dtype=np.intp)
+    """Validate a 1-D integer index array with entries in ``[0, n)``.
+
+    Bool, float, string and object input is refused, not coerced: a cast
+    would turn ``1.5`` and ``True`` into row 1 and ``"12"`` into rows 1
+    and 2.  An empty sequence is valid and yields an empty array.
+    """
+    arr = np.asarray(idx)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be 1-dimensional, got shape {arr.shape}")
+    if arr.size and not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError(f"{name} must be integers, got dtype {arr.dtype}")
+    arr = np.ascontiguousarray(arr, dtype=np.intp)
     if arr.size and (arr.min() < 0 or arr.max() >= n):
         raise ValueError(f"{name} must lie in [0, {n}), got range "
                          f"[{arr.min()}, {arr.max()}]")

@@ -10,14 +10,6 @@ import pytest
 from repro.clustering import cluster
 from repro.datasets import gas_like, susy_like
 from repro.kernels import GaussianKernel
-from repro.parallel import resolve_workers
-
-#: Worker-thread count of the current suite run.  ``REPRO_WORKERS`` is
-#: consumed both here (for tests that look at the suite's worker count) and
-#: by :func:`repro.parallel.resolve_workers`, which makes every
-#: default-configured solver/pipeline in the suite run its threaded paths
-#: when the variable is set (the CI matrix sets ``REPRO_WORKERS=2``).
-SUITE_WORKERS = resolve_workers(None)
 
 
 def wait_until(predicate, timeout: float = 10.0, interval: float = 0.01,
@@ -83,13 +75,13 @@ def assert_same_arrays(obj_a, obj_b, names) -> None:
         assert np.array_equal(np.asarray(a), np.asarray(b)), name
 
 
-def cold_refactor(self, lam, timing=None, executor=None):
+def cold_refactor(self, lam, timing=None):
     """Stand-in for ``ULVFactorization.refactor`` that shares nothing.
 
     Patched in by the tests that need the reference a refit from resident
     factors must equal bitwise: a cold factorization of the same matrix.
     """
-    return type(self)(self.hss, timing=timing, executor=executor, lam=lam)
+    return type(self)(self.hss, timing=timing, lam=lam)
 
 
 def assert_same_hss(hss_a, hss_b) -> None:
@@ -98,12 +90,6 @@ def assert_same_hss(hss_a, hss_b) -> None:
     for node_id in range(hss_a.tree.n_nodes):
         assert_same_arrays(hss_a.node_data[node_id], hss_b.node_data[node_id],
                            ("D", "U", "V", "B12", "B21"))
-
-
-@pytest.fixture(scope="session")
-def suite_workers() -> int:
-    """Worker-thread count the suite is running with (1 = serial leg)."""
-    return SUITE_WORKERS
 
 
 @pytest.fixture(scope="session")

@@ -23,7 +23,6 @@ class TestHSSOptions:
         assert HSSOptions().rel_tol == pytest.approx(0.1)
 
     @pytest.mark.parametrize("kwargs", [
-        {"workers": -1},
         {"rel_tol": 0.0},
         {"rel_tol": -1.0},
         {"abs_tol": -1e-3},

@@ -528,11 +528,8 @@ class TestWarmGrid:
         # And matches the serial solver within the sharded tolerance (both
         # systems live in the same permuted ordering, as does ``rhs``).
         serial = HSSSolver(hss_options=TIGHT, seed=0)
-        try:
-            serial.fit(X_perm, tree, kernel, 2.0 * lam)
-            serial_w = serial.solve(rhs)
-        finally:
-            serial.close()
+        serial.fit(X_perm, tree, kernel, 2.0 * lam)
+        serial_w = serial.solve(rhs)
         rel_dev = (np.linalg.norm(w_refit - serial_w)
                    / np.linalg.norm(serial_w))
         assert rel_dev < 1e-3

@@ -207,17 +207,6 @@ class TestWaveAssembly:
             if blk.dense is not None:
                 assert np.array_equal(blk.dense, A[blk.row_slice, blk.col_slice])
 
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_any_worker_count_builds_the_same_matrix(self, wave_setup,
-                                                     monkeypatch, workers):
-        result, op, opts = wave_setup
-        # a budget small enough that this 400-point problem has many waves
-        monkeypatch.setattr(hmatrix_build, "WAVE_BUDGET", 300)
-        serial = build_hmatrix(op, result.X, result.tree, opts.with_(workers=1))
-        threaded = build_hmatrix(op, result.X, result.tree,
-                                 opts.with_(workers=workers))
-        assert same_hmatrix_blocks(serial, threaded)
-
     def test_wave_geometry_does_not_change_the_matrix(self, wave_setup,
                                                       monkeypatch):
         result, op, opts = wave_setup
@@ -266,7 +255,7 @@ class TestWaveAssembly:
         result = cluster(standardize(X), method="two_means", leaf_size=16,
                          seed=0)
         op = KernelOperator(result.X, GaussianKernel(h=1.0))
-        opts = HMatrixOptions(leaf_size=16, workers=1)
+        opts = HMatrixOptions(leaf_size=16)
         profiler = cProfile.Profile()
         gc.collect()
         gc.disable()

@@ -280,7 +280,6 @@ def _walk_case(name):
 
 
 class TestSubtreeOrderedWalk:
-    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("case,attempts", [
         ("symmetric-natural", 2),
         ("symmetric-natural-small-start", 3),        # two restarts
@@ -289,15 +288,13 @@ class TestSubtreeOrderedWalk:
         ("nonsymmetric-natural-small-start", 3),
         ("nonsymmetric-two_means-small-start", 2),
     ])
-    def test_generators_bitwise_equal_a_level_order_walk(self, case, attempts,
-                                                         workers):
+    def test_generators_bitwise_equal_a_level_order_walk(self, case, attempts):
         operator, tree, opts = _walk_case(case)
         reference, widths = _level_order_reference(operator, tree, opts, seed=5)
         assert len(widths) == attempts
 
         counting = _SweepCounting(operator)
-        hss, stats = build_hss_randomized(
-            counting, tree, opts.with_(workers=workers), rng=5)
+        hss, stats = build_hss_randomized(counting, tree, opts, rng=5)
         assert counting.sweeps == widths
         assert (stats.rounds, stats.random_vectors) == (len(widths), widths[-1])
         for node_id, (got, want) in enumerate(zip(hss.node_data, reference)):
@@ -308,23 +305,16 @@ class TestSubtreeOrderedWalk:
                     assert a.dtype == b.dtype and a.shape == b.shape
                     assert np.array_equal(a, b), (node_id, name)
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_cut_partitions_the_tree(self, workers):
+    def test_postorder_visits_every_node_children_first(self):
         for method in ("natural", "two_means"):
             tree = _unclustered_like(method=method)[0].tree
             nodes = build_random._node_schedule(tree)
-            cut, above = build_random._subtree_cut(nodes, tree.root, workers)
-            if workers == 1:
-                assert (cut, above) == ([tree.root], [])
-            else:
-                assert len(cut) >= 4 * workers
-            below = [node[0] for top in cut
-                     for node in build_random._postorder(nodes, top)]
-            over = [i for level in above for i in level]
-            assert sorted(below + over) == list(range(tree.n_nodes))
-            # children before parents, inside every subtree and above the cut
+            order = [node[0]
+                     for node in build_random._postorder(nodes, tree.root)]
+            assert sorted(order) == list(range(tree.n_nodes))
+            assert order[-1] == tree.root
             seen = set()
-            for node_id in below + over:
+            for node_id in order:
                 nd = tree.node(node_id)
                 assert nd.is_leaf or {nd.left, nd.right} <= seen
                 seen.add(node_id)
@@ -335,13 +325,11 @@ class TestSubtreeOrderedWalk:
             X = rng.standard_normal((n, 2))
             tree = natural_tree(X, leaf_size=16)
             K = GaussianKernel(h=1.0).matrix(X)
-            for workers in (1, 2):
-                hss, stats = build_hss_randomized(
-                    DenseMatrixOperator(K), tree,
-                    HSSOptions(rel_tol=1e-10, workers=workers), rng=0)
-                np.testing.assert_allclose(hss.to_dense(), K, atol=1e-8)
-                assert stats.nodes_compressed == tree.n_nodes
-                assert stats.nodes_discarded == 0
+            hss, stats = build_hss_randomized(
+                DenseMatrixOperator(K), tree, HSSOptions(rel_tol=1e-10), rng=0)
+            np.testing.assert_allclose(hss.to_dense(), K, atol=1e-8)
+            assert stats.nodes_compressed == tree.n_nodes
+            assert stats.nodes_discarded == 0
 
     def test_a_discarded_attempt_costs_a_subtree_not_the_tree(self, monkeypatch):
         """Level by level, an attempt at this fixture's first width met its
@@ -360,7 +348,7 @@ class TestSubtreeOrderedWalk:
 
         monkeypatch.setattr(build_random, "row_id", counted)
         hss, stats = build_hss_randomized(operator, result.tree,
-                                          HSSOptions(workers=1), rng=0)
+                                          HSSOptions(), rng=0)
         n_nodes = result.tree.n_nodes
         assert stats.rounds == len(per_attempt) >= 2
         assert per_attempt[-1] == n_nodes - 1          # the root compresses nothing
@@ -394,7 +382,7 @@ class TestSubtreeOrderedWalk:
 
         result, kernel = _unclustered_like(method="two_means")
         operator = KernelOperator(result.X, kernel)
-        opts = HSSOptions(workers=1)
+        opts = HSSOptions()
         build_hss_randomized(operator, result.tree, opts, rng=0)   # warm caches
         profiler = cProfile.Profile()
         profiler.enable()

@@ -117,8 +117,8 @@ class TestDenseMatrixOperator:
 
 
 class TestCounterThreadSafety:
-    """The usage counters are updated from BlockExecutor worker threads
-    during parallel block assembly; increments must not be lost."""
+    """One operator may be shared by several threads (a thread pool here);
+    increments of its usage counters must not be lost."""
 
     def test_block_counter_exact_under_concurrency(self):
         from repro.parallel import BlockExecutor

@@ -15,8 +15,8 @@ from repro.kernels import GaussianKernel, ShiftedKernelOperator
 from repro.parallel import (CORI_HASWELL, BlockExecutor, DistributedCostModel,
                             MachineModel, default_worker_count,
                             estimate_hmatrix_work, estimate_hss_work,
-                            estimate_sampling_work, parallel_map,
-                            resolve_workers, simulate_strong_scaling)
+                            estimate_sampling_work, resolve_workers,
+                            simulate_strong_scaling)
 from repro.parallel import executor as executor_module
 from repro.hmatrix import build_hmatrix
 
@@ -158,10 +158,6 @@ class TestBlockExecutor:
         executor = BlockExecutor(workers=1)
         assert executor.map(lambda x: -x, [1, 2, 3]) == [-1, -2, -3]
 
-    def test_starmap(self):
-        executor = BlockExecutor(workers=2, serial_threshold=0)
-        assert executor.starmap(lambda a, b: a + b, [(1, 2), (3, 4)]) == [3, 7]
-
     def test_exceptions_propagate(self):
         executor = BlockExecutor(workers=2, serial_threshold=0)
 
@@ -170,11 +166,6 @@ class TestBlockExecutor:
 
         with pytest.raises(RuntimeError):
             executor.map(boom, [1, 2, 3, 4])
-
-    def test_parallel_map_helper_matches_serial(self):
-        tasks = list(range(20))
-        assert parallel_map(lambda x: x + 1, tasks, workers=3) == \
-            [x + 1 for x in tasks]
 
     def test_invalid_workers(self):
         with pytest.raises(ValueError):

@@ -26,7 +26,6 @@ from repro.kernels import GaussianKernel, KernelOperator
 from repro.krr import (KernelRidgeClassifier, KRRPipeline,
                        OneVsAllClassifier)
 from repro.krr.solvers import CGSolver, DenseSolver, HSSSolver
-from repro.parallel import BlockExecutor
 
 LAMBDAS = (0.5, 2.0, 8.0)
 
@@ -289,16 +288,6 @@ class TestTiledMatmat:
         X = rng.standard_normal((230, 5))
         return KernelOperator(X, GaussianKernel(h=1.1), **kwargs), rng
 
-    def test_tiled_bitwise_deterministic_across_worker_counts(self):
-        op_serial, rng = self._operator(col_tile=48, block_size=64)
-        V = rng.standard_normal((230, 6))
-        serial = op_serial.matmat(V)
-        for workers in (2, 4):
-            with BlockExecutor(workers=workers, serial_threshold=0) as ex:
-                op = KernelOperator(op_serial.X, op_serial.kernel,
-                                    block_size=64, col_tile=48, executor=ex)
-                np.testing.assert_array_equal(op.matmat(V), serial)
-
     def test_tiled_matches_untiled_path(self):
         op_tiled, rng = self._operator(col_tile=48)
         op_untiled = KernelOperator(op_tiled.X, op_tiled.kernel)
@@ -311,15 +300,23 @@ class TestTiledMatmat:
         X, y = data
         # a tile narrower than the fixture, so the sampling matmat is tiled
         monkeypatch.setattr(hss_compressed, "MATMAT_COL_TILE", 64)
-        weights = {}
-        for workers in (1, 2):
+        tiled = []
+        matmat_tiled = KernelOperator._matmat_tiled
+
+        def counted(op, V):
+            tiled.append(op.col_tile)
+            return matmat_tiled(op, V)
+
+        monkeypatch.setattr(KernelOperator, "_matmat_tiled", counted)
+        weights = []
+        for _ in range(2):
             solver = HSSSolver(hss_options=HSSOptions(rel_tol=1e-6),
-                               use_hmatrix_sampling=False, seed=0,
-                               workers=workers)
+                               use_hmatrix_sampling=False, seed=0)
             clf = KernelRidgeClassifier(h=1.0, lam=1.0, solver=solver, seed=0)
             clf.fit(X, y)
-            weights[workers] = clf.weights_
-        np.testing.assert_array_equal(weights[1], weights[2])
+            weights.append(clf.weights_)
+        assert tiled and set(tiled) == {64}
+        np.testing.assert_array_equal(weights[0], weights[1])
 
     def test_invalid_col_tile(self):
         with pytest.raises(ValueError):

@@ -80,7 +80,7 @@ def test_the_h_matrix_dies_with_the_build_of_a_shard_fit(h_matrices):
     built, alive = h_matrices
     X, _ = _points(256)
     clustering = cluster(X, method="two_means", leaf_size=16, seed=0)
-    config = WorkerConfig(shard_id=0, boundaries=(0, X.shape[0]), workers=1,
+    config = WorkerConfig(shard_id=0, boundaries=(0, X.shape[0]),
                           owned_pairs=())
     state = _ShardState(config, clustering.X, clustering.tree)
 
@@ -91,13 +91,10 @@ def test_the_h_matrix_dies_with_the_build_of_a_shard_fit(h_matrices):
                        use_hmatrix_sampling=True, seed=0,
                        coupling_rel_tol=0.1, coupling_max_rank=None)
 
-    try:
-        state.fit(spec(1.0))
-        assert len(built) == 1 and alive == [0]
-        block_tree = state.block_tree
-        state.fit(spec(2.0))            # a warm h-move on the worker
-    finally:
-        state.close()
+    state.fit(spec(1.0))
+    assert len(built) == 1 and alive == [0]
+    block_tree = state.block_tree
+    state.fit(spec(2.0))                # a warm h-move on the worker
     assert len(built) == 2 and alive == [0, 0]
     assert state.block_tree is block_tree is not None
 

@@ -17,13 +17,14 @@ import pytest
 
 from repro.config import ClusteringOptions, HMatrixOptions, HSSOptions
 from repro.datasets import load_dataset
-from repro.krr import KRRPipeline
+from repro.krr import KernelRidgeClassifier, KRRPipeline
 from repro.runtime import (RuntimeConfig, SCHEMA, TomlError, known_keys,
                            loads_toml, resolve_runtime_config)
 from repro.runtime.config import (DatasetSection, DistributedSection,
                                   KernelSection, ServerSection,
                                   SolverSection, StreamSection,
                                   TuningSection)
+from repro.serving import PredictionEngine
 from repro.tuning import KRRObjective
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -199,8 +200,7 @@ class TestTomlRoundTrip:
 
     def test_option_dataclass_sections_round_trip(self, tmp_path):
         """The hss / hmatrix / clustering sections are the option objects
-        themselves; every knob of theirs survives to_toml -> resolve, and
-        their ``workers`` fields are not keys."""
+        themselves; every knob of theirs survives to_toml -> resolve."""
         cfg = resolve_runtime_config(flags={
             "hss.rel_tol": 0.05, "hss.max_rank": 48, "hss.symmetric": False,
             "hmatrix.admissibility": "box", "hmatrix.leaf_size": 32,
@@ -209,7 +209,6 @@ class TestTomlRoundTrip:
         assert type(cfg.hss) is HSSOptions
         assert type(cfg.hmatrix) is HMatrixOptions
         assert type(cfg.clustering) is ClusteringOptions
-        assert cfg.hss.workers is None and cfg.hmatrix.workers is None
         text = cfg.to_toml()
         assert text.count("workers") == 1       # distributed.workers only
         path = tmp_path / "saved.toml"
@@ -324,6 +323,16 @@ def _hss_objective(flags):
                                     data.X_test, data.y_test)
 
 
+def _engine_threads(flags):
+    """Thread count of a config-built serving engine."""
+    data = load_dataset("gas", n_train=32, n_test=8, seed=0)
+    model = KernelRidgeClassifier(h=1.0, lam=1.0, solver="dense").fit(
+        data.X_train, data.y_train)
+    engine = PredictionEngine.from_config(
+        resolve_runtime_config(flags=flags), model)
+    return engine.executor.workers
+
+
 def _objective_ordering(flags):
     """The ordering method the hss tuning backend actually clusters with."""
     objective = _hss_objective(flags)
@@ -351,9 +360,8 @@ OBSERVABLE = {
     "clustering.seed": (7, _both("seed")),
     "solver.name": ("cg", lambda flags: _pipeline(flags).solver_name),
     "solver.use_hmatrix_sampling": (False, _both("use_hmatrix_sampling")),
-    "distributed.workers": (2, lambda flags: (
-        _pipeline(flags).workers,
-        _hss_objective(flags).hss_options.workers)),
+    # serving engine threads; training ignores the key
+    "distributed.workers": (2, lambda flags: _engine_threads(flags)),
     "distributed.shards": (2, lambda flags: _pipeline(flags).shards),
     "distributed.coupling_rel_tol": (0.5, lambda flags: _solver_options(
         flags)["coupling_rel_tol"]),

@@ -297,6 +297,19 @@ def test_torn_newer_revision_fails_the_swap_not_the_service(server, store,
     assert np.array_equal(np.asarray(out["predictions"]), clf.predict(X[:8]))
 
 
+@pytest.mark.parametrize("remove", ["12", [1.5], [1.0], [True], [[1, 2]],
+                                    ["1"], {"0": 1}, [None]])
+def test_update_refuses_non_integer_removals(server, store, remove):
+    """``"remove"`` is a JSON list of integers: anything else is a 400 and
+    the store keeps its revision (``"12"`` used to remove rows 1 and 2)."""
+    app, url = server
+    status, out, _ = _post(f"{url}/models/{MODEL}/update",
+                           {"remove": remove})
+    assert status == 400, out
+    assert store.latest(MODEL).revision == 1
+    assert app.router.active_revision(MODEL) == 1
+
+
 def test_versions_endpoint_tracks_history(server, store, fitted):
     _, _, clf = fitted
     _, url = server

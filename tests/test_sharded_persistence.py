@@ -63,8 +63,7 @@ def serial_reference(problem, sharded_model):
     solver = HSSSolver(hss_options=TIGHT, seed=0)
     solver.fit(sharded_model.X_train_, sharded_model.clustering_.tree,
                sharded_model.kernel, sharded_model.lam)
-    yield solver
-    solver.close()
+    return solver
 
 
 def test_sharded_artifact_schema(tmp_path, sharded_model):

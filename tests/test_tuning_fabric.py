@@ -186,10 +186,9 @@ class TestFactorManyBitwise:
     def test_refit_call_count_guard(self):
         X, y = gaussian_mixture(n=512, d=3, n_components=4, separation=3.0,
                                 noise=0.7, seed=0)
-        # workers=1: cProfile sees the calling thread only
         clf = KernelRidgeClassifier(h=1.0, lam=1.0, solver="hss",
                                     clustering="two_means", leaf_size=16,
-                                    seed=0, shards=1, workers=1).fit(X, y)
+                                    seed=0, shards=1).fit(X, y)
         hss = clf.solver_.hss_
         assert hss.tree.n_nodes == 99
         assert _total_calls(lambda: clf.refit(2.0)) \

@@ -50,6 +50,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             check_index_array([0, 5], 3)
 
+    @pytest.mark.parametrize("bad", [[1.5], [1.0], "12", [True], 2, [[0, 1]],
+                                     np.array([0, 1], dtype=object)])
+    def test_check_index_array_refuses_non_integers(self, bad):
+        with pytest.raises(ValueError):
+            check_index_array(bad, 20)
+
+    def test_check_index_array_empty_and_integer_kinds(self):
+        assert check_index_array([], 3).shape == (0,)
+        out = check_index_array(np.array([2, 0], dtype=np.uint8), 3)
+        assert out.dtype == np.intp and out.tolist() == [2, 0]
+
     def test_check_permutation(self):
         check_permutation([2, 0, 1], 3)
         with pytest.raises(ValueError, match="permutation"):
