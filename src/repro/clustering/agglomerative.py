@@ -18,8 +18,6 @@ from __future__ import annotations
 from typing import List
 
 import numpy as np
-import scipy.cluster.hierarchy as sch
-import scipy.spatial.distance as ssd
 
 from ..utils.validation import check_array_2d
 from .tree import ClusterNode, ClusterTree
@@ -46,6 +44,11 @@ def agglomerative_tree(X: np.ndarray, leaf_size: int = 16,
         The permutation is the dendrogram leaf order, so every dendrogram
         cluster is a contiguous range.
     """
+    # Imported here, their only user: scipy.cluster and scipy.spatial (which
+    # pull in scipy.special) are the dearest imports of the package.
+    import scipy.cluster.hierarchy as sch
+    import scipy.spatial.distance as ssd
+
     X = check_array_2d(X, "X")
     if leaf_size < 1:
         raise ValueError("leaf_size must be >= 1")

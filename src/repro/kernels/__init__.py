@@ -12,12 +12,7 @@ from .gaussian import GaussianKernel
 from .laplacian import LaplacianKernel
 from .matern import Matern32Kernel, Matern52Kernel
 from .polynomial import PolynomialKernel, LinearKernel
-from .distance import (
-    pairwise_sq_dists,
-    pairwise_dists,
-    blockwise_sq_dists,
-    row_sq_dists,
-)
+from .distance import pairwise_sq_dists
 from .operator import KernelOperator, ShiftedKernelOperator, DenseMatrixOperator
 
 __all__ = [
@@ -31,9 +26,6 @@ __all__ = [
     "PolynomialKernel",
     "LinearKernel",
     "pairwise_sq_dists",
-    "pairwise_dists",
-    "blockwise_sq_dists",
-    "row_sq_dists",
     "KernelOperator",
     "ShiftedKernelOperator",
     "DenseMatrixOperator",

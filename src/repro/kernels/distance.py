@@ -1,11 +1,11 @@
-"""Blocked pairwise distance computations.
+"""Squared norms and pairwise distances.
 
-All kernels in this library are functions of the Euclidean distance between
-data points, so the distance computation is the single hottest primitive in
-kernel-matrix assembly.  It is implemented with the classic
-``||x - y||^2 = ||x||^2 + ||y||^2 - 2 x.y`` expansion, which turns the whole
-computation into one GEMM plus rank-1 updates — the vectorised formulation
-recommended for NumPy-based HPC code.
+Every kernel in this library is evaluated from inner products and squared
+norms through the ``||x - y||^2 = ||x||^2 + ||y||^2 - 2 x.y`` expansion,
+which turns a block of kernel values into one GEMM plus elementwise passes
+(:meth:`repro.kernels.Kernel.from_inner_products`).  This module holds the
+norms that expansion needs and the plain distance matrix the clustering
+quality measures read.
 
 Negative values caused by floating point cancellation are clipped to zero so
 that downstream ``sqrt``/``exp`` calls never see invalid inputs.
@@ -13,13 +13,13 @@ that downstream ``sqrt``/``exp`` calls never see invalid inputs.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 
-def _sq_norms(X: np.ndarray) -> np.ndarray:
-    """Row-wise squared Euclidean norms."""
+def sq_norms(X: np.ndarray) -> np.ndarray:
+    """Row-wise squared Euclidean norms ``||X[i]||^2``."""
     return np.einsum("ij,ij->i", X, X)
 
 
@@ -40,7 +40,7 @@ def pairwise_sq_dists(X: np.ndarray, Y: Optional[np.ndarray] = None) -> np.ndarr
     """
     X = np.asarray(X, dtype=np.float64)
     if Y is None or Y is X:
-        sq = _sq_norms(X)
+        sq = sq_norms(X)
         D = sq[:, None] + sq[None, :] - 2.0 * (X @ X.T)
         np.maximum(D, 0.0, out=D)
         np.fill_diagonal(D, 0.0)
@@ -49,48 +49,6 @@ def pairwise_sq_dists(X: np.ndarray, Y: Optional[np.ndarray] = None) -> np.ndarr
     if X.shape[1] != Y.shape[1]:
         raise ValueError(
             f"X and Y must have the same dimension, got {X.shape[1]} and {Y.shape[1]}")
-    D = _sq_norms(X)[:, None] + _sq_norms(Y)[None, :] - 2.0 * (X @ Y.T)
+    D = sq_norms(X)[:, None] + sq_norms(Y)[None, :] - 2.0 * (X @ Y.T)
     np.maximum(D, 0.0, out=D)
     return D
-
-
-def pairwise_dists(X: np.ndarray, Y: Optional[np.ndarray] = None) -> np.ndarray:
-    """Dense matrix of Euclidean distances between rows of X and Y."""
-    return np.sqrt(pairwise_sq_dists(X, Y))
-
-
-def row_sq_dists(x: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Squared distances from a single point ``x`` to every row of ``Y``."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    Y = np.asarray(Y, dtype=np.float64)
-    if x.shape[0] != Y.shape[1]:
-        raise ValueError(
-            f"x has dimension {x.shape[0]} but Y has dimension {Y.shape[1]}")
-    diff = Y - x[None, :]
-    return np.einsum("ij,ij->i", diff, diff)
-
-
-def blockwise_sq_dists(
-    X: np.ndarray,
-    Y: Optional[np.ndarray] = None,
-    block_size: int = 2048,
-) -> Iterator[Tuple[slice, np.ndarray]]:
-    """Iterate over row blocks of the squared distance matrix.
-
-    Yields ``(row_slice, block)`` pairs where ``block`` has shape
-    ``(len(row_slice), m)``.  This keeps the peak memory at
-    ``O(block_size * m)`` and is the building block of the tiled
-    matrix-free matvec in :class:`repro.kernels.operator.KernelOperator`.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    Yv = X if Y is None else np.asarray(Y, dtype=np.float64)
-    if block_size < 1:
-        raise ValueError("block_size must be >= 1")
-    n = X.shape[0]
-    y_sq = _sq_norms(Yv)
-    for start in range(0, n, block_size):
-        stop = min(start + block_size, n)
-        Xb = X[start:stop]
-        D = _sq_norms(Xb)[:, None] + y_sq[None, :] - 2.0 * (Xb @ Yv.T)
-        np.maximum(D, 0.0, out=D)
-        yield slice(start, stop), D

@@ -40,5 +40,5 @@ class GaussianKernel(Kernel):
         self.h = check_positive(h, "h")
 
     def _evaluate_sq(self, sq_dists: np.ndarray) -> np.ndarray:
-        scale = -0.5 / (self.h * self.h)
-        return np.exp(scale * np.asarray(sq_dists, dtype=np.float64))
+        sq_dists *= -0.5 / (self.h * self.h)
+        return np.exp(sq_dists, out=sq_dists)

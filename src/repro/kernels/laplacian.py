@@ -24,5 +24,7 @@ class LaplacianKernel(Kernel):
         self.h = check_positive(h, "h")
 
     def _evaluate_sq(self, sq_dists: np.ndarray) -> np.ndarray:
-        d = np.sqrt(np.asarray(sq_dists, dtype=np.float64))
-        return np.exp(-d / self.h)
+        d = np.sqrt(sq_dists, out=sq_dists)
+        np.negative(d, out=d)
+        d /= self.h
+        return np.exp(d, out=d)

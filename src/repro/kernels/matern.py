@@ -26,8 +26,15 @@ class Matern32Kernel(Kernel):
         self.h = check_positive(h, "h")
 
     def _evaluate_sq(self, sq_dists: np.ndarray) -> np.ndarray:
-        r = np.sqrt(np.asarray(sq_dists, dtype=np.float64)) / self.h
-        return (1.0 + _SQRT3 * r) * np.exp(-_SQRT3 * r)
+        # (1 + sqrt(3) r) * exp(-sqrt(3) r), r = sqrt(sq) / h
+        r = np.sqrt(sq_dists, out=sq_dists)
+        r /= self.h
+        decay = np.multiply(r, -_SQRT3)
+        np.exp(decay, out=decay)
+        r *= _SQRT3
+        r += 1.0
+        r *= decay
+        return r
 
 
 @register_kernel("matern52")
@@ -38,6 +45,15 @@ class Matern52Kernel(Kernel):
         self.h = check_positive(h, "h")
 
     def _evaluate_sq(self, sq_dists: np.ndarray) -> np.ndarray:
-        sq = np.asarray(sq_dists, dtype=np.float64)
-        r = np.sqrt(sq) / self.h
-        return (1.0 + _SQRT5 * r + (5.0 / 3.0) * sq / (self.h * self.h)) * np.exp(-_SQRT5 * r)
+        # (1 + sqrt(5) r + 5/3 sq / h^2) * exp(-sqrt(5) r), r = sqrt(sq) / h
+        r = np.sqrt(sq_dists)
+        r /= self.h
+        decay = np.multiply(r, -_SQRT5)
+        np.exp(decay, out=decay)
+        sq_dists *= 5.0 / 3.0
+        sq_dists /= self.h * self.h
+        r *= _SQRT5
+        r += 1.0
+        sq_dists += r
+        sq_dists *= decay
+        return sq_dists

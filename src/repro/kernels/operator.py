@@ -27,7 +27,7 @@ from ..obs import global_registry
 from ..utils.ragged import ragged_ranges, segment_offsets
 from ..utils.validation import check_array_2d, check_non_negative
 from .base import Kernel
-from .distance import _sq_norms, blockwise_sq_dists, pairwise_sq_dists
+from .distance import sq_norms
 
 
 class KernelOperator:
@@ -71,7 +71,7 @@ class KernelOperator:
         # ||x_i||^2 of every point, once: every element extraction needs the
         # norms of its rows and columns, and an H-matrix build makes tens of
         # thousands of extractions.  Read-only afterwards, so thread-safe.
-        self._sq_norms = _sq_norms(self.X)
+        self._sq_norms = sq_norms(self.X)
         #: number of kernel element evaluations performed through ``block``
         #: and the segment extractions
         self.element_evaluations = 0
@@ -203,14 +203,21 @@ class KernelOperator:
             raise ValueError(f"V must have shape ({self.n}, k), got {V.shape}")
         if self.col_tile is None:
             out = np.empty((self.n, V.shape[1]), dtype=np.float64)
-            for rows, sq in blockwise_sq_dists(self.X, block_size=self.block_size):
-                out[rows] = self.kernel._evaluate_sq(sq) @ V
+            for r0 in range(0, self.n, self.block_size):
+                r1 = min(r0 + self.block_size, self.n)
+                out[r0:r1] = self._kernel_tile(r0, r1, 0, self.n) @ V
         else:
             out = self._matmat_tiled(V)
         with self._counter_lock:
             self.matvec_sweeps += 1
         self._m_sweeps.inc()
         return out
+
+    def _kernel_tile(self, r0: int, r1: int, c0: int, c1: int) -> np.ndarray:
+        """The contiguous kernel block ``K[r0:r1, c0:c1]`` (one GEMM)."""
+        return self.kernel.from_inner_products(
+            self.X[r0:r1] @ self.X[c0:c1].T,
+            self._sq_norms[r0:r1, None], self._sq_norms[None, c0:c1])
 
     def _matmat_tiled(self, V: np.ndarray) -> np.ndarray:
         """Column-tiled ``K @ V``: one partial per (row block, column tile)."""
@@ -220,8 +227,7 @@ class KernelOperator:
 
         def partial(task):
             r0, r1, c0, c1 = task
-            sq = pairwise_sq_dists(self.X[r0:r1], self.X[c0:c1])
-            return self.kernel._evaluate_sq(sq) @ V[c0:c1]
+            return self._kernel_tile(r0, r1, c0, c1) @ V[c0:c1]
 
         out = np.zeros((n, V.shape[1]), dtype=np.float64)
         for r0 in range(0, n, self.block_size):

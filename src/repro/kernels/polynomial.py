@@ -2,8 +2,9 @@
 
 These kernels are *not* radial: they depend on inner products rather than
 distances.  They are provided for completeness of the KRR front-end (the
-linear kernel recovers classical ridge regression) and intentionally bypass
-the radial-distance machinery by overriding the matrix/block/row methods.
+linear kernel recovers classical ridge regression) and bypass the
+radial-distance machinery by overriding :meth:`Kernel.from_inner_products`,
+the one method every kernel block goes through.
 Because they are globally low-rank (rank <= d for the linear kernel), they
 are also useful as sanity checks for the low-rank compression kernels.
 """
@@ -15,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from ..utils.validation import check_non_negative, check_positive
-from .base import Kernel, register_kernel
+from .base import TILE_BYTES, Kernel, register_kernel
 
 
 @register_kernel("polynomial")
@@ -35,21 +36,17 @@ class PolynomialKernel(Kernel):
     def matrix(self, X: np.ndarray, Y: Optional[np.ndarray] = None) -> np.ndarray:
         X = np.asarray(X, dtype=np.float64)
         Yv = X if Y is None else np.asarray(Y, dtype=np.float64)
-        return (self.gamma * (X @ Yv.T) + self.coef0) ** self.degree
+        return self.from_inner_products(X @ Yv.T, None, None)
 
-    def from_inner_products(self, dots: np.ndarray, sq_x: np.ndarray,
-                            sq_y: np.ndarray) -> np.ndarray:
-        return (self.gamma * dots + self.coef0) ** self.degree
-
-    def block(self, X: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        return self.matrix(X[np.asarray(rows, dtype=np.intp)],
-                           X[np.asarray(cols, dtype=np.intp)])
-
-    def row(self, x: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64).ravel()
-        Y = np.asarray(Y, dtype=np.float64)
-        return (self.gamma * (Y @ x) + self.coef0) ** self.degree
+    def from_inner_products(self, dots: np.ndarray, sq_x, sq_y) -> np.ndarray:
+        """``(gamma <x, y> + c)^degree`` in place; the norms are not read."""
+        step = TILE_BYTES // (dots[:1].nbytes or 1) or 1
+        for lo in range(0, dots.shape[0], step):
+            tile = dots[lo:lo + step]
+            tile *= self.gamma
+            tile += self.coef0
+            tile **= self.degree
+        return dots
 
     def diagonal_value(self) -> float:  # pragma: no cover - not well defined
         raise NotImplementedError("polynomial kernel diagonal depends on the point")

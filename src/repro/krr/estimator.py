@@ -28,7 +28,6 @@ import numpy as np
 from ..clustering.api import ClusteringResult, cluster
 from ..config import ClusteringOptions
 from ..kernels.base import Kernel, get_kernel
-from ..kernels.distance import blockwise_sq_dists
 from ..utils.validation import (check_array_2d, check_index_array,
                                 check_non_negative, check_positive,
                                 check_same_dimension)
@@ -425,11 +424,14 @@ class KernelRidgeEstimator:
                 f"{type(self).__name__} must be fitted before predicting")
         X_test = check_array_2d(X_test, "X_test")
         check_same_dimension(X_test, self.X_train_, ("X_test", "X_train"))
-        scores = np.empty((X_test.shape[0],) + self.weights_.shape[1:],
-                          dtype=np.float64)
-        for rows, sq in blockwise_sq_dists(X_test, self.X_train_,
-                                           block_size=block_size):
-            scores[rows] = self.kernel._evaluate_sq(sq) @ self.weights_
+        if block_size < 1:
+            raise ValueError("block_size must be >= 1")
+        m = X_test.shape[0]
+        scores = np.empty((m,) + self.weights_.shape[1:], dtype=np.float64)
+        for start in range(0, m, block_size):
+            rows = slice(start, min(start + block_size, m))
+            scores[rows] = (self.kernel.matrix(X_test[rows], self.X_train_)
+                            @ self.weights_)
         return scores
 
     # ---------------------------------------------------------- persistence

@@ -2,20 +2,23 @@
 
 Step 3 of Algorithm 1 — the test-kernel rows ``K'(x') = K(x', X_train)`` —
 is embarrassingly GEMM-shaped: a batch of ``b`` queries against ``n``
-training points is one ``(b, d) x (d, n)`` matrix product followed by an
-elementwise kernel evaluation, exactly the tiled computation in
-:func:`repro.kernels.distance.blockwise_sq_dists`.  Answering queries one
+training points is one ``(b, d) x (d, n)`` matrix product, which
+:meth:`repro.kernels.Kernel.from_inner_products` turns into kernel values
+in place (row tile by row tile, with the training norms computed once per
+engine), followed by one GEMV against the weights.  Answering queries one
 at a time instead degrades every product to a GEMV and loses an order of
 magnitude of throughput (the perf ledger's ``engine.single_row_us``
 against ``engine.batch1k_s``).
 
 :class:`PredictionEngine` therefore coalesces incoming queries into
-micro-batches, evaluates each batch with the same blocked primitives the
-training-time classifier uses (so batched predictions match
-``classifier.predict`` exactly), distributes independent batches over a
-:class:`repro.parallel.BlockExecutor`, and keeps an LRU cache of computed
-kernel rows so repeated query points — common under real traffic — skip
-the distance computation entirely.
+micro-batches and evaluates each batch with the same evaluator and GEMM
+shapes as the training-time classifier (so batched predictions match
+``classifier.predict`` exactly at equal chunk sizes).  A batch's kernel
+rows live only until its scores are taken, so a call holds one
+``(batch, n)`` block per worker; independent batches are distributed over
+a :class:`repro.parallel.BlockExecutor`, and an LRU cache of computed
+scores lets repeated query points — common under real traffic — skip the
+kernel rows entirely.
 
 Prediction also decomposes along training shard boundaries — the decision
 value ``w . K'(x')`` is a sum of per-shard partial scores
@@ -37,7 +40,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..kernels.distance import blockwise_sq_dists
+from ..kernels.distance import sq_norms
 from ..obs import global_registry
 from ..parallel.executor import BlockExecutor
 from ..utils.validation import check_array_2d, check_same_dimension
@@ -150,6 +153,9 @@ class PredictionEngine:
         self.kernel = model.kernel
         self.X_train = np.ascontiguousarray(model.X_train_, dtype=np.float64)
         self.weights = np.asarray(model.weights_, dtype=np.float64)
+        # ||x||^2 of every training row, once: each batch's kernel rows
+        # need them and the training set never changes under an engine.
+        self._sq_train = sq_norms(self.X_train)
         self.classes = getattr(model, "classes_", None)
         self.batch_size = int(batch_size)
         self.executor = BlockExecutor(workers=1 if workers is None else workers)
@@ -204,12 +210,11 @@ class PredictionEngine:
         return self.X_train.shape[0]
 
     def _kernel_rows(self, Xb: np.ndarray) -> np.ndarray:
-        """Dense kernel rows of one micro-batch (one coalesced GEMM)."""
-        rows = np.empty((Xb.shape[0], self.n_train), dtype=np.float64)
-        for sl, sq in blockwise_sq_dists(Xb, self.X_train,
-                                         block_size=self.batch_size):
-            rows[sl] = self.kernel._evaluate_sq(sq)
-        return rows
+        """Dense kernel rows of one micro-batch: its GEMM output, evaluated
+        in place."""
+        return self.kernel.from_inner_products(
+            Xb @ self.X_train.T, sq_norms(Xb)[:, None],
+            self._sq_train[None, :])
 
     def decision_many(self, X: np.ndarray) -> np.ndarray:
         """Decision scores for a batch of queries.
@@ -260,27 +265,31 @@ class PredictionEngine:
             miss = np.arange(m, dtype=np.intp)
         misses = int(miss.size)
 
+        def score(sl: slice) -> None:
+            # One micro-batch from kernel rows to scores: only the rows of
+            # the batches in flight are alive at any time.
+            rows = self._kernel_rows(X_miss[sl])
+            chunk_scores = rows @ self.weights
+            scores[miss[sl]] = chunk_scores
+            if self.cache is not None:
+                for j, i in enumerate(miss[sl]):
+                    # Copy: rows[j] / chunk_scores[j] are views whose .base
+                    # is the whole chunk; caching a view would pin the full
+                    # (batch, n_train) array in memory.
+                    self.cache.put(keys[i],
+                                   np.array(chunk_scores[j], copy=True),
+                                   row=rows[j].copy() if self.cache_rows
+                                   else None)
+
         t0 = time.perf_counter()
         n_batches = 0
         if miss.size:
-            X_miss = np.ascontiguousarray(X[miss], dtype=np.float64)
+            # miss is increasing, so covering every row means it is all of X
+            X_miss = X if miss.size == m else X[miss]
             starts = range(0, miss.size, self.batch_size)
             chunks = [slice(s, min(s + self.batch_size, miss.size)) for s in starts]
             n_batches = len(chunks)
-            rows_list = self.executor.map(
-                lambda sl: self._kernel_rows(X_miss[sl]), chunks)
-            for sl, rows in zip(chunks, rows_list):
-                chunk_scores = rows @ self.weights
-                scores[miss[sl]] = chunk_scores
-                if self.cache is not None:
-                    for j, i in enumerate(miss[sl]):
-                        # Copy: rows[j] / chunk_scores[j] are views whose
-                        # .base is the whole chunk; caching a view would
-                        # pin the full (batch, n_train) array in memory.
-                        self.cache.put(keys[i],
-                                       np.array(chunk_scores[j], copy=True),
-                                       row=rows[j].copy() if self.cache_rows
-                                       else None)
+            self.executor.map(score, chunks)
         for i, j in dup_of.items():
             scores[i] = scores[j]
         elapsed = time.perf_counter() - t0

@@ -10,8 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.kernels import (GaussianKernel, LaplacianKernel, LinearKernel,
                            Matern32Kernel, Matern52Kernel, PolynomialKernel,
-                           blockwise_sq_dists, get_kernel, pairwise_dists,
-                           pairwise_sq_dists, row_sq_dists, KERNEL_REGISTRY)
+                           get_kernel, pairwise_sq_dists, KERNEL_REGISTRY)
 
 
 def _points(n=30, d=5, seed=0):
@@ -33,35 +32,9 @@ class TestDistances:
         assert np.all(np.diag(D) == 0.0)
         assert np.all(D >= 0.0)
 
-    def test_pairwise_dists_is_sqrt(self):
-        X = _points(10, 3)
-        np.testing.assert_allclose(pairwise_dists(X) ** 2, pairwise_sq_dists(X),
-                                   atol=1e-12)
-
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError, match="dimension"):
             pairwise_sq_dists(_points(5, 3), _points(5, 4))
-
-    def test_row_sq_dists(self):
-        X = _points(12, 6)
-        x = X[3]
-        d = row_sq_dists(x, X)
-        np.testing.assert_allclose(d, pairwise_sq_dists(x[None, :], X).ravel(),
-                                   atol=1e-12)
-        with pytest.raises(ValueError):
-            row_sq_dists(np.zeros(3), _points(5, 4))
-
-    def test_blockwise_matches_full(self):
-        X = _points(33, 4, seed=3)
-        full = pairwise_sq_dists(X)
-        rebuilt = np.empty_like(full)
-        for rows, block in blockwise_sq_dists(X, block_size=7):
-            rebuilt[rows] = block
-        np.testing.assert_allclose(rebuilt, full, atol=1e-10)
-
-    def test_blockwise_rejects_bad_block_size(self):
-        with pytest.raises(ValueError):
-            list(blockwise_sq_dists(_points(5, 2), block_size=0))
 
     @settings(max_examples=25, deadline=None)
     @given(arrays(np.float64, (7, 3), elements=st.floats(-50, 50)))
@@ -106,7 +79,11 @@ class TestGaussianKernel:
         X = _points(15, 3)
         k = GaussianKernel(h=0.7)
         K = k.matrix(X)
-        np.testing.assert_allclose(k.row(X[4], X), K[4], atol=1e-12)
+        np.testing.assert_allclose(k.matrix(X[4:5], X)[0], K[4], atol=1e-12)
+
+    def test_dimension_mismatch_raises(self):
+        with pytest.raises(ValueError, match="dimension"):
+            GaussianKernel(h=1.0).matrix(_points(5, 3), _points(5, 4))
 
     def test_invalid_h(self):
         with pytest.raises(ValueError):
@@ -139,7 +116,8 @@ class TestOtherKernels:
         K = k.matrix(X)
         expected = (0.5 * X @ X.T + 1.0) ** 2
         np.testing.assert_allclose(K, expected, atol=1e-10)
-        np.testing.assert_allclose(k.row(X[2], X), expected[2], atol=1e-10)
+        np.testing.assert_allclose(k.matrix(X[2:3], X)[0], expected[2],
+                                   atol=1e-10)
 
     def test_linear_kernel_is_gram(self):
         X = _points(8, 4)

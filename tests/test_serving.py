@@ -104,7 +104,7 @@ class TestPredictionEngine:
         engine = PredictionEngine(clf, cache_size=256, cache_rows=True)
         engine.predict_many(X_test[:5])
         row = engine.cached_row(X_test[0])
-        expected = clf.kernel.row(X_test[0], clf.X_train_)
+        expected = clf.kernel.matrix(X_test[:1], clf.X_train_)[0]
         np.testing.assert_allclose(row, expected, rtol=1e-12)
         assert engine.cached_row(X_test[50]) is None  # never served
         # Without cache_rows the accessor reports nothing.
