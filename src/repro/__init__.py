@@ -27,8 +27,7 @@ The library provides:
   :mod:`repro.experiments`;
 * model persistence (checksummed ``.npz`` artifacts, a directory-backed
   :class:`repro.serving.ModelStore`) and batched online prediction serving
-  (:class:`repro.serving.PredictionEngine` and its sharded variant
-  :class:`repro.serving.ShardedPredictionEngine`,
+  (:class:`repro.serving.PredictionEngine`,
   :class:`repro.serving.PredictionService`) — :mod:`repro.serving`;
 * process-sharded training over subtree ownership, mirroring the paper's
   rank-per-subtree MPI runs (``KRRPipeline(shards=...)``) —
@@ -66,7 +65,7 @@ from .krr import (KernelRidgeClassifier, KernelRidgeRegressor, KRRPipeline,
                   OneVsAllClassifier)
 from .datasets import load_dataset
 from .serving import (ModelStore, PredictionEngine, PredictionService,
-                      ShardedPredictionEngine, load_model, save_model)
+                      load_model, save_model)
 from .distributed import ShardPlan
 from .runtime import RuntimeConfig, resolve_runtime_config
 
@@ -99,7 +98,6 @@ __all__ = [
     "save_model",
     "load_model",
     "ShardPlan",
-    "ShardedPredictionEngine",
     "RuntimeConfig",
     "resolve_runtime_config",
     "obs",

@@ -33,7 +33,6 @@ FLAG_KEYS = {
     "solver": "solver.name",
     "clustering": "clustering.method",
     "leaf_size": "clustering.leaf_size",
-    "workers": "distributed.workers",
     "shards": "distributed.shards",
     "store": "serving.store",
     "model": "serving.model",

@@ -37,9 +37,8 @@ system* that run over either of *two transports*:
   drop-in ``KernelSystemSolver`` behind every ``shards=`` knob; its verbs
   run on whoever holds the fit's factors at that moment.
 
-Serving a model cut at the same shard boundaries is
-:class:`repro.serving.ShardedPredictionEngine`, which picks up the
-:class:`ShardPlan` a sharded-trained (or reloaded) model carries.
+A sharded-trained (or reloaded) model is served like any other, by one
+:class:`repro.serving.PredictionEngine` in the serving process.
 
 See ``docs/architecture.md`` for the data-flow picture and
 ``docs/api.md`` for the public API reference.

@@ -29,7 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..clustering.tree import ClusterNode, ClusterTree
-from ..parallel.executor import default_worker_count
+from ..runtime.host import visible_cores
 
 
 def resolve_shards(shards: Optional[int]) -> int:
@@ -77,7 +77,7 @@ def resolve_shards(shards: Optional[int]) -> int:
     if shards < 0:
         raise ValueError("shards must be >= 0 or None")
     if shards == 0:
-        return default_worker_count()
+        return visible_cores()
     return shards
 
 

@@ -104,9 +104,9 @@ class KRRPipeline:
         ``REPRO_SHARDS`` (1 when unset), which the other solvers ignore.
         With more than one shard the training solve goes through
         :class:`repro.distributed.DistributedSolver` and the reported
-        ``shards`` field records the process count; pass the trained
-        ``classifier_`` to :class:`repro.serving.ShardedPredictionEngine`
-        to serve it cut at the same shard boundaries.  Sharded and serial
+        ``shards`` field records the process count; the trained
+        ``classifier_`` serves through a plain
+        :class:`repro.serving.PredictionEngine`.  Sharded and serial
         runs agree within the compression tolerance (see
         :mod:`repro.distributed`).
     coupling_rel_tol, coupling_max_rank, cut_level:

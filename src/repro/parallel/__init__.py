@@ -3,11 +3,10 @@
 The paper's large-scale results (Table 4, Figure 8) come from a distributed
 memory MPI code running on up to 1,024 cores of NERSC's Cori machine.  This
 environment has neither MPI nor 1,024 cores, so the package provides two
-complementary pieces (see DESIGN.md for the substitution rationale):
+an analytic stand-in (see DESIGN.md for the substitution rationale); the
+measured parallel axis is the process-sharded path of
+:mod:`repro.distributed`:
 
-* :class:`BlockExecutor` — a shared-memory thread pool the serving
-  engines evaluate test-kernel row blocks and shard partials on (NumPy
-  releases the GIL inside BLAS); training is serial per process;
 * :class:`MachineModel` / :class:`DistributedCostModel` /
   :func:`simulate_strong_scaling` — an analytic alpha–beta performance
   model of the distributed HSS/H algorithms, driven by the *measured*
@@ -25,7 +24,6 @@ from .work_model import (
 )
 from .cost_model import DistributedCostModel, PhaseTimes
 from .strong_scaling import simulate_strong_scaling, StrongScalingPoint
-from .executor import BlockExecutor, default_worker_count, resolve_workers
 
 __all__ = [
     "MachineModel",
@@ -38,7 +36,4 @@ __all__ = [
     "PhaseTimes",
     "simulate_strong_scaling",
     "StrongScalingPoint",
-    "BlockExecutor",
-    "default_worker_count",
-    "resolve_workers",
 ]

@@ -19,9 +19,9 @@ sections *are* the library's option objects (:mod:`repro.config`):
 
 Environment variables follow the generic naming scheme
 ``REPRO_<SECTION>_<FIELD>`` (e.g. ``REPRO_HSS_REL_TOL``,
-``REPRO_DATASET_N_TRAIN``); the four pre-existing variables
-(``REPRO_WORKERS``, ``REPRO_SHARDS``, ``REPRO_OBS_DISABLED``,
-``REPRO_METRICS_DUMP``) are kept as aliases of their new homes.
+``REPRO_DATASET_N_TRAIN``); the three pre-existing variables
+(``REPRO_SHARDS``, ``REPRO_OBS_DISABLED``, ``REPRO_METRICS_DUMP``) are
+kept as aliases of their new homes.
 """
 
 from __future__ import annotations
@@ -216,9 +216,8 @@ class StreamSection:
 
 @dataclass(frozen=True)
 class DistributedSection:
-    """Serving engine threads and the training path's worker processes."""
+    """The training path's worker processes and their coupling knobs."""
 
-    workers: Optional[int] = None
     shards: Optional[int] = None
     coupling_rel_tol: Optional[float] = None
     coupling_max_rank: Optional[int] = None
@@ -226,10 +225,8 @@ class DistributedSection:
     collect_factors: bool = True
 
     def __post_init__(self) -> None:
-        for name in ("workers", "shards"):
-            value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ValueError(f"distributed.{name} must be >= 0 or none")
+        if self.shards is not None and self.shards < 0:
+            raise ValueError("distributed.shards must be >= 0 or none")
 
 
 @dataclass(frozen=True)
@@ -372,7 +369,7 @@ def _build_schema() -> List[Knob]:
         "hmatrix.admissibility": "str", "hmatrix.max_rank": "opt_int",
         "tuning.strategy": "str", "tuning.backend": "str",
         "serving.store": "str", "serving.model": "str",
-        "distributed.workers": "opt_int", "distributed.shards": "opt_int",
+        "distributed.shards": "opt_int",
         "distributed.coupling_rel_tol": "opt_float",
         "distributed.coupling_max_rank": "opt_int",
         "distributed.cut_level": "opt_int",
@@ -380,7 +377,6 @@ def _build_schema() -> List[Knob]:
         "obs.enabled": "bool", "obs.dump_path": "str",
     }
     aliases = {
-        "distributed.workers": (("REPRO_WORKERS", False),),
         "distributed.shards": (("REPRO_SHARDS", False),),
         "obs.enabled": (("REPRO_OBS_DISABLED", True),),
         "obs.dump_path": (("REPRO_METRICS_DUMP", False),),
@@ -639,9 +635,8 @@ def _file_layer(path: Optional[str],
 
 #: knobs whose env values must be strictly positive — the ``0`` spelling
 #: ("use all cores") is reserved for explicit constructor args / flags,
-#: matching :func:`repro.parallel.resolve_workers` /
-#: :func:`repro.distributed.resolve_shards`.
-_ENV_POSITIVE_KEYS = ("distributed.workers", "distributed.shards")
+#: matching :func:`repro.distributed.resolve_shards`.
+_ENV_POSITIVE_KEYS = ("distributed.shards",)
 
 
 def _env_layer(env: Mapping[str, str]) -> Dict[str, Any]:

@@ -51,7 +51,7 @@ def visible_cores() -> int:
     """
     try:
         return len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):  # pragma: no cover - non-Linux
+    except (AttributeError, OSError):  # non-Linux
         return os.cpu_count() or 1
 
 

@@ -2,7 +2,7 @@
 
 The router owns one *entry* per served model name.  Each entry holds an
 **active generation** — a store revision loaded into a
-:class:`repro.serving.PredictionEngine` (or sharded backend) behind a
+:class:`repro.serving.PredictionEngine` behind a
 micro-batching :class:`repro.serving.PredictionService` — plus any
 generations still draining after a swap.  A hot-swap is one atomic
 pointer flip:
@@ -41,8 +41,7 @@ import numpy as np
 
 from ..hss.streaming import DriftBudget, should_recompress
 from ..obs import RequestTrail, global_registry
-from ..serving import (ModelStore, PredictionEngine, PredictionService,
-                       ShardedPredictionEngine)
+from ..serving import ModelStore, PredictionEngine, PredictionService
 
 __all__ = ["ModelRouter", "RouterError", "ModelNotServed"]
 
@@ -94,12 +93,6 @@ class ModelRouter:
         Micro-batch cap of each generation's dispatcher.
     batch_window:
         Seconds the dispatcher waits to fill a micro-batch.
-    workers:
-        Engine worker threads (``None`` → serial).
-    shards:
-        When > 1, generations are backed by a
-        :class:`repro.serving.ShardedPredictionEngine` (per-shard GEMMs
-        behind the same service) instead of the plain engine.
     drain_timeout:
         Seconds a retired generation gets to drain its backlog.
     trail_size:
@@ -109,8 +102,6 @@ class ModelRouter:
     def __init__(self, store: ModelStore, batch_size: int = 1024,
                  cache_size: int = 0, max_batch: int = 256,
                  batch_window: float = 0.001,
-                 workers: Optional[int] = None,
-                 shards: Optional[int] = None,
                  drain_timeout: float = 10.0,
                  trail_size: int = 4096,
                  stream_budget: Optional[DriftBudget] = None,
@@ -124,8 +115,6 @@ class ModelRouter:
         self.cache_size = int(cache_size)
         self.max_batch = int(max_batch)
         self.batch_window = float(batch_window)
-        self.workers = workers
-        self.shards = shards
         self.drain_timeout = float(drain_timeout)
         self.trail_size = int(trail_size)
         self.stream_budget = stream_budget
@@ -158,9 +147,8 @@ class ModelRouter:
         config:
             The resolved runtime config; ``serving.*`` supplies the
             engine/service knobs, ``server.drain_timeout`` the drain
-            budget, ``distributed.workers`` / ``distributed.shards``
-            the backend parallelism and ``stream.*`` the drift budget
-            and recompression policy.
+            budget and ``stream.*`` the drift budget and recompression
+            policy.
         store:
             Optional already-open store (``None`` opens
             ``serving.store``).
@@ -176,8 +164,6 @@ class ModelRouter:
                    cache_size=config.serving.cache_size,
                    max_batch=config.serving.max_batch,
                    batch_window=config.serving.batch_window,
-                   workers=config.distributed.workers,
-                   shards=config.distributed.shards,
                    drain_timeout=config.server.drain_timeout,
                    stream_budget=DriftBudget.from_config(config),
                    recompress_mode=config.stream.recompress)
@@ -198,16 +184,8 @@ class ModelRouter:
             model = applied[0]
         else:
             model = self.store.load(name)
-        if self.shards is not None and int(self.shards) > 1:
-            engine = ShardedPredictionEngine(
-                model, shards=int(self.shards), batch_size=self.batch_size,
-                cache_size=self.cache_size)
-        else:
-            from ..parallel.executor import resolve_workers
-            engine = PredictionEngine(
-                model, batch_size=self.batch_size,
-                workers=resolve_workers(self.workers),
-                cache_size=self.cache_size)
+        engine = PredictionEngine(model, batch_size=self.batch_size,
+                                  cache_size=self.cache_size)
         service = PredictionService(
             engine, max_batch=self.max_batch,
             batch_window=self.batch_window, model_name=name,

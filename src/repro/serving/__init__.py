@@ -15,8 +15,8 @@ production KRR systems:
   from :class:`repro.krr.PipelineReport`;
 * :mod:`repro.serving.engine` — :class:`PredictionEngine`, micro-batching
   queries into coalesced test-kernel-row GEMMs with an LRU cache of
-  kernel rows for repeated points, and :class:`ShardedPredictionEngine`,
-  the same engine scoring as a sum of per-shard partials;
+  kernel rows for repeated points, serving every model (sharded-trained
+  or not) in the calling thread;
 * :mod:`repro.serving.service` — :class:`PredictionService`, a
   thread-based front-end (``predict_many``, ``submit``/future API) with
   p50/p95 latency and QPS statistics.
@@ -28,8 +28,7 @@ from .serialize import (ArtifactError, ModelArtifact, hss_from_arrays,
                         tree_from_arrays, tree_to_arrays, ulv_from_arrays,
                         ulv_to_arrays)
 from .store import ModelRecord, ModelStore, metadata_from_report
-from .engine import (EngineStats, KernelRowCache, PredictionEngine,
-                     ShardedPredictionEngine)
+from .engine import EngineStats, KernelRowCache, PredictionEngine
 from .service import PredictionService, ServingStats
 
 __all__ = [
@@ -51,7 +50,6 @@ __all__ = [
     "ModelRecord",
     "metadata_from_report",
     "PredictionEngine",
-    "ShardedPredictionEngine",
     "EngineStats",
     "KernelRowCache",
     "PredictionService",

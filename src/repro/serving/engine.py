@@ -15,18 +15,15 @@ micro-batches and evaluates each batch with the same evaluator and GEMM
 shapes as the training-time classifier (so batched predictions match
 ``classifier.predict`` exactly at equal chunk sizes).  A batch's kernel
 rows live only until its scores are taken, so a call holds one
-``(batch, n)`` block per worker; independent batches are distributed over
-a :class:`repro.parallel.BlockExecutor`, and an LRU cache of computed
+``(batch, n)`` block at a time; batches run one after another in the
+calling thread (BLAS threads each GEMM), and an LRU cache of computed
 scores lets repeated query points — common under real traffic — skip the
 kernel rows entirely.
 
-Prediction also decomposes along training shard boundaries — the decision
-value ``w . K'(x')`` is a sum of per-shard partial scores
-``w_s . K(x', X_s)`` — and :class:`ShardedPredictionEngine` is the same
-engine with that one step changed: each partial is the workload of a plain
-engine over the shard's slice of the training set, evaluated on a thread
-pool (the per-shard GEMMs release the GIL) and reduced in shard order, so
-results are deterministic for any schedule.
+Every model is served this way, sharded-trained or not: the decision value
+``w . K'(x')`` needs the whole weight vector whichever process solved for
+it, so a sharded model scores bitwise like ``model.decision_function`` at
+equal chunk size.
 """
 
 from __future__ import annotations
@@ -35,14 +32,13 @@ import hashlib
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
 
 from ..kernels.distance import sq_norms
 from ..obs import global_registry
-from ..parallel.executor import BlockExecutor
 from ..utils.validation import check_array_2d, check_same_dimension
 
 
@@ -128,10 +124,6 @@ class PredictionEngine:
         Maximum number of query rows evaluated in one GEMM.  The default
         matches the classifier's prediction block size, so un-cached
         batched scores are bitwise identical to ``model.predict``.
-    workers:
-        Worker threads used to evaluate independent micro-batches
-        concurrently (``None`` → serial; NumPy's BLAS already parallelizes
-        within a GEMM, so more workers mainly help many small batches).
     cache_size:
         Capacity (in entries) of the LRU result cache; ``0`` disables
         caching.
@@ -142,8 +134,7 @@ class PredictionEngine:
         prediction needs.
     """
 
-    def __init__(self, model, batch_size: int = 1024,
-                 workers: Optional[int] = None, cache_size: int = 0,
+    def __init__(self, model, batch_size: int = 1024, cache_size: int = 0,
                  cache_rows: bool = False):
         if getattr(model, "weights_", None) is None or getattr(model, "X_train_", None) is None:
             raise ValueError("PredictionEngine requires a fitted model")
@@ -158,7 +149,6 @@ class PredictionEngine:
         self._sq_train = sq_norms(self.X_train)
         self.classes = getattr(model, "classes_", None)
         self.batch_size = int(batch_size)
-        self.executor = BlockExecutor(workers=1 if workers is None else workers)
         self.cache = KernelRowCache(cache_size) if cache_size > 0 else None
         self.cache_rows = bool(cache_rows)
         self.stats = EngineStats()
@@ -188,8 +178,7 @@ class PredictionEngine:
         ----------
         config:
             The resolved runtime config; ``serving.batch_size`` /
-            ``serving.cache_size`` and ``distributed.workers`` map onto
-            the constructor arguments.
+            ``serving.cache_size`` map onto the constructor arguments.
         model:
             The fitted model to serve.
 
@@ -198,9 +187,7 @@ class PredictionEngine:
         PredictionEngine
             The configured engine.
         """
-        from ..parallel.executor import resolve_workers
         return cls(model, batch_size=config.serving.batch_size,
-                   workers=resolve_workers(config.distributed.workers),
                    cache_size=config.serving.cache_size)
 
     # ------------------------------------------------------------------ core
@@ -221,8 +208,7 @@ class PredictionEngine:
 
         Shape ``(m,)`` for binary models (``w . K'(x')``), ``(m, c)`` for
         one-vs-all models.  Cached rows are reused; the remaining rows are
-        split into micro-batches and evaluated (possibly concurrently) as
-        coalesced GEMMs.
+        split into micro-batches and evaluated in turn as coalesced GEMMs.
         """
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2:
@@ -266,8 +252,8 @@ class PredictionEngine:
         misses = int(miss.size)
 
         def score(sl: slice) -> None:
-            # One micro-batch from kernel rows to scores: only the rows of
-            # the batches in flight are alive at any time.
+            # One micro-batch from kernel rows to scores: its rows die on
+            # return, so only one batch's rows are alive at any time.
             rows = self._kernel_rows(X_miss[sl])
             chunk_scores = rows @ self.weights
             scores[miss[sl]] = chunk_scores
@@ -286,10 +272,9 @@ class PredictionEngine:
         if miss.size:
             # miss is increasing, so covering every row means it is all of X
             X_miss = X if miss.size == m else X[miss]
-            starts = range(0, miss.size, self.batch_size)
-            chunks = [slice(s, min(s + self.batch_size, miss.size)) for s in starts]
-            n_batches = len(chunks)
-            self.executor.map(score, chunks)
+            for start in range(0, miss.size, self.batch_size):
+                score(slice(start, min(start + self.batch_size, miss.size)))
+                n_batches += 1
         for i, j in dup_of.items():
             scores[i] = scores[j]
         elapsed = time.perf_counter() - t0
@@ -352,7 +337,7 @@ class PredictionEngine:
 
         Mutates the existing :class:`EngineStats` in place rather than
         rebinding ``self.stats``, so callers holding a reference to the
-        stats object (dashboards, the sharded service) observe the reset
+        stats object (dashboards, the serving layer) observe the reset
         instead of a frozen pre-reset copy.
         """
         with self._stats_lock:
@@ -364,13 +349,11 @@ class PredictionEngine:
             self.stats.eval_seconds = 0.0
 
     def close(self) -> None:
-        """Release the executor's worker threads (idempotent).
+        """Release the engine (a no-op: it holds no threads or handles).
 
-        The pool is lazily re-created by a later prediction, so a closed
-        engine remains usable; closing just bounds thread lifetime for
-        engines built with ``workers > 1``.
+        Kept so every engine owner can close what it built, directly or
+        through the context manager; a closed engine remains usable.
         """
-        self.executor.shutdown()
 
     def __enter__(self) -> "PredictionEngine":
         return self
@@ -381,137 +364,5 @@ class PredictionEngine:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         cache = self.cache.capacity if self.cache is not None else 0
         return (f"PredictionEngine(n_train={self.n_train}, "
-                f"batch_size={self.batch_size}, cache_size={cache}, "
-                f"workers={self.executor.workers})")
+                f"batch_size={self.batch_size}, cache_size={cache})")
 
-
-class _ShardModelView:
-    """A fitted-model facade restricted to one shard's training rows."""
-
-    def __init__(self, model, start: int, stop: int):
-        self.kernel = model.kernel
-        self.X_train_ = np.ascontiguousarray(model.X_train_[start:stop],
-                                             dtype=np.float64)
-        self.weights_ = np.asarray(model.weights_[start:stop],
-                                   dtype=np.float64)
-        # Partial engines must return raw scores; class reduction happens
-        # once at the front after summing across shards.
-        self.classes_ = None
-
-
-def _shard_boundaries(n: int, plan, shards: Optional[int]) -> np.ndarray:
-    if plan is not None:
-        if plan.n != n:
-            raise ValueError(
-                f"plan covers {plan.n} points but the model has {n} "
-                f"training rows")
-        return np.asarray(plan.boundaries, dtype=np.intp)
-    n_shards = int(shards or 1)
-    if n_shards < 1:
-        raise ValueError("shards must be >= 1")
-    # Equal split (a plan gives training-aligned boundaries; without one,
-    # prediction sharding is free to cut anywhere).
-    return np.linspace(0, n, n_shards + 1).astype(np.intp)
-
-
-class ShardedPredictionEngine(PredictionEngine):
-    """A :class:`PredictionEngine` scoring as a sum of per-shard partials.
-
-    Only the score computation differs from the base engine: ``predict`` /
-    ``predict_many``, the context manager and the :class:`EngineStats`
-    shape are shared, so it sits behind a
-    :class:`repro.serving.PredictionService` or the HTTP router like any
-    engine.
-
-    Parameters
-    ----------
-    model:
-        A fitted binary or one-vs-all classifier (typically trained with
-        ``shards > 1``; any fitted model works — prediction sharding is
-        independent of how training was parallelized).
-    plan:
-        Optional :class:`repro.distributed.ShardPlan`; when given, the
-        shard engines are cut at the training shard boundaries.  Otherwise
-        ``shards`` equal slices.  When *neither* is given, a plan carried
-        by the model's solver (sharded-trained or reloaded sharded models)
-        is used, falling back to a single shard.
-    shards:
-        Number of shards when no ``plan`` is given.
-    batch_size, cache_size, cache_rows:
-        Forwarded to every per-shard engine (each keeps its own cache of
-        partial scores).
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> from repro.datasets import gaussian_mixture
-    >>> from repro.krr import KernelRidgeClassifier
-    >>> from repro.serving import ShardedPredictionEngine
-    >>> X, y = gaussian_mixture(n=128, d=4, seed=0)
-    >>> clf = KernelRidgeClassifier(h=1.0, lam=1.0, solver="dense").fit(X, y)
-    >>> with ShardedPredictionEngine(clf, shards=2) as engine:
-    ...     labels = engine.predict_many(X[:16])
-    >>> bool(np.array_equal(labels, clf.predict(X[:16])))
-    True
-    """
-
-    def __init__(self, model, plan=None, shards: Optional[int] = None,
-                 batch_size: int = 1024, cache_size: int = 0,
-                 cache_rows: bool = False):
-        super().__init__(model, batch_size=batch_size)
-        if plan is None and shards is None:
-            # Sharded-trained (or reloaded sharded) models carry their plan
-            # on the solver; default to its training boundaries.
-            plan = getattr(getattr(model, "solver_", None), "plan_", None)
-        self.boundaries = _shard_boundaries(self.n_train, plan, shards)
-        self.engines: List[PredictionEngine] = [
-            PredictionEngine(_ShardModelView(model, int(start), int(stop)),
-                             batch_size=batch_size, cache_size=cache_size,
-                             cache_rows=cache_rows)
-            for start, stop in zip(self.boundaries[:-1], self.boundaries[1:])]
-        # serial_threshold=1: the default threshold of 2 would run the
-        # common two-shard fan-out sequentially on the calling thread.
-        self.executor = BlockExecutor(workers=len(self.engines),
-                                      serial_threshold=1)
-
-    @property
-    def n_shards(self) -> int:
-        """Number of per-shard engines."""
-        return len(self.engines)
-
-    def decision_many(self, X: np.ndarray) -> np.ndarray:
-        """Decision scores of a batch: sum of per-shard partial scores.
-
-        The reduction runs in shard order, so the scores are deterministic;
-        they can differ from the unsharded engine's in the last bits
-        (floating-point association), which is why equivalence tests
-        compare with an ``allclose`` tolerance.  :attr:`stats` is refreshed
-        to the counters summed over the shard engines, each of which sees
-        every query.
-        """
-        partials = self.executor.map(
-            lambda engine: engine.decision_many(X), self.engines)
-        total = partials[0]
-        for part in partials[1:]:
-            total += part
-        with self._stats_lock:
-            for f in fields(EngineStats):
-                setattr(self.stats, f.name,
-                        sum(getattr(e.stats, f.name) for e in self.engines))
-        return total
-
-    def reset_stats(self) -> None:
-        """Zero the counters of every shard engine and the summed view."""
-        for engine in self.engines:
-            engine.reset_stats()
-        super().reset_stats()
-
-    def close(self) -> None:
-        """Release the fan-out pool and the shard engines' threads."""
-        super().close()
-        for engine in self.engines:
-            engine.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"ShardedPredictionEngine(shards={self.n_shards}, "
-                f"n_train={self.n_train})")

@@ -118,7 +118,7 @@ class PredictionService:
                  model_version: int = 0,
                  trail: Optional[RequestTrail] = None):
         # Duck-typed engine contract: anything with predict_many + X_train
-        # serves (PredictionEngine, ShardedPredictionEngine, ...); fitted
+        # serves (a PredictionEngine or a stand-in); fitted
         # classifiers are wrapped in a default engine.
         if not (hasattr(engine, "predict_many")
                 and getattr(engine, "X_train", None) is not None):
@@ -234,11 +234,6 @@ class PredictionService:
                 # the handle so a later start() can wait on it.
                 return
             self._thread = None
-        # Backlog drained: release the engine's worker threads too (the
-        # engine lazily re-creates its pool if served again).
-        close = getattr(self.engine, "close", None)
-        if close is not None:
-            close()
 
     def __enter__(self) -> "PredictionService":
         return self.start()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import time
 
 import numpy as np
@@ -90,6 +91,21 @@ def assert_same_hss(hss_a, hss_b) -> None:
     for node_id in range(hss_a.tree.n_nodes):
         assert_same_arrays(hss_a.node_data[node_id], hss_b.node_data[node_id],
                            ("D", "U", "V", "B12", "B21"))
+
+
+@pytest.fixture
+def pools_built(monkeypatch):
+    """Count every ``ThreadPoolExecutor`` constructed while it is active."""
+    built = []
+    init = concurrent.futures.ThreadPoolExecutor.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("thread_name_prefix", ""))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "__init__",
+                        counting_init)
+    return built
 
 
 @pytest.fixture(scope="session")

@@ -214,11 +214,11 @@ class TestInspectEnvBench:
         assert "no metrics dump configured" in capsys.readouterr().err
 
     def test_env_reports_mapping(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "2")
+        monkeypatch.setenv("REPRO_SHARDS", "2")
         assert run_cli(tmp_path, monkeypatch, ["env", "-q"]) == 0
         doc = read_result(tmp_path, "env")
-        assert doc["result"]["env_mapping"]["REPRO_WORKERS"] == \
-            "distributed.workers"
+        assert doc["result"]["env_mapping"]["REPRO_SHARDS"] == \
+            "distributed.shards"
         assert doc["result"]["host"]["python"]
 
     def test_bench_runs_the_manifest_command_at_the_checkout_root(
@@ -265,9 +265,9 @@ class TestErrors:
         assert "kernel.nope" in capsys.readouterr().err
 
     def test_bad_env_value_is_cli_error(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_WORKERS", "-3")
+        monkeypatch.setenv("REPRO_SHARDS", "-3")
         assert run_cli(tmp_path, monkeypatch, ["train", *SMALL]) == 2
-        assert "REPRO_WORKERS" in capsys.readouterr().err
+        assert "REPRO_SHARDS" in capsys.readouterr().err
 
 
 class TestSubprocessLifecycle:
@@ -283,7 +283,6 @@ class TestSubprocessLifecycle:
         src = os.path.join(os.path.dirname(os.path.dirname(
             os.path.abspath(__file__))), "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        env.pop("REPRO_WORKERS", None)
         env.pop("REPRO_SHARDS", None)
 
         def repro(*argv):

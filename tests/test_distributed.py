@@ -34,7 +34,10 @@ from repro.distributed.comm import ArraySpec, BlockChannel, SharedArray
 from repro.kernels import GaussianKernel
 from repro.krr import KernelRidgeClassifier, KRRPipeline
 from repro.krr.solvers import HSSSolver, KernelSystemSolver
-from repro.serving import ShardedPredictionEngine
+from repro.obs import global_registry
+from repro.runtime import resolve_runtime_config
+from repro.server import ModelRouter
+from repro.serving import ModelStore, PredictionEngine
 
 #: compression tolerance pinned tight so sharded-vs-serial deviations stay
 #: far below the decision margins (documented contract: the coupling ACA
@@ -217,14 +220,14 @@ def test_sharded_matches_serial_predictions(small_problem, serial_run, shards):
                           dist.classifier_.predict(data.X_test))
     assert report.accuracy == pytest.approx(serial_report.accuracy, abs=1e-12)
 
-    # The sharded serving front-end reproduces the sharded classifier.
-    with ShardedPredictionEngine(dist.classifier_, batch_size=64,
-                                 cache_size=32) as svc:
-        assert svc.n_shards == shards
+    # The one serving engine reproduces the sharded classifier bitwise.
+    with PredictionEngine(dist.classifier_, batch_size=64,
+                          cache_size=32) as svc:
         labels = svc.predict_many(data.X_test)
         scores = svc.decision_many(data.X_test)
     assert np.array_equal(labels, dist.classifier_.predict(data.X_test))
-    assert np.allclose(scores, s_dist, rtol=1e-9, atol=1e-11)
+    assert np.array_equal(scores, dist.classifier_.decision_function(
+        data.X_test, block_size=64))
 
 
 def test_sharded_training_is_deterministic(small_problem):
@@ -240,20 +243,35 @@ def test_sharded_training_is_deterministic(small_problem):
     assert np.array_equal(weights[0], weights[1])
 
 
-def test_sharded_service_on_plain_model(small_problem):
-    """Prediction sharding works on any fitted model, no plan needed."""
+def test_router_counts_each_sharded_query_once(tmp_path, small_problem):
+    """A router configured with ``distributed.shards=2`` serves a sharded
+    model through the one engine: every query counts once, and the scores
+    are the classifier's bitwise."""
     data = small_problem
-    clf = KernelRidgeClassifier(h=data.h, lam=data.lam, solver="dense")
+    clf = KernelRidgeClassifier(h=data.h, lam=data.lam, solver="hss",
+                                shards=2, seed=0,
+                                solver_options={"hss_options": TIGHT})
     clf.fit(data.X_train, data.y_train)
-    with ShardedPredictionEngine(clf, shards=3, batch_size=64) as svc:
-        labels = svc.predict_many(data.X_test)
-        scores = svc.decision_many(data.X_test)
+    store = ModelStore(tmp_path)
+    store.save(clf, "sharded")
+    config = resolve_runtime_config(env={}, flags={
+        "serving.store": str(tmp_path), "distributed.shards": 2})
+    queries = global_registry().counter("repro_serving_queries_total")
+    router = ModelRouter.from_config(config, store=store)
+    try:
+        router.serve("sharded")
+        engine = router._entries["sharded"].active.service.engine
+        before = queries.value
+        labels = router.predict("sharded", data.X_test)
+        m = data.X_test.shape[0]
+        assert queries.value - before == m
+        assert engine.stats.queries == m
+        assert engine.stats.rows_computed == m
+        scores = engine.decision_many(data.X_test)
+    finally:
+        router.close()
     assert np.array_equal(labels, clf.predict(data.X_test))
-    assert np.allclose(scores, clf.decision_function(data.X_test),
-                       rtol=1e-9, atol=1e-11)
-    # Counters are summed over the per-shard engines, each of which saw
-    # every query of both calls.
-    assert svc.stats.queries == 3 * 2 * data.X_test.shape[0]
+    assert np.array_equal(scores, clf.decision_function(data.X_test))
 
 
 # ---------------------------------------------------------------------------

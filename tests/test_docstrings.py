@@ -28,8 +28,7 @@ from repro.krr import (KernelRidgeClassifier, KernelRidgeRegressor,
                        KRRPipeline, OneVsAllClassifier)
 from repro.krr.estimator import KernelRidgeEstimator
 from repro.lowrank import aca, aca_blocks
-from repro.serving import (ModelStore, PredictionEngine, PredictionService,
-                           ShardedPredictionEngine)
+from repro.serving import ModelStore, PredictionEngine, PredictionService
 from repro.tuning import (BanditTuner, GridSearch, KRRObjective, RandomSearch,
                           TuningResult)
 
@@ -42,8 +41,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: estimator core carries the lifecycle verbs its three shells inherit
 DOCUMENTED_API = [KRRPipeline, KernelRidgeEstimator, KernelRidgeClassifier,
                   OneVsAllClassifier, KernelRidgeRegressor,
-                  ModelStore, PredictionEngine, ShardedPredictionEngine,
-                  PredictionService, CompressedKernel, ULVFactorization,
+                  ModelStore, PredictionEngine, PredictionService, CompressedKernel, ULVFactorization,
                   KRRObjective, GridSearch, RandomSearch, BanditTuner,
                   TuningResult, Kernel, KernelOperator]
 

@@ -8,7 +8,7 @@ overwriting the GEMM output its caller hands over.  These tests pin
   symmetric matrices, extracted blocks, ragged row segments, duplicate
   points, operator products, prediction rows; tiny, ragged and
   multi-chunk row counts; float32 and strided input;
-* that threaded prediction batches lose or cross no score;
+* that caller threads sharing one engine lose or cross no score;
 * that every registered kernel, radial or not, predicts after it fits;
 * what a prediction call allocates (``tracemalloc``): one chunk of kernel
   rows plus two row tiles, not a chunk per batch plus full-size
@@ -23,6 +23,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -173,28 +174,38 @@ def test_engine_scores_equal_decision_function_bitwise(binary_model, chunk, m,
 
 
 def test_threaded_batches_write_every_score_and_cache_entry(binary_model):
-    """Worker threads score their batches straight into the shared output
-    and cache: under a tiny switch interval, with more workers than cores
-    and repeated queries, nothing is lost or crossed."""
+    """Caller threads sharing one engine score into its cache and stats:
+    under a tiny switch interval, with more callers than cores and
+    repeated queries, nothing is lost or crossed.  One-row batches make
+    every score independent of which thread missed which rows, so each
+    caller must get the serial engine's bits."""
     clf, X_test = binary_model
     queries = np.concatenate([X_test[:300], X_test[:40]])
-    expected = PredictionEngine(clf, batch_size=8, cache_size=1000
+    expected = PredictionEngine(clf, batch_size=1, cache_size=1000
                                 ).decision_many(queries)
+    callers = 4
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with PredictionEngine(clf, batch_size=8, workers=4, cache_size=1000,
+        with PredictionEngine(clf, batch_size=1, cache_size=1000,
                               cache_rows=True) as engine:
-            _equal(engine.decision_many(queries), expected)
-            assert len(engine.cache) == 300
-            assert engine.stats.cache_misses == 300
-            for i in (0, 123, 299):
-                np.testing.assert_allclose(
-                    engine.cached_row(queries[i]),
-                    clf.kernel.matrix(queries[i:i + 1], clf.X_train_)[0],
-                    rtol=1e-12, atol=1e-12)
+            with ThreadPoolExecutor(max_workers=callers) as pool:
+                results = list(pool.map(engine.decision_many,
+                                        [queries] * callers, timeout=60))
     finally:
         sys.setswitchinterval(interval)
+    for scores in results:
+        _equal(scores, expected)
+    stats = engine.stats
+    assert len(engine.cache) == 300
+    assert stats.queries == callers * queries.shape[0]
+    assert stats.cache_hits + stats.cache_misses == stats.queries
+    assert 300 <= stats.cache_misses == stats.rows_computed == stats.batches
+    for i in (0, 123, 299):
+        np.testing.assert_allclose(
+            engine.cached_row(queries[i]),
+            clf.kernel.matrix(queries[i:i + 1], clf.X_train_)[0],
+            rtol=1e-12, atol=1e-12)
 
 
 def test_decision_function_rejects_a_bad_block_size(binary_model):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -116,47 +118,44 @@ class TestDenseMatrixOperator:
             DenseMatrixOperator(np.zeros((3, 4)))
 
 
+def _on_eight_threads(task, n_tasks):
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        list(pool.map(task, range(n_tasks)))
+
+
 class TestCounterThreadSafety:
-    """One operator may be shared by several threads (a thread pool here);
-    increments of its usage counters must not be lost."""
+    """One operator may be shared by several threads; increments of its
+    usage counters must not be lost."""
 
     def test_block_counter_exact_under_concurrency(self):
-        from repro.parallel import BlockExecutor
-
         rng = np.random.default_rng(0)
         X = rng.standard_normal((64, 3))
         op = KernelOperator(X, GaussianKernel(h=1.0))
         rows = np.arange(8)
         cols = np.arange(8, 21)
         n_tasks = 400
-        executor = BlockExecutor(workers=8, serial_threshold=0)
-        executor.map(lambda _i: op.block(rows, cols), range(n_tasks))
+        _on_eight_threads(lambda _i: op.block(rows, cols), n_tasks)
         assert op.element_evaluations == n_tasks * rows.size * cols.size
 
     def test_matvec_counter_exact_under_concurrency(self):
-        from repro.parallel import BlockExecutor
-
         rng = np.random.default_rng(1)
         X = rng.standard_normal((48, 3))
         op = ShiftedKernelOperator(X, GaussianKernel(h=1.0), lam=0.5,
                                    block_size=7)
         v = rng.standard_normal(48)
         n_tasks = 200
-        executor = BlockExecutor(workers=8, serial_threshold=0)
-        executor.map(lambda _i: op.matvec(v), range(n_tasks))
+        _on_eight_threads(lambda _i: op.matvec(v), n_tasks)
         assert op.matvec_sweeps == n_tasks
 
     def test_dense_operator_counters_under_concurrency(self):
-        from repro.parallel import BlockExecutor
-
         rng = np.random.default_rng(2)
         A = rng.standard_normal((32, 32))
         op = DenseMatrixOperator(A)
         v = rng.standard_normal(32)
         rows = np.arange(4)
         cols = np.arange(4, 9)
-        executor = BlockExecutor(workers=8, serial_threshold=0)
-        executor.map(lambda _i: (op.matvec(v), op.block(rows, cols)), range(300))
+        _on_eight_threads(lambda _i: (op.matvec(v), op.block(rows, cols)),
+                          300)
         assert op.matvec_sweeps == 300
         assert op.element_evaluations == 300 * rows.size * cols.size
 

@@ -1,9 +1,7 @@
-"""Tests for the parallel substrate: executor, machine model, cost model."""
+"""Tests for the parallel substrate: machine model, cost model, core count."""
 
 from __future__ import annotations
 
-import threading
-import time
 
 import numpy as np
 import pytest
@@ -12,12 +10,12 @@ from repro.clustering import cluster
 from repro.config import HSSOptions
 from repro.hss import build_hss_randomized
 from repro.kernels import GaussianKernel, ShiftedKernelOperator
-from repro.parallel import (CORI_HASWELL, BlockExecutor, DistributedCostModel,
-                            MachineModel, default_worker_count,
+from repro.distributed import resolve_shards
+from repro.parallel import (CORI_HASWELL, DistributedCostModel, MachineModel,
                             estimate_hmatrix_work, estimate_hss_work,
-                            estimate_sampling_work, resolve_workers,
-                            simulate_strong_scaling)
-from repro.parallel import executor as executor_module
+                            estimate_sampling_work, simulate_strong_scaling)
+from repro.runtime import host as host_module
+from repro.runtime import visible_cores
 from repro.hmatrix import build_hmatrix
 
 
@@ -148,130 +146,20 @@ class TestStrongScaling:
             simulate_strong_scaling(work, core_counts=[])
 
 
-class TestBlockExecutor:
-    def test_map_preserves_order(self):
-        executor = BlockExecutor(workers=4, serial_threshold=0)
-        results = executor.map(lambda x: x * x, list(range(50)))
-        assert results == [x * x for x in range(50)]
-
-    def test_serial_fallback(self):
-        executor = BlockExecutor(workers=1)
-        assert executor.map(lambda x: -x, [1, 2, 3]) == [-1, -2, -3]
-
-    def test_exceptions_propagate(self):
-        executor = BlockExecutor(workers=2, serial_threshold=0)
-
-        def boom(x):
-            raise RuntimeError("boom")
-
-        with pytest.raises(RuntimeError):
-            executor.map(boom, [1, 2, 3, 4])
-
-    def test_invalid_workers(self):
-        with pytest.raises(ValueError):
-            BlockExecutor(workers=0)
-
-    def test_numpy_tasks(self):
-        rng = np.random.default_rng(0)
-        blocks = [rng.standard_normal((30, 30)) for _ in range(8)]
-        executor = BlockExecutor(workers=4, serial_threshold=0)
-        sums = executor.map(lambda b: float(np.trace(b @ b.T)), blocks)
-        expected = [float(np.trace(b @ b.T)) for b in blocks]
-        np.testing.assert_allclose(sums, expected)
-
-    def test_pool_is_persistent_across_maps(self):
-        with BlockExecutor(workers=2, serial_threshold=0) as executor:
-            assert not executor.active
-            executor.map(lambda x: x, [1, 2, 3])
-            pool = executor._pool
-            assert pool is not None
-            executor.map(lambda x: x, [4, 5, 6])
-            assert executor._pool is pool
-        assert not executor.active
-
-    def test_shutdown_is_idempotent_and_recoverable(self):
-        executor = BlockExecutor(workers=2, serial_threshold=0)
-        executor.map(lambda x: x, [1, 2, 3])
-        executor.shutdown()
-        executor.shutdown()
-        assert not executor.active
-        # A later map transparently re-creates the pool.
-        assert executor.map(lambda x: x + 1, [1, 2, 3]) == [2, 3, 4]
-        executor.shutdown()
-
-    def test_failing_task_cancels_pending_work(self):
-        executor = BlockExecutor(workers=2, serial_threshold=0)
-        started = []
-        lock = threading.Lock()
-
-        def task(i):
-            with lock:
-                started.append(i)
-            if i == 0:
-                raise RuntimeError("poisoned")
-            time.sleep(0.02)
-            return i
-
-        with pytest.raises(RuntimeError, match="poisoned"):
-            executor.map(task, list(range(64)))
-        # The poisoned first task must have cancelled (not run) the bulk of
-        # the queue: with 2 workers only a handful of tasks can have
-        # started before the failure was observed.
-        assert len(started) < 64
-        executor.shutdown()
-
-    def test_exception_survives_mixed_successes(self):
-        executor = BlockExecutor(workers=4, serial_threshold=0)
-
-        def task(i):
-            if i % 2 == 0:
-                raise ValueError(f"task {i}")
-            return i
-
-        # Whichever failing task is observed first, its original exception
-        # object (not a pool wrapper) must surface.
-        with pytest.raises(ValueError, match=r"task \d+"):
-            executor.map(task, list(range(16)))
-        executor.shutdown()
-
-
-class TestWorkerResolution:
-    def test_default_worker_count_prefers_affinity(self, monkeypatch):
-        monkeypatch.setattr(executor_module.os, "sched_getaffinity",
+class TestVisibleCores:
+    def test_prefers_affinity(self, monkeypatch):
+        monkeypatch.setattr(host_module.os, "sched_getaffinity",
                             lambda pid: {0, 1, 2}, raising=False)
-        monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 64)
-        assert default_worker_count() == 3
+        monkeypatch.setattr(host_module.os, "cpu_count", lambda: 64)
+        assert visible_cores() == 3
+        assert resolve_shards(0) == 3
 
-    def test_default_worker_count_falls_back_to_cpu_count(self, monkeypatch):
+    def test_falls_back_to_cpu_count(self, monkeypatch):
         def no_affinity(pid):
             raise AttributeError("not available on this platform")
 
-        monkeypatch.setattr(executor_module.os, "sched_getaffinity",
+        monkeypatch.setattr(host_module.os, "sched_getaffinity",
                             no_affinity, raising=False)
-        monkeypatch.setattr(executor_module.os, "cpu_count", lambda: 6)
-        assert default_worker_count() == 6
-
-    def test_resolve_workers_explicit(self):
-        assert resolve_workers(3) == 3
-        assert resolve_workers(0) == default_worker_count()
-        with pytest.raises(ValueError):
-            resolve_workers(-4)
-        with pytest.raises(ValueError):
-            BlockExecutor(workers=-1)
-
-    def test_resolve_workers_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert resolve_workers(None) == 1
-        monkeypatch.setenv("REPRO_WORKERS", "5")
-        assert resolve_workers(None) == 5
-
-    @pytest.mark.parametrize("garbage", ["not-a-number", "0", "-2", "2.5"])
-    def test_resolve_workers_env_garbage_raises(self, monkeypatch, garbage):
-        """Invalid/zero/negative REPRO_WORKERS must fail loudly, naming
-        the variable, instead of being silently ignored."""
-        monkeypatch.setenv("REPRO_WORKERS", garbage)
-        with pytest.raises(ValueError, match="REPRO_WORKERS"):
-            resolve_workers(None)
-        # Explicit arguments bypass the environment entirely.
-        assert resolve_workers(3) == 3
-        assert resolve_workers(0) == default_worker_count()
+        monkeypatch.setattr(host_module.os, "cpu_count", lambda: 6)
+        assert visible_cores() == 6
+        assert resolve_shards(0) == 6

@@ -17,14 +17,13 @@ import pytest
 
 from repro.config import ClusteringOptions, HMatrixOptions, HSSOptions
 from repro.datasets import load_dataset
-from repro.krr import KernelRidgeClassifier, KRRPipeline
+from repro.krr import KRRPipeline
 from repro.runtime import (RuntimeConfig, SCHEMA, TomlError, known_keys,
                            loads_toml, resolve_runtime_config)
 from repro.runtime.config import (DatasetSection, DistributedSection,
                                   KernelSection, ServerSection,
                                   SolverSection, StreamSection,
                                   TuningSection)
-from repro.serving import PredictionEngine
 from repro.tuning import KRRObjective
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -33,7 +32,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 @pytest.fixture(autouse=True)
 def no_repro_env(monkeypatch):
     """This module asserts defaults and provenance, so the suite's own
-    ``REPRO_*`` knobs (CI runs a ``REPRO_WORKERS=2`` leg) must not leak in;
+    ``REPRO_*`` knobs (CI runs a ``REPRO_SHARDS=2`` leg) must not leak in;
     tests that want one set it themselves."""
     for name in [n for n in os.environ if n.startswith("REPRO_")]:
         monkeypatch.delenv(name)
@@ -45,7 +44,7 @@ class TestPrecedence:
         cfg = resolve_runtime_config()
         assert cfg.dataset.name == "gas"
         assert cfg.kernel.h == 1.0
-        assert cfg.distributed.workers is None
+        assert cfg.distributed.shards is None
         assert all(cfg.source(k) == "default" for k in known_keys())
 
     def test_file_beats_default(self, tmp_path):
@@ -94,29 +93,27 @@ class TestPrecedence:
         assert resolve_runtime_config().dataset.seed == 0
 
     def test_legacy_env_aliases(self):
-        cfg = resolve_runtime_config(env={"REPRO_WORKERS": "3",
-                                          "REPRO_SHARDS": "2",
+        cfg = resolve_runtime_config(env={"REPRO_SHARDS": "2",
                                           "REPRO_OBS_DISABLED": "1",
                                           "REPRO_METRICS_DUMP": "m.json"})
-        assert cfg.distributed.workers == 3
         assert cfg.distributed.shards == 2
         assert cfg.obs.enabled is False  # inverted alias
         assert cfg.obs.dump_path == "m.json"
 
     def test_alias_beats_generic_env_name(self):
         cfg = resolve_runtime_config(
-            env={"REPRO_WORKERS": "3", "REPRO_DISTRIBUTED_WORKERS": "5"})
-        assert cfg.distributed.workers == 3
+            env={"REPRO_SHARDS": "3", "REPRO_DISTRIBUTED_SHARDS": "5"})
+        assert cfg.distributed.shards == 3
 
     def test_flag_values_coerced_from_strings(self):
         cfg = resolve_runtime_config(flags={"dataset.n_train": "128",
                                             "kernel.h": "0.5",
                                             "dataset.normalize": "false",
-                                            "distributed.workers": "none"})
+                                            "distributed.shards": "none"})
         assert cfg.dataset.n_train == 128
         assert cfg.kernel.h == 0.5
         assert cfg.dataset.normalize is False
-        assert cfg.distributed.workers is None
+        assert cfg.distributed.shards is None
 
 
 # ---------------------------------------------------------------- validation
@@ -127,11 +124,18 @@ class TestValidation:
         with pytest.raises(TomlError, match="kernel.bandwidth"):
             resolve_runtime_config(path=str(path))
 
+    def test_removed_workers_key_rejected(self, tmp_path):
+        path = tmp_path / "repro.toml"
+        path.write_text("[distributed]\nworkers = 2\n")
+        with pytest.raises(TomlError, match="unknown config key.*"
+                                            "distributed.workers"):
+            resolve_runtime_config(path=str(path))
+
     def test_unknown_flag_key_rejected(self):
         with pytest.raises(KeyError, match="kernel.bandwidth"):
             resolve_runtime_config(flags={"kernel.bandwidth": 2.0})
 
-    @pytest.mark.parametrize("var", ["REPRO_WORKERS", "REPRO_SHARDS"])
+    @pytest.mark.parametrize("var", ["REPRO_SHARDS"])
     @pytest.mark.parametrize("value", ["junk", "0", "-2", "2.5"])
     def test_env_garbage_raises_naming_variable(self, var, value):
         with pytest.raises(ValueError, match=var):
@@ -205,12 +209,12 @@ class TestTomlRoundTrip:
             "hss.rel_tol": 0.05, "hss.max_rank": 48, "hss.symmetric": False,
             "hmatrix.admissibility": "box", "hmatrix.leaf_size": 32,
             "clustering.method": "kd", "clustering.balance_threshold": 2.0,
-            "clustering.max_iter": 5, "distributed.workers": 2})
+            "clustering.max_iter": 5, "distributed.shards": 2})
         assert type(cfg.hss) is HSSOptions
         assert type(cfg.hmatrix) is HMatrixOptions
         assert type(cfg.clustering) is ClusteringOptions
         text = cfg.to_toml()
-        assert text.count("workers") == 1       # distributed.workers only
+        assert text.count("shards") == 1        # distributed.shards only
         path = tmp_path / "saved.toml"
         path.write_text(text)
         reloaded = resolve_runtime_config(path=str(path))
@@ -232,7 +236,7 @@ class TestTomlRoundTrip:
         path = tmp_path / "defaults.toml"
         cfg.save(str(path))
         text = path.read_text()
-        assert "# workers = <unset>" in text
+        assert "# shards = <unset>" in text
         assert resolve_runtime_config(path=str(path)) == cfg
 
 
@@ -323,16 +327,6 @@ def _hss_objective(flags):
                                     data.X_test, data.y_test)
 
 
-def _engine_threads(flags):
-    """Thread count of a config-built serving engine."""
-    data = load_dataset("gas", n_train=32, n_test=8, seed=0)
-    model = KernelRidgeClassifier(h=1.0, lam=1.0, solver="dense").fit(
-        data.X_train, data.y_train)
-    engine = PredictionEngine.from_config(
-        resolve_runtime_config(flags=flags), model)
-    return engine.executor.workers
-
-
 def _objective_ordering(flags):
     """The ordering method the hss tuning backend actually clusters with."""
     objective = _hss_objective(flags)
@@ -360,8 +354,6 @@ OBSERVABLE = {
     "clustering.seed": (7, _both("seed")),
     "solver.name": ("cg", lambda flags: _pipeline(flags).solver_name),
     "solver.use_hmatrix_sampling": (False, _both("use_hmatrix_sampling")),
-    # serving engine threads; training ignores the key
-    "distributed.workers": (2, lambda flags: _engine_threads(flags)),
     "distributed.shards": (2, lambda flags: _pipeline(flags).shards),
     "distributed.coupling_rel_tol": (0.5, lambda flags: _solver_options(
         flags)["coupling_rel_tol"]),
@@ -402,7 +394,7 @@ class TestNoDeadKeys:
         training = [k for k in known_keys() if k.split(".")[0] in (
             "clustering", "hss", "hmatrix", "solver", "distributed")]
         assert sorted(OBSERVABLE) == sorted(training)
-        assert len(known_keys()) == 66
+        assert len(known_keys()) == 65
 
     @pytest.mark.parametrize("key", sorted(OBSERVABLE))
     def test_non_default_value_is_observable(self, key):

@@ -1,17 +1,16 @@
-"""Training runs on one serial path.
+"""Training and serving run on one serial path.
 
 Every training layer — H-matrix assembly, randomized HSS compression, ULV
-factorization and solve — runs in the calling thread; the parallel axis
-of training is the process-sharded path of :mod:`repro.distributed`.  These
-tests pin that no thread pool is ever built by a training verb (whatever
-``workers`` or ``REPRO_WORKERS`` say), that the estimator's leftover
-``workers`` keyword changes nothing, and that row-removal indices are
-integers, never coerced.
+factorization and solve — runs in the calling thread, and so does every
+prediction engine, whatever model it serves; the parallel axis is the
+process-sharded training path of :mod:`repro.distributed`.  These tests
+pin that no thread pool is ever built by a training verb or a serving
+path (whatever ``workers`` or a stale ``REPRO_WORKERS`` say), that the
+estimator's leftover ``workers`` keyword changes nothing, and that
+row-removal indices are integers, never coerced.
 """
 
 from __future__ import annotations
-
-import concurrent.futures
 
 import numpy as np
 import pytest
@@ -22,6 +21,9 @@ from repro.datasets import gas_like, standardize, susy_like
 from repro.hss import ULVFactorization, build_hss_randomized
 from repro.kernels import GaussianKernel, ShiftedKernelOperator
 from repro.krr import KernelRidgeClassifier, KRRPipeline
+from repro.runtime import resolve_runtime_config
+from repro.server import ModelRouter
+from repro.serving import ModelStore, PredictionEngine
 
 
 @pytest.fixture(scope="module")
@@ -33,21 +35,6 @@ def data():
 def _classifier(solver, **kwargs):
     return KernelRidgeClassifier(h=1.0, lam=4.0, solver=solver, seed=0,
                                  leaf_size=16, **kwargs)
-
-
-@pytest.fixture
-def pools_built(monkeypatch):
-    """Count every ``ThreadPoolExecutor`` constructed while it is active."""
-    built = []
-    init = concurrent.futures.ThreadPoolExecutor.__init__
-
-    def counting_init(self, *args, **kwargs):
-        built.append(kwargs.get("thread_name_prefix", ""))
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "__init__",
-                        counting_init)
-    return built
 
 
 @pytest.mark.parametrize("solver", ["hss", "dense"])
@@ -75,6 +62,45 @@ def test_workers_keyword_gives_the_default_weights(data):
     with_workers = _classifier("hss", workers=2).fit(X, y)
     assert np.array_equal(with_workers.weights_, default.weights_)
     assert not hasattr(with_workers, "workers")
+
+
+@pytest.fixture(scope="module")
+def sharded_model(data):
+    """A 2-shard-trained model, fitted before any pool counting starts."""
+    X, y = data
+    return _classifier("hss", shards=2).fit(X, y)
+
+
+def test_config_built_engine_builds_no_thread_pool(data, pools_built,
+                                                   monkeypatch):
+    X, y = data
+    clf = _classifier("dense").fit(X, y)
+    monkeypatch.setenv("REPRO_WORKERS", "2")
+    config = resolve_runtime_config(flags={"serving.batch_size": 256})
+    queries = np.random.default_rng(5).standard_normal((4096, X.shape[1]))
+    with PredictionEngine.from_config(config, clf) as engine:
+        scores = engine.decision_many(queries)
+    assert pools_built == []
+    assert engine.stats.batches == 16
+    assert np.array_equal(scores,
+                          clf.decision_function(queries, block_size=256))
+
+
+def test_router_serves_a_sharded_model_without_a_thread_pool(
+        tmp_path, data, sharded_model, pools_built):
+    X, _ = data
+    store = ModelStore(tmp_path)
+    store.save(sharded_model, "sharded")
+    config = resolve_runtime_config(env={}, flags={
+        "serving.store": str(tmp_path), "distributed.shards": 2})
+    router = ModelRouter.from_config(config, store=store)
+    try:
+        router.serve("sharded")
+        labels = router.predict("sharded", X[:32])
+    finally:
+        router.close()
+    assert pools_built == []
+    assert np.array_equal(labels, sharded_model.predict(X[:32]))
 
 
 BAD_REMOVALS = [

@@ -65,13 +65,6 @@ class TestPredictionEngine:
         engine = PredictionEngine(clf, batch_size=batch_size)
         assert np.array_equal(engine.predict_many(X_test), clf.predict(X_test))
 
-    def test_parallel_workers_match_serial(self, binary_model):
-        clf, X_test = binary_model
-        serial = PredictionEngine(clf, batch_size=16, workers=1)
-        parallel = PredictionEngine(clf, batch_size=16, workers=4)
-        assert np.array_equal(parallel.decision_many(X_test),
-                              serial.decision_many(X_test))
-
     def test_multiclass_matches_classifier(self, multiclass_model):
         ova, X_test = multiclass_model
         engine = PredictionEngine(ova, batch_size=1024)

@@ -9,8 +9,8 @@ The acceptance contract of the sharded-artifact schema:
   ``solve()`` with a *new* right-hand side matches the serial HSS solver
   within the compression tolerance;
 * the restored :class:`repro.distributed.ShardedULVSolver` reproduces the
-  live distributed solves, re-saves losslessly, and feeds its shard plan
-  to :class:`repro.serving.ShardedPredictionEngine`;
+  live distributed solves, re-saves losslessly, and serves through the
+  one :class:`repro.serving.PredictionEngine`;
 * multi-class models (one multi-RHS distributed solve for all classes)
   persist the same way.
 """
@@ -32,7 +32,7 @@ from repro.datasets import load_dataset
 from repro.distributed import ShardedULVSolver
 from repro.krr import KernelRidgeClassifier, OneVsAllClassifier
 from repro.krr.solvers import HSSSolver
-from repro.serving import ModelStore, ShardedPredictionEngine, read_artifact
+from repro.serving import ModelStore, PredictionEngine, read_artifact
 from repro.serving.serialize import FORMAT_VERSION
 
 #: tight compression tolerance, as in tests/test_distributed.py: keeps the
@@ -182,15 +182,18 @@ def test_loaded_solver_roundtrips_again(tmp_path, problem, sharded_model):
 
 
 def test_loaded_model_drives_sharded_service(tmp_path, problem, sharded_model):
-    """The restored plan cuts the serving engines at training boundaries."""
+    """A reloaded sharded model serves through the one engine, scoring
+    bitwise like the live model at equal chunk size."""
     store = ModelStore(tmp_path)
     store.save(sharded_model, "served")
     loaded = store.load("served")
     assert loaded.solver_.plan_.n_shards == 2
-    with ShardedPredictionEngine(loaded, batch_size=64) as svc:
-        assert svc.n_shards == 2
+    with PredictionEngine(loaded, batch_size=64) as svc:
         labels = svc.predict_many(problem.X_test)
+        scores = svc.decision_many(problem.X_test)
     assert np.array_equal(labels, sharded_model.predict(problem.X_test))
+    assert np.array_equal(scores, sharded_model.decision_function(
+        problem.X_test, block_size=64))
 
 
 def test_restored_solver_rejects_refit(tmp_path, problem, sharded_model):
