@@ -264,6 +264,19 @@ class TestErrors:
                        ["train", "--set", "kernel.nope=1"]) == 2
         assert "kernel.nope" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "serve"])
+    def test_removed_workers_flag_is_usage_error(self, tmp_path, monkeypatch,
+                                                 capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(tmp_path, monkeypatch, [command, "--workers", "2"])
+        assert exit_info.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
+    def test_removed_workers_key_in_set(self, tmp_path, monkeypatch, capsys):
+        assert run_cli(tmp_path, monkeypatch,
+                       ["train", "--set", "distributed.workers=2"]) == 2
+        assert "distributed.workers" in capsys.readouterr().err
+
     def test_bad_env_value_is_cli_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_SHARDS", "-3")
         assert run_cli(tmp_path, monkeypatch, ["train", *SMALL]) == 2

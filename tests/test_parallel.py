@@ -163,3 +163,27 @@ class TestVisibleCores:
         monkeypatch.setattr(host_module.os, "cpu_count", lambda: 6)
         assert visible_cores() == 6
         assert resolve_shards(0) == 6
+
+    def test_affinity_error_falls_back_to_cpu_count(self, monkeypatch):
+        def failing_affinity(pid):
+            raise OSError("affinity query refused")
+
+        monkeypatch.setattr(host_module.os, "sched_getaffinity",
+                            failing_affinity, raising=False)
+        monkeypatch.setattr(host_module.os, "cpu_count", lambda: 5)
+        assert visible_cores() == 5
+        assert resolve_shards(0) == 5
+
+    def test_unknown_cpu_count_means_one_core(self, monkeypatch):
+        monkeypatch.delattr(host_module.os, "sched_getaffinity",
+                            raising=False)
+        monkeypatch.setattr(host_module.os, "cpu_count", lambda: None)
+        assert visible_cores() == 1
+        assert resolve_shards(0) == 1
+
+    def test_explicit_zero_shards_ignores_the_environment(self, monkeypatch):
+        monkeypatch.setattr(host_module.os, "sched_getaffinity",
+                            lambda pid: {0, 1, 2, 3}, raising=False)
+        monkeypatch.setenv("REPRO_SHARDS", "2")
+        assert resolve_shards(0) == 4
+        assert resolve_shards(None) == 2

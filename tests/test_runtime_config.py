@@ -131,6 +131,21 @@ class TestValidation:
                                             "distributed.workers"):
             resolve_runtime_config(path=str(path))
 
+    def test_removed_workers_flag_rejected(self):
+        with pytest.raises(KeyError, match="distributed.workers"):
+            resolve_runtime_config(flags={"distributed.workers": 2})
+
+    @pytest.mark.parametrize("var", ["REPRO_WORKERS",
+                                     "REPRO_DISTRIBUTED_WORKERS"])
+    @pytest.mark.parametrize("value", ["2", "junk"])
+    def test_removed_workers_env_is_not_read(self, var, value):
+        """The deleted knob's variables name no key: any value, garbage
+        included, leaves every knob at its default."""
+        cfg = resolve_runtime_config(env={var: value})
+        assert "distributed.workers" not in known_keys()
+        assert all(cfg.source(k) == "default" for k in known_keys())
+        assert cfg.to_dict() == resolve_runtime_config(env={}).to_dict()
+
     def test_unknown_flag_key_rejected(self):
         with pytest.raises(KeyError, match="kernel.bandwidth"):
             resolve_runtime_config(flags={"kernel.bandwidth": 2.0})

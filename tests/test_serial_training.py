@@ -5,12 +5,17 @@ factorization and solve — runs in the calling thread, and so does every
 prediction engine, whatever model it serves; the parallel axis is the
 process-sharded training path of :mod:`repro.distributed`.  These tests
 pin that no thread pool is ever built by a training verb or a serving
-path (whatever ``workers`` or a stale ``REPRO_WORKERS`` say), that the
-estimator's leftover ``workers`` keyword changes nothing, and that
-row-removal indices are integers, never coerced.
+path (whatever ``workers`` or a stale ``REPRO_WORKERS`` say), that a
+sharded-trained model scores bitwise through the one engine, that the
+deleted serving thread tier stays deleted, that the estimator's leftover
+``workers`` keyword changes nothing, and that row-removal indices are
+integers, never coerced.
 """
 
 from __future__ import annotations
+
+import importlib
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -101,6 +106,81 @@ def test_router_serves_a_sharded_model_without_a_thread_pool(
         router.close()
     assert pools_built == []
     assert np.array_equal(labels, sharded_model.predict(X[:32]))
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, 64, 1024])
+def test_sharded_model_engine_scores_bitwise(data, sharded_model, pools_built,
+                                             batch_size):
+    """The one engine scores a sharded-trained model exactly like its
+    ``decision_function`` at equal chunk size, in the calling thread."""
+    X, _ = data
+    with PredictionEngine(sharded_model, batch_size=batch_size) as engine:
+        scores = engine.decision_many(X)
+    assert pools_built == []
+    assert engine.stats.queries == X.shape[0]
+    assert engine.stats.rows_computed == X.shape[0]
+    assert np.array_equal(scores, sharded_model.decision_function(
+        X, block_size=batch_size))
+
+
+def test_closed_engine_keeps_serving(data, sharded_model):
+    """``close`` releases nothing, so it is idempotent and a closed engine
+    (or one re-entered as a context manager) still scores the same bits."""
+    X, _ = data
+    engine = PredictionEngine(sharded_model, batch_size=32, cache_size=64)
+    first = engine.decision_many(X[:40])
+    engine.close()
+    engine.close()
+    assert np.array_equal(engine.decision_many(X[:40]), first)
+    with engine as same:
+        assert same is engine
+        assert np.array_equal(same.decision_many(X[:40]), first)
+    assert np.array_equal(engine.decision_many(X[:40]), first)
+
+
+def test_callers_with_disjoint_queries_share_one_engine(data, sharded_model):
+    """Caller threads scoring different rows through one caching engine
+    each get the serial engine's scores, and the stats add up."""
+    X, _ = data
+    parts = np.array_split(X, 4)
+    serial = PredictionEngine(sharded_model, batch_size=1)
+    expected = [serial.decision_many(part) for part in parts]
+    engine = PredictionEngine(sharded_model, batch_size=1, cache_size=512)
+    with ThreadPoolExecutor(max_workers=len(parts)) as pool:
+        results = list(pool.map(engine.decision_many, parts, timeout=60))
+    for scores, want in zip(results, expected):
+        assert np.array_equal(scores, want)
+    assert engine.stats.queries == X.shape[0]
+    assert engine.stats.cache_misses == engine.stats.rows_computed
+
+
+@pytest.mark.parametrize("module, name", [
+    ("repro", "ShardedPredictionEngine"),
+    ("repro.serving", "ShardedPredictionEngine"),
+    ("repro.parallel", "BlockExecutor"),
+    ("repro.parallel", "resolve_workers"),
+    ("repro.parallel", "default_worker_count"),
+])
+def test_deleted_serving_thread_tier_is_not_exported(module, name):
+    package = importlib.import_module(module)
+    assert not hasattr(package, name)
+    assert name not in getattr(package, "__all__", ())
+
+
+def test_executor_module_is_gone():
+    with pytest.raises(ModuleNotFoundError):
+        __import__("repro.parallel.executor")
+
+
+@pytest.mark.parametrize("keyword", ["workers", "shards"])
+def test_router_takes_no_thread_or_shard_keyword(tmp_path, keyword):
+    with pytest.raises(TypeError, match=keyword):
+        ModelRouter(ModelStore(tmp_path), **{keyword: 2})
+
+
+def test_engine_takes_no_workers_keyword(sharded_model):
+    with pytest.raises(TypeError, match="workers"):
+        PredictionEngine(sharded_model, workers=2)
 
 
 BAD_REMOVALS = [
