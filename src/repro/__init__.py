@@ -30,7 +30,7 @@ The library provides:
   (:class:`repro.serving.PredictionEngine`,
   :class:`repro.serving.PredictionService`) — :mod:`repro.serving`;
 * process-sharded training over subtree ownership, mirroring the paper's
-  rank-per-subtree MPI runs (``KRRPipeline(shards=...)``) —
+  rank-per-subtree MPI runs (``KernelRidgeClassifier(shards=...)``) —
   :mod:`repro.distributed`;
 * unified observability — metrics registry, span tracing, per-request
   status trails and Prometheus/JSON exporters across the train / refit /
@@ -61,7 +61,7 @@ from .clustering import ClusterTree, cluster
 from .hss import HSSMatrix, ULVFactorization, build_hss_from_dense, build_hss_randomized
 from .hmatrix import HMatrix, HMatrixSampler, build_hmatrix
 from .kernels import GaussianKernel, KernelOperator, get_kernel
-from .krr import (KernelRidgeClassifier, KernelRidgeRegressor, KRRPipeline,
+from .krr import (KernelRidgeClassifier, KernelRidgeRegressor,
                   OneVsAllClassifier)
 from .datasets import load_dataset
 from .serving import (ModelStore, PredictionEngine, PredictionService,
@@ -89,7 +89,6 @@ __all__ = [
     "get_kernel",
     "KernelRidgeClassifier",
     "KernelRidgeRegressor",
-    "KRRPipeline",
     "OneVsAllClassifier",
     "load_dataset",
     "ModelStore",

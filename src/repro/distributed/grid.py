@@ -99,9 +99,10 @@ class WorkerGrid:
         grid = WorkerGrid.from_data(X_train, shards=2, seed=0)
         with grid:
             for h, lam in [(0.8, 1.0), (1.0, 2.0), (1.3, 4.0)]:
-                pipeline = KRRPipeline(h=h, lam=lam, shards=2, seed=0,
-                                       grid=grid)
-                pipeline.run(X_train, y_train, X_test, y_test)
+                clf = KernelRidgeClassifier(
+                    h=h, lam=lam, shards=2, seed=0,
+                    solver_options={"grid": grid})
+                clf.fit(X_train, y_train)
     """
 
     def __init__(self, plan: ShardPlan, X_permuted: np.ndarray,
@@ -134,11 +135,11 @@ class WorkerGrid:
                   **grid_options) -> "WorkerGrid":
         """Cluster ``X`` and start a grid over the resulting shard plan.
 
-        Runs the same preprocessing a :class:`repro.krr.KRRPipeline`
-        performs (clustering ordering + shard cut), so a pipeline
+        Runs the same preprocessing a :class:`repro.krr.KernelRidgeClassifier`
+        fit performs (clustering ordering + shard cut), so a classifier
         configured with the *same* ``clustering``, ``leaf_size``, ``seed``
         and ``shards`` produces an identical plan and can reuse the grid
-        warm via its ``grid=`` knob.
+        warm via ``solver_options={"grid": grid}``.
 
         Parameters
         ----------
@@ -149,7 +150,7 @@ class WorkerGrid:
             (see :func:`repro.distributed.resolve_shards`).
         clustering, leaf_size, seed:
             Preprocessing knobs, same meaning as on
-            :class:`repro.krr.KRRPipeline`.
+            :class:`repro.krr.KernelRidgeClassifier`.
         cut_level:
             Optional explicit tree level for the shard cut.
         **grid_options:

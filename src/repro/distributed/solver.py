@@ -2,7 +2,7 @@
 
 Implements the :class:`repro.krr.solvers.KernelSystemSolver` interface on
 top of a :class:`repro.distributed.Coordinator`, so the existing
-classifiers and pipelines gain process-level sharding through the ordinary
+estimators gain process-level sharding through the ordinary
 ``solver`` slot.  ``fit`` cuts the cluster tree with a
 :class:`repro.distributed.ShardPlan` and runs the distributed build over a
 :class:`repro.distributed.WorkerGrid` — **reusing** a live grid whenever
@@ -126,7 +126,7 @@ class DistributedSolver(KernelSystemSolver):
                     "the provided WorkerGrid is incompatible with this fit "
                     "(different shard plan, cluster tree or dataset); build "
                     "the grid with the same data, clustering, leaf size, "
-                    "seed and shard count as the pipeline")
+                    "seed and shard count as the estimator")
             self.warm_start_ = self.grid.running
             return self.grid
         owned = self._owned_grid

@@ -33,7 +33,6 @@ from ..hss.ulv import ULVFactorization
 from ..kernels.gaussian import GaussianKernel
 from ..kernels.operator import ShiftedKernelOperator
 from ..krr.classifier import KernelRidgeClassifier
-from ..krr.pipeline import KRRPipeline
 
 
 # --------------------------------------------------------------------------
@@ -106,16 +105,18 @@ def run_ablation_leafsize(dataset: str = "gas", n_train: int = 1024,
     data = load_dataset(dataset, n_train=n_train, n_test=256, seed=seed)
     result = LeafSizeAblationResult(dataset=dataset)
     for leaf in leaf_sizes:
-        pipeline = KRRPipeline(h=data.h, lam=data.lam, clustering="two_means",
-                               solver="hss", leaf_size=int(leaf),
-                               use_hmatrix_sampling=False, seed=seed)
-        rep = pipeline.run(data.X_train, data.y_train, data.X_test, data.y_test,
-                           dataset_name=dataset)
+        clf = KernelRidgeClassifier(
+            h=data.h, lam=data.lam, clustering="two_means", solver="hss",
+            leaf_size=int(leaf), seed=seed,
+            solver_options={"use_hmatrix_sampling": False})
+        clf.fit(data.X_train, data.y_train)
+        rep = clf.report
         result.rows.append({
             "leaf_size": int(leaf),
             "memory_mb": round(rep.hss_memory_mb, 3),
             "max_rank": rep.max_rank,
-            "accuracy_percent": round(rep.accuracy_percent, 2),
+            "accuracy_percent": round(
+                100.0 * clf.score(data.X_test, data.y_test), 2),
             "factorization_s": round(rep.phase("factorization"), 4),
         })
     return result
@@ -142,16 +143,17 @@ def run_ablation_tolerance(dataset: str = "pen", n_train: int = 1024,
     result = ToleranceAblationResult(dataset=dataset)
     for tol in tolerances:
         opts = HSSOptions(rel_tol=float(tol))
-        pipeline = KRRPipeline(h=data.h, lam=data.lam, clustering="two_means",
-                               solver="hss", hss_options=opts,
-                               use_hmatrix_sampling=False, seed=seed)
-        rep = pipeline.run(data.X_train, data.y_train, data.X_test, data.y_test,
-                           dataset_name=dataset)
+        clf = KernelRidgeClassifier(
+            h=data.h, lam=data.lam, clustering="two_means", solver="hss",
+            seed=seed, solver_options={"hss_options": opts,
+                                       "use_hmatrix_sampling": False})
+        clf.fit(data.X_train, data.y_train)
         result.rows.append({
             "rel_tol": float(tol),
-            "memory_mb": round(rep.hss_memory_mb, 3),
-            "max_rank": rep.max_rank,
-            "accuracy_percent": round(rep.accuracy_percent, 2),
+            "memory_mb": round(clf.report.hss_memory_mb, 3),
+            "max_rank": clf.report.max_rank,
+            "accuracy_percent": round(
+                100.0 * clf.score(data.X_test, data.y_test), 2),
         })
     return result
 
@@ -176,15 +178,19 @@ def run_ablation_solvers(dataset: str = "letter", n_train: int = 1024,
     data = load_dataset(dataset, n_train=n_train, n_test=256, seed=seed)
     result = SolverAblationResult(dataset=dataset)
     for solver in solvers:
-        pipeline = KRRPipeline(h=data.h, lam=data.lam, clustering="two_means",
-                               solver=solver, use_hmatrix_sampling=False, seed=seed)
-        rep = pipeline.run(data.X_train, data.y_train, data.X_test, data.y_test,
-                           dataset_name=dataset)
+        clf = KernelRidgeClassifier(
+            h=data.h, lam=data.lam, clustering="two_means", solver=solver,
+            seed=seed, solver_options=(
+                {"use_hmatrix_sampling": False} if solver == "hss" else {}))
+        t0 = time.perf_counter()
+        clf.fit(data.X_train, data.y_train)
+        train_s = time.perf_counter() - t0
         result.rows.append({
             "solver": solver,
-            "accuracy_percent": round(rep.accuracy_percent, 2),
-            "memory_mb": round(rep.memory_mb, 3),
-            "train_s": round(rep.phase("train_total"), 4),
+            "accuracy_percent": round(
+                100.0 * clf.score(data.X_test, data.y_test), 2),
+            "memory_mb": round(clf.report.memory_mb, 3),
+            "train_s": round(train_s, 4),
         })
     return result
 

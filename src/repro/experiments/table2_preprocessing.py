@@ -25,7 +25,7 @@ import numpy as np
 from ..config import HSSOptions
 from ..datasets import load_dataset
 from ..diagnostics.report import Table
-from ..krr.pipeline import KRRPipeline
+from ..krr.classifier import KernelRidgeClassifier
 from ..utils.random import spawn_generators
 
 #: Orderings in the column order of the paper's Table 2.
@@ -129,6 +129,17 @@ def run_table2_preprocessing(
     opts = hss_options if hss_options is not None else HSSOptions(rel_tol=0.05)
     result = Table2Result(n_train=n_train, n_test=n_test)
 
+    def fit(data, ordering, solver="hss", seed=seed):
+        """Train one classifier; return its solve report and accuracy."""
+        options = ({"hss_options": opts,
+                    "use_hmatrix_sampling": use_hmatrix_sampling}
+                   if solver == "hss" else {})
+        clf = KernelRidgeClassifier(h=data.h, lam=data.lam,
+                                    clustering=ordering, solver=solver,
+                                    seed=seed, solver_options=options)
+        clf.fit(data.X_train, data.y_train)
+        return clf.report, clf.score(data.X_test, data.y_test)
+
     for d_idx, name in enumerate(datasets):
         kwargs = {}
         if name == "mnist" and mnist_ambient_dim is not None:
@@ -140,38 +151,21 @@ def run_table2_preprocessing(
         for ordering in orderings:
             if ordering == "two_means" and two_means_repeats > 1:
                 rngs = spawn_generators(seed + 1000 + d_idx, two_means_repeats)
-                memories, ranks, accs = [], [], []
-                for rep_rng in rngs:
-                    rep_seed = int(rep_rng.integers(2**31 - 1))
-                    pipeline = KRRPipeline(h=data.h, lam=data.lam,
-                                           clustering=ordering, solver="hss",
-                                           hss_options=opts,
-                                           use_hmatrix_sampling=use_hmatrix_sampling,
-                                           seed=rep_seed)
-                    rep = pipeline.run(data.X_train, data.y_train,
-                                       data.X_test, data.y_test, dataset_name=name)
-                    memories.append(rep.hss_memory_mb)
-                    ranks.append(rep.max_rank)
-                    accs.append(rep.accuracy)
-                row.memory_mb[ordering] = float(np.mean(memories))
-                row.max_rank[ordering] = int(np.mean(ranks))
-                row.accuracy[ordering] = float(np.mean(accs))
+                runs = [fit(data, ordering, seed=int(rng.integers(2**31 - 1)))
+                        for rng in rngs]
+                row.memory_mb[ordering] = float(np.mean(
+                    [rep.hss_memory_mb for rep, _ in runs]))
+                row.max_rank[ordering] = int(np.mean(
+                    [rep.max_rank for rep, _ in runs]))
+                row.accuracy[ordering] = float(np.mean(
+                    [acc for _, acc in runs]))
             else:
-                pipeline = KRRPipeline(h=data.h, lam=data.lam, clustering=ordering,
-                                       solver="hss", hss_options=opts,
-                                       use_hmatrix_sampling=use_hmatrix_sampling,
-                                       seed=seed)
-                rep = pipeline.run(data.X_train, data.y_train,
-                                   data.X_test, data.y_test, dataset_name=name)
+                rep, acc = fit(data, ordering)
                 row.memory_mb[ordering] = rep.hss_memory_mb
                 row.max_rank[ordering] = rep.max_rank
-                row.accuracy[ordering] = rep.accuracy
+                row.accuracy[ordering] = acc
 
         if include_dense_baseline:
-            pipeline = KRRPipeline(h=data.h, lam=data.lam, clustering="two_means",
-                                   solver="dense", seed=seed)
-            rep = pipeline.run(data.X_train, data.y_train, data.X_test, data.y_test,
-                               dataset_name=name)
-            row.dense_accuracy = rep.accuracy
+            row.dense_accuracy = fit(data, "two_means", solver="dense")[1]
         result.rows.append(row)
     return result

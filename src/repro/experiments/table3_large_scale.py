@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..config import HMatrixOptions, HSSOptions
 from ..datasets import load_dataset
 from ..diagnostics.report import Table
-from ..krr.pipeline import KRRPipeline
+from ..krr.classifier import KernelRidgeClassifier
 from ..utils.bytes import dense_matrix_bytes, megabytes
 
 #: The paper's Table 3 rows: dataset -> (N, h, lambda, accuracy).
@@ -112,19 +112,20 @@ def run_table3_large_scale(
         data = load_dataset(name, n_train=n_train, n_test=n_test, seed=seed + idx,
                             **kwargs)
         h, lam = (paper_h, paper_lam) if use_paper_hyperparameters else (data.h, data.lam)
-        pipeline = KRRPipeline(h=h, lam=lam, clustering="two_means", solver="hss",
-                               hss_options=opts,
-                               use_hmatrix_sampling=use_hmatrix_sampling, seed=seed,
-                               shards=shards)
-        rep = pipeline.run(data.X_train, data.y_train, data.X_test, data.y_test,
-                           dataset_name=name)
+        clf = KernelRidgeClassifier(
+            h=h, lam=lam, clustering="two_means", solver="hss", seed=seed,
+            shards=shards,
+            solver_options={"hss_options": opts,
+                            "use_hmatrix_sampling": use_hmatrix_sampling})
+        clf.fit(data.X_train, data.y_train)
+        rep = clf.report
         result.rows.append(Table3Row(
             dataset=name,
             n_train=data.n_train,
             dim=data.dim,
             h=h,
             lam=lam,
-            accuracy=rep.accuracy,
+            accuracy=clf.score(data.X_test, data.y_test),
             hss_memory_mb=rep.hss_memory_mb,
             dense_memory_mb=megabytes(dense_matrix_bytes(data.n_train)),
             max_rank=rep.max_rank,

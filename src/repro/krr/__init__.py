@@ -11,9 +11,6 @@ The package provides:
 * :class:`KernelRidgeRegressor` — plain regression with the same solvers
   (all three are target-encoding shells over the one lifecycle core in
   :mod:`repro.krr.estimator`),
-* :class:`KRRPipeline` — the full pipeline including the clustering
-  preprocessing (Step 0), used by every experiment in the benchmark
-  harness,
 * accuracy metrics (Eq. (2.1)).
 """
 
@@ -23,7 +20,6 @@ from .classifier import KernelRidgeClassifier
 from .multiclass import OneVsAllClassifier
 from .regression import KernelRidgeRegressor
 from .metrics import accuracy, confusion_matrix, error_rate
-from .pipeline import KRRPipeline, PipelineReport
 
 __all__ = [
     "DenseSolver",
@@ -37,6 +33,4 @@ __all__ = [
     "accuracy",
     "confusion_matrix",
     "error_rate",
-    "KRRPipeline",
-    "PipelineReport",
 ]

@@ -44,7 +44,8 @@ class KernelRidgeEstimator:
     Parameters
     ----------
     h:
-        Gaussian bandwidth (ignored if an explicit ``kernel`` is given).
+        Kernel bandwidth; an explicit ``kernel`` instance's own ``h``
+        takes its place (as in :meth:`refit_kernel`).
     lam:
         Ridge regularization parameter ``lambda``.
     solver:
@@ -91,17 +92,15 @@ class KernelRidgeEstimator:
         shards: Optional[int] = None,
         solver_options: Optional[dict] = None,
     ):
+        if isinstance(kernel, Kernel):
+            h = getattr(kernel, "h", h)
         self.h = check_positive(h, "h")
         self.lam = check_non_negative(lam, "lam")
         self.leaf_size = int(leaf_size)
         self.seed = seed
         self.shards = shards
-        if isinstance(kernel, Kernel):
-            self.kernel = kernel
-        elif kernel is None:
-            self.kernel = get_kernel("gaussian", h=self.h)
-        else:
-            self.kernel = get_kernel(kernel, h=self.h)
+        self.kernel = (kernel if isinstance(kernel, Kernel)
+                       else get_kernel(kernel or "gaussian", h=self.h))
         self._solver_spec = solver
         self._solver_options = dict(solver_options or {})
         self._clustering_spec = clustering
@@ -117,6 +116,52 @@ class KernelRidgeEstimator:
         self._targets_perm: Optional[np.ndarray] = None
         #: drift bookkeeping of the last partial_fit (None = never streamed)
         self.stream_info_: Optional[dict] = None
+
+    @classmethod
+    def from_config(cls, config, h: Optional[float] = None,
+                    lam: Optional[float] = None):
+        """Build the unfitted estimator a runtime config describes.
+
+        Maps the config's sections onto the constructor arguments — the
+        ``clustering`` / ``hss`` / ``hmatrix`` sections are passed whole,
+        being the option objects themselves — so an estimator built here
+        trains bitwise-identical weights to the same explicit constructor
+        call (enforced by ``tests/test_runtime_config.py``).  The solver
+        options only reach an ``"hss"`` solver.
+
+        Parameters
+        ----------
+        config:
+            The resolved :class:`repro.runtime.RuntimeConfig`.
+        h, lam:
+            Optional hyper-parameter overrides (e.g. the dataset's paper
+            values, or a tuning result) taking precedence over the
+            config's kernel section.
+
+        Returns
+        -------
+        KernelRidgeEstimator
+            The configured, unfitted estimator.
+        """
+        d = config.distributed
+        solver_options = {}
+        if config.solver.name == "hss":
+            solver_options = {
+                "hss_options": config.hss,
+                "hmatrix_options": config.hmatrix,
+                "use_hmatrix_sampling": config.solver.use_hmatrix_sampling,
+                "coupling_rel_tol": d.coupling_rel_tol,
+                "coupling_max_rank": d.coupling_max_rank,
+                "cut_level": d.cut_level,
+                "collect_factors": d.collect_factors}
+        return cls(
+            h=config.kernel.h if h is None else h,
+            lam=config.kernel.lam if lam is None else lam,
+            solver=config.solver.name, clustering=config.clustering,
+            kernel=config.kernel.name,
+            leaf_size=config.clustering.leaf_size,
+            seed=config.clustering.seed, shards=d.shards,
+            solver_options=solver_options)
 
     # ------------------------------------------------------- target encoding
     def _encode_targets(self, y, n_rows: int, name: str,

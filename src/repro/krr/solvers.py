@@ -560,8 +560,8 @@ def make_solver(name: str, **kwargs) -> KernelSystemSolver:
 
 
 def build_training_solver(spec, seed=0, shards: Optional[int] = None,
-                          solver_options: Optional[Dict] = None,
-                          grid=None) -> KernelSystemSolver:
+                          solver_options: Optional[Dict] = None
+                          ) -> KernelSystemSolver:
     """Resolve a classifier's solver spec honouring its parallelism knobs.
 
     The shared dispatch behind :class:`repro.krr.KernelRidgeClassifier`
@@ -586,14 +586,10 @@ def build_training_solver(spec, seed=0, shards: Optional[int] = None,
     solver_options:
         Extra keyword arguments for the named solver's constructor
         (explicit keys win over the knobs above).  Sharded-only options
-        (``grid``, ``collect_factors``, ``coupling_rel_tol``,
+        (a warm ``grid``, ``collect_factors``, ``coupling_rel_tol``,
         ``coupling_max_rank``, ``cut_level``, ``response_timeout``,
-        ``start_method``) are ignored when ``shards`` resolves to 1,
-        mirroring :class:`repro.krr.KRRPipeline`'s contract for its
-        coupling knobs.
-    grid:
-        Optional warm :class:`repro.distributed.WorkerGrid` forwarded to
-        the distributed solver (ignored on the single-process path).
+        ``start_method``) are ignored when ``shards`` resolves to 1, so
+        one option set serves both paths.
 
     Returns
     -------
@@ -623,8 +619,6 @@ def build_training_solver(spec, seed=0, shards: Optional[int] = None,
             # process-sharded path (coupling knobs ride in solver_options).
             from ..distributed.solver import DistributedSolver
             opts.setdefault("shards", n_shards)
-            if grid is not None:
-                opts.setdefault("grid", grid)
             return DistributedSolver(**opts)
         # Single-process path: drop the sharded-only knobs (documented as
         # ignored when shards resolves to 1) instead of crashing HSSSolver.

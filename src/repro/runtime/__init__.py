@@ -16,7 +16,7 @@ Quick start::
     from repro.runtime import resolve_runtime_config
 
     cfg = resolve_runtime_config(path="repro.toml")
-    pipeline = KRRPipeline.from_config(cfg)   # a ready KRRPipeline
+    clf = KernelRidgeClassifier.from_config(cfg)  # unfitted, ready to fit
     solver = HSSSolver(hss_options=cfg.hss)   # sections are the option objects
     print(cfg.source("hss.rel_tol"))          # "file"
 """

@@ -1,9 +1,9 @@
 """Model persistence and batched prediction serving.
 
-The pipeline's expensive product — the clustered, compressed, factored
-kernel system plus the trained weight vector — only lived inside a single
-:meth:`repro.krr.KRRPipeline.run` process.  This package turns it into a
-deployable predictor with the train-offline / serve-online split used by
+A fitted estimator's expensive product — the clustered, compressed,
+factored kernel system plus the trained weight vector — lives inside the
+process that ran :meth:`repro.krr.KernelRidgeClassifier.fit`.  This
+package turns it into a deployable predictor with the train-offline / serve-online split used by
 production KRR systems:
 
 * :mod:`repro.serving.serialize` — versioned, checksummed ``.npz``
@@ -11,8 +11,8 @@ production KRR systems:
   :class:`repro.hss.HSSMatrix`, :class:`repro.hss.ULVFactorization` and
   fitted classifiers, producing self-describing :class:`ModelArtifact`\\ s;
 * :mod:`repro.serving.store` — :class:`ModelStore`, a directory registry
-  with save / load / list / delete, content hashes and metadata pulled
-  from :class:`repro.krr.PipelineReport`;
+  with save / load / list / delete, content hashes and free-form
+  metadata (``repro train`` records its accuracy / memory / timing row);
 * :mod:`repro.serving.engine` — :class:`PredictionEngine`, micro-batching
   queries into coalesced test-kernel-row GEMMs with an LRU cache of
   kernel rows for repeated points, serving every model (sharded-trained
@@ -27,7 +27,7 @@ from .serialize import (ArtifactError, ModelArtifact, hss_from_arrays,
                         load_model, load_model_as, read_artifact, save_model,
                         tree_from_arrays, tree_to_arrays, ulv_from_arrays,
                         ulv_to_arrays)
-from .store import ModelRecord, ModelStore, metadata_from_report
+from .store import ModelRecord, ModelStore
 from .engine import EngineStats, KernelRowCache, PredictionEngine
 from .service import PredictionService, ServingStats
 
@@ -48,7 +48,6 @@ __all__ = [
     "kernel_from_spec",
     "ModelStore",
     "ModelRecord",
-    "metadata_from_report",
     "PredictionEngine",
     "EngineStats",
     "KernelRowCache",

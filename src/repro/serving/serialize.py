@@ -698,8 +698,8 @@ def save_model(model, path: str, metadata: Optional[Dict[str, object]] = None,
         Destination file; parent directories are created as needed.
     metadata:
         Free-form JSON-serializable metadata stored in the header
-        (dataset name, accuracy, ... — :class:`repro.serving.ModelStore`
-        fills this from a :class:`repro.krr.PipelineReport`).
+        (dataset name, accuracy, ... — ``repro train`` records its
+        report row here through :class:`repro.serving.ModelStore`).
     include_factorization:
         If ``True`` (default) the solver's factorization (HSS generators +
         ULV factors, or the dense Cholesky factor) is stored too, so the

@@ -16,10 +16,9 @@ A :class:`ModelStore` manages a flat directory of named model artifacts:
 
 The record duplicates the artifact header so listing the store never has to
 open the (potentially large) archives.  Metadata is free-form JSON; the
-usual source is a :class:`repro.krr.PipelineReport`, whose headline numbers
-(dataset, ``h``, ``lambda``, accuracy, memory, maximum rank, timings) are
-flattened in via :func:`metadata_from_report` — the train-offline half of
-the train-offline / serve-online split.
+usual source is ``repro train``, which records its headline numbers
+(dataset, ``h``, ``lambda``, accuracy, memory, maximum rank, timings) — the
+train-offline half of the train-offline / serve-online split.
 """
 
 from __future__ import annotations
@@ -75,11 +74,6 @@ def _exclusive_lock(lock_path: str):
     finally:
         fcntl.flock(fd, fcntl.LOCK_UN)
         os.close(fd)
-
-
-def metadata_from_report(report) -> Dict[str, object]:
-    """Flatten a :class:`repro.krr.PipelineReport` into artifact metadata."""
-    return dict(report.row())
 
 
 @dataclass
@@ -174,7 +168,6 @@ class ModelStore:
 
     # ------------------------------------------------------------------ save
     def save(self, model, name: str,
-             report=None,
              metadata: Optional[Dict[str, object]] = None,
              overwrite: bool = False,
              include_factorization: bool = True) -> ModelRecord:
@@ -186,21 +179,14 @@ class ModelStore:
             Fitted classifier (binary or one-vs-all).
         name:
             Registry key; becomes the subdirectory name.
-        report:
-            Optional :class:`repro.krr.PipelineReport` whose headline
-            numbers are merged into the metadata.
         metadata:
-            Extra free-form metadata (wins over report-derived keys).
+            Free-form JSON-serializable metadata stored with the model.
         overwrite:
             Allow replacing an existing entry of the same name.
         include_factorization:
             Forwarded to :func:`repro.serving.save_model`.
         """
-        meta: Dict[str, object] = {}
-        if report is not None:
-            meta.update(metadata_from_report(report))
-        if metadata:
-            meta.update(metadata)
+        meta = dict(metadata or {})
         # Concurrent writers under the same name are serialized by a
         # per-model file lock, so one writer's archive/record rename pair
         # can never interleave with another's (the catalog entry always

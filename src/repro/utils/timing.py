@@ -64,7 +64,7 @@ class TimingLog:
         """Context manager measuring the body and adding it to ``name``.
 
         Also opens a ``repro.obs`` trace span of the same name, so nested
-        ``phase`` calls (pipeline ``train_total`` wrapping the solver
+        ``phase`` calls (``repro train``'s ``train_total`` wrapping the solver
         phases) produce a nested span tree.
         """
         with trace.span(name):

@@ -25,6 +25,16 @@ pytestmark = pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptio
 SMALL = ["--n-train", "160", "--n-test", "48", "-q"]
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+#: the row ``repro train`` prints and stores with the model: what ran, its
+#: accuracy, the solver's memory / rank figures and every phase's seconds
+TRAIN_REPORT_KEYS = {
+    "accuracy_percent", "clustering", "dataset", "dim", "h",
+    "hmatrix_memory_mb", "hss_memory_mb", "kernel", "lambda", "max_rank",
+    "memory_mb", "n_test", "n_train", "shards", "solver",
+    "time_factorization_s", "time_h_construction_s", "time_hss_other_s",
+    "time_hss_sampling_s", "time_predict_total_s", "time_solve_s",
+    "time_train_total_s"}
+
 
 def run_cli(tmp_path, monkeypatch, argv):
     monkeypatch.chdir(tmp_path)
@@ -58,6 +68,28 @@ class TestTrain:
         assert doc["result"]["model"]["name"] == "model"
         store = ModelStore(str(tmp_path / "models"))
         assert "model" in store
+
+    def test_train_report_and_stored_metadata_keep_their_keys(
+            self, tmp_path, monkeypatch):
+        assert run_cli(tmp_path, monkeypatch, ["train", *SMALL]) == 0
+        report = read_result(tmp_path, "train")["result"]["report"]
+        assert set(report) == TRAIN_REPORT_KEYS
+        assert (report["dataset"], report["solver"], report["shards"]) == \
+            ("gas", "hss", 1)
+        store = ModelStore(str(tmp_path / "models"))
+        assert store.record("model").metadata == report
+
+    def test_train_report_describes_the_stored_model(self, tmp_path,
+                                                     monkeypatch):
+        assert run_cli(tmp_path, monkeypatch, ["train", *SMALL]) == 0
+        report = read_result(tmp_path, "train")["result"]["report"]
+        model = ModelStore(str(tmp_path / "models")).load("model")
+        data = load_dataset("gas", n_train=160, n_test=48, seed=0)
+        assert (report["h"], report["lambda"]) == (model.h, model.lam)
+        assert (report["n_train"], report["dim"]) == model.X_train_.shape
+        assert report["n_test"] == 48
+        assert report["accuracy_percent"] == round(
+            100.0 * model.score(data.X_test, data.y_test), 2)
 
     def test_train_is_idempotent(self, tmp_path, monkeypatch):
         assert run_cli(tmp_path, monkeypatch, ["train", *SMALL]) == 0

@@ -7,7 +7,7 @@ Covers the acceptance contract of the subsystem:
   archive;
 * the shared-memory transport moves numpy blocks between processes
   without pickling payloads;
-* the sharded pipeline reproduces the serial pipeline's predictions
+* a sharded fit reproduces the serial fit's predictions
   within the documented tolerance (label-exact at tight compression
   tolerances) for 2 and 4 shards, deterministically across runs;
 * a crashed worker fails the coordinator promptly and leaves no orphaned
@@ -32,7 +32,7 @@ from repro.distributed import (Coordinator, DistributedError,
                                WorkerCrashedError, WorkerGrid, resolve_shards)
 from repro.distributed.comm import ArraySpec, BlockChannel, SharedArray
 from repro.kernels import GaussianKernel
-from repro.krr import KernelRidgeClassifier, KRRPipeline
+from repro.krr import KernelRidgeClassifier
 from repro.krr.solvers import HSSSolver, KernelSystemSolver
 from repro.obs import global_registry
 from repro.runtime import resolve_runtime_config
@@ -59,16 +59,16 @@ def clustered_tree():
 
 
 @pytest.fixture(scope="module")
-def serial_run(small_problem):
+def serial_clf(small_problem):
+    """The serial hss classifier a sharded fit is compared against."""
     data = small_problem
     # shards=1 pinned explicitly: under the CI REPRO_SHARDS=2 leg the
     # baseline must stay the in-process serial solver, or the equivalence
     # test would compare sharded against sharded.
-    pipeline = KRRPipeline(h=data.h, lam=data.lam, solver="hss",
-                           hss_options=TIGHT, seed=0, shards=1)
-    report = pipeline.run(data.X_train, data.y_train, data.X_test,
-                          data.y_test, dataset_name="susy")
-    return pipeline, report
+    return KernelRidgeClassifier(
+        h=data.h, lam=data.lam, solver="hss", seed=0, shards=1,
+        solver_options={"hss_options": TIGHT}).fit(data.X_train,
+                                                   data.y_train)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +126,7 @@ class TestShardPlan:
 def test_sharded_only_options_ignored_on_serial_path(monkeypatch,
                                                      small_problem):
     """solver_options documented for the sharded path must not crash a
-    single-process fit (they are ignored, like KRRPipeline's knobs)."""
+    single-process fit (they are ignored there)."""
     monkeypatch.delenv("REPRO_SHARDS", raising=False)
     data = small_problem
     clf = KernelRidgeClassifier(
@@ -199,34 +199,32 @@ class TestComm:
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("shards", [2, 4])
-def test_sharded_matches_serial_predictions(small_problem, serial_run, shards):
+def test_sharded_matches_serial_predictions(small_problem, serial_clf, shards):
     data = small_problem
-    serial_pipeline, serial_report = serial_run
-    dist = KRRPipeline(h=data.h, lam=data.lam, hss_options=TIGHT, seed=0,
-                       shards=shards)
-    report = dist.run(data.X_train, data.y_train, data.X_test, data.y_test,
-                      dataset_name="susy")
-    assert report.shards == shards
-    assert "shards" in report.row()
+    dist = KernelRidgeClassifier(
+        h=data.h, lam=data.lam, seed=0, shards=shards,
+        solver_options={"hss_options": TIGHT}).fit(data.X_train,
+                                                   data.y_train)
+    assert dist.report.shards == shards
 
-    s_serial = serial_pipeline.classifier_.decision_function(data.X_test)
-    s_dist = dist.classifier_.decision_function(data.X_test)
+    s_serial = serial_clf.decision_function(data.X_test)
+    s_dist = dist.decision_function(data.X_test)
     # Documented tolerance: both solves approximate the same system at the
     # pinned compression tolerance; the decision values track each other
     # to a small multiple of it and the predicted labels coincide.
     rel_dev = np.max(np.abs(s_serial - s_dist)) / np.max(np.abs(s_serial))
     assert rel_dev < 5e-3, f"decision values deviate by {rel_dev:.2e}"
-    assert np.array_equal(serial_pipeline.classifier_.predict(data.X_test),
-                          dist.classifier_.predict(data.X_test))
-    assert report.accuracy == pytest.approx(serial_report.accuracy, abs=1e-12)
+    assert np.array_equal(serial_clf.predict(data.X_test),
+                          dist.predict(data.X_test))
+    assert dist.score(data.X_test, data.y_test) == pytest.approx(
+        serial_clf.score(data.X_test, data.y_test), abs=1e-12)
 
     # The one serving engine reproduces the sharded classifier bitwise.
-    with PredictionEngine(dist.classifier_, batch_size=64,
-                          cache_size=32) as svc:
+    with PredictionEngine(dist, batch_size=64, cache_size=32) as svc:
         labels = svc.predict_many(data.X_test)
         scores = svc.decision_many(data.X_test)
-    assert np.array_equal(labels, dist.classifier_.predict(data.X_test))
-    assert np.array_equal(scores, dist.classifier_.decision_function(
+    assert np.array_equal(labels, dist.predict(data.X_test))
+    assert np.array_equal(scores, dist.decision_function(
         data.X_test, block_size=64))
 
 

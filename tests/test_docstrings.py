@@ -25,7 +25,7 @@ import repro.server as server
 from repro.hss import CompressedKernel, ULVFactorization
 from repro.kernels import Kernel, KernelOperator
 from repro.krr import (KernelRidgeClassifier, KernelRidgeRegressor,
-                       KRRPipeline, OneVsAllClassifier)
+                       OneVsAllClassifier)
 from repro.krr.estimator import KernelRidgeEstimator
 from repro.lowrank import aca, aca_blocks
 from repro.serving import ModelStore, PredictionEngine, PredictionService
@@ -39,7 +39,7 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: docs/tuning.md ride along: refactor / the searchers; so do the
 #: element-extraction / wavefront-ACA pieces of docs/api.md); the
 #: estimator core carries the lifecycle verbs its three shells inherit
-DOCUMENTED_API = [KRRPipeline, KernelRidgeEstimator, KernelRidgeClassifier,
+DOCUMENTED_API = [KernelRidgeEstimator, KernelRidgeClassifier,
                   OneVsAllClassifier, KernelRidgeRegressor,
                   ModelStore, PredictionEngine, PredictionService, CompressedKernel, ULVFactorization,
                   KRRObjective, GridSearch, RandomSearch, BanditTuner,

@@ -282,26 +282,52 @@ def test_bad_input_is_refused_the_same_way_by_every_estimator(kind, problem):
         model.partial_fit(X[:4], y[:3])
 
 
-@pytest.mark.parametrize("entry", ["classifier", "pipeline"])
+@pytest.mark.parametrize("entry", ["constructor", "config"])
 def test_shard_dispatch_is_the_same_at_both_entry_points(points, entry,
                                                          monkeypatch):
     """Only an *explicit* shard count can refuse a non-hss solver."""
-    from repro.krr import KRRPipeline
+    from repro.runtime import resolve_runtime_config
 
     X, y = points
 
-    def train(**kwargs):
-        if entry == "classifier":
-            return KernelRidgeClassifier(solver="dense", **kwargs).fit(X, y)
-        pipeline = KRRPipeline(solver="dense", **kwargs)
-        pipeline.run(X, y, X[:8], y[:8])
-        return pipeline.classifier_
+    def train(shards=None):
+        if entry == "constructor":
+            clf = KernelRidgeClassifier(solver="dense", shards=shards)
+        else:
+            flags = {"solver.name": "dense"}
+            if shards is not None:
+                flags["distributed.shards"] = shards
+            clf = KernelRidgeClassifier.from_config(
+                resolve_runtime_config(flags=flags, env={}),
+                h=1.0, lam=1.0)
+        return clf.fit(X, y)
 
     reference = train().weights_
     monkeypatch.setenv("REPRO_SHARDS", "2")
     np.testing.assert_array_equal(train().weights_, reference)
     with pytest.raises(ValueError, match="requires the 'hss' solver"):
         train(shards=2)
+
+
+def test_the_pipeline_layer_stays_deleted():
+    """The estimator is the one lifecycle entry point: no pipeline class,
+    pipeline report or report-flattening store keyword comes back."""
+    import importlib.util
+    import inspect
+
+    import repro
+    import repro.krr
+    import repro.serving
+    from repro.krr.solvers import build_training_solver
+    from repro.serving import ModelStore
+
+    for module in (repro, repro.krr, repro.serving):
+        names = set(module.__all__) | set(dir(module))
+        assert not [name for name in names if "Pipeline" in name
+                    or name.endswith("_from_report")], module.__name__
+    assert importlib.util.find_spec("repro.krr.pipeline") is None
+    assert "report" not in inspect.signature(ModelStore.save).parameters
+    assert "grid" not in inspect.signature(build_training_solver).parameters
 
 
 # ---------------------------------------------------------------------------

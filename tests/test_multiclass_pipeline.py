@@ -1,4 +1,4 @@
-"""Tests for the one-vs-all classifier and the end-to-end KRR pipeline."""
+"""Tests for the one-vs-all classifier and the binary classifier's report."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import clustered_manifold, load_dataset
-from repro.krr import KRRPipeline, OneVsAllClassifier
+from repro.krr import KernelRidgeClassifier, OneVsAllClassifier
 
 
 def _multiclass_data(n=400, d=6, n_classes=4, seed=0):
@@ -62,40 +62,33 @@ class TestOneVsAll:
         assert acc > 0.95
 
 
-class TestPipeline:
-    def test_pipeline_report_fields(self):
+class TestEstimatorReport:
+    def test_report_fields(self):
         data = load_dataset("letter", n_train=384, n_test=96, seed=0)
-        pipeline = KRRPipeline(h=data.h, lam=data.lam, clustering="two_means",
-                               solver="hss", use_hmatrix_sampling=False, seed=0)
-        report = pipeline.run(data.X_train, data.y_train, data.X_test, data.y_test,
-                              dataset_name="letter")
-        assert report.dataset == "letter"
-        assert report.n_train == 384
-        assert report.n_test == 96
-        assert report.dim == 16
-        assert 0.0 <= report.accuracy <= 1.0
-        assert report.accuracy_percent == pytest.approx(100 * report.accuracy)
+        clf = KernelRidgeClassifier(
+            h=data.h, lam=data.lam, clustering="two_means", solver="hss",
+            seed=0, solver_options={"use_hmatrix_sampling": False})
+        clf.fit(data.X_train, data.y_train)
+        report = clf.report
+        assert clf.X_train_.shape == (384, 16)
+        assert 0.0 <= clf.score(data.X_test, data.y_test) <= 1.0
         assert report.memory_mb > 0
         assert report.max_rank > 0
-        assert report.phase("train_total") > 0
-        assert report.phase("predict_total") > 0
-        row = report.row()
-        assert row["dataset"] == "letter"
-        assert "accuracy_percent" in row
-        assert any(key.startswith("time_") for key in row)
+        assert report.phase("factorization") > 0
+        assert report.total_time > 0
 
-    def test_pipeline_dense_solver(self):
+    def test_dense_solver(self):
         data = load_dataset("gas", n_train=256, n_test=64, seed=1)
-        pipeline = KRRPipeline(h=data.h, lam=data.lam, solver="dense",
-                               clustering="natural")
-        report = pipeline.run(data.X_train, data.y_train, data.X_test, data.y_test)
-        assert report.accuracy > 0.8
-        assert report.solver == "dense"
+        clf = KernelRidgeClassifier(h=data.h, lam=data.lam, solver="dense",
+                                    clustering="natural")
+        clf.fit(data.X_train, data.y_train)
+        assert clf.score(data.X_test, data.y_test) > 0.8
+        assert clf.report.solver == "dense"
 
-    def test_pipeline_keeps_classifier(self):
+    def test_cg_solver_keeps_weights(self):
         data = load_dataset("pen", n_train=256, n_test=64, seed=2)
-        pipeline = KRRPipeline(h=data.h, lam=data.lam, solver="cg",
-                               clustering="kd")
-        pipeline.run(data.X_train, data.y_train, data.X_test, data.y_test)
-        assert pipeline.classifier_ is not None
-        assert pipeline.classifier_.weights_ is not None
+        clf = KernelRidgeClassifier(h=data.h, lam=data.lam, solver="cg",
+                                    clustering="kd")
+        clf.fit(data.X_train, data.y_train)
+        assert clf.weights_ is not None
+        assert clf.weights_.shape == (256,)

@@ -326,16 +326,16 @@ class TestDistributedTelemetry:
         """A shards=2 fit lands per-shard phase timings in the registry."""
         from repro.config import HSSOptions
         from repro.datasets import load_dataset
-        from repro.krr import KRRPipeline
+        from repro.krr import KernelRidgeClassifier
 
         reg = obs.global_registry()
         reg.reset()
         data = load_dataset("susy", n_train=256, n_test=64, seed=0)
-        pipe = KRRPipeline(
+        KernelRidgeClassifier(
             h=data.h, lam=data.lam, shards=2, seed=0,
-            hss_options=HSSOptions(rel_tol=1e-6, initial_samples=48))
-        pipe.run(data.X_train, data.y_train, data.X_test, data.y_test,
-                 dataset_name="susy")
+            solver_options={"hss_options": HSSOptions(
+                rel_tol=1e-6, initial_samples=48)}).fit(data.X_train,
+                                                        data.y_train)
         assert sorted(reg.remote_keys()) == ["0", "1"]
         snap = reg.snapshot()
         for shard in ("0", "1"):

@@ -23,8 +23,7 @@ from repro.config import HSSOptions
 from repro.datasets import gaussian_mixture
 from repro.hss import compressed as hss_compressed
 from repro.kernels import GaussianKernel, KernelOperator
-from repro.krr import (KernelRidgeClassifier, KRRPipeline,
-                       OneVsAllClassifier)
+from repro.krr import KernelRidgeClassifier, OneVsAllClassifier
 from repro.krr.solvers import CGSolver, DenseSolver, HSSSolver
 
 LAMBDAS = (0.5, 2.0, 8.0)
@@ -120,25 +119,19 @@ class TestSerialRefitEquivalence:
             clf.refit(2.0)
 
 
-class TestPipelineRefit:
-    def test_refit_report_matches_cold_run(self, data, test_data):
+class TestRefitReport:
+    def test_refit_report_matches_cold_fit(self, data, test_data):
         X, y = data
         Xt, yt = test_data
-        pipe = KRRPipeline(h=1.0, lam=1.0, solver="hss", seed=0)
-        pipe.run(X, y, Xt, yt, dataset_name="mixture")
-        pipe.classifier_.refit(2.0)
-        report = pipe.evaluate(X_test=Xt, y_test=yt)
-        cold = KRRPipeline(h=1.0, lam=2.0, solver="hss", seed=0)
-        cold_report = cold.run(X, y, Xt, yt, dataset_name="mixture")
-        assert report.lam == 2.0
-        assert report.accuracy == cold_report.accuracy
-        assert report.dataset == "mixture"
-        np.testing.assert_array_equal(pipe.classifier_.weights_,
-                                      cold.classifier_.weights_)
-
-    def test_evaluate_before_run_raises(self):
-        with pytest.raises(RuntimeError, match="run"):
-            KRRPipeline().evaluate()
+        clf = KernelRidgeClassifier(h=1.0, lam=1.0, solver="hss", seed=0)
+        clf.fit(X, y).refit(2.0)
+        cold = KernelRidgeClassifier(h=1.0, lam=2.0, solver="hss",
+                                     seed=0).fit(X, y)
+        assert clf.lam == 2.0
+        assert clf.report.refits == 1 and cold.report.refits == 0
+        assert clf.report.max_rank == cold.report.max_rank
+        assert clf.score(Xt, yt) == cold.score(Xt, yt)
+        np.testing.assert_array_equal(clf.weights_, cold.weights_)
 
 
 # ---------------------------------------------------------------------------

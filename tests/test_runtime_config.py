@@ -5,8 +5,8 @@ rely on: precedence (defaults < repro.toml < REPRO_* env < flags) with
 per-value provenance, the TOML round trip, strict validation of unknown
 keys and garbage env values, that no key resolves and then does nothing,
 that docs/cli.md lists the schema as it is, and — the
-backward-compatibility guarantee — that a config-built pipeline produces
-bitwise-identical predictions to the legacy constructor path.
+backward-compatibility guarantee — that a config-built estimator produces
+bitwise-identical predictions to the explicit constructor path.
 """
 
 import os
@@ -17,7 +17,8 @@ import pytest
 
 from repro.config import ClusteringOptions, HMatrixOptions, HSSOptions
 from repro.datasets import load_dataset
-from repro.krr import KRRPipeline
+from repro.krr import (KernelRidgeClassifier, KernelRidgeRegressor,
+                       OneVsAllClassifier)
 from repro.runtime import (RuntimeConfig, SCHEMA, TomlError, known_keys,
                            loads_toml, resolve_runtime_config)
 from repro.runtime.config import (DatasetSection, DistributedSection,
@@ -279,60 +280,78 @@ class TestAccessors:
 
 # ----------------------------------------------------- backward compatibility
 class TestBackwardCompatibility:
-    def test_from_config_matches_legacy_constructor_bitwise(self):
-        """The config path must not change numerics: same pipeline args,
+    def test_from_config_matches_hand_built_constructor_bitwise(self):
+        """The config path must not change numerics: same estimator args,
         bitwise-identical predictions and weights."""
         data = load_dataset("gas", n_train=192, n_test=64, seed=0)
 
-        legacy = KRRPipeline(h=data.h, lam=data.lam, solver="hss",
-                             clustering="two_means", leaf_size=16, seed=0)
-        legacy_report = legacy.run(data.X_train, data.y_train,
-                                   data.X_test, data.y_test)
+        hand_built = KernelRidgeClassifier(
+            h=data.h, lam=data.lam, solver="hss", clustering="two_means",
+            leaf_size=16, seed=0).fit(data.X_train, data.y_train)
 
         cfg = resolve_runtime_config(flags={"kernel.h": data.h,
                                             "kernel.lam": data.lam})
-        configured = KRRPipeline.from_config(cfg)
-        config_report = configured.run(data.X_train, data.y_train,
-                                       data.X_test, data.y_test)
+        configured = KernelRidgeClassifier.from_config(cfg).fit(
+            data.X_train, data.y_train)
 
-        assert config_report.accuracy == legacy_report.accuracy
-        np.testing.assert_array_equal(
-            configured.classifier_.predict(data.X_test),
-            legacy.classifier_.predict(data.X_test))
-        np.testing.assert_array_equal(configured.classifier_.weights_,
-                                      legacy.classifier_.weights_)
+        assert (configured.score(data.X_test, data.y_test)
+                == hand_built.score(data.X_test, data.y_test))
+        np.testing.assert_array_equal(configured.predict(data.X_test),
+                                      hand_built.predict(data.X_test))
+        np.testing.assert_array_equal(configured.weights_,
+                                      hand_built.weights_)
 
     def test_constructor_args_win_unchanged(self):
-        """Legacy call sites that never see a RuntimeConfig keep their
-        exact constructor defaults."""
-        pipeline = KRRPipeline(h=0.7, lam=0.3)
-        assert pipeline.h == 0.7 and pipeline.lam == 0.3
-        assert pipeline.solver_name == "hss"
-        assert pipeline.kernel_name == "gaussian"
+        """Call sites that never see a RuntimeConfig keep their exact
+        constructor defaults."""
+        clf = KernelRidgeClassifier(h=0.7, lam=0.3)
+        assert clf.h == 0.7 and clf.lam == 0.3
+        assert clf._solver_spec == "hss"
+        assert clf.kernel.name == "gaussian"
 
     def test_from_config_overrides(self):
         cfg = resolve_runtime_config(flags={"kernel.h": 2.0})
-        pipeline = KRRPipeline.from_config(cfg, lam=0.125)
-        assert pipeline.h == 2.0      # from config
-        assert pipeline.lam == 0.125  # explicit override wins
+        clf = KernelRidgeClassifier.from_config(cfg, lam=0.125)
+        assert clf.h == 2.0      # from config
+        assert clf.lam == 0.125  # explicit override wins
+
+    @pytest.mark.parametrize("solver", ["dense", "cg"])
+    def test_solver_options_reach_only_the_hss_solver(self, solver):
+        cfg = resolve_runtime_config(flags={"solver.name": solver,
+                                            "distributed.cut_level": 1})
+        clf = KernelRidgeClassifier.from_config(cfg)
+        assert clf._solver_spec == solver
+        assert clf._solver_options == {}
+
+    @pytest.mark.parametrize("estimator", [
+        KernelRidgeClassifier, OneVsAllClassifier, KernelRidgeRegressor])
+    def test_from_config_builds_the_calling_estimator(self, estimator):
+        cfg = resolve_runtime_config(flags={"kernel.name": "laplacian",
+                                            "kernel.h": 0.5})
+        model = estimator.from_config(cfg, lam=3.0)
+        assert type(model) is estimator
+        assert (model.kernel.name, model.h, model.lam) == \
+            ("laplacian", 0.5, 3.0)
+        assert model.weights_ is None
 
 
 # -------------------------------------------------------------- no dead keys
-def _pipeline(flags):
-    return KRRPipeline.from_config(resolve_runtime_config(flags=flags))
+def _estimator(flags):
+    return KernelRidgeClassifier.from_config(
+        resolve_runtime_config(flags=flags))
 
 
 def _solver_options(flags):
-    return _pipeline(flags)._solver_options()
+    return _estimator(flags)._solver_options
 
 
 def _trained_perm(flags):
-    """Training permutation of a small config-built dense pipeline."""
+    """Training permutation of a small config-built dense classifier."""
     data = load_dataset("gas", n_train=96, n_test=16, seed=0)
-    pipe = _pipeline({"solver.name": "dense", "clustering.leaf_size": 8,
+    clf = _estimator({"solver.name": "dense", "clustering.leaf_size": 8,
                       **flags})
-    pipe.run(data.X_train, data.y_train, data.X_test, data.y_test)
-    return pipe.classifier_.clustering_.perm.tolist()
+    clf.fit(data.X_train, data.y_train)
+    return clf.clustering_.perm.tolist()
 
 
 def _hss_objective(flags):
@@ -350,13 +369,13 @@ def _objective_ordering(flags):
 
 
 def _both(attr):
-    """``attr`` of the pipeline and of the hss tuning objective."""
-    return lambda flags: (getattr(_pipeline(flags), attr),
+    """``attr`` of the estimator and of the hss tuning objective."""
+    return lambda flags: (getattr(_estimator(flags), attr),
                           getattr(_hss_objective(flags), attr))
 
 
 #: key -> (non-default value, observer of what ``from_config`` builds from
-#: a flag layer — a tuple when both the pipeline and the tuning objective
+#: a flag layer — a tuple when both the estimator and the tuning objective
 #: read the key, and then both must move); the option-object sections are
 #: added field by field below
 OBSERVABLE = {
@@ -367,9 +386,11 @@ OBSERVABLE = {
     "clustering.balance_threshold": (1.0, lambda flags: _trained_perm(
         {"clustering.method": "kd", **flags})),
     "clustering.seed": (7, _both("seed")),
-    "solver.name": ("cg", lambda flags: _pipeline(flags).solver_name),
-    "solver.use_hmatrix_sampling": (False, _both("use_hmatrix_sampling")),
-    "distributed.shards": (2, lambda flags: _pipeline(flags).shards),
+    "solver.name": ("cg", lambda flags: _estimator(flags)._solver_spec),
+    "solver.use_hmatrix_sampling": (False, lambda flags: (
+        _solver_options(flags)["use_hmatrix_sampling"],
+        _hss_objective(flags).use_hmatrix_sampling)),
+    "distributed.shards": (2, lambda flags: _estimator(flags).shards),
     "distributed.coupling_rel_tol": (0.5, lambda flags: _solver_options(
         flags)["coupling_rel_tol"]),
     "distributed.coupling_max_rank": (7, lambda flags: _solver_options(
@@ -422,10 +443,10 @@ class TestNoDeadKeys:
 
     def test_sections_reach_the_solver_whole(self):
         cfg = resolve_runtime_config(flags={"hss.rel_tol": 0.05})
-        pipeline = KRRPipeline.from_config(cfg)
-        assert pipeline._solver_options()["hss_options"] is cfg.hss
-        assert pipeline._solver_options()["hmatrix_options"] is cfg.hmatrix
-        assert pipeline.clustering is cfg.clustering
+        clf = KernelRidgeClassifier.from_config(cfg)
+        assert clf._solver_options["hss_options"] is cfg.hss
+        assert clf._solver_options["hmatrix_options"] is cfg.hmatrix
+        assert clf._clustering_spec is cfg.clustering
 
 
 # -------------------------------------------------------- docs match schema

@@ -25,7 +25,7 @@ from repro.config import HSSOptions
 from repro.datasets import gas_like, standardize, susy_like
 from repro.hss import ULVFactorization, build_hss_randomized
 from repro.kernels import GaussianKernel, ShiftedKernelOperator
-from repro.krr import KernelRidgeClassifier, KRRPipeline
+from repro.krr import KernelRidgeClassifier
 from repro.runtime import resolve_runtime_config
 from repro.server import ModelRouter
 from repro.serving import ModelStore, PredictionEngine
@@ -237,14 +237,14 @@ def test_ulv_solve_accuracy(problem):
     assert np.linalg.norm(K @ x - rhs) / np.linalg.norm(rhs) < 1e-2
 
 
-def test_report_row_includes_memory():
+def test_report_includes_memory():
     X, y = susy_like(200, seed=1)
     X = standardize(X)
-    pipe = KRRPipeline(h=1.0, lam=4.0, solver="hss", seed=0)
-    report = pipe.run(X[:160], y[:160], X[160:], y[160:],
-                      dataset_name="susy")
-    row = report.row()
-    assert row["hss_memory_mb"] == round(report.hss_memory_mb, 3)
-    assert row["hmatrix_memory_mb"] == round(report.hmatrix_memory_mb, 3)
-    assert "workers" not in row
+    clf = KernelRidgeClassifier(h=1.0, lam=4.0, solver="hss", seed=0,
+                                shards=1).fit(X[:160], y[:160])
+    report = clf.report
     assert report.hss_memory_mb > 0
+    assert report.hmatrix_memory_mb > 0
+    assert report.memory_mb == pytest.approx(
+        report.hss_memory_mb + report.hmatrix_memory_mb)
+    assert not hasattr(report, "workers")

@@ -11,7 +11,7 @@ from repro.clustering import cluster
 from repro.datasets import gaussian_mixture
 from repro.hss import ULVFactorization, build_hss_from_dense
 from repro.kernels import GaussianKernel, LaplacianKernel
-from repro.krr import KernelRidgeClassifier, KRRPipeline, OneVsAllClassifier
+from repro.krr import KernelRidgeClassifier, OneVsAllClassifier
 from repro.serving import (ArtifactError, ModelStore, hss_from_arrays,
                            hss_to_arrays, kernel_from_spec, kernel_to_spec,
                            load_model, read_artifact, save_model,
@@ -327,29 +327,31 @@ class TestModelStore:
         reloaded = KernelRidgeClassifier.load(path)
         assert np.array_equal(reloaded.predict(X_test), clf.predict(X_test))
 
-    def test_metadata_from_pipeline_report(self, tmp_path, binary_data):
+    def test_store_metadata_is_recorded_and_described(self, tmp_path,
+                                                      binary_data):
         X, y, X_test, y_test = binary_data
-        pipe = KRRPipeline(h=1.0, lam=1.0, solver="hss", seed=0)
-        report = pipe.run(X, y, X_test, y_test, dataset_name="gmix")
+        clf = KernelRidgeClassifier(h=1.0, lam=1.0, solver="hss",
+                                    seed=0).fit(X, y)
+        accuracy_percent = round(100.0 * clf.score(X_test, y_test), 2)
         store = ModelStore(tmp_path / "store")
-        record = store.save(pipe.classifier_, "from-report", report=report)
+        record = store.save(clf, "from-metadata", metadata={
+            "dataset": "gmix", "accuracy_percent": accuracy_percent})
         assert record.metadata["dataset"] == "gmix"
-        assert record.metadata["accuracy_percent"] == pytest.approx(
-            report.accuracy_percent, abs=0.01)
-        assert "acc=" in record.describe()
+        assert record.metadata["accuracy_percent"] == accuracy_percent
+        assert store.record("from-metadata").metadata == record.metadata
+        assert f"acc={accuracy_percent}%" in record.describe()
 
-    def test_pipeline_save_load(self, tmp_path, binary_data):
-        X, y, X_test, y_test = binary_data
-        pipe = KRRPipeline(h=1.0, lam=1.0, solver="hss", seed=0)
-        pipe.run(X, y, X_test, y_test, dataset_name="gmix")
-        path = os.path.join(tmp_path, "pipe.npz")
-        artifact = pipe.save(path)
-        assert artifact.metadata["dataset"] == "gmix"
-        reloaded = KRRPipeline.load(path)
-        assert np.array_equal(reloaded.predict(X_test),
-                              pipe.classifier_.predict(X_test))
-
-    def test_pipeline_save_requires_run(self, tmp_path):
-        pipe = KRRPipeline()
-        with pytest.raises(RuntimeError):
-            pipe.save(os.path.join(tmp_path, "x.npz"))
+    def test_explicit_kernel_bandwidth_survives_fit_and_reload(
+            self, tmp_path, binary_data):
+        """``h`` describes the kernel the model was given, not the
+        constructor default, before and after a save / load."""
+        X, y, X_test, _ = binary_data
+        clf = KernelRidgeClassifier(lam=1.0, solver="dense",
+                                    kernel=GaussianKernel(h=2.0)).fit(X, y)
+        assert clf.h == clf.kernel.h == 2.0
+        path = os.path.join(tmp_path, "explicit-kernel.npz")
+        clf.save(path)
+        assert read_artifact(path).config["h"] == 2.0
+        reloaded = KernelRidgeClassifier.load(path)
+        assert reloaded.h == reloaded.kernel.h == 2.0
+        assert np.array_equal(reloaded.predict(X_test), clf.predict(X_test))
