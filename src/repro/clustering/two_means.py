@@ -22,19 +22,25 @@ from ..utils.validation import check_array_2d
 from .tree import ClusterTree, tree_from_splitter
 
 
-def _seed_centers(points: np.ndarray, rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
-    """Pick two initial centres with distance-proportional seeding."""
+def _seed_centers(points: np.ndarray, rng: np.random.Generator
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pick two initial centres with distance-proportional seeding.
+
+    Also returns the buffer the differences to the first centre were
+    formed in, for the Lloyd steps to reuse.
+    """
     n = points.shape[0]
     first = int(rng.integers(n))
     c0 = points[first]
-    sq = np.einsum("ij,ij->i", points - c0, points - c0)
+    diff = points - c0
+    sq = np.einsum("ij,ij->i", diff, diff)
     total = float(sq.sum())
     if total <= 0.0:
         # All points identical: any second centre works.
         second = int(rng.integers(n))
     else:
         second = int(rng.choice(n, p=sq / total))
-    return c0.copy(), points[second].copy()
+    return c0.copy(), points[second].copy(), diff
 
 
 def two_means_split(
@@ -63,11 +69,15 @@ def two_means_split(
     m = points.shape[0]
     if m < 2:
         return np.ones(m, dtype=bool)
-    c0, c1 = _seed_centers(points, rng)
+    c0, c1, diff = _seed_centers(points, rng)
     assign = np.zeros(m, dtype=bool)
     for _ in range(max(int(max_iter), 1)):
-        d0 = np.einsum("ij,ij->i", points - c0, points - c0)
-        d1 = np.einsum("ij,ij->i", points - c1, points - c1)
+        # Each difference formed once, in the one buffer: half the
+        # subtractions and no temporaries, the same einsum bits.
+        np.subtract(points, c0, out=diff)
+        d0 = np.einsum("ij,ij->i", diff, diff)
+        np.subtract(points, c1, out=diff)
+        d1 = np.einsum("ij,ij->i", diff, diff)
         new_assign = d0 <= d1
         if new_assign.all() or not new_assign.any():
             # One cluster swallowed everything; split at the median distance

@@ -148,6 +148,18 @@ class Coordinator:
         return (self._fitted and self.grid.running
                 and self.grid.fit_generation == self._fit_generation)
 
+    def check_workers(self) -> None:
+        """Tear the grid down if this fit is resident on it and one of its
+        workers has died (:meth:`WorkerGrid.check_workers`).
+
+        Raises
+        ------
+        WorkerCrashedError
+            When a worker holding this fit's factors is dead.
+        """
+        if self._fitted and self.grid.fit_generation == self._fit_generation:
+            self.grid.check_workers()
+
     def _check_current(self, verb: str) -> None:
         """Refuse protocol rounds before a fit or against a newer fit's factors."""
         if not self._fitted:

@@ -301,6 +301,20 @@ class WorkerGrid:
         self.shutdown()
         raise type(exc)(f"shard {shard}: {exc}") from None
 
+    def check_workers(self) -> None:
+        """Tear the grid down if a worker it lists has died.
+
+        Raises
+        ------
+        WorkerCrashedError
+            When a listed worker process is dead — the whole grid is
+            shut down first, as a failed :meth:`round` does.
+        """
+        for shard, w in enumerate(self._workers):
+            if not w.alive:
+                self._fail_fast(shard, WorkerCrashedError(
+                    "worker process is dead"))
+
     def round(self, tag: str, reply: str, payload=None,
               per_shard_arrays=None) -> List[tuple]:
         """One protocol round: send every worker a command, gather the replies.
@@ -336,12 +350,10 @@ class WorkerGrid:
         """
         if not self._workers:
             raise RuntimeError("worker grid is not running; call start()")
+        self.check_workers()
         if tag in ("fit", "refit"):
             self.fit_generation += 1
         for shard, w in enumerate(self._workers):
-            if not w.alive:
-                self._fail_fast(shard, WorkerCrashedError(
-                    "worker process is dead"))
             w.request.send(tag, payload, arrays=(
                 None if per_shard_arrays is None else per_shard_arrays[shard]))
         return [self._recv(shard, reply)

@@ -195,8 +195,15 @@ class DistributedSolver(KernelSystemSolver):
         mixing them with this fit's capacitance state would be silently
         wrong), else the coupling system over the shard kernels collected
         at fit time.  Both answer ``refit(lam)`` and ``solve(y)`` alike.
+
+        A worker of this fit's grid that died since the last round fails
+        the call (:class:`WorkerCrashedError`, grid torn down) rather than
+        letting it fall through to the collected factors unnoticed; later
+        calls then use those factors at the previous λ.
         """
         coordinator = self.coordinator_
+        if coordinator is not None:
+            coordinator.check_workers()
         if coordinator is not None and coordinator.current:
             return coordinator
         if self.factors_ is not None:

@@ -9,13 +9,15 @@ stable across library versions) together with a JSON header describing the
 payload:
 
 * every array has a dotted hierarchical key (``tree.perm``, ``hss.7.D``,
-  ``ulv.3.omega``, ``model.weights``); the archive holds three members
-  whatever the tree size — the header, an index (key, dtype, shape, byte
-  offset and memory order per array) and one ``uint8`` payload every
-  array is a view into,
+  ``ulv.3.omega``, ``model.weights``); the archive holds four members
+  whatever the tree size — the header, a key list (the keys plus a dtype
+  vocabulary, as one string), an ``int64`` index table (dtype code,
+  memory order, ndim, byte offset and shape per array) and one ``uint8``
+  payload every array is a view into,
 * the header records a format tag, a schema version, the model kind, the
   scalar configuration (kernel name and parameters, ``h``, ``lambda``,
-  solver) and a SHA-256 checksum over all array payloads,
+  solver) and a SHA-256 checksum over the key list, the index table and
+  the payload,
 * the checksum is verified on load, so a truncated or corrupted artifact
   raises :class:`ArtifactError` instead of silently mispredicting.
 
@@ -35,8 +37,17 @@ Schema history (full layout spec in ``docs/serving.md``):
 * **version 3** — the packed container: the same keys and arrays, but
   one payload member plus an index instead of one zip member per array
   (7 084 members for a 531-node tree made a reload cost 60 % of a cold
-  fit).  Written for every model; versions 1 and 2 remain readable, the
-  reader picking the container from the header's version.
+  fit).  Versions 1 and 2 remain readable, the reader picking the
+  container from the header's version.
+* **version 4** — the columnar index: the JSON list of version 3 (one
+  entry per array, decoded and checked in a Python step each) becomes the
+  key list plus one ``int64`` table the reader checks with vectorised
+  NumPy, and the per-array checksum (two ``update`` calls per array)
+  becomes one SHA-256 over the other three members, verified in three
+  ``update`` calls whatever the number of arrays.  The
+  keys, dtypes, shapes and bytes of the arrays are those of version 3.
+  Written for every model; versions 1-3 remain readable and keep their
+  per-array checksum.
 
 Since the compress-once/refit-many split, artifacts additionally carry the
 λ-free compression (the stored ``hss.*`` / ``dist.*.hss.*`` generators no
@@ -78,10 +89,10 @@ from ..utils.timing import TimingLog
 
 #: format tag written into every artifact header
 FORMAT_TAG = "repro.serving/model"
-#: schema version this library writes, and the highest it reads (3 is the
-#: packed container; 1 and 2 stored one zip member per array — see
-#: docs/serving.md)
-FORMAT_VERSION = 3
+#: schema version this library writes, and the highest it reads (4 is the
+#: columnar index; 3 indexed the same payload with JSON, and 1 and 2 stored
+#: one zip member per array — see docs/serving.md)
+FORMAT_VERSION = 4
 
 KIND_BINARY = "kernel_ridge_classifier"
 KIND_MULTICLASS = "one_vs_all_classifier"
@@ -108,7 +119,8 @@ class ModelArtifact:
     created:
         ISO-8601 UTC timestamp of the save.
     checksum:
-        SHA-256 hex digest over all array payloads.
+        SHA-256 hex digest over the key list, index table and payload
+        (versions 1-3: over every array's key, dtype, shape and bytes).
     config:
         Scalar model configuration (kernel, ``h``, ``lambda``, solver, ...).
     metadata:
@@ -306,16 +318,27 @@ def kernel_from_spec(spec: Dict[str, object]) -> Kernel:
 # --------------------------------------------------------------------------
 
 _HEADER_KEY = "__artifact__"
+_KEYS_KEY = "__keys__"
 _INDEX_KEY = "__index__"
 _PAYLOAD_KEY = "__payload__"
 #: every array starts at a multiple of this many bytes inside the payload
 _ALIGN = 64
 #: newest schema version that stored one zip member per array
 _LAST_PER_MEMBER_VERSION = 2
+#: the one schema version whose index was a JSON list (and whose checksum
+#: was the per-array one of the per-member versions)
+_JSON_INDEX_VERSION = 3
+#: memory orders, by their code in the index table
+_ORDERS = "CF"
+#: leading columns of an index-table row; the shape fills the rest
+_FIXED_COLUMNS = 4
+#: padding source: a gap before an array is always shorter than _ALIGN
+_ZEROS = memoryview(bytes(_ALIGN))
 
 
-def _payload_checksum(arrays: Dict[str, np.ndarray]) -> str:
-    """SHA-256 over every array's key, dtype, shape and raw bytes."""
+def _legacy_checksum(arrays: Dict[str, np.ndarray]) -> str:
+    """Versions 1-3: SHA-256 over every array's key, dtype, shape and raw
+    bytes, in sorted key order."""
     digest = hashlib.sha256()
     for key in sorted(arrays):
         a = np.ascontiguousarray(arrays[key])
@@ -333,35 +356,47 @@ def _memory_bytes(a: np.ndarray):
     stored C-ordered.
     """
     if a.flags.c_contiguous:
-        return "C", a.reshape(-1).view(np.uint8)
+        return 0, a.reshape(-1).view(np.uint8)
     if a.flags.f_contiguous:
-        return "F", a.T.reshape(-1).view(np.uint8)
-    return "C", np.ascontiguousarray(a).reshape(-1).view(np.uint8)
+        return 1, a.T.reshape(-1).view(np.uint8)
+    return 0, np.ascontiguousarray(a).reshape(-1).view(np.uint8)
 
 
-def _write_json_member(zf: zipfile.ZipFile, key: str, document,
-                       compress_type: int = zipfile.ZIP_STORED) -> None:
-    """``document`` as UTF-8 JSON in a ``uint8`` ``.npy`` member."""
+def _write_member(zf: zipfile.ZipFile, key: str, array: np.ndarray,
+                  compress_type: int = zipfile.ZIP_STORED) -> None:
+    """``array`` as the ``.npy`` member ``key``."""
     info = zipfile.ZipInfo(key + ".npy")
     info.compress_type = compress_type
-    raw = json.dumps(document, sort_keys=True).encode("utf-8")
     with zf.open(info, "w", force_zip64=True) as member:
-        np.lib.format.write_array(member, np.frombuffer(raw, dtype=np.uint8),
-                                  allow_pickle=False)
+        np.lib.format.write_array(member, array, allow_pickle=False)
+
+
+def _layout(arrays: Dict[str, np.ndarray]):
+    """The key list, the index table and ``(offset, bytes)`` per array."""
+    dtypes: Dict[str, int] = {}
+    rows, chunks, end = [], [], 0
+    for key, a in arrays.items():
+        if "\n" in key:
+            raise ArtifactError(f"array key {key!r} contains a newline")
+        a = np.asarray(a)
+        order, raw = _memory_bytes(a)
+        offset = -(-end // _ALIGN) * _ALIGN
+        code = dtypes.setdefault(a.dtype.str, len(dtypes))
+        rows.append([code, order, a.ndim, offset, *a.shape])
+        chunks.append((offset, raw))
+        end = offset + raw.size
+    width = max((len(row) for row in rows), default=_FIXED_COLUMNS)
+    table = np.array([row + [0] * (width - len(row)) for row in rows],
+                     dtype="<i8").reshape(len(rows), width)
+    keys = "\n".join([" ".join(dtypes), *arrays]).encode("utf-8")
+    return np.frombuffer(keys, dtype=np.uint8), table, chunks, end
 
 
 def _write_archive(path: str, header: Dict[str, object],
                    arrays: Dict[str, np.ndarray]) -> None:
-    index, chunks, end = [], [], 0
-    for key, a in arrays.items():
-        a = np.asarray(a)
-        order, raw = _memory_bytes(a)
-        offset = -(-end // _ALIGN) * _ALIGN
-        index.append({"key": key, "dtype": a.dtype.str,
-                      "shape": list(a.shape), "offset": offset,
-                      "order": order})
-        chunks.append((offset, raw))
-        end = offset + raw.size
+    """Write a version-4 archive; stamps its checksum into ``header``."""
+    keys, table, chunks, end = _layout(arrays)
+    digest = _digest(keys, table)  # the payload joins it as it is written
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     # Write to a temp file of our own and publish atomically: saving over
@@ -371,12 +406,11 @@ def _write_archive(path: str, header: Dict[str, object],
     try:
         with open(tmp_path, "xb") as fh:
             with zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED) as zf:
-                _write_json_member(zf, _HEADER_KEY, header)
-                # ~90 bytes of JSON per array: deflated, a tenth of that.
-                _write_json_member(zf, _INDEX_KEY, index,
-                                   zipfile.ZIP_DEFLATED)
-                # Each buffer goes straight into the member; staging the
-                # payload first would hold a second copy of the model.
+                _write_member(zf, _KEYS_KEY, keys, zipfile.ZIP_DEFLATED)
+                _write_member(zf, _INDEX_KEY, table, zipfile.ZIP_DEFLATED)
+                # Each buffer goes straight into the member and the digest;
+                # staging the payload first would hold a second copy of
+                # the model.
                 with zf.open(_PAYLOAD_KEY + ".npy", "w",
                              force_zip64=True) as member:
                     np.lib.format.write_array_header_1_0(
@@ -385,9 +419,16 @@ def _write_archive(path: str, header: Dict[str, object],
                     pos = 0
                     for offset, raw in chunks:
                         if offset > pos:
-                            member.write(bytes(offset - pos))
+                            member.write(_ZEROS[:offset - pos])
+                            digest.update(_ZEROS[:offset - pos])
                         member.write(raw)
+                        digest.update(raw)
                         pos = offset + raw.size
+                # The header goes last: it carries the digest of the rest.
+                header["checksum"] = digest.hexdigest()
+                raw_header = json.dumps(header, sort_keys=True).encode("utf-8")
+                _write_member(zf, _HEADER_KEY,
+                              np.frombuffer(raw_header, dtype=np.uint8))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp_path, path)
@@ -397,42 +438,104 @@ def _write_archive(path: str, header: Dict[str, object],
         raise
 
 
-def _unpack(path: str, index_raw: np.ndarray,
-            payload: np.ndarray) -> Dict[str, np.ndarray]:
-    """The arrays of a packed archive, as writable views into ``payload``.
+def _digest(*members: np.ndarray):
+    """SHA-256 over the bytes of ``members``, in order: the key list, the
+    index table and the payload make the version-4 checksum."""
+    digest = hashlib.sha256()
+    for member in members:
+        digest.update(np.ascontiguousarray(member))
+    return digest
 
-    The index comes from outside the program: every entry is checked
-    against the payload before a view is made, so a torn or hand-crafted
-    index raises :class:`ArtifactError` and never yields an array.
+
+def _check_members(keys: np.ndarray, table: np.ndarray,
+                   payload: np.ndarray) -> None:
+    """The three index and payload members have the types the spec says."""
+    for name, member, ndim, dtype in ((_KEYS_KEY, keys, 1, "|u1"),
+                                      (_INDEX_KEY, table, 2, "<i8"),
+                                      (_PAYLOAD_KEY, payload, 1, "|u1")):
+        if member.ndim != ndim or member.dtype.str != dtype:
+            raise ValueError(f"{name} is a {member.ndim}-d {member.dtype.str} "
+                             f"array, not {ndim}-d {dtype}")
+
+
+def _unpack(keys_raw: np.ndarray, table: np.ndarray,
+            payload: np.ndarray) -> Dict[str, np.ndarray]:
+    """The arrays of a version-4 archive, as writable views into ``payload``.
+
+    The index comes from outside the program: the whole table is checked
+    against the key list and the payload, column by column, before the
+    first view is made, so a torn or hand-crafted index raises and never
+    yields an array.
     """
-    try:
-        index = json.loads(bytes(index_raw).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ArtifactError(f"{path!r} has a corrupted index: {exc}") from exc
+    vocabulary, *keys = bytes(keys_raw).decode("utf-8").split("\n")
+    dtypes = [np.dtype(s) for s in vocabulary.split(" ")] if keys else []
+    if any(dtype.hasobject for dtype in dtypes):
+        raise ValueError(f"object dtype in {vocabulary!r}")
+    if len(set(keys)) != len(keys):
+        raise ValueError("duplicated key")
+    if table.shape[0] != len(keys) or table.shape[1] < _FIXED_COLUMNS:
+        raise ValueError(f"{len(keys)} keys for a table of shape "
+                         f"{table.shape}")
+    code, order, ndim, offset = table[:, :_FIXED_COLUMNS].T
+    shape = table[:, _FIXED_COLUMNS:]
+    if np.any((code < 0) | (code >= len(dtypes))):
+        raise ValueError(f"dtype code outside 0..{len(dtypes) - 1}")
+    if np.any((order < 0) | (order >= len(_ORDERS))):
+        raise ValueError("memory order code outside 0..1")
+    if np.any((ndim < 0) | (ndim > shape.shape[1])):
+        raise ValueError(f"ndim outside 0..{shape.shape[1]}")
+    used = np.arange(shape.shape[1]) < ndim[:, None]
+    if np.any(shape < 0) or np.any(shape[~used]):
+        raise ValueError("negative dimension or a dimension past ndim")
+    dims = np.where(used, shape, 1)
+    itemsize = np.array([d.itemsize for d in dtypes], dtype=np.int64)[code]
+    # The size in float first: an int64 product of hostile dims can wrap.
+    empty = np.any(dims == 0, axis=1)
+    approx = np.prod(dims, axis=1, dtype=np.float64) * itemsize
+    if np.any(~empty & (approx > payload.nbytes)) or np.any(
+            offset > payload.nbytes):
+        raise ValueError(f"an array ends past the {payload.nbytes}-byte "
+                         f"payload")
+    end = offset + np.where(empty, 0, np.prod(dims, axis=1)) * itemsize
+    # Aligned, ascending offsets: no two (writable) views share bytes.
+    if np.any((offset < 0) | (offset % _ALIGN != 0)):
+        raise ValueError(f"an offset is negative or not a multiple of "
+                         f"{_ALIGN}")
+    if np.any(offset[1:] < end[:-1]) or (len(keys) and end[-1] >
+                                        payload.nbytes):
+        raise ValueError("arrays overlap or end past the payload")
+    # Positional arguments and tuple shapes: this loop is most of a load.
+    return {key: np.ndarray(tuple(extent[:n]), dtypes[c], payload, o, None,
+                            _ORDERS[f])
+            for key, (c, f, n, o, *extent) in zip(keys, table.tolist())}
+
+
+def _unpack_json_index(index_raw: np.ndarray,
+                       payload: np.ndarray) -> Dict[str, np.ndarray]:
+    """The arrays of a version-3 archive (a JSON list of index entries),
+    every entry checked against the payload before its view is made."""
+    index = json.loads(bytes(index_raw).decode("utf-8"))
     arrays: Dict[str, np.ndarray] = {}
     end = 0
-    try:
-        for entry in index:
-            key, offset = entry["key"], entry["offset"]
-            dtype, shape = np.dtype(str(entry["dtype"])), entry["shape"]
-            if not isinstance(key, str) or key in arrays:
-                raise ValueError(f"key {key!r} is duplicated or not a string")
-            if dtype.hasobject:
-                raise ValueError(f"{key!r} has object dtype {dtype}")
-            if any(type(n) is not int or n < 0 for n in shape):
-                raise ValueError(f"{key!r} has shape {shape}")
-            # Ascending offsets: no two (writable) views share bytes.
-            if type(offset) is not int or offset < end or offset % _ALIGN:
-                raise ValueError(f"{key!r} has offset {offset}")
-            end = offset + dtype.itemsize * math.prod(shape)
-            if end > payload.nbytes:
-                raise ValueError(
-                    f"{key!r} ends at byte {end} of a {payload.nbytes}-byte "
-                    f"payload")
-            arrays[key] = np.ndarray(shape, dtype=dtype, buffer=payload,
-                                     offset=offset, order=entry["order"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ArtifactError(f"{path!r} has a malformed index: {exc}") from exc
+    for entry in index:
+        key, offset = entry["key"], entry["offset"]
+        dtype, shape = np.dtype(str(entry["dtype"])), entry["shape"]
+        if not isinstance(key, str) or key in arrays:
+            raise ValueError(f"key {key!r} is duplicated or not a string")
+        if dtype.hasobject:
+            raise ValueError(f"{key!r} has object dtype {dtype}")
+        if any(type(n) is not int or n < 0 for n in shape):
+            raise ValueError(f"{key!r} has shape {shape}")
+        # Ascending offsets: no two (writable) views share bytes.
+        if type(offset) is not int or offset < end or offset % _ALIGN:
+            raise ValueError(f"{key!r} has offset {offset}")
+        end = offset + dtype.itemsize * math.prod(shape)
+        if end > payload.nbytes:
+            raise ValueError(
+                f"{key!r} ends at byte {end} of a {payload.nbytes}-byte "
+                f"payload")
+        arrays[key] = np.ndarray(shape, dtype=dtype, buffer=payload,
+                                 offset=offset, order=entry["order"])
     return arrays
 
 
@@ -500,22 +603,45 @@ def _artifact_from_header(path: str, header: Dict[str, object]) -> ModelArtifact
     )
 
 
-def _read_archive(path: str, verify: bool = True):
+def _read_archive(path: str):
+    """The ``(header, arrays)`` of the archive at ``path``, checksum verified."""
     with _open_archive(path) as npz:
         header = _read_header(path, npz)
-        if header["version"] <= _LAST_PER_MEMBER_VERSION:
+        version = header["version"]
+        if version <= _LAST_PER_MEMBER_VERSION:
             arrays = {k: npz[k] for k in npz.files if k != _HEADER_KEY}
+        elif version == _JSON_INDEX_VERSION:
+            index, payload = npz[_INDEX_KEY], npz[_PAYLOAD_KEY]
+            with _index_errors(path):
+                arrays = _unpack_json_index(index, payload)
         else:
-            arrays = _unpack(path, npz[_INDEX_KEY], npz[_PAYLOAD_KEY])
-    if verify:
-        expected = header.get("checksum")
-        actual = _payload_checksum(arrays)
-        if expected != actual:
-            raise ArtifactError(
-                f"{path!r} failed checksum verification (stored "
-                f"{str(expected)[:12]}..., computed {actual[:12]}...); the "
-                f"artifact is corrupted or was modified")
+            members = npz[_KEYS_KEY], npz[_INDEX_KEY], npz[_PAYLOAD_KEY]
+            with _index_errors(path):
+                _check_members(*members)
+                _verify(path, header, _digest(*members).hexdigest())
+                return header, _unpack(*members)
+    _verify(path, header, _legacy_checksum(arrays))
     return header, arrays
+
+
+@contextlib.contextmanager
+def _index_errors(path: str):
+    """A torn or hand-crafted index leaves as :class:`ArtifactError`."""
+    try:
+        yield
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ArtifactError(f"{path!r} has a corrupted index: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ArtifactError(f"{path!r} has a malformed index: {exc}") from exc
+
+
+def _verify(path: str, header: Dict[str, object], actual: str) -> None:
+    expected = header.get("checksum")
+    if expected != actual:
+        raise ArtifactError(
+            f"{path!r} failed checksum verification (stored "
+            f"{str(expected)[:12]}..., computed {actual[:12]}...); the "
+            f"artifact is corrupted or was modified")
 
 
 # --------------------------------------------------------------------------
@@ -747,7 +873,6 @@ def save_model(model, path: str, metadata: Optional[Dict[str, object]] = None,
             "version": FORMAT_VERSION,
             "kind": kind,
             "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            "checksum": _payload_checksum(arrays),
             "config": config,
             "metadata": dict(metadata or {}),
         }
@@ -765,11 +890,11 @@ def load_model(path: str):
     factors of a sharded fit) is reattached, so the returned model
     predicts — and, when the factorization was included, solves — exactly
     like the original.  The arrays of the model are writable views into
-    the archive's one payload buffer (for artifacts of schema version 3;
-    older ones load one array per zip member).
+    the archive's one payload buffer (for artifacts of schema version 3
+    and later; older ones load one array per zip member).
     """
     with trace.span("artifact.load") as span:
-        header, arrays = _read_archive(path, verify=True)
+        header, arrays = _read_archive(path)
         span.attributes.update(bytes=os.path.getsize(path),
                                arrays=len(arrays), version=header["version"])
         return _model_from_arrays(path, header, arrays)

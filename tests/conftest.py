@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import concurrent.futures
+import os
 import time
 
 import numpy as np
@@ -45,6 +46,19 @@ def wait_until(predicate, timeout: float = 10.0, interval: float = 0.01,
         if time.monotonic() >= deadline:
             raise AssertionError(f"{message} (after {timeout:.1f}s)")
         time.sleep(interval)
+
+
+def docs_recipe() -> str:
+    """The "Reading an artifact without the library" code block of
+    ``docs/serving.md``, as written; it reads ``model.npz`` in the working
+    directory and leaves ``header``, ``arrays``, ``digest`` and
+    ``predict`` in its namespace."""
+    docs = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        os.pardir, "docs", "serving.md")
+    with open(docs, encoding="utf-8") as fh:
+        section = fh.read().split(
+            "## Reading an artifact without the library")[1]
+    return section.split("```python\n")[1].split("```")[0]
 
 
 def same_hmatrix_blocks(a, b) -> bool:

@@ -1,12 +1,19 @@
 """Writes the ``legacy_*.npz`` fixtures next to this file.
 
-Provenance, not part of the suite: the fixtures must come from the last
-writer of the per-member container (schema versions 1 and 2), so this
-script is run against a checkout of that commit, never against the
-current tree::
+Provenance, not part of the suite: each set of fixtures must come from
+the last writer of its container, so this script is run against a
+checkout of that commit, never against the current tree.  The per-member
+container (schema versions 1 and 2) was last written by 33d77b0::
 
     git clone <this repo> /tmp/parent && git -C /tmp/parent checkout 33d77b0
     PYTHONPATH=/tmp/parent/src python tests/data/make_legacy_artifacts.py
+
+and the JSON-indexed packed container (schema version 3) by a02e8fb,
+which writes ``legacy_v3_*.npz`` by loading each per-member fixture and
+saving it again — the same arrays, so the same ``expected.npz`` holds::
+
+    git -C /tmp/parent checkout a02e8fb
+    PYTHONPATH=/tmp/parent/src python tests/data/make_legacy_artifacts.py v3
 
 ``tests/test_legacy_artifacts.py`` loads what it wrote.  ``expected.npz``
 holds the query rows, each model's weights and decision values on them,
@@ -14,14 +21,26 @@ and the rows the lifecycle verbs of that test stream in.
 """
 
 import os
+import sys
 
 import numpy as np
 
 from repro.datasets import gaussian_mixture
 from repro.krr import KernelRidgeClassifier, OneVsAllClassifier
-from repro.serving import read_artifact
+from repro.serving import load_model, read_artifact
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+NAMES = ("hss", "dense", "ova", "sharded", "midstream")
+
+
+def resave_as_v3():
+    for name in NAMES:
+        model = load_model(os.path.join(HERE, f"legacy_{name}.npz"))
+        path = os.path.join(HERE, f"legacy_v3_{name}.npz")
+        artifact = model.save(path)
+        assert artifact.version == 3, "run this against a02e8fb"
+        print(f"v3_{name}: {os.path.getsize(path)} bytes, "
+              f"{artifact.checksum[:12]}")
 
 
 def main():
@@ -62,4 +81,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    resave_as_v3() if sys.argv[1:] == ["v3"] else main()

@@ -1,16 +1,18 @@
-"""The packed artifact container (schema version 3) and its faults.
+"""The packed artifact container (schema version 4) and its faults.
 
 Three groups:
 
-* a guard, in the style of ``test_call_count_budget``, so one zip member
-  per array per node cannot creep back: member count, the Python + C calls
-  of one ``load_model``, and the properties the views must keep (writable,
-  saved memory order, bitwise re-solve);
-* torn and hostile archives, table-driven over both containers (the packed
-  one and the per-member one of versions 1 and 2): every row makes
-  ``load_model`` raise :class:`ArtifactError` — never ``ValueError``,
-  ``IndexError`` or ``BadZipFile`` — and ``read_artifact`` raises only
-  when the zip structure or the header member itself is damaged;
+* a guard, in the style of ``test_call_count_budget``, so neither one zip
+  member per array per node nor per-array Python in the index can creep
+  back: member count (the same for every tree size), the Python + C calls
+  of one ``load_model``, and the properties the views must keep
+  (writable, aligned, saved memory order, bitwise re-solve);
+* torn and hostile archives, table-driven over the three containers (the
+  columnar one of version 4, the JSON-indexed one of version 3 and the
+  per-member one of versions 1 and 2): every row makes ``load_model``
+  raise :class:`ArtifactError` — never ``ValueError``, ``IndexError`` or
+  ``BadZipFile`` — and ``read_artifact`` raises only when the zip
+  structure or the header member itself is damaged;
 * the publish step: a write that fails midway leaves the previous archive
   in place and no temp file behind.
 """
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import cProfile
 import gc
+import hashlib
 import json
 import os
 import shutil
@@ -27,17 +30,23 @@ import zipfile
 
 import numpy as np
 import pytest
+from conftest import docs_recipe
 
 from repro.datasets import standardize, susy_like
 from repro.krr import KernelRidgeClassifier
 from repro.obs import trace
 from repro.serving import ArtifactError, load_model, read_artifact
 from repro.serving.serialize import (_ALIGN, _HEADER_KEY, _INDEX_KEY,
-                                     _PAYLOAD_KEY, FORMAT_VERSION,
+                                     _KEYS_KEY, _PAYLOAD_KEY, FORMAT_VERSION,
                                      _read_archive)
 
-LEGACY = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
-                      "legacy_hss.npz")
+DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+#: the same model in the per-member (version 1) and the JSON-indexed
+#: (version 3) container, written by those containers' last writers
+LEGACY = os.path.join(DATA, "legacy_hss.npz")
+V3 = os.path.join(DATA, "legacy_v3_hss.npz")
+#: leading columns of a version-4 index row (docs/serving.md)
+CODE, ORDER, NDIM, OFFSET, SHAPE = range(5)
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +69,7 @@ def hss_model(susy):
 
 @pytest.fixture(scope="module")
 def packed(tmp_path_factory, hss_model):
-    """A version-3 archive of the 97-node HSS model."""
+    """A version-4 archive of the 97-node HSS model."""
     path = str(tmp_path_factory.mktemp("packed") / "model.npz")
     hss_model.save(path)
     return path
@@ -68,16 +77,25 @@ def packed(tmp_path_factory, hss_model):
 
 # ----------------------------------------------------------------- the guard
 class TestPackedContainerGuard:
-    def test_member_count_and_load_call_budget(self, packed, hss_model):
+    def test_member_count_and_load_call_budget(self, packed, hss_model,
+                                               susy, tmp_path):
         """Per-node members made this 97-node model a 1 297-member archive
-        whose load took 236 313 Python + C calls; packed, it has three
-        members and loads in about 18 600.  The budget is a sixth of the
-        old count."""
+        whose load took 236 313 Python + C calls; the JSON-indexed
+        container of version 3 loaded it in about 18 600 (budget 40 000)
+        and the columnar one of version 4 in about 6 130.  The budget keeps
+        version 3's relative headroom, 2.15 times the count."""
         assert hss_model.clustering_.tree.n_nodes == 97
+        members = sorted(f"{key}.npy" for key in (
+            _HEADER_KEY, _KEYS_KEY, _INDEX_KEY, _PAYLOAD_KEY))
         with zipfile.ZipFile(packed) as zf:
-            assert sorted(zf.namelist()) == sorted(
-                f"{key}.npy" for key in (_HEADER_KEY, _INDEX_KEY, _PAYLOAD_KEY))
-        assert read_artifact(packed).version == FORMAT_VERSION == 3
+            assert sorted(zf.namelist()) == members
+        # ... and a 9-node tree has the same members as the 97-node one.
+        small = _fit((susy[0][:40], susy[1][:40]), solver="hss")
+        assert small.clustering_.tree.n_nodes == 9
+        small.save(str(tmp_path / "small.npz"))
+        with zipfile.ZipFile(tmp_path / "small.npz") as zf:
+            assert sorted(zf.namelist()) == members
+        assert read_artifact(packed).version == FORMAT_VERSION == 4
         profiler = cProfile.Profile()
         gc.collect()
         gc.disable()
@@ -87,7 +105,7 @@ class TestPackedContainerGuard:
             gc.enable()
         assert np.array_equal(model.weights_, hss_model.weights_)
         calls = sum(entry.callcount for entry in profiler.getstats())
-        assert calls <= 40_000, calls
+        assert calls <= 13_200, calls
 
     def test_views_are_writable_aligned_and_keep_their_memory_order(
             self, packed, hss_model):
@@ -111,13 +129,14 @@ class TestPackedContainerGuard:
         # The fixture exercises what it guards: ULV's transposed factors.
         assert fortran > 0
         with np.load(packed) as npz:
-            index = json.loads(bytes(npz[_INDEX_KEY]))
-        assert all(entry["offset"] % _ALIGN == 0 for entry in index)
+            table = npz[_INDEX_KEY]
+        assert np.all(table[:, OFFSET] % _ALIGN == 0)
 
     @pytest.mark.parametrize("kwargs", [dict(solver="hss"),
                                         dict(solver="dense"),
+                                        dict(solver="cg"),
                                         dict(solver="hss", shards=2)],
-                             ids=["hss", "dense", "shards2"])
+                             ids=["hss", "dense", "cg", "shards2"])
     def test_reload_solves_a_new_rhs_bitwise(self, tmp_path, susy, kwargs):
         model = _fit(susy, **kwargs)
         path = str(tmp_path / "model.npz")
@@ -150,21 +169,18 @@ def test_docs_recipe_reads_the_archive_without_the_library(
     """The "Reading an artifact without the library" block of
     ``docs/serving.md``, executed as written (CI runs it against the
     archive the ``repro`` CLI leaves behind)."""
-    docs = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
-                        "docs", "serving.md")
-    with open(docs, encoding="utf-8") as fh:
-        section = fh.read().split(
-            "## Reading an artifact without the library")[1]
-    recipe = section.split("```python\n")[1].split("```")[0]
+    recipe = docs_recipe()
     assert "import repro" not in recipe and "from repro" not in recipe
-    hss_model.save(str(tmp_path / "model.npz"))
+    artifact = hss_model.save(str(tmp_path / "model.npz"))
     monkeypatch.chdir(tmp_path)  # the recipe opens "model.npz"
     scope = {}
     exec(compile(recipe, "docs/serving.md", "exec"), scope)
+    assert scope["digest"].hexdigest() == artifact.checksum
     _, arrays = _read_archive("model.npz")
     assert sorted(scope["arrays"]) == sorted(arrays)
     for key, restored in arrays.items():
         assert np.array_equal(scope["arrays"][key], restored), key
+        assert scope["arrays"][key].dtype == restored.dtype, key
     queries = susy[0][:64]
     assert np.array_equal(scope["predict"](queries),
                           hss_model.predict(queries))
@@ -206,12 +222,21 @@ def _flip(path, region):
 #: (container, damage, region, does the header-only read still succeed)
 DAMAGE = [
     ("packed", _truncate, f"{_HEADER_KEY}.npy", False),
+    ("packed", _truncate, f"{_KEYS_KEY}.npy", False),
     ("packed", _truncate, f"{_INDEX_KEY}.npy", False),
     ("packed", _truncate, f"{_PAYLOAD_KEY}.npy", False),
     ("packed", _truncate, "central directory", False),
     ("packed", _flip, f"{_HEADER_KEY}.npy", False),
+    ("packed", _flip, f"{_KEYS_KEY}.npy", True),
     ("packed", _flip, f"{_INDEX_KEY}.npy", True),
     ("packed", _flip, f"{_PAYLOAD_KEY}.npy", True),
+    ("v3", _truncate, f"{_HEADER_KEY}.npy", False),
+    ("v3", _truncate, f"{_INDEX_KEY}.npy", False),
+    ("v3", _truncate, f"{_PAYLOAD_KEY}.npy", False),
+    ("v3", _truncate, "central directory", False),
+    ("v3", _flip, f"{_HEADER_KEY}.npy", False),
+    ("v3", _flip, f"{_INDEX_KEY}.npy", True),
+    ("v3", _flip, f"{_PAYLOAD_KEY}.npy", True),
     ("legacy", _truncate, f"{_HEADER_KEY}.npy", False),
     ("legacy", _truncate, "model.weights.npy", False),
     ("legacy", _truncate, "central directory", False),
@@ -237,7 +262,8 @@ def test_damaged_archive_raises_artifact_error(tmp_path, packed, container,
                                                damage, region,
                                                header_survives):
     path = str(tmp_path / "model.npz")
-    shutil.copyfile(packed if container == "packed" else LEGACY, path)
+    shutil.copyfile({"packed": packed, "v3": V3, "legacy": LEGACY}[container],
+                    path)
     assert load_model(path) is not None  # the copy is good before the damage
     damage(path, region)
     with pytest.raises(ArtifactError):
@@ -245,10 +271,189 @@ def test_damaged_archive_raises_artifact_error(tmp_path, packed, container,
     _assert_header_read(path, header_survives)
 
 
+def _assert_hostile(path, message):
+    """Neither the loader nor the reader itself lets an array out."""
+    with pytest.raises(ArtifactError, match=message):
+        load_model(path)
+    with pytest.raises(ArtifactError, match=message):
+        _read_archive(path)
+    _assert_header_read(path, header_survives=True)
+
+
+# ------------------------------------------------ version 4: columnar index
+class _Parts:
+    """The members of a version-4 archive, decoded and editable: the dtype
+    vocabulary and the keys (the two halves of the key list), the index
+    table and the payload."""
+
+    def __init__(self, npz):
+        self.header = json.loads(bytes(npz[_HEADER_KEY]))
+        vocabulary, *self.keys = bytes(npz[_KEYS_KEY]).decode().split("\n")
+        self.dtypes = vocabulary.split(" ")
+        self.table = npz[_INDEX_KEY].copy()
+        self.payload = npz[_PAYLOAD_KEY].copy()
+
+    def key_list(self):
+        text = "\n".join([" ".join(self.dtypes), *self.keys])
+        return np.frombuffer(text.encode(), dtype=np.uint8).copy()
+
+
+def _repack_v4(source, target, edit=None, flip=None):
+    """Rewrite a version-4 archive with ``edit(parts)`` applied and the
+    checksum stamped afresh — a well-formed zip with fresh CRCs and a
+    matching digest, so only the library's structural checks stand
+    between the edit and an array — or with one byte of the member
+    ``flip`` inverted after the digest was taken."""
+    with np.load(source) as npz:
+        parts = _Parts(npz)
+    if edit is not None:
+        edit(parts)
+    members = {_KEYS_KEY: parts.key_list(), _INDEX_KEY: parts.table,
+               _PAYLOAD_KEY: parts.payload}
+    digest = hashlib.sha256()
+    for key in (_KEYS_KEY, _INDEX_KEY, _PAYLOAD_KEY):
+        digest.update(np.ascontiguousarray(members[key]).tobytes())
+    parts.header["checksum"] = digest.hexdigest()
+    if flip is not None:
+        raw = members[flip].reshape(-1).view(np.uint8)
+        raw[raw.size // 2] ^= 0x01
+    np.savez(target, **members, **{_HEADER_KEY: np.frombuffer(
+        json.dumps(parts.header).encode(), dtype=np.uint8)})
+
+
+def _cell(row, column, value):
+    def edit(parts):
+        parts.table[row, column] = value
+    return edit
+
+
+def _payload_end(parts):
+    parts.table[-1, OFFSET] = -(-parts.payload.size // _ALIGN) * _ALIGN + _ALIGN
+
+
+def _wrapping_shape(parts):
+    """Dims whose int64 product wraps to 0: only a float bound sees them."""
+    row = int(np.flatnonzero(parts.table[:, NDIM] == 2)[0])
+    parts.table[row, SHAPE:SHAPE + 2] = 1 << 32
+
+
+def _dim_past_ndim(parts):
+    row = int(np.flatnonzero(parts.table[:, NDIM] == 1)[0])
+    parts.table[row, SHAPE + 1] = 5
+
+
+def _ndim_past_the_table(parts):
+    parts.table[0, NDIM] = parts.table.shape[1] - SHAPE + 1
+
+
+def _code_past_the_vocabulary(parts):
+    parts.table[0, CODE] = len(parts.dtypes)
+
+
+def _vocabulary(position, dtype):
+    def edit(parts):
+        parts.dtypes[position] = dtype
+    return edit
+
+
+def _duplicate_key(parts):
+    parts.keys[1] = parts.keys[0]
+
+
+def _drop_key(parts):
+    parts.keys.pop()
+
+
+def _extra_key(parts):
+    parts.keys.append("model.extra")
+
+
+def _narrow_table(parts):
+    parts.table = np.ascontiguousarray(parts.table[:, :NDIM])
+
+
+def _float_table(parts):
+    parts.table = parts.table.astype(np.float64)
+
+
+def _int16_payload(parts):
+    parts.payload = parts.payload.astype(np.int16)
+
+
+HOSTILE_V4 = {
+    "misaligned-offset": _cell(1, OFFSET, 72),
+    "overlapping-offsets": _cell(1, OFFSET, 0),
+    "negative-offset": _cell(0, OFFSET, -_ALIGN),
+    "offset-past-payload": _payload_end,
+    "shape-past-payload": _cell(-1, SHAPE, 1 << 40),
+    "wrapping-shape": _wrapping_shape,
+    "negative-dim": _cell(0, SHAPE, -1),
+    "dim-past-ndim": _dim_past_ndim,
+    "ndim-wider-than-table": _ndim_past_the_table,
+    "negative-ndim": _cell(0, NDIM, -1),
+    "dtype-code-out-of-range": _code_past_the_vocabulary,
+    "negative-dtype-code": _cell(0, CODE, -1),
+    "unknown-order": _cell(0, ORDER, 2),
+    "object-dtype": _vocabulary(0, "|O"),
+    "structured-object-dtype": _vocabulary(0, "f8,O"),
+    "not-a-dtype": _vocabulary(0, "nosuchtype"),
+    "duplicate-keys": _duplicate_key,
+    "fewer-keys-than-rows": _drop_key,
+    "more-keys-than-rows": _extra_key,
+    "table-narrower-than-its-fixed-columns": _narrow_table,
+    "float-table": _float_table,
+    "int16-payload": _int16_payload,
+}
+
+
+def test_repacking_v4_without_an_edit_loads(tmp_path, packed, hss_model):
+    """The harness of the hostile rows writes loadable archives."""
+    path = str(tmp_path / "model.npz")
+    _repack_v4(packed, path)
+    assert np.array_equal(load_model(path).weights_, hss_model.weights_)
+
+
+@pytest.mark.parametrize("name", sorted(HOSTILE_V4))
+def test_hostile_v4_index_raises_artifact_error(tmp_path, packed, name):
+    path = str(tmp_path / "model.npz")
+    _repack_v4(packed, path, edit=HOSTILE_V4[name])
+    _assert_hostile(path, "malformed index")
+
+
+@pytest.mark.parametrize("member", [_KEYS_KEY, _INDEX_KEY, _PAYLOAD_KEY])
+def test_one_flipped_byte_fails_the_v4_checksum(tmp_path, packed, member):
+    path = str(tmp_path / "model.npz")
+    _repack_v4(packed, path, flip=member)
+    _assert_hostile(path, "checksum")
+
+
+def test_renamed_key_fails_the_v4_checksum(tmp_path, packed):
+    path = str(tmp_path / "model.npz")
+    _repack_v4(packed, path)
+    with np.load(path) as npz:
+        members = {key: npz[key] for key in npz.files}
+    members[_KEYS_KEY] = np.frombuffer(bytes(members[_KEYS_KEY]).replace(
+        b"hss.n_nodes", b"hss.n_nodez"), dtype=np.uint8)
+    np.savez(path, **members)
+    _assert_hostile(path, "checksum")
+
+
+def test_missing_v4_member(tmp_path, packed):
+    path = str(tmp_path / "model.npz")
+    with np.load(packed) as npz:
+        members = {key: npz[key] for key in npz.files if key != _KEYS_KEY}
+    np.savez(path, **members)
+    with pytest.raises(ArtifactError):
+        load_model(path)
+    _assert_header_read(path, header_survives=True)
+
+
+# -------------------------------------------- version 3: JSON list index
 def _repack(source, target, edit):
-    """Rewrite a packed archive with ``edit(index, payload)`` applied — a
-    well-formed zip with fresh CRCs, so only the library's own checks stand
-    between the edit and an array."""
+    """Rewrite a version-3 archive with ``edit(index, payload)`` applied —
+    a well-formed zip with fresh CRCs, so only the library's own checks
+    stand between the edit and an array (the per-array checksum of
+    version 3 covers no offset, order or padding)."""
     with np.load(source) as npz:
         header = npz[_HEADER_KEY]
         index = json.loads(bytes(npz[_INDEX_KEY]))
@@ -295,28 +500,26 @@ HOSTILE = {
 }
 
 
-def test_repacking_without_an_edit_loads(tmp_path, packed, hss_model):
-    """The harness of the hostile rows writes loadable archives."""
+def test_repacking_without_an_edit_loads(tmp_path):
+    """The harness of the hostile version-3 rows writes loadable archives."""
     path = str(tmp_path / "model.npz")
-    _repack(packed, path, lambda index, payload: None)
-    assert np.array_equal(load_model(path).weights_, hss_model.weights_)
+    _repack(V3, path, lambda index, payload: None)
+    assert read_artifact(path).version == 3
+    assert np.array_equal(load_model(path).weights_,
+                          load_model(V3).weights_)
 
 
 @pytest.mark.parametrize("name", sorted(HOSTILE))
-def test_hostile_index_raises_artifact_error(tmp_path, packed, name):
+def test_hostile_index_raises_artifact_error(tmp_path, name):
     edit, message = HOSTILE[name]
     path = str(tmp_path / "model.npz")
-    _repack(packed, path, edit)
-    with pytest.raises(ArtifactError, match=message):
-        load_model(path)
-    with pytest.raises(ArtifactError, match=message):
-        _read_archive(path)  # the reader itself: no array leaves it
-    _assert_header_read(path, header_survives=True)
+    _repack(V3, path, edit)
+    _assert_hostile(path, message)
 
 
-def test_index_that_is_not_json(tmp_path, packed):
+def test_index_that_is_not_json(tmp_path):
     path = str(tmp_path / "model.npz")
-    with np.load(packed) as npz:
+    with np.load(V3) as npz:
         members = {key: npz[key] for key in npz.files}
     members[_INDEX_KEY] = np.frombuffer(b"\xff\xfe not json", dtype=np.uint8)
     np.savez(path, **members)
@@ -332,7 +535,7 @@ def test_index_that_is_not_json(tmp_path, packed):
 # ------------------------------------------------------------ publish step
 class _FailingZipFile(zipfile.ZipFile):
     """A zip writer whose eighth member write fails, as a full disk would:
-    past the header and the index, inside the payload."""
+    past the key list and the index, inside the payload."""
 
     writes = 0
 

@@ -335,6 +335,34 @@ def test_worker_killed_before_refit_keeps_the_previous_lambda(small_problem):
         solver.close()
 
 
+def test_worker_dead_between_rounds_fails_the_refit(small_problem):
+    """A worker that has already exited when ``refit`` is called (its
+    death seen by no round yet) fails the call like a death mid-round:
+    the other worker goes too, the grid lists none, and the solver keeps
+    the λ and the weights it had."""
+    X_perm, tree, kernel, lam = _cluster_problem(small_problem)
+    rhs = np.random.default_rng(31).standard_normal(tree.n)
+    solver = _make_distributed_solver()
+    try:
+        solver.fit(X_perm, tree, kernel, lam)
+        grid = solver._owned_grid
+        processes = [w.process for w in grid._workers]
+        w_before = solver.solve(rhs).copy()
+        grid._workers[1].request.send("_crash")
+        processes[1].join(timeout=30.0)
+        assert processes[1].exitcode is not None  # dead before the call
+        assert len(grid._workers) == 2
+        with pytest.raises(WorkerCrashedError):
+            solver.refit(2.0 * lam)
+        assert grid._workers == [] and not grid.running
+        wait_until(lambda: not processes[0].is_alive(), timeout=10.0,
+                   interval=0.05, message="the live worker was orphaned")
+        assert solver.lam_ == lam and solver.report.refits == 0
+        assert np.array_equal(solver.solve(rhs), w_before)
+    finally:
+        solver.close()
+
+
 def test_a_failed_refit_puts_the_shards_back_at_the_model_lambda(
         small_problem, monkeypatch):
     """A training solve that fails after a sharded λ-move re-factors the

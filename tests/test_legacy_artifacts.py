@@ -1,12 +1,15 @@
-"""Artifacts written before the packed container still load.
+"""Artifacts written before the current container still load.
 
-``tests/data/legacy_*.npz`` were written by the last commit whose writer
-stored one zip member per array (schema versions 1 and 2; see
-``tests/data/make_legacy_artifacts.py`` for how).  They are the user of the
-reader's ``version <= 2`` path: each loads with its checksum verified,
-predicts what its writer predicted, re-saves as a version-3 archive with an
-unchanged checksum, and takes every lifecycle verb a freshly saved model
-takes — a ``refit`` from the factors it was stored with included.
+``tests/data/legacy_<model>.npz`` were written by the last commit whose
+writer stored one zip member per array (schema versions 1 and 2), and
+``tests/data/legacy_v3_<model>.npz`` are the same models saved again by
+the last writer of the JSON-indexed container (schema version 3; see
+``tests/data/make_legacy_artifacts.py`` for how).  They are the users of
+the reader's ``version <= 2`` and ``version == 3`` paths: each loads with
+its per-array checksum verified, predicts what its writer predicted,
+re-saves as a version-4 archive whose checksum the docs recipe recomputes,
+and takes every lifecycle verb a freshly saved model takes — a ``refit``
+from the factors it was stored with included.
 """
 
 from __future__ import annotations
@@ -16,15 +19,19 @@ import zipfile
 
 import numpy as np
 import pytest
-from conftest import cold_refactor
+from conftest import cold_refactor, docs_recipe
 
 from repro.hss import ULVFactorization
 from repro.serving import load_model, read_artifact
 from repro.serving.serialize import FORMAT_VERSION
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
-#: fixture name -> schema version its writer stamped
-FIXTURES = {"hss": 1, "dense": 1, "ova": 1, "sharded": 2, "midstream": 1}
+#: fixture name (``legacy_<name>.npz``) -> (model, schema version its
+#: writer stamped)
+FIXTURES = {"hss": ("hss", 1), "dense": ("dense", 1), "ova": ("ova", 1),
+            "sharded": ("sharded", 2), "midstream": ("midstream", 1),
+            **{f"v3_{model}": (model, 3) for model in (
+                "hss", "dense", "ova", "sharded", "midstream")}}
 
 
 @pytest.fixture(scope="module")
@@ -38,30 +45,43 @@ def _load(name):
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
-def test_loads_predicts_and_resaves_with_the_same_checksum(name, expected,
-                                                           tmp_path):
+def test_loads_predicts_and_resaves_as_the_current_version(
+        name, expected, tmp_path, monkeypatch):
+    model_name, version = FIXTURES[name]
     source = os.path.join(DATA, f"legacy_{name}.npz")
     old = read_artifact(source)
-    assert old.version == FIXTURES[name]
+    assert old.version == version
     with zipfile.ZipFile(source) as zf:
-        assert len(zf.namelist()) > 3  # one member per array
+        if version <= 2:
+            assert len(zf.namelist()) > 4  # one member per array
+        else:
+            assert sorted(zf.namelist()) == [
+                "__artifact__.npy", "__index__.npy", "__payload__.npy"]
 
     model = load_model(source)
     queries = expected["queries"]
-    assert np.array_equal(model.weights_, expected[f"weights.{name}"])
+    assert np.array_equal(model.weights_, expected[f"weights.{model_name}"])
     decision = model.decision_function(queries)
     # The recorded values crossed another host's BLAS and exp(); what is
     # bitwise here is the weights above and the two readers below.
-    np.testing.assert_allclose(decision, expected[f"decision.{name}"],
+    np.testing.assert_allclose(decision, expected[f"decision.{model_name}"],
                                rtol=1e-9, atol=1e-12)
 
-    path = str(tmp_path / "resaved.npz")
+    path = str(tmp_path / "model.npz")
     new = model.save(path)
-    assert new.version == FORMAT_VERSION == 3
-    assert new.checksum == old.checksum
+    assert new.version == FORMAT_VERSION == 4
+    # The version-4 digest covers the layout, so it is not the old one;
+    # it is a function of the model: saving the reloaded re-save again
+    # reproduces it, and the docs recipe recomputes it.
+    again_path = str(tmp_path / "again.npz")
+    assert load_model(path).save(again_path).checksum == new.checksum
+    monkeypatch.chdir(tmp_path)  # the recipe opens "model.npz"
+    scope = {}
+    exec(compile(docs_recipe(), "docs/serving.md", "exec"), scope)
+    assert scope["digest"].hexdigest() == new.checksum
     assert new.config["solver_state"] == old.config["solver_state"]
     with zipfile.ZipFile(path) as zf:
-        assert len(zf.namelist()) == 3
+        assert len(zf.namelist()) == 4
     again = load_model(path)
     assert np.array_equal(again.weights_, model.weights_)
     assert np.array_equal(again.X_train_, model.X_train_)
@@ -70,8 +90,9 @@ def test_loads_predicts_and_resaves_with_the_same_checksum(name, expected,
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_lifecycle_verbs_work_on_the_loaded_model(name, expected):
+    model_name = FIXTURES[name][0]
     extra_X = expected["extra_X"][4:]
-    extra_y = np.array([0, 1, 2, 1]) if name == "ova" \
+    extra_y = np.array([0, 1, 2, 1]) if model_name == "ova" \
         else expected["extra_y"][4:]
 
     model = _load(name)
@@ -89,7 +110,7 @@ def test_lifecycle_verbs_work_on_the_loaded_model(name, expected):
     assert np.all(np.isfinite(model.weights_))
 
     model = _load(name)
-    if name in ("sharded", "midstream"):
+    if model_name in ("sharded", "midstream"):
         # The refusals a fresh artifact of the same kind gives: restored
         # per-shard factors cannot be re-fitted from data, and Woodbury
         # corrections do not survive a kernel change.
@@ -101,7 +122,8 @@ def test_lifecycle_verbs_work_on_the_loaded_model(name, expected):
         assert not np.array_equal(model.weights_, original)
 
 
-@pytest.mark.parametrize("name", ["hss", "ova", "sharded", "midstream"])
+@pytest.mark.parametrize("name", ["hss", "ova", "sharded", "midstream",
+                                  "v3_hss", "v3_sharded"])
 def test_refit_from_the_stored_factors_is_bitwise_a_cold_factorization(
         name, monkeypatch):
     """The λ-free half read back from a legacy archive is the cold one."""

@@ -280,12 +280,10 @@ class TestModelStore:
         clf = KernelRidgeClassifier(h=1.0, lam=1.0, solver="dense", seed=0).fit(X, y)
         path = os.path.join(tmp_path, "model.npz")
         clf.save(path)
-        from repro.serving.serialize import (_payload_checksum, _read_archive,
-                                             _write_archive)
+        from repro.serving.serialize import _read_archive, _write_archive
         header, arrays = _read_archive(path)
-        # Rewrite without the weights but with a matching checksum.
+        # Rewrite without the weights; the writer stamps a matching checksum.
         del arrays["model.weights"]
-        header["checksum"] = _payload_checksum(arrays)
         _write_archive(path, header, arrays)
         with pytest.raises(ArtifactError, match="missing required entry"):
             load_model(path)
