@@ -38,8 +38,6 @@ class HSSOptions:
         Relative tolerance used by the low-rank compression of off-diagonal
         (Hankel) blocks.  This is the analogue of STRUMPACK's
         ``--hss_rel_tol``.
-    abs_tol:
-        Absolute tolerance floor used by the compression.
     max_rank:
         Hard cap on the rank of any off-diagonal block.  ``None`` means no
         cap (ranks are still bounded by the block size).
@@ -66,30 +64,30 @@ class HSSOptions:
     oversampling:
         Extra samples beyond the detected rank kept to make the range
         estimate robust.
-    symmetric:
-        If ``True`` the builder assumes ``A == A.T`` and reuses the row
-        compression for the columns, halving the work.  Kernel matrices are
-        symmetric so this defaults to ``True``.
+
+    The matrix compressed is a kernel matrix without the ridge shift, so
+    it is symmetric: the builders reuse the row compression for the
+    columns.
     """
 
     rel_tol: float = 1e-1
-    abs_tol: float = 1e-8
     max_rank: Optional[int] = None
     initial_samples: int = 32
     sample_increment: int = 16
     max_adaptive_rounds: int = 12
     oversampling: int = 8
-    symmetric: bool = True
 
     def __post_init__(self) -> None:
         if self.rel_tol <= 0:
             raise ValueError(f"rel_tol must be positive, got {self.rel_tol}")
-        if self.abs_tol < 0:
-            raise ValueError(f"abs_tol must be non-negative, got {self.abs_tol}")
         if self.initial_samples < 1:
             raise ValueError("initial_samples must be >= 1")
         if self.sample_increment < 1:
             raise ValueError("sample_increment must be >= 1")
+        if self.max_adaptive_rounds < 0:
+            raise ValueError("max_adaptive_rounds must be >= 0")
+        if self.oversampling < 0:
+            raise ValueError("oversampling must be >= 0")
         if self.max_rank is not None and self.max_rank < 1:
             raise ValueError("max_rank must be >= 1 or None")
 
@@ -137,6 +135,8 @@ class HMatrixOptions:
             raise ValueError("admissibility must be 'centroid' or 'box'")
         if self.rel_tol <= 0:
             raise ValueError("rel_tol must be positive")
+        if self.max_rank is not None and self.max_rank < 1:
+            raise ValueError("max_rank must be >= 1 or None")
 
     def with_(self, **kwargs) -> "HMatrixOptions":
         """Return a copy with the given fields replaced."""

@@ -18,21 +18,16 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
-from ..config import HMatrixOptions, HSSOptions
+from ..config import HSSOptions
 from ..clustering.api import cluster
 from ..clustering.kd_tree import kd_tree
 from ..datasets import load_dataset
 from ..datasets.normalize import minmax_scale, standardize
 from ..diagnostics.report import Table
-from ..hmatrix.build import build_hmatrix
-from ..hmatrix.sampler import HMatrixSampler
-from ..hss.build_random import build_hss_randomized
-from ..hss.ulv import ULVFactorization
+from ..hss.compressed import compress_kernel
 from ..kernels.gaussian import GaussianKernel
-from ..kernels.operator import ShiftedKernelOperator
 from ..krr.classifier import KernelRidgeClassifier
+from ..obs import global_registry
 
 
 # --------------------------------------------------------------------------
@@ -52,35 +47,35 @@ class SamplingAblationResult:
 def run_ablation_sampling(dataset: str = "susy", n_train: int = 2048,
                           hss_options: Optional[HSSOptions] = None,
                           seed: int = 0) -> SamplingAblationResult:
-    """Compare exact (dense) sampling with H-matrix accelerated sampling."""
-    opts = hss_options if hss_options is not None else HSSOptions()
+    """Compare exact (dense) sampling with H-matrix accelerated sampling.
+
+    Both arms are :func:`repro.hss.compress_kernel` on the λ-free kernel,
+    differing only in ``use_hmatrix_sampling``; the element evaluations
+    are the ``repro_kernel_element_evaluations_total`` delta of the call
+    (the H-matrix assembly included).
+    """
     data = load_dataset(dataset, n_train=n_train, n_test=64, seed=seed)
     clustering = cluster(data.X_train, method="two_means",
                          leaf_size=16, seed=seed)
     result = SamplingAblationResult(dataset=dataset, n=n_train)
+    evaluations = global_registry().counter(
+        "repro_kernel_element_evaluations_total")
 
     for label, use_h in (("dense sampling", False), ("hmatrix sampling", True)):
-        operator = ShiftedKernelOperator(clustering.X, GaussianKernel(h=data.h),
-                                         data.lam)
-        sampler = operator
-        h_time = 0.0
-        if use_h:
-            t0 = time.perf_counter()
-            hmat = build_hmatrix(operator, clustering.X, clustering.tree,
-                                 options=HMatrixOptions())
-            h_time = time.perf_counter() - t0
-            sampler = HMatrixSampler(hmat, operator)
-        hss, stats = build_hss_randomized(sampler, clustering.tree, options=opts,
-                                          rng=seed)
-        hss_stats = hss.statistics()
+        before = evaluations.value
+        report = compress_kernel(clustering.X, clustering.tree,
+                                 GaussianKernel(h=data.h),
+                                 hss_options=hss_options,
+                                 use_hmatrix_sampling=use_h, seed=seed).report
+        timings = report.timings
         result.rows.append({
             "strategy": label,
-            "h_construction_s": round(h_time, 4),
-            "sampling_s": round(stats.sample_time, 4),
-            "other_s": round(stats.other_time, 4),
-            "memory_mb": round(hss_stats.memory_mb, 3),
-            "max_rank": hss_stats.max_rank,
-            "element_evals": stats.element_evaluations,
+            "h_construction_s": round(timings.get("h_construction", 0.0), 4),
+            "sampling_s": round(timings.get("hss_sampling", 0.0), 4),
+            "other_s": round(timings.get("hss_other", 0.0), 4),
+            "memory_mb": round(report.hss_memory_mb, 3),
+            "max_rank": report.max_rank,
+            "element_evals": int(evaluations.value - before),
         })
     return result
 
@@ -213,19 +208,16 @@ def run_ablation_kd_split(dataset: str = "covtype", n_train: int = 1024,
     """Compare mean-split and median-split k-d tree orderings."""
     data = load_dataset(dataset, n_train=n_train, n_test=64, seed=seed)
     result = KDSplitAblationResult(dataset=dataset)
-    opts = HSSOptions()
     for label, use_median in (("mean split", False), ("median split", True)):
         tree = kd_tree(data.X_train, leaf_size=16,
                        use_median=use_median, seed=seed)
-        Xp = tree.apply_permutation(data.X_train)
-        operator = ShiftedKernelOperator(Xp, GaussianKernel(h=data.h), data.lam)
-        hss, _ = build_hss_randomized(operator, tree, options=opts, rng=seed)
-        stats = hss.statistics()
+        report = compress_kernel(tree.apply_permutation(data.X_train), tree,
+                                 GaussianKernel(h=data.h), seed=seed).report
         sizes = tree.leaf_sizes()
         result.rows.append({
             "split": label,
-            "memory_mb": round(stats.memory_mb, 3),
-            "max_rank": stats.max_rank,
+            "memory_mb": round(report.hss_memory_mb, 3),
+            "max_rank": report.max_rank,
             "max_leaf": int(sizes.max()),
             "min_leaf": int(sizes.min()),
             "depth": tree.depth(),

@@ -19,9 +19,8 @@ from ..config import HSSOptions
 from ..clustering.api import cluster
 from ..datasets import gas_like, standardize
 from ..diagnostics.report import Table
-from ..hss.build_random import build_hss_randomized
+from ..hss.compressed import compress_kernel
 from ..kernels.gaussian import GaussianKernel
-from ..kernels.operator import ShiftedKernelOperator
 
 
 @dataclass
@@ -57,8 +56,9 @@ def run_fig5_memory_vs_h(
 
     Only the compression is run (no classification) — memory is a property
     of the compressed kernel matrix alone, matching what Figure 5 plots.
+    It is the λ-free, H-sampled :func:`repro.hss.compress_kernel` that
+    training runs; ``lam`` only labels the table.
     """
-    opts = hss_options if hss_options is not None else HSSOptions()
     X, _ = gas_like(n, seed=seed)
     X = standardize(X)
     result = Fig5Result(n=n, lam=lam, h_values=list(h_values))
@@ -67,11 +67,9 @@ def run_fig5_memory_vs_h(
         result.memory_mb[ordering] = {}
         result.max_rank[ordering] = {}
         for h in h_values:
-            operator = ShiftedKernelOperator(clustering.X, GaussianKernel(h=float(h)),
-                                             lam)
-            hss, _ = build_hss_randomized(operator, clustering.tree, options=opts,
-                                          rng=seed)
-            stats = hss.statistics()
-            result.memory_mb[ordering][float(h)] = stats.memory_mb
-            result.max_rank[ordering][float(h)] = stats.max_rank
+            report = compress_kernel(clustering.X, clustering.tree,
+                                     GaussianKernel(h=float(h)),
+                                     hss_options=hss_options, seed=seed).report
+            result.memory_mb[ordering][float(h)] = report.hss_memory_mb
+            result.max_rank[ordering][float(h)] = report.max_rank
     return result

@@ -20,11 +20,9 @@ from ..config import HMatrixOptions, HSSOptions
 from ..clustering.api import cluster
 from ..datasets import susy_like, standardize
 from ..diagnostics.report import Table
-from ..hmatrix.build import build_hmatrix
-from ..hss.build_random import build_hss_randomized
+from ..hss.compressed import compress_kernel
 from ..hss.ulv import ULVFactorization
 from ..kernels.gaussian import GaussianKernel
-from ..kernels.operator import ShiftedKernelOperator
 from ..utils.bytes import megabytes
 from ..utils.timing import TimingLog
 
@@ -89,9 +87,12 @@ def run_fig7_asymptotic(
     n_rhs: int = 1,
     seed: int = 0,
 ) -> Fig7Result:
-    """Sweep N and measure compressed memory plus factor/solve wall time."""
-    hss_opts = hss_options if hss_options is not None else HSSOptions()
-    h_opts = hmatrix_options if hmatrix_options is not None else HMatrixOptions()
+    """Sweep N and measure compressed memory plus factor/solve wall time.
+
+    Every point is the training path of :class:`repro.krr.HSSSolver`: the
+    λ-free, H-sampled :func:`repro.hss.compress_kernel`, then the ULV of
+    ``K + lam I``.
+    """
     result = Fig7Result(h=h, lam=lam)
     rng = np.random.default_rng(seed)
     for n in sizes:
@@ -99,25 +100,24 @@ def run_fig7_asymptotic(
         X = standardize(X)
         clustering = cluster(X, method="two_means", leaf_size=16,
                              seed=seed)
-        operator = ShiftedKernelOperator(clustering.X, GaussianKernel(h=h), lam)
-        hmatrix = build_hmatrix(operator, clustering.X, clustering.tree,
-                                options=h_opts)
-        hss, _ = build_hss_randomized(operator, clustering.tree, options=hss_opts,
-                                      rng=seed)
+        compressed = compress_kernel(
+            clustering.X, clustering.tree, GaussianKernel(h=h),
+            hss_options=hss_options, hmatrix_options=hmatrix_options,
+            seed=seed)
+        hss, report = compressed.hss, compressed.report
         log = TimingLog()
-        factorization = ULVFactorization(hss, timing=log)
+        factorization = ULVFactorization.factor(hss, lam=lam, timing=log)
         b = rng.standard_normal((hss.n, n_rhs)) if n_rhs > 1 else rng.standard_normal(hss.n)
         t0 = time.perf_counter()
         factorization.solve(b)
         solve_time = time.perf_counter() - t0
-        stats = hss.statistics()
         result.points.append(Fig7Point(
             n=int(n),
-            hss_memory_mb=stats.memory_mb,
-            hmatrix_memory_mb=megabytes(hmatrix.nbytes),
+            hss_memory_mb=report.hss_memory_mb,
+            hmatrix_memory_mb=report.hmatrix_memory_mb,
             dense_memory_mb=megabytes(8.0 * n * n),
             factorization_time=log.get("factorization"),
             solve_time=solve_time,
-            max_rank=stats.max_rank,
+            max_rank=report.max_rank,
         ))
     return result

@@ -26,9 +26,8 @@ from ..config import HSSOptions
 from ..clustering.api import cluster
 from ..datasets import load_dataset
 from ..diagnostics.report import Table
-from ..hss.build_random import build_hss_randomized
+from ..hss.compressed import compress_kernel
 from ..kernels.gaussian import GaussianKernel
-from ..kernels.operator import ShiftedKernelOperator
 from ..parallel.strong_scaling import StrongScalingPoint, simulate_strong_scaling
 from ..parallel.work_model import estimate_hss_work
 
@@ -162,11 +161,11 @@ def run_fig8_strong_scaling(
                             **kwargs)
         clustering = cluster(data.X_train, method="two_means",
                              leaf_size=16, seed=seed)
-        operator = ShiftedKernelOperator(clustering.X, GaussianKernel(h=data.h),
-                                         data.lam)
-        hss, stats = build_hss_randomized(operator, clustering.tree, options=opts,
-                                          rng=seed)
-        work = estimate_hss_work(hss, n_random=stats.random_vectors)
+        compressed = compress_kernel(clustering.X, clustering.tree,
+                                     GaussianKernel(h=data.h),
+                                     hss_options=opts, seed=seed)
+        hss = compressed.hss
+        work = estimate_hss_work(hss, n_random=compressed.report.random_vectors)
         points = simulate_strong_scaling(work, core_counts=core_counts)
         measured_shards = [
             _measure_sharded_training(clustering.X, clustering.tree,

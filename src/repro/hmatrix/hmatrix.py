@@ -55,20 +55,9 @@ class HBlock:
             return self.dense @ xs
         return self.lowrank.U @ (self.lowrank.V.T @ xs)
 
-    def rproduct(self, x: np.ndarray) -> np.ndarray:
-        """``block.T @ x[rows]``, returned for accumulation."""
-        xs = x[self.row_slice]
-        if self.dense is not None:
-            return self.dense.T @ xs
-        return self.lowrank.V @ (self.lowrank.U.T @ xs)
-
     def matvec_into(self, x: np.ndarray, out: np.ndarray) -> None:
         """Accumulate ``block @ x[cols]`` into ``out[rows]`` (multi-rhs aware)."""
         out[self.row_slice] += self.product(x)
-
-    def rmatvec_into(self, x: np.ndarray, out: np.ndarray) -> None:
-        """Accumulate ``block.T @ x[rows]`` into ``out[cols]``."""
-        out[self.col_slice] += self.rproduct(x)
 
 
 @dataclass
@@ -113,16 +102,6 @@ class HMatrix:
         return np.dtype(np.float64)
 
     # --------------------------------------------------------------- products
-    def _sweep(self, X: np.ndarray, transpose: bool) -> np.ndarray:
-        """One block sweep, accumulating contributions in block-list order."""
-        out = np.zeros_like(X)
-        for blk in self.blocks:
-            if transpose:
-                blk.rmatvec_into(X, out)
-            else:
-                blk.matvec_into(X, out)
-        return out
-
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """Compute ``A_perm @ x`` by summing leaf-block contributions."""
         x = np.asarray(x, dtype=np.float64)
@@ -130,23 +109,15 @@ class HMatrix:
         X = x[:, None] if single else x
         if X.shape[0] != self._n:
             raise ValueError(f"x has {X.shape[0]} rows, expected {self._n}")
-        out = self._sweep(X, transpose=False)
-        return out.ravel() if single else out
-
-    def rmatvec(self, x: np.ndarray) -> np.ndarray:
-        """Compute ``A_perm.T @ x``."""
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        X = x[:, None] if single else x
-        out = self._sweep(X, transpose=True)
+        # one block sweep, accumulating contributions in block-list order
+        out = np.zeros_like(X)
+        for blk in self.blocks:
+            blk.matvec_into(X, out)
         return out.ravel() if single else out
 
     def matmat(self, V: np.ndarray) -> np.ndarray:
         """Blocked product ``A_perm @ V`` (same leaf sweep, multiple columns)."""
         return self.matvec(V)
-
-    def rmatmat(self, V: np.ndarray) -> np.ndarray:
-        return self.rmatvec(V)
 
     def to_dense(self) -> np.ndarray:
         """Materialise the full matrix (testing / small problems only)."""

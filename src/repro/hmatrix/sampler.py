@@ -79,17 +79,9 @@ class HMatrixSampler:
         self.matvec_sweeps += 1
         return self.hmatrix.matvec(v)
 
-    def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        self.matvec_sweeps += 1
-        return self.hmatrix.rmatvec(v)
-
     def matmat(self, V: np.ndarray) -> np.ndarray:
         self.matvec_sweeps += 1
         return self.hmatrix.matmat(V)
-
-    def rmatmat(self, V: np.ndarray) -> np.ndarray:
-        self.matvec_sweeps += 1
-        return self.hmatrix.rmatmat(V)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"HMatrixSampler(n={self.n}, hmatrix={self.hmatrix!r})"

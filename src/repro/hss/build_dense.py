@@ -1,9 +1,10 @@
 """Deterministic HSS construction from an explicit dense matrix.
 
 This is the reference builder: it walks the cluster tree bottom-up and
-compresses the off-diagonal block row / block column of every node with an
-interpolative decomposition, enforcing the nested-basis property by only
-compressing the *skeleton* rows/columns of the children at internal nodes.
+compresses the off-diagonal block row of every node with an interpolative
+decomposition, enforcing the nested-basis property by only compressing the
+*skeleton* rows of the children at internal nodes.  Kernel matrices are
+symmetric, so the column bases and skeletons are the row ones.
 
 A node's compression only reads the matrix and the children's skeletons,
 which belong to deeper levels, so the walk goes level by level, deepest
@@ -35,6 +36,17 @@ def _complement(n: int, start: int, stop: int) -> np.ndarray:
                            np.arange(stop, n, dtype=np.intp)])
 
 
+def _compress_rows(data: HSSNodeData, hankel_row: np.ndarray,
+                   rows: np.ndarray, opts: HSSOptions) -> HSSNodeData:
+    """Row-ID ``hankel_row``; the column basis is the row one (``A = A^T``)."""
+    rid = row_id(hankel_row, rel_tol=opts.rel_tol, max_rank=opts.max_rank)
+    data.U = rid.interp
+    data.V = rid.interp.copy()
+    data.row_skeleton = rows[rid.skeleton]
+    data.col_skeleton = data.row_skeleton.copy()
+    return data
+
+
 def build_hss_from_dense(
     A: np.ndarray,
     tree: ClusterTree,
@@ -45,25 +57,31 @@ def build_hss_from_dense(
     Parameters
     ----------
     A:
-        Dense square matrix in the *permuted* ordering defined by ``tree``
-        (i.e. ``A = A_original[perm][:, perm]``).
+        Dense symmetric matrix in the *permuted* ordering defined by
+        ``tree`` (i.e. ``A = A_original[perm][:, perm]``).
     tree:
         Cluster tree defining the HSS partition.
     options:
         Compression options; ``rel_tol`` controls the ID truncation,
-        ``max_rank`` caps the ranks.  The ``symmetric`` flag reuses the row
-        compression for the columns when ``A`` is symmetric.
+        ``max_rank`` caps the ranks.
 
     Returns
     -------
     HSSMatrix
+
+    Raises
+    ------
+    ValueError
+        If ``A`` is not symmetric (to ``1e-12`` absolute).
     """
     A = check_square(A, "A")
     opts = options if options is not None else HSSOptions()
     n = A.shape[0]
     if tree.n != n:
         raise ValueError(f"tree covers {tree.n} points but A has dimension {n}")
-    symmetric = opts.symmetric and np.allclose(A, A.T, atol=1e-12)
+    if not np.allclose(A, A.T, atol=1e-12):
+        raise ValueError("A must be symmetric: the HSS builders compress "
+                         "kernel matrices, whose column bases are the row ones")
 
     node_data: List[Optional[HSSNodeData]] = [None] * tree.n_nodes
 
@@ -83,23 +101,7 @@ def build_hss_from_dense(
                 data.col_skeleton = rows[:0]
                 return data
             # Row Hankel block A(I_i, I_i^c): select representative rows.
-            hankel_row = A[np.ix_(rows, comp)]
-            rid = row_id(hankel_row, rel_tol=opts.rel_tol, abs_tol=opts.abs_tol,
-                         max_rank=opts.max_rank)
-            data.U = rid.interp
-            data.row_skeleton = rows[rid.skeleton]
-            if symmetric:
-                data.V = rid.interp.copy()
-                data.col_skeleton = data.row_skeleton.copy()
-            else:
-                # Column Hankel block A(I_i^c, I_i): representative columns,
-                # obtained as a row ID of its transpose.
-                hankel_col_t = A[np.ix_(comp, rows)].T
-                cid = row_id(hankel_col_t, rel_tol=opts.rel_tol,
-                             abs_tol=opts.abs_tol, max_rank=opts.max_rank)
-                data.V = cid.interp
-                data.col_skeleton = rows[cid.skeleton]
-            return data
+            return _compress_rows(data, A[np.ix_(rows, comp)], rows, opts)
 
         # ----- internal node
         c1, c2 = nd.left, nd.right
@@ -113,22 +115,8 @@ def build_hss_from_dense(
             return data
 
         merged_rows = np.concatenate([d1.row_skeleton, d2.row_skeleton])
-        hankel_row = A[np.ix_(merged_rows, comp)]
-        rid = row_id(hankel_row, rel_tol=opts.rel_tol, abs_tol=opts.abs_tol,
-                     max_rank=opts.max_rank)
-        data.U = rid.interp
-        data.row_skeleton = merged_rows[rid.skeleton]
-        if symmetric:
-            data.V = rid.interp.copy()
-            data.col_skeleton = data.row_skeleton.copy()
-        else:
-            merged_cols = np.concatenate([d1.col_skeleton, d2.col_skeleton])
-            hankel_col_t = A[np.ix_(comp, merged_cols)].T
-            cid = row_id(hankel_col_t, rel_tol=opts.rel_tol, abs_tol=opts.abs_tol,
-                         max_rank=opts.max_rank)
-            data.V = cid.interp
-            data.col_skeleton = merged_cols[cid.skeleton]
-        return data
+        return _compress_rows(data, A[np.ix_(merged_rows, comp)], merged_rows,
+                              opts)
 
     for level_nodes in reversed(tree.levels()):
         for node_id in level_nodes:

@@ -3,8 +3,9 @@
 This is the STRUMPACK-style construction the paper relies on
 (Section 1.1 / 3.1): the input matrix is only accessed through
 
-* a black-box product ``A @ R`` (and ``A.T @ R``) with a block of random
-  vectors — the *sampling* phase, and
+* a black-box product ``A @ R`` with a block of random vectors — the
+  *sampling* phase (``A`` is a kernel matrix, so ``A.T @ R`` is the same
+  product and the column bases are the row ones), and
 * extraction of selected entries — used for the diagonal blocks ``D_i`` and
   the coupling blocks ``B_ij`` at the skeleton rows/columns.
 
@@ -155,15 +156,12 @@ class _Sample:
         self.visited: List[int] = []
         self.R = rng.standard_normal((_dimension(operator), n_random))
         self.S = np.asarray(operator.matmat(self.R), dtype=np.float64)
-        self.St = self.S if opts.symmetric else np.asarray(
-            operator.rmatmat(self.R), dtype=np.float64)
 
     def _interpolate(self, sample_loc: np.ndarray
                      ) -> Tuple[np.ndarray, np.ndarray]:
         """Row-ID compress a local sample; raise if it looks saturated."""
         opts = self.opts
-        rid = row_id(sample_loc, rel_tol=opts.rel_tol, abs_tol=opts.abs_tol,
-                     max_rank=opts.max_rank)
+        rid = row_id(sample_loc, rel_tol=opts.rel_tol, max_rank=opts.max_rank)
         if not self.accept_saturated:
             rank_capped = opts.max_rank is not None and rid.rank >= opts.max_rank
             sample_limited = rid.rank >= self.n_random - opts.oversampling
@@ -179,14 +177,13 @@ class _Sample:
 
         ``node_data[child]`` and ``carries[child]`` hold the two children's
         results.  The carry is what the parent will need — the local
-        samples restricted to the skeletons and the compressed random
-        blocks ``V^T R(I, :)`` / ``U^T R(I, :)`` (the latter only feeds
-        column samples, so a symmetric build carries ``None``) — and is
-        ``None`` at the root.
+        sample restricted to the skeleton and the compressed random block
+        ``V^T R(I, :)`` — and is ``None`` at the root.  The matrix is
+        symmetric, so the column basis and skeleton are the row ones and
+        ``B21 = B12^T``.
         """
         node_id, left, right, start, stop, is_leaf = node
         self.visited.append(node_id)
-        symmetric = self.opts.symmetric
         data = HSSNodeData()
 
         if is_leaf:
@@ -197,49 +194,29 @@ class _Sample:
                 data.row_skeleton = index[:0]
                 data.col_skeleton = index[:0]
                 return data, None
-            Ri = self.R[start:stop]
-            sample_row = self.S[start:stop] - data.D @ Ri
-            row_index = col_index = index
-            rcol_in = rrow_in = Ri
-            if not symmetric:
-                sample_col = self.St[start:stop] - data.D.T @ Ri
+            r_in = self.R[start:stop]
+            sample = self.S[start:stop] - data.D @ r_in
         else:
             d1, d2 = node_data[left], node_data[right]
-            block = self.operator.block
-            data.B12 = np.asarray(block(d1.row_skeleton, d2.col_skeleton),
-                                  dtype=np.float64)
-            if symmetric:
-                data.B21 = data.B12.T.copy()
-            else:
-                data.B21 = np.asarray(block(d2.row_skeleton, d1.col_skeleton),
-                                      dtype=np.float64)
+            data.B12 = np.asarray(
+                self.operator.block(d1.row_skeleton, d2.col_skeleton),
+                dtype=np.float64)
+            data.B21 = data.B12.T.copy()
             if node_id == self.root:
                 data.row_skeleton = np.zeros(0, dtype=np.intp)
                 data.col_skeleton = np.zeros(0, dtype=np.intp)
                 return data, None
-            srow1, scol1, rcol1, rrow1 = carries[left]
-            srow2, scol2, rcol2, rrow2 = carries[right]
-            sample_row = np.concatenate((srow1 - data.B12 @ rcol2,
-                                         srow2 - data.B21 @ rcol1))
-            row_index = np.concatenate((d1.row_skeleton, d2.row_skeleton))
-            rcol_in = np.concatenate((rcol1, rcol2))
-            if not symmetric:
-                sample_col = np.concatenate((scol1 - data.B21.T @ rrow2,
-                                             scol2 - data.B12.T @ rrow1))
-                col_index = np.concatenate((d1.col_skeleton, d2.col_skeleton))
-                rrow_in = np.concatenate((rrow1, rrow2))
+            s1, r1 = carries[left]
+            s2, r2 = carries[right]
+            sample = np.concatenate((s1 - data.B12 @ r2, s2 - data.B21 @ r1))
+            index = np.concatenate((d1.row_skeleton, d2.row_skeleton))
+            r_in = np.concatenate((r1, r2))
 
-        data.U, skel = self._interpolate(sample_row)
-        data.row_skeleton = row_index[skel]
-        srow = sample_row[skel]
-        if symmetric:
-            data.V = data.U.copy()
-            data.col_skeleton = data.row_skeleton.copy()
-            return data, (srow, srow, data.V.T @ rcol_in, None)
-        data.V, skel_c = self._interpolate(sample_col)
-        data.col_skeleton = col_index[skel_c]
-        return data, (srow, sample_col[skel_c], data.V.T @ rcol_in,
-                      data.U.T @ rrow_in)
+        data.U, skel = self._interpolate(sample)
+        data.row_skeleton = index[skel]
+        data.V = data.U.copy()
+        data.col_skeleton = data.row_skeleton.copy()
+        return data, (sample[skel], data.V.T @ r_in)
 
     def walk(self, order: Sequence[_Node]) -> Dict[int, HSSNodeData]:
         """Visit the nodes of ``order`` (a post-order): generators by node id.
@@ -268,11 +245,12 @@ def build_hss_randomized(
     Parameters
     ----------
     operator:
-        Any object exposing the partially matrix-free interface:
-        ``matmat(V)``, ``rmatmat(V)`` (ignored when ``options.symmetric``),
-        ``block(rows, cols)`` and the ``n`` / ``shape`` attributes.  The
-        operator must represent the matrix **in the permuted ordering** of
-        ``tree`` (build it from the reordered points).
+        Any object exposing the partially matrix-free interface of a
+        **symmetric** matrix — a kernel matrix without the ridge shift:
+        ``matmat(V)``, ``block(rows, cols)`` and the ``n`` / ``shape``
+        attributes.  The operator must represent the matrix **in the
+        permuted ordering** of ``tree`` (build it from the reordered
+        points).
     tree:
         Cluster tree defining the HSS partition.
     options:

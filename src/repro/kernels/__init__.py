@@ -13,7 +13,7 @@ from .laplacian import LaplacianKernel
 from .matern import Matern32Kernel, Matern52Kernel
 from .polynomial import PolynomialKernel, LinearKernel
 from .distance import pairwise_sq_dists
-from .operator import KernelOperator, ShiftedKernelOperator, DenseMatrixOperator
+from .operator import KernelOperator, DenseMatrixOperator
 
 __all__ = [
     "Kernel",
@@ -27,6 +27,5 @@ __all__ = [
     "LinearKernel",
     "pairwise_sq_dists",
     "KernelOperator",
-    "ShiftedKernelOperator",
     "DenseMatrixOperator",
 ]

@@ -12,8 +12,10 @@ compressed (Section 1.1 of the paper):
 defined by a point set and a radial kernel, without ever materialising the
 full ``n x n`` matrix.  :class:`DenseMatrixOperator` wraps an explicit dense
 matrix behind the same interface (used for testing and for the exact
-baseline), and :class:`ShiftedKernelOperator` adds the ridge shift
-``+ lambda I`` required by kernel ridge regression.
+baseline).  Neither carries the ridge shift ``+ lambda I`` of kernel ridge
+regression: the compression is of ``K`` alone, and the shift is applied
+when the compressed matrix is factored
+(:meth:`repro.hss.ULVFactorization.factor`).
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from typing import Optional
 import numpy as np
 
 from ..obs import global_registry
-from ..utils.ragged import ragged_ranges, segment_offsets
-from ..utils.validation import check_array_2d, check_non_negative
+from ..utils.ragged import ragged_ranges
+from ..utils.validation import check_array_2d
 from .base import Kernel
 from .distance import sq_norms
 
@@ -186,10 +188,6 @@ class KernelOperator:
             return self.matmat(v[:, None]).ravel()
         raise ValueError("matvec expects a 1-D vector; use matmat for blocks")
 
-    def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        """Compute ``K.T @ v``; equal to :meth:`matvec` because K is symmetric."""
-        return self.matvec(v)
-
     def matmat(self, V: np.ndarray) -> np.ndarray:
         """Compute ``K @ V`` with a row-blocked sweep (``V`` is ``(n, k)``).
 
@@ -242,10 +240,6 @@ class KernelOperator:
             out[r0:r1] = acc
         return out
 
-    def rmatmat(self, V: np.ndarray) -> np.ndarray:
-        """Compute ``K.T @ V``; equal to :meth:`matmat` because K is symmetric."""
-        return self.matmat(V)
-
     def to_dense(self) -> np.ndarray:
         """Materialise the full kernel matrix (testing / small problems only)."""
         return self.kernel.matrix(self.X)
@@ -253,54 +247,6 @@ class KernelOperator:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"{type(self).__name__}(n={self.n}, d={self.X.shape[1]}, "
                 f"kernel={self.kernel!r})")
-
-
-class ShiftedKernelOperator(KernelOperator):
-    """Kernel operator with a diagonal ridge shift: ``K + lambda I``.
-
-    This is the matrix actually factored in Step 2 of Algorithm 1.  The
-    shift only affects the diagonal, so ``block`` adds ``lambda`` on entries
-    with equal row and column index and ``matmat`` adds ``lambda * V``.
-    """
-
-    def __init__(self, X: np.ndarray, kernel: Kernel, lam: float,
-                 block_size: int = 2048, col_tile: Optional[int] = None):
-        super().__init__(X, kernel, block_size=block_size, col_tile=col_tile)
-        self.lam = check_non_negative(lam, "lam")
-
-    def block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        rows = np.asarray(rows, dtype=np.intp)
-        cols = np.asarray(cols, dtype=np.intp)
-        B = super().block(rows, cols)
-        if self.lam != 0.0:
-            eq = rows[:, None] == cols[None, :]
-            if eq.any():
-                B = B + self.lam * eq
-        return B
-
-    def row_segments(self, rows: np.ndarray, starts: np.ndarray,
-                     lengths: np.ndarray) -> np.ndarray:
-        values = super().row_segments(rows, starts, lengths)
-        if self.lam != 0.0:
-            rows = np.asarray(rows, dtype=np.intp)
-            starts = np.asarray(starts, dtype=np.intp)
-            lengths = np.asarray(lengths, dtype=np.intp)
-            on_diag = np.flatnonzero((rows >= starts) & (rows < starts + lengths))
-            if on_diag.size:
-                offsets = segment_offsets(lengths)[:-1]
-                values[(offsets + rows - starts)[on_diag]] += self.lam
-        return values
-
-    def diag(self) -> np.ndarray:
-        return super().diag() + self.lam
-
-    def matmat(self, V: np.ndarray) -> np.ndarray:
-        return super().matmat(V) + self.lam * np.asarray(V, dtype=np.float64)
-
-    def to_dense(self) -> np.ndarray:
-        K = super().to_dense()
-        K[np.diag_indices_from(K)] += self.lam
-        return K
 
 
 class DenseMatrixOperator:
@@ -375,17 +321,9 @@ class DenseMatrixOperator:
         self._count_sweep()
         return self.A @ np.asarray(v, dtype=np.float64)
 
-    def rmatvec(self, v: np.ndarray) -> np.ndarray:
-        self._count_sweep()
-        return self.A.T @ np.asarray(v, dtype=np.float64)
-
     def matmat(self, V: np.ndarray) -> np.ndarray:
         self._count_sweep()
         return self.A @ np.asarray(V, dtype=np.float64)
-
-    def rmatmat(self, V: np.ndarray) -> np.ndarray:
-        self._count_sweep()
-        return self.A.T @ np.asarray(V, dtype=np.float64)
 
     def to_dense(self) -> np.ndarray:
         return self.A.copy()

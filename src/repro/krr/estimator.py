@@ -53,7 +53,8 @@ class KernelRidgeEstimator:
         :class:`repro.krr.solvers.KernelSystemSolver` instance.
     clustering:
         Name of the preprocessing ordering (``"two_means"``, ``"kd"``,
-        ``"pca"``, ``"natural"``, ...) or a :class:`ClusteringOptions`.
+        ``"pca"``, ``"natural"``, ...) or a :class:`ClusteringOptions`,
+        whose own ``leaf_size`` takes the place of ``leaf_size``.
     kernel:
         Kernel name or :class:`repro.kernels.Kernel` instance;
         default Gaussian with bandwidth ``h``.
@@ -94,6 +95,11 @@ class KernelRidgeEstimator:
     ):
         if isinstance(kernel, Kernel):
             h = getattr(kernel, "h", h)
+        #: the options given as ``clustering`` (``None`` for a method name)
+        self._clustering_options = (
+            clustering if isinstance(clustering, ClusteringOptions) else None)
+        if self._clustering_options is not None:
+            leaf_size = clustering.leaf_size
         self.h = check_positive(h, "h")
         self.lam = check_non_negative(lam, "lam")
         self.leaf_size = int(leaf_size)
@@ -159,9 +165,21 @@ class KernelRidgeEstimator:
             lam=config.kernel.lam if lam is None else lam,
             solver=config.solver.name, clustering=config.clustering,
             kernel=config.kernel.name,
-            leaf_size=config.clustering.leaf_size,
             seed=config.clustering.seed, shards=d.shards,
             solver_options=solver_options)
+
+    @property
+    def clustering_options(self) -> ClusteringOptions:
+        """The options :meth:`fit` reorders the data with.
+
+        A method name given as ``clustering`` stands for the default
+        options of that method at this estimator's ``leaf_size`` and
+        ``seed``.
+        """
+        if self._clustering_options is not None:
+            return self._clustering_options
+        return ClusteringOptions(method=self._clustering_spec,
+                                 leaf_size=self.leaf_size, seed=self.seed)
 
     # ------------------------------------------------------- target encoding
     def _encode_targets(self, y, n_rows: int, name: str,
@@ -225,11 +243,11 @@ class KernelRidgeEstimator:
         X = check_array_2d(X, "X")
         targets = self._encode_targets(y, X.shape[0], "y", fitting=True)
 
-        if isinstance(self._clustering_spec, ClusteringOptions):
-            clustering = cluster(X, options=self._clustering_spec)
-        else:
+        if self._clustering_options is None:
             clustering = cluster(X, method=self._clustering_spec,
                                  leaf_size=self.leaf_size, seed=self.seed)
+        else:
+            clustering = cluster(X, options=self._clustering_options)
         targets_perm = targets[clustering.perm]
 
         solver = build_training_solver(

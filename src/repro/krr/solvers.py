@@ -37,7 +37,7 @@ from ..hss.compressed import MATMAT_COL_TILE, compress_kernel
 from ..hss.streaming import StreamingULVSolver
 from ..hss.ulv import ULVFactorization
 from ..kernels.base import Kernel
-from ..kernels.operator import ShiftedKernelOperator
+from ..kernels.operator import KernelOperator
 from ..utils.bytes import megabytes
 from ..utils.timing import TimingLog
 from ..utils.validation import check_array_2d, check_non_negative
@@ -492,14 +492,15 @@ class CGSolver(KernelSystemSolver):
     def _fit_impl(self, X_permuted, tree, kernel, lam) -> None:
         log = TimingLog()
         with log.phase("construction"):
-            self._operator = ShiftedKernelOperator(X_permuted, kernel, lam)
+            self._operator = KernelOperator(X_permuted, kernel)
+        self._lam = lam
         self.report.timings = log.as_dict()
         self.report.memory_mb = megabytes(X_permuted.nbytes)
 
     def _refit_impl(self, lam: float) -> None:
-        # CG keeps no factorization; the shift is a field of the
-        # matrix-free operator, so a refit is a scalar update.
-        self._operator.lam = lam
+        # CG keeps no factorization and its operator is λ-free: the shift
+        # is added in the product, so a refit is a scalar update.
+        self._lam = lam
         self.report.timings = {}
 
     def _ensure_stream(self) -> StreamingULVSolver:
@@ -510,9 +511,13 @@ class CGSolver(KernelSystemSolver):
             "factorization to build correction blocks around)")
 
     def _solve_impl(self, y: np.ndarray) -> np.ndarray:
-        op = self._operator
+        op, lam = self._operator, self._lam
+
+        def shifted(v):
+            return op.matvec(v) + lam * v
+
         linop = scipy.sparse.linalg.LinearOperator(
-            shape=op.shape, matvec=op.matvec, rmatvec=op.rmatvec, dtype=np.float64)
+            shape=op.shape, matvec=shifted, dtype=np.float64)
         log = TimingLog()
         single = y.ndim == 1
         Y = y[:, None] if single else y

@@ -365,7 +365,7 @@ def _build_schema() -> List[Knob]:
         "kernel.name": "str",
         "solver.name": "str", "solver.use_hmatrix_sampling": "bool",
         "clustering.method": "str",
-        "hss.max_rank": "opt_int", "hss.symmetric": "bool",
+        "hss.max_rank": "opt_int",
         "hmatrix.admissibility": "str", "hmatrix.max_rank": "opt_int",
         "tuning.strategy": "str", "tuning.backend": "str",
         "serving.store": "str", "serving.model": "str",

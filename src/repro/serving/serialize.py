@@ -58,6 +58,12 @@ re-factored at a new λ entirely offline via ``model.refit(lam)``.  Both
 additions are backward compatible: old readers ignore the extra keys, and
 artifacts from old writers load fine but refuse ``refit`` (their
 compression is not λ-free).
+
+The header's ``clustering_options`` config entry records every field of
+the :class:`repro.config.ClusteringOptions` the model was fitted with, so
+``recompress()`` after a load reorders exactly like the original fit.
+Headers without it (older writers) fall back to the method name plus the
+stored ``leaf_size`` and ``seed``, with the other fields at their defaults.
 """
 
 from __future__ import annotations
@@ -70,13 +76,14 @@ import math
 import os
 import uuid
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..clustering.api import ClusteringResult
 from ..clustering.tree import ClusterTree
+from ..config import ClusteringOptions
 from ..hss.generators import HSSNodeData
 from ..hss.hss_matrix import HSSMatrix
 from ..hss.ulv import ULVFactorization, _NodeFactors
@@ -797,12 +804,15 @@ def _model_config(model, include_factorization: bool):
     solver = model.solver_
     solver_name = solver.name if solver is not None else str(model._solver_spec)
     state, solver_cfg, solver_arrays = _solver_arrays(solver, include_factorization)
+    clustering = model.clustering_options
     config: Dict[str, object] = {
         "h": float(model.h),
         "lam": float(model.lam),
         "leaf_size": int(model.leaf_size),
         "seed": _json_safe_seed(model.seed),
         "clustering": model.clustering_.method,
+        "clustering_options": {**asdict(clustering),
+                               "seed": _json_safe_seed(clustering.seed)},
         "solver": solver_name,
         "solver_state": state,
         "kernel": kernel_to_spec(model.kernel),
@@ -912,9 +922,12 @@ def _model_from_arrays(path: str, header: Dict[str, object],
         weights = np.asarray(arrays["model.weights"], dtype=np.float64)
         lam = float(config["lam"])
 
+        clustering = str(config["clustering"])
+        if "clustering_options" in config:
+            clustering = ClusteringOptions(**config["clustering_options"])
         common = dict(h=float(config["h"]), lam=lam,
                       solver=str(config["solver"]),
-                      clustering=str(config["clustering"]), kernel=kernel,
+                      clustering=clustering, kernel=kernel,
                       leaf_size=int(config["leaf_size"]),
                       seed=config.get("seed"))
         if kind == KIND_BINARY:

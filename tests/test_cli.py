@@ -309,6 +309,23 @@ class TestErrors:
                        ["train", "--set", "distributed.workers=2"]) == 2
         assert "distributed.workers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("item", ["hss.symmetric=false",
+                                      "hss.abs_tol=0"])
+    def test_removed_hss_key_in_set(self, tmp_path, monkeypatch, capsys,
+                                    item):
+        assert run_cli(tmp_path, monkeypatch, ["train", "--set", item]) == 2
+        assert item.split("=")[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("item", ["hss.oversampling=-5",
+                                      "hss.max_adaptive_rounds=-1",
+                                      "hmatrix.max_rank=0"])
+    def test_out_of_range_compression_knob_in_set(self, tmp_path,
+                                                  monkeypatch, capsys, item):
+        assert run_cli(tmp_path, monkeypatch,
+                       ["train", *SMALL, "--set", item]) == 2
+        name = item.split("=")[0].split(".")[1]
+        assert f"{name} must be" in capsys.readouterr().err
+
     def test_bad_env_value_is_cli_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_SHARDS", "-3")
         assert run_cli(tmp_path, monkeypatch, ["train", *SMALL]) == 2

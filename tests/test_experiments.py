@@ -103,6 +103,33 @@ class TestFig7:
         assert all(t > 0 for t in times)
         assert "hss_memory_mb" in result.table().render()
 
+    def test_point_is_the_hss_solver_fit(self):
+        """A point is measured on the path training runs: the λ-free,
+        H-sampled compression of :class:`repro.krr.HSSSolver`."""
+        from repro.clustering import cluster
+        from repro.datasets import standardize, susy_like
+        from repro.kernels import GaussianKernel
+        from repro.krr import HSSSolver
+        from repro.obs import global_registry
+
+        evaluations = global_registry().counter(
+            "repro_kernel_element_evaluations_total")
+        n, h, lam = 512, 1.0, 4.0
+        before = evaluations.value
+        point = run_fig7_asymptotic(sizes=(n,), h=h, lam=lam, seed=0).points[0]
+        fig7_evaluations = evaluations.value - before
+
+        X, _ = susy_like(n, seed=0)
+        clustering = cluster(standardize(X), method="two_means",
+                             leaf_size=16, seed=0)
+        solver = HSSSolver(seed=0)
+        before = evaluations.value
+        solver.fit(clustering.X, clustering.tree, GaussianKernel(h=h), lam)
+        assert fig7_evaluations == evaluations.value - before > 0
+        assert point.hss_memory_mb == solver.report.hss_memory_mb
+        assert point.hmatrix_memory_mb == solver.report.hmatrix_memory_mb > 0
+        assert point.max_rank == solver.report.max_rank
+
 
 class TestTable4:
     def test_phase_breakdown(self):

@@ -15,13 +15,12 @@ from repro.clustering import cluster
 from repro.config import HMatrixOptions, HSSOptions
 from repro.datasets import standardize, susy_like
 from repro.hmatrix import (BlockClusterTree, BoundingBox, ClusterGeometry,
-                           HMatrixSampler, build_hmatrix,
+                           HBlock, HMatrix, HMatrixSampler, build_hmatrix,
                            centroid_admissibility, cluster_bounding_boxes,
                            cluster_geometries, strong_admissibility)
 from repro.hmatrix import build as hmatrix_build
 from repro.hss import build_hss_randomized, compress_kernel
-from repro.kernels import (DenseMatrixOperator, GaussianKernel, KernelOperator,
-                           ShiftedKernelOperator)
+from repro.kernels import DenseMatrixOperator, GaussianKernel, KernelOperator
 
 
 def _clustered_points(n=300, d=4, n_clusters=6, seed=0):
@@ -35,7 +34,7 @@ def _clustered_points(n=300, d=4, n_clusters=6, seed=0):
 def hmatrix_setup():
     X = _clustered_points()
     result = cluster(X, method="two_means", leaf_size=16, seed=0)
-    op = ShiftedKernelOperator(result.X, GaussianKernel(h=1.5), 1.0)
+    op = KernelOperator(result.X, GaussianKernel(h=1.5))
     return result, op
 
 
@@ -157,8 +156,6 @@ class TestHMatrixBuild:
         v = rng.standard_normal(hm.n)
         V = rng.standard_normal((hm.n, 3))
         np.testing.assert_allclose(hm.matvec(v), A @ v, atol=1e-5 * np.linalg.norm(A @ v))
-        np.testing.assert_allclose(hm.rmatvec(v), A.T @ v,
-                                   atol=1e-5 * np.linalg.norm(A @ v))
         np.testing.assert_allclose(hm.matmat(V), A @ V,
                                    atol=1e-5 * np.linalg.norm(A @ V))
 
@@ -180,7 +177,7 @@ def wave_setup():
     """Uniform 2-D points: ~90 admissible blocks of many sizes, ranks to 18."""
     X = np.random.default_rng(0).uniform(size=(400, 2))
     result = cluster(X, method="two_means", leaf_size=16, seed=0)
-    op = ShiftedKernelOperator(result.X, GaussianKernel(h=0.5), 1.0)
+    op = KernelOperator(result.X, GaussianKernel(h=0.5))
     return result, op, HMatrixOptions(leaf_size=16, rel_tol=1e-6)
 
 
@@ -307,9 +304,17 @@ class TestHMatrixSampler:
         err_sampled = np.linalg.norm(hss_sampled.to_dense() - A) / np.linalg.norm(A)
         assert err_sampled < 50 * max(err_exact, 1e-6)
 
+    def test_no_transpose_products(self):
+        # Kernel matrices are symmetric: the HSS build samples with
+        # ``matmat`` alone, so nothing offers ``A.T @ V``.
+        for cls in (HMatrix, HMatrixSampler):
+            assert not hasattr(cls, "rmatvec") and not hasattr(cls, "rmatmat")
+        assert not hasattr(HBlock, "rproduct")
+        assert not hasattr(HBlock, "rmatvec_into")
+
     def test_dimension_mismatch(self, hmatrix_setup):
         result, op = hmatrix_setup
         hm = build_hmatrix(op, result.X, result.tree)
-        other = ShiftedKernelOperator(result.X[:-10], GaussianKernel(h=1.0), 1.0)
+        other = KernelOperator(result.X[:-10], GaussianKernel(h=1.0))
         with pytest.raises(ValueError):
             HMatrixSampler(hm, other)

@@ -11,8 +11,7 @@ from repro.config import HSSOptions
 from repro.datasets import load_dataset
 from repro.hss import (HSSMatrix, build_hss_from_dense, build_hss_randomized,
                        build_random, compress_kernel)
-from repro.kernels import (DenseMatrixOperator, GaussianKernel, KernelOperator,
-                           ShiftedKernelOperator)
+from repro.kernels import DenseMatrixOperator, GaussianKernel, KernelOperator
 from repro.utils.random import as_generator
 
 
@@ -41,7 +40,7 @@ class TestDenseBuilder:
         assert hss.max_rank <= tight.max_rank
         assert hss.nbytes <= tight.nbytes
 
-    def test_nonsymmetric_matrix(self):
+    def test_nonsymmetric_matrix_is_rejected(self):
         rng = np.random.default_rng(1)
         n = 128
         # A smooth nonsymmetric matrix with low-rank off-diagonal blocks.
@@ -49,9 +48,8 @@ class TestDenseBuilder:
         A = 1.0 / (1.0 + 5.0 * np.abs(t[:, None] - t[None, :] * 0.7)) \
             + np.diag(rng.uniform(1, 2, n))
         tree = natural_tree(np.column_stack([t, t]), leaf_size=16)
-        hss = build_hss_from_dense(A, tree, HSSOptions(rel_tol=1e-9, symmetric=False))
-        err = np.linalg.norm(hss.to_dense() - A) / np.linalg.norm(A)
-        assert err < 1e-6
+        with pytest.raises(ValueError, match="symmetric"):
+            build_hss_from_dense(A, tree, HSSOptions(rel_tol=1e-9))
 
     def test_single_leaf_tree(self):
         rng = np.random.default_rng(2)
@@ -98,8 +96,8 @@ class TestRandomizedBuilder:
         assert abs(rand_hss.max_rank - dense_hss.max_rank) <= 10
 
     def test_kernel_operator_input(self):
-        K, result = _clustered_kernel(n=160, h=1.5, lam=2.0, seed=4)
-        op = ShiftedKernelOperator(result.X, GaussianKernel(h=1.5), 2.0)
+        K, result = _clustered_kernel(n=160, h=1.5, lam=0.0, seed=4)
+        op = KernelOperator(result.X, GaussianKernel(h=1.5))
         hss, stats = build_hss_randomized(op, result.tree, HSSOptions(rel_tol=1e-6),
                                           rng=1)
         err = np.linalg.norm(hss.to_dense() - K) / np.linalg.norm(K)
@@ -118,19 +116,6 @@ class TestRandomizedBuilder:
         assert stats.rounds >= 2
         assert stats.random_vectors > 8
         err = np.linalg.norm(hss.to_dense() - K) / np.linalg.norm(K)
-        assert err < 1e-5
-
-    def test_nonsymmetric_randomized(self):
-        rng = np.random.default_rng(6)
-        n = 128
-        t = np.linspace(0, 1, n)
-        A = 1.0 / (1.0 + 4.0 * np.abs(t[:, None] - 0.5 * t[None, :])) + np.eye(n)
-        tree = natural_tree(np.column_stack([t, t]), leaf_size=16)
-        op = DenseMatrixOperator(A)
-        hss, _ = build_hss_randomized(op, tree,
-                                      HSSOptions(rel_tol=1e-8, symmetric=False),
-                                      rng=3)
-        err = np.linalg.norm(hss.to_dense() - A) / np.linalg.norm(A)
         assert err < 1e-5
 
     def test_loose_tolerance_smaller_memory(self):
@@ -201,9 +186,6 @@ class _SweepCounting:
         self.sweeps.append(V.shape[1])
         return self.inner.matmat(V)
 
-    def rmatmat(self, V):
-        return self.inner.rmatmat(V)
-
     def block(self, rows, cols):
         self.blocks.append((rows, cols))
         return self.inner.block(rows, cols)
@@ -259,7 +241,7 @@ def _unclustered_like(n=512, method="natural"):
 
 def _walk_case(name):
     """``(operator, tree, options)`` of one row of the walk table."""
-    symmetry, method = name.split("-")[:2]
+    method = name.split("-")[0]
     result, kernel = _unclustered_like(method=method)
     if method == "two_means":
         assert len({result.tree.node(i).level
@@ -270,23 +252,15 @@ def _walk_case(name):
         opts = HSSOptions(initial_samples=16, oversampling=4)
     else:
         opts = HSSOptions()
-    if symmetry == "symmetric":
-        return KernelOperator(result.X, kernel), result.tree, opts
-    # a column scaling keeps the off-diagonal ranks and breaks the symmetry
-    scale = 1.0 + 0.5 * np.sin(np.arange(result.X.shape[0]))
-    A = kernel.matrix(result.X) * scale[None, :]
-    assert not np.allclose(A, A.T)
-    return DenseMatrixOperator(A), result.tree, opts.with_(symmetric=False)
+    return KernelOperator(result.X, kernel), result.tree, opts
 
 
 class TestSubtreeOrderedWalk:
     @pytest.mark.parametrize("case,attempts", [
-        ("symmetric-natural", 2),
-        ("symmetric-natural-small-start", 3),        # two restarts
-        ("symmetric-two_means-small-start", 2),
-        ("symmetric-natural-rounds-exhausted", 3),   # last attempt accepts
-        ("nonsymmetric-natural-small-start", 3),
-        ("nonsymmetric-two_means-small-start", 2),
+        ("natural", 2),
+        ("natural-small-start", 3),        # two restarts
+        ("two_means-small-start", 2),
+        ("natural-rounds-exhausted", 3),   # last attempt accepts
     ])
     def test_generators_bitwise_equal_a_level_order_walk(self, case, attempts):
         operator, tree, opts = _walk_case(case)
@@ -402,7 +376,7 @@ class TestSamplingStats:
         tree = natural_tree(X, leaf_size=100)
         operator = _SweepCounting(
             DenseMatrixOperator(GaussianKernel(h=1.0).matrix(X)))
-        opts = HSSOptions(rel_tol=1e-14, abs_tol=0.0, max_adaptive_rounds=2)
+        opts = HSSOptions(rel_tol=1e-14, max_adaptive_rounds=2)
         _, stats = build_hss_randomized(operator, tree, opts, rng=0)
         assert operator.sweeps == [32, 64, 128]
         assert stats.rounds == 3
@@ -413,14 +387,13 @@ class TestSamplingStats:
         one more full-width sweep is accepted as it is."""
         rng = np.random.default_rng(1)
         n, r = 18, 7
-        A = 3.0 * np.eye(n) + (rng.standard_normal((n, r))
-                               @ rng.standard_normal((r, n)))
+        G = rng.standard_normal((n, r))
+        A = 3.0 * np.eye(n) + G @ G.T
         tree = natural_tree(rng.standard_normal((n, 2)), leaf_size=9)
         operator = _SweepCounting(DenseMatrixOperator(A))
         # 9-row leaves of off-diagonal rank 7 >= 18 - 12: "saturated" at a
         # width that cannot grow
-        opts = HSSOptions(rel_tol=1e-10, abs_tol=0.0, oversampling=12,
-                          symmetric=False)
+        opts = HSSOptions(rel_tol=1e-10, oversampling=12)
         hss, stats = build_hss_randomized(operator, tree, opts, rng=0)
         np.testing.assert_allclose(hss.to_dense(), A, atol=1e-8)
         assert operator.sweeps == [n, n]

@@ -7,8 +7,9 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import repro.kernels
 from repro.kernels import (DenseMatrixOperator, GaussianKernel, KernelOperator,
-                           PolynomialKernel, ShiftedKernelOperator)
+                           PolynomialKernel)
 
 
 @pytest.fixture()
@@ -46,8 +47,7 @@ class TestKernelOperator:
         V = rng.standard_normal((60, 4))
         np.testing.assert_allclose(op.matvec(v), K @ v, atol=1e-10)
         np.testing.assert_allclose(op.matmat(V), K @ V, atol=1e-10)
-        np.testing.assert_allclose(op.rmatmat(V), K.T @ V, atol=1e-10)
-        assert op.matvec_sweeps >= 3
+        assert op.matvec_sweeps >= 2
 
     def test_matvec_rejects_matrix_input(self, operator_and_dense):
         op, _ = operator_and_dense
@@ -68,34 +68,17 @@ class TestKernelOperator:
             KernelOperator(np.zeros((4, 2)), GaussianKernel(), block_size=0)
 
 
-class TestShiftedKernelOperator:
-    def test_diagonal_shift_in_blocks(self):
-        rng = np.random.default_rng(5)
-        X = rng.standard_normal((30, 4))
-        op = ShiftedKernelOperator(X, GaussianKernel(h=1.0), lam=2.5)
-        K = GaussianKernel(h=1.0).matrix(X) + 2.5 * np.eye(30)
-        rows = np.array([0, 5, 9])
-        np.testing.assert_allclose(op.block(rows, rows), K[np.ix_(rows, rows)],
-                                   atol=1e-12)
-        # off-diagonal blocks must NOT receive the shift
-        cols = np.array([10, 11])
-        np.testing.assert_allclose(op.block(rows, cols), K[np.ix_(rows, cols)],
-                                   atol=1e-12)
+class TestNoShiftedOperator:
+    """Kernel operators are λ-free: the ridge shift is applied when the
+    compressed matrix is factored, or added to the product by CG."""
 
-    def test_matmat_and_dense_include_shift(self):
-        rng = np.random.default_rng(6)
-        X = rng.standard_normal((25, 3))
-        lam = 0.7
-        op = ShiftedKernelOperator(X, GaussianKernel(h=0.8), lam=lam)
-        K = GaussianKernel(h=0.8).matrix(X) + lam * np.eye(25)
-        V = rng.standard_normal((25, 3))
-        np.testing.assert_allclose(op.matmat(V), K @ V, atol=1e-10)
-        np.testing.assert_allclose(op.to_dense(), K, atol=1e-12)
-        np.testing.assert_allclose(op.diag(), np.ones(25) + lam)
+    def test_kernels_package_does_not_export_a_shifted_operator(self):
+        assert not hasattr(repro.kernels, "ShiftedKernelOperator")
+        assert "ShiftedKernelOperator" not in repro.kernels.__all__
 
-    def test_negative_lambda_rejected(self):
-        with pytest.raises(ValueError):
-            ShiftedKernelOperator(np.zeros((4, 2)), GaussianKernel(), lam=-1.0)
+    @pytest.mark.parametrize("cls", [KernelOperator, DenseMatrixOperator])
+    def test_operators_have_no_transpose_products(self, cls):
+        assert not hasattr(cls, "rmatvec") and not hasattr(cls, "rmatmat")
 
 
 class TestDenseMatrixOperator:
@@ -105,7 +88,6 @@ class TestDenseMatrixOperator:
         op = DenseMatrixOperator(A)
         v = rng.standard_normal(20)
         np.testing.assert_allclose(op.matvec(v), A @ v)
-        np.testing.assert_allclose(op.rmatvec(v), A.T @ v)
         rows = np.array([1, 2])
         cols = np.array([3, 4, 5])
         np.testing.assert_allclose(op.block(rows, cols), A[np.ix_(rows, cols)])
@@ -140,8 +122,7 @@ class TestCounterThreadSafety:
     def test_matvec_counter_exact_under_concurrency(self):
         rng = np.random.default_rng(1)
         X = rng.standard_normal((48, 3))
-        op = ShiftedKernelOperator(X, GaussianKernel(h=1.0), lam=0.5,
-                                   block_size=7)
+        op = KernelOperator(X, GaussianKernel(h=1.0), block_size=7)
         v = rng.standard_normal(48)
         n_tasks = 200
         _on_eight_threads(lambda _i: op.matvec(v), n_tasks)
@@ -177,11 +158,9 @@ class TestSegmentExtraction:
     @pytest.mark.parametrize("kernel", [GaussianKernel(h=1.2),
                                         PolynomialKernel(degree=3, gamma=0.5)],
                              ids=["gaussian", "polynomial"])
-    @pytest.mark.parametrize("lam", [None, 0.0, 2.5])
-    def test_matches_block_entry_for_entry(self, kernel, lam):
+    def test_matches_block_entry_for_entry(self, kernel):
         X = np.random.default_rng(3).standard_normal((60, 5))
-        op = (KernelOperator(X, kernel) if lam is None
-              else ShiftedKernelOperator(X, kernel, lam))
+        op = KernelOperator(X, kernel)
         fixed, starts, lengths = _segments(0, 60)
         before = op.element_evaluations
         rows = op.row_segments(fixed, starts, lengths)
@@ -194,13 +173,6 @@ class TestSegmentExtraction:
             op.block(np.array([f]), np.arange(s, s + l)).ravel()
             for f, s, l in zip(fixed, starts, lengths)])
         np.testing.assert_allclose(rows, expected, rtol=1e-13, atol=1e-15)
-        if lam:
-            shifted_on_diag = rows[np.cumsum(lengths)[0] + fixed[1] - starts[1]]
-            plain = KernelOperator(X, kernel).row_segments(
-                fixed, starts, lengths)
-            assert shifted_on_diag == plain[lengths[0] + fixed[1] - starts[1]] + lam
-            assert np.count_nonzero(rows != plain) == np.count_nonzero(
-                (fixed >= starts) & (fixed < starts + lengths))
 
     def test_dense_operator_is_not_assumed_symmetric(self):
         A = np.random.default_rng(5).standard_normal((30, 30))

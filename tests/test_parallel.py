@@ -9,7 +9,7 @@ import pytest
 from repro.clustering import cluster
 from repro.config import HSSOptions
 from repro.hss import build_hss_randomized
-from repro.kernels import GaussianKernel, ShiftedKernelOperator
+from repro.kernels import GaussianKernel, KernelOperator
 from repro.distributed import resolve_shards
 from repro.parallel import (CORI_HASWELL, DistributedCostModel, MachineModel,
                             estimate_hmatrix_work, estimate_hss_work,
@@ -25,7 +25,7 @@ def built_hss():
     centers = rng.standard_normal((5, 4)) * 5
     X = centers[rng.integers(5, size=384)] + 0.4 * rng.standard_normal((384, 4))
     result = cluster(X, method="two_means", leaf_size=16, seed=0)
-    op = ShiftedKernelOperator(result.X, GaussianKernel(h=1.0), 2.0)
+    op = KernelOperator(result.X, GaussianKernel(h=1.0))
     hss, stats = build_hss_randomized(op, result.tree, HSSOptions(rel_tol=0.1), rng=0)
     hmatrix = build_hmatrix(op, result.X, result.tree)
     return hss, stats, hmatrix

@@ -18,8 +18,8 @@ from repro.clustering import cluster
 from repro.config import HMatrixOptions, HSSOptions
 from repro.hmatrix import build_hmatrix
 from repro.hss import ULVFactorization, build_hss_from_dense
-from repro.kernels import (GaussianKernel, LaplacianKernel, Matern32Kernel,
-                           ShiftedKernelOperator, get_kernel)
+from repro.kernels import (GaussianKernel, KernelOperator, LaplacianKernel,
+                           Matern32Kernel, get_kernel)
 from repro.krr import KernelRidgeClassifier
 from repro.datasets import gaussian_mixture
 
@@ -59,12 +59,15 @@ class TestKernelProperties:
     @settings(max_examples=10, deadline=None)
     @given(n=st.integers(10, 60), seed=st.integers(0, 10**6),
            lam=st.floats(0.0, 5.0))
-    def test_shifted_operator_consistent_with_dense(self, n, seed, lam):
+    def test_shifted_product_consistent_with_dense(self, n, seed, lam):
+        # The ridge shift is added to the λ-free product (as CG does it);
+        # the operator's blocks stay those of K.
         X = _points(n, 4, seed)
-        op = ShiftedKernelOperator(X, GaussianKernel(h=1.0), lam)
-        K = GaussianKernel(h=1.0).matrix(X) + lam * np.eye(n)
+        op = KernelOperator(X, GaussianKernel(h=1.0))
+        K = GaussianKernel(h=1.0).matrix(X)
         v = np.random.default_rng(seed).standard_normal(n)
-        np.testing.assert_allclose(op.matvec(v), K @ v, atol=1e-9)
+        np.testing.assert_allclose(op.matvec(v) + lam * v,
+                                   (K + lam * np.eye(n)) @ v, atol=1e-9)
         idx = np.random.default_rng(seed + 1).integers(0, n, size=min(5, n))
         np.testing.assert_allclose(op.block(idx, idx), K[np.ix_(idx, idx)],
                                    atol=1e-12)
@@ -104,7 +107,7 @@ class TestCompressionProperties:
     def test_hmatrix_and_hss_agree_with_operator(self, seed):
         X = _points(160, 4, seed)
         result = cluster(X, method="two_means", leaf_size=16, seed=seed)
-        op = ShiftedKernelOperator(result.X, GaussianKernel(h=1.5), 1.0)
+        op = KernelOperator(result.X, GaussianKernel(h=1.5))
         A = op.to_dense()
         hm = build_hmatrix(op, result.X, result.tree, HMatrixOptions(rel_tol=1e-6))
         hss = build_hss_from_dense(A, result.tree, HSSOptions(rel_tol=1e-6))

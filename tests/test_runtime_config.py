@@ -169,6 +169,56 @@ class TestValidation:
         with pytest.raises(FileNotFoundError):
             resolve_runtime_config(path="/nonexistent/repro.toml")
 
+    @pytest.mark.parametrize("line", ["symmetric = false", "abs_tol = 0.0"])
+    def test_removed_hss_key_in_file_fails_loudly(self, tmp_path, line):
+        """Kernel matrices are compressed symmetric and without an absolute
+        floor; a file still setting either deleted knob is told so."""
+        path = tmp_path / "repro.toml"
+        path.write_text(f"[hss]\n{line}\n")
+        key = "hss." + line.split(" ")[0]
+        with pytest.raises(TomlError, match=f"unknown config key.*{key}"):
+            resolve_runtime_config(path=str(path))
+
+    @pytest.mark.parametrize("key,value", [("hss.symmetric", False),
+                                           ("hss.abs_tol", 0.0)])
+    def test_removed_hss_key_flag_rejected(self, key, value):
+        with pytest.raises(KeyError, match=key):
+            resolve_runtime_config(flags={key: value})
+
+    @pytest.mark.parametrize("var,key", [
+        ("REPRO_HSS_SYMMETRIC", "hss.symmetric"),
+        ("REPRO_HSS_ABS_TOL", "hss.abs_tol")])
+    def test_removed_hss_env_is_not_read(self, var, key):
+        """As with every deleted knob, its variable names no key: the
+        value is ignored and every knob keeps its default."""
+        cfg = resolve_runtime_config(env={var: "0"})
+        assert key not in known_keys()
+        assert all(cfg.source(k) == "default" for k in known_keys())
+        assert cfg.hss == HSSOptions()
+
+    @pytest.mark.parametrize("key,value,var", [
+        ("hss.oversampling", -5, "REPRO_HSS_OVERSAMPLING"),
+        ("hss.max_adaptive_rounds", -1, "REPRO_HSS_MAX_ADAPTIVE_ROUNDS"),
+        ("hmatrix.max_rank", 0, "REPRO_HMATRIX_MAX_RANK"),
+    ])
+    @pytest.mark.parametrize("layer", ["file", "env", "flag"])
+    def test_out_of_range_compression_knob_rejected(self, tmp_path, key,
+                                                    value, var, layer):
+        """A negative oversampling or round budget used to turn sample
+        enlargement off without a word; each layer now fails loudly."""
+        section, name = key.split(".")
+        kwargs = {}
+        if layer == "file":
+            path = tmp_path / "repro.toml"
+            path.write_text(f"[{section}]\n{name} = {value}\n")
+            kwargs["path"] = str(path)
+        elif layer == "env":
+            kwargs["env"] = {var: str(value)}
+        else:
+            kwargs["flags"] = {key: value}
+        with pytest.raises(ValueError, match=name):
+            resolve_runtime_config(**kwargs)
+
     def test_removed_hss_leaf_size_key_fails_loudly(self, tmp_path):
         """The HSS partition is the cluster tree: its leaf size is
         ``clustering.leaf_size``, and a file still setting the old dead
@@ -185,7 +235,10 @@ class TestValidation:
         lambda: SolverSection(name="magic"),
         lambda: ClusteringOptions(leaf_size=0),
         lambda: HSSOptions(rel_tol=0.0),
+        lambda: HSSOptions(oversampling=-5),
+        lambda: HSSOptions(max_adaptive_rounds=-1),
         lambda: HMatrixOptions(admissibility="sphere"),
+        lambda: HMatrixOptions(max_rank=0),
         lambda: TuningSection(strategy="anneal"),
         lambda: TuningSection(backend="cg"),
         lambda: TuningSection(val_fraction=1.0),
@@ -222,7 +275,7 @@ class TestTomlRoundTrip:
         """The hss / hmatrix / clustering sections are the option objects
         themselves; every knob of theirs survives to_toml -> resolve."""
         cfg = resolve_runtime_config(flags={
-            "hss.rel_tol": 0.05, "hss.max_rank": 48, "hss.symmetric": False,
+            "hss.rel_tol": 0.05, "hss.max_rank": 48, "hss.oversampling": 4,
             "hmatrix.admissibility": "box", "hmatrix.leaf_size": 32,
             "clustering.method": "kd", "clustering.balance_threshold": 2.0,
             "clustering.max_iter": 5, "distributed.shards": 2})
@@ -236,7 +289,7 @@ class TestTomlRoundTrip:
         reloaded = resolve_runtime_config(path=str(path))
         assert reloaded == cfg
         assert reloaded.hss == HSSOptions(rel_tol=0.05, max_rank=48,
-                                          symmetric=False)
+                                          oversampling=4)
 
     def test_malformed_toml_raises_toml_error(self, tmp_path):
         for text in ("[kernel\nh = 1.0\n", "just some words\n"):
@@ -410,10 +463,9 @@ def _option_field(options_name, field):
 
 
 for _section, _values in {
-        "hss": {"rel_tol": 0.05, "abs_tol": 1e-6, "max_rank": 48,
+        "hss": {"rel_tol": 0.05, "max_rank": 48,
                 "initial_samples": 16, "sample_increment": 8,
-                "max_adaptive_rounds": 6, "oversampling": 4,
-                "symmetric": False},
+                "max_adaptive_rounds": 6, "oversampling": 4},
         "hmatrix": {"leaf_size": 32, "admissibility_eta": 2.0,
                     "admissibility": "box", "rel_tol": 0.05,
                     "max_rank": 48}}.items():
@@ -430,7 +482,7 @@ class TestNoDeadKeys:
         training = [k for k in known_keys() if k.split(".")[0] in (
             "clustering", "hss", "hmatrix", "solver", "distributed")]
         assert sorted(OBSERVABLE) == sorted(training)
-        assert len(known_keys()) == 65
+        assert len(known_keys()) == 63
 
     @pytest.mark.parametrize("key", sorted(OBSERVABLE))
     def test_non_default_value_is_observable(self, key):

@@ -24,7 +24,7 @@ from repro.clustering import cluster
 from repro.config import HSSOptions
 from repro.datasets import gas_like, standardize, susy_like
 from repro.hss import ULVFactorization, build_hss_randomized
-from repro.kernels import GaussianKernel, ShiftedKernelOperator
+from repro.kernels import GaussianKernel, KernelOperator
 from repro.krr import KernelRidgeClassifier
 from repro.runtime import resolve_runtime_config
 from repro.server import ModelRouter
@@ -222,7 +222,7 @@ def problem(request):
         X, y = gas_like(256, seed=5)
     result = cluster(standardize(X), method="two_means", leaf_size=16,
                      seed=2)
-    operator = ShiftedKernelOperator(result.X, GaussianKernel(h=1.0), 2.0)
+    operator = KernelOperator(result.X, GaussianKernel(h=1.0))
     return result, operator
 
 
@@ -231,7 +231,7 @@ def test_ulv_solve_accuracy(problem):
     hss, _ = build_hss_randomized(operator, result.tree,
                                   HSSOptions(rel_tol=1e-4), rng=0)
     rhs = np.random.default_rng(4).standard_normal(result.tree.n)
-    x = ULVFactorization(hss).solve(rhs)
+    x = ULVFactorization.factor(hss, lam=2.0).solve(rhs)
     K = GaussianKernel(h=1.0).matrix(result.X)
     K[np.diag_indices_from(K)] += 2.0
     assert np.linalg.norm(K @ x - rhs) / np.linalg.norm(rhs) < 1e-2

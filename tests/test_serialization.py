@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.clustering import cluster
+from repro.config import ClusteringOptions
 from repro.datasets import gaussian_mixture
 from repro.hss import ULVFactorization, build_hss_from_dense
 from repro.kernels import GaussianKernel, LaplacianKernel
@@ -197,6 +198,68 @@ class TestClassifierRoundTrip:
         ova.save(path)
         reloaded = OneVsAllClassifier.load(path)
         assert np.array_equal(reloaded.classes_, ova.classes_)
+
+
+_CLUSTERINGS = {
+    "kd-balance-1.2": ClusteringOptions(method="kd", balance_threshold=1.2),
+    "two_means-1-iter": ClusteringOptions(max_iter=1, seed=3),
+    "leaf-32": ClusteringOptions(leaf_size=32),
+}
+
+
+class TestClusteringOptionsRoundTrip:
+    """A reloaded model re-clusters (``recompress``) with the options it was
+    trained with, not the method's defaults."""
+
+    @pytest.mark.parametrize("name", sorted(_CLUSTERINGS))
+    @pytest.mark.parametrize("via_store", [False, True],
+                             ids=["load", "store-apply"])
+    def test_reloaded_recompress_equals_a_cold_fit(self, tmp_path,
+                                                   binary_data, name,
+                                                   via_store):
+        X, y, _, _ = binary_data
+        options = _CLUSTERINGS[name]
+
+        def make():
+            return KernelRidgeClassifier(h=1.0, lam=1.0, solver="hss",
+                                         clustering=options, seed=0,
+                                         shards=1)
+
+        clf = make().fit(X, y)
+        # recompress() is the cold fit on the stored rows, in stored order
+        cold = make().fit(clf.X_train_,
+                          clf._decode_targets(clf._targets_perm))
+        if via_store:
+            store = ModelStore(str(tmp_path / "store"))
+            store.save(clf, "m")
+            reloaded, _ = store.apply("m", "recompress")
+        else:
+            path = os.path.join(tmp_path, "model.npz")
+            clf.save(path)
+            reloaded = KernelRidgeClassifier.load(path)
+            assert reloaded.clustering_options == options
+            reloaded.recompress()
+        assert np.array_equal(reloaded.weights_, cold.weights_)
+
+    def test_options_leaf_size_is_the_estimator_leaf_size(self, tmp_path,
+                                                          binary_data):
+        X, y, _, _ = binary_data
+        clf = KernelRidgeClassifier(h=1.0, lam=1.0, solver="dense",
+                                    clustering=ClusteringOptions(leaf_size=32))
+        assert clf.leaf_size == 32
+        clf.fit(X, y)
+        path = os.path.join(tmp_path, "model.npz")
+        config = clf.save(path).config
+        assert config["leaf_size"] == 32
+        assert config["clustering_options"]["leaf_size"] == 32
+        reloaded = KernelRidgeClassifier.load(path)
+        assert reloaded.leaf_size == 32
+        assert max(reloaded.clustering_.tree.leaf_sizes()) <= 32
+
+    def test_method_name_stands_for_default_options(self):
+        clf = KernelRidgeClassifier(clustering="kd", leaf_size=8, seed=4)
+        assert clf.clustering_options == ClusteringOptions(
+            method="kd", leaf_size=8, seed=4)
 
 
 class TestArtifactIntegrity:
