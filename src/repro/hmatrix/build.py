@@ -68,9 +68,9 @@ def build_hmatrix(
     operator:
         Partially matrix-free operator representing the matrix **in the
         permuted ordering** of ``tree``: ``block(rows, cols)`` for the
-        dense leaves, ``row_segments`` / ``col_segments`` (see
-        :class:`repro.kernels.KernelOperator`) for the ACA of the
-        admissible ones.
+        dense leaves, ``row_segments`` / ``col_segments`` and
+        ``screen_rows`` (see :class:`repro.kernels.KernelOperator`) for the
+        ACA of the admissible ones.
     X_permuted:
         The reordered data points (used only for the geometric admissibility
         condition).
@@ -82,7 +82,12 @@ def build_hmatrix(
         Optional log; an ``h_construction`` phase is added.  The build also
         runs under an ``hmatrix.build`` trace span whose attributes record
         ``admissible_blocks``, ``dense_blocks``, ``waves``, ``iterations``
-        (wavefront steps summed over the waves) and ``max_rank``.
+        (the largest ``rows_sampled`` of a wave's blocks, summed over the
+        waves: rows sampled per wave, not wavefront steps, since the
+        rank-0 row scan skips many rows in one step), ``zero_blocks``
+        (admissible blocks that came out rank 0), ``rows_scanned`` (rows
+        the rank-0 row scan screened, see :mod:`repro.lowrank.aca`) and
+        ``max_rank``.
     block_tree:
         Optional :class:`repro.hmatrix.BlockClusterTree` of an earlier
         build over the same ``X_permuted``.  The admissibility partition
@@ -136,14 +141,18 @@ def build_hmatrix(
             for rows, cols in (ranges[i] for i in admissible)])
         by_id = {blk.block_id: blk for blk in map(extract, dense)}
         compressed = [compress(wave) for wave in waves]
+        zero_blocks = rows_scanned = 0
         for wave, results in zip(waves, compressed):
             for i, result in zip(wave, results):
                 by_id[i] = HBlock(i, *ranges[i], lowrank=result.lowrank)
+                zero_blocks += result.rank == 0
+                rows_scanned += result.rows_scanned
         span.attributes.update(
             admissible_blocks=len(admissible), dense_blocks=len(dense),
             waves=len(waves),
             iterations=sum(max(r.rows_sampled for r in results)
                            for results in compressed),
+            zero_blocks=zero_blocks, rows_scanned=rows_scanned,
             max_rank=max((r.rank for results in compressed
                           for r in results), default=0))
     return HMatrix(btree, [by_id[i] for i in leaves])

@@ -35,6 +35,11 @@ class Kernel(abc.ABC):
 
     #: short identifier used by :func:`get_kernel`
     name: str = "abstract"
+    #: ``True`` when the kernel is non-negative and never grows with the
+    #: distance.  :meth:`repro.kernels.KernelOperator.screen_rows` may then
+    #: bound a block's rows from a larger squared distance; otherwise it
+    #: returns their exact values.
+    decreasing: bool = False
 
     @abc.abstractmethod
     def _evaluate_sq(self, sq_dists: np.ndarray) -> np.ndarray:

@@ -36,6 +36,8 @@ class GaussianKernel(Kernel):
     True
     """
 
+    decreasing = True
+
     def __init__(self, h: float = 1.0):
         self.h = check_positive(h, "h")
 

@@ -20,6 +20,8 @@ from .base import Kernel, register_kernel
 class LaplacianKernel(Kernel):
     """Laplacian kernel with bandwidth ``h``."""
 
+    decreasing = True
+
     def __init__(self, h: float = 1.0):
         self.h = check_positive(h, "h")
 

@@ -22,6 +22,8 @@ _SQRT5 = np.sqrt(5.0)
 class Matern32Kernel(Kernel):
     """Matérn kernel with smoothness ``nu = 3/2`` and length scale ``h``."""
 
+    decreasing = True
+
     def __init__(self, h: float = 1.0):
         self.h = check_positive(h, "h")
 
@@ -40,6 +42,8 @@ class Matern32Kernel(Kernel):
 @register_kernel("matern52")
 class Matern52Kernel(Kernel):
     """Matérn kernel with smoothness ``nu = 5/2`` and length scale ``h``."""
+
+    decreasing = True
 
     def __init__(self, h: float = 1.0):
         self.h = check_positive(h, "h")

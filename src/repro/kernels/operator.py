@@ -31,6 +31,9 @@ from ..utils.validation import check_array_2d
 from .base import Kernel
 from .distance import sq_norms
 
+#: ``u`` of float64 arithmetic: a rounded operation is within ``u`` relative
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+
 
 class KernelOperator:
     """Implicit representation of the kernel matrix of a point set.
@@ -172,6 +175,57 @@ class KernelOperator:
         """
         return self.row_segments(cols, starts, lengths)
 
+    def screen_rows(self, first: int, count: int, start: int,
+                    length: int) -> np.ndarray:
+        """Upper bounds on ``count`` consecutive rows of a block, in one GEMM.
+
+        Entry ``(i, j)`` of the result is at least ``|K[first + i,
+        start + j]|`` as :meth:`row_segments` evaluates it, to the last
+        bit.  The ACA (:func:`repro.lowrank.aca_blocks`) screens the rows of
+        a block that has no cross yet with it; the values decide which
+        rows are certainly below the pivot floor and are never stored.
+        Counts ``count * length`` element evaluations.
+
+        The GEMM and :meth:`row_segments`' GEMVs sum the inner products in
+        different orders.  Any two orders of a ``d``-term sum agree within
+        ``2 gamma_d ||x|| ||y||`` (``gamma_d = d u / (1 - d u)``), so for a
+        kernel that is :attr:`~repro.kernels.Kernel.decreasing` the GEMM's
+        inner products are raised by twice that before the distance
+        expansion: every squared distance then rounds to at most the exact
+        one, and the kernel values, doubled to cover the last bits of the
+        kernel function, bound the exact ones.  Other kernels (polynomial,
+        linear) can cancel, so no such bound holds: their rows are
+        evaluated exactly, one GEMV each.
+
+        Parameters
+        ----------
+        first, count:
+            First row and number of rows.
+        start, length:
+            First column and number of columns of every row.
+
+        Returns
+        -------
+        numpy.ndarray
+            Shape ``(count, length)``, non-negative.
+        """
+        if not self.kernel.decreasing:
+            rows = np.arange(first, first + count, dtype=np.intp)
+            values = self.row_segments(rows, np.full(count, start),
+                                       np.full(count, length))
+            return np.abs(values, out=values).reshape(count, length)
+        self._count_elements(count * length)
+        X = self.X
+        sq_x = self._sq_norms[first:first + count, None]
+        sq_y = self._sq_norms[None, start:start + length]
+        dots = X[first:first + count] @ X[start:start + length].T
+        du = X.shape[1] * _UNIT_ROUNDOFF
+        gamma = du / (1.0 - du)
+        dots += 4.0 * gamma * np.sqrt(sq_x * sq_y.max())
+        values = self.kernel.from_inner_products(dots, sq_x, sq_y)
+        values *= 2.0
+        return values
+
     def diag(self) -> np.ndarray:
         """Diagonal of the kernel matrix (all ones for normalized kernels)."""
         return np.full(self.n, self.kernel.diagonal_value(), dtype=np.float64)
@@ -306,6 +360,14 @@ class DenseMatrixOperator:
         """Concatenated ``A[starts[b] : starts[b] + lengths[b], cols[b]]``."""
         fixed, index = self._segments(cols, starts, lengths)
         return self.A[index, fixed]
+
+    def screen_rows(self, first: int, count: int, start: int,
+                    length: int) -> np.ndarray:
+        """``|A[first : first + count, start : start + length]|``: the
+        exact bound of :meth:`KernelOperator.screen_rows`."""
+        with self._counter_lock:
+            self.element_evaluations += count * length
+        return np.abs(self.A[first:first + count, start:start + length])
 
     def diag(self) -> np.ndarray:
         return np.diag(self.A).copy()

@@ -21,6 +21,29 @@ of a wavefront never interact: a block's factors do not depend on which
 other blocks share its wave (``tests/test_aca.py`` pins this, and the
 pivots, against the one-block-at-a-time loop kept in
 ``tests/aca_oracle.py``).
+
+**The rank-0 row scan.**  A row whose largest residual entry is below
+``min_pivot`` is skipped, and the walk moves on to the first unused row.
+A block that skips while it still has rank 0 has no factors and no used
+column, so its residual rows are its own rows and the walk visits them in
+order.  A numerically zero far-field block (a kernel that underflows
+between clusters) would prove itself zero one row, one wavefront step and
+one GEMV at a time.  Instead the block screens its next rows a chunk at a
+time with the operator's ``screen_rows`` (one GEMM for a kernel) and
+skips every leading row whose screen value is below the floor.  A chunk
+is as long as the rows skipped so far (1, 2, 4, ...), holds at most
+``_SCAN_ENTRIES`` = 65 536 entries (one row if the block is wider) and
+never passes the step limit.  The screen returns upper bounds on the
+values the walk samples, never the values themselves
+(:meth:`repro.kernels.KernelOperator.screen_rows` says why they bound
+them to the last bit), and they are never stored: the first row not
+certainly below the floor is sampled as before and decided on its own
+bits.  Every result — factors, rank, ``rows_sampled``, ``converged`` — is
+therefore the row-by-row walk's.  A block whose rows all stay below the
+floor evaluates the walk's ``min(m, n) * n`` entries in at most
+``ceil(log2 min(m, n)) + ceil(min(m, n) / c)`` extractions
+(``c = max(1, _SCAN_ENTRIES // n)``, the chunk cap in rows); one that
+finds its pivot row after ``k`` skips evaluates at most ``k`` rows more.
 """
 
 from __future__ import annotations
@@ -42,9 +65,16 @@ ColFn = Callable[[int], np.ndarray]
 #: the listed blocks in order, row (or column) ``pivots[k]`` of block
 #: ``blocks[k]`` — all of them concatenated into one 1-D array.
 SegmentFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
+#: row screen of the wavefront: ``screen(block, first, count)`` returns a
+#: ``(count, n[block])`` array bounding ``|rows first .. first + count - 1|``
+#: of block ``block`` entry by entry (see the module docstring).
+ScreenFn = Callable[[int, int, int], np.ndarray]
 
 #: factor rows allocated up front per wavefront; doubled when a rank exceeds it
 _INITIAL_RANK_CAPACITY = 16
+#: most entries one screen of the rank-0 row scan asks for (512 KiB of
+#: values), so its memory stays bounded whatever the block's size
+_SCAN_ENTRIES = 1 << 16
 
 
 @dataclass
@@ -55,7 +85,8 @@ class ACAResult:
     was exhausted (``min(m, n)`` cross steps attempted, or no unused row
     left), ``False`` when ``max_rank`` cut the iteration short.
     ``rows_sampled`` counts the cross steps attempted, ``cols_sampled``
-    the ones that found a usable pivot (the rank).
+    the ones that found a usable pivot (the rank), ``rows_scanned`` the
+    rows the rank-0 row scan screened (see the module docstring).
     """
 
     lowrank: LowRank
@@ -63,6 +94,7 @@ class ACAResult:
     converged: bool
     rows_sampled: int
     cols_sampled: int
+    rows_scanned: int = 0
 
     @property
     def nbytes(self) -> int:
@@ -94,7 +126,7 @@ def _residual(sampled: np.ndarray, coef: np.ndarray, lengths: np.ndarray,
 
 
 def _wavefront(m: np.ndarray, n: np.ndarray, fetch_rows: SegmentFn,
-               fetch_cols: SegmentFn, rel_tol: float,
+               fetch_cols: SegmentFn, screen: ScreenFn, rel_tol: float,
                max_rank: Optional[int], min_pivot: float) -> List[ACAResult]:
     """Partially pivoted ACA of ``len(m)`` independent blocks in lock-step.
 
@@ -105,7 +137,8 @@ def _wavefront(m: np.ndarray, n: np.ndarray, fetch_rows: SegmentFn,
     otherwise take the residual column, append ``(column / pivot, row)``
     to the factors, update the Frobenius-norm estimate, stop when the new
     term is below ``rel_tol`` times it, and continue at the row where the
-    new column is largest.
+    new column is largest.  A block skipping at rank 0 scans ahead with
+    ``screen`` (see the module docstring).
     """
     if rel_tol <= 0:
         raise ValueError("rel_tol must be positive")
@@ -128,6 +161,7 @@ def _wavefront(m: np.ndarray, n: np.ndarray, fetch_rows: SegmentFn,
     next_row = np.zeros(m.size, dtype=np.intp)
     rank = np.zeros(m.size, dtype=np.intp)
     steps = np.zeros(m.size, dtype=np.intp)
+    scanned = np.zeros(m.size, dtype=np.intp)
     frob_sq = np.zeros(m.size)      # ||U V^T||_F^2 of the approximation so far
     finished = np.zeros(m.size, dtype=bool)     # stopping rule met / no row left
 
@@ -161,6 +195,23 @@ def _wavefront(m: np.ndarray, n: np.ndarray, fetch_rows: SegmentFn,
             # The row is (numerically) fully captured: those blocks move on
             # to their first unused row, the rest of the wave takes a cross.
             skipping = blocks[small]
+            for b in skipping[rank[skipping] == 0]:
+                # Rows 0 .. steps - 1 were all skipped: screen the next
+                # ones, a chunk as long as that (capped), and skip every
+                # leading row certainly below the floor.
+                first = visited = int(steps[b])
+                stop = int(limit[b])
+                cap = max(1, _SCAN_ENTRIES // int(n[b]))
+                while first < stop:
+                    count = min(first, stop - first, cap)
+                    scanned[b] += count
+                    below = screen(b, first, count).max(axis=1) < min_pivot
+                    if not below.all():
+                        first += int(np.argmin(below))
+                        break
+                    first += count
+                used_rows[row_off[b] + visited:row_off[b] + first] = True
+                steps[b] = first
             sidx, soff = ragged_ranges(row_off[skipping], m[skipping])
             unused = ~used_rows[sidx]
             finished[skipping] = ~np.logical_or.reduceat(unused, soff[:-1])
@@ -225,7 +276,7 @@ def _wavefront(m: np.ndarray, n: np.ndarray, fetch_rows: SegmentFn,
         lowrank = LowRank(U[:r, row_off[b]:row_off[b + 1]].T.copy(),
                           V[:r, col_off[b]:col_off[b + 1]].T.copy())
         results.append(ACAResult(lowrank, r, bool(converged[b]),
-                                 int(steps[b]), r))
+                                 int(steps[b]), r, int(scanned[b])))
     return results
 
 
@@ -252,8 +303,9 @@ def aca_blocks(
     operator:
         Anything with the batched segment extraction of
         :class:`repro.kernels.KernelOperator`:
-        ``row_segments(rows, starts, lengths)`` and
-        ``col_segments(cols, starts, lengths)``.
+        ``row_segments(rows, starts, lengths)``,
+        ``col_segments(cols, starts, lengths)`` and the row screen
+        ``screen_rows(first, count, start, length)``.
     row_ranges, col_ranges:
         ``(B, 2)`` integer arrays (or sequences of pairs) of half-open
         index ranges.
@@ -278,8 +330,16 @@ def aca_blocks(
     def fetch_cols(blocks: np.ndarray, pivots: np.ndarray) -> np.ndarray:
         return operator.col_segments(c0[blocks] + pivots, r0[blocks], m[blocks])
 
-    return _wavefront(m, n, fetch_rows, fetch_cols, rel_tol, max_rank,
-                      min_pivot)
+    # Bound now, not at the first zero row: an operator without the screen
+    # fails on every input, not only on far-field data.
+    screen_rows = operator.screen_rows
+
+    def screen(block: int, first: int, count: int) -> np.ndarray:
+        return screen_rows(int(r0[block]) + first, count, int(c0[block]),
+                           int(n[block]))
+
+    return _wavefront(m, n, fetch_rows, fetch_cols, screen, rel_tol,
+                      max_rank, min_pivot)
 
 
 def aca(
@@ -321,17 +381,25 @@ def aca(
         On negative dimensions, non-positive ``rel_tol``, a sampled row or
         column of the wrong length, or a NaN entry.
     """
+    def sampled(fn: Callable[[int], np.ndarray], index: int,
+                length: int) -> np.ndarray:
+        values = np.asarray(fn(index), dtype=np.float64).ravel()
+        if values.size != length:
+            raise ValueError(
+                f"sampler returned {values.size} entries, expected {length}")
+        return values
+
     def sampler(fn: Callable[[int], np.ndarray], length: int) -> SegmentFn:
         def fetch(blocks: np.ndarray, pivots: np.ndarray) -> np.ndarray:
-            values = np.asarray(fn(int(pivots[0])), dtype=np.float64).ravel()
-            if values.size != length:
-                raise ValueError(
-                    f"sampler returned {values.size} entries, expected {length}")
-            return values
+            return sampled(fn, int(pivots[0]), length)
         return fetch
 
+    def screen(block: int, first: int, count: int) -> np.ndarray:
+        return np.abs([sampled(row_fn, i, n)
+                       for i in range(first, first + count)])
+
     return _wavefront([m], [n], sampler(row_fn, n), sampler(col_fn, m),
-                      rel_tol, max_rank, min_pivot)[0]
+                      screen, rel_tol, max_rank, min_pivot)[0]
 
 
 def aca_full(A: np.ndarray, rel_tol: float = 1e-6,

@@ -2,12 +2,25 @@
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
 from aca_oracle import aca_loop
 
-from repro.kernels import DenseMatrixOperator, GaussianKernel
+from repro import obs
+from repro.clustering import cluster
+from repro.config import HMatrixOptions
+from repro.hmatrix import build_hmatrix
+from repro.kernels import (KERNEL_REGISTRY, DenseMatrixOperator,
+                           GaussianKernel, KernelOperator, PolynomialKernel)
 from repro.lowrank import aca, aca_blocks, aca_full
+
+#: the module, which the package's ``aca`` function shadows
+aca_module = importlib.import_module("repro.lowrank.aca")
+
+#: the ACA's default pivot floor
+FLOOR = 1e-14
 
 
 def _lowrank_matrix(m, n, r, seed=0):
@@ -112,15 +125,28 @@ class TestPartialACA:
 
 
 class _RecordingOperator(DenseMatrixOperator):
-    """Dense operator that logs which row/column each segment call sampled."""
+    """Dense operator that logs which row/column each segment call sampled.
+
+    The rows of the rank-0 row scan are logged too, in order: a skipped
+    row counts as sampled whether it was screened or extracted.
+    ``row_sizes`` holds the entries of every row extraction of either
+    kind, in order.
+    """
 
     def __init__(self, A):
         super().__init__(A)
         self.row_log, self.col_log = [], []
+        self.row_sizes = []
 
     def row_segments(self, rows, starts, lengths):
+        self.row_sizes.append(int(np.sum(lengths)))
         self.row_log.extend(zip(starts.tolist(), rows.tolist()))
         return super().row_segments(rows, starts, lengths)
+
+    def screen_rows(self, first, count, start, length):
+        self.row_sizes.append(count * length)
+        self.row_log.extend((start, row) for row in range(first, first + count))
+        return super().screen_rows(first, count, start, length)
 
     def col_segments(self, cols, starts, lengths):
         self.col_log.extend(zip(starts.tolist(), cols.tolist()))
@@ -228,6 +254,246 @@ class TestWavefrontAgainstOracle:
         assert aca_blocks(op, [], []) == []
         with pytest.raises(ValueError):
             aca_blocks(op, [(0, 2)], [(0, 2), (2, 4)])
+
+
+def _segment_fns(op, rows, cols):
+    """``row_fn`` / ``col_fn`` of ``op[r0:r1, c0:c1]`` through its segments."""
+    (r0, r1), (c0, c1) = rows, cols
+
+    def row_fn(i):
+        return op.row_segments(np.array([r0 + i]), np.array([c0]),
+                               np.array([c1 - c0]))
+
+    def col_fn(j):
+        return op.col_segments(np.array([c0 + j]), np.array([r0]),
+                               np.array([r1 - r0]))
+    return row_fn, col_fn
+
+
+def _assert_as_oracle(op, rows, cols, oracle_op, **kwargs):
+    """``aca_blocks`` of ``op`` equals the one-block loop fed through the
+    segment extraction of ``oracle_op``, block by block and bit for bit."""
+    results = aca_blocks(op, rows, cols, **kwargs)
+    for block_rows, block_cols, got in zip(rows, cols, results):
+        shape = (block_rows[1] - block_rows[0], block_cols[1] - block_cols[0])
+        ref = aca_loop(*shape, *_segment_fns(oracle_op, block_rows, block_cols),
+                       **kwargs)
+        assert got.rank == ref.rank
+        assert got.rows_sampled == len(ref.row_pivots)
+        assert np.array_equal(got.lowrank.U, ref.U)
+        assert np.array_equal(got.lowrank.V, ref.V)
+        max_rank = kwargs.get("max_rank")
+        hit_cap = (max_rank is not None
+                   and len(ref.row_pivots) == max_rank < min(shape))
+        assert got.converged == (ref.stopped or not hit_cap)
+    return results
+
+
+def _far_clusters(seed=0, m=70, n=50, d=20, gap=8.0):
+    """Two Gaussian clouds whose kernel (h = 1) underflows between them;
+    rows 40 .. 44 of the first cloud sit inside the second."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m, d))
+    B = rng.standard_normal((n, d)) + gap
+    A[40:45] = B[:5] + 0.1 * rng.standard_normal((5, d))
+    return np.vstack([A, B])
+
+
+class TestRankZeroRowScan:
+    """A block skipping rows at rank 0 screens them a chunk at a time; every
+    result stays the row-by-row walk's (see ``repro.lowrank.aca``)."""
+
+    def test_kernel_far_field_matches_the_oracle_bitwise(self):
+        X = _far_clusters()
+        kernel = GaussianKernel(h=1.0)
+        # all-zero blocks, blocks whose pivot row comes after 1, 5, 40 skips,
+        # and a wide and a tall one
+        rows = [(0, 40), (0, 12), (39, 70), (35, 50), (0, 45), (38, 70), (60, 62)]
+        cols = [(70, 120), (70, 73), (70, 120), (71, 90), (75, 120), (70, 74),
+                (70, 120)]
+        op = KernelOperator(X, kernel)
+        results = _assert_as_oracle(op, rows, cols, KernelOperator(X, kernel),
+                                    rel_tol=1e-8)
+        assert [r.rank for r in results][:2] == [0, 0]
+        assert all(r.rank > 0 for r in results[2:6])
+        assert sum(r.rows_scanned for r in results) > 80
+        _assert_as_oracle(op, rows, cols, KernelOperator(X, kernel),
+                          rel_tol=1e-8, max_rank=3)
+
+    @pytest.mark.parametrize("planted", [
+        np.nextafter(FLOOR, 0.0), FLOOR, np.nextafter(FLOOR, 1.0),
+        0.5 * FLOOR, 2.0 * FLOOR, -np.nextafter(FLOOR, 0.0), -FLOOR])
+    def test_rows_at_the_floor_are_decided_as_the_oracle_decides(self, planted):
+        rng = np.random.default_rng(0)
+        A = np.zeros((128, 128))
+        A[:80, 96:] = 1e-16 * rng.standard_normal((80, 32))
+        rows, cols = [], []
+        for b, k in enumerate((0, 1, 3, 6, 13)):        # planted after k rows
+            A[16 * b + k, 96 + 5 * b] = planted
+            rows.append((16 * b, 16 * b + 16))
+            cols.append((96, 128))
+        rows.append((0, 80))                            # all five in one block
+        cols.append((96, 128))
+        op = DenseMatrixOperator(A)
+        results = _assert_as_oracle(op, rows, cols, DenseMatrixOperator(A))
+        assert {r.rank for r in results[:5]} == ({0} if abs(planted) < FLOOR
+                                                 else {1})
+
+    @pytest.mark.parametrize("ratio", [0.3, 0.9, 0.999999, 1.000001, 1.1, 3.0])
+    def test_kernel_rows_near_the_floor_are_decided_on_their_own_bits(
+            self, ratio):
+        # Row i sits at the distance where the Gaussian equals ratio *
+        # FLOOR from its nearest column point; rows before it are far away.
+        r = np.sqrt(-2.0 * np.log(ratio * FLOOR))
+        cols = np.zeros((8, 3))
+        cols[:, 1] = 1e-3 * np.arange(8)
+        rows = np.zeros((24, 3))
+        rows[:, 0] = 30.0 + np.arange(24)
+        for k in (2, 7, 17):
+            rows[k, 0] = r
+        X = np.vstack([rows, cols])
+        kernel = GaussianKernel(h=1.0)
+        results = _assert_as_oracle(
+            KernelOperator(X, kernel), [(0, 24), (3, 24), (8, 24)],
+            [(24, 32)] * 3, KernelOperator(X, kernel))
+        assert results[0].rows_scanned > 0
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 5, 9])
+    def test_nan_in_a_scanned_row_still_raises(self, k):
+        A = np.zeros((20, 20))
+        A[k, 13] = np.nan
+        with pytest.raises(ValueError, match="NaN"):
+            aca_blocks(DenseMatrixOperator(A), [(0, 10)], [(10, 20)])
+        with pytest.raises(ValueError, match="NaN"):
+            aca(20, 20, *_fns(A))
+
+    @pytest.mark.parametrize("shape", [(1, 5), (5, 1), (2, 9), (7, 30),
+                                       (30, 7), (16, 16), (33, 40), (64, 65)])
+    def test_zero_block_costs_the_walk_in_log_many_extractions(self, shape):
+        m, n = shape
+        op = _RecordingOperator(np.zeros((m + n, m + n)))
+        result = aca_blocks(op, [(0, m)], [(m, m + n)])[0]
+        assert result.rank == 0 and result.converged
+        assert result.rows_sampled == min(m, n)
+        assert op.element_evaluations == min(m, n) * n
+        assert len(op.row_sizes) <= int(np.ceil(np.log2(min(m, n)))) + 1
+        assert [row for _, row in op.row_log] == list(range(min(m, n)))
+        # the kernel operator counts the same entries
+        X = np.vstack([np.zeros((m, 4)), np.full((n, 4), 10.0)])
+        kop = KernelOperator(X, GaussianKernel(h=1.0))
+        assert aca_blocks(kop, [(0, m)], [(m, m + n)])[0].rank == 0
+        assert kop.element_evaluations == min(m, n) * n
+
+    @pytest.mark.parametrize("cap", [16, 64, 1000])
+    @pytest.mark.parametrize("shape", [(40, 30), (30, 40), (200, 9),
+                                       (9, 200), (97, 61)])
+    def test_every_screen_stays_under_the_cap(self, monkeypatch, cap, shape):
+        monkeypatch.setattr(aca_module, "_SCAN_ENTRIES", cap)
+        m, n = shape
+        op = _RecordingOperator(np.zeros((m + n, m + n)))
+        result = aca_blocks(op, [(0, m)], [(m, m + n)])[0]
+        assert result.rank == 0 and result.rows_sampled == min(m, n)
+        assert op.element_evaluations == min(m, n) * n
+        assert max(op.row_sizes) <= max(cap, n)
+        rows = max(1, cap // n)
+        assert len(op.row_sizes) <= (int(np.ceil(np.log2(min(m, n))))
+                                     + int(np.ceil(min(m, n) / rows)))
+
+    def test_a_large_zero_block_stays_under_the_default_cap(self):
+        # a far field that underflows: 500 x 500 entries, all screened
+        X = np.vstack([np.zeros((600, 4)), np.full((500, 4), 10.0)])
+        op = KernelOperator(X, GaussianKernel(h=1.0))
+        sizes = []
+        screen_rows = op.screen_rows
+        op.screen_rows = lambda first, count, start, length: (
+            sizes.append(count * length) or screen_rows(first, count, start,
+                                                        length))
+        result = aca_blocks(op, [(0, 600)], [(600, 1100)])[0]
+        assert result.rank == 0 and result.rows_sampled == 500
+        assert op.element_evaluations == 500 * 500
+        assert max(sizes) <= aca_module._SCAN_ENTRIES < 500 * 500
+
+    def test_an_operator_without_the_screen_fails_on_every_input(self):
+        class SegmentsOnly:
+            def __init__(self, A):
+                dense = DenseMatrixOperator(A)
+                self.row_segments = dense.row_segments
+                self.col_segments = dense.col_segments
+
+        # this block never skips a row at rank 0, yet needs the screen
+        A = _lowrank_matrix(20, 20, 3) + 1.0
+        with pytest.raises(AttributeError, match="screen_rows"):
+            aca_blocks(SegmentsOnly(A), [(0, 10)], [(10, 20)])
+
+    @pytest.mark.parametrize("k", range(0, 40, 3))
+    def test_a_pivot_after_k_skips_costs_at_most_k_extra_rows(self, k):
+        rng = np.random.default_rng(k)
+        A = np.zeros((96, 96))
+        A[k:48, 48:] = rng.standard_normal((48 - k, 48))
+        op = _RecordingOperator(A)
+        ref = aca_loop(48, 48, lambda i: A[i, 48:], lambda j: A[:48, 48 + j],
+                       rel_tol=1e-8)
+        got = aca_blocks(op, [(0, 48)], [(48, 96)], rel_tol=1e-8)[0]
+        assert np.array_equal(got.lowrank.U, ref.U)
+        assert np.array_equal(got.lowrank.V, ref.V)
+        assert len(op.row_log) <= len(ref.row_pivots) + k
+        assert op.element_evaluations <= 48 * (len(ref.row_pivots) + k
+                                               + len(ref.col_pivots))
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_REGISTRY))
+    @pytest.mark.parametrize("d", [1, 3, 100])
+    def test_the_screen_bounds_the_sampled_rows(self, name, d):
+        kernel = (KERNEL_REGISTRY[name]() if name in ("polynomial", "linear")
+                  else KERNEL_REGISTRY[name](h=0.7 * np.sqrt(d)))
+        rng = np.random.default_rng(d)
+        X = rng.standard_normal((90, d)) * rng.uniform(0.01, 3.0, (90, 1))
+        X[60:63] = X[0]                                 # duplicate points
+        op = KernelOperator(X, kernel)
+        for first, count, start, length in [(0, 30, 30, 60), (5, 1, 0, 90),
+                                            (58, 8, 0, 64)]:
+            bound = op.screen_rows(first, count, start, length)
+            exact = np.abs(op.row_segments(
+                np.arange(first, first + count), np.full(count, start),
+                np.full(count, length))).reshape(count, length)
+            assert bound.shape == (count, length)
+            if kernel.decreasing:
+                assert (bound >= exact).all()
+            else:
+                assert np.array_equal(bound, exact)
+
+    @pytest.mark.parametrize("noise, zero_blocks", [(1e-9, 2), (1.5e-9, 0)])
+    def test_polynomial_far_field_build_matches_the_oracle_bitwise(
+            self, noise, zero_blocks):
+        # Two clouds in orthogonal subspaces: the inner products between
+        # them cancel to ~1e-7, around the floor once squared, so a GEMM
+        # and the row GEMVs could decide differently.  At the larger noise
+        # the far-field blocks find their pivot rows after skipping some.
+        rng = np.random.default_rng(0)
+        X = np.zeros((256, 6))
+        X[:128, :3] = 10.0 + rng.standard_normal((128, 3))
+        X[128:, 3:] = 10.0 + rng.standard_normal((128, 3))
+        X[:128, 3:] = noise * rng.standard_normal((128, 3))
+        X[128:, :3] = noise * rng.standard_normal((128, 3))
+        result = cluster(X, method="two_means", leaf_size=16, seed=0)
+        kernel = PolynomialKernel(degree=2, gamma=1.0, coef0=0.0)
+        opts = HMatrixOptions(leaf_size=16, rel_tol=1e-6)
+        with obs.trace.span("test.root") as root:
+            hm = build_hmatrix(KernelOperator(result.X, kernel), result.X,
+                               result.tree, opts)
+        attrs = root.find("hmatrix.build").attributes
+        assert attrs["rows_scanned"] > 0
+        oracle_op = KernelOperator(result.X, kernel)
+        lowrank = [blk for blk in hm.blocks if blk.lowrank is not None]
+        assert attrs["zero_blocks"] == zero_blocks == sum(
+            b.lowrank.rank == 0 for b in lowrank)
+        for blk in lowrank:
+            rows = (blk.row_slice.start, blk.row_slice.stop)
+            cols = (blk.col_slice.start, blk.col_slice.stop)
+            ref = aca_loop(rows[1] - rows[0], cols[1] - cols[0],
+                           *_segment_fns(oracle_op, rows, cols),
+                           rel_tol=opts.rel_tol, max_rank=opts.max_rank)
+            assert np.array_equal(blk.lowrank.U, ref.U)
+            assert np.array_equal(blk.lowrank.V, ref.V)
 
 
 class TestFullACA:

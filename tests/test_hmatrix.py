@@ -230,16 +230,40 @@ class TestWaveAssembly:
         span = outer.children[0]
         assert span.find("h_construction") is not None
         # the same assembly again, on the build's own block tree
-        stats = build_hmatrix(KernelOperator(result.X, GaussianKernel(h=1.5)),
-                              result.X, result.tree,
-                              block_tree=compressed.block_tree).statistics()
+        hm = build_hmatrix(KernelOperator(result.X, GaussianKernel(h=1.5)),
+                           result.X, result.tree,
+                           block_tree=compressed.block_tree)
+        stats = hm.statistics()
         attrs = span.attributes
         assert attrs["admissible_blocks"] == stats.admissible_blocks > 0
         assert attrs["dense_blocks"] == stats.dense_blocks > 0
         assert attrs["max_rank"] == stats.max_rank > 0
         assert attrs["waves"] == 1
         assert attrs["max_rank"] <= attrs["iterations"] <= 150
+        assert attrs["zero_blocks"] == sum(
+            b.lowrank.rank == 0 for b in hm.blocks if b.lowrank is not None)
+        assert attrs["rows_scanned"] >= 0
         assert span.as_dict()["attributes"] == attrs
+
+    def test_span_counts_zero_blocks_and_scanned_rows(self, hmatrix_setup):
+        """At a bandwidth where the kernel underflows between clusters, the
+        far-field blocks come out rank 0 through the row scan: every row
+        the walk would sample is fetched by the scan but the first of each
+        block."""
+        result, _ = hmatrix_setup
+        opts = HMatrixOptions(leaf_size=16)
+        with obs.trace.span("test.root") as root:
+            hm = build_hmatrix(KernelOperator(result.X, GaussianKernel(h=0.3)),
+                               result.X, result.tree, opts)
+        attrs = root.find("hmatrix.build").attributes
+        lowrank = [b for b in hm.blocks if b.lowrank is not None]
+        zero = [b for b in lowrank if b.lowrank.rank == 0]
+        assert attrs["zero_blocks"] == len(zero) > 0
+        walked = sum(min(b.lowrank.shape) for b in zero)
+        assert attrs["rows_scanned"] >= walked - len(zero)
+        # rows sampled per wave: the largest walk of the (single) wave
+        assert attrs["waves"] == 1
+        assert attrs["iterations"] >= max(min(b.lowrank.shape) for b in zero)
 
     def test_call_count_budget(self):
         """Per-block Python must not creep back into the assembly.
