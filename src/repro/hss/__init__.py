@@ -5,8 +5,12 @@ paper:
 
 * :class:`HSSMatrix` — the compressed representation (Section 3.1):
   recursive 2x2 partition driven by a cluster tree, dense leaf diagonal
-  blocks ``D_i``, nested row/column bases ``U_i`` / ``V_i`` and coupling
-  blocks ``B_ij`` such that every off-diagonal block is ``U_i B_ij V_j^T``.
+  blocks ``D_i``, nested bases ``U_i`` and coupling blocks ``B_ij`` such
+  that every off-diagonal block is ``U_i B_ij U_j^T``.  The paper's
+  general format also has column bases ``V_i`` and a second coupling
+  block ``B_ji``; every matrix compressed here is a symmetric kernel
+  matrix, where those are ``U_i`` and ``B_ij^T``, so they are not stored
+  (:class:`HSSNodeData` holds ``D``, ``U``, ``B12`` and one skeleton).
 * :func:`build_hss_from_dense` — deterministic construction from an
   explicit matrix (reference implementation, used in tests and for modest
   problem sizes).
@@ -16,8 +20,9 @@ paper:
 * :class:`ULVFactorization` — the ULV factorization and solve
   (Chandrasekaran, Gu & Pals 2006), with separate factor / solve phases as
   timed in the paper's Table 4.  The ridge shift ``+ lam I`` is applied at
-  factorization time (``ULVFactorization.factor(hss, lam)``), not at
-  compression time.
+  factorization time (``ULVFactorization.factor(hss, lam)``), to copies of
+  the leaf diagonals, never to the compression: the ULV is the one place
+  λ goes.
 * :class:`CompressedKernel` / :func:`compress_kernel` — the λ-free
   compression stage (H matrix + HSS of the unshifted kernel), built once
   per ``(dataset, kernel, tree)`` and re-factored cheaply per λ.  The H

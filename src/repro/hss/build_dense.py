@@ -4,7 +4,8 @@ This is the reference builder: it walks the cluster tree bottom-up and
 compresses the off-diagonal block row of every node with an interpolative
 decomposition, enforcing the nested-basis property by only compressing the
 *skeleton* rows of the children at internal nodes.  Kernel matrices are
-symmetric, so the column bases and skeletons are the row ones.
+symmetric, so the row bases and skeletons serve the columns too and the
+only coupling block stored is ``B12`` (see :mod:`repro.hss.generators`).
 
 A node's compression only reads the matrix and the children's skeletons,
 which belong to deeper levels, so the walk goes level by level, deepest
@@ -38,12 +39,10 @@ def _complement(n: int, start: int, stop: int) -> np.ndarray:
 
 def _compress_rows(data: HSSNodeData, hankel_row: np.ndarray,
                    rows: np.ndarray, opts: HSSOptions) -> HSSNodeData:
-    """Row-ID ``hankel_row``; the column basis is the row one (``A = A^T``)."""
+    """Row-ID ``hankel_row``; the basis serves the columns too (``A = A^T``)."""
     rid = row_id(hankel_row, rel_tol=opts.rel_tol, max_rank=opts.max_rank)
     data.U = rid.interp
-    data.V = rid.interp.copy()
     data.row_skeleton = rows[rid.skeleton]
-    data.col_skeleton = data.row_skeleton.copy()
     return data
 
 
@@ -96,9 +95,7 @@ def build_hss_from_dense(
             if node_id == tree.root:
                 # Degenerate single-node tree: the matrix is one dense block.
                 data.U = np.zeros((nd.size, 0))
-                data.V = np.zeros((nd.size, 0))
                 data.row_skeleton = rows[:0]
-                data.col_skeleton = rows[:0]
                 return data
             # Row Hankel block A(I_i, I_i^c): select representative rows.
             return _compress_rows(data, A[np.ix_(rows, comp)], rows, opts)
@@ -106,12 +103,10 @@ def build_hss_from_dense(
         # ----- internal node
         c1, c2 = nd.left, nd.right
         d1, d2 = node_data[c1], node_data[c2]
-        data.B12 = A[np.ix_(d1.row_skeleton, d2.col_skeleton)].copy()
-        data.B21 = A[np.ix_(d2.row_skeleton, d1.col_skeleton)].copy()
+        data.B12 = A[np.ix_(d1.row_skeleton, d2.row_skeleton)].copy()
 
         if node_id == tree.root:
             data.row_skeleton = np.zeros(0, dtype=np.intp)
-            data.col_skeleton = np.zeros(0, dtype=np.intp)
             return data
 
         merged_rows = np.concatenate([d1.row_skeleton, d2.row_skeleton])

@@ -178,9 +178,9 @@ class _Sample:
         ``node_data[child]`` and ``carries[child]`` hold the two children's
         results.  The carry is what the parent will need — the local
         sample restricted to the skeleton and the compressed random block
-        ``V^T R(I, :)`` — and is ``None`` at the root.  The matrix is
-        symmetric, so the column basis and skeleton are the row ones and
-        ``B21 = B12^T``.
+        ``U^T R(I, :)`` — and is ``None`` at the root.  The matrix is
+        symmetric, so the basis and skeleton serve the columns too and the
+        block below the children's diagonal is ``B12^T``.
         """
         node_id, left, right, start, stop, is_leaf = node
         self.visited.append(node_id)
@@ -190,33 +190,27 @@ class _Sample:
             index, data.D = self.leaves[node_id]
             if node_id == self.root:
                 data.U = np.zeros((stop - start, 0))
-                data.V = np.zeros((stop - start, 0))
                 data.row_skeleton = index[:0]
-                data.col_skeleton = index[:0]
                 return data, None
             r_in = self.R[start:stop]
             sample = self.S[start:stop] - data.D @ r_in
         else:
             d1, d2 = node_data[left], node_data[right]
             data.B12 = np.asarray(
-                self.operator.block(d1.row_skeleton, d2.col_skeleton),
+                self.operator.block(d1.row_skeleton, d2.row_skeleton),
                 dtype=np.float64)
-            data.B21 = data.B12.T.copy()
             if node_id == self.root:
                 data.row_skeleton = np.zeros(0, dtype=np.intp)
-                data.col_skeleton = np.zeros(0, dtype=np.intp)
                 return data, None
             s1, r1 = carries[left]
             s2, r2 = carries[right]
-            sample = np.concatenate((s1 - data.B12 @ r2, s2 - data.B21 @ r1))
+            sample = np.concatenate((s1 - data.B12 @ r2, s2 - data.B12.T @ r1))
             index = np.concatenate((d1.row_skeleton, d2.row_skeleton))
             r_in = np.concatenate((r1, r2))
 
         data.U, skel = self._interpolate(sample)
         data.row_skeleton = index[skel]
-        data.V = data.U.copy()
-        data.col_skeleton = data.row_skeleton.copy()
-        return data, (sample[skel], data.V.T @ r_in)
+        return data, (sample[skel], data.U.T @ r_in)
 
     def walk(self, order: Sequence[_Node]) -> Dict[int, HSSNodeData]:
         """Visit the nodes of ``order`` (a post-order): generators by node id.

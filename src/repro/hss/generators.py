@@ -1,25 +1,27 @@
 """Per-node HSS generator storage.
 
 Every node of the HSS tree owns a small set of dense generator matrices
-(Figure 2/3 of the paper):
+(Figure 2/3 of the paper).  The paper's format is the general one, with
+column bases ``V_i`` and both coupling blocks ``B_ij`` / ``B_ji``; every
+matrix compressed here is a symmetric kernel matrix, whose column bases
+are the row bases and whose ``B_ji`` is ``B_ij^T``, so a node stores only
 
-* leaves store the dense diagonal block ``D`` and the explicit bases
-  ``U`` (row space of the off-diagonal block row) and ``V`` (column space
-  of the off-diagonal block column);
-* internal nodes store only the *transfer* matrices ``U`` and ``V`` in the
-  nested-basis sense (``U_i = diag(U_c1, U_c2) @ U_tilde_i``), plus the
-  coupling blocks ``B12 = B_{c1,c2}`` and ``B21 = B_{c2,c1}`` between their
-  two children;
-* the root stores only ``B12`` / ``B21``.
+* at a leaf, the dense diagonal block ``D`` and the explicit basis ``U``
+  (row space of the off-diagonal block row, and so column space of the
+  off-diagonal block column);
+* at an internal node, the *transfer* matrix ``U`` in the nested-basis
+  sense (``U_i = diag(U_c1, U_c2) @ U_tilde_i``) and the coupling block
+  ``B12 = B_{c1,c2}`` between its two children (``B_{c2,c1} = B12^T``);
+* at the root, only ``B12``.
 
-Row/column *skeleton* index arrays record which global rows/columns were
-selected by the interpolative decompositions; the randomized builder uses
-them to extract the ``B`` blocks directly from the original matrix.
+The *skeleton* index array records which global rows (and so columns)
+the interpolative decompositions selected; the randomized builder uses it
+to extract the ``B12`` blocks directly from the original matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -33,40 +35,20 @@ class HSSNodeData:
 
     #: dense diagonal block (leaves only)
     D: Optional[np.ndarray] = None
-    #: row basis (leaves: ``n_i x r``; internal: transfer matrix)
+    #: row and column basis (leaves: ``n_i x r``; internal: transfer matrix)
     U: Optional[np.ndarray] = None
-    #: column basis (leaves: ``n_i x r``; internal: transfer matrix)
-    V: Optional[np.ndarray] = None
     #: coupling block between the node's children: ``A(rows(c1), cols(c2))``
     B12: Optional[np.ndarray] = None
-    #: coupling block ``A(rows(c2), cols(c1))``
-    B21: Optional[np.ndarray] = None
     #: global (permuted-order) indices of the rows selected for this node
     row_skeleton: Optional[np.ndarray] = None
-    #: global (permuted-order) indices of the columns selected for this node
-    col_skeleton: Optional[np.ndarray] = None
-
-    @property
-    def row_rank(self) -> int:
-        """Number of columns of the row basis (0 if absent)."""
-        return 0 if self.U is None else int(self.U.shape[1])
-
-    @property
-    def col_rank(self) -> int:
-        """Number of columns of the column basis (0 if absent)."""
-        return 0 if self.V is None else int(self.V.shape[1])
 
     @property
     def rank(self) -> int:
-        """Maximum of row and column rank (the paper's per-node rank)."""
-        return max(self.row_rank, self.col_rank)
+        """Number of columns of the basis (the paper's per-node rank)."""
+        return 0 if self.U is None else int(self.U.shape[1])
 
     @property
     def nbytes(self) -> int:
-        """Memory of all generators stored at this node.
-
-        This is the accounting the paper uses: "the sum of the memory used
-        by all the individual smaller matrices in the HSS structure:
-        D_i, U_i, V_i, B_ij, B_ji".
-        """
-        return nbytes_of_arrays((self.D, self.U, self.V, self.B12, self.B21))
+        """Memory of all generators stored at this node: ``D``, ``U`` and
+        ``B12`` (see :mod:`repro.hss.memory`)."""
+        return nbytes_of_arrays((self.D, self.U, self.B12))

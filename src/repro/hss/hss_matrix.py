@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -21,6 +21,11 @@ class HSSMatrix:
     :class:`repro.hss.ULVFactorization`) work in the permuted ordering; the
     KRR pipeline keeps its data permuted throughout so no back-and-forth
     mapping is needed until prediction time.
+
+    The matrix is symmetric (a kernel matrix): a node's basis ``U`` spans
+    both its off-diagonal block row and column, and the coupling block
+    below the diagonal is ``B12^T`` (see :mod:`repro.hss.generators`), so
+    ``A_perm.T @ x`` is :meth:`matvec`.
 
     Parameters
     ----------
@@ -51,30 +56,22 @@ class HSSMatrix:
                         f"leaf node {node_id} D block has shape {data.D.shape}, "
                         f"expected {(nd.size, nd.size)}")
             else:
-                c1, c2 = nd.left, nd.right
-                d1, d2 = self.node_data[c1], self.node_data[c2]
-                if data.B12 is None or data.B21 is None:
-                    raise ValueError(f"internal node {node_id} is missing B blocks")
-                if data.B12.shape != (d1.row_rank, d2.col_rank):
+                d1, d2 = self.node_data[nd.left], self.node_data[nd.right]
+                if data.B12 is None:
+                    raise ValueError(f"internal node {node_id} is missing its B12 block")
+                if data.B12.shape != (d1.rank, d2.rank):
                     raise ValueError(
                         f"node {node_id} B12 has shape {data.B12.shape}, expected "
-                        f"{(d1.row_rank, d2.col_rank)}")
-                if data.B21.shape != (d2.row_rank, d1.col_rank):
-                    raise ValueError(
-                        f"node {node_id} B21 has shape {data.B21.shape}, expected "
-                        f"{(d2.row_rank, d1.col_rank)}")
+                        f"{(d1.rank, d2.rank)}")
                 if node_id != self.tree.root:
-                    if data.U is None or data.V is None:
+                    if data.U is None:
                         raise ValueError(
-                            f"internal non-root node {node_id} is missing transfer matrices")
-                    if data.U.shape[0] != d1.row_rank + d2.row_rank:
+                            f"internal non-root node {node_id} is missing its "
+                            f"transfer matrix")
+                    if data.U.shape[0] != d1.rank + d2.rank:
                         raise ValueError(
                             f"node {node_id} U transfer has {data.U.shape[0]} rows, "
-                            f"expected {d1.row_rank + d2.row_rank}")
-                    if data.V.shape[0] != d1.col_rank + d2.col_rank:
-                        raise ValueError(
-                            f"node {node_id} V transfer has {data.V.shape[0]} rows, "
-                            f"expected {d1.col_rank + d2.col_rank}")
+                            f"expected {d1.rank + d2.rank}")
 
     # -------------------------------------------------------------- accessors
     @property
@@ -113,22 +110,23 @@ class HSSMatrix:
     def _matmat(self, X: np.ndarray) -> np.ndarray:
         tree = self.tree
         data = self.node_data
-        # --- up sweep: compressed products xt_i = V_i^(full)^T x(I_i)
+        # --- up sweep: compressed products xt_i = U_i^(full)^T x(I_i); the
+        # column bases of a symmetric matrix are its row bases
         xt: Dict[int, np.ndarray] = {}
         for node_id in tree.postorder():
             nd = tree.node(node_id)
             d = data[node_id]
             if nd.is_leaf:
-                if d.V is not None and d.V.shape[1] > 0:
-                    xt[node_id] = d.V.T @ X[nd.start:nd.stop]
+                if d.U is not None and d.U.shape[1] > 0:
+                    xt[node_id] = d.U.T @ X[nd.start:nd.stop]
                 else:
                     xt[node_id] = np.zeros((0, X.shape[1]))
             else:
                 stacked = np.vstack([xt[nd.left], xt[nd.right]])
-                if node_id == tree.root or d.V is None:
+                if node_id == tree.root or d.U is None:
                     xt[node_id] = stacked  # not used further
                 else:
-                    xt[node_id] = d.V.T @ stacked
+                    xt[node_id] = d.U.T @ stacked
 
         # --- down sweep: f_i vectors in the row-basis space of each node
         Y = np.zeros((self.n, X.shape[1]))
@@ -144,100 +142,22 @@ class HSSMatrix:
                     Y[nd.start:nd.stop] += d.U @ fi
                 continue
             c1, c2 = nd.left, nd.right
-            d1, d2 = data[c1], data[c2]
-            f1 = d.B12 @ xt[c2] if d.B12 is not None else np.zeros((d1.row_rank, X.shape[1]))
-            f2 = d.B21 @ xt[c1] if d.B21 is not None else np.zeros((d2.row_rank, X.shape[1]))
+            r1 = data[c1].rank
+            # block (1, 2) is U_1 B12 U_2^T and block (2, 1) its transpose
+            f1 = d.B12 @ xt[c2]
+            f2 = d.B12.T @ xt[c1]
             fp = f.get(node_id)
             if fp is not None and d.U is not None and d.U.shape[1] > 0:
                 prop = d.U @ fp
-                f1 = f1 + prop[:d1.row_rank]
-                f2 = f2 + prop[d1.row_rank:]
+                f1 = f1 + prop[:r1]
+                f2 = f2 + prop[r1:]
             f[c1] = f1
             f[c2] = f2
         return Y
-
-    def rmatvec(self, x: np.ndarray) -> np.ndarray:
-        """Compute ``A_perm.T @ x`` (transpose matvec)."""
-        return self.transpose_matvec(x)
-
-    def transpose_matvec(self, x: np.ndarray) -> np.ndarray:
-        """Transpose mat-vec via the same sweeps with the roles of U/V swapped."""
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        X = x[:, None] if single else x
-        tree = self.tree
-        data = self.node_data
-        xt: Dict[int, np.ndarray] = {}
-        for node_id in tree.postorder():
-            nd = tree.node(node_id)
-            d = data[node_id]
-            if nd.is_leaf:
-                if d.U is not None and d.U.shape[1] > 0:
-                    xt[node_id] = d.U.T @ X[nd.start:nd.stop]
-                else:
-                    xt[node_id] = np.zeros((0, X.shape[1]))
-            else:
-                stacked = np.vstack([xt[nd.left], xt[nd.right]])
-                if node_id == tree.root or d.U is None:
-                    xt[node_id] = stacked
-                else:
-                    xt[node_id] = d.U.T @ stacked
-        Y = np.zeros((self.n, X.shape[1]))
-        f: Dict[int, np.ndarray] = {}
-        order = list(tree.postorder())[::-1]
-        for node_id in order:
-            nd = tree.node(node_id)
-            d = data[node_id]
-            if nd.is_leaf:
-                Y[nd.start:nd.stop] = d.D.T @ X[nd.start:nd.stop]
-                fi = f.get(node_id)
-                if fi is not None and d.V is not None and d.V.shape[1] > 0:
-                    Y[nd.start:nd.stop] += d.V @ fi
-                continue
-            c1, c2 = nd.left, nd.right
-            d1, d2 = data[c1], data[c2]
-            # (U_1 B12 V_2^T)^T = V_2 B12^T U_1^T contributes to block (2, 1)
-            f2 = d.B12.T @ xt[c1] if d.B12 is not None else np.zeros((d2.col_rank, X.shape[1]))
-            f1 = d.B21.T @ xt[c2] if d.B21 is not None else np.zeros((d1.col_rank, X.shape[1]))
-            fp = f.get(node_id)
-            if fp is not None and d.V is not None and d.V.shape[1] > 0:
-                prop = d.V @ fp
-                f1 = f1 + prop[:d1.col_rank]
-                f2 = f2 + prop[d1.col_rank:]
-            f[c1] = f1
-            f[c2] = f2
-        Y = Y if not single else Y.ravel()
-        return Y
-
-    # --------------------------------------------------------- diagonal shift
-    def shifted(self, delta: float) -> "HSSMatrix":
-        """Return a copy representing ``A + delta * I``.
-
-        Only the dense diagonal leaf blocks change; all bases and coupling
-        blocks are shared with the original matrix (no copy).  This is the
-        cheap-lambda-update the paper relies on for hyper-parameter tuning
-        (Section 5.3): "When the parameter lambda changes, we only need to
-        update the diagonal entries of the HSS matrix, and there is no need
-        to perform HSS construction again."  A new ULV factorization is
-        still required for the shifted matrix.
-        """
-        delta = float(delta)
-        new_data: List[HSSNodeData] = []
-        for node_id, data in enumerate(self.node_data):
-            nd = self.tree.node(node_id)
-            if nd.is_leaf and data.D is not None:
-                D = data.D.copy()
-                D[np.diag_indices_from(D)] += delta
-                new_data.append(HSSNodeData(
-                    D=D, U=data.U, V=data.V, B12=data.B12, B21=data.B21,
-                    row_skeleton=data.row_skeleton, col_skeleton=data.col_skeleton))
-            else:
-                new_data.append(data)
-        return HSSMatrix(self.tree, new_data)
 
     # ----------------------------------------------------------- full bases
-    def full_bases(self) -> Dict[int, Dict[str, np.ndarray]]:
-        """Expand the nested bases into explicit ``U_i`` / ``V_i`` per node.
+    def full_bases(self) -> Dict[int, np.ndarray]:
+        """Expand the nested bases into an explicit ``U_i`` per node.
 
         Only used for reconstruction and debugging — the whole point of the
         nested-basis property is that these are never formed during normal
@@ -245,30 +165,20 @@ class HSSMatrix:
         """
         tree = self.tree
         data = self.node_data
-        out: Dict[int, Dict[str, np.ndarray]] = {}
+        out: Dict[int, np.ndarray] = {}
         for node_id in tree.postorder():
             nd = tree.node(node_id)
             d = data[node_id]
             if nd.is_leaf:
-                U = d.U if d.U is not None else np.zeros((nd.size, 0))
-                V = d.V if d.V is not None else np.zeros((nd.size, 0))
-                out[node_id] = {"U": U, "V": V}
+                out[node_id] = d.U if d.U is not None else np.zeros((nd.size, 0))
+            elif node_id == tree.root or d.U is None:
+                out[node_id] = np.zeros((nd.size, 0))
             else:
-                u1, v1 = out[nd.left]["U"], out[nd.left]["V"]
-                u2, v2 = out[nd.right]["U"], out[nd.right]["V"]
-                if node_id == tree.root or d.U is None:
-                    U = np.zeros((nd.size, 0))
-                    V = np.zeros((nd.size, 0))
-                else:
-                    blockU = np.zeros((nd.size, u1.shape[1] + u2.shape[1]))
-                    blockU[: tree.node(nd.left).size, : u1.shape[1]] = u1
-                    blockU[tree.node(nd.left).size:, u1.shape[1]:] = u2
-                    U = blockU @ d.U
-                    blockV = np.zeros((nd.size, v1.shape[1] + v2.shape[1]))
-                    blockV[: tree.node(nd.left).size, : v1.shape[1]] = v1
-                    blockV[tree.node(nd.left).size:, v1.shape[1]:] = v2
-                    V = blockV @ d.V
-                out[node_id] = {"U": U, "V": V}
+                u1, u2 = out[nd.left], out[nd.right]
+                block = np.zeros((nd.size, u1.shape[1] + u2.shape[1]))
+                block[:u1.shape[0], :u1.shape[1]] = u1
+                block[u1.shape[0]:, u1.shape[1]:] = u2
+                out[node_id] = block @ d.U
         return out
 
     def to_dense(self) -> np.ndarray:
@@ -286,11 +196,8 @@ class HSSMatrix:
             c1, c2 = nd.left, nd.right
             A11 = dense.pop(c1)
             A22 = dense.pop(c2)
-            U1, V1 = bases[c1]["U"], bases[c1]["V"]
-            U2, V2 = bases[c2]["U"], bases[c2]["V"]
-            A12 = U1 @ d.B12 @ V2.T
-            A21 = U2 @ d.B21 @ V1.T
-            dense[node_id] = np.block([[A11, A12], [A21, A22]])
+            A12 = bases[c1] @ d.B12 @ bases[c2].T
+            dense[node_id] = np.block([[A11, A12], [A12.T, A22]])
         return dense[tree.root]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

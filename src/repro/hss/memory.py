@@ -3,7 +3,11 @@
 These are the paper's headline performance metrics (Section 4.2):
 
 * **Memory (MB)** — the sum of the memory used by all the individual
-  smaller matrices in the HSS structure: ``D_i, U_i, V_i, B_ij, B_ji``;
+  smaller matrices in the HSS structure.  The paper's accounting lists
+  ``D_i, U_i, V_i, B_ij, B_ji``; a symmetric kernel matrix stores no
+  ``V_i`` (its column bases are the ``U_i``) and no ``B_ji`` (it is
+  ``B_ij^T``), so what is counted here is what is stored: ``D_i, U_i,
+  B_ij``;
 * **Maximum rank** — the largest rank encountered in any of the
   off-diagonal blocks of the HSS structure.
 
@@ -65,12 +69,10 @@ class HSSStatistics:
             nd = tree.node(node_id)
             if data.D is not None:
                 bytes_diag += data.D.nbytes
-            for gen in (data.U, data.V):
-                if gen is not None:
-                    bytes_bases += gen.nbytes
-            for gen in (data.B12, data.B21):
-                if gen is not None:
-                    bytes_coupling += gen.nbytes
+            if data.U is not None:
+                bytes_bases += data.U.nbytes
+            if data.B12 is not None:
+                bytes_coupling += data.B12.nbytes
             level = nd.level
             rank_per_level[level] = max(rank_per_level.get(level, 0), data.rank)
         total = bytes_diag + bytes_bases + bytes_coupling

@@ -310,6 +310,9 @@ class ULVFactorization:
                    prior: Optional[_NodeFactors]) -> _NodeFactors:
         """The two orthogonal transforms and the local elimination.
 
+        ``U`` and ``V`` are the local row and column bases: both the
+        stored basis at a leaf, and above it the one transfer matrix
+        applied to the children's ``u_hat`` and ``g2`` respectively.
         ``U`` is only read when there is no ``prior`` node to take
         ``omega`` / ``u_hat`` from.
         """
@@ -367,42 +370,43 @@ class ULVFactorization:
 
             if left < 0:
                 # The ridge shift lives only on the dense leaf diagonals;
-                # shifting a copy here (exactly like HSSMatrix.shifted)
-                # keeps the stored generators λ-free and reusable.
+                # shifting a copy here keeps the stored generators λ-free
+                # and reusable.
                 D = d.D
                 if lam != 0.0:
                     D = D.copy()
                     D.reshape(-1)[::D.shape[0] + 1] += lam
+                # The matrix is symmetric: the column basis is the row one.
+                V = d.U if d.U is not None else np.zeros((stop - start, 0))
                 if not warm:
-                    U = d.U if d.U is not None \
-                        else np.zeros((stop - start, 0))
-                V = d.V if d.V is not None else np.zeros((stop - start, 0))
+                    U = V
             else:
-                # The reduced (D, V) a child hands up are its d_hat2 / g2.
+                # The reduced (D, V) a child hands up are its d_hat2 / g2;
+                # the block below the children's diagonal is B12^T.
                 f1, f2 = factors[left], factors[right]
                 n1, n = f1.n_keep, f1.n_keep + f2.n_keep
                 D = np.empty((n, n))
                 D[:n1, :n1] = f1.d_hat2
                 D[:n1, n1:] = f1.u_hat @ d.B12 @ f2.g2.T
-                D[n1:, :n1] = f2.u_hat @ d.B21 @ f1.g2.T
+                D[n1:, :n1] = f2.u_hat @ d.B12.T @ f1.g2.T
                 D[n1:, n1:] = f2.d_hat2
                 if node_id == root or d.U is None:
                     U = np.zeros((n, 0))
                     V = np.zeros((n, 0))
                 else:
-                    # The assembled U is λ-independent (children's u_hat
-                    # come from λ-free QRs) and only feeds the QR a prior
+                    # Both assemblies apply the one transfer matrix.  The
+                    # assembled U is λ-independent (children's u_hat come
+                    # from λ-free QRs) and only feeds the QR a prior
                     # factorization already did; V is not — its g2 factors
                     # pass through the shift-dependent right transforms.
+                    r1 = f1.g2.shape[1]
                     if not warm:
-                        ru1 = f1.u_hat.shape[1]
                         U = np.empty((n, d.U.shape[1]))
-                        U[:n1] = f1.u_hat @ d.U[:ru1]
-                        U[n1:] = f2.u_hat @ d.U[ru1:]
-                    rv1 = f1.g2.shape[1]
-                    V = np.empty((n, d.V.shape[1]))
-                    V[:n1] = f1.g2 @ d.V[:rv1]
-                    V[n1:] = f2.g2 @ d.V[rv1:]
+                        U[:n1] = f1.u_hat @ d.U[:r1]
+                        U[n1:] = f2.u_hat @ d.U[r1:]
+                    V = np.empty((n, d.U.shape[1]))
+                    V[:n1] = f1.g2 @ d.U[:r1]
+                    V[n1:] = f2.g2 @ d.U[r1:]
 
             if node_id == root:
                 # Final dense system of the surviving unknowns.
@@ -486,7 +490,7 @@ class ULVFactorization:
                 b_loc = np.empty((n1 + f2.n_keep, nrhs))
                 np.subtract(b_hat[left], f1.u_hat @ (d.B12 @ beta[right]),
                             out=b_loc[:n1])
-                np.subtract(b_hat[right], f2.u_hat @ (d.B21 @ beta[left]),
+                np.subtract(b_hat[right], f2.u_hat @ (d.B12.T @ beta[left]),
                             out=b_loc[n1:])
 
             if node_id == root:
@@ -506,8 +510,8 @@ class ULVFactorization:
                 reduced = b_loc.copy()
                 beta_local = np.zeros((fac.g2.shape[1], nrhs))
 
-            if left >= 0 and d.V is not None and d.V.shape[1] > 0:
-                beta_local = d.V.T @ np.concatenate(
+            if left >= 0 and d.U is not None and d.U.shape[1] > 0:
+                beta_local = d.U.T @ np.concatenate(
                     (beta[left], beta[right])) + beta_local
             return z, reduced, beta_local
 

@@ -81,13 +81,11 @@ def estimate_hss_work(hss, n_random: int = 64) -> HSSWorkEstimate:
         level = nd.level
         est.nodes_per_level[level] = est.nodes_per_level.get(level, 0) + 1
 
-        ru = data.row_rank
-        rv = data.col_rank
+        ru = data.rank
         if nd.is_leaf:
             n_loc = nd.size
         else:
-            c1, c2 = nd.left, nd.right
-            n_loc = hss.node_data[c1].row_rank + hss.node_data[c2].row_rank
+            n_loc = hss.node_data[nd.left].rank + hss.node_data[nd.right].rank
 
         # --- compression: row ID of the (n_loc x n_random) local sample
         est.compression_flops += _qr_flops(n_random, n_loc) + _gemm_flops(
@@ -99,7 +97,7 @@ def estimate_hss_work(hss, n_random: int = 64) -> HSSWorkEstimate:
         est_factor = (_qr_flops(n_loc, max(ru, 1)) +
                       _qr_flops(n_loc, max(elim, 1)) +
                       _gemm_flops(n_loc, n_loc, n_loc) +
-                      _gemm_flops(n_loc, max(rv, 1), n_loc))
+                      _gemm_flops(n_loc, max(ru, 1), n_loc))
         est.factorization_flops += est_factor
         est.factorization_flops_per_level[level] = (
             est.factorization_flops_per_level.get(level, 0.0) + est_factor)
@@ -108,8 +106,8 @@ def estimate_hss_work(hss, n_random: int = 64) -> HSSWorkEstimate:
         est.solve_flops += 2.0 * n_loc * n_loc + 4.0 * n_loc * max(ru, 1)
 
         # --- communication: the reduced block a child ships to its parent is
-        # (ru x ru) for D-hat plus (ru x rv) for V-hat plus the rhs slice.
-        comm_bytes = 8.0 * (ru * ru + ru * rv + ru)
+        # (ru x ru) for D-hat plus (ru x ru) for V-hat plus the rhs slice.
+        comm_bytes = 8.0 * (2 * ru * ru + ru)
         est.communication_bytes_per_level[level] = (
             est.communication_bytes_per_level.get(level, 0.0) + comm_bytes)
 

@@ -46,8 +46,13 @@ Schema history (full layout spec in ``docs/serving.md``):
   becomes one SHA-256 over the other three members, verified in three
   ``update`` calls whatever the number of arrays.  The
   keys, dtypes, shapes and bytes of the arrays are those of version 3.
-  Written for every model; versions 1-3 remain readable and keep their
-  per-array checksum.
+  Versions 1-3 remain readable and keep their per-array checksum.
+* **version 5** — one symmetric HSS format: the per-node ``hss.<i>.V``,
+  ``hss.<i>.B21`` and ``hss.<i>.col_skeleton`` copies of ``U``,
+  ``B12^T`` and ``row_skeleton`` are no longer written (nor under the
+  per-shard ``dist.<s>.hss.*`` sections); the container is version 4's.
+  Written for every model.  Reading an older artifact checks that every
+  stored copy is bitwise what it copies, then drops it.
 
 Since the compress-once/refit-many split, artifacts additionally carry the
 λ-free compression (the stored ``hss.*`` / ``dist.*.hss.*`` generators no
@@ -96,10 +101,11 @@ from ..utils.timing import TimingLog
 
 #: format tag written into every artifact header
 FORMAT_TAG = "repro.serving/model"
-#: schema version this library writes, and the highest it reads (4 is the
-#: columnar index; 3 indexed the same payload with JSON, and 1 and 2 stored
-#: one zip member per array — see docs/serving.md)
-FORMAT_VERSION = 4
+#: schema version this library writes, and the highest it reads (5 stores
+#: one symmetric HSS format in version 4's columnar container; 3 indexed
+#: the same payload with JSON, and 1 and 2 stored one zip member per
+#: array — see docs/serving.md)
+FORMAT_VERSION = 5
 
 KIND_BINARY = "kernel_ridge_classifier"
 KIND_MULTICLASS = "one_vs_all_classifier"
@@ -180,7 +186,10 @@ def tree_from_arrays(arrays: Dict[str, np.ndarray], prefix: str = "tree.") -> Cl
 
 
 #: HSSNodeData array attributes persisted per node
-_HSS_FIELDS = ("D", "U", "V", "B12", "B21", "row_skeleton", "col_skeleton")
+_HSS_FIELDS = ("D", "U", "B12", "row_skeleton")
+#: per-node copies that schema versions 1-4 stored too, and the field each
+#: copies (``B21`` is the transpose of ``B12``)
+_LEGACY_COPIES = {"V": "U", "B21": "B12", "col_skeleton": "row_skeleton"}
 
 
 def hss_to_arrays(hss: HSSMatrix, prefix: str = "hss.") -> Dict[str, np.ndarray]:
@@ -200,9 +209,41 @@ def hss_to_arrays(hss: HSSMatrix, prefix: str = "hss.") -> Dict[str, np.ndarray]
     return out
 
 
+def _check_legacy_copies(arrays: Dict[str, np.ndarray], node: str) -> None:
+    """Every copy a version 1-4 artifact stores for ``node`` is bitwise
+    what it copies; anything else is a matrix the symmetric format cannot
+    hold."""
+    for name, source_name in _LEGACY_COPIES.items():
+        copy = arrays.get(node + name)
+        if copy is None:
+            continue
+        source = arrays.get(node + source_name)
+        if source is not None and name == "B21":
+            source = source.T
+        if source is None or copy.dtype != source.dtype \
+                or copy.shape != source.shape \
+                or np.ascontiguousarray(copy).tobytes() \
+                != np.ascontiguousarray(source).tobytes():
+            raise ArtifactError(
+                f"{node}{name} is not a copy of {node}{source_name}: the "
+                f"artifact does not hold a symmetric HSS matrix")
+
+
 def hss_from_arrays(arrays: Dict[str, np.ndarray], tree: ClusterTree,
                     prefix: str = "hss.") -> HSSMatrix:
-    """Rebuild an :class:`HSSMatrix` over ``tree`` from flattened arrays."""
+    """Rebuild an :class:`HSSMatrix` over ``tree`` from flattened arrays.
+
+    Copies that artifacts of schema versions 1-4 stored next to the
+    generators are checked against what they copy and dropped.
+
+    Raises
+    ------
+    ArtifactError
+        If there is no HSS matrix under ``prefix``, its node count is not
+        the tree's, or a stored copy differs from what it copies.
+    ValueError
+        If the generators do not fit the tree (see :class:`HSSMatrix`).
+    """
     key = f"{prefix}n_nodes"
     if key not in arrays:
         raise ArtifactError("artifact does not contain an HSS matrix")
@@ -212,12 +253,12 @@ def hss_from_arrays(arrays: Dict[str, np.ndarray], tree: ClusterTree,
             f"HSS payload has {n_nodes} nodes but the tree has {tree.n_nodes}")
     node_data: List[HSSNodeData] = []
     for i in range(n_nodes):
-        kwargs = {}
-        for name in _HSS_FIELDS:
-            a = arrays.get(f"{prefix}{i}.{name}")
-            if a is not None and name in ("row_skeleton", "col_skeleton"):
-                a = np.asarray(a, dtype=np.intp)
-            kwargs[name] = a
+        node = f"{prefix}{i}."
+        _check_legacy_copies(arrays, node)
+        kwargs = {name: arrays.get(node + name) for name in _HSS_FIELDS}
+        if kwargs["row_skeleton"] is not None:
+            kwargs["row_skeleton"] = np.asarray(kwargs["row_skeleton"],
+                                                dtype=np.intp)
         node_data.append(HSSNodeData(**kwargs))
     return HSSMatrix(tree, node_data)
 
@@ -401,7 +442,8 @@ def _layout(arrays: Dict[str, np.ndarray]):
 
 def _write_archive(path: str, header: Dict[str, object],
                    arrays: Dict[str, np.ndarray]) -> None:
-    """Write a version-4 archive; stamps its checksum into ``header``."""
+    """Write a columnar (version 4 and later) archive; stamps its checksum
+    into ``header``."""
     keys, table, chunks, end = _layout(arrays)
     digest = _digest(keys, table)  # the payload joins it as it is written
     directory = os.path.dirname(os.path.abspath(path))
@@ -447,7 +489,7 @@ def _write_archive(path: str, header: Dict[str, object],
 
 def _digest(*members: np.ndarray):
     """SHA-256 over the bytes of ``members``, in order: the key list, the
-    index table and the payload make the version-4 checksum."""
+    index table and the payload make the checksum of versions 4 and 5."""
     digest = hashlib.sha256()
     for member in members:
         digest.update(np.ascontiguousarray(member))
@@ -467,7 +509,8 @@ def _check_members(keys: np.ndarray, table: np.ndarray,
 
 def _unpack(keys_raw: np.ndarray, table: np.ndarray,
             payload: np.ndarray) -> Dict[str, np.ndarray]:
-    """The arrays of a version-4 archive, as writable views into ``payload``.
+    """The arrays of a columnar archive (versions 4 and 5), as writable
+    views into ``payload``.
 
     The index comes from outside the program: the whole table is checked
     against the key list and the payload, column by column, before the
@@ -768,13 +811,16 @@ def _restore_solver(config: Dict[str, object], arrays: Dict[str, np.ndarray],
         solver.lam_ = lam
         return _attach_stream(solver, config, arrays, tree, X_train, kernel)
     if state == "hss":
-        hss = hss_from_arrays(arrays, tree)
         solver = HSSSolver(seed=config.get("seed"))
-        solver.hss_ = hss
+        try:
+            solver.hss_ = hss_from_arrays(arrays, tree)
+            if "ulv.meta" in arrays:
+                solver.factorization_ = ulv_from_arrays(arrays, solver.hss_)
+        except (KeyError, ValueError) as exc:
+            raise ArtifactError(
+                f"corrupted HSS / ULV payload: {exc}") from exc
         solver._hss_lam_free = bool(config.get("hss_lam_free", False))
         solver.compression_count = 1
-        if "ulv.meta" in arrays:
-            solver.factorization_ = ulv_from_arrays(arrays, hss)
         solver._fitted = solver.factorization_ is not None
         solver.lam_ = lam
         return _attach_stream(solver, config, arrays, tree, X_train, kernel)

@@ -3,8 +3,9 @@
 The paper's main performance metric alongside accuracy is the memory of the
 compressed representation in MB: "the sum of the memory used by all the
 individual smaller matrices in the HSS structure: D_i, U_i, V_i, B_ij, B_ji"
-(Section 4.2).  These helpers make that accounting uniform across the HSS
-and H-matrix formats.
+(Section 4.2) — of the ones a format stores; the symmetric HSS format
+stores no ``V_i`` or ``B_ji`` (see :mod:`repro.hss.memory`).  These helpers
+make that accounting uniform across the HSS and H-matrix formats.
 """
 
 from __future__ import annotations

@@ -104,7 +104,7 @@ def assert_same_hss(hss_a, hss_b) -> None:
     assert hss_a.n == hss_b.n
     for node_id in range(hss_a.tree.n_nodes):
         assert_same_arrays(hss_a.node_data[node_id], hss_b.node_data[node_id],
-                           ("D", "U", "V", "B12", "B21"))
+                           ("D", "U", "B12"))
 
 
 @pytest.fixture

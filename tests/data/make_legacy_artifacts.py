@@ -8,12 +8,19 @@ container (schema versions 1 and 2) was last written by 33d77b0::
     git clone <this repo> /tmp/parent && git -C /tmp/parent checkout 33d77b0
     PYTHONPATH=/tmp/parent/src python tests/data/make_legacy_artifacts.py
 
-and the JSON-indexed packed container (schema version 3) by a02e8fb,
-which writes ``legacy_v3_*.npz`` by loading each per-member fixture and
-saving it again — the same arrays, so the same ``expected.npz`` holds::
+the JSON-indexed packed container (schema version 3) by a02e8fb, which
+writes ``legacy_v3_*.npz`` by loading each per-member fixture and saving
+it again — the same arrays, so the same ``expected.npz`` holds::
 
     git -C /tmp/parent checkout a02e8fb
     PYTHONPATH=/tmp/parent/src python tests/data/make_legacy_artifacts.py v3
+
+and the last artifacts that store the per-node ``V`` / ``B21`` /
+``col_skeleton`` copies of the symmetric HSS format (schema version 4)
+by 4787a08, which writes ``legacy_v4_*.npz`` the same way::
+
+    git -C /tmp/parent checkout 4787a08
+    PYTHONPATH=/tmp/parent/src python tests/data/make_legacy_artifacts.py v4
 
 ``tests/test_legacy_artifacts.py`` loads what it wrote.  ``expected.npz``
 holds the query rows, each model's weights and decision values on them,
@@ -33,13 +40,18 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 NAMES = ("hss", "dense", "ova", "sharded", "midstream")
 
 
-def resave_as_v3():
+#: schema version -> the commit whose writer saved its fixtures last
+RESAVED_BY = {3: "a02e8fb", 4: "4787a08"}
+
+
+def resave_as(version):
     for name in NAMES:
         model = load_model(os.path.join(HERE, f"legacy_{name}.npz"))
-        path = os.path.join(HERE, f"legacy_v3_{name}.npz")
+        path = os.path.join(HERE, f"legacy_v{version}_{name}.npz")
         artifact = model.save(path)
-        assert artifact.version == 3, "run this against a02e8fb"
-        print(f"v3_{name}: {os.path.getsize(path)} bytes, "
+        assert artifact.version == version, \
+            f"run this against {RESAVED_BY[version]}"
+        print(f"v{version}_{name}: {os.path.getsize(path)} bytes, "
               f"{artifact.checksum[:12]}")
 
 
@@ -81,4 +93,7 @@ def main():
 
 
 if __name__ == "__main__":
-    resave_as_v3() if sys.argv[1:] == ["v3"] else main()
+    if sys.argv[1:] in (["v3"], ["v4"]):
+        resave_as(int(sys.argv[1][1:]))
+    else:
+        main()

@@ -1,6 +1,6 @@
-"""The packed artifact container (schema version 4) and its faults.
+"""The packed artifact container (schema versions 4 and 5) and its faults.
 
-Three groups:
+Four groups:
 
 * a guard, in the style of ``test_call_count_budget``, so neither one zip
   member per array per node nor per-array Python in the index can creep
@@ -13,6 +13,10 @@ Three groups:
   raise :class:`ArtifactError` — never ``ValueError``, ``IndexError`` or
   ``BadZipFile`` — and ``read_artifact`` raises only when the zip
   structure or the header member itself is damaged;
+* payloads that pass the checksum but do not make a model (a generator
+  missing or of the wrong shape, a ULV scalar missing) raise
+  :class:`ArtifactError` too, and a saved model holds the symmetric HSS
+  format of version 5 — no ``V`` / ``B21`` / ``col_skeleton`` copies;
 * the publish step: a write that fails midway leaves the previous archive
   in place and no temp file behind.
 """
@@ -38,7 +42,7 @@ from repro.obs import trace
 from repro.serving import ArtifactError, load_model, read_artifact
 from repro.serving.serialize import (_ALIGN, _HEADER_KEY, _INDEX_KEY,
                                      _KEYS_KEY, _PAYLOAD_KEY, FORMAT_VERSION,
-                                     _read_archive)
+                                     _read_archive, _write_archive)
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 #: the same model in the per-member (version 1) and the JSON-indexed
@@ -95,7 +99,7 @@ class TestPackedContainerGuard:
         small.save(str(tmp_path / "small.npz"))
         with zipfile.ZipFile(tmp_path / "small.npz") as zf:
             assert sorted(zf.namelist()) == members
-        assert read_artifact(packed).version == FORMAT_VERSION == 4
+        assert read_artifact(packed).version == FORMAT_VERSION == 5
         profiler = cProfile.Profile()
         gc.collect()
         gc.disable()
@@ -446,6 +450,64 @@ def test_missing_v4_member(tmp_path, packed):
     with pytest.raises(ArtifactError):
         load_model(path)
     _assert_header_read(path, header_survives=True)
+
+
+# ------------------------------------------------ inconsistent payloads
+def _without(key):
+    def edit(arrays):
+        del arrays[key]
+    return edit
+
+
+def _one_row_short(key):
+    def edit(arrays):
+        arrays[key] = arrays[key][:-1]
+    return edit
+
+
+#: payload edits that leave a well-formed, checksummed archive whose
+#: arrays do not make a model (node 3 is an internal non-root node)
+INCONSISTENT = {
+    "missing-transfer-matrix": _without("hss.3.U"),
+    "missing-ulv-root-size": _without("ulv.root_size"),
+    "wrong-shaped-transfer-matrix": _one_row_short("hss.3.U"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INCONSISTENT))
+def test_inconsistent_hss_payload_raises_artifact_error(tmp_path, packed,
+                                                        name):
+    """Re-packed through the library's own writer, so the checksum holds
+    and only the restore step can tell."""
+    header, arrays = _read_archive(packed)
+    arrays = dict(arrays)
+    INCONSISTENT[name](arrays)
+    path = str(tmp_path / "model.npz")
+    _write_archive(path, header, arrays)
+    with pytest.raises(ArtifactError, match="corrupted HSS / ULV payload"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("kwargs", [dict(solver="hss"),
+                                    dict(solver="hss", shards=2)],
+                         ids=["hss", "shards2"])
+def test_saved_hss_is_the_symmetric_format(tmp_path, susy, kwargs):
+    """Version 5 stores ``D``, ``U``, ``B12`` and ``row_skeleton`` per node,
+    in the serial and in every per-shard ``hss.*`` section."""
+    model = _fit(susy, **kwargs)
+    try:
+        path = str(tmp_path / "model.npz")
+        assert model.save(path).version == FORMAT_VERSION == 5
+    finally:
+        if hasattr(model.solver_, "close"):
+            model.solver_.close()
+    _, arrays = _read_archive(path)
+    hss_keys = [key for key in arrays
+                if key.startswith("hss.") or ".hss." in key]
+    fields = {key.rpartition(".")[2] for key in hss_keys} - {"n_nodes"}
+    assert fields == {"D", "U", "B12", "row_skeleton"}
+    assert any(key.startswith("dist.") for key in arrays) == (
+        "shards" in kwargs)
 
 
 # -------------------------------------------- version 3: JSON list index

@@ -159,6 +159,17 @@ class TestStatistics:
         assert stats.compression_ratio > 1.0
         assert "memory" in stats.summary()
 
+    def test_nbytes_counts_what_a_node_stores(self, clustered_kernel_matrix):
+        """A symmetric node stores ``D``, ``U`` and ``B12`` and nothing else:
+        no column basis and no ``B21``."""
+        K, result = clustered_kernel_matrix
+        hss = build_hss_from_dense(K, result.tree, HSSOptions(rel_tol=1e-4))
+        stored = sum(a.nbytes for d in hss.node_data
+                     for a in (d.D, d.U, d.B12) if a is not None)
+        assert hss.nbytes == stored == hss.statistics().total_bytes
+        for data in hss.node_data:
+            assert sorted(vars(data)) == ["B12", "D", "U", "row_skeleton"]
+
     def test_compression_beats_dense_for_clustered_data(self):
         K, result = _clustered_kernel(n=400, seed=10)
         hss = build_hss_from_dense(K, result.tree, HSSOptions(rel_tol=0.1))
@@ -169,7 +180,7 @@ class TestStatistics:
 # The subtree-ordered walk: same generators as a level-order walk, found out
 # sooner when the sample is too small.
 
-_GENERATORS = ("D", "U", "V", "B12", "B21", "row_skeleton", "col_skeleton")
+_GENERATORS = ("D", "U", "B12", "row_skeleton")
 
 
 class _SweepCounting:

@@ -36,12 +36,6 @@ class TestMatvec:
         np.testing.assert_allclose(hss.matvec(X), K @ X,
                                    atol=1e-6 * np.linalg.norm(K @ X))
 
-    def test_transpose_matvec(self):
-        hss, K = _hss_and_dense(seed=4)
-        x = np.random.default_rng(5).standard_normal(K.shape[0])
-        np.testing.assert_allclose(hss.rmatvec(x), K.T @ x,
-                                   atol=1e-6 * np.linalg.norm(K @ x))
-
     def test_shape_mismatch(self):
         hss, _ = _hss_and_dense(n=96, seed=6)
         with pytest.raises(ValueError):
@@ -87,7 +81,7 @@ class TestFullBases:
             rows = np.arange(nd.start, nd.stop)
             comp = np.setdiff1d(np.arange(tree.n), rows)
             block = K[np.ix_(rows, comp)]
-            U = bases[node_id]["U"]
+            U = bases[node_id]
             if U.shape[1] == 0:
                 assert np.linalg.norm(block) < 1e-5 * scale
                 continue

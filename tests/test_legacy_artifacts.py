@@ -1,15 +1,20 @@
-"""Artifacts written before the current container still load.
+"""Artifacts written before the current schema still load.
 
 ``tests/data/legacy_<model>.npz`` were written by the last commit whose
-writer stored one zip member per array (schema versions 1 and 2), and
+writer stored one zip member per array (schema versions 1 and 2),
 ``tests/data/legacy_v3_<model>.npz`` are the same models saved again by
-the last writer of the JSON-indexed container (schema version 3; see
-``tests/data/make_legacy_artifacts.py`` for how).  They are the users of
-the reader's ``version <= 2`` and ``version == 3`` paths: each loads with
-its per-array checksum verified, predicts what its writer predicted,
-re-saves as a version-4 archive whose checksum the docs recipe recomputes,
-and takes every lifecycle verb a freshly saved model takes — a ``refit``
-from the factors it was stored with included.
+the last writer of the JSON-indexed container (schema version 3), and
+``tests/data/legacy_v4_<model>.npz`` by the last writer that stored the
+per-node ``V`` / ``B21`` / ``col_skeleton`` copies of the symmetric HSS
+format (schema version 4; see ``tests/data/make_legacy_artifacts.py``
+for how).  They are the users of the reader's ``version <= 2`` and
+``version == 3`` paths and of its copy check: each loads with its
+checksum verified and every stored copy checked against what it copies,
+predicts what its writer predicted, re-saves as a version-5 archive
+without the copies whose checksum the docs recipe recomputes, and takes
+every lifecycle verb a freshly saved model takes — a ``refit`` from the
+factors it was stored with included.  An old archive whose copy is not
+a copy raises :class:`ArtifactError`.
 """
 
 from __future__ import annotations
@@ -22,16 +27,20 @@ import pytest
 from conftest import cold_refactor, docs_recipe
 
 from repro.hss import ULVFactorization
-from repro.serving import load_model, read_artifact
-from repro.serving.serialize import FORMAT_VERSION
+from repro.serving import ArtifactError, load_model, read_artifact
+from repro.serving.serialize import (FORMAT_VERSION, _read_archive,
+                                     _write_archive)
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 #: fixture name (``legacy_<name>.npz``) -> (model, schema version its
 #: writer stamped)
 FIXTURES = {"hss": ("hss", 1), "dense": ("dense", 1), "ova": ("ova", 1),
             "sharded": ("sharded", 2), "midstream": ("midstream", 1),
-            **{f"v3_{model}": (model, 3) for model in (
-                "hss", "dense", "ova", "sharded", "midstream")}}
+            **{f"v{version}_{model}": (model, version)
+               for version in (3, 4)
+               for model in ("hss", "dense", "ova", "sharded", "midstream")}}
+#: the per-node copies schema versions 1-4 stored
+COPIES = ("V", "B21", "col_skeleton")
 
 
 @pytest.fixture(scope="module")
@@ -54,9 +63,14 @@ def test_loads_predicts_and_resaves_as_the_current_version(
     with zipfile.ZipFile(source) as zf:
         if version <= 2:
             assert len(zf.namelist()) > 4  # one member per array
-        else:
+        elif version == 3:
             assert sorted(zf.namelist()) == [
                 "__artifact__.npy", "__index__.npy", "__payload__.npy"]
+        else:
+            assert len(zf.namelist()) == 4
+    _, stored = _read_archive(source)
+    if model_name != "dense":
+        assert any(key.endswith(".V") for key in stored)
 
     model = load_model(source)
     queries = expected["queries"]
@@ -69,7 +83,9 @@ def test_loads_predicts_and_resaves_as_the_current_version(
 
     path = str(tmp_path / "model.npz")
     new = model.save(path)
-    assert new.version == FORMAT_VERSION == 4
+    assert new.version == FORMAT_VERSION == 5
+    _, resaved = _read_archive(path)
+    assert not [key for key in resaved if key.rpartition(".")[2] in COPIES]
     # The version-4 digest covers the layout, so it is not the old one;
     # it is a function of the model: saving the reloaded re-save again
     # reproduces it, and the docs recipe recomputes it.
@@ -123,7 +139,8 @@ def test_lifecycle_verbs_work_on_the_loaded_model(name, expected):
 
 
 @pytest.mark.parametrize("name", ["hss", "ova", "sharded", "midstream",
-                                  "v3_hss", "v3_sharded"])
+                                  "v3_hss", "v3_sharded", "v4_hss",
+                                  "v4_sharded"])
 def test_refit_from_the_stored_factors_is_bitwise_a_cold_factorization(
         name, monkeypatch):
     """The λ-free half read back from a legacy archive is the cold one."""
@@ -134,3 +151,26 @@ def test_refit_from_the_stored_factors_is_bitwise_a_cold_factorization(
         cold.refit(2.0)
     assert np.array_equal(warm.weights_, cold.weights_)
     assert not np.array_equal(warm.weights_, _load(name).weights_)
+
+
+@pytest.mark.parametrize("copy", COPIES)
+@pytest.mark.parametrize("name", ["v4_hss", "v4_sharded"])
+def test_a_stored_copy_that_differs_raises_artifact_error(name, copy,
+                                                          tmp_path):
+    """An old archive whose ``V`` / ``B21`` / ``col_skeleton`` is not a
+    copy of ``U`` / ``B12^T`` / ``row_skeleton`` holds a matrix the
+    symmetric format cannot represent: re-packed with one entry changed
+    and the checksum stamped afresh, it fails to load, typed."""
+    header, arrays = _read_archive(os.path.join(DATA, f"legacy_{name}.npz"))
+    key = next(key for key, a in arrays.items()
+               if key.rpartition(".")[2] == copy and a.size)
+    changed = arrays[key].copy()
+    changed.reshape(-1)[0] += 1
+    arrays = {**arrays, key: changed}
+    path = str(tmp_path / "model.npz")
+    _write_archive(path, header, arrays)
+    assert read_artifact(path).version == FIXTURES[name][1]
+    # A shard's section is read under its own "hss." prefix.
+    node_key = key[key.index("hss."):]
+    with pytest.raises(ArtifactError, match=f"{node_key} is not a copy"):
+        load_model(path)
