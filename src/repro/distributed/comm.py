@@ -7,10 +7,16 @@ coordinator and its shard workers:
   that travel over ordinary :class:`multiprocessing.Queue`\\ s, and
 * **numpy payloads** — the permuted training points, right-hand sides,
   coupling factors and partial solutions.  These never go through pickle:
-  the sending side copies each array into a POSIX shared-memory segment
-  (:class:`multiprocessing.shared_memory.SharedMemory`) and only the tiny
-  :class:`ArraySpec` handle (name, shape, dtype) rides on the queue; the
-  receiver maps the segment, copies the block out and detaches.
+  the sending side copies them into a POSIX shared-memory segment
+  (:class:`multiprocessing.shared_memory.SharedMemory`) and only a small
+  handle rides on the queue; the receiver maps the segment, copies the
+  bytes out and detaches.  The training points and the tree travel once,
+  as one :class:`SharedArray` each (:class:`ArraySpec` handle); a
+  protocol message packs all of its arrays into **one** segment, laid out
+  like an artifact payload (:mod:`repro.utils.packing`: aligned offsets,
+  each array in its own memory order), so it costs one file descriptor
+  whether it carries one array or the thousands of a shard's factors
+  (:class:`MessageSpec` handle: the segment name, key list and index).
 
 Segment lifetime follows a strict creator-owns rule: whoever created a
 segment unlinks it (receivers only ever attach + close), so no process
@@ -31,11 +37,12 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from multiprocessing import shared_memory
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from ..obs import global_registry
+from ..utils import packing
 
 
 class DistributedError(RuntimeError):
@@ -73,6 +80,26 @@ class ArraySpec:
     shape: Tuple[int, ...]
     dtype: str
     order: str = "C"
+
+
+@dataclass(frozen=True, eq=False)
+class MessageSpec:
+    """Picklable handle of one message's arrays, packed in one segment.
+
+    Parameters
+    ----------
+    name:
+        Name of the POSIX shared-memory segment holding the payload.
+    size:
+        Length of the payload in bytes.
+    keys, table:
+        The key list and index table of :func:`repro.utils.packing.layout`.
+    """
+
+    name: str
+    size: int
+    keys: np.ndarray
+    table: np.ndarray
 
 
 class SharedArray:
@@ -195,12 +222,12 @@ def recv_with_liveness(queue, timeout: float,
 class BlockChannel:
     """One direction of the coordinator <-> worker message protocol.
 
-    Messages are ``(tag, payload, {key: ArraySpec})`` tuples on a
-    :class:`multiprocessing.Queue`; array payloads ride in shared memory.
-    The channel tracks the segments it created and releases them when the
-    synchronous protocol guarantees the peer consumed them (every new
-    ``send`` retires the previous message's segments; ``drain`` retires
-    everything, e.g. at shutdown).
+    Messages are ``(tag, payload, MessageSpec or None)`` tuples on a
+    :class:`multiprocessing.Queue`; a message's arrays ride in one
+    shared-memory segment.  The channel tracks the segments it created
+    and releases them when the synchronous protocol guarantees the peer
+    consumed them (every new ``send`` retires the previous message's
+    segment; ``drain`` retires everything, e.g. at shutdown).
 
     Parameters
     ----------
@@ -211,7 +238,8 @@ class BlockChannel:
 
     def __init__(self, queue):
         self.queue = queue
-        self._inflight: List[SharedArray] = []
+        #: the segment of the last message sent, until it is retired
+        self._inflight: Optional[shared_memory.SharedMemory] = None
         reg = global_registry()
         self._m_messages = reg.counter(
             "repro_transport_messages_total",
@@ -222,43 +250,51 @@ class BlockChannel:
 
     def send(self, tag: str, payload=None,
              arrays: Optional[Dict[str, np.ndarray]] = None) -> None:
-        """Publish a message; payload arrays are copied into shared memory."""
+        """Publish a message; its arrays are copied into one shared-memory
+        segment, each in its own memory order."""
         self.retire()
-        specs: Dict[str, ArraySpec] = {}
-        msg_bytes = 0
-        for key, a in (arrays or {}).items():
-            sa = SharedArray.from_array(np.asarray(a))
-            self._inflight.append(sa)
-            specs[key] = sa.spec
-            msg_bytes += sa.array.nbytes
+        spec = None
+        if arrays:
+            keys, table, chunks, size = packing.layout(arrays)
+            shm = self._inflight = shared_memory.SharedMemory(
+                create=True, size=max(1, size))
+            buf = np.ndarray((size,), dtype=np.uint8, buffer=shm.buf)
+            for offset, raw in chunks:
+                buf[offset:offset + raw.size] = raw
+            spec = MessageSpec(shm.name, size, keys, table)
+            self._m_bytes.inc(sum(raw.size for _, raw in chunks))
         self._m_messages.inc()
-        if msg_bytes:
-            self._m_bytes.inc(msg_bytes)
-        self.queue.put((tag, payload, specs))
+        self.queue.put((tag, payload, spec))
 
     def recv(self, timeout: float,
              alive: Optional[Callable[[], bool]] = None):
-        """Receive ``(tag, payload, {key: np.ndarray})``; arrays are copied.
+        """Receive ``(tag, payload, {key: np.ndarray})``.
 
-        The returned arrays are private copies — the underlying segments
-        are detached before returning, so the sender is free to retire
-        them at its next ``send``.
+        The returned arrays are views into one private copy of the
+        message's payload — the segment is detached before returning, so
+        the sender is free to retire it at its next ``send``.
         """
-        tag, payload, specs = recv_with_liveness(self.queue, timeout, alive)
-        arrays: Dict[str, np.ndarray] = {}
-        for key, spec in specs.items():
-            sa = SharedArray.attach(spec)
-            try:
-                arrays[key] = np.array(sa.array, copy=True)
-            finally:
-                sa.close()
-        return tag, payload, arrays
+        tag, payload, spec = recv_with_liveness(self.queue, timeout, alive)
+        if spec is None:
+            return tag, payload, {}
+        data = np.empty(spec.size, dtype=np.uint8)
+        shm = shared_memory.SharedMemory(name=spec.name)
+        try:
+            data[:] = np.ndarray((spec.size,), dtype=np.uint8,
+                                 buffer=shm.buf)
+        finally:
+            shm.close()
+        return tag, payload, packing.unpack(spec.keys, spec.table, data)
 
     def retire(self) -> None:
-        """Unlink the segments of the previously sent message."""
-        for sa in self._inflight:
-            sa.unlink()
-        self._inflight = []
+        """Unlink the segment of the previously sent message."""
+        shm, self._inflight = self._inflight, None
+        if shm is not None:
+            shm.close()
+            try:
+                shm.unlink()
+            except FileNotFoundError:  # already unlinked (double shutdown)
+                pass
 
     # ``drain`` reads better than ``retire`` at shutdown call sites.
     drain = retire

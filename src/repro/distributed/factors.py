@@ -151,7 +151,8 @@ class ShardedFactors:
 
     @classmethod
     def from_arrays(cls, arrays: Dict[str, np.ndarray], tree: ClusterTree,
-                    prefix: str = "dist.") -> "ShardedFactors":
+                    prefix: str = "dist.", lam: Optional[float] = None
+                    ) -> "ShardedFactors":
         """Rebuild from :meth:`to_arrays` output.
 
         Parameters
@@ -165,11 +166,17 @@ class ShardedFactors:
             :func:`repro.serving.tree_to_arrays`).
         prefix:
             Key prefix used at save time.
+        lam:
+            ``None`` restores every shard's ULV factors bitwise.  Given,
+            the stored factors are not read (artifacts of schema versions
+            1-5 hold the general ULV): every shard's HSS matrix is
+            factored cold at ``lam`` — at 0 when the generators have the
+            shift baked in — and ``C`` is left for a couple round.
 
         Returns
         -------
         ShardedFactors
-            The factors and their shard kernels, restored bitwise.
+            The factors and their shard kernels.
 
         Raises
         ------
@@ -186,6 +193,8 @@ class ShardedFactors:
         # no marker; their shard HSS carries the shift baked in.
         marker = arrays.get(f"{prefix}lam_free")
         hss_lam_free = bool(marker is not None and int(np.asarray(marker)[0]))
+        if lam is not None:
+            C, lam = None, lam if hss_lam_free else 0.0
         pg, qg, shards = [], [], ShardList()
         for s in range(plan.n_shards):
             shard_prefix = f"{prefix}{s}."
@@ -195,7 +204,8 @@ class ShardedFactors:
             qg.append(np.asarray(local["qg"], dtype=np.intp))
             if "F" not in local:
                 raise KeyError(f"{shard_prefix}F")
-            shards.append(ShardKernel.from_arrays(local, plan.subtree(s)))
+            shards.append(ShardKernel.from_arrays(local, plan.subtree(s),
+                                                  lam=lam))
         return cls(plan=plan, F=[shard.F for shard in shards], pg_idx=pg,
                    qg_idx=qg, C=C, shards=shards, hss_lam_free=hss_lam_free)
 

@@ -121,20 +121,24 @@ class ShardKernel:
 
     @classmethod
     def from_arrays(cls, arrays: Dict[str, np.ndarray],
-                    subtree: ClusterTree) -> "ShardKernel":
+                    subtree: ClusterTree, lam: Optional[float] = None
+                    ) -> "ShardKernel":
         """Rebuild a shard from :meth:`to_arrays` output, bitwise.
 
         ``arrays`` holds the shard's ``hss.*`` / ``ulv.*`` sections (and
         ``F`` when it was stored with them), ``subtree`` is its local
         cluster tree (:meth:`repro.distributed.ShardPlan.subtree`); a
         payload inconsistent with the subtree raises
-        :class:`repro.serving.ArtifactError`.  ``H`` is derived on first use.
+        :class:`repro.serving.ArtifactError`.  With ``lam`` given, the
+        ``ulv.*`` section is not read and the HSS matrix is factored cold
+        at that shift instead.  ``H`` is derived on first use.
         """
         from ..serving.serialize import hss_from_arrays, ulv_from_arrays
         hss = hss_from_arrays(arrays, subtree, prefix="hss.")
         F = arrays.get("F")
-        return cls(ulv_from_arrays(arrays, hss, prefix="ulv."),
-                   None if F is None else np.asarray(F, dtype=np.float64))
+        ulv = (ulv_from_arrays(arrays, hss, prefix="ulv.") if lam is None
+               else ULVFactorization.factor(hss, lam=lam))
+        return cls(ulv, None if F is None else np.asarray(F, dtype=np.float64))
 
     def reload_ulv(self, arrays: Dict[str, np.ndarray]) -> None:
         """Replace the ULV factors by the ``("ulv",)`` section shipped after

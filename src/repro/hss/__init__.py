@@ -18,7 +18,9 @@ paper:
   with adaptive randomized sampling (Martinsson 2011, as in STRUMPACK):
   needs only a black-box mat-mat product and element extraction.
 * :class:`ULVFactorization` — the ULV factorization and solve
-  (Chandrasekaran, Gu & Pals 2006), with separate factor / solve phases as
+  (Chandrasekaran, Gu & Pals 2006), in the symmetric variant of Xia,
+  Chandrasekaran, Gu & Li (2010): one orthogonal congruence per node,
+  with separate factor / solve phases as
   timed in the paper's Table 4.  The ridge shift ``+ lam I`` is applied at
   factorization time (``ULVFactorization.factor(hss, lam)``), to copies of
   the leaf diagonals, never to the compression: the ULV is the one place

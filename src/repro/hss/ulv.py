@@ -1,29 +1,52 @@
-"""ULV factorization and solve for HSS matrices.
+"""Symmetric ULV factorization and solve for HSS matrices.
 
-This implements the implicit ULV-type factorization of Chandrasekaran, Gu &
-Pals (2006) used by STRUMPACK (the paper, Section 3.1: "STRUMPACK also
-implements a ULV factorization algorithm, and a corresponding routine to
-solve a linear system with the factored HSS matrix").
+The paper solves with STRUMPACK's ULV factorization (Section 3.1:
+"STRUMPACK also implements a ULV factorization algorithm, and a
+corresponding routine to solve a linear system with the factored HSS
+matrix"), which comes from Chandrasekaran, Gu & Pals (SIMAX 2006).  Every
+HSS matrix here is symmetric (see :mod:`repro.hss.generators`), so this
+module implements the symmetric variant of Xia, Chandrasekaran, Gu & Li
+(NLAA 2010): one orthogonal *congruence* per tree node instead of a left
+and a right transform.
 
-The idea, per tree node, is:
+Per node, with ``D`` the local diagonal block (a shifted leaf block, or
+the parent's assembly below) and ``U`` its row basis (which is also its
+column basis):
 
-1. apply an orthogonal transform ``Omega_i`` to the block row so that the
-   local row basis becomes ``[U_hat; 0]`` — the rows multiplying zero no
-   longer couple to the rest of the matrix;
-2. apply a second orthogonal transform ``Q_i`` from the right so that those
-   decoupled rows become lower triangular — the corresponding unknowns can
-   be eliminated locally by a small triangular solve;
-3. the surviving ``rank(U_i)`` unknowns of the two children are merged at
-   the parent into a small dense block, and the procedure repeats up the
-   tree; the root solves a final small dense system.
+1. the QR of ``U`` gives an orthogonal ``Omega`` with
+   ``Omega U = [U_hat; 0]``: the last ``n_loc - rank(U)`` rows of the
+   transformed block row no longer couple to the rest of the matrix, and
+   by symmetry neither do those columns;
+2. ``Omega D Omega^T = [[D_kk, D_ke], [D_ek, D_ee]]`` splits into kept
+   (``k``, the first ``rank(U)``) and eliminated (``e``) unknowns;
+   ``D_ee`` is LU-factored, ``w = D_ee^{-1} D_ek`` is stored, and the
+   Schur complement ``D_kk - D_ek^T w`` is handed to the parent, which
+   does not store it;
+3. the parent assembles its children's Schur complements and couples
+   them through ``U_hat_1 B12 U_hat_2^T``, and the procedure repeats.  The
+   root is an ordinary node of rank 0: no transform, everything
+   eliminated.
 
-Factorization (all orthogonal/triangular factors, independent of the right
-hand side) and solve (two sweeps over the tree) are separate phases, so the
+The forward solve applies ``Omega``, solves with ``D_ee`` and hands the
+reduced right-hand side ``c_k - w^T c_e`` up; the children's reduced
+right-hand sides simply concatenate at the parent.  The backward solve
+recovers ``y_e = D_ee^{-1} c_e - w y_k`` and applies ``Omega^T``.  A node
+whose rank covers its block (a pass-through node) eliminates nothing and
+has no transform; neither has a node of rank 0.
+
+The eliminated blocks are factored by LU with partial pivoting
+(``dgetrf``), not Cholesky: the matrix factored is ``K~ + lam I`` with
+``K~`` the HSS approximation of the kernel matrix, and at the paper's
+compression tolerance ``||K - K~||_2`` can exceed ``lam``, so the system
+is indefinite at the root on ordinary problems.  Cholesky, with a typed
+error for an indefinite system, needs the shifted factorization first.
+
+Factorization (all transforms and factors, independent of the right-hand
+side) and solve (two sweeps over the tree) are separate phases, so the
 solve can be repeated cheaply for new right-hand sides — exactly how the
-paper times "Factorization" and "Solve" separately in Table 4 and Figure 7b.
-
-Complexity is ``O(n r^2)`` for the factorization and ``O(n r)`` per solve,
-with ``r`` the maximum HSS rank.
+paper times "Factorization" and "Solve" separately in Table 4 and Figure
+7b.  Complexity is ``O(n r^2)`` for the factorization and ``O(n r)`` per
+solve, with ``r`` the maximum HSS rank.
 
 The ridge shift ``+ lam I`` of the KRR training system is applied *here*,
 at factorization time, rather than being baked into the HSS generators:
@@ -36,21 +59,21 @@ to update the diagonal entries of the HSS matrix") promoted into the
 factorization API.
 
 The same observation holds inside the sweep.  Step 1 never sees the
-shift: ``Omega_i`` and ``U_hat_i`` come from a QR of the row basis, a
-stored generator at a leaf and an assembly of the children's ``U_hat``
-above.  Steps 2 and 3 do (the shifted diagonal reaches every ``Q_i``,
-triangular factor, reduced block and the root).  So a factorization
-built from another one of the same :class:`repro.hss.HSSMatrix` —
-:meth:`ULVFactorization.refactor` — takes every node's ``Omega_i`` and
-``U_hat_i`` from it **by reference** and runs steps 2 and 3 only, through
-the one elimination routine a cold factorization runs.  Arrays shared
-this way are read-only by convention: nothing writes into a stored
-factor, so the older factorization keeps solving unchanged.
+shift: ``Omega`` and ``U_hat`` come from a QR of the row basis, a stored
+generator at a leaf and an assembly of the children's ``U_hat`` above.
+Steps 2 and 3 do.  So a factorization built from another one of the same
+:class:`repro.hss.HSSMatrix` — :meth:`ULVFactorization.refactor` — takes
+every node's ``Omega`` and ``U_hat`` from it **by reference** and runs
+steps 2 and 3 only, through the one elimination routine a cold
+factorization runs.  Arrays shared this way are read-only by convention:
+nothing writes into a stored factor, so the older factorization keeps
+solving unchanged.
 
 The per-node work is a handful of small dense operations, so the node
-kernel calls ``dgeqrf`` / ``dorgqr`` / ``dtrtrs`` directly rather than
-their ``scipy.linalg`` wrappers (same routines, same workspace sizes,
-same bits) and checks each input for infs and NaNs itself.
+kernel calls ``dgeqrf`` / ``dorgqr`` / ``dgetrf`` / ``dgetrs`` directly
+rather than their ``scipy.linalg`` wrappers (same routines, same
+workspace sizes, same bits) and checks each input for infs and NaNs
+itself.
 """
 
 from __future__ import annotations
@@ -59,11 +82,10 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
-import scipy.linalg
-from scipy.linalg.lapack import dgeqrf, dorgqr, dtrtrs
+from scipy.linalg.lapack import dgeqrf, dgetrf, dgetrs, dorgqr
 
-from ..lowrank.lapack import (raise_trtrs_info, require_finite,
-                              with_optimal_workspace)
+from ..lowrank.lapack import require_finite, with_optimal_workspace
+from ..utils.bytes import nbytes_of_arrays
 from ..utils.timing import TimingLog
 from .hss_matrix import HSSMatrix
 
@@ -76,23 +98,18 @@ class _NodeFactors:
     n_loc: int = 0
     #: number of locally eliminated unknowns (``n_loc - rank(U)`` when positive)
     n_elim: int = 0
-    #: left orthogonal transform (``Omega``), shape ``(n_loc, n_loc)``;
+    #: orthogonal congruence ``Omega``, shape ``(n_loc, n_loc)``; ``None``
+    #: (the identity) at a node of rank 0 and at a pass-through node.
     #: λ-free — shared by reference between factorizations of one HSS matrix
     omega: Optional[np.ndarray] = None
-    #: right orthogonal transform (``Q``), shape ``(n_loc, n_loc)``
-    q: Optional[np.ndarray] = None
-    #: lower-triangular factor of the eliminated rows, ``(n_elim, n_elim)``
-    lower: Optional[np.ndarray] = None
-    #: top rows of ``Omega D Q``: the coupling of surviving rows to eliminated
-    #: unknowns (``d_hat1``) and to surviving unknowns (``d_hat2``)
-    d_hat1: Optional[np.ndarray] = None
-    d_hat2: Optional[np.ndarray] = None
     #: reduced row basis ``U_hat`` (``n_keep x rank(U)``); λ-free and shared
     #: by reference like ``omega``
     u_hat: Optional[np.ndarray] = None
-    #: split of ``Q^T V``: rows of the eliminated part (``g1``) and kept part (``g2``)
-    g1: Optional[np.ndarray] = None
-    g2: Optional[np.ndarray] = None
+    #: ``dgetrf`` factors and pivots of the eliminated block ``D_ee``
+    lu: Optional[np.ndarray] = None
+    piv: Optional[np.ndarray] = None
+    #: ``D_ee^{-1} D_ek`` (``n_elim x n_keep``)
+    w: Optional[np.ndarray] = None
 
     @property
     def n_keep(self) -> int:
@@ -101,45 +118,37 @@ class _NodeFactors:
 
     @property
     def nbytes(self) -> int:
-        total = 0
-        for a in (self.omega, self.q, self.lower, self.d_hat1, self.d_hat2,
-                  self.u_hat, self.g1, self.g2):
-            if a is not None:
-                total += a.nbytes
-        return total
+        return nbytes_of_arrays(
+            (self.omega, self.u_hat, self.lu, self.piv, self.w))
 
 
-def _qr_full(a: np.ndarray):
-    """Householder QR of a tall matrix (``rows >= cols``): ``(Q, packed)``.
+def _transform(U: np.ndarray):
+    """``(omega, u_hat)`` of a row basis: ``omega U = [u_hat; 0]``.
 
-    ``Q`` is the full ``rows x rows`` orthogonal factor and
-    ``np.triu(packed[:cols])`` the square top of ``R`` — bitwise what
-    scipy's ``qr(a, mode="full")`` returns, from the same ``dgeqrf`` /
-    ``dorgqr`` calls, without the wrapper around them.
+    ``omega`` is ``None`` (no transform) when ``U`` has no columns or at
+    least as many columns as rows; otherwise it is the transposed full
+    ``Q`` of a Householder QR and ``u_hat`` the square top of ``R`` —
+    bitwise what scipy's ``qr(U, mode="full")`` returns, from the same
+    ``dgeqrf`` / ``dorgqr`` calls, without the wrapper around them.
     """
-    rows, cols = a.shape
+    rows, cols = U.shape
+    if cols >= rows:
+        return None, U          # a pass-through node keeps every unknown
     if cols == 0:
-        return np.identity(rows), np.empty((rows, 0))
-    packed, tau = with_optimal_workspace(dgeqrf, a)
+        return None, np.empty((0, 0))
+    require_finite(U)
+    packed, tau = with_optimal_workspace(dgeqrf, U)
     q = np.empty((rows, rows), order="F")
     q[:, :cols] = packed
     q, = with_optimal_workspace(dorgqr, q, tau, overwrite_a=1)
-    return q, packed
+    return q.T, np.triu(packed[:cols])
 
 
-def _solve_lower(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``lower^{-1} b`` by ``dtrtrs``.
-
-    Like scipy's triangular-solve wrapper, a matrix that is not
-    Fortran-ordered (a factor read back from an artifact can be either) is
-    handed over as the transposed system, so both orders keep their bits.
-    """
-    if lower.flags.f_contiguous:
-        x, info = dtrtrs(lower, b, lower=1)
-    else:
-        x, info = dtrtrs(lower.T, b, lower=0, trans=1)
+def _lu_solve(fac: _NodeFactors, b: np.ndarray) -> np.ndarray:
+    """``D_ee^{-1} b`` from the node's ``dgetrf`` factors."""
+    x, info = dgetrs(fac.lu, fac.piv, b)
     if info != 0:
-        raise_trtrs_info(info)
+        raise ValueError(f"illegal value in argument {-info} of dgetrs")
     return x
 
 
@@ -174,7 +183,7 @@ class ULVFactorization:
         :meth:`refactor`.
     prior:
         A factorization of the same ``hss`` object at any shift (what
-        :meth:`refactor` passes).  Every node then takes its left transform
+        :meth:`refactor` passes).  Every node then takes its congruence
         ``omega`` and reduced row basis ``u_hat`` from ``prior`` by
         reference instead of recomputing them — they come from a QR of
         the row bases, which never see the shift — and only the
@@ -306,129 +315,83 @@ class ULVFactorization:
 
     # ---------------------------------------------------------------- factor
     @staticmethod
-    def _eliminate(D: np.ndarray, U: Optional[np.ndarray], V: np.ndarray,
-                   prior: Optional[_NodeFactors]) -> _NodeFactors:
-        """The two orthogonal transforms and the local elimination.
+    def _eliminate(D: np.ndarray, U: Optional[np.ndarray],
+                   prior: Optional[_NodeFactors]):
+        """The congruence and the local elimination of one node.
 
-        ``U`` and ``V`` are the local row and column bases: both the
-        stored basis at a leaf, and above it the one transfer matrix
-        applied to the children's ``u_hat`` and ``g2`` respectively.
-        ``U`` is only read when there is no ``prior`` node to take
-        ``omega`` / ``u_hat`` from.
+        ``U`` is the local row basis: the stored one at a leaf, and above
+        it the transfer matrix applied to the children's ``u_hat``.  It is
+        only read when there is no ``prior`` node to take ``omega`` /
+        ``u_hat`` from: ``U`` never carries the ridge shift, so a prior
+        factorization's pair is this one's.  Returns the node's factors
+        and the Schur complement it hands to its parent.
         """
-        n_loc = D.shape[0]
-        ru = U.shape[1] if prior is None else prior.u_hat.shape[1]
-
-        if ru >= n_loc:
-            # Nothing can be eliminated locally; pass everything up unchanged.
-            return _NodeFactors(
-                n_loc=n_loc, n_elim=0, lower=np.zeros((0, 0)),
-                d_hat1=np.zeros((n_loc, 0)), d_hat2=D.copy(),
-                u_hat=U.copy() if prior is None else prior.u_hat,
-                g1=np.zeros((0, V.shape[1])), g2=V.copy())
-
-        # 1) Omega U = [U_hat; 0]  via a full QR of U.  U never carries
-        # the ridge shift, so a prior factorization's pair is this one's.
-        if prior is None:
-            require_finite(U)
-            q_left, packed = _qr_full(U)
-            omega = q_left.T
-            u_hat = np.triu(packed[:ru])
-        else:
-            omega, u_hat = prior.omega, prior.u_hat
-        n_elim = n_loc - ru
-        d_tilde = omega @ D
-
-        # 2) Make the decoupled rows lower triangular: W Q = [L 0].
-        W = d_tilde[ru:]
-        require_finite(W)
-        Q, packed = _qr_full(W.T)
-        d_top = d_tilde[:ru] @ Q
-        G = Q.T @ V
-        return _NodeFactors(
-            n_loc=n_loc, n_elim=n_elim, omega=omega, q=Q,
-            lower=np.triu(packed[:n_elim]).T,  # (n_elim, n_elim) lower
-            d_hat1=d_top[:, :n_elim], d_hat2=d_top[:, n_elim:],
-            u_hat=u_hat, g1=G[:n_elim], g2=G[n_elim:])
+        omega, u_hat = (_transform(U) if prior is None
+                        else (prior.omega, prior.u_hat))
+        n_loc, r = D.shape[0], u_hat.shape[0]
+        fac = _NodeFactors(n_loc=n_loc, n_elim=n_loc - r, omega=omega,
+                           u_hat=u_hat)
+        if r == n_loc:
+            return fac, D       # nothing to eliminate: D goes up whole
+        M = D if omega is None else omega @ D @ omega.T
+        D_ee, D_ek = M[r:, r:], M[r:, :r]
+        require_finite(D_ee)
+        fac.lu, fac.piv, info = dgetrf(D_ee)
+        if info != 0:
+            raise np.linalg.LinAlgError(
+                f"singular matrix: exactly zero pivot {info - 1} in the "
+                f"eliminated block")
+        fac.w = _lu_solve(fac, D_ek)
+        return fac, M[:r, :r] - D_ek.T @ fac.w
 
     def _factor(self, prior: Optional["ULVFactorization"]) -> None:
         data = self.hss.node_data
-        root = self.hss.tree.root
         lam = self.lam
         if prior is not None:
             self._levels = prior._schedule
-        prior_factors = prior._factors if prior is not None else None
         factors: List[Optional[_NodeFactors]] = [None] * len(data)
-        self._root_lu = None
-
-        def factor_node(entry):
-            """Eliminate one node; returns (factors, root_lu)."""
-            node_id, left, right, start, stop = entry
-            d = data[node_id]
-            warm = prior_factors is not None and node_id != root
-            U = None
-
-            if left < 0:
-                # The ridge shift lives only on the dense leaf diagonals;
-                # shifting a copy here keeps the stored generators λ-free
-                # and reusable.
-                D = d.D
-                if lam != 0.0:
-                    D = D.copy()
-                    D.reshape(-1)[::D.shape[0] + 1] += lam
-                # The matrix is symmetric: the column basis is the row one.
-                V = d.U if d.U is not None else np.zeros((stop - start, 0))
-                if not warm:
-                    U = V
-            else:
-                # The reduced (D, V) a child hands up are its d_hat2 / g2;
-                # the block below the children's diagonal is B12^T.
-                f1, f2 = factors[left], factors[right]
-                n1, n = f1.n_keep, f1.n_keep + f2.n_keep
-                D = np.empty((n, n))
-                D[:n1, :n1] = f1.d_hat2
-                D[:n1, n1:] = f1.u_hat @ d.B12 @ f2.g2.T
-                D[n1:, :n1] = f2.u_hat @ d.B12.T @ f1.g2.T
-                D[n1:, n1:] = f2.d_hat2
-                if node_id == root or d.U is None:
-                    U = np.zeros((n, 0))
-                    V = np.zeros((n, 0))
-                else:
-                    # Both assemblies apply the one transfer matrix.  The
-                    # assembled U is λ-independent (children's u_hat come
-                    # from λ-free QRs) and only feeds the QR a prior
-                    # factorization already did; V is not — its g2 factors
-                    # pass through the shift-dependent right transforms.
-                    r1 = f1.g2.shape[1]
-                    if not warm:
-                        U = np.empty((n, d.U.shape[1]))
-                        U[:n1] = f1.u_hat @ d.U[:r1]
-                        U[n1:] = f2.u_hat @ d.U[r1:]
-                    V = np.empty((n, d.U.shape[1]))
-                    V[:n1] = f1.g2 @ d.U[:r1]
-                    V[n1:] = f2.g2 @ d.U[r1:]
-
-            if node_id == root:
-                # Final dense system of the surviving unknowns.
-                n = D.shape[0]
-                root_lu = scipy.linalg.lu_factor(D) if n > 0 else None
-                return _NodeFactors(
-                    n_loc=n, n_elim=0, lower=np.zeros((0, 0)),
-                    d_hat1=np.zeros((n, 0)), d_hat2=D,
-                    u_hat=np.zeros((n, 0)), g1=np.zeros((0, 0)),
-                    g2=np.zeros((n, 0))), root_lu
-
-            return self._eliminate(
-                D, U, V, prior_factors[node_id] if warm else None), None
+        # each node's Schur complement, until its parent has read it
+        schur: List[Optional[np.ndarray]] = [None] * len(data)
 
         # Bottom-up elimination, level by level: a node only reads its
         # children's (already committed) factors.
         for level in reversed(self._schedule):
-            for entry, (fac, root_lu) in zip(level, map(factor_node, level)):
-                factors[entry[0]] = fac
-                if entry[0] == root:
-                    self._root_size = fac.n_loc
-                    self._root_lu = root_lu
+            for node_id, left, right, start, stop in level:
+                d = data[node_id]
+                warm = prior._factors[node_id] if prior is not None else None
+                U = None
+                if left < 0:
+                    # The ridge shift lives only on the dense leaf
+                    # diagonals; shifting a copy here keeps the stored
+                    # generators λ-free and reusable.
+                    D = d.D
+                    if lam != 0.0:
+                        D = D.copy()
+                        D.reshape(-1)[::D.shape[0] + 1] += lam
+                    if warm is None:
+                        U = d.U if d.U is not None \
+                            else np.zeros((stop - start, 0))
+                else:
+                    # The children's Schur complements on the diagonal,
+                    # coupled by B12 through U_hat on both sides.
+                    f1, f2 = factors[left], factors[right]
+                    n1, n = f1.n_keep, f1.n_keep + f2.n_keep
+                    D = np.empty((n, n))
+                    D[:n1, :n1] = schur[left]
+                    D[n1:, n1:] = schur[right]
+                    D[:n1, n1:] = f1.u_hat @ d.B12 @ f2.u_hat.T
+                    D[n1:, :n1] = D[:n1, n1:].T
+                    schur[left] = schur[right] = None
+                    if warm is None:
+                        # The root stores no basis: rank 0.
+                        if d.U is None:
+                            U = np.zeros((n, 0))
+                        else:
+                            r1 = f1.u_hat.shape[1]
+                            U = np.empty((n, d.U.shape[1]))
+                            U[:n1] = f1.u_hat @ d.U[:r1]
+                            U[n1:] = f2.u_hat @ d.U[r1:]
+                factors[node_id], schur[node_id] = self._eliminate(D, U, warm)
         self._factors = factors
 
     # ----------------------------------------------------------------- solve
@@ -464,90 +427,45 @@ class ULVFactorization:
         if B.shape[0] != self.hss.n:
             raise ValueError(f"b has {B.shape[0]} rows, expected {self.hss.n}")
         require_finite(B)
-        nrhs = B.shape[1]
-        data = self.hss.node_data
         factors = self._factors
-        root = self.hss.tree.root
         schedule = self._schedule
-
-        # Per-node right-hand-side data produced by the forward sweep.
-        z1: List[Optional[np.ndarray]] = [None] * len(factors)
-        b_hat: List[Optional[np.ndarray]] = [None] * len(factors)
-        beta: List[Optional[np.ndarray]] = [None] * len(factors)
-
-        # ------------------------------ forward (bottom-up) sweep
-        def forward_node(entry):
-            """Returns the node's ``(z1, b_hat, beta)``."""
-            node_id, left, right, start, stop = entry
-            d = data[node_id]
-            fac = factors[node_id]
-
-            if left < 0:
-                b_loc = B[start:stop]
-            else:
-                f1, f2 = factors[left], factors[right]
-                n1 = f1.n_keep
-                b_loc = np.empty((n1 + f2.n_keep, nrhs))
-                np.subtract(b_hat[left], f1.u_hat @ (d.B12 @ beta[right]),
-                            out=b_loc[:n1])
-                np.subtract(b_hat[right], f2.u_hat @ (d.B12.T @ beta[left]),
-                            out=b_loc[n1:])
-
-            if node_id == root:
-                if self._root_lu is not None and b_loc.shape[0] > 0:
-                    return None, scipy.linalg.lu_solve(self._root_lu,
-                                                       b_loc), None
-                return None, np.zeros((0, nrhs)), None
-
-            if fac.n_elim > 0:
-                ru = fac.u_hat.shape[1]
-                b_tilde = fac.omega @ b_loc
-                z = _solve_lower(fac.lower, b_tilde[ru:])
-                reduced = b_tilde[:ru] - fac.d_hat1 @ z
-                beta_local = fac.g1.T @ z
-            else:
-                z = np.zeros((0, nrhs))
-                reduced = b_loc.copy()
-                beta_local = np.zeros((fac.g2.shape[1], nrhs))
-
-            if left >= 0 and d.U is not None and d.U.shape[1] > 0:
-                beta_local = d.U.T @ np.concatenate(
-                    (beta[left], beta[right])) + beta_local
-            return z, reduced, beta_local
-
+        # Forward (bottom-up): per node, the eliminated unknowns' local
+        # solve D_ee^{-1} c_e and the reduced right-hand side handed up.
+        local: List[Optional[np.ndarray]] = [None] * len(factors)
+        reduced: List[Optional[np.ndarray]] = [None] * len(factors)
         for level in reversed(schedule):
-            for entry, (z, reduced, beta_node) in zip(
-                    level, map(forward_node, level)):
-                node_id, left, right = entry[:3]
-                z1[node_id], b_hat[node_id], beta[node_id] = \
-                    z, reduced, beta_node
-                if left >= 0:
-                    # children right-hand-side buffers are no longer needed
-                    b_hat[left] = b_hat[right] = None
-
-        # ------------------------------ backward (top-down) sweep
-        X = np.zeros((self.hss.n, nrhs))
-        # surviving unknowns handed down by the parent (the root's own solve)
-        z2: List[Optional[np.ndarray]] = [None] * len(factors)
-        z2[root] = b_hat[root]
-
-        def backward_node(entry) -> np.ndarray:
-            node_id = entry[0]
-            fac = factors[node_id]
-            if node_id != root and fac.n_elim > 0:
-                return fac.q @ np.concatenate((z1[node_id], z2[node_id]))
-            return z2[node_id]
-
-        for level in schedule:
-            for (node_id, left, right, start, stop), x_local in zip(
-                    level, map(backward_node, level)):
-                z2[node_id] = None
+            for node_id, left, right, start, stop in level:
+                fac = factors[node_id]
                 if left < 0:
-                    X[start:stop] = x_local
+                    c = B[start:stop]
+                else:
+                    c = np.concatenate((reduced[left], reduced[right]))
+                    reduced[left] = reduced[right] = None
+                if fac.omega is not None:
+                    c = fac.omega @ c
+                if fac.n_elim:
+                    r = fac.n_keep
+                    local[node_id] = _lu_solve(fac, c[r:])
+                    c = c[:r] - fac.w.T @ c[r:]
+                reduced[node_id] = c
+
+        # Backward (top-down): the kept unknowns come from the parent.
+        X = np.empty((self.hss.n, B.shape[1]))
+        for level in schedule:
+            for node_id, left, right, start, stop in level:
+                fac = factors[node_id]
+                y = reduced[node_id]
+                reduced[node_id] = None
+                if fac.n_elim:
+                    y = np.concatenate((y, local[node_id] - fac.w @ y))
+                    local[node_id] = None
+                if fac.omega is not None:
+                    y = fac.omega.T @ y
+                if left < 0:
+                    X[start:stop] = y
                 else:
                     n1 = factors[left].n_keep
-                    z2[left] = x_local[:n1]
-                    z2[right] = x_local[n1:]
+                    reduced[left], reduced[right] = y[:n1], y[n1:]
 
         return X.ravel() if single else X
 
@@ -555,7 +473,7 @@ class ULVFactorization:
     @property
     def factor_bytes(self) -> int:
         """Memory of the stored factors in bytes."""
-        return sum(f.nbytes for f in self._factors if f is not None)
+        return sum(f.nbytes for f in self._factors)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"ULVFactorization(n={self.hss.n}, "

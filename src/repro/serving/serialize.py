@@ -51,8 +51,15 @@ Schema history (full layout spec in ``docs/serving.md``):
   ``hss.<i>.B21`` and ``hss.<i>.col_skeleton`` copies of ``U``,
   ``B12^T`` and ``row_skeleton`` are no longer written (nor under the
   per-shard ``dist.<s>.hss.*`` sections); the container is version 4's.
-  Written for every model.  Reading an older artifact checks that every
-  stored copy is bitwise what it copies, then drops it.
+  Reading an older artifact checks that every stored copy is bitwise
+  what it copies, then drops it.
+* **version 6** — the symmetric ULV: ``ulv.<i>.*`` (and every per-shard
+  ``dist.<s>.ulv.*`` section) holds ``omega``, ``u_hat``, ``lu``, ``piv``
+  and ``w`` per node and no root keys.  Written for every model.  The
+  general ULV factors of versions 1-5 are not read: such a model's
+  stored HSS matrix is factored again on load, at the model's λ (at 0
+  for generators with the shift baked in), and a sharded model's
+  capacitance system is coupled again.
 
 Since the compress-once/refit-many split, artifacts additionally carry the
 λ-free compression (the stored ``hss.*`` / ``dist.*.hss.*`` generators no
@@ -97,15 +104,16 @@ from ..krr.classifier import KernelRidgeClassifier
 from ..krr.multiclass import OneVsAllClassifier
 from ..krr.solvers import CGSolver, DenseSolver, HSSSolver, KernelSystemSolver
 from ..obs.tracing import trace
+from ..utils import packing
 from ..utils.timing import TimingLog
 
 #: format tag written into every artifact header
 FORMAT_TAG = "repro.serving/model"
-#: schema version this library writes, and the highest it reads (5 stores
-#: one symmetric HSS format in version 4's columnar container; 3 indexed
-#: the same payload with JSON, and 1 and 2 stored one zip member per
-#: array — see docs/serving.md)
-FORMAT_VERSION = 5
+#: schema version this library writes, and the highest it reads (6 stores
+#: the symmetric ULV factors, 5 one symmetric HSS format in version 4's
+#: columnar container; 3 indexed the same payload with JSON, and 1 and 2
+#: stored one zip member per array — see docs/serving.md)
+FORMAT_VERSION = 6
 
 KIND_BINARY = "kernel_ridge_classifier"
 KIND_MULTICLASS = "one_vs_all_classifier"
@@ -263,21 +271,19 @@ def hss_from_arrays(arrays: Dict[str, np.ndarray], tree: ClusterTree,
     return HSSMatrix(tree, node_data)
 
 
-#: _NodeFactors array attributes persisted per node
-_ULV_FIELDS = ("omega", "q", "lower", "d_hat1", "d_hat2", "u_hat", "g1", "g2")
+#: _NodeFactors array attributes persisted per node (schema version 6)
+_ULV_FIELDS = ("omega", "u_hat", "lu", "piv", "w")
+#: newest schema version whose ``ulv.*`` sections hold the general
+#: (two-transform) ULV factors; the reader refactors those models instead
+_LAST_GENERAL_ULV_VERSION = 5
 
 
 def ulv_to_arrays(ulv: ULVFactorization, prefix: str = "ulv.") -> Dict[str, np.ndarray]:
-    """Flatten a :class:`ULVFactorization` (factors + root LU) into arrays."""
+    """Flatten a :class:`ULVFactorization` into arrays: ``meta`` and the
+    per-node factors (a node without a transform stores no ``omega``)."""
     factors = ulv._factors
     meta = np.array([[f.n_loc, f.n_elim] for f in factors], dtype=np.int64)
-    out: Dict[str, np.ndarray] = {
-        f"{prefix}meta": meta,
-        f"{prefix}root_size": np.array([ulv._root_size], dtype=np.int64),
-    }
-    if ulv._root_lu is not None:
-        out[f"{prefix}root_lu"] = np.asarray(ulv._root_lu[0])
-        out[f"{prefix}root_piv"] = np.asarray(ulv._root_lu[1], dtype=np.int64)
+    out: Dict[str, np.ndarray] = {f"{prefix}meta": meta}
     for i, fac in enumerate(factors):
         for name in _ULV_FIELDS:
             a = getattr(fac, name)
@@ -293,6 +299,14 @@ def ulv_from_arrays(arrays: Dict[str, np.ndarray], hss: HSSMatrix,
     The factors are restored exactly as saved, so subsequent
     :meth:`~repro.hss.ULVFactorization.solve` calls are bitwise identical
     to the original factorization's solves.
+
+    Raises
+    ------
+    ArtifactError
+        If there is no factorization under ``prefix`` or its node count
+        is not the tree's.
+    KeyError, ValueError
+        If a node's factors are missing or do not fit its ``meta`` row.
     """
     key = f"{prefix}meta"
     if key not in arrays:
@@ -303,23 +317,31 @@ def ulv_from_arrays(arrays: Dict[str, np.ndarray], hss: HSSMatrix,
             f"ULV payload has {meta.shape[0]} nodes but the tree has "
             f"{hss.tree.n_nodes}")
     factors: List[_NodeFactors] = []
-    for i, (n_loc, n_elim) in enumerate(meta):
-        fac = _NodeFactors(n_loc=int(n_loc), n_elim=int(n_elim))
-        for name in _ULV_FIELDS:
-            a = arrays.get(f"{prefix}{i}.{name}")
-            if a is not None:
-                setattr(fac, name, np.asarray(a, dtype=np.float64))
+    for i, (n_loc, n_elim) in enumerate(meta.tolist()):
+        node = f"{prefix}{i}."
+        omega = arrays.get(node + "omega")
+        fac = _NodeFactors(
+            n_loc=n_loc, n_elim=n_elim,
+            omega=None if omega is None else np.asarray(omega, np.float64),
+            u_hat=np.asarray(arrays[node + "u_hat"], np.float64))
+        n_keep = n_loc - n_elim
+        if fac.u_hat.shape[0] != n_keep or (
+                omega is not None and omega.shape != (n_loc, n_loc)):
+            raise ValueError(f"{node}u_hat / omega do not fit {n_loc} rows "
+                             f"with {n_elim} eliminated")
+        if n_elim:
+            fac.lu = np.asarray(arrays[node + "lu"], np.float64)
+            fac.piv = np.asarray(arrays[node + "piv"], np.int32)
+            fac.w = np.asarray(arrays[node + "w"], np.float64)
+            if fac.lu.shape != (n_elim, n_elim) or fac.piv.shape != (
+                    n_elim,) or fac.w.shape != (n_elim, n_keep):
+                raise ValueError(f"{node}lu / piv / w do not fit "
+                                 f"{n_elim} eliminated rows")
         factors.append(fac)
     ulv = ULVFactorization.__new__(ULVFactorization)
     ulv.hss = hss
     ulv.timing = TimingLog()
     ulv._factors = factors
-    ulv._root_size = int(arrays[f"{prefix}root_size"][0])
-    if f"{prefix}root_lu" in arrays:
-        ulv._root_lu = (np.asarray(arrays[f"{prefix}root_lu"], dtype=np.float64),
-                        np.asarray(arrays[f"{prefix}root_piv"], dtype=np.int32))
-    else:
-        ulv._root_lu = None
     return ulv
 
 
@@ -369,19 +391,13 @@ _HEADER_KEY = "__artifact__"
 _KEYS_KEY = "__keys__"
 _INDEX_KEY = "__index__"
 _PAYLOAD_KEY = "__payload__"
-#: every array starts at a multiple of this many bytes inside the payload
-_ALIGN = 64
 #: newest schema version that stored one zip member per array
 _LAST_PER_MEMBER_VERSION = 2
 #: the one schema version whose index was a JSON list (and whose checksum
 #: was the per-array one of the per-member versions)
 _JSON_INDEX_VERSION = 3
-#: memory orders, by their code in the index table
-_ORDERS = "CF"
-#: leading columns of an index-table row; the shape fills the rest
-_FIXED_COLUMNS = 4
-#: padding source: a gap before an array is always shorter than _ALIGN
-_ZEROS = memoryview(bytes(_ALIGN))
+#: padding source: a gap before an array is always shorter than ALIGN
+_ZEROS = memoryview(bytes(packing.ALIGN))
 
 
 def _legacy_checksum(arrays: Dict[str, np.ndarray]) -> str:
@@ -395,21 +411,6 @@ def _legacy_checksum(arrays: Dict[str, np.ndarray]) -> str:
     return digest.hexdigest()
 
 
-def _memory_bytes(a: np.ndarray):
-    """Memory order of ``a`` and its buffer as a flat ``uint8`` view.
-
-    Contiguous arrays are not copied and keep their order: BLAS picks its
-    kernel by layout, so the order is part of the bitwise reload contract
-    (``.npy`` keeps it too, as ``fortran_order``).  Anything else is
-    stored C-ordered.
-    """
-    if a.flags.c_contiguous:
-        return 0, a.reshape(-1).view(np.uint8)
-    if a.flags.f_contiguous:
-        return 1, a.T.reshape(-1).view(np.uint8)
-    return 0, np.ascontiguousarray(a).reshape(-1).view(np.uint8)
-
-
 def _write_member(zf: zipfile.ZipFile, key: str, array: np.ndarray,
                   compress_type: int = zipfile.ZIP_STORED) -> None:
     """``array`` as the ``.npy`` member ``key``."""
@@ -419,32 +420,14 @@ def _write_member(zf: zipfile.ZipFile, key: str, array: np.ndarray,
         np.lib.format.write_array(member, array, allow_pickle=False)
 
 
-def _layout(arrays: Dict[str, np.ndarray]):
-    """The key list, the index table and ``(offset, bytes)`` per array."""
-    dtypes: Dict[str, int] = {}
-    rows, chunks, end = [], [], 0
-    for key, a in arrays.items():
-        if "\n" in key:
-            raise ArtifactError(f"array key {key!r} contains a newline")
-        a = np.asarray(a)
-        order, raw = _memory_bytes(a)
-        offset = -(-end // _ALIGN) * _ALIGN
-        code = dtypes.setdefault(a.dtype.str, len(dtypes))
-        rows.append([code, order, a.ndim, offset, *a.shape])
-        chunks.append((offset, raw))
-        end = offset + raw.size
-    width = max((len(row) for row in rows), default=_FIXED_COLUMNS)
-    table = np.array([row + [0] * (width - len(row)) for row in rows],
-                     dtype="<i8").reshape(len(rows), width)
-    keys = "\n".join([" ".join(dtypes), *arrays]).encode("utf-8")
-    return np.frombuffer(keys, dtype=np.uint8), table, chunks, end
-
-
 def _write_archive(path: str, header: Dict[str, object],
                    arrays: Dict[str, np.ndarray]) -> None:
     """Write a columnar (version 4 and later) archive; stamps its checksum
     into ``header``."""
-    keys, table, chunks, end = _layout(arrays)
+    try:
+        keys, table, chunks, end = packing.layout(arrays)
+    except ValueError as exc:
+        raise ArtifactError(str(exc)) from exc
     digest = _digest(keys, table)  # the payload joins it as it is written
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
@@ -507,59 +490,6 @@ def _check_members(keys: np.ndarray, table: np.ndarray,
                              f"array, not {ndim}-d {dtype}")
 
 
-def _unpack(keys_raw: np.ndarray, table: np.ndarray,
-            payload: np.ndarray) -> Dict[str, np.ndarray]:
-    """The arrays of a columnar archive (versions 4 and 5), as writable
-    views into ``payload``.
-
-    The index comes from outside the program: the whole table is checked
-    against the key list and the payload, column by column, before the
-    first view is made, so a torn or hand-crafted index raises and never
-    yields an array.
-    """
-    vocabulary, *keys = bytes(keys_raw).decode("utf-8").split("\n")
-    dtypes = [np.dtype(s) for s in vocabulary.split(" ")] if keys else []
-    if any(dtype.hasobject for dtype in dtypes):
-        raise ValueError(f"object dtype in {vocabulary!r}")
-    if len(set(keys)) != len(keys):
-        raise ValueError("duplicated key")
-    if table.shape[0] != len(keys) or table.shape[1] < _FIXED_COLUMNS:
-        raise ValueError(f"{len(keys)} keys for a table of shape "
-                         f"{table.shape}")
-    code, order, ndim, offset = table[:, :_FIXED_COLUMNS].T
-    shape = table[:, _FIXED_COLUMNS:]
-    if np.any((code < 0) | (code >= len(dtypes))):
-        raise ValueError(f"dtype code outside 0..{len(dtypes) - 1}")
-    if np.any((order < 0) | (order >= len(_ORDERS))):
-        raise ValueError("memory order code outside 0..1")
-    if np.any((ndim < 0) | (ndim > shape.shape[1])):
-        raise ValueError(f"ndim outside 0..{shape.shape[1]}")
-    used = np.arange(shape.shape[1]) < ndim[:, None]
-    if np.any(shape < 0) or np.any(shape[~used]):
-        raise ValueError("negative dimension or a dimension past ndim")
-    dims = np.where(used, shape, 1)
-    itemsize = np.array([d.itemsize for d in dtypes], dtype=np.int64)[code]
-    # The size in float first: an int64 product of hostile dims can wrap.
-    empty = np.any(dims == 0, axis=1)
-    approx = np.prod(dims, axis=1, dtype=np.float64) * itemsize
-    if np.any(~empty & (approx > payload.nbytes)) or np.any(
-            offset > payload.nbytes):
-        raise ValueError(f"an array ends past the {payload.nbytes}-byte "
-                         f"payload")
-    end = offset + np.where(empty, 0, np.prod(dims, axis=1)) * itemsize
-    # Aligned, ascending offsets: no two (writable) views share bytes.
-    if np.any((offset < 0) | (offset % _ALIGN != 0)):
-        raise ValueError(f"an offset is negative or not a multiple of "
-                         f"{_ALIGN}")
-    if np.any(offset[1:] < end[:-1]) or (len(keys) and end[-1] >
-                                        payload.nbytes):
-        raise ValueError("arrays overlap or end past the payload")
-    # Positional arguments and tuple shapes: this loop is most of a load.
-    return {key: np.ndarray(tuple(extent[:n]), dtypes[c], payload, o, None,
-                            _ORDERS[f])
-            for key, (c, f, n, o, *extent) in zip(keys, table.tolist())}
-
-
 def _unpack_json_index(index_raw: np.ndarray,
                        payload: np.ndarray) -> Dict[str, np.ndarray]:
     """The arrays of a version-3 archive (a JSON list of index entries),
@@ -577,7 +507,7 @@ def _unpack_json_index(index_raw: np.ndarray,
         if any(type(n) is not int or n < 0 for n in shape):
             raise ValueError(f"{key!r} has shape {shape}")
         # Ascending offsets: no two (writable) views share bytes.
-        if type(offset) is not int or offset < end or offset % _ALIGN:
+        if type(offset) is not int or offset < end or offset % packing.ALIGN:
             raise ValueError(f"{key!r} has offset {offset}")
         end = offset + dtype.itemsize * math.prod(shape)
         if end > payload.nbytes:
@@ -669,7 +599,7 @@ def _read_archive(path: str):
             with _index_errors(path):
                 _check_members(*members)
                 _verify(path, header, _digest(*members).hexdigest())
-                return header, _unpack(*members)
+                return header, packing.unpack(*members)
     _verify(path, header, _legacy_checksum(arrays))
     return header, arrays
 
@@ -798,28 +728,39 @@ def _attach_stream(solver: KernelSystemSolver, config: Dict[str, object],
 
 def _restore_solver(config: Dict[str, object], arrays: Dict[str, np.ndarray],
                     tree: ClusterTree, X_train: np.ndarray, kernel: Kernel,
-                    lam: float) -> Optional[KernelSystemSolver]:
+                    lam: float, version: int) -> Optional[KernelSystemSolver]:
     state = config.get("solver_state", "none")
+    # Versions 1-5 stored the general ULV factors: they are not read, the
+    # stored HSS matrix is factored again at the shift the factors were
+    # at (0 for generators with the shift baked in).
+    general_ulv = version <= _LAST_GENERAL_ULV_VERSION
     if state == "sharded":
         from ..distributed.factors import ShardedFactors, ShardedULVSolver
         try:
-            factors = ShardedFactors.from_arrays(arrays, tree, prefix="dist.")
+            factors = ShardedFactors.from_arrays(
+                arrays, tree, prefix="dist.", lam=lam if general_ulv else None)
         except (KeyError, ValueError) as exc:
             raise ArtifactError(
                 f"corrupted sharded-factor payload: {exc}") from exc
         solver = ShardedULVSolver(factors)
+        if factors.C is None:
+            solver.couple(factors.shards)
         solver.lam_ = lam
         return _attach_stream(solver, config, arrays, tree, X_train, kernel)
     if state == "hss":
         solver = HSSSolver(seed=config.get("seed"))
+        lam_free = bool(config.get("hss_lam_free", False))
         try:
             solver.hss_ = hss_from_arrays(arrays, tree)
             if "ulv.meta" in arrays:
-                solver.factorization_ = ulv_from_arrays(arrays, solver.hss_)
+                solver.factorization_ = (
+                    ULVFactorization.factor(solver.hss_,
+                                            lam=lam if lam_free else 0.0)
+                    if general_ulv else ulv_from_arrays(arrays, solver.hss_))
         except (KeyError, ValueError) as exc:
             raise ArtifactError(
                 f"corrupted HSS / ULV payload: {exc}") from exc
-        solver._hss_lam_free = bool(config.get("hss_lam_free", False))
+        solver._hss_lam_free = lam_free
         solver.compression_count = 1
         solver._fitted = solver.factorization_ is not None
         solver.lam_ = lam
@@ -995,7 +936,8 @@ def _model_from_arrays(path: str, header: Dict[str, object],
     if _TARGETS_KEY[kind] in arrays:
         model._targets_perm = np.asarray(arrays[_TARGETS_KEY[kind]],
                                          dtype=np.float64)
-    model.solver_ = _restore_solver(config, arrays, tree, X_train, kernel, lam)
+    model.solver_ = _restore_solver(config, arrays, tree, X_train, kernel,
+                                    lam, int(header["version"]))
     return model
 
 

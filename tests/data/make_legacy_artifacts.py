@@ -22,6 +22,13 @@ by 4787a08, which writes ``legacy_v4_*.npz`` the same way::
     git -C /tmp/parent checkout 4787a08
     PYTHONPATH=/tmp/parent/src python tests/data/make_legacy_artifacts.py v4
 
+and the last artifacts that store the general (two-transform) ULV
+factors — ``q``, ``g1``, ``g2``, the root LU — (schema version 5) by
+86aa42e, which writes ``legacy_v5_*.npz`` the same way::
+
+    git -C /tmp/parent checkout 86aa42e
+    PYTHONPATH=/tmp/parent/src python tests/data/make_legacy_artifacts.py v5
+
 ``tests/test_legacy_artifacts.py`` loads what it wrote.  ``expected.npz``
 holds the query rows, each model's weights and decision values on them,
 and the rows the lifecycle verbs of that test stream in.
@@ -41,7 +48,7 @@ NAMES = ("hss", "dense", "ova", "sharded", "midstream")
 
 
 #: schema version -> the commit whose writer saved its fixtures last
-RESAVED_BY = {3: "a02e8fb", 4: "4787a08"}
+RESAVED_BY = {3: "a02e8fb", 4: "4787a08", 5: "86aa42e"}
 
 
 def resave_as(version):
@@ -93,7 +100,7 @@ def main():
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] in (["v3"], ["v4"]):
+    if sys.argv[1:] in (["v3"], ["v4"], ["v5"]):
         resave_as(int(sys.argv[1][1:]))
     else:
         main()

@@ -40,9 +40,10 @@ from repro.datasets import standardize, susy_like
 from repro.krr import KernelRidgeClassifier
 from repro.obs import trace
 from repro.serving import ArtifactError, load_model, read_artifact
-from repro.serving.serialize import (_ALIGN, _HEADER_KEY, _INDEX_KEY,
-                                     _KEYS_KEY, _PAYLOAD_KEY, FORMAT_VERSION,
+from repro.serving.serialize import (_HEADER_KEY, _INDEX_KEY, _KEYS_KEY,
+                                     _PAYLOAD_KEY, FORMAT_VERSION,
                                      _read_archive, _write_archive)
+from repro.utils.packing import ALIGN as _ALIGN
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 #: the same model in the per-member (version 1) and the JSON-indexed
@@ -99,7 +100,7 @@ class TestPackedContainerGuard:
         small.save(str(tmp_path / "small.npz"))
         with zipfile.ZipFile(tmp_path / "small.npz") as zf:
             assert sorted(zf.namelist()) == members
-        assert read_artifact(packed).version == FORMAT_VERSION == 5
+        assert read_artifact(packed).version == FORMAT_VERSION == 6
         profiler = cProfile.Profile()
         gc.collect()
         gc.disable()
@@ -469,7 +470,7 @@ def _one_row_short(key):
 #: arrays do not make a model (node 3 is an internal non-root node)
 INCONSISTENT = {
     "missing-transfer-matrix": _without("hss.3.U"),
-    "missing-ulv-root-size": _without("ulv.root_size"),
+    "missing-ulv-node-factor": _without("ulv.3.w"),
     "wrong-shaped-transfer-matrix": _one_row_short("hss.3.U"),
 }
 
@@ -492,12 +493,13 @@ def test_inconsistent_hss_payload_raises_artifact_error(tmp_path, packed,
                                     dict(solver="hss", shards=2)],
                          ids=["hss", "shards2"])
 def test_saved_hss_is_the_symmetric_format(tmp_path, susy, kwargs):
-    """Version 5 stores ``D``, ``U``, ``B12`` and ``row_skeleton`` per node,
-    in the serial and in every per-shard ``hss.*`` section."""
+    """Version 6 stores ``D``, ``U``, ``B12`` and ``row_skeleton`` per HSS
+    node and ``omega``, ``u_hat``, ``lu``, ``piv`` and ``w`` per ULV node,
+    with no root keys, in the serial and in every per-shard section."""
     model = _fit(susy, **kwargs)
     try:
         path = str(tmp_path / "model.npz")
-        assert model.save(path).version == FORMAT_VERSION == 5
+        assert model.save(path).version == FORMAT_VERSION == 6
     finally:
         if hasattr(model.solver_, "close"):
             model.solver_.close()
@@ -506,6 +508,10 @@ def test_saved_hss_is_the_symmetric_format(tmp_path, susy, kwargs):
                 if key.startswith("hss.") or ".hss." in key]
     fields = {key.rpartition(".")[2] for key in hss_keys} - {"n_nodes"}
     assert fields == {"D", "U", "B12", "row_skeleton"}
+    ulv_keys = [key for key in arrays
+                if key.startswith("ulv.") or ".ulv." in key]
+    fields = {key.rpartition(".")[2] for key in ulv_keys}
+    assert fields == {"meta", "omega", "u_hat", "lu", "piv", "w"}
     assert any(key.startswith("dist.") for key in arrays) == (
         "shards" in kwargs)
 

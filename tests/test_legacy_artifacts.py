@@ -3,18 +3,21 @@
 ``tests/data/legacy_<model>.npz`` were written by the last commit whose
 writer stored one zip member per array (schema versions 1 and 2),
 ``tests/data/legacy_v3_<model>.npz`` are the same models saved again by
-the last writer of the JSON-indexed container (schema version 3), and
+the last writer of the JSON-indexed container (schema version 3),
 ``tests/data/legacy_v4_<model>.npz`` by the last writer that stored the
 per-node ``V`` / ``B21`` / ``col_skeleton`` copies of the symmetric HSS
-format (schema version 4; see ``tests/data/make_legacy_artifacts.py``
-for how).  They are the users of the reader's ``version <= 2`` and
-``version == 3`` paths and of its copy check: each loads with its
-checksum verified and every stored copy checked against what it copies,
-predicts what its writer predicted, re-saves as a version-5 archive
-without the copies whose checksum the docs recipe recomputes, and takes
-every lifecycle verb a freshly saved model takes — a ``refit`` from the
-factors it was stored with included.  An old archive whose copy is not
-a copy raises :class:`ArtifactError`.
+format (schema version 4), and ``tests/data/legacy_v5_<model>.npz`` by
+the last writer of the general ULV factors (schema version 5; see
+``tests/data/make_legacy_artifacts.py`` for how).  They are the users of
+the reader's ``version <= 2`` and ``version == 3`` paths, of its copy
+check and of its refactor on load: each loads with its checksum verified
+and every stored copy checked against what it copies, factors its stored
+HSS matrix again instead of reading the general ULV factors, predicts
+what its writer predicted, re-saves as a version-6 archive without the
+copies and the general factors whose checksum the docs recipe
+recomputes, and takes every lifecycle verb a freshly saved model takes —
+a ``refit`` from the factors it was loaded with included.  An old
+archive whose copy is not a copy raises :class:`ArtifactError`.
 """
 
 from __future__ import annotations
@@ -37,10 +40,14 @@ DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 FIXTURES = {"hss": ("hss", 1), "dense": ("dense", 1), "ova": ("ova", 1),
             "sharded": ("sharded", 2), "midstream": ("midstream", 1),
             **{f"v{version}_{model}": (model, version)
-               for version in (3, 4)
+               for version in (3, 4, 5)
                for model in ("hss", "dense", "ova", "sharded", "midstream")}}
 #: the per-node copies schema versions 1-4 stored
 COPIES = ("V", "B21", "col_skeleton")
+#: keys of the general ULV factors schema versions 1-5 stored, and no
+#: later one does
+GENERAL_ULV = ("q", "lower", "d_hat1", "d_hat2", "g1", "g2", "root_size",
+               "root_lu", "root_piv")
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +77,8 @@ def test_loads_predicts_and_resaves_as_the_current_version(
             assert len(zf.namelist()) == 4
     _, stored = _read_archive(source)
     if model_name != "dense":
-        assert any(key.endswith(".V") for key in stored)
+        assert any(key.endswith(".V") for key in stored) == (version <= 4)
+        assert any(key.endswith(".g2") for key in stored)
 
     model = load_model(source)
     queries = expected["queries"]
@@ -83,9 +91,12 @@ def test_loads_predicts_and_resaves_as_the_current_version(
 
     path = str(tmp_path / "model.npz")
     new = model.save(path)
-    assert new.version == FORMAT_VERSION == 5
+    assert new.version == FORMAT_VERSION == 6
     _, resaved = _read_archive(path)
-    assert not [key for key in resaved if key.rpartition(".")[2] in COPIES]
+    assert not [key for key in resaved
+                if key.rpartition(".")[2] in COPIES + GENERAL_ULV]
+    if model_name != "dense":
+        assert any(key.endswith(".w") for key in resaved)
     # The version-4 digest covers the layout, so it is not the old one;
     # it is a function of the model: saving the reloaded re-save again
     # reproduces it, and the docs recipe recomputes it.
@@ -140,10 +151,11 @@ def test_lifecycle_verbs_work_on_the_loaded_model(name, expected):
 
 @pytest.mark.parametrize("name", ["hss", "ova", "sharded", "midstream",
                                   "v3_hss", "v3_sharded", "v4_hss",
-                                  "v4_sharded"])
+                                  "v4_sharded", "v5_hss", "v5_sharded"])
 def test_refit_from_the_stored_factors_is_bitwise_a_cold_factorization(
         name, monkeypatch):
-    """The λ-free half read back from a legacy archive is the cold one."""
+    """The λ-free half of the factors a legacy archive loads with is the
+    cold one."""
     warm, cold = _load(name), _load(name)
     warm.refit(2.0)
     with monkeypatch.context() as patch:

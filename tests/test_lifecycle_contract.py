@@ -204,9 +204,8 @@ def test_lam_move_from_resident_factors_is_bitwise_cold(kind, problem,
     assert resident.hss is loaded.solver_.hss_
     loaded.refit(2.0)
     after = loaded.solver_.factorization_
-    root = after.hss.tree.root
-    assert all(new.u_hat is old.u_hat for i, (new, old) in enumerate(
-        zip(after._factors, resident._factors)) if i != root)
+    assert all(new.omega is old.omega and new.u_hat is old.u_hat
+               for new, old in zip(after._factors, resident._factors))
     np.testing.assert_array_equal(
         loaded.weights_, _make(kind, "hss", lam=2.0).fit(X, y).weights_)
 

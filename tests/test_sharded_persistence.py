@@ -68,9 +68,9 @@ def serial_reference(problem, sharded_model):
 def test_sharded_artifact_schema(tmp_path, sharded_model):
     store = ModelStore(tmp_path)
     record = store.save(sharded_model, "susy-sharded")
-    assert record.version == FORMAT_VERSION == 5
+    assert record.version == FORMAT_VERSION == 6
     artifact = read_artifact(record.archive_path)
-    assert artifact.version == 5
+    assert artifact.version == 6
     assert artifact.config["solver_state"] == "sharded"
     assert artifact.config["shards"] == 2
 

@@ -35,8 +35,7 @@ from repro.krr.solvers import HSSSolver
 from repro.tuning import (GridSearch, KRRObjective, ParameterSpace,
                           RandomSearch)
 
-_FACTOR_ARRAYS = ("omega", "q", "lower", "d_hat1", "d_hat2", "u_hat",
-                  "g1", "g2")
+_FACTOR_ARRAYS = ("omega", "u_hat", "lu", "piv", "w")
 
 
 @pytest.fixture(scope="module")
@@ -86,10 +85,10 @@ class TestReloadedKernelMove:
 # ---------------------------------------------------------------------------
 
 def _assert_same_factorization(fac, ref, rhs):
+    assert len(fac._factors) == len(ref._factors)
     for got, want in zip(fac._factors, ref._factors):
         assert (got.n_loc, got.n_elim) == (want.n_loc, want.n_elim)
         assert_same_arrays(got, want, _FACTOR_ARRAYS)
-    assert fac._root_size == ref._root_size
     for b in rhs:
         np.testing.assert_array_equal(fac.solve(b), ref.solve(b))
 
@@ -114,7 +113,7 @@ class TestFactorManyBitwise:
             _assert_same_factorization(
                 fac, ULVFactorization.factor(compressed.hss, lam=lam), [b])
 
-    # a single-leaf tree is all root: nothing to share, still the same path;
+    # a single-leaf tree is all root, a node of rank 0 like any other;
     # at h = 1e-3 the kernel matrix is the identity to working precision and
     # the row bases have no columns: the left transform is an identity
     @pytest.mark.parametrize("method, leaf_size, h", [
@@ -144,11 +143,10 @@ class TestFactorManyBitwise:
             assert warm.lam == shift and warm.hss is compressed.hss
             _assert_same_factorization(
                 warm, ULVFactorization.factor(compressed.hss, lam=shift), rhs)
-            # the λ-free half is the resident one, not a recomputation
-            for i, (new, old) in enumerate(zip(warm._factors,
-                                               resident._factors)):
-                if i != root:
-                    assert new.omega is old.omega and new.u_hat is old.u_hat
+            # the λ-free half is the resident one, not a recomputation —
+            # at the root too, an ordinary node of rank 0
+            for new, old in zip(warm._factors, resident._factors):
+                assert new.omega is old.omega and new.u_hat is old.u_hat
             resident = warm     # the next refit starts from this one
 
     def test_refactor_refuses_another_compression(self, compressed_pair):
@@ -171,9 +169,8 @@ class TestFactorManyBitwise:
             warm.refit(lam)
             after = warm.solver_.factorization_
             assert after is not before and after.lam == lam
-            root = after.hss.tree.root
-            assert all(new.u_hat is old.u_hat for i, (new, old) in enumerate(
-                zip(after._factors, before._factors)) if i != root)
+            assert all(new.omega is old.omega and new.u_hat is old.u_hat
+                       for new, old in zip(after._factors, before._factors))
             np.testing.assert_array_equal(
                 warm.weights_, _cold_weights(X, y, h=1.0, lam=lam))
         assert warm.solver_.compression_count == 1
