@@ -1,13 +1,13 @@
 """Shared-memory transport for numpy blocks between processes.
 
 The distributed training path moves two kinds of data between the
-coordinator and its shard workers:
+parent process and its shard workers:
 
 * **control messages** — tiny tagged tuples (command names, scalar stats)
   that travel over ordinary :class:`multiprocessing.Queue`\\ s, and
-* **numpy payloads** — the permuted training points, right-hand sides,
-  coupling factors and partial solutions.  These never go through pickle:
-  the sending side copies them into a POSIX shared-memory segment
+* **numpy payloads** — the permuted training points and the shard
+  factors and coupling blocks of a fit reply.  These never go through
+  pickle: the sending side copies them into a POSIX shared-memory segment
   (:class:`multiprocessing.shared_memory.SharedMemory`) and only a small
   handle rides on the queue; the receiver maps the segment, copies the
   bytes out and detaches.  The training points and the tree travel once,
@@ -26,7 +26,7 @@ tracker of each process only sees segments that process created.
 the created segments so the caller can unlink them once the (synchronous)
 protocol guarantees the peer has consumed the message.
 
-:func:`recv_with_liveness` is the coordinator's fail-fast receive: it polls
+:func:`recv_with_liveness` is the parent's fail-fast receive: it polls
 the queue in small slices and raises :class:`WorkerCrashedError` as soon as
 the peer process is observed dead, instead of blocking forever on a queue
 that will never be fed.
@@ -50,7 +50,7 @@ class DistributedError(RuntimeError):
 
 
 class WorkerCrashedError(DistributedError):
-    """A shard worker process died while the coordinator was waiting on it."""
+    """A shard worker process died while the parent was waiting on it."""
 
 
 class WorkerTimeoutError(DistributedError):
@@ -215,12 +215,12 @@ def recv_with_liveness(queue, timeout: float,
                     return queue.get_nowait()
                 except queue_mod.Empty:
                     raise WorkerCrashedError(
-                        "worker process died while the coordinator was "
-                        "waiting for its reply") from None
+                        "worker process died while the parent was waiting "
+                        "for its reply") from None
 
 
 class BlockChannel:
-    """One direction of the coordinator <-> worker message protocol.
+    """One direction of the parent <-> worker message protocol.
 
     Messages are ``(tag, payload, MessageSpec or None)`` tuples on a
     :class:`multiprocessing.Queue`; a message's arrays ride in one

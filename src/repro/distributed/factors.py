@@ -1,17 +1,48 @@
 """The coupling system: capacitance bookkeeping and the Woodbury solve, once.
 
-The distributed factorization is block-diagonal ULV solves plus one
-Woodbury capacitance correction (:mod:`repro.distributed.coordinator` has
-the algebra).  The per-shard half is the
-:class:`repro.distributed.ShardKernel`; this module is the other half:
-:class:`ShardedFactors`, the coupling state that round-trips through
-:mod:`repro.serving.serialize` as the ``dist.*`` artifact section (see
-``docs/serving.md``), and :class:`ShardedULVSolver`, the coupling system
-over it — written against a *shard backend* of four calls (``refit``,
-``couple``, ``solve``, ``correct``; one entry per shard in, one out), so it
-runs unchanged over either transport: :class:`repro.distributed.ShardList`
-(kernels in this process) or :class:`repro.distributed.WorkerGrid`
-(kernels resident in the workers, one protocol round per call).
+The distributed factorization follows the paper's rank-per-subtree model.
+With the permuted kernel system ``M = K + lambda I`` cut into ``P``
+contiguous shards, write
+
+.. math::
+
+    M = D + E,
+
+where ``D = blockdiag(M_11, ..., M_PP)`` collects the diagonal (subtree)
+blocks and ``E`` the inter-shard coupling.  Every worker compresses and
+ULV-factors its own ``M_ss`` with the single-process builders
+(that is the bulk of the work, fully parallel across processes), and the
+coupling blocks ``M_st`` — the *top separator levels* of the global
+hierarchy, low-rank by the same clustering argument that makes HSS work —
+are ACA-compressed as ``U_st V_st^T``.
+
+Stacking the coupling factors into ``E = P_f Q_f^T`` (each pair
+contributes its ``U`` and ``V`` once on each side), the global solve is a
+Woodbury correction around the block-diagonal solves:
+
+.. math::
+
+    M^{-1} y = z - H \\, C^{-1} Q_f^T z, \\qquad
+    z = D^{-1} y, \\; H = D^{-1} P_f, \\; C = I + Q_f^T D^{-1} P_f.
+
+``D^{-1}`` applications are independent across shards (each is a local
+multi-RHS ULV solve); only the small dense *capacitance* system ``C`` —
+whose dimension is the total coupling rank — is assembled and LU-factored.
+That merge is the shared-memory analogue of the paper's top-of-the-tree
+communication phase, and its cost is independent of ``n``.
+
+Accuracy: the distributed solve approximates the same system as the serial
+HSS solver, with the coupling ACA tolerance playing the role of the HSS
+compression tolerance for the top off-diagonal blocks.  Predictions of the
+sharded and serial models therefore agree to the compression tolerance
+(see ``tests/test_distributed.py``, which pins a tight tolerance and
+checks label-exact agreement).
+
+The per-shard half is the :class:`repro.distributed.ShardKernel`; this
+module is the other half: :class:`ShardedFactors`, the coupling state that
+round-trips through :mod:`repro.serving.serialize` as the ``dist.*``
+artifact section (see ``docs/serving.md``), and :class:`ShardedULVSolver`,
+the coupling system over it, which calls its shard kernels directly.
 """
 
 from __future__ import annotations
@@ -27,17 +58,17 @@ from ..clustering.tree import ClusterTree
 from ..krr.solvers import KernelSystemSolver
 from ..utils.timing import TimingLog
 from .plan import ShardPlan
-from .shard import ShardKernel, ShardList
+from .shard import ShardKernel
 
 
 @dataclass
 class ShardedFactors:
     """Everything needed to re-solve a distributed factorization locally.
 
-    Located by :meth:`locate` at fit time, filled with shard kernels by
-    :meth:`repro.distributed.Coordinator.collect_factors`, consumed by
-    :class:`ShardedULVSolver` and by the ``dist.*`` section of model
-    artifacts.
+    Located by :meth:`locate` at fit time, filled with the shard kernels
+    the workers built (:class:`repro.distributed.DistributedSolver`),
+    consumed by :class:`ShardedULVSolver` and by the ``dist.*`` section of
+    model artifacts.
 
     Parameters
     ----------
@@ -55,8 +86,7 @@ class ShardedFactors:
         (``R x R``; ``R`` is the total coupling rank), ``None`` until the
         first couple round.
     shards:
-        The per-shard kernels held in this process (empty while the
-        factors live only in a worker grid).
+        The per-shard kernels, in shard order.
     hss_lam_free:
         Whether the per-shard HSS generators are λ-free (the ridge shift
         lives only in the ULV factors).  ``True`` for everything collected
@@ -70,7 +100,7 @@ class ShardedFactors:
     pg_idx: List[np.ndarray]
     qg_idx: List[np.ndarray]
     C: Optional[np.ndarray] = None
-    shards: ShardList = field(default_factory=ShardList)
+    shards: List[ShardKernel] = field(default_factory=list)
     hss_lam_free: bool = True
 
     @classmethod
@@ -143,7 +173,7 @@ class ShardedFactors:
         out[f"{prefix}lam_free"] = np.array(
             [1 if self.hss_lam_free else 0], dtype=np.int64)
         for s, shard in enumerate(self.shards):
-            local = shard.to_arrays(("F", "hss", "ulv"))
+            local = shard.to_arrays()
             local["pg"] = np.asarray(self.pg_idx[s], dtype=np.int64)
             local["qg"] = np.asarray(self.qg_idx[s], dtype=np.int64)
             out.update({f"{prefix}{s}.{key}": a for key, a in local.items()})
@@ -151,8 +181,8 @@ class ShardedFactors:
 
     @classmethod
     def from_arrays(cls, arrays: Dict[str, np.ndarray], tree: ClusterTree,
-                    prefix: str = "dist.", lam: Optional[float] = None
-                    ) -> "ShardedFactors":
+                    lam: float, prefix: str = "dist.",
+                    refactor: bool = False) -> "ShardedFactors":
         """Rebuild from :meth:`to_arrays` output.
 
         Parameters
@@ -164,14 +194,16 @@ class ShardedFactors:
             The *global* cluster tree the shard plan cuts (stored
             separately in the artifact via
             :func:`repro.serving.tree_to_arrays`).
+        lam:
+            The model's ridge shift.  The shard ULVs are at ``lam`` — at 0
+            when the generators have the shift baked in.
         prefix:
             Key prefix used at save time.
-        lam:
-            ``None`` restores every shard's ULV factors bitwise.  Given,
-            the stored factors are not read (artifacts of schema versions
+        refactor:
+            ``False`` restores every shard's ULV factors bitwise.  ``True``
+            does not read the stored factors (artifacts of schema versions
             1-5 hold the general ULV): every shard's HSS matrix is
-            factored cold at ``lam`` — at 0 when the generators have the
-            shift baked in — and ``C`` is left for a couple round.
+            factored cold, and ``C`` is left for a couple round.
 
         Returns
         -------
@@ -193,9 +225,10 @@ class ShardedFactors:
         # no marker; their shard HSS carries the shift baked in.
         marker = arrays.get(f"{prefix}lam_free")
         hss_lam_free = bool(marker is not None and int(np.asarray(marker)[0]))
-        if lam is not None:
-            C, lam = None, lam if hss_lam_free else 0.0
-        pg, qg, shards = [], [], ShardList()
+        lam = float(lam) if hss_lam_free else 0.0
+        if refactor:
+            C = None
+        pg, qg, shards = [], [], []
         for s in range(plan.n_shards):
             shard_prefix = f"{prefix}{s}."
             local = {key[len(shard_prefix):]: a for key, a in arrays.items()
@@ -204,8 +237,8 @@ class ShardedFactors:
             qg.append(np.asarray(local["qg"], dtype=np.intp))
             if "F" not in local:
                 raise KeyError(f"{shard_prefix}F")
-            shards.append(ShardKernel.from_arrays(local, plan.subtree(s),
-                                                  lam=lam))
+            shards.append(ShardKernel.from_arrays(
+                local, plan.subtree(s), lam=lam, refactor=refactor))
         return cls(plan=plan, F=[shard.F for shard in shards], pg_idx=pg,
                    qg_idx=qg, C=C, shards=shards, hss_lam_free=hss_lam_free)
 
@@ -215,20 +248,18 @@ class ShardedULVSolver(KernelSystemSolver):
 
     Owns what no single shard does — the capacitance matrix
     ``C = I + Q_f^T D^{-1} P_f`` and its LU — and drives the per-shard
-    steps through a shard backend.  Over the kernels of ``factors.shards``
-    it is the drop-in :class:`repro.krr.solvers.KernelSystemSolver` a
-    sharded artifact restores to, serving ``solve()`` for new right-hand
-    sides without any worker process;
-    :class:`repro.distributed.Coordinator` drives the very same object
-    over a :class:`repro.distributed.WorkerGrid`, so the live and the
-    in-process solves are one computation.
+    steps of the kernels in ``factors.shards``, all in this process.  It
+    is what a :class:`repro.distributed.DistributedSolver` answers every
+    post-fit verb with, and the drop-in
+    :class:`repro.krr.solvers.KernelSystemSolver` a sharded artifact
+    restores to.
 
     Parameters
     ----------
     factors:
-        The coupling state (from :meth:`ShardedFactors.locate` during a
-        fit, or :meth:`ShardedFactors.from_arrays`).  While its ``C`` is
-        not assembled, run :meth:`couple` before solving.
+        The coupling state with its shard kernels (from a fit, or
+        :meth:`ShardedFactors.from_arrays`).  While its ``C`` is not
+        assembled, run :meth:`couple` before solving.
 
     Notes
     -----
@@ -269,45 +300,50 @@ class ShardedULVSolver(KernelSystemSolver):
         self.factors.C = C
         self._cap_lu = scipy.linalg.lu_factor(C) if C.shape[0] else None
 
-    def couple(self, backend) -> None:
-        """One couple round: reassemble and re-factor the capacitance system.
+    def couple(self) -> None:
+        """Reassemble and re-factor the capacitance system.
 
-        Hands every shard of ``backend`` its located factors (λ-free,
-        unchanged across refits), collects the Gram pieces
-        ``F_s^T D_s^{-1} F_s`` against the shards' *current*
-        factorizations and assembles ``C``.  The state changes only once
-        every shard has answered.
+        Collects the Gram pieces ``F_s^T D_s^{-1} F_s`` of every shard
+        against its *current* factorization (the located factors are
+        λ-free, unchanged across refits) and assembles ``C``.
         """
         factors = self.factors
         C = np.eye(factors.coupling_rank)
-        pieces = backend.couple(factors.F)
-        for qg, pg, M in zip(factors.qg_idx, factors.pg_idx, pieces):
+        for shard, qg, pg in zip(factors.shards, factors.qg_idx,
+                                 factors.pg_idx):
+            M = shard.couple()
             if M.size:
                 C[np.ix_(qg, pg)] += M
         self.set_capacitance(C)
 
     # ----------------------------------------------------------------- verbs
-    def refit_round(self, lam: float, backend) -> List[dict]:
-        """λ-only refit on ``backend``: every local ULV at the new shift,
-        then the capacitance system.  Returns the per-shard reports;
-        ``report.timings`` holds the round's wall-clock ``factorization``
-        and ``coupling_merge``."""
-        t0 = time.perf_counter()
-        infos = backend.refit(lam)
-        t1 = time.perf_counter()
-        self.couple(backend)
+    def refit_round(self, lam: float) -> None:
+        """λ-only refit: every local ULV at the new shift, then the
+        capacitance system.  ``report.timings`` holds the round's
+        wall-clock ``factorization`` and ``coupling_merge``.
+
+        A failure part-way leaves the shards at mixed λ: the solver is
+        then unfitted, so it neither solves nor saves from that state.
+        """
+        try:
+            t0 = time.perf_counter()
+            for shard in self.factors.shards:
+                shard.refit(lam)
+            t1 = time.perf_counter()
+            self.couple()
+        except BaseException:
+            self._fitted = False
+            raise
         self.report.timings = {"factorization": t1 - t0,
                                "coupling_merge": time.perf_counter() - t1}
-        return infos
 
-    def woodbury(self, y: np.ndarray, backend) -> np.ndarray:
+    def woodbury(self, y: np.ndarray) -> np.ndarray:
         """``M^{-1} y = z - H C^{-1} Q_f^T z`` with ``z = D^{-1} y``.
 
         ``y`` holds the right-hand side(s) in the permuted ordering, shape
-        ``(n,)`` or ``(n, k)``; all ``k`` columns cost one pass over
-        ``backend`` (on a grid: two protocol rounds), not ``k``.  Returns
-        the solution in the shape of ``y``; a row-count mismatch with the
-        plan raises :class:`ValueError`.
+        ``(n,)`` or ``(n, k)``; all ``k`` columns cost one multi-RHS solve
+        per shard, not ``k``.  Returns the solution in the shape of ``y``;
+        a row-count mismatch with the plan raises :class:`ValueError`.
         """
         factors = self.factors
         plan = factors.plan
@@ -320,17 +356,18 @@ class ShardedULVSolver(KernelSystemSolver):
         log = TimingLog()
         with log.phase("solve"):
             u = np.zeros((factors.coupling_rank, Y.shape[1]))
-            for qg, g in zip(factors.qg_idx,
-                             backend.solve([Y[r] for r in ranges])):
+            Z = []
+            for shard, r, qg in zip(factors.shards, ranges, factors.qg_idx):
+                z, g = shard.solve(Y[r])
+                Z.append(z)
                 if g.size:
                     u[qg] = g
             v = (scipy.linalg.lu_solve(self._cap_lu, u)
                  if self._cap_lu is not None else u)
             W = np.empty(Y.shape)
-            blocks = backend.correct(
-                [np.ascontiguousarray(v[pg]) for pg in factors.pg_idx])
-            for r, w in zip(ranges, blocks):
-                W[r] = w
+            for shard, r, pg, z in zip(factors.shards, ranges,
+                                       factors.pg_idx, Z):
+                W[r] = shard.correct(z, np.ascontiguousarray(v[pg]))
         self.report.add_timings(log)
         return W.ravel() if single else W
 
@@ -341,17 +378,10 @@ class ShardedULVSolver(KernelSystemSolver):
                 "refit-many split: its per-shard HSS generators have the "
                 "ridge shift baked in and cannot be re-factored at a new "
                 "lambda; retrain with the current version")
-        try:
-            self.refit_round(lam, self.factors.shards)
-        except BaseException:
-            # A failure part-way leaves the in-process shards at mixed λ;
-            # refuse to serve solves from that state instead of answering
-            # wrongly.
-            self._fitted = False
-            raise
+        self.refit_round(lam)
 
     def _solve_impl(self, y: np.ndarray) -> np.ndarray:
-        return self.woodbury(y, self.factors.shards)
+        return self.woodbury(y)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"ShardedULVSolver(shards={self.factors.plan.n_shards}, "

@@ -1,9 +1,8 @@
 """`WorkerGrid`: a persistent, reusable grid of shard worker processes.
 
 The paper's MPI runs amortize process startup across many factor / solve
-calls: ranks are launched once and every rank keeps its subtree's ULV
-factors resident between solves.  :class:`WorkerGrid` does the same.  It
-owns exactly the *spawn-time* state of the distributed path:
+calls: ranks are launched once.  :class:`WorkerGrid` does the same for
+fits.  It owns exactly the *spawn-time* state of the distributed path:
 
 * one worker process per shard of a :class:`repro.distributed.ShardPlan`,
 * the permuted training set, published once into shared memory,
@@ -12,11 +11,14 @@ owns exactly the *spawn-time* state of the distributed path:
   every worker.
 
 Everything *per-fit* — kernel, ridge shift, compression options, seeds,
-coupling tolerances — travels through the command protocol instead (see
+coupling tolerances — travels with the ``fit`` command instead (see
 :class:`repro.distributed.FitSpec`), so one grid serves arbitrarily many
-``fit`` / ``solve`` rounds: a hyper-parameter sweep over ``(h, lambda)``
-respawns nothing, and each worker's HSS / ULV factors stay resident in its
-process between solves, exactly like a rank in the paper's runs.
+``fit`` rounds: a hyper-parameter sweep over ``(h, lambda)`` respawns
+nothing.  A fit round is the only work a grid does.  Each worker ships its
+shard's factors back in its reply and keeps only its block cluster tree
+for the next warm fit, so the solves and λ-refits of a fitted model run in
+the calling process (:class:`repro.distributed.ShardedULVSolver`) and a
+grid can be shut down, reused or lost without touching them.
 
 The grid is context-managed and fail-fast: a worker that dies or misses a
 protocol deadline tears the whole grid down promptly (no orphan processes,
@@ -120,10 +122,6 @@ class WorkerGrid:
         #: total worker processes ever spawned by this grid (warm fits
         #: reuse the live ones, so the count stays at ``n_shards``)
         self.spawn_count = 0
-        #: monotonically increasing id of the fit whose factors are
-        #: resident in the workers; coordinators record it at fit time and
-        #: refuse to drive solves against a grid another fit has reused
-        self.fit_generation = 0
         # Cached wire-format tree for compatible_with() (cheap memcmp).
         self._tree_table = plan.tree.node_table()
 
@@ -234,10 +232,6 @@ class WorkerGrid:
             global_registry().gauge(
                 "repro_grid_workers",
                 "Worker processes currently alive").dec(len(workers))
-        # Respawned workers hold no factors: advance the generation so any
-        # coordinator fitted before this shutdown reads as stale instead of
-        # driving solves against factor-less fresh processes.
-        self.fit_generation += 1
         for w in workers:
             if w.alive:
                 try:
@@ -315,13 +309,9 @@ class WorkerGrid:
                 self._fail_fast(shard, WorkerCrashedError(
                     "worker process is dead"))
 
-    def round(self, tag: str, reply: str, payload=None,
-              per_shard_arrays=None) -> List[tuple]:
+    def round(self, tag: str, reply: str, payload=None) -> List[tuple]:
         """One protocol round: send every worker a command, gather the replies.
 
-        A ``fit`` or ``refit`` round advances :attr:`fit_generation`: the
-        workers' resident factors now belong to the new (re)fit, and any
-        coordinator that recorded an earlier generation becomes stale.
         Telemetry a worker attached to its reply (its *cumulative* local
         snapshot) is folded into the registry, which keeps only the latest
         snapshot per shard, so repeated rounds never double-count.
@@ -332,9 +322,6 @@ class WorkerGrid:
             Protocol command name, and the reply tag it requires.
         payload:
             Small picklable payload shared by all workers.
-        per_shard_arrays:
-            Optional per-worker ``{name: ndarray}`` dicts; these ride
-            through shared memory, never through pickle.
 
         Returns
         -------
@@ -351,11 +338,8 @@ class WorkerGrid:
         if not self._workers:
             raise RuntimeError("worker grid is not running; call start()")
         self.check_workers()
-        if tag in ("fit", "refit"):
-            self.fit_generation += 1
-        for shard, w in enumerate(self._workers):
-            w.request.send(tag, payload, arrays=(
-                None if per_shard_arrays is None else per_shard_arrays[shard]))
+        for w in self._workers:
+            w.request.send(tag, payload)
         return [self._recv(shard, reply)
                 for shard in range(len(self._workers))]
 
@@ -378,29 +362,6 @@ class WorkerGrid:
         if isinstance(payload, dict) and "metrics" in payload:
             global_registry().absorb(str(shard), payload.pop("metrics"))
         return payload, arrays
-
-    # ---------------------------------------------------------- shard backend
-    # The four calls of the coupling system (see ShardedULVSolver), answered
-    # by the kernels resident in the workers: one round each, one entry per
-    # shard in and out.
-    def refit(self, lam: float) -> List[dict]:
-        """:meth:`ShardKernel.refit` in every worker (advances the generation)."""
-        return [out for out, _ in self.round("refit", "refitted", payload=lam)]
-
-    def couple(self, F) -> List[np.ndarray]:
-        """:meth:`ShardKernel.couple` in every worker."""
-        return [arrays["M"] for _, arrays in self.round(
-            "couple", "coupled", per_shard_arrays=[{"F": f} for f in F])]
-
-    def solve(self, y) -> List[np.ndarray]:
-        """:meth:`ShardKernel.solve` in every worker."""
-        return [arrays["g"] for _, arrays in self.round(
-            "solve", "partial", per_shard_arrays=[{"y": b} for b in y])]
-
-    def correct(self, c) -> List[np.ndarray]:
-        """:meth:`ShardKernel.correct` in every worker."""
-        return [arrays["w"] for _, arrays in self.round(
-            "correct", "solved", per_shard_arrays=[{"c": v} for v in c])]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "running" if self.running else "stopped"

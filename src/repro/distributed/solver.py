@@ -1,37 +1,41 @@
 """`DistributedSolver`: the process-sharded drop-in HSS training solver.
 
-Implements the :class:`repro.krr.solvers.KernelSystemSolver` interface on
-top of a :class:`repro.distributed.Coordinator`, so the existing
-estimators gain process-level sharding through the ordinary
+Implements the :class:`repro.krr.solvers.KernelSystemSolver` interface, so
+the existing estimators gain process-level sharding through the ordinary
 ``solver`` slot.  ``fit`` cuts the cluster tree with a
-:class:`repro.distributed.ShardPlan` and runs the distributed build over a
+:class:`repro.distributed.ShardPlan` and runs one ``fit`` round over a
 :class:`repro.distributed.WorkerGrid` — **reusing** a live grid whenever
 the plan and dataset match (warm fit: zero new processes), whether that
 grid was spawned by a previous ``fit`` of this solver or passed in
 explicitly for a hyper-parameter sweep.  A bandwidth move
 (``refit_kernel``) is exactly such a warm ``fit`` on the retained tree:
-each worker reuses its resident block cluster tree and redoes the
-kernel-dependent numerics and coupling blocks.  ``refit`` and ``solve``
-run on whoever holds the fit's factors at that moment: the coordinator
-(one protocol round per step, multi-RHS in one round trip) while its fit is
-the grid's resident state, the same coupling system over the shard kernels
-collected at fit time once the grid is closed or reused — so trained models
-keep full re-solve capability with no worker processes, and persist that
-way (see :mod:`repro.distributed.factors`).
+each worker reuses its block cluster tree and redoes the kernel-dependent
+numerics and coupling blocks.
+
+That round is all the workers do: each returns its shard's factors and
+its owned coupling blocks.  The solver locates the coupling factors,
+rebuilds the :class:`repro.distributed.ShardKernel` of every shard and
+assembles the capacitance system in this process; from then on
+``solve``, ``refit``, ``partial_fit`` and saving run on that one
+:class:`repro.distributed.ShardedULVSolver` and send no grid message (see
+:mod:`repro.distributed.factors`), so a fitted solver keeps working after
+its grid is closed, reused by another fit, or lost to a worker crash.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+import time
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ..config import HMatrixOptions, HSSOptions
 from ..krr.solvers import KernelSystemSolver
-from .coordinator import Coordinator
-from .factors import ShardedFactors
+from .factors import ShardedFactors, ShardedULVSolver
 from .grid import WorkerGrid
 from .plan import ShardPlan, resolve_shards
+from .shard import ShardKernel
+from .worker import FitSpec
 
 
 class DistributedSolver(KernelSystemSolver):
@@ -63,11 +67,6 @@ class DistributedSolver(KernelSystemSolver):
         on.  The solver never shuts an external grid down — pass one to
         amortize process startup across many fits (sweeps, one-vs-all
         refits).  Its plan and dataset must match every ``fit``.
-    collect_factors:
-        If ``True`` (default), ``fit`` ships the per-shard ULV factors
-        back into this process, enabling solves after ``close()`` and
-        full-fidelity persistence of ``shards > 1`` models.  Disable to
-        skip the ship-back cost when only the weight vector matters.
 
     Raises
     ------
@@ -89,8 +88,7 @@ class DistributedSolver(KernelSystemSolver):
                  cut_level: Optional[int] = None,
                  response_timeout: float = 900.0,
                  start_method: Optional[str] = None,
-                 grid: Optional[WorkerGrid] = None,
-                 collect_factors: bool = True):
+                 grid: Optional[WorkerGrid] = None):
         super().__init__()
         self.shards = shards
         self.hss_options = hss_options if hss_options is not None else HSSOptions()
@@ -104,13 +102,11 @@ class DistributedSolver(KernelSystemSolver):
         self.response_timeout = float(response_timeout)
         self.start_method = start_method
         self.grid = grid                       # external, never owned
-        self.collect_factors = bool(collect_factors)
         self._owned_grid: Optional[WorkerGrid] = None
         self.plan_: Optional[ShardPlan] = None
-        self.coordinator_: Optional[Coordinator] = None
-        #: collected per-shard factors of the last fit (``None`` when
-        #: ``collect_factors=False``); powers post-close solves + saving
-        self.factors_: Optional[ShardedFactors] = None
+        #: the coupling system of the last fit, over the shard kernels
+        #: collected from the workers: every post-fit verb runs on it
+        self.system_: Optional[ShardedULVSolver] = None
         #: whether the last fit reused a live grid (zero process spawns)
         self.warm_start_: bool = False
         #: full distributed compressions performed (λ-only refits add none)
@@ -145,99 +141,95 @@ class DistributedSolver(KernelSystemSolver):
 
     # ------------------------------------------------------------------- fit
     def _fit_impl(self, X_permuted, tree, kernel, lam) -> None:
+        from ..serving.serialize import kernel_to_spec
+
         if tree is None:
             raise ValueError(
                 "DistributedSolver requires the cluster tree of the reordering")
         n_shards = resolve_shards(self.shards)
         plan = ShardPlan.from_tree(tree, n_shards, cut_level=self.cut_level)
         grid = self._resolve_grid(plan, X_permuted)
-        self.plan_ = grid.plan
-        self.factors_ = None
-        self.coordinator_ = Coordinator.on_grid(
-            grid, kernel, lam,
+        plan = self.plan_ = grid.plan
+        seed = self.seed
+        spec = FitSpec(
+            kernel_spec=kernel_to_spec(kernel),
+            lam=float(lam),
             hss_options=self.hss_options,
             hmatrix_options=self.hmatrix_options,
             use_hmatrix_sampling=self.use_hmatrix_sampling,
-            seed=self.seed,
-            coupling_rel_tol=self.coupling_rel_tol,
+            seed=int(seed) if isinstance(seed, (int, np.integer)) else None,
+            coupling_rel_tol=(float(self.coupling_rel_tol)
+                              if self.coupling_rel_tol is not None
+                              else self.hss_options.rel_tol),
             coupling_max_rank=self.coupling_max_rank)
         try:
-            info = self.coordinator_.fit()
-            if self.collect_factors:
-                self.factors_ = self.coordinator_.collect_factors()
+            replies = grid.start().round("fit", "fitted", payload=spec)
+            pairs: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
+            for shard, (_, arrays) in enumerate(replies):
+                for (s, t) in plan.owned_pairs(shard):
+                    pairs[(s, t)] = (arrays[f"pair.{s}.{t}.U"],
+                                     arrays[f"pair.{s}.{t}.V"])
+            # The merge of the top separator levels: locate the coupling
+            # factors, then the first couple round against the fresh ULVs.
+            t0 = time.perf_counter()
+            factors = ShardedFactors.locate(plan, pairs)
+            factors.shards = [
+                ShardKernel.from_arrays({**arrays, "F": F},
+                                        plan.subtree(shard), lam=spec.lam)
+                for shard, ((_, arrays), F)
+                in enumerate(zip(replies, factors.F))]
+            system = ShardedULVSolver(factors)
+            system.couple()
         except BaseException:
             # A failed fit must not leave worker processes behind (the
             # grid's own fail-fast already tears crashed grids down; this
-            # covers coordinator-side failures on an owned grid).
+            # covers failures on this side of an owned grid).
             if self._owned_grid is not None:
                 self._owned_grid.shutdown()
             raise
+        timings: Dict[str, float] = {"coupling_merge": time.perf_counter() - t0}
+        infos = [info for info, _ in replies]
+
+        # Every later verb runs on this coupling system; its refit and
+        # solve phases land in this report.
+        self.system_ = system
+        system.report = self.report
         self.compression_count += 1
-        # One coupling system serves every later verb, whoever holds the
-        # factors then; its refit and solve phases land in this report.
-        self.coordinator_.system.report = self.report
-        self.report.shards = self.plan_.n_shards
-        self.report.timings = dict(info["timings"])
-        self.report.hss_memory_mb = float(info["hss_memory_mb"])
-        self.report.hmatrix_memory_mb = float(info["hmatrix_memory_mb"])
-        self.report.memory_mb = (float(info["hss_memory_mb"])
-                                 + float(info["hmatrix_memory_mb"])
-                                 + float(info["coupling_memory_mb"]))
-        self.report.max_rank = int(info["max_rank"])
-        self.report.random_vectors = int(info["random_vectors"])
+        for info in infos:  # the slowest shard's, phase by phase
+            for name, sec in info["timings"].items():
+                timings[name] = max(timings.get(name, 0.0), float(sec))
+        coupling_mb = (factors.C.nbytes + sum(
+            U.nbytes + V.nbytes for U, V in pairs.values())) / 2.0 ** 20
+        report = self.report
+        report.shards = plan.n_shards
+        report.timings = timings
+        report.hss_memory_mb = float(sum(i["hss_memory_mb"] for i in infos))
+        report.hmatrix_memory_mb = float(
+            sum(i["hmatrix_memory_mb"] for i in infos))
+        report.memory_mb = (report.hss_memory_mb + report.hmatrix_memory_mb
+                            + coupling_mb)
+        report.max_rank = int(max(i["max_rank"] for i in infos))
+        report.random_vectors = int(max(i["random_vectors"] for i in infos))
 
     # --------------------------------------------------------- refit / solve
-    def _resident(self):
-        """Whoever holds *this* fit's factors right now.
-
-        The coordinator while its fit is the grid's resident state (a
-        later fit on a shared grid replaces the worker-resident factors;
-        mixing them with this fit's capacitance state would be silently
-        wrong), else the coupling system over the shard kernels collected
-        at fit time.  Both answer ``refit(lam)`` and ``solve(y)`` alike.
-
-        A worker of this fit's grid that died since the last round fails
-        the call (:class:`WorkerCrashedError`, grid torn down) rather than
-        letting it fall through to the collected factors unnoticed; later
-        calls then use those factors at the previous λ.
-        """
-        coordinator = self.coordinator_
-        if coordinator is not None:
-            coordinator.check_workers()
-        if coordinator is not None and coordinator.current:
-            return coordinator
-        if self.factors_ is not None:
-            return coordinator.system
-        raise RuntimeError(
-            "distributed workers are not running (or the shared grid was "
-            "reused by a newer fit) and no factors were collected "
-            "(collect_factors=False); a full fit is required before "
-            "refit() or solve()")
-
     def _refit_impl(self, lam: float) -> None:
-        holder = self._resident()
         try:
-            holder.refit(lam)
+            self.system_.refit_round(lam)
         except BaseException:
-            if holder is not self.coordinator_:
-                # The in-process shards are at mixed λ; drop them so later
-                # solves and saves fail loudly instead of using them.  (A
-                # failed grid round leaves them whole at the previous λ.)
-                self.factors_ = None
+            # the shards are at mixed λ: refuse to solve or save from here
+            self._fitted = False
             raise
 
     def _solve_impl(self, y: np.ndarray) -> np.ndarray:
-        return self._resident().solve(y)
+        return self.system_.woodbury(y)
 
     # ------------------------------------------------------------- lifecycle
     def close(self) -> None:
         """Shut down the owned worker grid (idempotent).
 
         An external grid passed at construction is left running — that is
-        the warm-reuse contract.  With ``collect_factors=True`` (the
-        default) the solver stays able to :meth:`solve` after close via
-        the in-process factors; only with ``collect_factors=False`` does a
-        closed solver require a refit.
+        the warm-reuse contract.  A closed solver still solves, refits and
+        saves: none of those needs a worker.
         """
         if self._owned_grid is not None:
             self._owned_grid.shutdown()

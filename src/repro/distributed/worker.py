@@ -1,12 +1,12 @@
-"""Shard worker process: local HSS/ULV build + partial distributed solves.
+"""Shard worker process: the local build of one shard, and nothing else.
 
 Each worker owns one contiguous shard of the permuted training set — a
 subtree of the global cluster tree, exactly like a rank in the paper's MPI
 runs.  Workers are spawned once per :class:`repro.distributed.WorkerGrid`
-and stay resident across fits: only the *spawn-time* state (shard
-identity, dataset, local tree — :class:`WorkerConfig`) is fixed at launch,
-while everything per-fit (kernel, ridge shift, compression options, seeds
-— :class:`FitSpec`) arrives with each ``fit`` command.  The worker
+and stay alive across fits: only the *spawn-time* state (shard identity,
+dataset, local tree — :class:`WorkerConfig`) is fixed at launch, while
+everything per-fit (kernel, ridge shift, compression options, seeds —
+:class:`FitSpec`) arrives with each ``fit`` command.  The worker
 
 * attaches the full permuted dataset from shared memory (no copy of its
   own rows, no pickling),
@@ -14,12 +14,13 @@ while everything per-fit (kernel, ridge shift, compression options, seeds
   (optional H matrix + randomized HSS, via
   :func:`repro.hss.compress_kernel`) and its ULV factorization — the
   ridge shift is applied at factor time — with the same builders as
-  the single-process path, replacing the factors of any previous fit,
+  the single-process path,
 * ACA-compresses the inter-shard coupling blocks it owns (it sees the full
   dataset, so any pair it is assigned is computable locally), and
-* answers every later command — ``refit``, the solve-phase steps
-  ``couple`` / ``solve`` / ``correct``, and the ``collect`` that ships its
-  factors back — as the :class:`repro.distributed.ShardKernel` it is.
+* ships the shard's ``hss.*`` / ``ulv.*`` sections and the pair factors
+  back in the one ``fit`` reply.  It then keeps only the H-matrix block
+  cluster tree, for the next (warm) fit: every later verb runs on the
+  :class:`repro.distributed.ShardKernel` rebuilt in the calling process.
 
 The command protocol is strictly synchronous (one request, one response),
 which is what makes the creator-owns shared-memory lifetime rule of
@@ -45,7 +46,6 @@ from ..lowrank.aca import aca_blocks
 from ..obs import global_registry
 from ..utils.timing import TimingLog
 from .comm import ArraySpec, BlockChannel, SharedArray, WorkerTimeoutError
-from .shard import ShardKernel
 
 
 @dataclass(frozen=True)
@@ -112,12 +112,12 @@ class FitSpec:
     coupling_max_rank: Optional[int]
 
 
-class _ShardState(ShardKernel):
-    """What a worker holds between commands: the shard kernel plus ``fit``."""
+class _ShardState:
+    """What a worker holds between fits: its spawn-time data and the last
+    fit's block cluster tree."""
 
     def __init__(self, config: WorkerConfig, X: np.ndarray,
                  tree: ClusterTree):
-        super().__init__()
         self.config = config
         self.X = X                    # full permuted dataset (shared view)
         self.tree = tree              # local subtree, positions [0, size)
@@ -129,6 +129,12 @@ class _ShardState(ShardKernel):
     def fit(self, spec: FitSpec) -> Tuple[dict, Dict[str, np.ndarray]]:
         """Full local build: compression, ULV and owned coupling blocks.
 
+        Returns the build report and the reply arrays: ``pair.{s}.{t}.U``
+        / ``.V`` of every owned pair and the shard's ``hss.*`` / ``ulv.*``
+        sections (the layouts of :func:`repro.serving.hss_to_arrays` /
+        :func:`repro.serving.ulv_to_arrays`).  The factors themselves are
+        not kept.
+
         The shard's dataset and local tree are fixed at spawn time, so
         the block cluster tree of a previous fit is handed back to the
         compression, which reuses it when its recorded options still
@@ -138,26 +144,18 @@ class _ShardState(ShardKernel):
         identical to a cold one on this grid.
         """
         cfg = self.config
-        from ..serving.serialize import kernel_from_spec
+        from ..serving.serialize import (hss_to_arrays, kernel_from_spec,
+                                         ulv_to_arrays)
         kernel = kernel_from_spec(spec.kernel_spec)
         X_local = self.X[cfg.boundaries[cfg.shard_id]:
                          cfg.boundaries[cfg.shard_id + 1]]
         log = TimingLog()
-
-        # Refitting replaces all per-fit state; stale coupling factors of a
-        # previous fit must not leak into the new capacitance system, and
-        # the old ULV/HSS factors (the dominant memory) must be released
-        # *before* the new build, not after, or a warm refit would
-        # transiently hold two factorizations and OOM at sizes a cold fit
-        # handles.
-        self.F = self.H = self.z = None
-        self.ulv = None
         rng = np.random.default_rng(
             [cfg.shard_id] if spec.seed is None
             else [spec.seed, cfg.shard_id])
         # λ-free compression of the local diagonal block: the shift is
-        # applied at ULV-factor time, so a later "refit" command reuses
-        # this compression and redoes only the factorization.
+        # applied at ULV-factor time, so a λ-only refit of the collected
+        # shard reuses this compression and redoes only the factorization.
         compressed = compress_kernel(
             X_local, self.tree, kernel,
             hss_options=spec.hss_options,
@@ -165,10 +163,10 @@ class _ShardState(ShardKernel):
             use_hmatrix_sampling=spec.use_hmatrix_sampling,
             seed=rng, timing=log, block_tree=self.block_tree)
         self.block_tree = compressed.block_tree
-        self.ulv = ULVFactorization.factor(compressed.hss, lam=spec.lam,
-                                           timing=log)
-
-        arrays: Dict[str, np.ndarray] = {}
+        ulv = ULVFactorization.factor(compressed.hss, lam=spec.lam,
+                                      timing=log)
+        arrays = hss_to_arrays(compressed.hss, prefix="hss.")
+        arrays.update(ulv_to_arrays(ulv, prefix="ulv."))
         with log.phase("coupling_aca"):
             # All owned inter-shard blocks in one wavefront: the worker sees
             # the full dataset, so any pair it is assigned is computable
@@ -195,19 +193,11 @@ class _ShardState(ShardKernel):
         return info, arrays
 
 
-#: The command protocol: ``command -> (reply tag, ships metrics?, handler)``.
-#: A handler maps ``(shard state, payload, request arrays)`` to the reply's
-#: ``(payload, arrays)`` — arrays ride through shared memory, never pickle.
+#: The command protocol: ``command -> (reply tag, handler)``.  A handler
+#: maps ``(shard state, payload)`` to the reply's ``(payload, arrays)`` —
+#: arrays ride through shared memory, never pickle.
 _COMMANDS = {
-    "fit": ("fitted", True, lambda s, p, a: s.fit(p)),
-    "refit": ("refitted", True, lambda s, p, a: (s.refit(p), None)),
-    "couple": ("coupled", False,
-               lambda s, p, a: (None, {"M": s.couple(a["F"])})),
-    "solve": ("partial", False,
-              lambda s, p, a: (None, {"g": s.solve(a["y"])})),
-    "correct": ("solved", False,
-                lambda s, p, a: (None, {"w": s.correct(a["c"])})),
-    "collect": ("factors", True, lambda s, p, a: ({}, s.to_arrays(p))),
+    "fit": ("fitted", _ShardState.fit),
 }
 
 
@@ -244,9 +234,9 @@ def worker_main(config: WorkerConfig, x_spec: ArraySpec,
 
     def recv_request():
         # Idle workers wait indefinitely for the next command (a warm grid
-        # legitimately sits idle between fits and solves); the only exit
-        # conditions are a "stop" message or the coordinator process
-        # dying, which orphaned workers detect via the parent handle.
+        # legitimately sits idle between fits); the only exit conditions
+        # are a "stop" message or the parent process dying, which
+        # orphaned workers detect via the parent handle.
         while True:
             try:
                 return request.recv(timeout=60.0)
@@ -260,7 +250,7 @@ def worker_main(config: WorkerConfig, x_spec: ArraySpec,
             np.arange(table[tree_root, 1], dtype=np.intp), table, tree_root)
         state = _ShardState(config, x_shm.array, tree)
         while True:
-            tag, payload, arrays = recv_request()
+            tag, payload, _ = recv_request()
             if tag == "stop":
                 break
             if tag == "_crash":
@@ -269,20 +259,19 @@ def worker_main(config: WorkerConfig, x_spec: ArraySpec,
             try:
                 if tag not in _COMMANDS:
                     raise ValueError(f"unknown command {tag!r}")
-                reply, ships_metrics, handler = _COMMANDS[tag]
-                out_payload, out_arrays = handler(state, payload, arrays)
-                if ships_metrics:
-                    # The worker's *cumulative* telemetry rides with every
-                    # reply that carries a report; the grid absorbs with
-                    # replace semantics, so this never double-counts.
-                    out_payload["metrics"] = global_registry().local_snapshot()
+                reply, handler = _COMMANDS[tag]
+                out_payload, out_arrays = handler(state, payload)
+                # The worker's *cumulative* telemetry rides with every
+                # reply; the grid absorbs with replace semantics, so this
+                # never double-counts.
+                out_payload["metrics"] = global_registry().local_snapshot()
                 response.send(reply, out_payload, arrays=out_arrays)
             except Exception as exc:  # report, keep serving
                 response.send("error", {
                     "error": f"{type(exc).__name__}: {exc}",
                     "traceback": traceback.format_exc()})
     finally:
-        # "stop" sends no reply and the coordinator consumes every response
+        # "stop" sends no reply and the parent consumes every response
         # before issuing the next request, so the segments of the last
         # response are no longer mapped anywhere and can be destroyed.
         response.drain()

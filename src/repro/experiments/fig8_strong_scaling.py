@@ -37,7 +37,7 @@ class MeasuredShardPoint:
     """Measured wall-clock of one real process-sharded training run.
 
     This is the measured analogue of the paper's distributed runs: the
-    full distributed build (per-shard H/HSS/ULV plus the coordinator's
+    full distributed build (per-shard H/HSS/ULV plus the in-process
     coupling merge) and one distributed solve, at a fixed process count.
     ``warm_build_time`` is a second fit on the *same* (already spawned)
     worker grid — the amortized cost a hyper-parameter sweep pays per

@@ -4,10 +4,9 @@ Every solver in the stack factors the *frozen* training system
 ``A0 = K(X_base) + lam I`` once.  This module makes that factorization
 serve a *moving* training set: row insertions and deletions are applied
 as bordered low-rank perturbations around the existing factors — exactly
-the capacitance-solve shape the distributed coordinator already uses for
-its inter-shard coupling (see ``repro.distributed.coordinator``), but
-with the correction blocks coming from streamed rows instead of subtree
-coupling.
+the capacitance-solve shape the sharded solver already uses for its
+inter-shard coupling (see ``repro.distributed.factors``), but with the
+correction blocks coming from streamed rows instead of subtree coupling.
 
 **Removals** (keep set ``k``, removed set ``r``): the principal-submatrix
 inverse identity gives, with ``R = A0^{-1} E`` (``E`` the unit columns of
@@ -46,11 +45,11 @@ expected to recompress from scratch (a cold fit on the effective data)
 and hot-swap the result.
 
 The base solve is an abstract multi-RHS callable, so the same wrapper
-streams on top of a serial :class:`repro.hss.ULVFactorization`, an
-offline :class:`repro.distributed.ShardedULVSolver`, or a live
-:class:`repro.distributed.Coordinator` (whose ``solve`` fans the
-correction right-hand sides through the worker grid in one round trip —
-the workers hold the factors the correction blocks are solved against).
+streams on top of a serial :class:`repro.hss.ULVFactorization` or the
+:class:`repro.distributed.ShardedULVSolver` of a sharded model (fitted
+or reloaded; its shard kernels live in the calling process, so the
+correction right-hand sides cost one multi-RHS Woodbury solve and no
+worker process).
 """
 
 from __future__ import annotations

@@ -76,8 +76,8 @@ class KernelRidgeEstimator:
     solver_options:
         Extra keyword arguments forwarded to
         :func:`repro.krr.solvers.build_training_solver` when ``solver`` is
-        given by name (e.g. ``hss_options``, or ``grid`` /
-        ``collect_factors`` for the sharded path).
+        given by name (e.g. ``hss_options``, or ``grid`` for the sharded
+        path).
     """
 
     def __init__(
@@ -158,8 +158,7 @@ class KernelRidgeEstimator:
                 "use_hmatrix_sampling": config.solver.use_hmatrix_sampling,
                 "coupling_rel_tol": d.coupling_rel_tol,
                 "coupling_max_rank": d.coupling_max_rank,
-                "cut_level": d.cut_level,
-                "collect_factors": d.collect_factors}
+                "cut_level": d.cut_level}
         return cls(
             h=config.kernel.h if h is None else h,
             lam=config.kernel.lam if lam is None else lam,

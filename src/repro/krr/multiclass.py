@@ -38,8 +38,8 @@ class OneVsAllClassifier(KernelRidgeEstimator):
     one-vs-all weight vectors — the natural multi-class extension of the
     paper's pipeline, and much cheaper than fitting ``c`` independent
     classifiers.  All ``c`` right-hand sides are solved in one multi-RHS
-    call, which on the distributed path costs a single coordinator round
-    trip against the already-factorized capacitance system instead of one
+    call, which on the distributed path costs one multi-RHS solve per
+    shard against the already-factorized capacitance system instead of one
     per class.
     """
 

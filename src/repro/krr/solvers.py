@@ -591,10 +591,9 @@ def build_training_solver(spec, seed=0, shards: Optional[int] = None,
     solver_options:
         Extra keyword arguments for the named solver's constructor
         (explicit keys win over the knobs above).  Sharded-only options
-        (a warm ``grid``, ``collect_factors``, ``coupling_rel_tol``,
-        ``coupling_max_rank``, ``cut_level``, ``response_timeout``,
-        ``start_method``) are ignored when ``shards`` resolves to 1, so
-        one option set serves both paths.
+        (a warm ``grid``, ``coupling_rel_tol``, ``coupling_max_rank``,
+        ``cut_level``, ``response_timeout``, ``start_method``) are ignored
+        when ``shards`` resolves to 1, so one option set serves both paths.
 
     Returns
     -------
@@ -627,8 +626,7 @@ def build_training_solver(spec, seed=0, shards: Optional[int] = None,
             return DistributedSolver(**opts)
         # Single-process path: drop the sharded-only knobs (documented as
         # ignored when shards resolves to 1) instead of crashing HSSSolver.
-        for key in ("shards", "grid", "collect_factors", "coupling_rel_tol",
-                    "coupling_max_rank", "cut_level", "response_timeout",
-                    "start_method"):
+        for key in ("shards", "grid", "coupling_rel_tol", "coupling_max_rank",
+                    "cut_level", "response_timeout", "start_method"):
             opts.pop(key, None)
     return make_solver(spec, **opts)

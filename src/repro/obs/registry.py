@@ -14,7 +14,7 @@ latencies.  Three design constraints shape it:
   different worker processes merge by plain elementwise integer addition —
   no re-binning, no approximation.
 
-Distributed runs ship worker-local snapshots back to the coordinator
+Distributed runs ship worker-local snapshots back to the parent process
 (see :meth:`MetricsRegistry.absorb`), which stores the *latest cumulative*
 snapshot per shard; :meth:`MetricsRegistry.snapshot` then presents one
 cluster view with a ``shard`` label on every remote sample.
@@ -378,10 +378,9 @@ class MetricsRegistry:
     def absorb(self, key: str, snapshot: Dict) -> None:
         """Attach (replace) a remote process's cumulative snapshot.
 
-        Workers ship their *cumulative* local snapshot on every
-        ``fit``/``refit``/``collect`` reply; the registry keeps only the
-        most recent snapshot per ``key``, so repeated absorption never
-        double-counts.
+        Workers ship their *cumulative* local snapshot on every ``fit``
+        reply; the registry keeps only the most recent snapshot per
+        ``key``, so repeated absorption never double-counts.
 
         Parameters
         ----------

@@ -222,7 +222,6 @@ class DistributedSection:
     coupling_rel_tol: Optional[float] = None
     coupling_max_rank: Optional[int] = None
     cut_level: Optional[int] = None
-    collect_factors: bool = True
 
     def __post_init__(self) -> None:
         if self.shards is not None and self.shards < 0:
@@ -373,7 +372,6 @@ def _build_schema() -> List[Knob]:
         "distributed.coupling_rel_tol": "opt_float",
         "distributed.coupling_max_rank": "opt_int",
         "distributed.cut_level": "opt_int",
-        "distributed.collect_factors": "bool",
         "obs.enabled": "bool", "obs.dump_path": "str",
     }
     aliases = {

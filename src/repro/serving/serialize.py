@@ -293,12 +293,15 @@ def ulv_to_arrays(ulv: ULVFactorization, prefix: str = "ulv.") -> Dict[str, np.n
 
 
 def ulv_from_arrays(arrays: Dict[str, np.ndarray], hss: HSSMatrix,
-                    prefix: str = "ulv.") -> ULVFactorization:
+                    prefix: str = "ulv.", lam: float = 0.0
+                    ) -> ULVFactorization:
     """Rebuild a :class:`ULVFactorization` without re-factoring.
 
     The factors are restored exactly as saved, so subsequent
     :meth:`~repro.hss.ULVFactorization.solve` calls are bitwise identical
-    to the original factorization's solves.
+    to the original factorization's solves.  ``lam`` is the shift they
+    were factored at (the restored factorization's ``lam``, as
+    :meth:`~repro.hss.ULVFactorization.factor` sets it).
 
     Raises
     ------
@@ -340,6 +343,7 @@ def ulv_from_arrays(arrays: Dict[str, np.ndarray], hss: HSSMatrix,
         factors.append(fac)
     ulv = ULVFactorization.__new__(ULVFactorization)
     ulv.hss = hss
+    ulv.lam = float(lam)
     ulv.timing = TimingLog()
     ulv._factors = factors
     return ulv
@@ -678,15 +682,13 @@ def _solver_arrays(solver: Optional[KernelSystemSolver],
     # Lazy import: the distributed package depends on this module.
     from ..distributed.factors import ShardedULVSolver
     from ..distributed.solver import DistributedSolver
-    factors = None
     if isinstance(solver, DistributedSolver):
-        factors = solver.factors_
-    elif isinstance(solver, ShardedULVSolver):  # re-save of a loaded model
-        # A failed λ-refit flips _fitted off and may leave the factors
-        # with shards at mixed λ; persist no factorization in that case
-        # rather than an inconsistent one.
-        factors = solver.factors if solver._fitted else None
-    if factors is not None:
+        solver = solver.system_
+    # A failed λ-refit flips _fitted off and may leave the shards at mixed
+    # λ; persist no factorization in that case rather than an inconsistent
+    # one.
+    if isinstance(solver, ShardedULVSolver) and solver._fitted:
+        factors = solver.factors
         arrays = factors.to_arrays(prefix="dist.")
         arrays.update(stream_arrays)
         return ("sharded",
@@ -738,25 +740,26 @@ def _restore_solver(config: Dict[str, object], arrays: Dict[str, np.ndarray],
         from ..distributed.factors import ShardedFactors, ShardedULVSolver
         try:
             factors = ShardedFactors.from_arrays(
-                arrays, tree, prefix="dist.", lam=lam if general_ulv else None)
+                arrays, tree, lam, prefix="dist.", refactor=general_ulv)
         except (KeyError, ValueError) as exc:
             raise ArtifactError(
                 f"corrupted sharded-factor payload: {exc}") from exc
         solver = ShardedULVSolver(factors)
         if factors.C is None:
-            solver.couple(factors.shards)
+            solver.couple()
         solver.lam_ = lam
         return _attach_stream(solver, config, arrays, tree, X_train, kernel)
     if state == "hss":
         solver = HSSSolver(seed=config.get("seed"))
         lam_free = bool(config.get("hss_lam_free", False))
+        shift = lam if lam_free else 0.0    # the shift the ULV is at
         try:
             solver.hss_ = hss_from_arrays(arrays, tree)
             if "ulv.meta" in arrays:
                 solver.factorization_ = (
-                    ULVFactorization.factor(solver.hss_,
-                                            lam=lam if lam_free else 0.0)
-                    if general_ulv else ulv_from_arrays(arrays, solver.hss_))
+                    ULVFactorization.factor(solver.hss_, lam=shift)
+                    if general_ulv
+                    else ulv_from_arrays(arrays, solver.hss_, lam=shift))
         except (KeyError, ValueError) as exc:
             raise ArtifactError(
                 f"corrupted HSS / ULV payload: {exc}") from exc

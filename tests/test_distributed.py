@@ -11,8 +11,11 @@ Covers the acceptance contract of the subsystem:
 * a sharded fit reproduces the serial fit's predictions
   within the documented tolerance (label-exact at tight compression
   tolerances) for 2 and 4 shards, deterministically across runs;
-* a crashed worker fails the coordinator promptly and leaves no orphaned
-  processes.
+* the worker grid only builds: after a fit, ``refit``, ``solve`` and
+  ``partial_fit`` run on the shard kernels collected into this process
+  and send no grid message, so a fitted model outlives its grid;
+* a crashed worker fails the next fit round promptly and leaves no
+  orphaned processes.
 """
 
 from __future__ import annotations
@@ -29,19 +32,23 @@ import pytest
 from conftest import wait_until
 
 from repro.clustering import cluster
-from repro.config import HSSOptions
+from repro.config import HMatrixOptions, HSSOptions
 from repro.datasets import load_dataset, standardize, susy_like
-from repro.distributed import (Coordinator, DistributedError,
-                               DistributedSolver, ShardPlan,
-                               WorkerCrashedError, WorkerGrid, resolve_shards)
+from repro.distributed import (DistributedError, DistributedSolver,
+                               ShardPlan, WorkerCrashedError, WorkerGrid,
+                               resolve_shards)
+from repro.distributed import ShardKernel
+from repro.distributed import worker as worker_module
 from repro.distributed.comm import ArraySpec, BlockChannel, SharedArray
+from repro.distributed.worker import FitSpec, WorkerConfig, _ShardState
+from repro.hss import ULVFactorization
 from repro.kernels import GaussianKernel
 from repro.krr import KernelRidgeClassifier
 from repro.krr.solvers import HSSSolver, KernelSystemSolver
 from repro.obs import global_registry
 from repro.runtime import resolve_runtime_config
 from repro.server import ModelRouter
-from repro.serving import ModelStore, PredictionEngine
+from repro.serving import ModelStore, PredictionEngine, kernel_to_spec
 
 #: compression tolerance pinned tight so sharded-vs-serial deviations stay
 #: far below the decision margins (documented contract: the coupling ACA
@@ -60,6 +67,29 @@ def clustered_tree():
     X, _ = susy_like(256, seed=3)
     X = standardize(X)
     return cluster(X, method="two_means", leaf_size=16, seed=3)
+
+
+@pytest.fixture(scope="module")
+def sharded_clf(small_problem):
+    """One ``shards=2`` classifier fit shared by the tests that only read
+    it (its solver's grid is closed when ``fit`` returns)."""
+    data = small_problem
+    return KernelRidgeClassifier(
+        h=data.h, lam=data.lam, solver="hss", seed=0, shards=2,
+        solver_options={"hss_options": TIGHT}).fit(data.X_train,
+                                                   data.y_train)
+
+
+@pytest.fixture(scope="module")
+def cold_at_2lam(small_problem):
+    """A closed ``DistributedSolver`` fitted cold at twice the bundle's λ:
+    what every λ-refit to ``2 lam`` must reproduce bitwise."""
+    X_perm, tree, kernel, lam = _cluster_problem(small_problem)
+    solver = _make_distributed_solver()
+    try:
+        return solver.fit(X_perm, tree, kernel, 2.0 * lam)
+    finally:
+        solver.close()
 
 
 @pytest.fixture(scope="module")
@@ -135,8 +165,8 @@ def test_sharded_only_options_ignored_on_serial_path(monkeypatch,
     data = small_problem
     clf = KernelRidgeClassifier(
         h=data.h, lam=data.lam, solver="hss", seed=0,
-        solver_options={"hss_options": TIGHT, "collect_factors": False,
-                        "coupling_rel_tol": 1e-5, "grid": None})
+        solver_options={"hss_options": TIGHT, "coupling_rel_tol": 1e-5,
+                        "cut_level": 1, "grid": None})
     clf.fit(data.X_train[:128], data.y_train[:128])
     assert clf.solver_.report.shards == 1
 
@@ -249,9 +279,10 @@ class TestComm:
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("shards", [2, 4])
-def test_sharded_matches_serial_predictions(small_problem, serial_clf, shards):
+def test_sharded_matches_serial_predictions(small_problem, serial_clf,
+                                            sharded_clf, shards):
     data = small_problem
-    dist = KernelRidgeClassifier(
+    dist = sharded_clf if shards == 2 else KernelRidgeClassifier(
         h=data.h, lam=data.lam, seed=0, shards=shards,
         solver_options={"hss_options": TIGHT}).fit(data.X_train,
                                                    data.y_train)
@@ -280,11 +311,11 @@ def test_sharded_matches_serial_predictions(small_problem, serial_clf, shards):
 
 @pytest.mark.slow
 def test_two_shards_train_at_n8192():
-    """At n = 8 192 a shard's collected factors are thousands of arrays:
-    with one shared-memory segment per array the worker ran out of file
-    descriptors ("Too many open files") on a host with ``ulimit -n``
-    20 000; with one per message the fit and a λ-refit (which collects
-    every shard's factors again) complete.  The accuracy bound is only
+    """At n = 8 192 a shard's factors are thousands of arrays: with one
+    shared-memory segment per array the worker ran out of file descriptors
+    ("Too many open files") on a host with ``ulimit -n`` 20 000 while
+    shipping them back; with one per message the fit and its λ-refits
+    complete.  The accuracy bound is only
     "above chance": at the default tolerance the factored system is
     indefinite (ROADMAP, the accuracy gap), serial and sharded alike."""
     # the accuracy canary's dataset (tests/test_accuracy_canary.py), on
@@ -302,28 +333,22 @@ def test_two_shards_train_at_n8192():
     clf.solver_.close()
 
 
-def test_sharded_training_is_deterministic(small_problem):
-    data = small_problem
-    weights = []
-    for _ in range(2):
-        clf = KernelRidgeClassifier(h=data.h, lam=data.lam, solver="hss",
-                                    shards=2, seed=0,
-                                    solver_options={"hss_options": TIGHT})
-        clf.fit(data.X_train, data.y_train)
-        weights.append(clf.weights_.copy())
-        assert clf.solver_.report.shards == 2
-    assert np.array_equal(weights[0], weights[1])
-
-
-def test_router_counts_each_sharded_query_once(tmp_path, small_problem):
-    """A router configured with ``distributed.shards=2`` serves a sharded
-    model through the one engine: every query counts once, and the scores
-    are the classifier's bitwise."""
+def test_sharded_training_is_deterministic(small_problem, sharded_clf):
     data = small_problem
     clf = KernelRidgeClassifier(h=data.h, lam=data.lam, solver="hss",
                                 shards=2, seed=0,
                                 solver_options={"hss_options": TIGHT})
     clf.fit(data.X_train, data.y_train)
+    assert clf.solver_.report.shards == 2
+    assert np.array_equal(clf.weights_, sharded_clf.weights_)
+
+
+def test_router_counts_each_sharded_query_once(tmp_path, small_problem,
+                                               sharded_clf):
+    """A router configured with ``distributed.shards=2`` serves a sharded
+    model through the one engine: every query counts once, and the scores
+    are the classifier's bitwise."""
+    data, clf = small_problem, sharded_clf
     store = ModelStore(tmp_path)
     store.save(clf, "sharded")
     config = resolve_runtime_config(env={}, flags={
@@ -350,91 +375,92 @@ def test_router_counts_each_sharded_query_once(tmp_path, small_problem):
 # Fail-fast on worker crashes
 # ---------------------------------------------------------------------------
 
-def test_worker_crash_fails_fast_without_orphans(clustered_tree):
+def test_worker_crash_fails_the_next_fit_fast_without_orphans(clustered_tree):
     result = clustered_tree
     plan = ShardPlan.from_tree(result.tree, 2)
     grid = WorkerGrid(plan, result.X, response_timeout=120.0)
-    coordinator = Coordinator.on_grid(grid, GaussianKernel(h=1.0), 1.0,
-                                      hss_options=HSSOptions(rel_tol=1e-2))
+    solver = DistributedSolver(shards=2, hss_options=HSSOptions(rel_tol=1e-2),
+                               seed=0, grid=grid)
     try:
-        coordinator.fit()
+        solver.fit(result.X, result.tree, GaussianKernel(h=1.0), 1.0)
         processes = [w.process for w in grid._workers]
         assert all(p.is_alive() for p in processes)
-        # Kill one worker mid-protocol, then ask for work: the coordinator
-        # must raise promptly instead of hanging on the dead queue.
+        # Kill one worker mid-protocol, then ask for work: the grid must
+        # raise promptly instead of hanging on the dead queue.
         grid._workers[0].request.send("_crash")
         t0 = time.monotonic()
         with pytest.raises(DistributedError):
-            coordinator.solve(np.ones(result.tree.n))
+            solver.fit(result.X, result.tree, GaussianKernel(h=2.0), 1.0)
         elapsed = time.monotonic() - t0
         assert elapsed < 60.0, f"fail-fast took {elapsed:.1f}s"
-        # No orphaned processes: the failed session tears everything down.
+        # No orphaned processes: the failed round tears everything down.
         wait_until(lambda: not any(p.is_alive() for p in processes),
                    timeout=10.0, interval=0.05,
                    message="worker processes were orphaned")
-        assert not any(p.is_alive() for p in processes)
         assert grid._workers == []
         assert not grid.running
     finally:
         grid.shutdown()
 
 
-def test_worker_killed_before_refit_keeps_the_previous_lambda(small_problem):
-    """A worker dying ahead of a refit round fails the refit loudly, leaves
-    no process behind, and the solver keeps answering at the λ it had —
-    bitwise — from the shard kernels collected at fit time."""
-    X_perm, tree, kernel, lam = _cluster_problem(small_problem)
-    rhs = np.random.default_rng(29).standard_normal(tree.n)
-    solver = _make_distributed_solver()
-    try:
-        solver.fit(X_perm, tree, kernel, lam)
-        grid = solver._owned_grid
+def test_a_worker_killed_after_fit_costs_the_next_fit_not_the_model(
+        small_problem, cold_at_2lam):
+    """The grid only builds.  A worker that dies after a fit leaves the
+    fitted model whole: ``refit(2 lam)`` and ``solve`` run on the shard
+    kernels collected at fit time and match a cold fit at ``2 lam``
+    bitwise.  The next warm fit on that grid raises
+    :class:`WorkerCrashedError` — the live worker is reaped too — and the
+    model keeps its weights, its λ and its answers."""
+    data = small_problem
+    rhs = np.random.default_rng(29).standard_normal((data.X_train.shape[0], 3))
+    with WorkerGrid.from_data(data.X_train, shards=2, clustering="two_means",
+                              leaf_size=16, seed=0) as grid:
+        clf = KernelRidgeClassifier(
+            h=data.h, lam=data.lam, solver="hss", shards=2, seed=0,
+            solver_options={"hss_options": TIGHT, "grid": grid})
+        clf.fit(data.X_train, data.y_train)
         processes = [w.process for w in grid._workers]
-        w_before = solver.solve(rhs).copy()     # live, through the grid
-        grid._workers[1].request.send("_crash")
-        with pytest.raises(WorkerCrashedError):
-            solver.refit(2.0 * lam)
-        wait_until(lambda: not any(p.is_alive() for p in processes),
-                   timeout=10.0, interval=0.05,
-                   message="worker processes were orphaned")
-        assert not grid.running and grid._workers == []
-        assert solver.lam_ == lam and solver.report.refits == 0
-        assert not solver.coordinator_.current
-        assert np.array_equal(solver.solve(rhs), w_before)
-        # ... and an offline refit still works from that state.
-        solver.refit(2.0 * lam)
-        assert solver.lam_ == 2.0 * lam
-        assert not np.array_equal(solver.solve(rhs), w_before)
-    finally:
-        solver.close()
-
-
-def test_worker_dead_between_rounds_fails_the_refit(small_problem):
-    """A worker that has already exited when ``refit`` is called (its
-    death seen by no round yet) fails the call like a death mid-round:
-    the other worker goes too, the grid lists none, and the solver keeps
-    the λ and the weights it had."""
-    X_perm, tree, kernel, lam = _cluster_problem(small_problem)
-    rhs = np.random.default_rng(31).standard_normal(tree.n)
-    solver = _make_distributed_solver()
-    try:
-        solver.fit(X_perm, tree, kernel, lam)
-        grid = solver._owned_grid
-        processes = [w.process for w in grid._workers]
-        w_before = solver.solve(rhs).copy()
         grid._workers[1].request.send("_crash")
         processes[1].join(timeout=30.0)
-        assert processes[1].exitcode is not None  # dead before the call
-        assert len(grid._workers) == 2
+        assert processes[1].exitcode is not None  # dead before the verbs
+
+        clf.refit(2.0 * data.lam)
+        assert np.array_equal(clf.weights_,
+                              cold_at_2lam.solve(clf._targets_perm))
+        w = clf.solver_.solve(rhs)
+        assert np.array_equal(w, cold_at_2lam.solve(rhs))
+
+        before = clf.weights_.copy()
         with pytest.raises(WorkerCrashedError):
-            solver.refit(2.0 * lam)
+            clf.refit_kernel(2.0 * data.h)
         assert grid._workers == [] and not grid.running
         wait_until(lambda: not processes[0].is_alive(), timeout=10.0,
                    interval=0.05, message="the live worker was orphaned")
-        assert solver.lam_ == lam and solver.report.refits == 0
-        assert np.array_equal(solver.solve(rhs), w_before)
-    finally:
-        solver.close()
+        assert clf.h == data.h and clf.lam == 2.0 * data.lam
+        assert np.array_equal(clf.weights_, before)
+        assert np.array_equal(clf.solver_.solve(rhs), w)
+        assert clf.predict(data.X_test).shape == (data.X_test.shape[0],)
+
+
+def test_post_fit_verbs_send_no_grid_message(small_problem):
+    """On a live external grid, ``refit``, ``solve`` and ``partial_fit`` of
+    a fitted :class:`DistributedSolver` run in this process: the transport
+    sends no message and the grid spawns nothing."""
+    X_perm, tree, kernel, lam = _cluster_problem(small_problem)
+    messages = global_registry().counter("repro_transport_messages_total")
+    rhs = np.random.default_rng(37).standard_normal((tree.n, 2))
+    with WorkerGrid(ShardPlan.from_tree(tree, 2), X_perm) as grid:
+        solver = DistributedSolver(shards=2, hss_options=TIGHT, seed=0,
+                                   grid=grid)
+        solver.fit(X_perm, tree, kernel, lam)
+        before = messages.value
+        solver.refit(2.0 * lam)
+        assert np.all(np.isfinite(solver.solve(rhs)))
+        solver.partial_fit(X_add=X_perm[:5] + 0.01, remove=[0, 1])
+        w = solver.solve(np.ones(tree.n - 2 + 5))
+        assert messages.value - before == 0
+        assert grid.running and grid.spawn_count == 2
+    assert np.all(np.isfinite(w))
 
 
 def test_a_failed_refit_puts_the_shards_back_at_the_model_lambda(
@@ -459,36 +485,123 @@ def test_a_failed_refit_puts_the_shards_back_at_the_model_lambda(
     np.testing.assert_array_equal(clf.refit(clf.lam).weights_, before)
 
 
-def test_solve_after_close_uses_collected_factors(small_problem):
+# ---------------------------------------------------------------------------
+# The grid only builds
+# ---------------------------------------------------------------------------
+
+def test_the_worker_answers_fit_only(clustered_tree):
+    """A worker's command table is ``fit`` (plus the ``stop`` / ``_crash``
+    controls): any other command is an error reply, which fails the round
+    and tears the grid down like any other worker failure."""
+    assert set(worker_module._COMMANDS) == {"fit"}
+    result = clustered_tree
+    grid = WorkerGrid(ShardPlan.from_tree(result.tree, 2), result.X).start()
+    try:
+        with pytest.raises(DistributedError, match="unknown command 'solve'"):
+            grid.round("solve", "partial")
+        assert grid._workers == [] and not grid.running
+    finally:
+        grid.shutdown()
+
+
+def test_a_worker_fit_reply_rebuilds_the_shard_kernel(clustered_tree):
+    """A worker's ``fit`` reply carries its owned pair factors and the
+    shard's ``hss.*`` / ``ulv.*`` sections.  The kernel rebuilt from them
+    in this process is at the fit's λ, solves bitwise like a cold
+    factorization of the shipped HSS matrix, and round-trips through
+    ``to_arrays`` / ``from_arrays`` bitwise."""
+    result = clustered_tree
+    plan = ShardPlan.from_tree(result.tree, 2)
+    config = WorkerConfig(shard_id=0,
+                          boundaries=tuple(int(b) for b in plan.boundaries),
+                          owned_pairs=tuple(plan.owned_pairs(0)))
+    state = _ShardState(config, result.X, plan.subtree(0))
+    spec = FitSpec(kernel_spec=kernel_to_spec(GaussianKernel(h=1.0)),
+                   lam=0.5, hss_options=HSSOptions(rel_tol=1e-4),
+                   hmatrix_options=HMatrixOptions(),
+                   use_hmatrix_sampling=True, seed=0, coupling_rel_tol=1e-4,
+                   coupling_max_rank=None)
+    info, arrays = state.fit(spec)
+    assert info["max_rank"] > 0
+    assert {key for key in arrays if key.startswith("pair.")} == {
+        f"pair.{s}.{t}.{side}" for s, t in plan.owned_pairs(0)
+        for side in "UV"}
+    n = plan.shard_size(0)
+    rng = np.random.default_rng(41)
+    F = rng.standard_normal((n, 4))
+    shard = ShardKernel.from_arrays({**arrays, "F": F}, plan.subtree(0),
+                                    lam=0.5)
+    assert shard.ulv.lam == 0.5
+    Y = rng.standard_normal((n, 3))
+    cold = ULVFactorization.factor(shard.ulv.hss, lam=0.5)
+    assert np.array_equal(shard.ulv.solve(Y), cold.solve(Y))
+    again = ShardKernel.from_arrays(shard.to_arrays(), plan.subtree(0),
+                                    lam=0.5)
+    for a, b in zip(shard.solve(Y), again.solve(Y)):
+        assert np.array_equal(a, b)
+    assert np.array_equal(shard.couple(), again.couple())
+
+
+def test_the_fit_report_aggregates_the_shards(sharded_clf):
+    """The fit's report holds the slowest shard's phases, the in-process
+    coupling merge and the summed memory of both shards plus the coupling
+    factors."""
+    report = sharded_clf.report
+    assert report.shards == 2
+    assert {"coupling_merge", "factorization", "hss_sampling",
+            "coupling_aca"} <= set(report.timings)
+    assert report.hss_memory_mb > 0 and report.hmatrix_memory_mb > 0
+    assert report.memory_mb > report.hss_memory_mb + report.hmatrix_memory_mb
+    assert report.max_rank > 0 and report.random_vectors > 0
+
+
+def test_a_refit_that_fails_part_way_leaves_the_solver_unfitted(
+        small_problem, monkeypatch, tmp_path):
+    """A λ-refit that fails after the first shard re-factored leaves the
+    shards at mixed λ: the solver refuses to solve from that state, and
+    the model keeps its weights and saves them without a factorization."""
     data = small_problem
     clf = KernelRidgeClassifier(h=data.h, lam=data.lam, solver="hss",
                                 shards=2, seed=0,
                                 solver_options={"hss_options": TIGHT})
-    clf.fit(data.X_train, data.y_train)  # fit() closes the solver afterwards
-    assert not clf.solver_.coordinator_.running
-    # The per-shard ULV factors were shipped back during fit, so the closed
+    clf.fit(data.X_train, data.y_train)
+    before = clf.weights_.copy()
+    refit, calls = ShardKernel.refit, []
+
+    def second_shard_fails(self, lam):
+        calls.append(lam)
+        if len(calls) == 2:
+            raise FloatingPointError("injected shard failure")
+        refit(self, lam)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ShardKernel, "refit", second_shard_fails)
+        with pytest.raises(FloatingPointError, match="injected"):
+            clf.refit(2.0 * data.lam)
+    assert clf.lam == data.lam
+    assert np.array_equal(clf.weights_, before)
+    with pytest.raises(RuntimeError, match="fitted"):
+        clf.solver_.solve(np.ones(data.X_train.shape[0]))
+    store = ModelStore(tmp_path)
+    store.save(clf, "after-failure")
+    loaded = store.load("after-failure")
+    assert loaded.solver_ is None
+    assert np.array_equal(loaded.predict(data.X_test),
+                          clf.predict(data.X_test))
+
+
+def test_solve_after_close_uses_collected_factors(small_problem, sharded_clf,
+                                                 serial_clf):
+    data, clf = small_problem, sharded_clf
+    # fit() closes the solver afterwards
+    assert not clf.solver_._owned_grid.running
+    # The per-shard ULV factors came back with the fit, so the closed
     # solver still answers new right-hand sides — in-process, no workers.
     rhs = np.random.default_rng(5).standard_normal(data.X_train.shape[0])
     w = clf.solver_.solve(rhs)
-    serial = KernelRidgeClassifier(h=data.h, lam=data.lam, solver="hss",
-                                   seed=0,
-                                   solver_options={"hss_options": TIGHT})
-    serial.fit(data.X_train, data.y_train)
-    w_ref = serial.solver_.solve(rhs)
+    w_ref = serial_clf.solver_.solve(rhs)
     rel = np.linalg.norm(w - w_ref) / np.linalg.norm(w_ref)
     assert rel < 5e-3, f"post-close solve deviates by {rel:.2e}"
-    assert clf.predict(data.X_test).shape == (data.X_test.shape[0],)
-
-
-def test_solve_after_close_raises_without_collected_factors(small_problem):
-    data = small_problem
-    clf = KernelRidgeClassifier(
-        h=data.h, lam=data.lam, solver="hss", shards=2, seed=0,
-        solver_options={"hss_options": TIGHT, "collect_factors": False})
-    clf.fit(data.X_train, data.y_train)  # fit() closes the solver afterwards
-    with pytest.raises(RuntimeError, match="refit"):
-        clf.solver_.solve(np.ones(data.X_train.shape[0]))
-    # Predictions still work: the weights live in this process.
     assert clf.predict(data.X_test).shape == (data.X_test.shape[0],)
 
 
@@ -523,15 +636,11 @@ class TestWarmGrid:
         problem = _cluster_problem(data)
         rhs = np.random.default_rng(11).standard_normal(problem[0].shape[0])
 
-        def cold_weights():
-            solver = _make_distributed_solver()
-            try:
-                solver.fit(*problem)
-                return solver.solve(rhs).copy()
-            finally:
-                solver.close()
-
-        cold = [cold_weights(), cold_weights()]
+        solver = _make_distributed_solver()
+        try:
+            cold = solver.fit(*problem).solve(rhs).copy()
+        finally:
+            solver.close()
         warm_solver = _make_distributed_solver()
         try:
             warm = []
@@ -540,9 +649,9 @@ class TestWarmGrid:
                 warm.append(warm_solver.solve(rhs).copy())
         finally:
             warm_solver.close()
-        for w, c in zip(warm, cold):
-            assert np.array_equal(w, c), \
-                "warm fits must be bitwise equal to cold fits"
+        for w in warm:
+            assert np.array_equal(w, cold), \
+                "warm fits must be bitwise equal to a cold fit"
 
     def test_explicit_grid_reused_and_left_running(self, small_problem):
         data = small_problem
@@ -567,43 +676,38 @@ class TestWarmGrid:
                 solver.fit(bad_X, tree, kernel, lam)
         assert not grid.running
 
-    def test_stale_coordinator_never_mixes_fits(self, small_problem):
-        """Two solvers on one shared grid: a later fit must not corrupt
-        the earlier solver's solves (the workers' resident factors belong
-        to the newest fit only)."""
-        data = small_problem
-        X_perm, tree, kernel, lam = _cluster_problem(data)
+    def test_a_later_fit_never_changes_an_earlier_solvers_answers(
+            self, small_problem):
+        """Two solvers on one shared grid: a later fit on the grid leaves
+        the earlier solver's solves bitwise as they were, and the earlier
+        solver's refit leaves the later one's alone — each solves on the
+        shard kernels of its own fit."""
+        X_perm, tree, kernel, lam = _cluster_problem(small_problem)
         plan = ShardPlan.from_tree(tree, 2)
         rhs = np.random.default_rng(13).standard_normal(tree.n)
         with WorkerGrid(plan, X_perm) as grid:
             s1 = DistributedSolver(shards=2, hss_options=TIGHT, seed=0,
                                    grid=grid)
             s1.fit(X_perm, tree, kernel, lam)
-            w1_live = s1.solve(rhs)
-            assert s1.coordinator_.current
+            w1 = s1.solve(rhs).copy()
             s2 = DistributedSolver(shards=2, hss_options=TIGHT, seed=0,
                                    grid=grid)
             s2.fit(X_perm, tree, kernel, 100.0 * lam)
-            # s1's coordinator is now stale; its solve must fall back to
-            # the factors collected at fit time and stay correct.
-            assert not s1.coordinator_.current
-            with pytest.raises(RuntimeError, match="stale"):
-                s1.coordinator_.solve(rhs)
-            w1_again = s1.solve(rhs)
-            assert np.allclose(w1_again, w1_live, rtol=1e-10, atol=1e-12)
-            # Without collected factors the stale solver fails loudly
-            # instead of returning silently wrong results.
-            s3 = DistributedSolver(shards=2, hss_options=TIGHT, seed=0,
-                                   grid=grid, collect_factors=False)
-            s3.fit(X_perm, tree, kernel, lam)
-            s2.fit(X_perm, tree, kernel, lam)   # steals the grid again
-            with pytest.raises(RuntimeError, match="refit"):
-                s3.solve(rhs)
+            w2 = s2.solve(rhs).copy()
+            assert not np.array_equal(w1, w2)
+            assert np.array_equal(s1.solve(rhs), w1)
+            s1.refit(100.0 * lam)   # refit = cold fit, on s1's own kernels
+            assert np.array_equal(s1.solve(rhs), w2)
+            s1.refit(lam)
+            assert np.array_equal(s1.solve(rhs), w1)
+            assert np.array_equal(s2.solve(rhs), w2)
+            assert grid.spawn_count == 2
 
-    def test_lambda_refit_zero_spawns_zero_recompressions(self, small_problem):
-        """A λ-only refit on a warm grid keeps every process and every
-        local compression: the workers only redo their ULV and the
-        coordinator only remerges the capacitance system."""
+    def test_lambda_refit_zero_spawns_zero_recompressions(self, small_problem,
+                                                           cold_at_2lam):
+        """A λ-only refit keeps every process and every local compression:
+        it redoes only the shard ULVs and the capacitance system, in this
+        process."""
         data = small_problem
         problem = _cluster_problem(data)
         X_perm, tree, kernel, lam = problem
@@ -620,28 +724,16 @@ class TestWarmGrid:
             assert solver.compression_count == 1, \
                 "refit must perform zero recompressions"
             assert solver.report.refits == 1
-            assert solver.coordinator_.fit_info["recompressions"] == 0
             w_refit = solver.solve(rhs).copy()
         finally:
             solver.close()
 
-        # The refit refreshed the collected factors (ULV payload +
-        # capacitance only): post-close in-process solves must reproduce
-        # the live refitted solve to roundoff (same contract as the
-        # collected factors of a full fit).
-        w_closed = solver.solve(rhs)
-        assert np.allclose(w_closed, w_refit, rtol=1e-10, atol=1e-12), \
-            "refreshed factors must reproduce the live refitted solve"
+        # Closing the grid changes nothing: the solves were in-process.
+        assert np.array_equal(solver.solve(rhs), w_refit)
 
         # The refit solution is bitwise equal to a cold distributed fit at
         # the same λ (identical λ-free compressions + identical shift).
-        cold = _make_distributed_solver()
-        try:
-            cold.fit(X_perm, tree, kernel, 2.0 * lam)
-            w_cold = cold.solve(rhs).copy()
-        finally:
-            cold.close()
-        assert np.array_equal(w_refit, w_cold)
+        assert np.array_equal(w_refit, cold_at_2lam.solve(rhs))
 
         # And matches the serial solver within the sharded tolerance (both
         # systems live in the same permuted ordering, as does ``rhs``).
@@ -652,33 +744,8 @@ class TestWarmGrid:
                    / np.linalg.norm(serial_w))
         assert rel_dev < 1e-3
 
-    def test_refit_respects_fit_generation_guard(self, small_problem):
-        """A stale coordinator must not refit a grid a newer fit owns."""
-        data = small_problem
-        X_perm, tree, kernel, lam = _cluster_problem(data)
-        plan = ShardPlan.from_tree(tree, 2)
-        with WorkerGrid(plan, X_perm) as grid:
-            s1 = DistributedSolver(shards=2, hss_options=TIGHT, seed=0,
-                                   grid=grid)
-            s1.fit(X_perm, tree, kernel, lam)
-            s2 = DistributedSolver(shards=2, hss_options=TIGHT, seed=0,
-                                   grid=grid)
-            s2.fit(X_perm, tree, kernel, 2.0 * lam)
-            # s1's coordinator is stale: its live refit path must refuse,
-            # and the solver falls back to its collected factors instead.
-            with pytest.raises(RuntimeError, match="stale"):
-                s1.coordinator_.refit(lam)
-            s1.refit(3.0 * lam)  # offline refit over collected factors
-            # ... and s1's refit must not have disturbed s2's live state.
-            assert s2.coordinator_.current
-            # A refit through s2 advances the generation, flipping any
-            # other coordinator to stale — same guard as a full fit.
-            gen_before = grid.fit_generation
-            s2.refit(4.0 * lam)
-            assert grid.fit_generation == gen_before + 1
-            assert s2.coordinator_.current
-
-    def test_offline_refit_after_close_matches_cold_fit(self, small_problem):
+    def test_offline_refit_after_close_matches_cold_fit(self, small_problem,
+                                                        cold_at_2lam):
         """refit() on a closed solver re-factors the collected λ-free
         factors in-process and still equals a cold distributed fit."""
         data = small_problem
@@ -691,68 +758,7 @@ class TestWarmGrid:
         finally:
             solver.close()
         solver.refit(2.0 * lam)
-        w_offline = solver.solve(rhs).copy()
-
-        cold = _make_distributed_solver()
-        try:
-            cold.fit(X_perm, tree, kernel, 2.0 * lam)
-            w_cold = cold.solve(rhs).copy()
-        finally:
-            cold.close()
-        assert np.array_equal(w_offline, w_cold)
-
-    def test_grid_and_collected_shards_are_one_computation(self,
-                                                           small_problem):
-        """The live grid and the shard kernels collected from it are two
-        transports of one coupling system: ``solve`` and ``refit`` through
-        either give bitwise-equal results."""
-        X_perm, tree, kernel, lam = _cluster_problem(small_problem)
-        rhs = np.random.default_rng(31).standard_normal((tree.n, 3))
-        with WorkerGrid(ShardPlan.from_tree(tree, 2), X_perm) as grid:
-            def fitted():
-                solver = DistributedSolver(shards=2, hss_options=TIGHT,
-                                           seed=0, grid=grid)
-                return solver.fit(X_perm, tree, kernel, lam)
-
-            offline, live = fitted(), fitted()   # the later fit owns the grid
-            assert live.coordinator_.current
-            assert not offline.coordinator_.current
-            system = live.coordinator_.system
-            w_live = live.solve(rhs)
-            assert np.array_equal(w_live, offline.solve(rhs))
-            assert np.array_equal(
-                w_live, system.woodbury(rhs, live.factors_.shards))
-
-            live.refit(3.0 * lam)                # refit round on the grid
-            offline.refit(3.0 * lam)             # same round, in-process
-            assert live.coordinator_.current
-            assert np.array_equal(live.factors_.C, offline.factors_.C)
-            w_live = live.solve(rhs)
-            assert np.array_equal(w_live, offline.solve(rhs))
-            # the kernels mirrored from the refitted workers agree too
-            assert np.array_equal(
-                w_live, system.woodbury(rhs, live.factors_.shards))
-
-    def test_restarted_grid_reads_as_stale(self, clustered_tree):
-        """shutdown()+start() respawns factor-less workers; a coordinator
-        fitted before the restart must hit the stale guard, not drive
-        solves against the fresh processes."""
-        result = clustered_tree
-        plan = ShardPlan.from_tree(result.tree, 2)
-        grid = WorkerGrid(plan, result.X)
-        try:
-            coordinator = Coordinator.on_grid(
-                grid, GaussianKernel(h=1.0), 1.0,
-                hss_options=HSSOptions(rel_tol=1e-2))
-            coordinator.fit()
-            assert coordinator.current
-            grid.shutdown()
-            grid.start()
-            assert not coordinator.current
-            with pytest.raises(RuntimeError, match="stale"):
-                coordinator.solve(np.ones(result.tree.n))
-        finally:
-            grid.shutdown()
+        assert np.array_equal(solver.solve(rhs), cold_at_2lam.solve(rhs))
 
 
 def _cluster_problem(data):

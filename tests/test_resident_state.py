@@ -99,6 +99,36 @@ def test_the_h_matrix_dies_with_the_build_of_a_shard_fit(h_matrices):
     assert state.block_tree is block_tree is not None
 
 
+def test_a_shard_worker_keeps_only_its_block_tree(monkeypatch):
+    """A worker ships its shard's factors back in the ``fit`` reply and
+    keeps none of them: once the reply is sent, no ULV factorization it
+    built is alive and its state is its spawn-time data plus the block
+    cluster tree the next warm fit reuses."""
+    factorizations, init = [], ULVFactorization.__init__
+
+    def traced_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        factorizations.append(weakref.ref(self))
+
+    monkeypatch.setattr(ULVFactorization, "__init__", traced_init)
+    X, _ = _points(256)
+    clustering = cluster(X, method="two_means", leaf_size=16, seed=0)
+    config = WorkerConfig(shard_id=0, boundaries=(0, X.shape[0]),
+                          owned_pairs=())
+    state = _ShardState(config, clustering.X, clustering.tree)
+    _, arrays = state.fit(FitSpec(
+        kernel_spec=kernel_to_spec(GaussianKernel(h=1.0)), lam=1.0,
+        hss_options=HSSOptions(), hmatrix_options=HMatrixOptions(),
+        use_hmatrix_sampling=True, seed=0, coupling_rel_tol=0.1,
+        coupling_max_rank=None))
+    assert "ulv.meta" in arrays and "hss.n_nodes" in arrays
+    del arrays
+    gc.collect()
+    assert len(factorizations) == 1 and factorizations[0]() is None
+    assert set(vars(state)) == {"config", "X", "tree", "block_tree"}
+    assert state.block_tree is not None
+
+
 def _retained(make):
     """``(obj, bytes)``: what ``make()`` returns and the traced memory it
     keeps alive once everything else it allocated is released."""

@@ -147,6 +147,23 @@ class TestValidation:
         assert all(cfg.source(k) == "default" for k in known_keys())
         assert cfg.to_dict() == resolve_runtime_config(env={}).to_dict()
 
+    def test_removed_collect_factors_key_rejected(self, tmp_path):
+        """A sharded fit always brings its shard kernels back (every later
+        verb runs on them), so a file still setting the deleted switch is
+        told so."""
+        path = tmp_path / "repro.toml"
+        path.write_text("[distributed]\ncollect_factors = false\n")
+        with pytest.raises(TomlError, match="unknown config key.*"
+                                            "distributed.collect_factors"):
+            resolve_runtime_config(path=str(path))
+        with pytest.raises(KeyError, match="distributed.collect_factors"):
+            resolve_runtime_config(
+                flags={"distributed.collect_factors": False})
+        cfg = resolve_runtime_config(env={
+            "REPRO_DISTRIBUTED_COLLECT_FACTORS": "0"})
+        assert "distributed.collect_factors" not in known_keys()
+        assert cfg.to_dict() == resolve_runtime_config(env={}).to_dict()
+
     def test_unknown_flag_key_rejected(self):
         with pytest.raises(KeyError, match="kernel.bandwidth"):
             resolve_runtime_config(flags={"kernel.bandwidth": 2.0})
@@ -450,8 +467,6 @@ OBSERVABLE = {
         flags)["coupling_max_rank"]),
     "distributed.cut_level": (1, lambda flags: _solver_options(
         flags)["cut_level"]),
-    "distributed.collect_factors": (False, lambda flags: _solver_options(
-        flags)["collect_factors"]),
 }
 
 
@@ -482,7 +497,7 @@ class TestNoDeadKeys:
         training = [k for k in known_keys() if k.split(".")[0] in (
             "clustering", "hss", "hmatrix", "solver", "distributed")]
         assert sorted(OBSERVABLE) == sorted(training)
-        assert len(known_keys()) == 63
+        assert len(known_keys()) == 62
 
     @pytest.mark.parametrize("key", sorted(OBSERVABLE))
     def test_non_default_value_is_observable(self, key):

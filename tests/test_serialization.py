@@ -78,6 +78,23 @@ class TestArrayRoundTrips:
         assert np.array_equal(restored.solve(b), ulv.solve(b))
         assert np.array_equal(restored.solve(B), ulv.solve(B))
 
+    @pytest.mark.parametrize("lam", [0.0, 0.5])
+    def test_restored_ulv_is_at_its_shift(self, tmp_path,
+                                          clustered_kernel_matrix, lam):
+        """A restored factorization carries the shift it was factored at,
+        as a fitted one does, and refactors from it like the original."""
+        K, clustering = clustered_kernel_matrix
+        hss = build_hss_from_dense(K, clustering.tree)
+        ulv = ULVFactorization.factor(hss, lam=lam)
+        arrays = _npz_round_trip(
+            tmp_path, {**hss_to_arrays(hss), **ulv_to_arrays(ulv)})
+        restored = ulv_from_arrays(
+            arrays, hss_from_arrays(arrays, clustering.tree), lam=lam)
+        assert restored.lam == ulv.lam == lam
+        b = np.random.default_rng(1).standard_normal(hss.n)
+        assert np.array_equal(restored.refactor(2.0).solve(b),
+                              ulv.refactor(2.0).solve(b))
+
     def test_missing_payload_raises(self, clustered_kernel_matrix):
         _, clustering = clustered_kernel_matrix
         with pytest.raises(ArtifactError):

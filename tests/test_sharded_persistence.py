@@ -28,7 +28,7 @@ import pytest
 
 from repro.config import HSSOptions
 from repro.datasets import load_dataset
-from repro.distributed import ShardedULVSolver
+from repro.distributed import ShardedFactors, ShardedULVSolver
 from repro.krr import KernelRidgeClassifier, OneVsAllClassifier
 from repro.krr.solvers import HSSSolver
 from repro.serving import ModelStore, PredictionEngine, read_artifact
@@ -163,6 +163,60 @@ def test_fresh_process_load_and_resolve(tmp_path, problem, sharded_model,
     # ... and reproduces the training session's own in-process factors.
     assert np.allclose(w_fresh, sharded_model.solver_.solve(rhs),
                        rtol=1e-12, atol=1e-12)
+
+
+def test_reloaded_factorizations_carry_the_model_lambda(tmp_path, problem,
+                                                       sharded_model):
+    """A restored ULV factorization knows the shift it is at, as a fitted
+    one does: the ``hss`` model's and every shard's of a ``shards=2``
+    model, fitted and reloaded (the level schedule stays lazy on load)."""
+    lam = problem.lam
+    hss_model = KernelRidgeClassifier(h=problem.h, lam=lam, solver="hss",
+                                      seed=0, shards=1,
+                                      solver_options={"hss_options": TIGHT})
+    hss_model.fit(problem.X_train[:128], problem.y_train[:128])
+    store = ModelStore(tmp_path)
+    store.save(hss_model, "hss")
+    store.save(sharded_model, "sharded")
+    loaded = store.load("hss").solver_.factorization_
+    assert loaded.lam == hss_model.solver_.factorization_.lam == lam
+    assert getattr(loaded, "_levels", None) is None
+    fitted = sharded_model.solver_.system_.factors.shards
+    reloaded = store.load("sharded").solver_.factors.shards
+    assert len(fitted) == len(reloaded) == 2
+    assert [s.ulv.lam for s in fitted + reloaded] == [lam] * 4
+
+
+def test_reload_solves_bitwise_like_the_fitted_model(tmp_path, problem,
+                                                    sharded_model):
+    """reload = original, for the solver too: the fitted model and its
+    reload solve on the same in-process shard kernels, so a 3-column solve
+    agrees bitwise."""
+    store = ModelStore(tmp_path)
+    store.save(sharded_model, "bitwise")
+    loaded = store.load("bitwise")
+    Y = np.random.default_rng(47).standard_normal(
+        (problem.X_train.shape[0], 3))
+    np.testing.assert_array_equal(loaded.solver_.solve(Y),
+                                  sharded_model.solver_.solve(Y))
+
+
+def test_refactor_on_load_is_the_stored_factorization(problem, sharded_model):
+    """Factoring every shard cold from its stored HSS matrix — what a
+    schema 1-5 artifact gets on load — gives the stored factors, bitwise:
+    the same capacitance matrix and the same solves."""
+    arrays = sharded_model.solver_.system_.factors.to_arrays()
+    tree = sharded_model.clustering_.tree
+    stored = ShardedULVSolver(
+        ShardedFactors.from_arrays(arrays, tree, problem.lam))
+    fresh = ShardedULVSolver(ShardedFactors.from_arrays(
+        arrays, tree, problem.lam, refactor=True))
+    assert fresh.factors.C is None
+    fresh.couple()
+    np.testing.assert_array_equal(fresh.factors.C, stored.factors.C)
+    rhs = np.random.default_rng(53).standard_normal(
+        (problem.X_train.shape[0], 2))
+    np.testing.assert_array_equal(fresh.solve(rhs), stored.solve(rhs))
 
 
 def test_loaded_solver_roundtrips_again(tmp_path, problem, sharded_model):
