@@ -252,6 +252,18 @@ class BlockChannel:
              arrays: Optional[Dict[str, np.ndarray]] = None) -> None:
         """Publish a message; its arrays are copied into one shared-memory
         segment, each in its own memory order."""
+        self.publish(tag, payload, self.stage(arrays))
+
+    def stage(self, arrays: Optional[Dict[str, np.ndarray]] = None
+              ) -> Optional[MessageSpec]:
+        """Copy the next message's arrays into a fresh segment and count
+        the message, before it is published.
+
+        :meth:`send` is ``publish(tag, payload, stage(arrays))``; a sender
+        whose payload reports the transport counters (a worker's telemetry
+        snapshot) stages first, so the snapshot counts the message that
+        carries it.
+        """
         self.retire()
         spec = None
         if arrays:
@@ -264,6 +276,10 @@ class BlockChannel:
             spec = MessageSpec(shm.name, size, keys, table)
             self._m_bytes.inc(sum(raw.size for _, raw in chunks))
         self._m_messages.inc()
+        return spec
+
+    def publish(self, tag: str, payload, spec: Optional[MessageSpec]) -> None:
+        """Put a message whose arrays :meth:`stage` laid out on the queue."""
         self.queue.put((tag, payload, spec))
 
     def recv(self, timeout: float,

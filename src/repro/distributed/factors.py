@@ -150,6 +150,21 @@ class ShardedFactors:
         """Total coupling rank ``R`` (dimension of the capacitance system)."""
         return int(sum(pg.size for pg in self.pg_idx))
 
+    def capacitance(self) -> np.ndarray:
+        """Assemble ``C = I + Q_f^T D^{-1} P_f`` at the shards' current
+        factorizations.
+
+        Collects the Gram pieces ``F_s^T D_s^{-1} F_s`` of every shard
+        (deriving its ``H``; the located factors are λ-free, unchanged
+        across refits).  ``C`` itself is returned, not stored.
+        """
+        C = np.eye(self.coupling_rank)
+        for shard, qg, pg in zip(self.shards, self.qg_idx, self.pg_idx):
+            M = shard.couple()
+            if M.size:
+                C[np.ix_(qg, pg)] += M
+        return C
+
     # --------------------------------------------------------- serialization
     def to_arrays(self, prefix: str = "dist.") -> Dict[str, np.ndarray]:
         """Flatten into artifact arrays (the ``dist.*`` schema section).
@@ -249,15 +264,15 @@ class ShardedULVSolver(KernelSystemSolver):
     Owns what no single shard does — the capacitance matrix
     ``C = I + Q_f^T D^{-1} P_f`` and its LU — and drives the per-shard
     steps of the kernels in ``factors.shards``, all in this process.  It
-    is what a :class:`repro.distributed.DistributedSolver` answers every
-    post-fit verb with, and the drop-in
-    :class:`repro.krr.solvers.KernelSystemSolver` a sharded artifact
-    restores to.
+    is the drop-in :class:`repro.krr.solvers.KernelSystemSolver` a sharded
+    artifact restores to, and the base of
+    :class:`repro.distributed.DistributedSolver`, whose ``fit`` builds the
+    factors it then solves, refits and saves with.
 
     Parameters
     ----------
     factors:
-        The coupling state with its shard kernels (from a fit, or
+        The coupling state with its shard kernels (from
         :meth:`ShardedFactors.from_arrays`).  While its ``C`` is not
         assembled, run :meth:`couple` before solving.
 
@@ -271,15 +286,16 @@ class ShardedULVSolver(KernelSystemSolver):
 
     name = "sharded"
 
-    def __init__(self, factors: ShardedFactors):
+    def __init__(self, factors: Optional[ShardedFactors] = None):
         super().__init__()
-        self.factors = factors
-        self.plan_ = factors.plan
+        #: the coupling state every verb runs on (``None`` until a
+        #: :class:`repro.distributed.DistributedSolver` fit)
+        self.factors: Optional[ShardedFactors] = None
+        self.plan_: Optional[ShardPlan] = None
         self._cap_lu = None
-        if factors.C is not None:
-            self.set_capacitance(factors.C)
-        self._fitted = True
-        self.report.shards = factors.plan.n_shards
+        if factors is not None:
+            self._adopt(factors)
+            self._fitted = True
 
     def _fit_impl(self, X_permuted, tree, kernel, lam) -> None:
         raise RuntimeError(
@@ -294,30 +310,26 @@ class ShardedULVSolver(KernelSystemSolver):
     fit = _fit_impl
 
     # ----------------------------------------------------------- capacitance
-    def set_capacitance(self, C: np.ndarray) -> None:
-        """Adopt ``C`` (``I + Q_f^T D^{-1} P_f`` at the shards' current
-        factorizations) as the capacitance matrix and LU-factor it."""
-        self.factors.C = C
-        self._cap_lu = scipy.linalg.lu_factor(C) if C.shape[0] else None
+    def _adopt(self, factors: ShardedFactors) -> None:
+        """Solve with ``factors`` from now on, LU-factoring its ``C``.
+
+        Nothing is replaced until the LU exists, so a failure here leaves
+        the previous factors answering.
+        """
+        C = factors.C
+        self._cap_lu = (scipy.linalg.lu_factor(C)
+                        if C is not None and C.shape[0] else None)
+        self.factors, self.plan_ = factors, factors.plan
+        self.report.shards = factors.plan.n_shards
 
     def couple(self) -> None:
-        """Reassemble and re-factor the capacitance system.
-
-        Collects the Gram pieces ``F_s^T D_s^{-1} F_s`` of every shard
-        against its *current* factorization (the located factors are
-        λ-free, unchanged across refits) and assembles ``C``.
-        """
-        factors = self.factors
-        C = np.eye(factors.coupling_rank)
-        for shard, qg, pg in zip(factors.shards, factors.qg_idx,
-                                 factors.pg_idx):
-            M = shard.couple()
-            if M.size:
-                C[np.ix_(qg, pg)] += M
-        self.set_capacitance(C)
+        """Reassemble and re-factor the capacitance system against the
+        shards' current factorizations (:meth:`ShardedFactors.capacitance`)."""
+        self.factors.C = self.factors.capacitance()
+        self._adopt(self.factors)
 
     # ----------------------------------------------------------------- verbs
-    def refit_round(self, lam: float) -> None:
+    def _refit_impl(self, lam: float) -> None:
         """λ-only refit: every local ULV at the new shift, then the
         capacitance system.  ``report.timings`` holds the round's
         wall-clock ``factorization`` and ``coupling_merge``.
@@ -325,6 +337,12 @@ class ShardedULVSolver(KernelSystemSolver):
         A failure part-way leaves the shards at mixed λ: the solver is
         then unfitted, so it neither solves nor saves from that state.
         """
+        if not self.factors.hss_lam_free:
+            raise RuntimeError(
+                "this sharded artifact predates the compress-once/"
+                "refit-many split: its per-shard HSS generators have the "
+                "ridge shift baked in and cannot be re-factored at a new "
+                "lambda; retrain with the current version")
         try:
             t0 = time.perf_counter()
             for shard in self.factors.shards:
@@ -337,7 +355,7 @@ class ShardedULVSolver(KernelSystemSolver):
         self.report.timings = {"factorization": t1 - t0,
                                "coupling_merge": time.perf_counter() - t1}
 
-    def woodbury(self, y: np.ndarray) -> np.ndarray:
+    def _solve_impl(self, y: np.ndarray) -> np.ndarray:
         """``M^{-1} y = z - H C^{-1} Q_f^T z`` with ``z = D^{-1} y``.
 
         ``y`` holds the right-hand side(s) in the permuted ordering, shape
@@ -348,42 +366,30 @@ class ShardedULVSolver(KernelSystemSolver):
         factors = self.factors
         plan = factors.plan
         y = np.asarray(y, dtype=np.float64)
-        single = y.ndim == 1
-        Y = y[:, None] if single else y
-        if Y.shape[0] != plan.n:
-            raise ValueError(f"y has {Y.shape[0]} rows, expected {plan.n}")
+        if y.shape[0] != plan.n:
+            raise ValueError(f"y has {y.shape[0]} rows, expected {plan.n}")
         ranges = [slice(*plan.shard_range(s)) for s in range(plan.n_shards)]
         log = TimingLog()
         with log.phase("solve"):
-            u = np.zeros((factors.coupling_rank, Y.shape[1]))
+            u = np.zeros((factors.coupling_rank,) + y.shape[1:])
             Z = []
             for shard, r, qg in zip(factors.shards, ranges, factors.qg_idx):
-                z, g = shard.solve(Y[r])
+                z, g = shard.solve(y[r])
                 Z.append(z)
                 if g.size:
                     u[qg] = g
             v = (scipy.linalg.lu_solve(self._cap_lu, u)
                  if self._cap_lu is not None else u)
-            W = np.empty(Y.shape)
+            W = np.empty(y.shape)
             for shard, r, pg, z in zip(factors.shards, ranges,
                                        factors.pg_idx, Z):
                 W[r] = shard.correct(z, np.ascontiguousarray(v[pg]))
         self.report.add_timings(log)
-        return W.ravel() if single else W
-
-    def _refit_impl(self, lam: float) -> None:
-        if not self.factors.hss_lam_free:
-            raise RuntimeError(
-                "this sharded artifact predates the compress-once/"
-                "refit-many split: its per-shard HSS generators have the "
-                "ridge shift baked in and cannot be re-factored at a new "
-                "lambda; retrain with the current version")
-        self.refit_round(lam)
-
-    def _solve_impl(self, y: np.ndarray) -> np.ndarray:
-        return self.woodbury(y)
+        return W
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"ShardedULVSolver(shards={self.factors.plan.n_shards}, "
+        if self.factors is None:
+            return f"{type(self).__name__}(unfitted)"
+        return (f"{type(self).__name__}(shards={self.factors.plan.n_shards}, "
                 f"n={self.factors.plan.n}, "
                 f"coupling_rank={self.factors.coupling_rank})")

@@ -15,9 +15,10 @@ numerics and coupling blocks.
 That round is all the workers do: each returns its shard's factors and
 its owned coupling blocks.  The solver locates the coupling factors,
 rebuilds the :class:`repro.distributed.ShardKernel` of every shard and
-assembles the capacitance system in this process; from then on
-``solve``, ``refit``, ``partial_fit`` and saving run on that one
-:class:`repro.distributed.ShardedULVSolver` and send no grid message (see
+assembles the capacitance system in this process.  It *is* the
+:class:`repro.distributed.ShardedULVSolver` a sharded artifact restores
+to, plus the grid: ``solve``, ``refit``, ``partial_fit`` and saving are
+that class's and send no grid message (see
 :mod:`repro.distributed.factors`), so a fitted solver keeps working after
 its grid is closed, reused by another fit, or lost to a worker crash.
 """
@@ -38,7 +39,7 @@ from .shard import ShardKernel
 from .worker import FitSpec
 
 
-class DistributedSolver(KernelSystemSolver):
+class DistributedSolver(ShardedULVSolver):
     """Process-sharded HSS solver (the paper's rank-per-subtree model).
 
     Parameters
@@ -103,10 +104,6 @@ class DistributedSolver(KernelSystemSolver):
         self.start_method = start_method
         self.grid = grid                       # external, never owned
         self._owned_grid: Optional[WorkerGrid] = None
-        self.plan_: Optional[ShardPlan] = None
-        #: the coupling system of the last fit, over the shard kernels
-        #: collected from the workers: every post-fit verb runs on it
-        self.system_: Optional[ShardedULVSolver] = None
         #: whether the last fit reused a live grid (zero process spawns)
         self.warm_start_: bool = False
         #: full distributed compressions performed (λ-only refits add none)
@@ -140,6 +137,9 @@ class DistributedSolver(KernelSystemSolver):
         return self._owned_grid
 
     # ------------------------------------------------------------------- fit
+    # A DistributedSolver fits from data, unlike the restored base class.
+    fit = KernelSystemSolver.fit
+
     def _fit_impl(self, X_permuted, tree, kernel, lam) -> None:
         from ..serving.serialize import kernel_to_spec
 
@@ -149,7 +149,7 @@ class DistributedSolver(KernelSystemSolver):
         n_shards = resolve_shards(self.shards)
         plan = ShardPlan.from_tree(tree, n_shards, cut_level=self.cut_level)
         grid = self._resolve_grid(plan, X_permuted)
-        plan = self.plan_ = grid.plan
+        plan = grid.plan
         seed = self.seed
         spec = FitSpec(
             kernel_spec=kernel_to_spec(kernel),
@@ -178,8 +178,10 @@ class DistributedSolver(KernelSystemSolver):
                                         plan.subtree(shard), lam=spec.lam)
                 for shard, ((_, arrays), F)
                 in enumerate(zip(replies, factors.F))]
-            system = ShardedULVSolver(factors)
-            system.couple()
+            factors.C = factors.capacitance()
+            # Until here a failure leaves the previous fit's factors
+            # answering every verb.
+            self._adopt(factors)
         except BaseException:
             # A failed fit must not leave worker processes behind (the
             # grid's own fail-fast already tears crashed grids down; this
@@ -189,11 +191,6 @@ class DistributedSolver(KernelSystemSolver):
             raise
         timings: Dict[str, float] = {"coupling_merge": time.perf_counter() - t0}
         infos = [info for info, _ in replies]
-
-        # Every later verb runs on this coupling system; its refit and
-        # solve phases land in this report.
-        self.system_ = system
-        system.report = self.report
         self.compression_count += 1
         for info in infos:  # the slowest shard's, phase by phase
             for name, sec in info["timings"].items():
@@ -201,7 +198,6 @@ class DistributedSolver(KernelSystemSolver):
         coupling_mb = (factors.C.nbytes + sum(
             U.nbytes + V.nbytes for U, V in pairs.values())) / 2.0 ** 20
         report = self.report
-        report.shards = plan.n_shards
         report.timings = timings
         report.hss_memory_mb = float(sum(i["hss_memory_mb"] for i in infos))
         report.hmatrix_memory_mb = float(
@@ -210,18 +206,6 @@ class DistributedSolver(KernelSystemSolver):
                             + coupling_mb)
         report.max_rank = int(max(i["max_rank"] for i in infos))
         report.random_vectors = int(max(i["random_vectors"] for i in infos))
-
-    # --------------------------------------------------------- refit / solve
-    def _refit_impl(self, lam: float) -> None:
-        try:
-            self.system_.refit_round(lam)
-        except BaseException:
-            # the shards are at mixed λ: refuse to solve or save from here
-            self._fitted = False
-            raise
-
-    def _solve_impl(self, y: np.ndarray) -> np.ndarray:
-        return self.system_.woodbury(y)
 
     # ------------------------------------------------------------- lifecycle
     def close(self) -> None:

@@ -263,9 +263,11 @@ def worker_main(config: WorkerConfig, x_spec: ArraySpec,
                 out_payload, out_arrays = handler(state, payload)
                 # The worker's *cumulative* telemetry rides with every
                 # reply; the grid absorbs with replace semantics, so this
-                # never double-counts.
+                # never double-counts.  Staged first, the reply itself is
+                # in the snapshot: a grid's only reply is a fit's.
+                spec = response.stage(out_arrays)
                 out_payload["metrics"] = global_registry().local_snapshot()
-                response.send(reply, out_payload, arrays=out_arrays)
+                response.publish(reply, out_payload, spec)
             except Exception as exc:  # report, keep serving
                 response.send("error", {
                     "error": f"{type(exc).__name__}: {exc}",

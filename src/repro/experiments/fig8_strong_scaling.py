@@ -13,7 +13,8 @@ This experiment builds the HSS matrix for each dataset at a reduced N,
 derives its per-level work profile, and sweeps the core count through the
 distributed cost model.  With ``measure_shard_counts`` it additionally
 runs the *real* process-sharded training path of :mod:`repro.distributed`
-at each process count and records the measured wall-clock.
+at each process count and records the measured wall-clock (the build is
+process-parallel; the solve after it runs in the calling process).
 """
 
 from __future__ import annotations
@@ -37,8 +38,12 @@ class MeasuredShardPoint:
     """Measured wall-clock of one real process-sharded training run.
 
     This is the measured analogue of the paper's distributed runs: the
-    full distributed build (per-shard H/HSS/ULV plus the in-process
-    coupling merge) and one distributed solve, at a fixed process count.
+    full distributed build (per-shard H/HSS/ULV in the worker processes
+    plus the in-process coupling merge) and one Woodbury solve over the
+    collected shards, at a fixed process count.  Only the build runs in
+    parallel: the solve's per-shard ULV sweeps run one after the other in
+    the calling process, so ``solve_time`` — and the ``measured Np``
+    total built from it — does not shrink with the process count.
     ``warm_build_time`` is a second fit on the *same* (already spawned)
     worker grid — the amortized cost a hyper-parameter sweep pays per
     configuration, with process startup excluded.
@@ -106,7 +111,8 @@ class Fig8Result:
 
 def _measure_sharded_training(X_perm, tree, kernel, lam, opts: HSSOptions,
                               seed: int, shards: int) -> MeasuredShardPoint:
-    """Time one real process-sharded build + solve at ``shards`` processes.
+    """Time one real process-sharded build + in-process solve at
+    ``shards`` processes.
 
     Fits twice on one solver: the first fit spawns the worker grid (cold
     start), the second reuses it warm, so the point records both the

@@ -144,14 +144,6 @@ def _transform(U: np.ndarray):
     return q.T, np.triu(packed[:cols])
 
 
-def _lu_solve(fac: _NodeFactors, b: np.ndarray) -> np.ndarray:
-    """``D_ee^{-1} b`` from the node's ``dgetrf`` factors."""
-    x, info = dgetrs(fac.lu, fac.piv, b)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of dgetrs")
-    return x
-
-
 def _level_schedule(tree):
     """``(node_id, left, right, start, stop)`` per node, by level, root first.
 
@@ -313,6 +305,68 @@ class ULVFactorization:
             levels = self._levels = _level_schedule(self.hss.tree)
         return levels
 
+    @property
+    def _sweeps(self):
+        """What the two solve sweeps read per node, read off on first use.
+
+        Every node owns a region of ``n_loc`` rows in a buffer of its tree
+        level, ``(lo, mid, hi)`` with ``mid - lo`` its kept unknowns.  The
+        forward sweep hands a node's reduced right-hand side up by writing
+        it into its parent's region (the left child's rows first), the
+        backward sweep hands the kept unknowns down the same way, and a
+        node fills the rest of its region with its eliminated unknowns.
+        Returns ``(forward, backward, sizes)``: per level, root first,
+        ``(node_id, leaf, lo, hi, omega, n_keep or -1, lu, piv, w^T,
+        dst, dst_end)`` — a leaf's ``lo:hi`` are its rows of the
+        right-hand side, ``dst`` is ``-1`` at the root — and ``(node_id,
+        lo, mid, hi, w, omega^T, leaf, start, stop, left_lo, left_mid,
+        right_lo, right_mid)`` (the children's rows are unused at a leaf);
+        and the row count of every level's buffer.
+        """
+        sweeps = getattr(self, "_sweep_plan", None)
+        if sweeps is not None:
+            return sweeps
+        factors = self._factors
+        levels = self._schedule
+        keep = [fac.n_loc - fac.n_elim for fac in factors]
+        lo = [0] * len(factors)
+        sizes = []
+        for level in levels:
+            size = 0
+            for node_id, *_ in level:
+                lo[node_id] = size
+                size += factors[node_id].n_loc
+            sizes.append(size)
+        dst = [-1] * len(factors)
+        for level in levels:
+            for node_id, left, right, _, _ in level:
+                if left >= 0:
+                    dst[left] = lo[node_id]
+                    dst[right] = lo[node_id] + keep[left]
+        forward = tuple([tuple([
+            (node_id, left < 0,
+             start if left < 0 else lo[node_id],
+             stop if left < 0 else lo[node_id] + factors[node_id].n_loc,
+             factors[node_id].omega,
+             keep[node_id] if factors[node_id].n_elim else -1,
+             factors[node_id].lu, factors[node_id].piv,
+             None if factors[node_id].w is None else factors[node_id].w.T,
+             dst[node_id], dst[node_id] + keep[node_id])
+            for node_id, left, right, start, stop in level])
+            for level in levels])
+        backward = tuple([tuple([
+            (node_id, lo[node_id], lo[node_id] + keep[node_id],
+             lo[node_id] + factors[node_id].n_loc, factors[node_id].w,
+             None if factors[node_id].omega is None
+             else factors[node_id].omega.T,
+             left < 0, start, stop,
+             lo[left], lo[left] + keep[left],
+             lo[right], lo[right] + keep[right])
+            for node_id, left, right, start, stop in level])
+            for level in levels])
+        sweeps = self._sweep_plan = (forward, backward, tuple(sizes))
+        return sweeps
+
     # ---------------------------------------------------------------- factor
     @staticmethod
     def _eliminate(D: np.ndarray, U: Optional[np.ndarray],
@@ -341,7 +395,9 @@ class ULVFactorization:
             raise np.linalg.LinAlgError(
                 f"singular matrix: exactly zero pivot {info - 1} in the "
                 f"eliminated block")
-        fac.w = _lu_solve(fac, D_ek)
+        fac.w, info = dgetrs(fac.lu, fac.piv, D_ek)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of dgetrs")
         return fac, M[:r, :r] - D_ek.T @ fac.w
 
     def _factor(self, prior: Optional["ULVFactorization"]) -> None:
@@ -421,53 +477,60 @@ class ULVFactorization:
             return self._solve(b)
 
     def _solve(self, b: np.ndarray) -> np.ndarray:
-        b = np.asarray(b, dtype=np.float64)
-        single = b.ndim == 1
-        B = b[:, None] if single else b
+        B = np.asarray(b, dtype=np.float64)
         if B.shape[0] != self.hss.n:
             raise ValueError(f"b has {B.shape[0]} rows, expected {self.hss.n}")
         require_finite(B)
-        factors = self._factors
-        schedule = self._schedule
+        forward, backward, sizes = self._sweeps
+        cols = B.shape[1:]      # a single right-hand side stays a vector
+        # Per node a handful of tiny products, so dispatch is the cost:
+        # ndarray.dot makes the same BLAS calls as the matmul operator at
+        # half its overhead, and vectors move between nodes by slice
+        # assignment into the level buffers, not by concatenation.
         # Forward (bottom-up): per node, the eliminated unknowns' local
         # solve D_ee^{-1} c_e and the reduced right-hand side handed up.
-        local: List[Optional[np.ndarray]] = [None] * len(factors)
-        reduced: List[Optional[np.ndarray]] = [None] * len(factors)
-        for level in reversed(schedule):
-            for node_id, left, right, start, stop in level:
-                fac = factors[node_id]
-                if left < 0:
-                    c = B[start:stop]
-                else:
-                    c = np.concatenate((reduced[left], reduced[right]))
-                    reduced[left] = reduced[right] = None
-                if fac.omega is not None:
-                    c = fac.omega @ c
-                if fac.n_elim:
-                    r = fac.n_keep
-                    local[node_id] = _lu_solve(fac, c[r:])
-                    c = c[:r] - fac.w.T @ c[r:]
-                reduced[node_id] = c
+        local: List[Optional[np.ndarray]] = [None] * len(self._factors)
+        here = None
+        for depth in range(len(forward) - 1, -1, -1):
+            up = np.empty((sizes[depth - 1],) + cols) if depth else None
+            for node_id, leaf, lo, hi, omega, r, lu, piv, wT, dst, dst_end \
+                    in forward[depth]:
+                c = B[lo:hi] if leaf else here[lo:hi]
+                if omega is not None:
+                    c = omega.dot(c)
+                if r >= 0:
+                    c_e = c[r:]
+                    local[node_id], info = dgetrs(lu, piv, c_e)
+                    if info != 0:
+                        raise ValueError(
+                            f"illegal value in argument {-info} of dgetrs")
+                    c = c[:r] - wT.dot(c_e)
+                if dst >= 0:
+                    up[dst:dst_end] = c
+            here = up
 
         # Backward (top-down): the kept unknowns come from the parent.
-        X = np.empty((self.hss.n, B.shape[1]))
-        for level in schedule:
-            for node_id, left, right, start, stop in level:
-                fac = factors[node_id]
-                y = reduced[node_id]
-                reduced[node_id] = None
-                if fac.n_elim:
-                    y = np.concatenate((y, local[node_id] - fac.w @ y))
+        X = np.empty(B.shape)
+        here = np.empty((sizes[0],) + cols)
+        for depth, level in enumerate(backward):
+            down = (np.empty((sizes[depth + 1],) + cols)
+                    if depth + 1 < len(sizes) else None)
+            for node_id, lo, mid, hi, w, omegaT, leaf, start, stop, \
+                    left_lo, left_mid, right_lo, right_mid in level:
+                if w is not None:
+                    here[mid:hi] = local[node_id] - w.dot(here[lo:mid])
                     local[node_id] = None
-                if fac.omega is not None:
-                    y = fac.omega.T @ y
-                if left < 0:
+                y = here[lo:hi]
+                if omegaT is not None:
+                    y = omegaT.dot(y)
+                if leaf:
                     X[start:stop] = y
                 else:
-                    n1 = factors[left].n_keep
-                    reduced[left], reduced[right] = y[:n1], y[n1:]
-
-        return X.ravel() if single else X
+                    n1 = left_mid - left_lo
+                    down[left_lo:left_mid] = y[:n1]
+                    down[right_lo:right_mid] = y[n1:]
+            here = down
+        return X
 
     # ------------------------------------------------------------- misc
     @property

@@ -293,15 +293,16 @@ def ulv_to_arrays(ulv: ULVFactorization, prefix: str = "ulv.") -> Dict[str, np.n
 
 
 def ulv_from_arrays(arrays: Dict[str, np.ndarray], hss: HSSMatrix,
-                    prefix: str = "ulv.", lam: float = 0.0
+                    prefix: str = "ulv.", *, lam: float
                     ) -> ULVFactorization:
     """Rebuild a :class:`ULVFactorization` without re-factoring.
 
     The factors are restored exactly as saved, so subsequent
     :meth:`~repro.hss.ULVFactorization.solve` calls are bitwise identical
-    to the original factorization's solves.  ``lam`` is the shift they
-    were factored at (the restored factorization's ``lam``, as
-    :meth:`~repro.hss.ULVFactorization.factor` sets it).
+    to the original factorization's solves.  ``lam`` (required: the
+    arrays do not record it) is the shift they were factored at, the
+    restored factorization's ``lam`` as
+    :meth:`~repro.hss.ULVFactorization.factor` sets it.
 
     Raises
     ------
@@ -679,11 +680,9 @@ def _solver_arrays(solver: Optional[KernelSystemSolver],
         max_iter = solver.max_iter
         return "cg", {"cg_tol": solver.tol,
                       "cg_max_iter": None if max_iter is None else int(max_iter)}, {}
-    # Lazy import: the distributed package depends on this module.
+    # Lazy import: the distributed package depends on this module.  A
+    # DistributedSolver is a ShardedULVSolver that fits.
     from ..distributed.factors import ShardedULVSolver
-    from ..distributed.solver import DistributedSolver
-    if isinstance(solver, DistributedSolver):
-        solver = solver.system_
     # A failed λ-refit flips _fitted off and may leave the shards at mixed
     # λ; persist no factorization in that case rather than an inconsistent
     # one.

@@ -440,6 +440,14 @@ def test_a_worker_killed_after_fit_costs_the_next_fit_not_the_model(
         assert np.array_equal(clf.weights_, before)
         assert np.array_equal(clf.solver_.solve(rhs), w)
         assert clf.predict(data.X_test).shape == (data.X_test.shape[0],)
+        # the kept factors report into the solver's one report
+        clf.refit(data.lam)
+        clf.refit(2.0 * data.lam)
+        report = clf.solver_.report
+        assert {"factorization", "coupling_merge"} <= set(report.timings)
+        assert report.refits == 2
+        assert np.array_equal(clf.solver_.solve(rhs), w)
+        assert report.timings["solve"] > 0.0
 
 
 def test_post_fit_verbs_send_no_grid_message(small_problem):

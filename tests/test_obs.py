@@ -325,24 +325,20 @@ class TestDistributedTelemetry:
     def test_shards2_snapshot_merge(self):
         """A shards=2 fit lands per-shard phase timings in the registry.
 
-        A worker's snapshot rides in its one ``fit`` reply, so it counts
-        the replies the worker sent before that one: after a second fit on
-        the same grid, its transport counters show the first reply."""
+        A worker's snapshot rides in its one ``fit`` reply and counts that
+        reply, so a single fit shows every shard's transport counters."""
         from repro.config import HSSOptions
         from repro.datasets import load_dataset
-        from repro.distributed import WorkerGrid
         from repro.krr import KernelRidgeClassifier
 
         reg = obs.global_registry()
         reg.reset()
         data = load_dataset("susy", n_train=256, n_test=64, seed=0)
-        with WorkerGrid.from_data(data.X_train, shards=2, seed=0) as grid:
-            for h in (data.h, 2.0 * data.h):
-                KernelRidgeClassifier(
-                    h=h, lam=data.lam, shards=2, seed=0,
-                    solver_options={"grid": grid, "hss_options": HSSOptions(
-                        rel_tol=1e-6, initial_samples=48)}).fit(
-                            data.X_train, data.y_train)
+        KernelRidgeClassifier(
+            h=data.h, lam=data.lam, shards=2, seed=0,
+            solver_options={"hss_options": HSSOptions(
+                rel_tol=1e-6, initial_samples=48)}).fit(data.X_train,
+                                                        data.y_train)
         assert sorted(reg.remote_keys()) == ["0", "1"]
         snap = reg.snapshot()
         for shard in ("0", "1"):
@@ -350,15 +346,16 @@ class TestDistributedTelemetry:
                 key = (f'repro_phase_seconds_total{{phase="{phase}",'
                        f'shard="{shard}"}}')
                 assert snap["counters"][key] >= 0.0
-            # each worker's transport counters rode back with its snapshot
+            # each worker's transport counters rode back with its snapshot,
+            # the fit reply that carried it included
             assert snap["counters"][
                 f'repro_transport_messages_total{{shard="{shard}"}}'] >= 1
             assert snap["counters"][
                 f'repro_transport_bytes_total{{shard="{shard}"}}'] > 0
         # the parent's own transport counters are unlabeled: one fit
-        # command per worker and fit plus one stop each, carrying no array
-        # (the dataset is published once, through a segment of its own)
-        assert snap["counters"]["repro_transport_messages_total"] == 2 * 2 + 2
+        # command and one stop per worker, carrying no array (the dataset
+        # is published once, through a segment of its own)
+        assert snap["counters"]["repro_transport_messages_total"] == 2 + 2
         assert snap["counters"]["repro_transport_bytes_total"] == 0
         # the whole cluster view exports and parses
         samples = parse_prometheus(reg.to_prometheus())

@@ -71,7 +71,8 @@ class TestArrayRoundTrips:
         ulv = ULVFactorization(hss)
         arrays = _npz_round_trip(
             tmp_path, {**hss_to_arrays(hss), **ulv_to_arrays(ulv)})
-        restored = ulv_from_arrays(arrays, hss_from_arrays(arrays, clustering.tree))
+        restored = ulv_from_arrays(
+            arrays, hss_from_arrays(arrays, clustering.tree), lam=0.0)
         rng = np.random.default_rng(0)
         b = rng.standard_normal(hss.n)
         B = rng.standard_normal((hss.n, 3))

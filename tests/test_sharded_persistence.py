@@ -181,7 +181,7 @@ def test_reloaded_factorizations_carry_the_model_lambda(tmp_path, problem,
     loaded = store.load("hss").solver_.factorization_
     assert loaded.lam == hss_model.solver_.factorization_.lam == lam
     assert getattr(loaded, "_levels", None) is None
-    fitted = sharded_model.solver_.system_.factors.shards
+    fitted = sharded_model.solver_.factors.shards
     reloaded = store.load("sharded").solver_.factors.shards
     assert len(fitted) == len(reloaded) == 2
     assert [s.ulv.lam for s in fitted + reloaded] == [lam] * 4
@@ -205,7 +205,7 @@ def test_refactor_on_load_is_the_stored_factorization(problem, sharded_model):
     """Factoring every shard cold from its stored HSS matrix — what a
     schema 1-5 artifact gets on load — gives the stored factors, bitwise:
     the same capacitance matrix and the same solves."""
-    arrays = sharded_model.solver_.system_.factors.to_arrays()
+    arrays = sharded_model.solver_.factors.to_arrays()
     tree = sharded_model.clustering_.tree
     stored = ShardedULVSolver(
         ShardedFactors.from_arrays(arrays, tree, problem.lam))
