@@ -28,22 +28,11 @@ def test_fig6_tuning(benchmark):
     benchmark.extra_info["bandit_best_accuracy"] = result.bandit.best_value
     benchmark.extra_info["grid_evaluations"] = result.evaluations["grid"]
     benchmark.extra_info["bandit_evaluations"] = result.evaluations["bandit"]
-    benchmark.extra_info["grid_kernel_constructions"] = \
-        result.kernel_constructions["grid"]
-    benchmark.extra_info["bandit_kernel_constructions"] = \
-        result.kernel_constructions["bandit"]
-    benchmark.extra_info["grid_refits"] = result.refits["grid"]
-    benchmark.extra_info["bandit_refits"] = result.refits["bandit"]
     for strategy, moves in result.moves.items():
         for move, count in moves.items():
             benchmark.extra_info[f"{strategy}_{move}s"] = count
-
-    # The cost model must hold: each strategy builds kernels only for its
-    # cold + h-move evaluations, everything else is a λ-move refit.
-    for strategy, moves in result.moves.items():
-        assert result.kernel_constructions[strategy] == \
-            moves.get("cold", 0) + moves.get("h_move", 0), strategy
-        assert result.refits[strategy] == moves.get("lam_move", 0), strategy
+        # every evaluation is exactly one of the three moves
+        assert sum(moves.values()) == result.evaluations[strategy], strategy
 
     # Shape claims of Figure 6: with fewer evaluations than the grid, the
     # black-box tuner reaches at least comparable validation accuracy.

@@ -106,17 +106,14 @@ def run(args: argparse.Namespace) -> int:
     result = searcher.optimize(objective)
 
     best = result.best_config
-    moves = objective.move_counts
+    moves = result.moves
     payload = {
         "strategy": t.strategy,
         "evaluations": result.evaluations,
-        "kernel_constructions": objective.kernel_constructions,
-        "refits": result.refits,
         "cv": int(t.cv),
         "moves": {"cold": moves.get("cold", 0),
                   "h_move": moves.get("h_move", 0),
                   "lam_move": moves.get("lam_move", 0)},
-        "cache_hits": sum(1 for r in objective.records if r.reused_kernel),
         "best": {"h": float(best["h"]), "lam": float(best["lam"]),
                  "validation_accuracy": float(result.best_value)},
         "n_train": int(X_tr.shape[0]),
@@ -126,11 +123,9 @@ def run(args: argparse.Namespace) -> int:
                   else "validation accuracy")
     human = [
         f"tune[{t.strategy}] on {config.dataset.name}: "
-        f"{result.evaluations} evaluations, "
-        f"{objective.kernel_constructions} kernel builds, "
-        f"{result.refits} λ-only refits",
-        f"moves: {moves.get('cold', 0)} cold / {moves.get('h_move', 0)} "
-        f"h-moves (recompression) / {moves.get('lam_move', 0)} λ-moves",
+        f"{result.evaluations} evaluations: {moves.get('cold', 0)} cold / "
+        f"{moves.get('h_move', 0)} h-moves (recompression) / "
+        f"{moves.get('lam_move', 0)} λ-moves (refit)",
         f"best h={best['h']:.4g} lam={best['lam']:.4g} "
         f"{score_name}={100 * result.best_value:.2f}%",
         "apply with: repro refit --lam "

@@ -5,8 +5,8 @@ dataset with ~100 OpenTuner evaluations and reports that the black-box
 search "converged to a tuning parameter with better prediction accuracies
 than grid search" at ~1% of the cost.  This experiment runs both searches
 against the same validation-accuracy objective and reports the best
-accuracy and the number of objective evaluations (and kernel
-reconstructions) of each.
+accuracy and the number of objective evaluations of each, split by move
+cost class (cold fit / h-move / λ-move).
 """
 
 from __future__ import annotations
@@ -34,9 +34,6 @@ class Fig6Result:
     bandit: Optional[TuningResult] = None
     random: Optional[TuningResult] = None
     evaluations: Dict[str, int] = field(default_factory=dict)
-    kernel_constructions: Dict[str, int] = field(default_factory=dict)
-    #: per-strategy count of evaluations that rode the refit path
-    refits: Dict[str, int] = field(default_factory=dict)
     #: per-strategy evaluation counts by move cost class
     #: (``cold`` / ``h_move`` / ``lam_move``, see docs/tuning.md)
     moves: Dict[str, Dict[str, int]] = field(default_factory=dict)
@@ -64,8 +61,7 @@ class Fig6Result:
             table.add_row(
                 strategy=name,
                 evaluations=self.evaluations.get(key, result.evaluations),
-                kernel_builds=self.kernel_constructions.get(key, 0),
-                refit_evals=self.refits.get(key, result.refits),
+                cold_evals=moves.get("cold", 0),
                 h_moves=moves.get("h_move", 0),
                 lam_moves=moves.get("lam_move", 0),
                 best_accuracy_percent=round(100 * result.best_value, 2),
@@ -124,8 +120,6 @@ def run_fig6_tuning(
     grid = GridSearch(space, points_per_dim=grid_points_per_dim)
     result.grid = grid.optimize(grid_objective)
     result.evaluations["grid"] = grid_objective.evaluations
-    result.kernel_constructions["grid"] = grid_objective.kernel_constructions
-    result.refits["grid"] = grid_objective.refits
     result.moves["grid"] = grid_objective.move_counts
     grid_objective.close()
 
@@ -136,8 +130,6 @@ def run_fig6_tuning(
     bandit = BanditTuner(space, budget=tuner_budget, seed=seed)
     result.bandit = bandit.optimize(bandit_objective)
     result.evaluations["bandit"] = bandit_objective.evaluations
-    result.kernel_constructions["bandit"] = bandit_objective.kernel_constructions
-    result.refits["bandit"] = bandit_objective.refits
     result.moves["bandit"] = bandit_objective.move_counts
     bandit_objective.close()
 
@@ -147,8 +139,6 @@ def run_fig6_tuning(
         rnd = RandomSearch(space, budget=tuner_budget, seed=seed, lam_sweep=4)
         result.random = rnd.optimize(random_objective)
         result.evaluations["random"] = random_objective.evaluations
-        result.kernel_constructions["random"] = random_objective.kernel_constructions
-        result.refits["random"] = random_objective.refits
         result.moves["random"] = random_objective.move_counts
         random_objective.close()
 

@@ -93,6 +93,37 @@ def record_recompression() -> None:
         "repro_stream_recompressions_total", _RECOMPRESS_HELP).inc()
 
 
+def removal_factors(base_solve: Callable[[np.ndarray], np.ndarray],
+                    n_base: int, removed: np.ndarray):
+    """``(R, lu(R_rr))`` for dropping the rows ``removed`` of ``A0``.
+
+    ``R = A0^{-1} E`` (``E`` the unit columns of ``removed``) costs one
+    ``|r|``-column solve through ``base_solve``; :func:`solve_kept` needs
+    both factors.
+    """
+    E = np.zeros((n_base, removed.size))
+    E[removed, np.arange(removed.size)] = 1.0
+    R = base_solve(E)
+    return R, scipy.linalg.lu_factor(R[removed])
+
+
+def solve_kept(base_solve: Callable[[np.ndarray], np.ndarray],
+               kept: np.ndarray, removed: np.ndarray, B: np.ndarray,
+               factors) -> np.ndarray:
+    """Apply ``A_kk^{-1}`` (the kept-rows principal submatrix) to ``B``.
+
+    ``B`` is ``(|k|, m)``; ``factors`` is :func:`removal_factors` of the
+    same ``removed`` set.  One ``m``-column solve through ``base_solve``
+    plus the ``|r| x |r|`` correction (the module's removal identity).
+    """
+    Y = np.zeros((kept.size + removed.size, B.shape[1]))
+    Y[kept] = B
+    Z = base_solve(Y)
+    R, rr_lu = factors
+    T = scipy.linalg.lu_solve(rr_lu, Z[removed])
+    return Z[kept] - R[kept] @ T
+
+
 @dataclass(frozen=True)
 class DriftBudget:
     """Thresholds deciding when streamed corrections warrant a recompress.
@@ -352,23 +383,16 @@ class StreamingULVSolver:
 
     def _removal_state(self):
         if self._rm_state is None:
-            r = self._removed
-            E = np.zeros((self.n_base, r.size))
-            E[r, np.arange(r.size)] = 1.0
-            R = self._solve_base(E)
-            self._rm_state = (R, scipy.linalg.lu_factor(R[r]))
+            self._rm_state = removal_factors(self._solve_base, self.n_base,
+                                             self._removed)
         return self._rm_state
 
     def _solve_kept(self, B: np.ndarray) -> np.ndarray:
         """Apply ``A_kk^{-1}`` (kept-rows principal submatrix) to ``B``."""
         if self._removed.size == 0:
             return self._solve_base(B)
-        Y = np.zeros((self.n_base, B.shape[1]))
-        Y[self._kept] = B
-        Z = self._solve_base(Y)
-        R, rr_lu = self._removal_state()
-        T = scipy.linalg.lu_solve(rr_lu, Z[self._removed])
-        return Z[self._kept] - R[self._kept] @ T
+        return solve_kept(self._solve_base, self._kept, self._removed, B,
+                          self._removal_state())
 
     def _addition_state(self):
         if self._add_state is None:

@@ -122,9 +122,16 @@ class KernelSystemSolver(abc.ABC):
         """
         X_permuted = check_array_2d(X_permuted, "X_permuted")
         check_non_negative(lam, "lam")
-        self.report = SolveReport(solver=self.name)
+        # The fit reports into a fresh report; a failed fit that keeps the
+        # previous factors answering (hss, distributed) keeps their report
+        # and streamed corrections too.
+        previous, self.report = self.report, SolveReport(solver=self.name)
+        try:
+            self._fit_impl(X_permuted, tree, kernel, lam)
+        except BaseException:
+            self.report = previous
+            raise
         self._stream = None  # a cold fit starts a fresh streaming history
-        self._fit_impl(X_permuted, tree, kernel, lam)
         self._context = (X_permuted, tree, kernel)
         self._fitted = True
         self.lam_ = float(lam)

@@ -12,27 +12,28 @@ fraction of the cost.  This package provides both:
   (random sampling, Gaussian perturbation of the incumbent, differential
   evolution, Nelder–Mead simplex steps),
 * :class:`KRRObjective` — the objective the paper optimizes: validation
-  accuracy of the KRR classifier for a given ``(h, lambda)``, with the
-  cheap-lambda-update optimization (changing ``lambda`` only updates the
-  diagonal, no recompression — Section 5.3).
+  accuracy of a :class:`repro.krr.KernelRidgeClassifier` trained at a
+  given ``(h, lambda)``, with the cheap-lambda-update optimization
+  (changing ``lambda`` only updates the diagonal, no recompression —
+  Section 5.3).
 
 All three searchers are λ-move aware: the grid is walked with ``lam``
 varying fastest, random search can sweep several λ values per sampled
 configuration, and the bandit carries a λ-only perturbation technique —
-so a refit-capable objective (``KRRObjective``, either backend) pays one
-kernel build / compression per distinct ``h`` and a cheap refit per λ.
+so ``KRRObjective`` (either backend) pays one kernel build / compression
+per distinct ``h`` and a cheap refit per λ.
 
 The cost model is three-tiered (``lam_move`` ≪ ``h_move`` ≪ ``cold``;
-see :data:`MOVE_COSTS` and ``docs/tuning.md``): an ``h``-move re-fits a
-resident solver on its retained tree, block cluster tree reused
-(:meth:`repro.krr.solvers.KernelSystemSolver.refit_kernel`), instead of
-rebuilding from scratch, every λ-move refactors from the resident
-factors and so shares the λ-free half of the ULV sweep
-(:meth:`repro.hss.ULVFactorization.refactor`), and ``KRRObjective(cv=K)``
-swaps the held-out score for K-fold cross-validation computed as
-fold-removal multi-RHS solves on the shared factorization.  Every
-evaluation's move class is recorded (``EvaluationRecord.move``,
-``TuningResult.moves``).
+see :data:`MOVE_COSTS` and ``docs/tuning.md``) and is the classifier's
+own: a λ-move is :meth:`~repro.krr.KernelRidgeClassifier.refit`, which
+refactors from the resident factors
+(:meth:`repro.hss.ULVFactorization.refactor`); an ``h``-move is
+:meth:`~repro.krr.KernelRidgeClassifier.refit_kernel`, a fit on the
+retained clustering with the block cluster tree reused; a cold move is a
+``fit``.  ``KRRObjective(cv=K)`` swaps the held-out score for K-fold
+cross-validation computed as fold-removal solves on the classifier's
+factorization.  Every evaluation's move class is recorded
+(``EvaluationRecord.move``, ``TuningResult.moves``).
 """
 
 from .search_space import ParameterSpace, ContinuousParameter, LogUniformParameter
@@ -40,7 +41,7 @@ from .grid_search import GridSearch, order_lam_fastest
 from .random_search import RandomSearch
 from .bandit import BanditTuner, MOVE_COSTS
 from .objective import KRRObjective, EvaluationRecord
-from .result import TuningResult, observed_move, observed_refit
+from .result import TuningResult, observed_move
 
 __all__ = [
     "ParameterSpace",
@@ -55,5 +56,4 @@ __all__ = [
     "EvaluationRecord",
     "TuningResult",
     "observed_move",
-    "observed_refit",
 ]

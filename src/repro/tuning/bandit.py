@@ -29,7 +29,7 @@ from typing import Callable, Deque, Dict, List, Optional
 import numpy as np
 
 from ..utils.random import as_generator
-from .result import TuningResult, observed_move, observed_refit
+from .result import TuningResult, observed_move
 from .search_space import ParameterSpace
 
 #: Relative evaluation costs by move class (λ-refit ≪ recompression ≪ cold
@@ -237,8 +237,7 @@ class BanditTuner:
             previous_best = result.best_value
             value = objective(config)
             move = observed_move(objective)
-            result.record(config, value, refit=observed_refit(objective),
-                          move=move)
+            result.record(config, value, move=move)
             improved = int(value > previous_best)
             successes[pick].append(improved)
             if move is not None:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from .result import TuningResult, observed_move, observed_refit
+from .result import TuningResult, observed_move
 from .search_space import ParameterSpace
 
 
@@ -97,7 +97,7 @@ class GridSearch:
         Returns
         -------
         TuningResult
-            Full evaluation history (with per-evaluation refit flags when
+            Full evaluation history (with per-evaluation move classes when
             the objective reports them) and the incumbent.
         """
         result = TuningResult()
@@ -108,6 +108,5 @@ class GridSearch:
             configs = configs[: int(self.max_evaluations)]
         for config in configs:
             value = objective(config)
-            result.record(config, value, refit=observed_refit(objective),
-                          move=observed_move(objective))
+            result.record(config, value, move=observed_move(objective))
         return result

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Callable, Dict
 
 from ..utils.random import as_generator
-from .result import TuningResult, observed_move, observed_refit
+from .result import TuningResult, observed_move
 from .search_space import ParameterSpace
 
 
@@ -76,7 +76,6 @@ class RandomSearch:
                 if i > 0:
                     config = dict(config, lam=lam_param.sample(rng))
                 result.record(config, objective(config),
-                              refit=observed_refit(objective),
                               move=observed_move(objective))
                 evaluated += 1
         return result

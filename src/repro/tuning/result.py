@@ -27,9 +27,6 @@ class TuningResult:
     best_config: Dict[str, float] = field(default_factory=dict)
     best_value: float = float("-inf")
     history: List[Dict[str, float]] = field(default_factory=list)
-    #: evaluations that rode the objective's refit path (populated
-    #: by the searchers when the objective reports it)
-    refits: int = 0
     #: evaluation counts per move cost class (``cold``/``h_move``/
     #: ``lam_move``), populated when the objective reports moves
     moves: Dict[str, int] = field(default_factory=dict)
@@ -40,14 +37,10 @@ class TuningResult:
         return len(self.history)
 
     def record(self, config: Dict[str, float], value: float,
-               refit: Optional[bool] = None,
                move: Optional[str] = None) -> None:
         """Add one evaluation and update the incumbent if it improved."""
         entry = dict(config)
         entry["objective"] = float(value)
-        if refit is not None:
-            entry["refit"] = bool(refit)
-            self.refits += int(bool(refit))
         if move is not None:
             entry["move"] = str(move)
             self.moves[str(move)] = self.moves.get(str(move), 0) + 1
@@ -55,11 +48,6 @@ class TuningResult:
         if value > self.best_value:
             self.best_value = float(value)
             self.best_config = dict(config)
-
-    @property
-    def refit_fraction(self) -> float:
-        """Fraction of evaluations that rode the refit path."""
-        return self.refits / len(self.history) if self.history else 0.0
 
     def best_so_far(self) -> List[float]:
         """Running maximum of the objective, per evaluation (Figure 6 curves)."""
@@ -69,25 +57,6 @@ class TuningResult:
             best = max(best, entry["objective"])
             out.append(best)
         return out
-
-
-def observed_refit(objective) -> Optional[bool]:
-    """Whether the objective's last evaluation rode the refit path.
-
-    Parameters
-    ----------
-    objective:
-        The objective callable just evaluated.  Objectives that track the
-        refit path (e.g. :class:`repro.tuning.KRRObjective`) expose a
-        ``last_was_refit`` attribute; plain callables do not.
-
-    Returns
-    -------
-    bool or None
-        The flag, or ``None`` when the objective does not report one.
-    """
-    flag = getattr(objective, "last_was_refit", None)
-    return None if flag is None else bool(flag)
 
 
 def observed_move(objective) -> Optional[str]:

@@ -133,6 +133,43 @@ class TestRefitReport:
         assert clf.score(Xt, yt) == cold.score(Xt, yt)
         np.testing.assert_array_equal(clf.weights_, cold.weights_)
 
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_a_failed_h_move_keeps_the_report_of_the_answering_model(
+            self, data, test_data, monkeypatch, shards):
+        """A ``refit_kernel`` that fails mid-fit leaves the previous factors
+        answering, and their report with them: serially the compression
+        fails, sharded the coupling merge after the worker round."""
+        from repro.distributed.factors import ShardedFactors
+
+        X, y = data
+        Xt, _ = test_data
+        clf = KernelRidgeClassifier(h=1.0, lam=1.0, solver="hss", seed=0,
+                                    shards=shards).fit(X, y)
+        report = clf.report
+        before = (report.shards, report.memory_mb, report.max_rank,
+                  report.random_vectors, dict(report.timings))
+        assert report.shards == shards and report.max_rank > 0
+        predictions = clf.predict(Xt)
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("injected fit failure")
+
+        if shards == 1:
+            monkeypatch.setattr("repro.krr.solvers.compress_kernel", boom)
+        else:
+            monkeypatch.setattr(ShardedFactors, "capacitance", boom)
+        with pytest.raises(RuntimeError, match="injected"):
+            clf.refit_kernel(2.0)
+        monkeypatch.undo()
+        assert clf.report is report
+        assert (report.shards, report.memory_mb, report.max_rank,
+                report.random_vectors, dict(report.timings)) == before
+        assert clf.h == 1.0
+        np.testing.assert_array_equal(clf.predict(Xt), predictions)
+        clf.refit(2.0)  # the answering model refits into the same report
+        assert clf.report is report and report.refits == 1
+        assert report.max_rank == before[2]
+
 
 # ---------------------------------------------------------------------------
 # persistence: refit after artifact reload
@@ -192,32 +229,30 @@ class TestRefitAfterReload:
 # ---------------------------------------------------------------------------
 
 class TestTuningRefitPath:
-    def test_dense_objective_counts_refits(self, data, test_data):
+    def test_dense_objective_counts_moves(self, data, test_data):
         from repro.tuning import KRRObjective
         X, y = data
         Xv, yv = test_data
         obj = KRRObjective(X, y, Xv, yv)
         obj({"h": 1.0, "lam": 0.5})
         obj({"h": 1.0, "lam": 2.0})   # λ-only move
-        obj({"h": 2.0, "lam": 2.0})   # h move
+        obj({"h": 2.0, "lam": 2.0})   # h move: the clustering is kept
         obj({"h": 2.0, "lam": 4.0})   # λ-only move
-        assert obj.refits == 2
-        assert obj.kernel_constructions == 2
-        assert obj.last_was_refit
+        assert [r.move for r in obj.records] == \
+            ["cold", "lam_move", "h_move", "lam_move"]
+        assert obj.last_move == "lam_move"
 
     def test_hss_objective_refits_match_cold_accuracy(self, data, test_data):
         from repro.tuning import KRRObjective
         X, y = data
         Xv, yv = test_data
         refitting = KRRObjective(X, y, Xv, yv, solver="hss", seed=0)
-        cold = KRRObjective(X, y, Xv, yv, solver="hss", seed=0,
-                            cache_kernels=False)
         for lam in LAMBDAS:
-            config = {"h": 1.0, "lam": lam}
-            assert refitting(config) == cold(config)
-        assert refitting.refits == len(LAMBDAS) - 1
-        assert refitting.kernel_constructions == 1
-        assert cold.refits == 0
+            cold = KernelRidgeClassifier(h=1.0, lam=lam, solver="hss",
+                                         seed=0).fit(X, y)
+            assert refitting({"h": 1.0, "lam": lam}) == cold.score(Xv, yv)
+        assert refitting.move_counts == {"cold": 1,
+                                         "lam_move": len(LAMBDAS) - 1}
 
     def test_grid_search_rides_refit_path(self, data, test_data):
         from repro.tuning import GridSearch, KRRObjective, ParameterSpace
@@ -227,10 +262,10 @@ class TestTuningRefitPath:
         space = ParameterSpace.krr_default(h_bounds=(0.5, 2.0),
                                            lam_bounds=(0.5, 4.0))
         result = GridSearch(space, points_per_dim=4).optimize(obj)
-        # 4 h-columns of 4 λ values each: one build + three refits per column
+        # 4 h-columns of 4 λ values each: one fit or h-move + three
+        # refits per column
         assert result.evaluations == 16
-        assert result.refits == 12
-        assert obj.kernel_constructions == 4
+        assert result.moves == {"cold": 1, "h_move": 3, "lam_move": 12}
 
     def test_random_search_lam_sweep_rides_refit_path(self, data, test_data):
         from repro.tuning import KRRObjective, ParameterSpace, RandomSearch
@@ -241,8 +276,8 @@ class TestTuningRefitPath:
         result = RandomSearch(space, budget=12, seed=0,
                               lam_sweep=4).optimize(obj)
         assert result.evaluations == 12
-        assert result.refits == 9  # 3 groups x 3 λ-only follow-ups
-        assert obj.kernel_constructions == 3
+        # 3 groups x 3 λ-only follow-ups
+        assert result.moves == {"cold": 1, "h_move": 2, "lam_move": 9}
 
     def test_bandit_lambda_technique_produces_refits(self, data, test_data):
         from repro.tuning import BanditTuner, KRRObjective, ParameterSpace
@@ -256,8 +291,8 @@ class TestTuningRefitPath:
         tuner = BanditTuner(space, budget=30, seed=0)
         result = tuner.optimize(obj)
         assert "lam_perturb" in tuner.technique_usage_
-        assert result.refits == obj.refits
-        assert result.refits >= 1
+        assert result.moves == obj.move_counts
+        assert result.moves.get("lam_move", 0) >= 1
 
     def test_order_lam_fastest_groups_non_lam_params(self):
         from repro.tuning import order_lam_fastest

@@ -431,17 +431,28 @@ def _hss_objective(flags):
                                     data.X_test, data.y_test)
 
 
+def _objective_model(flags):
+    """The classifier a cold evaluation of the hss tuning objective fits."""
+    return _hss_objective(flags)._classifier(1.0, 1.0)
+
+
 def _objective_ordering(flags):
     """The ordering method the hss tuning backend actually clusters with."""
     objective = _hss_objective(flags)
     objective({"h": 1.0, "lam": 1.0})
-    return objective._clustering.method
+    return objective._cache[1.0].clustering_.method
 
 
 def _both(attr):
-    """``attr`` of the estimator and of the hss tuning objective."""
+    """``attr`` of the estimator and of the hss tuning objective's model."""
     return lambda flags: (getattr(_estimator(flags), attr),
-                          getattr(_hss_objective(flags), attr))
+                          getattr(_objective_model(flags), attr))
+
+
+def _both_solver_options(key):
+    """Solver option ``key`` of the estimator and of the objective's model."""
+    return lambda flags: (_solver_options(flags)[key],
+                          _objective_model(flags)._solver_options[key])
 
 
 #: key -> (non-default value, observer of what ``from_config`` builds from
@@ -457,24 +468,24 @@ OBSERVABLE = {
         {"clustering.method": "kd", **flags})),
     "clustering.seed": (7, _both("seed")),
     "solver.name": ("cg", lambda flags: _estimator(flags)._solver_spec),
-    "solver.use_hmatrix_sampling": (False, lambda flags: (
-        _solver_options(flags)["use_hmatrix_sampling"],
-        _hss_objective(flags).use_hmatrix_sampling)),
-    "distributed.shards": (2, lambda flags: _estimator(flags).shards),
-    "distributed.coupling_rel_tol": (0.5, lambda flags: _solver_options(
-        flags)["coupling_rel_tol"]),
-    "distributed.coupling_max_rank": (7, lambda flags: _solver_options(
-        flags)["coupling_max_rank"]),
-    "distributed.cut_level": (1, lambda flags: _solver_options(
-        flags)["cut_level"]),
+    "solver.use_hmatrix_sampling": (
+        False, _both_solver_options("use_hmatrix_sampling")),
+    "distributed.shards": (2, _both("shards")),
+    "distributed.coupling_rel_tol": (
+        0.5, _both_solver_options("coupling_rel_tol")),
+    "distributed.coupling_max_rank": (
+        7, _both_solver_options("coupling_max_rank")),
+    "distributed.cut_level": (1, _both_solver_options("cut_level")),
 }
 
 
 def _option_field(options_name, field):
-    """``field`` of the option object the solver / the objective is given."""
+    """``field`` of the option object the solver / the objective's model
+    is given."""
     return lambda flags: (
         getattr(_solver_options(flags)[options_name], field),
-        getattr(getattr(_hss_objective(flags), options_name), field))
+        getattr(_objective_model(flags)._solver_options[options_name],
+                field))
 
 
 for _section, _values in {

@@ -13,8 +13,10 @@ build, serially and on a warm ``shards = 2`` grid — is pinned by
   refit costs well under the calls it cost before the factors were reused;
 * ``KRRObjective(cv=K)``'s fold-removal multi-RHS solves agree with
   per-fold cold fits;
-* the searchers classify moves (``cold`` / ``h_move`` / ``lam_move``)
-  without changing any objective value versus an all-cold evaluation.
+* ``KRRObjective`` drives ``KernelRidgeClassifier``'s verbs: the
+  searchers classify moves (``cold`` / ``h_move`` / ``lam_move``) and
+  every objective value, held-out or ``cv = 3``, dense or hss, at cache
+  size 1 or 2, is bitwise the cold evaluation at the same ``(h, λ)``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from repro.kernels import GaussianKernel
 from repro.krr import KernelRidgeClassifier
 from repro.krr.solvers import HSSSolver
 from repro.tuning import (GridSearch, KRRObjective, ParameterSpace,
-                          RandomSearch)
+                          RandomSearch, order_lam_fastest)
 
 _FACTOR_ARRAYS = ("omega", "u_hat", "lu", "piv", "w")
 
@@ -250,32 +252,77 @@ class TestCrossValidation:
 # move accounting: cheap paths never change the objective values
 # ---------------------------------------------------------------------------
 
+#: (h, λ) box of the 3 x 3 contract grid
+_SPACE = ParameterSpace.krr_default(h_bounds=(0.5, 3.0),
+                                    lam_bounds=(0.1, 2.0))
+_GRID_MOVES = {1: {"cold": 1, "h_move": 2, "lam_move": 6},
+               2: {"cold": 2, "h_move": 1, "lam_move": 6}}
+
+
+@pytest.fixture(scope="module")
+def val_data():
+    return gaussian_mixture(n=60, d=3, n_components=4, separation=3.0,
+                            noise=0.7, seed=1)
+
+
+@pytest.fixture(scope="module")
+def cold_values(data, val_data):
+    """(solver, cv) -> [(h, λ, value)] of one cold evaluation per grid point.
+
+    ``cv = 1``: the validation score of a ``KernelRidgeClassifier`` fitted
+    at ``(h, λ)``.  ``cv = 3``: the fold scores of a fresh objective's
+    first (cold) evaluation at ``(h, λ)``.
+    """
+    X, y = data
+    X_val, y_val = val_data
+    cache = {}
+
+    def values(solver, cv):
+        if (solver, cv) not in cache:
+            out = []
+            for config in order_lam_fastest(_SPACE.grid(3)):
+                h, lam = config["h"], config["lam"]
+                if cv == 1:
+                    value = KernelRidgeClassifier(
+                        h=h, lam=lam, solver=solver, leaf_size=16,
+                        seed=0).fit(X, y).score(X_val, y_val)
+                else:
+                    fresh = KRRObjective(X, y, X_val, y_val, solver=solver,
+                                         leaf_size=16, seed=0, cv=cv)
+                    value = fresh(config)
+                    assert fresh.last_move == "cold"
+                out.append((h, lam, value))
+            cache[solver, cv] = out
+        return cache[solver, cv]
+
+    return values
+
+
 class TestMoveAccounting:
-    def test_grid_moves_and_bitwise_values(self, data):
+    @pytest.mark.parametrize("cache_size", [1, 2])
+    @pytest.mark.parametrize("cv", [1, 3])
+    @pytest.mark.parametrize("solver", ["dense", "hss"])
+    def test_every_move_scores_the_cold_model(self, data, val_data,
+                                              cold_values, solver, cv,
+                                              cache_size):
+        """A 3 x 3 grid through refit / refit_kernel / fit: every value is
+        bitwise the cold evaluation at the same (h, λ), on both backends."""
         X, y = data
-        X_val, y_val = gaussian_mixture(n=60, d=3, n_components=4,
-                                        separation=3.0, noise=0.7, seed=1)
-        space = ParameterSpace.krr_default(h_bounds=(0.5, 3.0),
-                                           lam_bounds=(0.1, 2.0))
-        with KRRObjective(X, y, X_val, y_val, solver="hss", leaf_size=16,
-                          seed=0) as fabric:
-            res = GridSearch(space, points_per_dim=3).optimize(fabric)
-            # evaluating the last point again hits the resident compression
-            fabric({key: res.history[-1][key] for key in ("h", "lam")})
-            assert fabric.last_move == "lam_move"
-            constructions = fabric.kernel_constructions
-        # 3x3 grid, λ fastest: one cold build, two h-moves, six λ-moves
-        assert res.moves == {"cold": 1, "h_move": 2, "lam_move": 6}
-        assert constructions == 3  # one per distinct h (h-moves included)
-        with KRRObjective(X, y, X_val, y_val, solver="hss", leaf_size=16,
-                          seed=0, cache_kernels=False) as all_cold:
-            ref = GridSearch(space, points_per_dim=3).optimize(all_cold)
-        assert res.evaluations == ref.evaluations == 9
+        X_val, y_val = val_data
+        with KRRObjective(X, y, X_val, y_val, solver=solver, leaf_size=16,
+                          seed=0, cv=cv, cache_size=cache_size) as objective:
+            res = GridSearch(_SPACE, points_per_dim=3).optimize(objective)
+            # evaluating the last point again refits the resident model
+            again = objective({key: res.history[-1][key]
+                               for key in ("h", "lam")})
+            assert objective.last_move == "lam_move"
+        assert again == res.history[-1]["objective"]
+        # 3 x 3 grid, λ fastest: cold builds fill the cache, then h-moves
+        assert res.moves == _GRID_MOVES[cache_size]
+        assert [r.move for r in objective.records[:9]] == \
+            [e["move"] for e in res.history]
         assert [(e["h"], e["lam"], e["objective"]) for e in res.history] == \
-            [(e["h"], e["lam"], e["objective"]) for e in ref.history]
-        assert res.best_config == ref.best_config
-        assert res.best_value == ref.best_value
-        assert ref.moves == {"cold": 9}
+            cold_values(solver, cv)
 
     def test_random_search_predrawn_groups_preserve_rng(self):
         space = ParameterSpace.krr_default()
@@ -313,6 +360,44 @@ class TestMoveAccounting:
                             labelnames=("move",))
         assert moves.labels(move="cold").value >= 1
         assert moves.labels(move="lam_move").value >= 1
-        assert reg.counter("repro_tune_cache_hits_total").value >= 1
-        assert reg.counter("repro_tune_cache_misses_total").value >= 1
         assert objective.move_counts == {"cold": 1, "lam_move": 1}
+
+
+class TestConfigObjective:
+    def test_a_config_objective_scores_the_model_repro_train_fits(self):
+        """``from_config``: the kernel family, clustering and compression
+        sections reach the tuner, with ``tuning.backend`` as the solver."""
+        from dataclasses import replace
+
+        from repro.datasets import load_dataset
+        from repro.runtime import resolve_runtime_config
+
+        data = load_dataset("gas", n_train=96, n_test=32, seed=0)
+        cfg = resolve_runtime_config(flags={
+            "tuning.backend": "hss", "solver.name": "dense",
+            "kernel.name": "laplacian", "clustering.method": "kd",
+            "clustering.leaf_size": 8, "hss.rel_tol": 0.05})
+        objective = KRRObjective.from_config(cfg, data.X_train, data.y_train,
+                                             data.X_test, data.y_test)
+        value = objective({"h": 1.5, "lam": 0.5})
+        model = objective._cache[1.5]
+        assert model.kernel.name == "laplacian"
+        assert model.clustering_.method == "kd"
+        assert model.solver_.hss_options is cfg.hss
+        trained = KernelRidgeClassifier.from_config(
+            replace(cfg, solver=replace(cfg.solver, name="hss")),
+            h=1.5, lam=0.5).fit(data.X_train, data.y_train)
+        assert value == trained.score(data.X_test, data.y_test)
+
+    def test_the_dense_backend_trains_in_one_process(self):
+        from repro.datasets import load_dataset
+        from repro.krr.solvers import DenseSolver
+        from repro.runtime import resolve_runtime_config
+
+        data = load_dataset("gas", n_train=64, n_test=16, seed=0)
+        cfg = resolve_runtime_config(flags={"tuning.backend": "dense",
+                                            "distributed.shards": 2})
+        objective = KRRObjective.from_config(cfg, data.X_train, data.y_train,
+                                             data.X_test, data.y_test)
+        objective({"h": 1.0, "lam": 1.0})
+        assert type(objective._cache[1.0].solver_) is DenseSolver
