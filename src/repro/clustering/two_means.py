@@ -9,6 +9,24 @@ point randomly and select the second one with a probability proportional to
 the distance from the first one").  Lloyd iterations then run until no point
 changes cluster or ``max_iter`` is reached ("Typically only a few iterations
 are required").
+
+**One GEMV per Lloyd step.**  A point joins the first cluster when
+``d0 <= d1``, its squared distances to the two centres as
+``sum((x - c)**2)`` evaluates them.  Forming both takes two ``m x d``
+subtractions and two reductions; their difference is
+``s = ||c0||^2 - ||c1||^2 - 2 x.(c0 - c1)``, one GEMV.  The two
+evaluations differ by rounding only: with ``T = ||x|| + ||c0|| + ||c1||``
+each of ``d0``, ``d1`` and ``s`` is within about ``(d + 2) u T^2`` of its
+exact value (``u`` the unit roundoff, every error a sum of at most
+``d + 3`` roundings of terms bounded by ``T^2``), so a row whose ``|s|``
+exceeds the band ``_TIE_SAFETY (d + 2) u T^2`` gets the answer of
+``d0 <= d1`` from the sign of ``s``.  The rows inside the band — near
+ties, exact ties, anything not finite — and the branch where one cluster
+takes every point are decided by ``d0 <= d1`` formed as before on their
+own rows, which gives the same bits: every row's sum is reduced on its
+own.  Masks, trees and everything downstream are therefore bitwise what
+the two-subtraction step gives (``tests/two_means_oracle.py`` keeps that
+step as the oracle).
 """
 
 from __future__ import annotations
@@ -22,25 +40,38 @@ from ..utils.validation import check_array_2d
 from .tree import ClusterTree, tree_from_splitter
 
 
+#: factor between ``(d + 2) u T^2`` and the band of rows a Lloyd step leaves
+#: to the reference formula (its GEMV and that formula can disagree by up to
+#: ~3 (d + 2) u T^2; the rest covers the rounding of the band itself)
+_TIE_SAFETY = 8.0
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+_TINY = np.finfo(np.float64).tiny
+
+
+def _sq_distances(points: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """``sum((x - center)**2)`` per row: the reference distance formula."""
+    diff = points - center
+    return np.einsum("ij,ij->i", diff, diff)
+
+
 def _seed_centers(points: np.ndarray, rng: np.random.Generator
                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pick two initial centres with distance-proportional seeding.
 
-    Also returns the buffer the differences to the first centre were
-    formed in, for the Lloyd steps to reuse.
+    Also returns the squared distances to the first centre, which bound
+    every point's norm for the Lloyd steps' rounding band.
     """
     n = points.shape[0]
     first = int(rng.integers(n))
     c0 = points[first]
-    diff = points - c0
-    sq = np.einsum("ij,ij->i", diff, diff)
+    sq = _sq_distances(points, c0)
     total = float(sq.sum())
     if total <= 0.0:
         # All points identical: any second centre works.
         second = int(rng.integers(n))
     else:
         second = int(rng.choice(n, p=sq / total))
-    return c0.copy(), points[second].copy(), diff
+    return c0.copy(), points[second].copy(), sq
 
 
 def two_means_split(
@@ -66,24 +97,33 @@ def two_means_split(
     """
     points = np.asarray(points, dtype=np.float64)
     rng = as_generator(rng)
-    m = points.shape[0]
+    m, d = points.shape
     if m < 2:
         return np.ones(m, dtype=bool)
-    c0, c1, diff = _seed_centers(points, rng)
+    c0, c1, seed_sq = _seed_centers(points, rng)
+    # ||x|| <= ||x - c_seed|| + ||c_seed||, for the rounding band below
+    radius = np.sqrt(seed_sq) + np.sqrt(c0 @ c0)
+    scale = _TIE_SAFETY * (d + 2)
     assign = np.zeros(m, dtype=bool)
     for _ in range(max(int(max_iter), 1)):
-        # Each difference formed once, in the one buffer: half the
-        # subtractions and no temporaries, the same einsum bits.
-        np.subtract(points, c0, out=diff)
-        d0 = np.einsum("ij,ij->i", diff, diff)
-        np.subtract(points, c1, out=diff)
-        d1 = np.einsum("ij,ij->i", diff, diff)
-        new_assign = d0 <= d1
+        # d0 - d1 = ||c0||^2 - ||c1||^2 - 2 x.(c0 - c1), one GEMV; the
+        # rows it cannot decide for certain take the reference formula
+        # (see the module docstring).
+        n0, n1 = c0 @ c0, c1 @ c1
+        s = (n0 - n1) - 2.0 * (points @ (c0 - c1))
+        band = scale * (_UNIT_ROUNDOFF * (radius + (np.sqrt(n0) + np.sqrt(n1)))
+                        ** 2 + _TINY)
+        new_assign = s <= 0.0
+        sure = np.abs(s) > band
+        if not sure.all():
+            near = np.flatnonzero(~sure)
+            new_assign[near] = (_sq_distances(points[near], c0)
+                                <= _sq_distances(points[near], c1))
         if new_assign.all() or not new_assign.any():
             # One cluster swallowed everything; split at the median distance
             # from the surviving centre so progress is always made.
-            d = d0 if new_assign.all() else d1
-            new_assign = d <= np.median(d)
+            dist = _sq_distances(points, c0 if new_assign.all() else c1)
+            new_assign = dist <= np.median(dist)
             if new_assign.all() or not new_assign.any():
                 new_assign = np.zeros(m, dtype=bool)
                 new_assign[: m // 2] = True

@@ -38,7 +38,7 @@ class Kernel(abc.ABC):
     #: ``True`` when the kernel is non-negative and never grows with the
     #: distance.  :meth:`repro.kernels.KernelOperator.screen_rows` may then
     #: bound a block's rows from a larger squared distance; otherwise it
-    #: returns their exact values.
+    #: returns their exact largest values.
     decreasing: bool = False
 
     @abc.abstractmethod

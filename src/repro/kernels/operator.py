@@ -26,13 +26,26 @@ from typing import Optional
 import numpy as np
 
 from ..obs import global_registry
-from ..utils.ragged import ragged_ranges
+from ..utils.ragged import ragged_ranges, segment_offsets
 from ..utils.validation import check_array_2d
 from .base import Kernel
 from .distance import sq_norms
 
 #: ``u`` of float64 arithmetic: a rounded operation is within ``u`` relative
 _UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+
+
+def _screen_layout(firsts, counts, starts, lengths):
+    """``(rows, row starts, row lengths)`` of the blocks of a row screen."""
+    counts = np.asarray(counts, dtype=np.intp)
+    rows, _ = ragged_ranges(np.asarray(firsts, dtype=np.intp), counts)
+    return (rows, np.repeat(np.asarray(starts, dtype=np.intp), counts),
+            np.repeat(np.asarray(lengths, dtype=np.intp), counts))
+
+
+def _row_max(values: np.ndarray, row_lengths: np.ndarray) -> np.ndarray:
+    """Largest entry of every (non-empty) row of a ragged row layout."""
+    return np.maximum.reduceat(values, segment_offsets(row_lengths)[:-1])
 
 
 class KernelOperator:
@@ -175,56 +188,81 @@ class KernelOperator:
         """
         return self.row_segments(cols, starts, lengths)
 
-    def screen_rows(self, first: int, count: int, start: int,
-                    length: int) -> np.ndarray:
-        """Upper bounds on ``count`` consecutive rows of a block, in one GEMM.
+    def screen_rows(self, firsts: np.ndarray, counts: np.ndarray,
+                    starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """Upper bounds on the rows of many blocks, one GEMM per block.
 
-        Entry ``(i, j)`` of the result is at least ``|K[first + i,
-        start + j]|`` as :meth:`row_segments` evaluates it, to the last
-        bit.  The ACA (:func:`repro.lowrank.aca_blocks`) screens the rows of
-        a block that has no cross yet with it; the values decide which
-        rows are certainly below the pivot floor and are never stored.
-        Counts ``count * length`` element evaluations.
+        Block ``b`` is rows ``firsts[b] .. firsts[b] + counts[b] - 1``,
+        columns ``starts[b] .. starts[b] + lengths[b] - 1``.  Entry ``i``
+        of the result is at least the largest ``|K[row, col]|`` of the
+        ``i``-th of these rows (blocks in order, rows in order) as
+        :meth:`row_segments` evaluates it, to the last bit.  The ACA
+        (:func:`repro.lowrank.aca_blocks`) screens the rows of the blocks
+        that have no cross yet with it, every block that is scanning at
+        once; the values decide which rows are certainly below the pivot
+        floor and are never stored.  Counts ``sum(counts * lengths)``
+        element evaluations; every count and length must be positive.
 
-        The GEMM and :meth:`row_segments`' GEMVs sum the inner products in
-        different orders.  Any two orders of a ``d``-term sum agree within
-        ``2 gamma_d ||x|| ||y||`` (``gamma_d = d u / (1 - d u)``), so for a
-        kernel that is :attr:`~repro.kernels.Kernel.decreasing` the GEMM's
-        inner products are raised by twice that before the distance
-        expansion: every squared distance then rounds to at most the exact
-        one, and the kernel values, doubled to cover the last bits of the
-        kernel function, bound the exact ones.  Other kernels (polynomial,
+        Each block's inner products are one GEMM into its piece of one
+        buffer of ``sum(counts * lengths)`` entries, which the caller
+        bounds; the rest is one vectorised pass over the buffer and a
+        segment max per row.  The GEMM and :meth:`row_segments`' GEMVs
+        sum the inner products in different orders.  Any two orders of a
+        ``d``-term sum agree within ``2 gamma_d ||x|| ||y||``
+        (``gamma_d = d u / (1 - d u)``), so for a kernel that is
+        :attr:`~repro.kernels.Kernel.decreasing` the GEMM's inner products
+        are raised by twice that (``4 gamma_d sqrt(||x||^2 max ||y||^2)``,
+        the max over the block's columns) before the distance expansion:
+        every squared distance then rounds to at most the exact one, and
+        the kernel values, doubled to cover the last bits of the kernel
+        function, bound the exact ones.  Other kernels (polynomial,
         linear) can cancel, so no such bound holds: their rows are
         evaluated exactly, one GEMV each.
 
         Parameters
         ----------
-        first, count:
-            First row and number of rows.
-        start, length:
-            First column and number of columns of every row.
+        firsts, counts:
+            First row and number of rows of every block, shape ``(B,)``.
+        starts, lengths:
+            First column and number of columns of every block.
 
         Returns
         -------
         numpy.ndarray
-            Shape ``(count, length)``, non-negative.
+            Shape ``(sum(counts),)``, non-negative (NaN where a row holds
+            one).
         """
+        rows, row_starts, row_lengths = _screen_layout(firsts, counts,
+                                                       starts, lengths)
         if not self.kernel.decreasing:
-            rows = np.arange(first, first + count, dtype=np.intp)
-            values = self.row_segments(rows, np.full(count, start),
-                                       np.full(count, length))
-            return np.abs(values, out=values).reshape(count, length)
-        self._count_elements(count * length)
-        X = self.X
-        sq_x = self._sq_norms[first:first + count, None]
-        sq_y = self._sq_norms[None, start:start + length]
-        dots = X[first:first + count] @ X[start:start + length].T
+            values = self.row_segments(rows, row_starts, row_lengths)
+            return _row_max(np.abs(values, out=values), row_lengths)
+        counts = np.asarray(counts, dtype=np.intp)
+        col, offsets = ragged_ranges(row_starts, row_lengths)
+        self._count_elements(int(offsets[-1]))
+        X, sq = self.X, self._sq_norms
+        dots = np.empty(offsets[-1])
+        lo = 0
+        for first, count, start, length in zip(
+                np.asarray(firsts).tolist(), counts.tolist(),
+                np.asarray(starts).tolist(), np.asarray(lengths).tolist()):
+            hi = lo + count * length
+            np.matmul(X[first:first + count], X[start:start + length].T,
+                      out=dots[lo:hi].reshape(count, length))
+            lo = hi
+        sq_x, sq_y = sq[rows], sq[col]
+        # max ||y||^2 of every block: a block's first row spans its columns
+        block_rows = segment_offsets(counts)[:-1]
+        sq_y_max = np.maximum.reduceat(sq_y, offsets[block_rows])
         du = X.shape[1] * _UNIT_ROUNDOFF
         gamma = du / (1.0 - du)
-        dots += 4.0 * gamma * np.sqrt(sq_x * sq_y.max())
-        values = self.kernel.from_inner_products(dots, sq_x, sq_y)
-        values *= 2.0
-        return values
+        raise_by = 4.0 * gamma * np.sqrt(sq_x * np.repeat(sq_y_max, counts))
+        dots += np.repeat(raise_by, row_lengths)
+        values = self.kernel.from_inner_products(
+            dots, np.repeat(sq_x, row_lengths), sq_y)
+        bounds = np.maximum.reduceat(values, offsets[:-1])
+        bounds *= 2.0
+        return bounds
 
     def diag(self) -> np.ndarray:
         """Diagonal of the kernel matrix (all ones for normalized kernels)."""
@@ -361,13 +399,14 @@ class DenseMatrixOperator:
         fixed, index = self._segments(cols, starts, lengths)
         return self.A[index, fixed]
 
-    def screen_rows(self, first: int, count: int, start: int,
-                    length: int) -> np.ndarray:
-        """``|A[first : first + count, start : start + length]|``: the
-        exact bound of :meth:`KernelOperator.screen_rows`."""
-        with self._counter_lock:
-            self.element_evaluations += count * length
-        return np.abs(self.A[first:first + count, start:start + length])
+    def screen_rows(self, firsts: np.ndarray, counts: np.ndarray,
+                    starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """Largest ``|A[row, start : start + length]|`` of every row of the
+        blocks: the exact bound of :meth:`KernelOperator.screen_rows`."""
+        rows, row_starts, row_lengths = _screen_layout(firsts, counts,
+                                                       starts, lengths)
+        fixed, index = self._segments(rows, row_starts, row_lengths)
+        return _row_max(np.abs(self.A[fixed, index]), row_lengths)
 
     def diag(self) -> np.ndarray:
         return np.diag(self.A).copy()

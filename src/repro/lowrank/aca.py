@@ -29,19 +29,26 @@ column, so its residual rows are its own rows and the walk visits them in
 order.  A numerically zero far-field block (a kernel that underflows
 between clusters) would prove itself zero one row, one wavefront step and
 one GEMV at a time.  Instead the block screens its next rows a chunk at a
-time with the operator's ``screen_rows`` (one GEMM for a kernel) and
-skips every leading row whose screen value is below the floor.  A chunk
-is as long as the rows skipped so far (1, 2, 4, ...), holds at most
-``_SCAN_ENTRIES`` = 65 536 entries (one row if the block is wider) and
-never passes the step limit.  The screen returns upper bounds on the
-values the walk samples, never the values themselves
+time and skips every leading row whose screen value is below the floor.
+A chunk is as long as the rows skipped so far (1, 2, 4, ...), holds at
+most ``_SCAN_ENTRIES`` = 65 536 entries (one row if the block is wider)
+and never passes the step limit.  Every block of the wave that skips at
+rank 0 in the same step scans together, one doubling stage at a time:
+a stage is one call of the operator's batched ``screen_rows`` (one GEMM
+per block into one buffer, then one vectorised bound pass and a segment
+max per row for a kernel) over the chunks of all blocks still scanning,
+split into consecutive runs of at most ``_SCAN_ENTRIES`` entries when
+the stage is larger, so its buffer stays bounded.  A block's chunks, and
+so its ``rows_scanned`` and the entries it evaluates, are those it
+screens alone.  The screen returns upper bounds on the values the walk
+samples, never the values themselves
 (:meth:`repro.kernels.KernelOperator.screen_rows` says why they bound
 them to the last bit), and they are never stored: the first row not
 certainly below the floor is sampled as before and decided on its own
 bits.  Every result — factors, rank, ``rows_sampled``, ``converged`` — is
 therefore the row-by-row walk's.  A block whose rows all stay below the
 floor evaluates the walk's ``min(m, n) * n`` entries in at most
-``ceil(log2 min(m, n)) + ceil(min(m, n) / c)`` extractions
+``ceil(log2 min(m, n)) + ceil(min(m, n) / c)`` stages
 (``c = max(1, _SCAN_ENTRIES // n)``, the chunk cap in rows); one that
 finds its pivot row after ``k`` skips evaluates at most ``k`` rows more.
 """
@@ -65,10 +72,11 @@ ColFn = Callable[[int], np.ndarray]
 #: the listed blocks in order, row (or column) ``pivots[k]`` of block
 #: ``blocks[k]`` — all of them concatenated into one 1-D array.
 SegmentFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
-#: row screen of the wavefront: ``screen(block, first, count)`` returns a
-#: ``(count, n[block])`` array bounding ``|rows first .. first + count - 1|``
-#: of block ``block`` entry by entry (see the module docstring).
-ScreenFn = Callable[[int, int, int], np.ndarray]
+#: row screen of the wavefront: ``screen(blocks, firsts, counts)`` returns,
+#: for the listed blocks in order, a bound on the largest ``|entry|`` of each
+#: of rows ``firsts[k] .. firsts[k] + counts[k] - 1`` of block ``blocks[k]``
+#: — all of them concatenated into one 1-D array (see the module docstring).
+ScreenFn = Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 #: factor rows allocated up front per wavefront; doubled when a rank exceeds it
 _INITIAL_RANK_CAPACITY = 16
@@ -125,6 +133,61 @@ def _residual(sampled: np.ndarray, coef: np.ndarray, lengths: np.ndarray,
     return np.subtract.reduce(stack, axis=0)
 
 
+def _screen_stage(screen: ScreenFn, blocks: np.ndarray, first: np.ndarray,
+                  count: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """One stage of the rank-0 row scan: the row bounds of every block.
+
+    The blocks go to ``screen`` in consecutive runs of at most
+    ``_SCAN_ENTRIES`` entries (a block whose chunk is larger — one row
+    wider than that — alone), so a stage's buffer stays bounded however
+    many blocks scan at once.
+    """
+    entries = count * n
+    ends = np.cumsum(entries)
+    if ends[-1] <= _SCAN_ENTRIES:
+        return screen(blocks, first, count)
+    bounds, lo = [], 0
+    while lo < blocks.size:
+        hi = max(lo + 1, int(np.searchsorted(
+            ends, ends[lo] - entries[lo] + _SCAN_ENTRIES, side="right")))
+        bounds.append(screen(blocks[lo:hi], first[lo:hi], count[lo:hi]))
+        lo = hi
+    return np.concatenate(bounds)
+
+
+def _scan_rank_zero(screen: ScreenFn, blocks: np.ndarray, first: np.ndarray,
+                    stop: np.ndarray, n: np.ndarray, min_pivot: float,
+                    scanned: np.ndarray) -> np.ndarray:
+    """The rank-0 row scan of ``blocks``, all of them a stage at a time.
+
+    Block ``blocks[k]`` (``n[k]`` columns) skipped its rows
+    ``0 .. first[k] - 1``.  Every stage screens the next
+    ``min(first, stop - first, cap)`` rows of each block still scanning
+    (see the module docstring) and adds them to ``scanned``; a block stops
+    at its first row not certainly below ``min_pivot``, or at ``stop[k]``.
+
+    Returns
+    -------
+    numpy.ndarray
+        Per block, the first row the walk has to sample (``stop`` if none).
+    """
+    first = first.copy()
+    cap = np.maximum(1, _SCAN_ENTRIES // n)
+    going = np.flatnonzero(first < stop)
+    while going.size:
+        at = first[going]
+        count = np.minimum(np.minimum(at, stop[going] - at), cap[going])
+        scanned[blocks[going]] += count
+        below = _screen_stage(screen, blocks[going], at, count,
+                              n[going]) < min_pivot
+        offsets = segment_offsets(count)
+        clear = np.logical_and.reduceat(below, offsets[:-1])
+        hit = _segment_argmax((~below).view(np.uint8), offsets, count)
+        first[going] = at + np.where(clear, count, hit)
+        going = going[clear & (first[going] < stop[going])]
+    return first
+
+
 def _wavefront(m: np.ndarray, n: np.ndarray, fetch_rows: SegmentFn,
                fetch_cols: SegmentFn, screen: ScreenFn, rel_tol: float,
                max_rank: Optional[int], min_pivot: float) -> List[ACAResult]:
@@ -137,8 +200,8 @@ def _wavefront(m: np.ndarray, n: np.ndarray, fetch_rows: SegmentFn,
     otherwise take the residual column, append ``(column / pivot, row)``
     to the factors, update the Frobenius-norm estimate, stop when the new
     term is below ``rel_tol`` times it, and continue at the row where the
-    new column is largest.  A block skipping at rank 0 scans ahead with
-    ``screen`` (see the module docstring).
+    new column is largest.  The blocks skipping at rank 0 in the same step
+    scan ahead together with ``screen`` (see the module docstring).
     """
     if rel_tol <= 0:
         raise ValueError("rel_tol must be positive")
@@ -195,23 +258,17 @@ def _wavefront(m: np.ndarray, n: np.ndarray, fetch_rows: SegmentFn,
             # The row is (numerically) fully captured: those blocks move on
             # to their first unused row, the rest of the wave takes a cross.
             skipping = blocks[small]
-            for b in skipping[rank[skipping] == 0]:
-                # Rows 0 .. steps - 1 were all skipped: screen the next
-                # ones, a chunk as long as that (capped), and skip every
-                # leading row certainly below the floor.
-                first = visited = int(steps[b])
-                stop = int(limit[b])
-                cap = max(1, _SCAN_ENTRIES // int(n[b]))
-                while first < stop:
-                    count = min(first, stop - first, cap)
-                    scanned[b] += count
-                    below = screen(b, first, count).max(axis=1) < min_pivot
-                    if not below.all():
-                        first += int(np.argmin(below))
-                        break
-                    first += count
-                used_rows[row_off[b] + visited:row_off[b] + first] = True
-                steps[b] = first
+            scan = skipping[rank[skipping] == 0]
+            if scan.size:
+                # Rows 0 .. steps - 1 of these blocks were all skipped:
+                # scan on, and skip every leading row certainly below the
+                # floor.
+                visited = steps[scan]
+                steps[scan] = _scan_rank_zero(
+                    screen, scan, visited, limit[scan], n[scan], min_pivot,
+                    scanned)
+                used_rows[ragged_ranges(row_off[scan] + visited,
+                                        steps[scan] - visited)[0]] = True
             sidx, soff = ragged_ranges(row_off[skipping], m[skipping])
             unused = ~used_rows[sidx]
             finished[skipping] = ~np.logical_or.reduceat(unused, soff[:-1])
@@ -304,8 +361,8 @@ def aca_blocks(
         Anything with the batched segment extraction of
         :class:`repro.kernels.KernelOperator`:
         ``row_segments(rows, starts, lengths)``,
-        ``col_segments(cols, starts, lengths)`` and the row screen
-        ``screen_rows(first, count, start, length)``.
+        ``col_segments(cols, starts, lengths)`` and the batched row screen
+        ``screen_rows(firsts, counts, starts, lengths)``.
     row_ranges, col_ranges:
         ``(B, 2)`` integer arrays (or sequences of pairs) of half-open
         index ranges.
@@ -334,9 +391,9 @@ def aca_blocks(
     # fails on every input, not only on far-field data.
     screen_rows = operator.screen_rows
 
-    def screen(block: int, first: int, count: int) -> np.ndarray:
-        return screen_rows(int(r0[block]) + first, count, int(c0[block]),
-                           int(n[block]))
+    def screen(blocks: np.ndarray, firsts: np.ndarray,
+               counts: np.ndarray) -> np.ndarray:
+        return screen_rows(r0[blocks] + firsts, counts, c0[blocks], n[blocks])
 
     return _wavefront(m, n, fetch_rows, fetch_cols, screen, rel_tol,
                       max_rank, min_pivot)
@@ -394,9 +451,11 @@ def aca(
             return sampled(fn, int(pivots[0]), length)
         return fetch
 
-    def screen(block: int, first: int, count: int) -> np.ndarray:
-        return np.abs([sampled(row_fn, i, n)
-                       for i in range(first, first + count)])
+    def screen(blocks: np.ndarray, firsts: np.ndarray,
+               counts: np.ndarray) -> np.ndarray:
+        first = int(firsts[0])
+        return np.abs([sampled(row_fn, i, n) for i in range(
+            first, first + int(counts[0]))]).max(axis=1)
 
     return _wavefront([m], [n], sampler(row_fn, n), sampler(col_fn, m),
                       screen, rel_tol, max_rank, min_pivot)[0]

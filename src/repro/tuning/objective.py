@@ -16,7 +16,9 @@ per ``h`` (LRU); an evaluation at a resident ``h`` is a λ-only
 :meth:`~repro.krr.KernelRidgeClassifier.refit`, an ``h``-miss with a full
 cache re-targets the oldest classifier with
 :meth:`~repro.krr.KernelRidgeClassifier.refit_kernel` (clustering and
-block cluster tree kept), and anything else is a cold ``fit``.  Each is
+block cluster tree kept), and anything else is a cold ``fit``.  The
+validation kernel block is kept beside each resident classifier, so a
+λ-move scores without evaluating the kernel.  Each is
 bitwise the cold fit at the same ``(h, lambda)`` on the serial solvers,
 so the move only changes the price of a value, never the value.  The
 evaluation counter still counts every (h, lambda) pair as one run,
@@ -41,6 +43,10 @@ from ..krr.classifier import KernelRidgeClassifier
 from ..krr.metrics import accuracy
 from ..utils.validation import check_array_2d, check_labels_binary
 
+#: rows per validation kernel block: ``decision_function``'s default, so a
+#: kept block's product is the one ``clf.score`` forms
+_SCORE_BLOCK = 1024
+
 
 @dataclass
 class EvaluationRecord:
@@ -57,7 +63,8 @@ class EvaluationRecord:
 
         * ``"lam_move"`` — a classifier fitted at this ``h`` was resident:
           :meth:`~repro.krr.KernelRidgeClassifier.refit` paid only a
-          factorization + solve;
+          factorization + solve, and the score reused the validation
+          kernel block;
         * ``"h_move"`` — the least recently used classifier was
           re-targeted to the new ``h`` with
           :meth:`~repro.krr.KernelRidgeClassifier.refit_kernel` (its
@@ -89,7 +96,9 @@ class KRRObjective:
         cache: :class:`repro.tuning.BanditTuner`'s λ-perturb technique
         revisits the incumbent between exploration moves, so a
         ``cache_size`` of ~6 (one slot per technique-rotation step) keeps
-        the incumbent resident at a cost of ``cache_size`` fitted models.
+        the incumbent resident at a cost of ``cache_size`` fitted models
+        and (with ``cv = 1``) as many ``n_val x n`` validation kernel
+        blocks.
     solver:
         The classifier's solver.  ``"dense"`` (default) removes
         compression noise from the strategy comparison, which is what
@@ -166,6 +175,8 @@ class KRRObjective:
         self.records: List[EvaluationRecord] = []
         #: LRU cache: h -> the classifier fitted at that h
         self._cache: "dict[float, KernelRidgeClassifier]" = {}
+        #: h -> the validation kernel blocks of that classifier (cv = 1)
+        self._val_blocks: "dict[float, List[np.ndarray]]" = {}
         #: the runtime config cold classifiers are built from (set by
         #: :meth:`from_config`; ``None`` = the constructor arguments)
         self._config = None
@@ -266,14 +277,15 @@ class KRRObjective:
             clf.refit(lam)
         elif len(self._cache) >= self.cache_size:
             move = "h_move"
-            clf = self._cache.pop(next(iter(self._cache)))
+            oldest = next(iter(self._cache))
+            clf = self._cache.pop(oldest)
+            self._val_blocks.pop(oldest, None)
             clf.refit_kernel(h, lam)
         else:
             move = "cold"
             clf = self._classifier(h, lam).fit(self.X_train, self.y_train)
         self._cache[h] = clf  # (re-)inserted: most recently used
-        acc = (self._cv_score(clf) if self.cv > 1
-               else clf.score(self.X_val, self.y_val))
+        acc = self._cv_score(clf) if self.cv > 1 else self._score(h, clf)
         self.records.append(EvaluationRecord(h=h, lam=lam, accuracy=acc,
                                              move=move))
         from ..obs import global_registry
@@ -282,6 +294,24 @@ class KRRObjective:
             "Tuning evaluations by move cost class",
             labelnames=("move",)).labels(move=move).inc()
         return acc
+
+    def _score(self, h: float, clf: KernelRidgeClassifier) -> float:
+        """``clf.score(X_val, y_val)``, bitwise, from the kernel blocks kept
+        for ``h``.
+
+        The validation kernel block depends on ``h`` and the training
+        points only, so it is evaluated once per resident classifier, in
+        :meth:`~repro.krr.KernelRidgeClassifier.decision_function`'s row
+        blocks, and a λ-move scores with GEMVs alone.
+        """
+        blocks = self._val_blocks.get(h)
+        if blocks is None:
+            X = self.X_val
+            blocks = self._val_blocks[h] = [
+                clf.kernel.matrix(X[start:start + _SCORE_BLOCK], clf.X_train_)
+                for start in range(0, X.shape[0], _SCORE_BLOCK)]
+        scores = np.concatenate([block @ clf.weights_ for block in blocks])
+        return accuracy(self.y_val, np.where(scores >= 0.0, 1.0, -1.0))
 
     def _cv_score(self, clf: KernelRidgeClassifier) -> float:
         """K-fold CV accuracy of ``clf``'s training set, one fit for all folds.
@@ -334,6 +364,7 @@ class KRRObjective:
         simply start cold.
         """
         self._cache = {}
+        self._val_blocks = {}
 
     def __enter__(self) -> "KRRObjective":
         """Context-manager entry (returns ``self``)."""

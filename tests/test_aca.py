@@ -124,33 +124,48 @@ class TestPartialACA:
             aca(8, 9, *_fns(bad))
 
 
-class _RecordingOperator(DenseMatrixOperator):
-    """Dense operator that logs which row/column each segment call sampled.
+def _recording(base):
+    """``base`` operator that logs which row/column each segment call sampled.
 
-    The rows of the rank-0 row scan are logged too, in order: a skipped
-    row counts as sampled whether it was screened or extracted.
-    ``row_sizes`` holds the entries of every row extraction of either
-    kind, in order.
+    The rows of the rank-0 row scan are logged too, block after block of
+    each screen, in order: a skipped row counts as sampled whether it was
+    screened or extracted.  ``row_sizes`` holds the entries of every row
+    extraction of either kind, in order (a screen's buffer is one);
+    ``screens`` the ``counts`` and ``lengths`` of every screen.  (Only
+    for kernels that are ``decreasing``: the others screen through
+    ``row_segments``, which would log those rows twice.)
     """
 
-    def __init__(self, A):
-        super().__init__(A)
-        self.row_log, self.col_log = [], []
-        self.row_sizes = []
+    class Recording(base):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.row_log, self.col_log = [], []
+            self.row_sizes, self.screens = [], []
 
-    def row_segments(self, rows, starts, lengths):
-        self.row_sizes.append(int(np.sum(lengths)))
-        self.row_log.extend(zip(starts.tolist(), rows.tolist()))
-        return super().row_segments(rows, starts, lengths)
+        def row_segments(self, rows, starts, lengths):
+            self.row_sizes.append(int(np.sum(lengths)))
+            self.row_log.extend(zip(starts.tolist(), rows.tolist()))
+            return super().row_segments(rows, starts, lengths)
 
-    def screen_rows(self, first, count, start, length):
-        self.row_sizes.append(count * length)
-        self.row_log.extend((start, row) for row in range(first, first + count))
-        return super().screen_rows(first, count, start, length)
+        def screen_rows(self, firsts, counts, starts, lengths):
+            self.row_sizes.append(int(np.sum(counts * lengths)))
+            self.screens.append((counts.copy(), lengths.copy()))
+            for first, count, start in zip(firsts.tolist(), counts.tolist(),
+                                           starts.tolist()):
+                self.row_log.extend((start, row)
+                                    for row in range(first, first + count))
+            return super().screen_rows(firsts, counts, starts, lengths)
 
-    def col_segments(self, cols, starts, lengths):
-        self.col_log.extend(zip(starts.tolist(), cols.tolist()))
-        return super().col_segments(cols, starts, lengths)
+        def col_segments(self, cols, starts, lengths):
+            self.col_log.extend(zip(starts.tolist(), cols.tolist()))
+            return super().col_segments(cols, starts, lengths)
+
+    Recording.__name__ = f"Recording{base.__name__}"
+    return Recording
+
+
+_RecordingOperator = _recording(DenseMatrixOperator)
+_RecordingKernelOperator = _recording(KernelOperator)
 
 
 def _ragged_problem(seed, n_blocks=18, max_side=40):
@@ -405,9 +420,9 @@ class TestRankZeroRowScan:
         op = KernelOperator(X, GaussianKernel(h=1.0))
         sizes = []
         screen_rows = op.screen_rows
-        op.screen_rows = lambda first, count, start, length: (
-            sizes.append(count * length) or screen_rows(first, count, start,
-                                                        length))
+        op.screen_rows = lambda firsts, counts, starts, lengths: (
+            sizes.append(int(np.sum(counts * lengths)))
+            or screen_rows(firsts, counts, starts, lengths))
         result = aca_blocks(op, [(0, 600)], [(600, 1100)])[0]
         assert result.rank == 0 and result.rows_sampled == 500
         assert op.element_evaluations == 500 * 500
@@ -449,17 +464,20 @@ class TestRankZeroRowScan:
         X = rng.standard_normal((90, d)) * rng.uniform(0.01, 3.0, (90, 1))
         X[60:63] = X[0]                                 # duplicate points
         op = KernelOperator(X, kernel)
-        for first, count, start, length in [(0, 30, 30, 60), (5, 1, 0, 90),
-                                            (58, 8, 0, 64)]:
-            bound = op.screen_rows(first, count, start, length)
-            exact = np.abs(op.row_segments(
-                np.arange(first, first + count), np.full(count, start),
-                np.full(count, length))).reshape(count, length)
-            assert bound.shape == (count, length)
-            if kernel.decreasing:
-                assert (bound >= exact).all()
-            else:
-                assert np.array_equal(bound, exact)
+        blocks = [(0, 30, 30, 60), (5, 1, 0, 90), (58, 8, 0, 64)]
+        bound = op.screen_rows(*np.array(blocks).T)
+        exact = np.concatenate([np.abs(op.row_segments(
+            np.arange(first, first + count), np.full(count, start),
+            np.full(count, length))).reshape(count, length).max(axis=1)
+            for first, count, start, length in blocks])
+        assert bound.shape == (39,)
+        if kernel.decreasing:
+            assert (bound >= exact).all()
+        else:
+            assert np.array_equal(bound, exact)
+        # one block at a time, the same bounds
+        assert np.array_equal(bound, np.concatenate(
+            [op.screen_rows(*np.array([blk]).T) for blk in blocks]))
 
     @pytest.mark.parametrize("noise, zero_blocks", [(1e-9, 2), (1.5e-9, 0)])
     def test_polynomial_far_field_build_matches_the_oracle_bitwise(
@@ -494,6 +512,115 @@ class TestRankZeroRowScan:
                            rel_tol=opts.rel_tol, max_rank=opts.max_rank)
             assert np.array_equal(blk.lowrank.U, ref.U)
             assert np.array_equal(blk.lowrank.V, ref.V)
+
+
+def _mixed_wave(seed=0, d=20):
+    """Points and one wave of blocks of every kind, rows pairwise disjoint.
+
+    The rows come from a cloud far from the columns' (the Gaussian, h = 1,
+    underflows between them), except rows planted inside the column cloud
+    after 1, 17 and 40 far rows; the last two blocks are near-field blocks
+    inside the column cloud, which take ordinary crosses from row 0.
+    """
+    rng = np.random.default_rng(seed)
+    far = rng.standard_normal((320, d))
+    near = rng.standard_normal((200, d)) + 8.0
+    for row in (121, 177, 270):                     # the late pivot rows
+        far[row] = near[row % 200] + 0.1 * rng.standard_normal(d)
+    X = np.vstack([far, near])
+    rows = [(0, 40), (40, 100), (100, 103), (103, 110),     # zero blocks
+            (120, 160), (160, 230), (230, 300),                 # late pivots
+            (320, 360), (360, 420)]                             # ordinary
+    cols = [(320, 360), (320, 520), (450, 460), (330, 520),
+            (320, 520), (320, 400), (320, 520),
+            (420, 470), (470, 520)]
+    return X, rows, cols
+
+
+def _evaluations(op, rows, cols):
+    """Per block, the entries its logged rows and columns evaluated."""
+    counts = []
+    for (r0, r1), (c0, c1) in zip(rows, cols):
+        n_rows = sum(s == c0 and r0 <= p < r1 for s, p in op.row_log)
+        n_cols = sum(s == r0 and c0 <= p < c1 for s, p in op.col_log)
+        counts.append(n_rows * (c1 - c0) + n_cols * (r1 - r0))
+    return counts
+
+
+class TestBatchedScreenWave:
+    """Blocks of a wave that scan at rank 0 advance one stage together,
+    through one screen per stage (per bounded buffer); each block screens,
+    evaluates and factors exactly what it does alone."""
+
+    @pytest.mark.parametrize("cap", [None, 64, 1000])
+    @pytest.mark.parametrize("kind", ["kernel", "dense"])
+    def test_a_mixed_wave_is_its_blocks_alone(self, monkeypatch, kind, cap):
+        if cap is not None:
+            monkeypatch.setattr(aca_module, "_SCAN_ENTRIES", cap)
+        limit = aca_module._SCAN_ENTRIES
+        X, rows, cols = _mixed_wave()
+        kernel = GaussianKernel(h=1.0)
+        K = kernel.matrix(X)
+
+        def operator(base=None):
+            if kind == "kernel":
+                return (base or _RecordingKernelOperator)(X, kernel)
+            return (base or _RecordingOperator)(K)
+
+        op = operator()
+        wave = _assert_as_oracle(
+            op, rows, cols,
+            operator(KernelOperator if kind == "kernel" else
+                     DenseMatrixOperator), rel_tol=1e-8)
+        ranks = [r.rank for r in wave]
+        assert ranks[:4] == [0, 0, 0, 0] and min(ranks[4:]) > 0
+        assert [r.rows_scanned > 0 for r in wave] == [True] * 7 + [False] * 2
+        per_block = _evaluations(op, rows, cols)
+        assert sum(per_block) == op.element_evaluations
+        alone_screens = []
+        for b, got in enumerate(wave):
+            solo = operator()
+            ref = aca_blocks(solo, rows[b:b + 1], cols[b:b + 1],
+                             rel_tol=1e-8)[0]
+            assert got.rows_scanned == ref.rows_scanned
+            assert got.rows_sampled == ref.rows_sampled
+            assert got.converged == ref.converged
+            assert np.array_equal(got.lowrank.U, ref.lowrank.U)
+            assert np.array_equal(got.lowrank.V, ref.lowrank.V)
+            assert per_block[b] == solo.element_evaluations
+            alone_screens.append(len(solo.screens))
+        # one screen per stage for all the scanning blocks at once (at
+        # the default constant the whole stage fits one buffer; at 64
+        # every block's chunk needs a buffer of its own) ...
+        assert len(op.screens) <= sum(alone_screens)
+        if cap is None:
+            assert len(op.screens) == max(alone_screens)
+        elif cap == 1000:
+            assert len(op.screens) < sum(alone_screens)
+        # ... and every stage buffer under the constant (a block whose
+        # one row is wider than it: alone)
+        for counts, lengths in op.screens:
+            entries = int(np.sum(counts * lengths))
+            assert entries <= limit or (counts.tolist() == [1]
+                                        and entries == lengths[0])
+
+    def test_zero_blocks_scan_in_lock_step(self):
+        # blocks that all skip from their first row take one screen per
+        # doubling stage between them, however many there are
+        X = np.vstack([np.zeros((400, 4)), np.full((300, 4), 10.0)])
+        rows = [(k * 40, k * 40 + 40) for k in range(10)]
+        cols = [(400, 700)] * 10
+        op = _RecordingKernelOperator(X, GaussianKernel(h=1.0))
+        results = aca_blocks(op, rows, cols)
+        assert all(r.rank == 0 and r.rows_sampled == 40 for r in results)
+        assert op.element_evaluations == 10 * 40 * 300
+        solo = _RecordingKernelOperator(X, GaussianKernel(h=1.0))
+        aca_blocks(solo, rows[:1], cols[:1])
+        # every stage of the ten (at most 10 * 16 rows * 300 entries) fits
+        # one buffer
+        assert len(op.screens) == len(solo.screens) <= int(np.ceil(
+            np.log2(40))) + 1
+        assert [row for _, row in op.row_log if row < 40] == list(range(40))
 
 
 class TestFullACA:

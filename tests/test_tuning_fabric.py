@@ -324,6 +324,46 @@ class TestMoveAccounting:
         assert [(e["h"], e["lam"], e["objective"]) for e in res.history] == \
             cold_values(solver, cv)
 
+    @pytest.mark.parametrize("solver", ["dense", "hss"])
+    def test_a_lam_move_scores_without_the_validation_kernel(
+            self, monkeypatch, data, solver):
+        """The validation kernel blocks are kept beside each resident
+        classifier: a λ-move scores with GEMVs alone, and every value is
+        bitwise ``clf.score`` — over more than one 1024-row block."""
+        X, y = data
+        X_val, y_val = gaussian_mixture(n=1100, d=3, n_components=4,
+                                        separation=3.0, noise=0.7, seed=5)
+        shapes = []
+        inner = GaussianKernel.from_inner_products
+        monkeypatch.setattr(
+            GaussianKernel, "from_inner_products",
+            lambda self, dots, *a: shapes.append(dots.shape)
+            or inner(self, dots, *a))
+        objective = KRRObjective(X, y, X_val, y_val, solver=solver, seed=0,
+                                 cache_size=1)
+        validation = {(1024, X.shape[0]), (1100 - 1024, X.shape[0])}
+        for h, lam, move in [(1.0, 0.5, "cold"), (1.0, 1.5, "lam_move"),
+                             (1.0, 3.0, "lam_move"), (2.0, 0.5, "h_move"),
+                             (2.0, 0.1, "lam_move")]:
+            before = len(shapes)
+            value = objective({"h": h, "lam": lam})
+            assert objective.last_move == move
+            evaluated = set(shapes[before:])
+            if move == "lam_move":
+                assert not evaluated & validation
+                # hss refits its compression; the dense solver builds its
+                # λ-free matrix once, at the first refit of a fit
+                assert not evaluated or (solver == "dense"
+                                         and evaluated == {(260, 260)})
+            else:
+                assert validation <= evaluated
+            assert value == objective._cache[h].score(X_val, y_val)
+            # the blocks of an evicted classifier went with it
+            assert set(objective._val_blocks) == set(objective._cache) == {h}
+            assert len(objective._val_blocks[h]) == 2
+        objective.close()
+        assert objective._val_blocks == {} == objective._cache
+
     def test_random_search_predrawn_groups_preserve_rng(self):
         space = ParameterSpace.krr_default()
         seen = []
