@@ -15,7 +15,9 @@ Public pieces:
   ``min(diam(s), diam(t)) <= eta * dist(s, t)``,
 * :class:`HMatrix` — ACA-compressed admissible blocks + dense inadmissible
   leaves, with fast matvec and memory statistics,
-* :func:`build_hmatrix` — construction from a kernel operator,
+* :func:`build_hmatrix` — construction from a symmetric kernel operator;
+  each leaf below the diagonal is its partner's transpose, sharing its
+  arrays,
 * :class:`HMatrixSampler` — adapter exposing the H matrix through the
   sampling interface expected by :func:`repro.hss.build_hss_randomized`.
 """

@@ -154,6 +154,23 @@ class BlockClusterTree:
     def dense_leaves(self) -> List[int]:
         return [i for i, b in enumerate(self.blocks) if b.is_leaf and not b.admissible]
 
+    def mirror_partners(self) -> Dict[int, int]:
+        """``{leaf: partner}`` for every leaf below the diagonal.
+
+        A leaf ``(s, t)`` whose row cluster starts after its column
+        cluster in the permuted order is paired with the leaf ``(t, s)``;
+        the partition is symmetric, so that leaf exists and is of the
+        same kind.  The H-matrix build computes the partners and mirrors
+        the keys.  Clusters of a block are equal or disjoint, so the
+        diagonal leaves are exactly the ones paired with themselves and
+        never appear here.
+        """
+        leaf_of = {(b.row_node, b.col_node): i
+                   for i, b in enumerate(self.blocks) if b.is_leaf}
+        node = self.tree.node
+        return {i: leaf_of[t, s] for (s, t), i in leaf_of.items()
+                if node(s).start > node(t).start}
+
     def block_ranges(self, block_id: int) -> Tuple[slice, slice]:
         """Row and column index ranges (permuted ordering) of a block."""
         b = self.blocks[block_id]

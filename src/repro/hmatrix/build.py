@@ -6,13 +6,24 @@ are ever evaluated, which is what makes the H construction quasi-linear and
 is the reason the paper uses it to accelerate the HSS sampling stage.
 Inadmissible leaf blocks are extracted densely.
 
-The admissible leaves are not compressed one by one: consecutive leaves
-are packed into **waves** and every wave is one call of the wavefront ACA
-(:func:`repro.lowrank.aca_blocks`), which advances all its blocks together
-with a few array operations per cross step.  A wave holds at most
-:data:`WAVE_BUDGET` rows plus columns (a lone larger block gets a wave of
-its own), which bounds the working set; the waves are a pure function of
-the block list.  The factors of a block do not depend on its wave mates.
+The operator is a symmetric kernel matrix, and the block cluster tree is
+symmetric too (both admissibility criteria and the subdivision are
+symmetric in ``(s, t)``), so every off-diagonal leaf ``(s, t)`` has a
+partner leaf ``(t, s)`` of the same kind.  Only the leaves whose row
+cluster starts at or before their column cluster in the permuted order
+are **computed**; every other leaf is a **mirror** of its partner: a
+low-rank mirror is ``LowRank(partner.V, partner.U)`` and a dense one
+``partner.dense.T``, sharing the partner's arrays.  The block list and
+the matvec sweep cover every leaf as before.
+
+The computed admissible leaves are not compressed one by one: consecutive
+leaves are packed into **waves** and every wave is one call of the
+wavefront ACA (:func:`repro.lowrank.aca_blocks`), which advances all its
+blocks together with a few array operations per cross step.  A wave holds
+at most :data:`WAVE_BUDGET` rows plus columns (a lone larger block gets a
+wave of its own), which bounds the working set; the waves are a pure
+function of the block list.  The factors of a block do not depend on its
+wave mates.
 """
 
 from __future__ import annotations
@@ -66,11 +77,12 @@ def build_hmatrix(
     Parameters
     ----------
     operator:
-        Partially matrix-free operator representing the matrix **in the
-        permuted ordering** of ``tree``: ``block(rows, cols)`` for the
-        dense leaves, ``row_segments`` / ``col_segments`` and
-        ``screen_rows`` (see :class:`repro.kernels.KernelOperator`) for the
-        ACA of the admissible ones.
+        Partially matrix-free operator representing a **symmetric** kernel
+        matrix **in the permuted ordering** of ``tree``: ``block(rows,
+        cols)`` for the dense leaves, ``row_segments`` / ``col_segments``
+        and ``screen_rows`` (see :class:`repro.kernels.KernelOperator`)
+        for the ACA of the admissible ones.  Only the leaves on and above
+        the diagonal are evaluated; the others mirror them.
     X_permuted:
         The reordered data points (used only for the geometric admissibility
         condition).
@@ -81,13 +93,15 @@ def build_hmatrix(
     timing:
         Optional log; an ``h_construction`` phase is added.  The build also
         runs under an ``hmatrix.build`` trace span whose attributes record
-        ``admissible_blocks``, ``dense_blocks``, ``waves``, ``iterations``
-        (the largest ``rows_sampled`` of a wave's blocks, summed over the
-        waves: rows sampled per wave, not wavefront steps, since the
-        rank-0 row scan skips many rows in one step), ``zero_blocks``
-        (admissible blocks that came out rank 0), ``rows_scanned`` (rows
-        the rank-0 row scan screened, see :mod:`repro.lowrank.aca`) and
-        ``max_rank``.
+        ``admissible_blocks`` and ``dense_blocks`` (leaves of the
+        partition, mirrors included), ``mirrored_blocks`` (leaves that
+        mirror their partner), and over the computed admissible leaves
+        ``waves``, ``iterations`` (the largest ``rows_sampled`` of a
+        wave's blocks, summed over the waves: rows sampled per wave, not
+        wavefront steps, since the rank-0 row scan skips many rows in one
+        step), ``zero_blocks`` (blocks that came out rank 0),
+        ``rows_scanned`` (rows the rank-0 row scan screened, see
+        :mod:`repro.lowrank.aca`) and ``max_rank``.
     block_tree:
         Optional :class:`repro.hmatrix.BlockClusterTree` of an earlier
         build over the same ``X_permuted``.  The admissibility partition
@@ -118,8 +132,10 @@ def build_hmatrix(
                                      criterion=opts.admissibility)
         leaves = btree.leaves()
         ranges = {i: btree.block_ranges(i) for i in leaves}
-        admissible = [i for i in leaves if btree.blocks[i].admissible]
-        dense = [i for i in leaves if not btree.blocks[i].admissible]
+        partners = btree.mirror_partners()
+        computed = [i for i in leaves if i not in partners]
+        admissible = [i for i in computed if btree.blocks[i].admissible]
+        dense = [i for i in computed if not btree.blocks[i].admissible]
 
         def extract(i: int) -> HBlock:
             rows, cols = ranges[i]
@@ -147,9 +163,12 @@ def build_hmatrix(
                 by_id[i] = HBlock(i, *ranges[i], lowrank=result.lowrank)
                 zero_blocks += result.rank == 0
                 rows_scanned += result.rows_scanned
+        for i, j in partners.items():
+            by_id[i] = by_id[j].mirror(i)
         span.attributes.update(
-            admissible_blocks=len(admissible), dense_blocks=len(dense),
-            waves=len(waves),
+            admissible_blocks=len(btree.admissible_leaves()),
+            dense_blocks=len(btree.dense_leaves()),
+            mirrored_blocks=len(partners), waves=len(waves),
             iterations=sum(max(r.rows_sampled for r in results)
                            for results in compressed),
             zero_blocks=zero_blocks, rows_scanned=rows_scanned,

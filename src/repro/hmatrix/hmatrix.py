@@ -18,6 +18,9 @@ class HBlock:
 
     Exactly one of ``dense`` / ``lowrank`` is set, matching the
     admissibility flag of the corresponding block-cluster-tree node.
+    ``mirror_of`` is the id of the partner leaf whose arrays this block
+    shares as their transpose (see :meth:`mirror`), ``None`` for a block
+    that owns its arrays.
     """
 
     block_id: int
@@ -25,6 +28,7 @@ class HBlock:
     col_slice: slice
     dense: Optional[np.ndarray] = None
     lowrank: Optional[LowRank] = None
+    mirror_of: Optional[int] = None
 
     def __post_init__(self) -> None:
         if (self.dense is None) == (self.lowrank is None):
@@ -47,6 +51,20 @@ class HBlock:
         if self.dense is not None:
             return int(self.dense.nbytes)
         return self.lowrank.nbytes
+
+    def mirror(self, block_id: int) -> "HBlock":
+        """The transpose of this block as leaf ``block_id``, sharing its arrays.
+
+        A dense mirror is the view ``dense.T``; a low-rank one swaps the
+        factors, ``LowRank(V, U)``, without the copy of
+        :meth:`LowRank.transpose`.
+        """
+        if self.dense is not None:
+            return HBlock(block_id, self.col_slice, self.row_slice,
+                          dense=self.dense.T, mirror_of=self.block_id)
+        return HBlock(block_id, self.col_slice, self.row_slice,
+                      lowrank=LowRank(self.lowrank.V, self.lowrank.U),
+                      mirror_of=self.block_id)
 
     def product(self, x: np.ndarray) -> np.ndarray:
         """``block @ x[cols]`` (multi-rhs aware), returned for accumulation."""
@@ -132,10 +150,8 @@ class HMatrix:
     # ------------------------------------------------------------ statistics
     @property
     def nbytes(self) -> int:
-        total = 0
-        for blk in self.blocks:
-            total += (blk.dense if blk.dense is not None else blk.lowrank).nbytes
-        return total
+        """Bytes of the stored arrays: a mirrored block shares its partner's."""
+        return sum(blk.nbytes for blk in self.blocks if blk.mirror_of is None)
 
     @property
     def max_rank(self) -> int:

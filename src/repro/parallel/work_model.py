@@ -125,7 +125,8 @@ def estimate_sampling_work(n: int, n_random: int, hmatrix=None) -> Dict[str, flo
         Number of random vectors.
     hmatrix:
         Optional built :class:`repro.hmatrix.HMatrix`; when given, the
-        H-accelerated sweep cost is derived from its actual block structure.
+        H-accelerated sweep cost is derived from its actual block structure
+        (every leaf, mirrored ones included: the sweep applies them all).
 
     Returns
     -------
@@ -152,10 +153,13 @@ def estimate_hmatrix_work(hmatrix) -> float:
     ACA of an ``m x k`` block at rank ``r`` touches ``r`` rows and columns
     and performs ``O(r^2 (m + k))`` update work; dense blocks cost their
     assembly (one kernel evaluation per entry, charged as ~10 flops each
-    for the Gaussian kernel's exp).
+    for the Gaussian kernel's exp).  Only the computed leaves are charged:
+    a mirrored leaf is the transpose of its partner and costs nothing.
     """
     total = 0.0
     for blk in hmatrix.blocks:
+        if blk.mirror_of is not None:
+            continue
         m, k = blk.shape
         if blk.dense is not None:
             total += 10.0 * m * k

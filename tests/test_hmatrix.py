@@ -13,7 +13,7 @@ from conftest import same_hmatrix_blocks
 from repro import obs
 from repro.clustering import cluster
 from repro.config import HMatrixOptions, HSSOptions
-from repro.datasets import standardize, susy_like
+from repro.datasets import mnist_like, standardize, susy_like
 from repro.hmatrix import (BlockClusterTree, BoundingBox, ClusterGeometry,
                            HBlock, HMatrix, HMatrixSampler, build_hmatrix,
                            centroid_admissibility, cluster_bounding_boxes,
@@ -28,6 +28,11 @@ def _clustered_points(n=300, d=4, n_clusters=6, seed=0):
     centers = rng.standard_normal((n_clusters, d)) * 6.0
     X = centers[rng.integers(n_clusters, size=n)] + 0.4 * rng.standard_normal((n, d))
     return X
+
+
+def _computed(hm):
+    """The leaves the build evaluated: on or above the diagonal."""
+    return [b for b in hm.blocks if b.mirror_of is None]
 
 
 @pytest.fixture()
@@ -191,8 +196,8 @@ class TestWaveAssembly:
         A = op.to_dense()
         opts = opts.with_(max_rank=9)
         hm = build_hmatrix(DenseMatrixOperator(A), result.X, result.tree, opts)
-        lowrank = [b for b in hm.blocks if b.lowrank is not None]
-        assert len(lowrank) > 50
+        lowrank = [b for b in _computed(hm) if b.lowrank is not None]
+        assert len(lowrank) > 25
         assert {b.rank for b in lowrank} >= {4, 9}     # stopped early and capped
         for blk in lowrank:
             sub = A[blk.row_slice, blk.col_slice]
@@ -200,9 +205,24 @@ class TestWaveAssembly:
                            rel_tol=opts.rel_tol, max_rank=opts.max_rank)
             assert np.array_equal(blk.lowrank.U, ref.U)
             assert np.array_equal(blk.lowrank.V, ref.V)
-        for blk in hm.blocks:
+        for blk in _computed(hm):
             if blk.dense is not None:
                 assert np.array_equal(blk.dense, A[blk.row_slice, blk.col_slice])
+        # every other leaf is its partner's transpose, factors swapped
+        mirrored = [b for b in hm.blocks if b.mirror_of is not None]
+        assert len(mirrored) == len(hm.block_tree.mirror_partners()) > 25
+        by_id = {b.block_id: b for b in hm.blocks}
+        for blk in mirrored:
+            partner = by_id[blk.mirror_of]
+            assert partner.mirror_of is None
+            assert (blk.row_slice, blk.col_slice) == (
+                partner.col_slice, partner.row_slice) == (
+                hm.block_tree.block_ranges(blk.block_id))
+            if blk.dense is not None:
+                assert np.array_equal(blk.dense, partner.dense.T)
+            else:
+                assert blk.lowrank.U is partner.lowrank.V
+                assert blk.lowrank.V is partner.lowrank.U
 
     def test_wave_geometry_does_not_change_the_matrix(self, wave_setup,
                                                       monkeypatch):
@@ -237,11 +257,14 @@ class TestWaveAssembly:
         attrs = span.attributes
         assert attrs["admissible_blocks"] == stats.admissible_blocks > 0
         assert attrs["dense_blocks"] == stats.dense_blocks > 0
+        assert attrs["mirrored_blocks"] == sum(
+            b.mirror_of is not None for b in hm.blocks) > 0
         assert attrs["max_rank"] == stats.max_rank > 0
         assert attrs["waves"] == 1
         assert attrs["max_rank"] <= attrs["iterations"] <= 150
+        # the ACA counters count the computed leaves
         assert attrs["zero_blocks"] == sum(
-            b.lowrank.rank == 0 for b in hm.blocks if b.lowrank is not None)
+            b.lowrank.rank == 0 for b in _computed(hm) if b.lowrank is not None)
         assert attrs["rows_scanned"] >= 0
         assert span.as_dict()["attributes"] == attrs
 
@@ -256,9 +279,12 @@ class TestWaveAssembly:
             hm = build_hmatrix(KernelOperator(result.X, GaussianKernel(h=0.3)),
                                result.X, result.tree, opts)
         attrs = root.find("hmatrix.build").attributes
-        lowrank = [b for b in hm.blocks if b.lowrank is not None]
+        lowrank = [b for b in _computed(hm) if b.lowrank is not None]
         zero = [b for b in lowrank if b.lowrank.rank == 0]
         assert attrs["zero_blocks"] == len(zero) > 0
+        # a mirrored leaf is screened through its partner, never itself
+        assert attrs["zero_blocks"] < sum(
+            b.lowrank.rank == 0 for b in hm.blocks if b.lowrank is not None)
         walked = sum(min(b.lowrank.shape) for b in zero)
         assert attrs["rows_scanned"] >= walked - len(zero)
         # rows sampled per wave: the largest walk of the (single) wave
@@ -289,6 +315,127 @@ class TestWaveAssembly:
         assert (stats.admissible_blocks, stats.dense_blocks) == (604, 359)
         calls = sum(entry.callcount for entry in profiler.getstats())
         assert calls <= 150_000, calls
+
+
+def _mirror_datasets():
+    susy = standardize(susy_like(384, seed=0)[0])
+    mnist = mnist_like(256, seed=0)[0]
+    base = susy_like(96, seed=1)[0]
+    duplicated = np.vstack([np.repeat(base, 3, axis=0), np.tile(base[:1], (40, 1))])
+    return {"susy_like": susy, "mnist_like": mnist, "duplicated": duplicated}
+
+
+class TestMirroredLeaves:
+    """A leaf below the diagonal is its partner's transpose, never computed."""
+
+    @pytest.mark.parametrize("criterion", ["centroid", "box"])
+    @pytest.mark.parametrize("name", ["susy_like", "mnist_like", "duplicated"])
+    def test_every_leaf_has_a_transposed_partner_of_its_kind(self, criterion,
+                                                              name):
+        result = cluster(_mirror_datasets()[name], method="two_means",
+                         leaf_size=16, seed=0)
+        btree = BlockClusterTree(result.tree,
+                                 cluster_geometries(result.X, result.tree),
+                                 eta=1.5, leaf_size=16, criterion=criterion)
+        kind = {(b.row_node, b.col_node): b.admissible
+                for b in btree.blocks if b.is_leaf}
+        assert len(kind) > len(result.tree.leaves())       # off-diagonal leaves
+        for (s, t), admissible in kind.items():
+            assert kind[t, s] == admissible
+        # the partners the build uses: each leaf below the diagonal, once
+        start = {(b.row_node, b.col_node): btree.block_ranges(i)
+                 for i, b in enumerate(btree.blocks) if b.is_leaf}
+        below = {i for i, b in enumerate(btree.blocks) if b.is_leaf
+                 and start[b.row_node, b.col_node][0].start
+                 > start[b.row_node, b.col_node][1].start}
+        partners = btree.mirror_partners()
+        assert set(partners) == below
+        assert not below & set(partners.values())
+        for i, j in partners.items():
+            a, b = btree.blocks[i], btree.blocks[j]
+            assert (a.row_node, a.col_node) == (b.col_node, b.row_node)
+
+    def test_mirrored_leaves_share_their_partners_memory(self, hmatrix_setup):
+        result, op = hmatrix_setup
+        opts = HMatrixOptions(leaf_size=16)
+        hm = build_hmatrix(op, result.X, result.tree, opts)
+        by_id = {b.block_id: b for b in hm.blocks}
+        mirrored = [b for b in hm.blocks if b.mirror_of is not None]
+        assert {b.dense is None for b in mirrored} == {True, False}
+        for blk in mirrored:
+            partner = by_id[blk.mirror_of]
+            pairs = ([(blk.dense, partner.dense)] if blk.dense is not None
+                     else [(blk.lowrank.U, partner.lowrank.V),
+                           (blk.lowrank.V, partner.lowrank.U)])
+            for mine, theirs in pairs:
+                assert mine.base is theirs or mine is theirs
+                assert theirs.size == 0 or np.shares_memory(mine, theirs)
+        stored = sum(b.nbytes for b in _computed(hm))
+        assert hm.nbytes == hm.statistics().total_bytes == stored
+        assert stored < sum(b.nbytes for b in hm.blocks)
+        compressed = compress_kernel(result.X, result.tree, op.kernel,
+                                     hmatrix_options=opts, seed=0)
+        assert compressed.report.hmatrix_memory_mb == pytest.approx(
+            stored / 2**20)
+
+    @pytest.mark.parametrize("h", [0.3, 1.5])
+    def test_no_entry_below_the_diagonal_is_evaluated(self, hmatrix_setup, h):
+        """Extraction, ACA samples and rank-0 screens all stay on the
+        computed leaves (h = 0.3: far-field blocks scan at rank 0)."""
+        result, _ = hmatrix_setup
+        op = _RecordingOperator(KernelOperator(result.X, GaussianKernel(h=h)))
+        hm = build_hmatrix(op, result.X, result.tree,
+                           HMatrixOptions(leaf_size=16))
+        mirrored = np.zeros(hm.shape, dtype=bool)
+        for blk in hm.blocks:
+            mirrored[blk.row_slice, blk.col_slice] = blk.mirror_of is not None
+        assert mirrored.any()
+        assert set(op.calls) == ({"block", "row_segments", "col_segments",
+                                  "screen_rows"} if h == 0.3 else
+                                 {"block", "row_segments", "col_segments"})
+        assert op.seen.any() and not (op.seen & mirrored).any()
+        # every computed leaf was touched
+        for blk in _computed(hm):
+            assert op.seen[blk.row_slice, blk.col_slice].any()
+
+
+class _RecordingOperator:
+    """Marks every matrix entry the wrapped operator is asked for."""
+
+    def __init__(self, op):
+        self._op = op
+        self.seen = np.zeros(op.shape, dtype=bool)
+        self.calls = []
+
+    def __getattr__(self, name):
+        return getattr(self._op, name)
+
+    def _ranges(self, starts, lengths):
+        return [np.arange(a, a + n) for a, n in zip(starts, lengths)]
+
+    def block(self, rows, cols):
+        self.calls.append("block")
+        self.seen[np.ix_(rows, cols)] = True
+        return self._op.block(rows, cols)
+
+    def row_segments(self, rows, starts, lengths):
+        self.calls.append("row_segments")
+        for row, cols in zip(rows, self._ranges(starts, lengths)):
+            self.seen[row, cols] = True
+        return self._op.row_segments(rows, starts, lengths)
+
+    def col_segments(self, cols, starts, lengths):
+        self.calls.append("col_segments")
+        for col, rows in zip(cols, self._ranges(starts, lengths)):
+            self.seen[rows, col] = True
+        return self._op.col_segments(cols, starts, lengths)
+
+    def screen_rows(self, firsts, counts, starts, lengths):
+        self.calls.append("screen_rows")
+        for first, count, start, length in zip(firsts, counts, starts,
+                                               lengths):
+            self.seen[first:first + count, start:start + length] = True
+        return self._op.screen_rows(firsts, counts, starts, lengths)
 
 
 class TestHMatrixSampler:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from repro.parallel import (CORI_HASWELL, DistributedCostModel, MachineModel,
                             estimate_sampling_work, simulate_strong_scaling)
 from repro.runtime import host as host_module
 from repro.runtime import visible_cores
-from repro.hmatrix import build_hmatrix
+from repro.hmatrix import HMatrix, build_hmatrix
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +88,29 @@ class TestWorkModel:
     def test_hmatrix_work_positive(self, built_hss):
         *_, hmatrix = built_hss
         assert estimate_hmatrix_work(hmatrix) > 0
+
+    def test_hmatrix_work_charges_only_the_computed_leaves(self, built_hss):
+        *_, hmatrix = built_hss
+        computed, every = _leaf_sets(hmatrix)
+        assert len(computed.blocks) < len(every.blocks)
+        assert estimate_hmatrix_work(hmatrix) == estimate_hmatrix_work(computed)
+        assert estimate_hmatrix_work(hmatrix) < estimate_hmatrix_work(every)
+
+    def test_sampling_work_charges_every_leaf(self, built_hss):
+        hss, stats, hmatrix = built_hss
+        computed, every = _leaf_sets(hmatrix)
+        k = stats.random_vectors
+        flops = estimate_sampling_work(hss.n, k, hmatrix)["hmatrix"]
+        assert flops == estimate_sampling_work(hss.n, k, every)["hmatrix"]
+        assert flops > estimate_sampling_work(hss.n, k, computed)["hmatrix"]
+
+
+def _leaf_sets(hmatrix):
+    """The computed leaves alone, and every leaf as if each were computed."""
+    computed = [b for b in hmatrix.blocks if b.mirror_of is None]
+    every = [dataclasses.replace(b, mirror_of=None) for b in hmatrix.blocks]
+    return (HMatrix(hmatrix.block_tree, computed),
+            HMatrix(hmatrix.block_tree, every))
 
 
 class TestCostModel:

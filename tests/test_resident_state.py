@@ -34,7 +34,8 @@ from repro.serving import kernel_to_spec
 #: what a fitted model may retain beyond its HSS + ULV factors, training
 #: points and block tree — cluster tree, weights, targets, reports and
 #: object overhead.  Calibrated on the fixture of the tracemalloc test:
-#: that model retains 0.7 MB beyond those, and its H matrix is 2.3 MB
+#: that model retains 0.7 MB beyond those, and its H matrix (each
+#: off-diagonal block stored once) is 2.4 MB
 SLACK = 1 << 20
 
 
@@ -144,7 +145,7 @@ def _retained(make):
 
 
 def test_a_fitted_model_retains_its_factors_and_not_the_h_matrix():
-    X, y = _points(1024)
+    X, y = _points(1536)
 
     def fit():
         return KernelRidgeClassifier(h=1.0, lam=1.0, solver="hss", seed=0,
