@@ -87,12 +87,6 @@ class ShardedFactors:
         first couple round.
     shards:
         The per-shard kernels, in shard order.
-    hss_lam_free:
-        Whether the per-shard HSS generators are λ-free (the ridge shift
-        lives only in the ULV factors).  ``True`` for everything collected
-        by the current version; ``False`` for legacy version-2 artifacts
-        that baked the shift into the compression — those remain fully
-        solvable but cannot be re-factored at a new λ.
     """
 
     plan: ShardPlan
@@ -101,7 +95,6 @@ class ShardedFactors:
     qg_idx: List[np.ndarray]
     C: Optional[np.ndarray] = None
     shards: List[ShardKernel] = field(default_factory=list)
-    hss_lam_free: bool = True
 
     @classmethod
     def locate(cls, plan: ShardPlan,
@@ -177,16 +170,14 @@ class ShardedFactors:
         Returns
         -------
         dict
-            ``{prefix}plan.*`` (the shard cut), ``{prefix}C``,
-            ``{prefix}lam_free`` and, per shard ``s``: ``{prefix}{s}.F``,
+            ``{prefix}plan.*`` (the shard cut), ``{prefix}C`` and, per
+            shard ``s``: ``{prefix}{s}.F``,
             ``{prefix}{s}.pg``, ``{prefix}{s}.qg``, ``{prefix}{s}.hss.*``,
             ``{prefix}{s}.ulv.*``.
         """
         out: Dict[str, np.ndarray] = {}
         out.update(self.plan.to_arrays(prefix=f"{prefix}plan."))
         out[f"{prefix}C"] = np.ascontiguousarray(self.C, dtype=np.float64)
-        out[f"{prefix}lam_free"] = np.array(
-            [1 if self.hss_lam_free else 0], dtype=np.int64)
         for s, shard in enumerate(self.shards):
             local = shard.to_arrays()
             local["pg"] = np.asarray(self.pg_idx[s], dtype=np.int64)
@@ -196,9 +187,8 @@ class ShardedFactors:
 
     @classmethod
     def from_arrays(cls, arrays: Dict[str, np.ndarray], tree: ClusterTree,
-                    lam: float, prefix: str = "dist.",
-                    refactor: bool = False) -> "ShardedFactors":
-        """Rebuild from :meth:`to_arrays` output.
+                    lam: float, prefix: str = "dist.") -> "ShardedFactors":
+        """Rebuild from :meth:`to_arrays` output, bitwise.
 
         Parameters
         ----------
@@ -210,15 +200,9 @@ class ShardedFactors:
             separately in the artifact via
             :func:`repro.serving.tree_to_arrays`).
         lam:
-            The model's ridge shift.  The shard ULVs are at ``lam`` — at 0
-            when the generators have the shift baked in.
+            The model's ridge shift, the one the shard ULVs are at.
         prefix:
             Key prefix used at save time.
-        refactor:
-            ``False`` restores every shard's ULV factors bitwise.  ``True``
-            does not read the stored factors (artifacts of schema versions
-            1-5 hold the general ULV): every shard's HSS matrix is
-            factored cold, and ``C`` is left for a couple round.
 
         Returns
         -------
@@ -236,13 +220,6 @@ class ShardedFactors:
         """
         plan = ShardPlan.from_arrays(arrays, tree, prefix=f"{prefix}plan.")
         C = np.asarray(arrays[f"{prefix}C"], dtype=np.float64)
-        # Artifacts written before the compress-once/refit-many split have
-        # no marker; their shard HSS carries the shift baked in.
-        marker = arrays.get(f"{prefix}lam_free")
-        hss_lam_free = bool(marker is not None and int(np.asarray(marker)[0]))
-        lam = float(lam) if hss_lam_free else 0.0
-        if refactor:
-            C = None
         pg, qg, shards = [], [], []
         for s in range(plan.n_shards):
             shard_prefix = f"{prefix}{s}."
@@ -252,10 +229,10 @@ class ShardedFactors:
             qg.append(np.asarray(local["qg"], dtype=np.intp))
             if "F" not in local:
                 raise KeyError(f"{shard_prefix}F")
-            shards.append(ShardKernel.from_arrays(
-                local, plan.subtree(s), lam=lam, refactor=refactor))
+            shards.append(ShardKernel.from_arrays(local, plan.subtree(s),
+                                                  lam=lam))
         return cls(plan=plan, F=[shard.F for shard in shards], pg_idx=pg,
-                   qg_idx=qg, C=C, shards=shards, hss_lam_free=hss_lam_free)
+                   qg_idx=qg, C=C, shards=shards)
 
 
 class ShardedULVSolver(KernelSystemSolver):
@@ -279,9 +256,8 @@ class ShardedULVSolver(KernelSystemSolver):
     Notes
     -----
     The solver is *restored*, not fitted: calling :meth:`fit` raises.  A
-    λ-only ``refit(lam)`` *is* supported for artifacts whose per-shard
-    compression is λ-free (anything saved by the current version): zero
-    recompressions, zero worker processes.
+    λ-only ``refit(lam)`` *is* supported (the per-shard compression is
+    λ-free): zero recompressions, zero worker processes.
     """
 
     name = "sharded"
@@ -337,12 +313,6 @@ class ShardedULVSolver(KernelSystemSolver):
         A failure part-way leaves the shards at mixed λ: the solver is
         then unfitted, so it neither solves nor saves from that state.
         """
-        if not self.factors.hss_lam_free:
-            raise RuntimeError(
-                "this sharded artifact predates the compress-once/"
-                "refit-many split: its per-shard HSS generators have the "
-                "ridge shift baked in and cannot be re-factored at a new "
-                "lambda; retrain with the current version")
         try:
             t0 = time.perf_counter()
             for shard in self.factors.shards:

@@ -85,19 +85,16 @@ class ShardKernel:
 
     @classmethod
     def from_arrays(cls, arrays: Dict[str, np.ndarray],
-                    subtree: ClusterTree, lam: float,
-                    refactor: bool = False) -> "ShardKernel":
+                    subtree: ClusterTree, lam: float) -> "ShardKernel":
         """Rebuild a shard from its ``F`` / ``hss.*`` / ``ulv.*`` arrays, bitwise.
 
         ``subtree`` is its local cluster tree
         (:meth:`repro.distributed.ShardPlan.subtree`) and ``lam`` the shift
         the ULV factors are at; a payload inconsistent with the subtree
-        raises :class:`repro.serving.ArtifactError`.  With ``refactor``
-        the ``ulv.*`` section is not read and the HSS matrix is factored
-        cold at ``lam`` instead.  ``H`` is derived on first use.
+        raises :class:`repro.serving.ArtifactError`.  ``H`` is derived on
+        first use.
         """
         from ..serving.serialize import hss_from_arrays, ulv_from_arrays
         hss = hss_from_arrays(arrays, subtree, prefix="hss.")
-        ulv = (ULVFactorization.factor(hss, lam=lam) if refactor
-               else ulv_from_arrays(arrays, hss, prefix="ulv.", lam=lam))
+        ulv = ulv_from_arrays(arrays, hss, prefix="ulv.", lam=lam)
         return cls(ulv, arrays["F"])

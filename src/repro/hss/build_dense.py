@@ -19,7 +19,7 @@ randomized (partially matrix-free) builder of
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -38,12 +38,13 @@ def _complement(n: int, start: int, stop: int) -> np.ndarray:
 
 
 def _compress_rows(data: HSSNodeData, hankel_row: np.ndarray,
-                   rows: np.ndarray, opts: HSSOptions) -> HSSNodeData:
-    """Row-ID ``hankel_row``; the basis serves the columns too (``A = A^T``)."""
+                   rows: np.ndarray, opts: HSSOptions
+                   ) -> Tuple[HSSNodeData, np.ndarray]:
+    """Row-ID ``hankel_row``; the basis serves the columns too (``A = A^T``).
+    Returns the node and the skeleton rows it selected."""
     rid = row_id(hankel_row, rel_tol=opts.rel_tol, max_rank=opts.max_rank)
     data.U = rid.interp
-    data.row_skeleton = rows[rid.skeleton]
-    return data
+    return data, rows[rid.skeleton]
 
 
 def build_hss_from_dense(
@@ -83,8 +84,10 @@ def build_hss_from_dense(
                          "kernel matrices, whose column bases are the row ones")
 
     node_data: List[Optional[HSSNodeData]] = [None] * tree.n_nodes
+    #: per node, the global rows its row ID selected (the root selects none)
+    skeletons: List[Optional[np.ndarray]] = [None] * tree.n_nodes
 
-    def process_node(node_id: int) -> HSSNodeData:
+    def process_node(node_id: int) -> Tuple[HSSNodeData, np.ndarray]:
         nd = tree.node(node_id)
         data = HSSNodeData()
         comp = _complement(n, nd.start, nd.stop)
@@ -95,26 +98,23 @@ def build_hss_from_dense(
             if node_id == tree.root:
                 # Degenerate single-node tree: the matrix is one dense block.
                 data.U = np.zeros((nd.size, 0))
-                data.row_skeleton = rows[:0]
-                return data
+                return data, rows[:0]
             # Row Hankel block A(I_i, I_i^c): select representative rows.
             return _compress_rows(data, A[np.ix_(rows, comp)], rows, opts)
 
         # ----- internal node
-        c1, c2 = nd.left, nd.right
-        d1, d2 = node_data[c1], node_data[c2]
-        data.B12 = A[np.ix_(d1.row_skeleton, d2.row_skeleton)].copy()
+        k1, k2 = skeletons[nd.left], skeletons[nd.right]
+        data.B12 = A[np.ix_(k1, k2)].copy()
 
         if node_id == tree.root:
-            data.row_skeleton = np.zeros(0, dtype=np.intp)
-            return data
+            return data, np.zeros(0, dtype=np.intp)
 
-        merged_rows = np.concatenate([d1.row_skeleton, d2.row_skeleton])
+        merged_rows = np.concatenate([k1, k2])
         return _compress_rows(data, A[np.ix_(merged_rows, comp)], merged_rows,
                               opts)
 
     for level_nodes in reversed(tree.levels()):
         for node_id in level_nodes:
-            node_data[node_id] = process_node(node_id)
+            node_data[node_id], skeletons[node_id] = process_node(node_id)
 
     return HSSMatrix(tree, node_data)

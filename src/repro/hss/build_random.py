@@ -172,15 +172,15 @@ class _Sample:
                 raise _SaturatedSample()
         return rid.interp, rid.skeleton
 
-    def node(self, node: _Node, node_data, carries):
+    def node(self, node: _Node, carries):
         """Compute one node's generators: ``(data, carry)``.
 
-        ``node_data[child]`` and ``carries[child]`` hold the two children's
-        results.  The carry is what the parent will need — the local
-        sample restricted to the skeleton and the compressed random block
-        ``U^T R(I, :)`` — and is ``None`` at the root.  The matrix is
-        symmetric, so the basis and skeleton serve the columns too and the
-        block below the children's diagonal is ``B12^T``.
+        ``carries[child]`` holds each child's carry: what the parent will
+        need — the local sample restricted to the skeleton, the
+        compressed random block ``U^T R(I, :)`` and the skeleton's global
+        rows; it is ``None`` at the root.  The matrix is symmetric, so the
+        basis and skeleton serve the columns too and the block below the
+        children's diagonal is ``B12^T``.
         """
         node_id, left, right, start, stop, is_leaf = node
         self.visited.append(node_id)
@@ -190,27 +190,22 @@ class _Sample:
             index, data.D = self.leaves[node_id]
             if node_id == self.root:
                 data.U = np.zeros((stop - start, 0))
-                data.row_skeleton = index[:0]
                 return data, None
             r_in = self.R[start:stop]
             sample = self.S[start:stop] - data.D @ r_in
         else:
-            d1, d2 = node_data[left], node_data[right]
-            data.B12 = np.asarray(
-                self.operator.block(d1.row_skeleton, d2.row_skeleton),
-                dtype=np.float64)
+            s1, r1, k1 = carries[left]
+            s2, r2, k2 = carries[right]
+            data.B12 = np.asarray(self.operator.block(k1, k2),
+                                  dtype=np.float64)
             if node_id == self.root:
-                data.row_skeleton = np.zeros(0, dtype=np.intp)
                 return data, None
-            s1, r1 = carries[left]
-            s2, r2 = carries[right]
             sample = np.concatenate((s1 - data.B12 @ r2, s2 - data.B12.T @ r1))
-            index = np.concatenate((d1.row_skeleton, d2.row_skeleton))
+            index = np.concatenate((k1, k2))
             r_in = np.concatenate((r1, r2))
 
         data.U, skel = self._interpolate(sample)
-        data.row_skeleton = index[skel]
-        return data, (sample[skel], data.U.T @ r_in)
+        return data, (sample[skel], data.U.T @ r_in, index[skel])
 
     def walk(self, order: Sequence[_Node]) -> Dict[int, HSSNodeData]:
         """Visit the nodes of ``order`` (a post-order): generators by node id.
@@ -220,8 +215,7 @@ class _Sample:
         node_data: Dict[int, HSSNodeData] = {}
         carries: Dict[int, Optional[tuple]] = {}
         for node in order:
-            node_data[node[0]], carries[node[0]] = self.node(
-                node, node_data, carries)
+            node_data[node[0]], carries[node[0]] = self.node(node, carries)
             if not node[5]:
                 del carries[node[1]], carries[node[2]]
         return node_data

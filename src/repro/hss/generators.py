@@ -14,9 +14,10 @@ are the row bases and whose ``B_ji`` is ``B_ij^T``, so a node stores only
   ``B12 = B_{c1,c2}`` between its two children (``B_{c2,c1} = B12^T``);
 * at the root, only ``B12``.
 
-The *skeleton* index array records which global rows (and so columns)
-the interpolative decompositions selected; the randomized builder uses it
-to extract the ``B12`` blocks directly from the original matrix.
+The *skeleton* indices — the global rows (and so columns) the
+interpolative decompositions selected — are not stored: the builders
+carry them up their walk to extract the ``B12`` blocks directly from the
+original matrix, and nothing after the build reads them.
 """
 
 from __future__ import annotations
@@ -39,8 +40,6 @@ class HSSNodeData:
     U: Optional[np.ndarray] = None
     #: coupling block between the node's children: ``A(rows(c1), cols(c2))``
     B12: Optional[np.ndarray] = None
-    #: global (permuted-order) indices of the rows selected for this node
-    row_skeleton: Optional[np.ndarray] = None
 
     @property
     def rank(self) -> int:

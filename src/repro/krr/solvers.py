@@ -164,9 +164,8 @@ class KernelSystemSolver(abc.ABC):
         Raises
         ------
         RuntimeError
-            If the solver has not been fitted, or its λ-independent state
-            is unavailable (e.g. a legacy artifact whose compression has
-            the old shift baked in).
+            If the solver has not been fitted, or does not support λ-only
+            refits.
         """
         if not self._fitted:
             raise RuntimeError("solver must be fitted before calling refit()")
@@ -419,9 +418,6 @@ class HSSSolver(KernelSystemSolver):
         self.block_tree_ = None
         #: number of full kernel compressions performed (refits add none)
         self.compression_count = 0
-        #: whether the resident HSS generators are λ-free (False only for
-        #: legacy artifacts that baked the shift in at compression time)
-        self._hss_lam_free = True
 
     def _fit_impl(self, X_permuted, tree, kernel, lam) -> None:
         if tree is None:
@@ -441,7 +437,6 @@ class HSSSolver(KernelSystemSolver):
             compressed.hss, lam=lam, timing=log)
         self.hss_, self.factorization_ = compressed.hss, factorization
         self.block_tree_ = compressed.block_tree
-        self._hss_lam_free = True
         build = compressed.report
         self.report.timings = log.as_dict()
         self.report.hmatrix_memory_mb = build.hmatrix_memory_mb
@@ -450,21 +445,7 @@ class HSSSolver(KernelSystemSolver):
         self.report.max_rank = build.max_rank
         self.report.random_vectors = build.random_vectors
 
-    def _check_lam_free(self) -> None:
-        if self.hss_ is None:
-            raise RuntimeError(
-                "HSS solver holds no compression (factor-only artifact); "
-                "a full fit is required")
-        if not self._hss_lam_free:
-            raise RuntimeError(
-                "this model's HSS compression has the ridge shift baked in "
-                "(legacy artifact written before the compress-once/"
-                "refit-many split); lambda-only refits require retraining "
-                "with the current version (re-saving cannot remove the "
-                "baked-in shift)")
-
     def _refit_impl(self, lam: float) -> None:
-        self._check_lam_free()
         log = TimingLog()
         resident = self.factorization_
         # The λ-free half of the elimination is taken from the resident

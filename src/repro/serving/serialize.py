@@ -25,57 +25,12 @@ Round-trip fidelity is exact: float64 arrays survive ``save``/``load``
 bitwise, so a reloaded classifier reproduces the original's predictions
 down to the last bit.
 
-Schema history (full layout spec in ``docs/serving.md``):
-
-* **version 1** — trees / HSS / ULV / weights; solver states ``hss``,
-  ``dense``, ``cg``, ``none``.
-* **version 2** — adds the sharded-artifact section: models trained with
-  ``shards > 1`` persist their per-shard ULV factors and coupling state
-  under ``dist.*`` (solver state ``sharded``), restoring to an in-process
-  :class:`repro.distributed.ShardedULVSolver` with full re-solve
-  capability.
-* **version 3** — the packed container: the same keys and arrays, but
-  one payload member plus an index instead of one zip member per array
-  (7 084 members for a 531-node tree made a reload cost 60 % of a cold
-  fit).  Versions 1 and 2 remain readable, the reader picking the
-  container from the header's version.
-* **version 4** — the columnar index: the JSON list of version 3 (one
-  entry per array, decoded and checked in a Python step each) becomes the
-  key list plus one ``int64`` table the reader checks with vectorised
-  NumPy, and the per-array checksum (two ``update`` calls per array)
-  becomes one SHA-256 over the other three members, verified in three
-  ``update`` calls whatever the number of arrays.  The
-  keys, dtypes, shapes and bytes of the arrays are those of version 3.
-  Versions 1-3 remain readable and keep their per-array checksum.
-* **version 5** — one symmetric HSS format: the per-node ``hss.<i>.V``,
-  ``hss.<i>.B21`` and ``hss.<i>.col_skeleton`` copies of ``U``,
-  ``B12^T`` and ``row_skeleton`` are no longer written (nor under the
-  per-shard ``dist.<s>.hss.*`` sections); the container is version 4's.
-  Reading an older artifact checks that every stored copy is bitwise
-  what it copies, then drops it.
-* **version 6** — the symmetric ULV: ``ulv.<i>.*`` (and every per-shard
-  ``dist.<s>.ulv.*`` section) holds ``omega``, ``u_hat``, ``lu``, ``piv``
-  and ``w`` per node and no root keys.  Written for every model.  The
-  general ULV factors of versions 1-5 are not read: such a model's
-  stored HSS matrix is factored again on load, at the model's λ (at 0
-  for generators with the shift baked in), and a sharded model's
-  capacitance system is coupled again.
-
-Since the compress-once/refit-many split, artifacts additionally carry the
-λ-free compression (the stored ``hss.*`` / ``dist.*.hss.*`` generators no
-longer bake the ridge shift in — flagged by the ``hss_lam_free`` config
-key and the ``dist.lam_free`` marker) plus the permuted training targets
-(``model.y_perm`` / ``model.targets``), so a reloaded model can be
-re-factored at a new λ entirely offline via ``model.refit(lam)``.  Both
-additions are backward compatible: old readers ignore the extra keys, and
-artifacts from old writers load fine but refuse ``refit`` (their
-compression is not λ-free).
-
-The header's ``clustering_options`` config entry records every field of
-the :class:`repro.config.ClusteringOptions` the model was fitted with, so
-``recompress()`` after a load reorders exactly like the original fit.
-Headers without it (older writers) fall back to the method name plus the
-stored ``leaf_size`` and ``seed``, with the other fields at their defaults.
+There is one writer, which stamps :data:`FORMAT_VERSION`, and one reader:
+:func:`load_model` reads the container the header's version names and
+hands an older archive to :func:`_upgrade`, which rewrites it as the
+current schema (checking everything it drops) before anything else sees
+it.  The layout, the version history and the compatibility rules are in
+``docs/serving.md``.
 """
 
 from __future__ import annotations
@@ -86,6 +41,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import uuid
 import zipfile
 from dataclasses import asdict, dataclass, field
@@ -109,11 +65,12 @@ from ..utils.timing import TimingLog
 
 #: format tag written into every artifact header
 FORMAT_TAG = "repro.serving/model"
-#: schema version this library writes, and the highest it reads (6 stores
-#: the symmetric ULV factors, 5 one symmetric HSS format in version 4's
-#: columnar container; 3 indexed the same payload with JSON, and 1 and 2
-#: stored one zip member per array — see docs/serving.md)
-FORMAT_VERSION = 6
+#: schema version this library writes, and the highest it reads (7 stores
+#: the symmetric HSS generators without their skeleton indices and the
+#: symmetric ULV factors in version 4's columnar container; 3 indexed the
+#: payload with JSON, and 1 and 2 stored one zip member per array — see
+#: docs/serving.md)
+FORMAT_VERSION = 7
 
 KIND_BINARY = "kernel_ridge_classifier"
 KIND_MULTICLASS = "one_vs_all_classifier"
@@ -194,10 +151,7 @@ def tree_from_arrays(arrays: Dict[str, np.ndarray], prefix: str = "tree.") -> Cl
 
 
 #: HSSNodeData array attributes persisted per node
-_HSS_FIELDS = ("D", "U", "B12", "row_skeleton")
-#: per-node copies that schema versions 1-4 stored too, and the field each
-#: copies (``B21`` is the transpose of ``B12``)
-_LEGACY_COPIES = {"V": "U", "B21": "B12", "col_skeleton": "row_skeleton"}
+_HSS_FIELDS = ("D", "U", "B12")
 
 
 def hss_to_arrays(hss: HSSMatrix, prefix: str = "hss.") -> Dict[str, np.ndarray]:
@@ -217,38 +171,15 @@ def hss_to_arrays(hss: HSSMatrix, prefix: str = "hss.") -> Dict[str, np.ndarray]
     return out
 
 
-def _check_legacy_copies(arrays: Dict[str, np.ndarray], node: str) -> None:
-    """Every copy a version 1-4 artifact stores for ``node`` is bitwise
-    what it copies; anything else is a matrix the symmetric format cannot
-    hold."""
-    for name, source_name in _LEGACY_COPIES.items():
-        copy = arrays.get(node + name)
-        if copy is None:
-            continue
-        source = arrays.get(node + source_name)
-        if source is not None and name == "B21":
-            source = source.T
-        if source is None or copy.dtype != source.dtype \
-                or copy.shape != source.shape \
-                or np.ascontiguousarray(copy).tobytes() \
-                != np.ascontiguousarray(source).tobytes():
-            raise ArtifactError(
-                f"{node}{name} is not a copy of {node}{source_name}: the "
-                f"artifact does not hold a symmetric HSS matrix")
-
-
 def hss_from_arrays(arrays: Dict[str, np.ndarray], tree: ClusterTree,
                     prefix: str = "hss.") -> HSSMatrix:
     """Rebuild an :class:`HSSMatrix` over ``tree`` from flattened arrays.
 
-    Copies that artifacts of schema versions 1-4 stored next to the
-    generators are checked against what they copy and dropped.
-
     Raises
     ------
     ArtifactError
-        If there is no HSS matrix under ``prefix``, its node count is not
-        the tree's, or a stored copy differs from what it copies.
+        If there is no HSS matrix under ``prefix`` or its node count is not
+        the tree's.
     ValueError
         If the generators do not fit the tree (see :class:`HSSMatrix`).
     """
@@ -259,23 +190,14 @@ def hss_from_arrays(arrays: Dict[str, np.ndarray], tree: ClusterTree,
     if n_nodes != tree.n_nodes:
         raise ArtifactError(
             f"HSS payload has {n_nodes} nodes but the tree has {tree.n_nodes}")
-    node_data: List[HSSNodeData] = []
-    for i in range(n_nodes):
-        node = f"{prefix}{i}."
-        _check_legacy_copies(arrays, node)
-        kwargs = {name: arrays.get(node + name) for name in _HSS_FIELDS}
-        if kwargs["row_skeleton"] is not None:
-            kwargs["row_skeleton"] = np.asarray(kwargs["row_skeleton"],
-                                                dtype=np.intp)
-        node_data.append(HSSNodeData(**kwargs))
+    node_data = [HSSNodeData(**{name: arrays.get(f"{prefix}{i}.{name}")
+                                for name in _HSS_FIELDS})
+                 for i in range(n_nodes)]
     return HSSMatrix(tree, node_data)
 
 
-#: _NodeFactors array attributes persisted per node (schema version 6)
+#: _NodeFactors array attributes persisted per node
 _ULV_FIELDS = ("omega", "u_hat", "lu", "piv", "w")
-#: newest schema version whose ``ulv.*`` sections hold the general
-#: (two-transform) ULV factors; the reader refactors those models instead
-_LAST_GENERAL_ULV_VERSION = 5
 
 
 def ulv_to_arrays(ulv: ULVFactorization, prefix: str = "ulv.") -> Dict[str, np.ndarray]:
@@ -477,7 +399,7 @@ def _write_archive(path: str, header: Dict[str, object],
 
 def _digest(*members: np.ndarray):
     """SHA-256 over the bytes of ``members``, in order: the key list, the
-    index table and the payload make the checksum of versions 4 and 5."""
+    index table and the payload make the checksum of versions 4 and later."""
     digest = hashlib.sha256()
     for member in members:
         digest.update(np.ascontiguousarray(member))
@@ -568,11 +490,13 @@ def _read_header(path: str, npz) -> Dict[str, object]:
         raise ArtifactError(
             f"{path!r} has format tag {header.get('format')!r}, "
             f"expected {FORMAT_TAG!r}")
-    header["version"] = int(header.get("version", -1))
-    if header["version"] > FORMAT_VERSION:
+    version = header.get("version")
+    # Only an integer a writer stamped: a bool is an int to Python and
+    # 6.5 would read as 6, and either would blame an intact payload.
+    if type(version) is not int or not 1 <= version <= FORMAT_VERSION:
         raise ArtifactError(
-            f"{path!r} was written with schema version {header['version']}; "
-            f"this library only reads versions <= {FORMAT_VERSION}")
+            f"{path!r} was written with schema version {version!r}; this "
+            f"library reads versions 1 to {FORMAT_VERSION}")
     return header
 
 
@@ -580,7 +504,7 @@ def _artifact_from_header(path: str, header: Dict[str, object]) -> ModelArtifact
     return ModelArtifact(
         path=os.path.abspath(path),
         kind=str(header.get("kind", "")),
-        version=int(header.get("version", -1)),
+        version=header["version"],
         created=str(header.get("created", "")),
         checksum=str(header.get("checksum", "")),
         config=dict(header.get("config") or {}),
@@ -630,6 +554,136 @@ def _verify(path: str, header: Dict[str, object], actual: str) -> None:
 
 
 # --------------------------------------------------------------------------
+# schema upgrade
+# --------------------------------------------------------------------------
+
+#: newest schema version whose ``ulv.*`` sections hold factors this reader
+#: does not restore (the general, two-transform ULV)
+_LAST_GENERAL_ULV_VERSION = 5
+#: an HSS generator key: its node (under ``hss.`` or ``dist.<s>.hss.``)
+#: and its field
+_GENERATOR_KEY = re.compile(r"((?:dist\.\d+\.)?hss\.\d+\.)(\w+)")
+#: the per-node copies versions 1-4 stored, and the field each copies
+#: (``B21`` is the transpose of ``B12``)
+_COPIES = {"V": "U", "B21": "B12", "col_skeleton": "row_skeleton"}
+#: generator fields of older versions that the current one does not store
+_DROPPED_FIELDS = {*_COPIES, "row_skeleton"}
+
+
+def _upgrade(path: str, header: Dict[str, object],
+             arrays: Dict[str, np.ndarray]):
+    """The ``(header, arrays)`` of a verified archive, as the current schema.
+
+    An archive of :data:`FORMAT_VERSION` passes through untouched.  An
+    older one is rewritten in these steps (``docs/serving.md`` lists what
+    each version changed), every step checking what it drops:
+
+    * a header without ``clustering_options`` (versions 1-3) gets the
+      options its ``clustering``, ``leaf_size`` and ``seed`` stand for;
+    * every ``V`` / ``B21`` / ``col_skeleton`` copy (versions 1-4) must be
+      bitwise what it copies, and is dropped;
+    * generators without the λ-free marker (``hss_lam_free`` in the
+      config of an hss model, ``dist.lam_free`` in a sharded one) have the
+      ridge shift baked in; λI has no off-diagonal block, so the shift is
+      subtracted from the diagonal of every leaf ``D``;
+    * the general ULV factors of versions 1-5, and the factors of
+      baked-shift generators, are replaced by a cold factorization of the
+      stored HSS matrix at the model's λ (:func:`_refactor`);
+    * ``row_skeleton`` and both markers are dropped.
+
+    Raises
+    ------
+    ArtifactError
+        If a copy is not a copy, or the payload does not make the HSS
+        matrices and ULV factors the steps rebuild.
+    """
+    if header["version"] == FORMAT_VERSION:
+        return header, arrays
+    config = dict(header.get("config") or {})
+    fields = {key: match[2] for key in arrays
+              if (match := _GENERATOR_KEY.fullmatch(key)) is not None}
+    try:
+        config.setdefault("clustering_options", asdict(ClusteringOptions(
+            method=str(config["clustering"]),
+            leaf_size=int(config["leaf_size"]), seed=config.get("seed"))))
+        for key, name in fields.items():
+            if name in _COPIES:
+                _check_copy(arrays, key, name)
+        lam_free = {"hss": config.pop("hss_lam_free", False),
+                    "sharded": np.any(arrays.get("dist.lam_free", 0))}
+        baked = not lam_free.get(config.get("solver_state"), True)
+        arrays = {key: a for key, a in arrays.items()
+                  if fields.get(key) not in _DROPPED_FIELDS
+                  and key != "dist.lam_free"}
+        lam = float(config["lam"])
+        if baked:
+            for key, name in fields.items():
+                if name == "D":
+                    D = np.array(arrays[key], dtype=np.float64)
+                    D[np.diag_indices_from(D)] -= lam
+                    arrays[key] = D
+        if baked or header["version"] <= _LAST_GENERAL_ULV_VERSION:
+            _refactor(config, arrays, lam)
+    except KeyError as exc:
+        raise ArtifactError(
+            f"{path!r} is missing required entry {exc} and cannot be "
+            f"loaded") from exc
+    except ValueError as exc:
+        raise ArtifactError(
+            f"{path!r} has a corrupted HSS / ULV payload: {exc}") from exc
+    return {**header, "version": FORMAT_VERSION, "config": config}, arrays
+
+
+def _check_copy(arrays: Dict[str, np.ndarray], key: str, name: str) -> None:
+    """The copy ``key`` (field ``name``) is bitwise what it copies;
+    anything else is a matrix the symmetric format cannot hold."""
+    source_key = key[:-len(name)] + _COPIES[name]
+    copy, source = arrays[key], arrays.get(source_key)
+    if source is not None and name == "B21":
+        source = source.T
+    if source is None or copy.dtype != source.dtype \
+            or copy.shape != source.shape \
+            or np.ascontiguousarray(copy).tobytes() \
+            != np.ascontiguousarray(source).tobytes():
+        raise ArtifactError(
+            f"{key} is not a copy of {source_key}: the artifact does not "
+            f"hold a symmetric HSS matrix")
+
+
+def _refactor(config: Dict[str, object], arrays: Dict[str, np.ndarray],
+              lam: float) -> None:
+    """Replace the ``ulv.*`` factors in ``arrays`` by a cold factorization
+    of the stored HSS matrix at ``lam``; for a sharded model, every shard's
+    ``dist.<s>.ulv.*``, and ``dist.C`` assembled again over them."""
+    state = config.get("solver_state")
+    if state == "hss" and "ulv.meta" in arrays:
+        hss = hss_from_arrays(arrays, tree_from_arrays(arrays))
+        _replace_section(arrays, "ulv.", ulv_to_arrays(
+            ULVFactorization.factor(hss, lam=lam)))
+    elif state == "sharded":
+        # Lazy import: the distributed package depends on this module.
+        from ..distributed.factors import ShardedFactors
+        from ..distributed.plan import ShardPlan
+        tree = tree_from_arrays(arrays)
+        plan = ShardPlan.from_arrays(arrays, tree, prefix="dist.plan.")
+        for s in range(plan.n_shards):
+            hss = hss_from_arrays(arrays, plan.subtree(s),
+                                  prefix=f"dist.{s}.hss.")
+            _replace_section(arrays, f"dist.{s}.ulv.", ulv_to_arrays(
+                ULVFactorization.factor(hss, lam=lam),
+                prefix=f"dist.{s}.ulv."))
+        arrays["dist.C"] = ShardedFactors.from_arrays(
+            arrays, tree, lam).capacitance()
+
+
+def _replace_section(arrays: Dict[str, np.ndarray], prefix: str,
+                     section: Dict[str, np.ndarray]) -> None:
+    for key in [key for key in arrays if key.startswith(prefix)]:
+        del arrays[key]
+    arrays.update(section)
+
+
+# --------------------------------------------------------------------------
 # fitted classifier <-> artifact
 # --------------------------------------------------------------------------
 
@@ -666,11 +720,7 @@ def _solver_arrays(solver: Optional[KernelSystemSolver],
         if solver.factorization_ is not None:
             arrays.update(ulv_to_arrays(solver.factorization_))
         arrays.update(stream_arrays)
-        # Whether the stored generators are λ-free (current trainers) or
-        # carry the baked-in shift (legacy artifacts); refit() consults
-        # this so it never double-shifts an old compression.
-        lam_free = bool(getattr(solver, "_hss_lam_free", False))
-        return "hss", {"hss_lam_free": lam_free, **stream_cfg}, arrays
+        return "hss", stream_cfg, arrays
     if isinstance(solver, DenseSolver) and hasattr(solver, "_cho"):
         c, lower = solver._cho
         arrays = {"solver.cho_c": np.asarray(c)}
@@ -729,40 +779,29 @@ def _attach_stream(solver: KernelSystemSolver, config: Dict[str, object],
 
 def _restore_solver(config: Dict[str, object], arrays: Dict[str, np.ndarray],
                     tree: ClusterTree, X_train: np.ndarray, kernel: Kernel,
-                    lam: float, version: int) -> Optional[KernelSystemSolver]:
+                    lam: float) -> Optional[KernelSystemSolver]:
     state = config.get("solver_state", "none")
-    # Versions 1-5 stored the general ULV factors: they are not read, the
-    # stored HSS matrix is factored again at the shift the factors were
-    # at (0 for generators with the shift baked in).
-    general_ulv = version <= _LAST_GENERAL_ULV_VERSION
     if state == "sharded":
         from ..distributed.factors import ShardedFactors, ShardedULVSolver
         try:
-            factors = ShardedFactors.from_arrays(
-                arrays, tree, lam, prefix="dist.", refactor=general_ulv)
+            factors = ShardedFactors.from_arrays(arrays, tree, lam,
+                                                 prefix="dist.")
         except (KeyError, ValueError) as exc:
             raise ArtifactError(
                 f"corrupted sharded-factor payload: {exc}") from exc
         solver = ShardedULVSolver(factors)
-        if factors.C is None:
-            solver.couple()
         solver.lam_ = lam
         return _attach_stream(solver, config, arrays, tree, X_train, kernel)
     if state == "hss":
         solver = HSSSolver(seed=config.get("seed"))
-        lam_free = bool(config.get("hss_lam_free", False))
-        shift = lam if lam_free else 0.0    # the shift the ULV is at
         try:
             solver.hss_ = hss_from_arrays(arrays, tree)
             if "ulv.meta" in arrays:
-                solver.factorization_ = (
-                    ULVFactorization.factor(solver.hss_, lam=shift)
-                    if general_ulv
-                    else ulv_from_arrays(arrays, solver.hss_, lam=shift))
+                solver.factorization_ = ulv_from_arrays(arrays, solver.hss_,
+                                                        lam=lam)
         except (KeyError, ValueError) as exc:
             raise ArtifactError(
                 f"corrupted HSS / ULV payload: {exc}") from exc
-        solver._hss_lam_free = lam_free
         solver.compression_count = 1
         solver._fitted = solver.factorization_ is not None
         solver.lam_ = lam
@@ -890,18 +929,21 @@ def load_model(path: str):
     predicts — and, when the factorization was included, solves — exactly
     like the original.  The arrays of the model are writable views into
     the archive's one payload buffer (for artifacts of schema version 3
-    and later; older ones load one array per zip member).
+    and later; older ones load one array per zip member).  An archive of
+    an older schema version is upgraded to the current one first
+    (:func:`_upgrade`).
     """
     with trace.span("artifact.load") as span:
         header, arrays = _read_archive(path)
         span.attributes.update(bytes=os.path.getsize(path),
                                arrays=len(arrays), version=header["version"])
-        return _model_from_arrays(path, header, arrays)
+        return _model_from_arrays(path, *_upgrade(path, header, arrays))
 
 
 def _model_from_arrays(path: str, header: Dict[str, object],
                        arrays: Dict[str, np.ndarray]):
-    """The fitted classifier a verified ``(header, arrays)`` pair describes."""
+    """The fitted classifier a verified ``(header, arrays)`` pair of the
+    current schema describes."""
     kind = header.get("kind")
     config = dict(header.get("config") or {})
     try:
@@ -911,12 +953,11 @@ def _model_from_arrays(path: str, header: Dict[str, object],
         weights = np.asarray(arrays["model.weights"], dtype=np.float64)
         lam = float(config["lam"])
 
-        clustering = str(config["clustering"])
-        if "clustering_options" in config:
-            clustering = ClusteringOptions(**config["clustering_options"])
         common = dict(h=float(config["h"]), lam=lam,
                       solver=str(config["solver"]),
-                      clustering=clustering, kernel=kernel,
+                      clustering=ClusteringOptions(
+                          **config["clustering_options"]),
+                      kernel=kernel,
                       leaf_size=int(config["leaf_size"]),
                       seed=config.get("seed"))
         if kind == KIND_BINARY:
@@ -939,7 +980,7 @@ def _model_from_arrays(path: str, header: Dict[str, object],
         model._targets_perm = np.asarray(arrays[_TARGETS_KEY[kind]],
                                          dtype=np.float64)
     model.solver_ = _restore_solver(config, arrays, tree, X_train, kernel,
-                                    lam, int(header["version"]))
+                                    lam)
     return model
 
 

@@ -29,6 +29,14 @@ factors — ``q``, ``g1``, ``g2``, the root LU — (schema version 5) by
     git -C /tmp/parent checkout 86aa42e
     PYTHONPATH=/tmp/parent/src python tests/data/make_legacy_artifacts.py v5
 
+and the last artifacts that store the per-node ``row_skeleton`` indices
+and the ``hss_lam_free`` / ``dist.lam_free`` markers of the λ-free
+compression (schema version 6) by b3ef5d1, which writes
+``legacy_v6_*.npz`` the same way::
+
+    git -C /tmp/parent checkout b3ef5d1
+    PYTHONPATH=/tmp/parent/src python tests/data/make_legacy_artifacts.py v6
+
 ``tests/test_legacy_artifacts.py`` loads what it wrote.  ``expected.npz``
 holds the query rows, each model's weights and decision values on them,
 and the rows the lifecycle verbs of that test stream in.
@@ -48,7 +56,7 @@ NAMES = ("hss", "dense", "ova", "sharded", "midstream")
 
 
 #: schema version -> the commit whose writer saved its fixtures last
-RESAVED_BY = {3: "a02e8fb", 4: "4787a08", 5: "86aa42e"}
+RESAVED_BY = {3: "a02e8fb", 4: "4787a08", 5: "86aa42e", 6: "b3ef5d1"}
 
 
 def resave_as(version):
@@ -100,7 +108,7 @@ def main():
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] in (["v3"], ["v4"], ["v5"]):
+    if sys.argv[1:] in (["v3"], ["v4"], ["v5"], ["v6"]):
         resave_as(int(sys.argv[1][1:]))
     else:
         main()

@@ -1,4 +1,4 @@
-"""The packed artifact container (schema versions 4 and 5) and its faults.
+"""The packed artifact container (schema versions 4 to 7) and its faults.
 
 Four groups:
 
@@ -16,7 +16,8 @@ Four groups:
 * payloads that pass the checksum but do not make a model (a generator
   missing or of the wrong shape, a ULV scalar missing) raise
   :class:`ArtifactError` too, and a saved model holds the symmetric HSS
-  format of version 5 — no ``V`` / ``B21`` / ``col_skeleton`` copies;
+  format of version 7 — no ``V`` / ``B21`` / ``col_skeleton`` copies and
+  no skeleton indices;
 * the publish step: a write that fails midway leaves the previous archive
   in place and no temp file behind.
 """
@@ -100,7 +101,7 @@ class TestPackedContainerGuard:
         small.save(str(tmp_path / "small.npz"))
         with zipfile.ZipFile(tmp_path / "small.npz") as zf:
             assert sorted(zf.namelist()) == members
-        assert read_artifact(packed).version == FORMAT_VERSION == 6
+        assert read_artifact(packed).version == FORMAT_VERSION == 7
         profiler = cProfile.Profile()
         gc.collect()
         gc.disable()
@@ -493,13 +494,16 @@ def test_inconsistent_hss_payload_raises_artifact_error(tmp_path, packed,
                                     dict(solver="hss", shards=2)],
                          ids=["hss", "shards2"])
 def test_saved_hss_is_the_symmetric_format(tmp_path, susy, kwargs):
-    """Version 6 stores ``D``, ``U``, ``B12`` and ``row_skeleton`` per HSS
-    node and ``omega``, ``u_hat``, ``lu``, ``piv`` and ``w`` per ULV node,
-    with no root keys, in the serial and in every per-shard section."""
+    """Version 7 stores ``D``, ``U`` and ``B12`` per HSS node and
+    ``omega``, ``u_hat``, ``lu``, ``piv`` and ``w`` per ULV node, with no
+    root keys and no λ-free marker, in the serial and in every per-shard
+    section."""
     model = _fit(susy, **kwargs)
     try:
         path = str(tmp_path / "model.npz")
-        assert model.save(path).version == FORMAT_VERSION == 6
+        artifact = model.save(path)
+        assert artifact.version == FORMAT_VERSION == 7
+        assert "hss_lam_free" not in artifact.config
     finally:
         if hasattr(model.solver_, "close"):
             model.solver_.close()
@@ -507,7 +511,8 @@ def test_saved_hss_is_the_symmetric_format(tmp_path, susy, kwargs):
     hss_keys = [key for key in arrays
                 if key.startswith("hss.") or ".hss." in key]
     fields = {key.rpartition(".")[2] for key in hss_keys} - {"n_nodes"}
-    assert fields == {"D", "U", "B12", "row_skeleton"}
+    assert fields == {"D", "U", "B12"}
+    assert "dist.lam_free" not in arrays
     ulv_keys = [key for key in arrays
                 if key.startswith("ulv.") or ".ulv." in key]
     fields = {key.rpartition(".")[2] for key in ulv_keys}

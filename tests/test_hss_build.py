@@ -168,7 +168,7 @@ class TestStatistics:
                      for a in (d.D, d.U, d.B12) if a is not None)
         assert hss.nbytes == stored == hss.statistics().total_bytes
         for data in hss.node_data:
-            assert sorted(vars(data)) == ["B12", "D", "U", "row_skeleton"]
+            assert sorted(vars(data)) == ["B12", "D", "U"]
 
     def test_compression_beats_dense_for_clustered_data(self):
         K, result = _clustered_kernel(n=400, seed=10)
@@ -180,7 +180,7 @@ class TestStatistics:
 # The subtree-ordered walk: same generators as a level-order walk, found out
 # sooner when the sample is too small.
 
-_GENERATORS = ("D", "U", "B12", "row_skeleton")
+_GENERATORS = ("D", "U", "B12")
 
 
 class _SweepCounting:
@@ -227,7 +227,7 @@ def _level_order_reference(operator, tree, opts, seed):
         for level in reversed(tree.levels()):
             for node_id in level:
                 node_data[node_id], carries[node_id] = sample.node(
-                    nodes[node_id], node_data, carries)
+                    nodes[node_id], carries)
         return node_data
 
     n = tree.n

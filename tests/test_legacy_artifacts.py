@@ -6,23 +6,30 @@ writer stored one zip member per array (schema versions 1 and 2),
 the last writer of the JSON-indexed container (schema version 3),
 ``tests/data/legacy_v4_<model>.npz`` by the last writer that stored the
 per-node ``V`` / ``B21`` / ``col_skeleton`` copies of the symmetric HSS
-format (schema version 4), and ``tests/data/legacy_v5_<model>.npz`` by
-the last writer of the general ULV factors (schema version 5; see
+format (schema version 4), ``tests/data/legacy_v5_<model>.npz`` by the
+last writer of the general ULV factors (schema version 5) and
+``tests/data/legacy_v6_<model>.npz`` by the last writer of the
+``row_skeleton`` indices and the λ-free markers (schema version 6; see
 ``tests/data/make_legacy_artifacts.py`` for how).  They are the users of
-the reader's ``version <= 2`` and ``version == 3`` paths, of its copy
-check and of its refactor on load: each loads with its checksum verified
-and every stored copy checked against what it copies, factors its stored
-HSS matrix again instead of reading the general ULV factors, predicts
-what its writer predicted, re-saves as a version-6 archive without the
-copies and the general factors whose checksum the docs recipe
-recomputes, and takes every lifecycle verb a freshly saved model takes —
-a ``refit`` from the factors it was loaded with included.  An old
-archive whose copy is not a copy raises :class:`ArtifactError`.
+the reader's ``version <= 2`` and ``version == 3`` containers and of
+every step of its one upgrade chain: each loads with its checksum
+verified and every stored copy checked against what it copies, factors
+its stored HSS matrix again instead of reading the general ULV factors,
+predicts what its writer predicted, re-saves as a version-7 archive whose
+checksum the docs recipe recomputes, and takes every lifecycle verb a
+freshly saved model takes — a ``refit`` from the factors it was loaded
+with included.  Every generation of a model upgrades to the arrays of its
+newest one, and the upgrade is what the current writer saves for the
+loaded model.  An old archive whose copy is not a copy, or whose header
+stamps a version no writer stamped, raises :class:`ArtifactError`; one
+whose generators have the ridge shift baked in loads as the λ-free model
+it stands for.
 """
 
 from __future__ import annotations
 
 import os
+import re
 import zipfile
 
 import numpy as np
@@ -32,16 +39,16 @@ from conftest import cold_refactor, docs_recipe
 from repro.hss import ULVFactorization
 from repro.serving import ArtifactError, load_model, read_artifact
 from repro.serving.serialize import (FORMAT_VERSION, _read_archive,
-                                     _write_archive)
+                                     _upgrade, _write_archive)
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
+MODELS = ("hss", "dense", "ova", "sharded", "midstream")
 #: fixture name (``legacy_<name>.npz``) -> (model, schema version its
 #: writer stamped)
 FIXTURES = {"hss": ("hss", 1), "dense": ("dense", 1), "ova": ("ova", 1),
             "sharded": ("sharded", 2), "midstream": ("midstream", 1),
             **{f"v{version}_{model}": (model, version)
-               for version in (3, 4, 5)
-               for model in ("hss", "dense", "ova", "sharded", "midstream")}}
+               for version in (3, 4, 5, 6) for model in MODELS}}
 #: the per-node copies schema versions 1-4 stored
 COPIES = ("V", "B21", "col_skeleton")
 #: keys of the general ULV factors schema versions 1-5 stored, and no
@@ -78,7 +85,8 @@ def test_loads_predicts_and_resaves_as_the_current_version(
     _, stored = _read_archive(source)
     if model_name != "dense":
         assert any(key.endswith(".V") for key in stored) == (version <= 4)
-        assert any(key.endswith(".g2") for key in stored)
+        assert any(key.endswith(".g2") for key in stored) == (version <= 5)
+        assert any(key.endswith(".row_skeleton") for key in stored)
 
     model = load_model(source)
     queries = expected["queries"]
@@ -91,10 +99,11 @@ def test_loads_predicts_and_resaves_as_the_current_version(
 
     path = str(tmp_path / "model.npz")
     new = model.save(path)
-    assert new.version == FORMAT_VERSION == 6
+    assert new.version == FORMAT_VERSION == 7
     _, resaved = _read_archive(path)
-    assert not [key for key in resaved
-                if key.rpartition(".")[2] in COPIES + GENERAL_ULV]
+    assert not [key for key in resaved if key.rpartition(".")[2]
+                in COPIES + GENERAL_ULV + ("row_skeleton", "lam_free")]
+    assert "hss_lam_free" not in new.config
     if model_name != "dense":
         assert any(key.endswith(".w") for key in resaved)
     # The version-4 digest covers the layout, so it is not the old one;
@@ -151,7 +160,8 @@ def test_lifecycle_verbs_work_on_the_loaded_model(name, expected):
 
 @pytest.mark.parametrize("name", ["hss", "ova", "sharded", "midstream",
                                   "v3_hss", "v3_sharded", "v4_hss",
-                                  "v4_sharded", "v5_hss", "v5_sharded"])
+                                  "v4_sharded", "v5_hss", "v5_sharded",
+                                  "v6_hss", "v6_sharded"])
 def test_refit_from_the_stored_factors_is_bitwise_a_cold_factorization(
         name, monkeypatch):
     """The λ-free half of the factors a legacy archive loads with is the
@@ -185,4 +195,113 @@ def test_a_stored_copy_that_differs_raises_artifact_error(name, copy,
     # A shard's section is read under its own "hss." prefix.
     node_key = key[key.index("hss."):]
     with pytest.raises(ArtifactError, match=f"{node_key} is not a copy"):
+        load_model(path)
+
+
+def _same_arrays(got, want):
+    """Key for key and bit for bit (dtype and shape included)."""
+    assert sorted(got) == sorted(want)
+    for key, a in got.items():
+        b = want[key]
+        assert a.dtype == b.dtype and a.shape == b.shape, key
+        assert np.ascontiguousarray(a).tobytes() \
+            == np.ascontiguousarray(b).tobytes(), key
+
+
+def _upgraded(name):
+    path = os.path.join(DATA, f"legacy_{name}.npz")
+    return _upgrade(path, *_read_archive(path))
+
+
+@pytest.mark.parametrize("model_name", MODELS)
+def test_every_generation_upgrades_to_the_newest_ones_arrays(model_name):
+    """Each fixture of a generation was its predecessor loaded and saved
+    again, so the upgrade chain from any of them ends at the arrays the
+    version-6 fixture upgrades to: copies dropped, the same ULV factors
+    and capacitance matrix, bitwise."""
+    _, newest = _upgraded(f"v6_{model_name}")
+    for prefix in ("", "v3_", "v4_", "v5_"):
+        _, arrays = _upgraded(prefix + model_name)
+        _same_arrays(arrays, newest)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_the_upgrade_is_what_the_writer_saves_for_the_loaded_model(
+        name, tmp_path):
+    """The upgraded config and arrays are, key for key and bit for bit,
+    those a version-7 save of the loaded model writes — but for the
+    ``solver`` of the version-2 sharded header, which names the solver
+    that trained the model (``distributed``) where a re-save names the one
+    that restores it (``sharded``)."""
+    header, arrays = _upgraded(name)
+    assert header["version"] == FORMAT_VERSION
+    path = str(tmp_path / "model.npz")
+    load_model(os.path.join(DATA, f"legacy_{name}.npz")).save(path)
+    saved_header, saved = _read_archive(path)
+    config = dict(header["config"])
+    if name == "sharded":
+        assert config.pop("solver") == "distributed"
+        assert saved_header["config"].pop("solver") == "sharded"
+    assert config == saved_header["config"]
+    _same_arrays(arrays, saved)
+
+
+@pytest.mark.parametrize("model_name", ["hss", "ova", "sharded"])
+def test_a_baked_shift_archive_loads_as_its_lam_free_model(model_name,
+                                                           tmp_path):
+    """Writers before the λ-free compression stored ``K~ + lam I``: the
+    same archive with lam added to the diagonal of every leaf ``D`` and
+    no λ-free marker.  It loads as the λ-free model — it solves within
+    1e-12 of the source and refits like it."""
+    source = os.path.join(DATA, f"legacy_v5_{model_name}.npz")
+    header, arrays = _read_archive(source)
+    config = dict(header["config"])
+    lam = float(config["lam"])
+    config.pop("hss_lam_free", None)
+    baked = {key: a for key, a in arrays.items() if key != "dist.lam_free"}
+    leaves = [key for key in baked
+              if key.endswith(".D") and ("hss." in key)]
+    assert leaves
+    for key in leaves:
+        D = baked[key].copy()
+        D[np.diag_indices_from(D)] += lam
+        baked[key] = D
+    path = str(tmp_path / "baked.npz")
+    _write_archive(path, {**header, "config": config}, baked)
+
+    want, got = load_model(source), load_model(path)
+    targets = want._targets_perm
+    expected = want.solver_.solve(targets)
+    solved = got.solver_.solve(targets)
+    assert np.linalg.norm(solved - expected) \
+        <= 1e-12 * np.linalg.norm(expected)
+    want.refit(2.0)
+    got.refit(2.0)
+    np.testing.assert_allclose(got.weights_, want.weights_, rtol=1e-10,
+                               atol=1e-12)
+
+
+@pytest.mark.parametrize("version", [None, 0, -3, 6.5, True,
+                                     FORMAT_VERSION + 1],
+                         ids=["missing", "zero", "negative", "float",
+                              "bool", "newer"])
+def test_a_version_no_writer_stamped_raises_artifact_error(version,
+                                                           tmp_path):
+    """The header's version picks the container and the upgrade steps,
+    so only an ``int`` in 1..FORMAT_VERSION is one: anything else is named
+    by ``read_artifact`` and ``load_model`` alike, instead of an intact
+    payload failing its checksum or its ULV read."""
+    header, arrays = _read_archive(
+        os.path.join(DATA, "legacy_v5_hss.npz"))
+    header = dict(header)
+    if version is None:
+        del header["version"]
+    else:
+        header["version"] = version
+    path = str(tmp_path / "model.npz")
+    _write_archive(path, header, arrays)
+    message = f"schema version {version!r};"
+    with pytest.raises(ArtifactError, match=re.escape(message)):
+        read_artifact(path)
+    with pytest.raises(ArtifactError, match=re.escape(message)):
         load_model(path)

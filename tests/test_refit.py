@@ -107,17 +107,6 @@ class TestSerialRefitEquivalence:
         with pytest.raises(ValueError):
             clf.refit(-1.0)
 
-    def test_legacy_baked_in_compression_refuses_refit(self, data):
-        X, y = data
-        # A pre-constructed HSSSolver pins the serial path even under the
-        # CI REPRO_SHARDS=2 leg (the legacy flag lives on HSSSolver).
-        clf = KernelRidgeClassifier(h=1.0, lam=1.0, solver=HSSSolver(seed=0),
-                                    seed=0)
-        clf.fit(X, y)
-        clf.solver_._hss_lam_free = False  # simulate a legacy artifact
-        with pytest.raises(RuntimeError, match="baked in"):
-            clf.refit(2.0)
-
 
 class TestRefitReport:
     def test_refit_report_matches_cold_fit(self, data, test_data):

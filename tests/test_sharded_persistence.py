@@ -32,7 +32,7 @@ from repro.distributed import ShardedFactors, ShardedULVSolver
 from repro.krr import KernelRidgeClassifier, OneVsAllClassifier
 from repro.krr.solvers import HSSSolver
 from repro.serving import ModelStore, PredictionEngine, read_artifact
-from repro.serving.serialize import FORMAT_VERSION
+from repro.serving.serialize import FORMAT_VERSION, _read_archive, _upgrade
 
 #: tight compression tolerance, as in tests/test_distributed.py: keeps the
 #: sharded-vs-serial deviation far below the decision margins
@@ -68,9 +68,9 @@ def serial_reference(problem, sharded_model):
 def test_sharded_artifact_schema(tmp_path, sharded_model):
     store = ModelStore(tmp_path)
     record = store.save(sharded_model, "susy-sharded")
-    assert record.version == FORMAT_VERSION == 6
+    assert record.version == FORMAT_VERSION == 7
     artifact = read_artifact(record.archive_path)
-    assert artifact.version == 6
+    assert artifact.version == 7
     assert artifact.config["solver_state"] == "sharded"
     assert artifact.config["shards"] == 2
 
@@ -88,7 +88,7 @@ def test_sharded_section_is_the_documented_layout(tmp_path, sharded_model):
     patterns = [re.compile(re.escape(name).replace("<s>", r"[01]")
                            .replace(r"\.\*", r"\..+") + "$")
                 for name in documented]
-    assert len(patterns) == 10
+    assert len(patterns) == 9
 
     record = ModelStore(tmp_path).save(sharded_model, "layout")
     with np.load(record.archive_path, allow_pickle=False) as npz:
@@ -201,19 +201,28 @@ def test_reload_solves_bitwise_like_the_fitted_model(tmp_path, problem,
                                   sharded_model.solver_.solve(Y))
 
 
-def test_refactor_on_load_is_the_stored_factorization(problem, sharded_model):
-    """Factoring every shard cold from its stored HSS matrix — what a
-    schema 1-5 artifact gets on load — gives the stored factors, bitwise:
-    the same capacitance matrix and the same solves."""
-    arrays = sharded_model.solver_.factors.to_arrays()
+def test_refactor_on_load_is_the_stored_factorization(tmp_path, problem,
+                                                      sharded_model):
+    """The upgrade's refactor step — what a schema 1-5 archive gets on
+    load: every shard factored cold from its stored HSS matrix, and the
+    capacitance matrix assembled again — gives the stored factors,
+    bitwise: the same ``dist.C`` and the same solves."""
+    path = ModelStore(tmp_path).save(sharded_model, "v5").archive_path
+    header, arrays = _read_archive(path)
+    # As a version-5 writer saved it: with the λ-free marker.
+    _, upgraded = _upgrade(path, {**header, "version": 5},
+                           {**arrays, "dist.lam_free": np.ones(1, np.int64)})
+    ulv_keys = [key for key in arrays if ".ulv." in key]
+    assert sorted(ulv_keys) == sorted(key for key in upgraded
+                                      if ".ulv." in key)
+    assert not any(upgraded[key] is arrays[key] for key in ulv_keys)
+    assert upgraded["dist.C"] is not arrays["dist.C"]
+    np.testing.assert_array_equal(upgraded["dist.C"], arrays["dist.C"])
     tree = sharded_model.clustering_.tree
     stored = ShardedULVSolver(
         ShardedFactors.from_arrays(arrays, tree, problem.lam))
-    fresh = ShardedULVSolver(ShardedFactors.from_arrays(
-        arrays, tree, problem.lam, refactor=True))
-    assert fresh.factors.C is None
-    fresh.couple()
-    np.testing.assert_array_equal(fresh.factors.C, stored.factors.C)
+    fresh = ShardedULVSolver(
+        ShardedFactors.from_arrays(upgraded, tree, problem.lam))
     rhs = np.random.default_rng(53).standard_normal(
         (problem.X_train.shape[0], 2))
     np.testing.assert_array_equal(fresh.solve(rhs), stored.solve(rhs))
@@ -267,7 +276,6 @@ def test_sharded_artifact_reload_then_refit(tmp_path, problem, sharded_model):
     store.save(sharded_model, "refit-me")
     loaded = store.load("refit-me")
     assert isinstance(loaded.solver_, ShardedULVSolver)
-    assert loaded.solver_.factors.hss_lam_free
     new_lam = 2.0 * problem.lam
     loaded.refit(new_lam)
     assert loaded.lam == new_lam
@@ -287,17 +295,6 @@ def test_sharded_artifact_reload_then_refit(tmp_path, problem, sharded_model):
         problem.X_train.shape[0])
     np.testing.assert_array_equal(again.solver_.solve(rhs),
                                   loaded.solver_.solve(rhs))
-
-
-def test_legacy_sharded_artifact_refuses_refit(tmp_path, sharded_model):
-    """Artifacts without the λ-free marker (older writers) load and solve
-    fine but refuse λ-only refits instead of double-shifting."""
-    store = ModelStore(tmp_path)
-    store.save(sharded_model, "legacy")
-    loaded = store.load("legacy")
-    loaded.solver_.factors.hss_lam_free = False  # simulate an old artifact
-    with pytest.raises(RuntimeError, match="predates"):
-        loaded.refit(1.0)
 
 
 def test_failed_refit_state_is_never_persisted(tmp_path, sharded_model):
