@@ -37,6 +37,14 @@ compression (schema version 6) by b3ef5d1, which writes
     git -C /tmp/parent checkout b3ef5d1
     PYTHONPATH=/tmp/parent/src python tests/data/make_legacy_artifacts.py v6
 
+and the last artifacts whose header names the fitted solver's class
+(``sharded`` / ``distributed``) and stores only part of its options — the
+``cg_tol`` / ``cg_max_iter`` / ``shards`` extras — (schema version 7) by
+b91c071, which writes ``legacy_v7_*.npz`` the same way::
+
+    git -C /tmp/parent checkout b91c071
+    PYTHONPATH=/tmp/parent/src python tests/data/make_legacy_artifacts.py v7
+
 ``tests/test_legacy_artifacts.py`` loads what it wrote.  ``expected.npz``
 holds the query rows, each model's weights and decision values on them,
 and the rows the lifecycle verbs of that test stream in.
@@ -56,7 +64,8 @@ NAMES = ("hss", "dense", "ova", "sharded", "midstream")
 
 
 #: schema version -> the commit whose writer saved its fixtures last
-RESAVED_BY = {3: "a02e8fb", 4: "4787a08", 5: "86aa42e", 6: "b3ef5d1"}
+RESAVED_BY = {3: "a02e8fb", 4: "4787a08", 5: "86aa42e", 6: "b3ef5d1",
+              7: "b91c071"}
 
 
 def resave_as(version):
@@ -108,7 +117,7 @@ def main():
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] in (["v3"], ["v4"], ["v5"], ["v6"]):
+    if sys.argv[1:] in (["v3"], ["v4"], ["v5"], ["v6"], ["v7"]):
         resave_as(int(sys.argv[1][1:]))
     else:
         main()
