@@ -25,16 +25,17 @@ system*, both in the calling process; the worker processes only build:
   local HSS / ULV factors and coupling columns with the steps the
   coupling system asks of it, rebuilt from a worker's reply or restored
   from an artifact;
-* :mod:`repro.distributed.factors` — :class:`ShardedFactors` /
-  :class:`ShardedULVSolver`, the coupling system (and the algebra): the
-  capacitance matrix of the top separator levels, the λ-refit and the
-  Woodbury solve over the shard kernels; persisted as the ``dist.*``
-  artifact section;
+* :mod:`repro.distributed.factors` — :class:`ShardedFactors`, the
+  coupling state (and the algebra): the located coupling factors and the
+  capacitance matrix of the top separator levels over the shard kernels;
+  persisted as the ``dist.*`` artifact section;
 * :mod:`repro.distributed.solver` — :class:`DistributedSolver`, the
   drop-in ``KernelSystemSolver`` behind every ``shards=`` knob: a ``fit``
   is one grid round plus the capacitance merge, and every later verb
-  (``solve``, ``refit``, ``partial_fit``, saving) runs on its
-  :class:`ShardedULVSolver`, sending no grid message.
+  (``solve``, ``refit``, ``partial_fit``, saving) is the coupling system
+  over the shard kernels — the λ-refit and the Woodbury solve — in the
+  calling process, sending no grid message.  A sharded artifact restores
+  onto the same class.
 
 A sharded-trained (or reloaded) model is served like any other, by one
 :class:`repro.serving.PredictionEngine` in the serving process.
@@ -45,7 +46,7 @@ See ``docs/architecture.md`` for the data-flow picture and
 
 from .comm import (ArraySpec, BlockChannel, DistributedError, SharedArray,
                    WorkerCrashedError, WorkerTimeoutError)
-from .factors import ShardedFactors, ShardedULVSolver
+from .factors import ShardedFactors
 from .grid import WorkerGrid
 from .plan import ShardPlan, resolve_shards
 from .shard import ShardKernel
@@ -62,7 +63,6 @@ __all__ = [
     "ShardPlan",
     "SharedArray",
     "ShardedFactors",
-    "ShardedULVSolver",
     "WorkerConfig",
     "WorkerCrashedError",
     "WorkerGrid",

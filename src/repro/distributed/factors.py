@@ -41,22 +41,19 @@ checks label-exact agreement).
 The per-shard half is the :class:`repro.distributed.ShardKernel`; this
 module is the other half: :class:`ShardedFactors`, the coupling state that
 round-trips through :mod:`repro.serving.serialize` as the ``dist.*``
-artifact section (see ``docs/serving.md``), and :class:`ShardedULVSolver`,
-the coupling system over it, which calls its shard kernels directly.
+artifact section (see ``docs/serving.md``).  The coupling system over it —
+the capacitance LU, the λ-refit and the Woodbury solve, calling the shard
+kernels directly — is :class:`repro.distributed.DistributedSolver`.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-import scipy.linalg
 
 from ..clustering.tree import ClusterTree
-from ..krr.solvers import KernelSystemSolver
-from ..utils.timing import TimingLog
 from .plan import ShardPlan
 from .shard import ShardKernel
 
@@ -65,10 +62,10 @@ from .shard import ShardKernel
 class ShardedFactors:
     """Everything needed to re-solve a distributed factorization locally.
 
-    Located by :meth:`locate` at fit time, filled with the shard kernels
-    the workers built (:class:`repro.distributed.DistributedSolver`),
-    consumed by :class:`ShardedULVSolver` and by the ``dist.*`` section of
-    model artifacts.
+    Located by :meth:`locate` at fit time and filled with the shard
+    kernels the workers built; :class:`repro.distributed.DistributedSolver`
+    solves with it, and model artifacts persist it as their ``dist.*``
+    section.
 
     Parameters
     ----------
@@ -233,133 +230,3 @@ class ShardedFactors:
                                                   lam=lam))
         return cls(plan=plan, F=[shard.F for shard in shards], pg_idx=pg,
                    qg_idx=qg, C=C, shards=shards)
-
-
-class ShardedULVSolver(KernelSystemSolver):
-    """The coupling system: Woodbury solver over per-shard ULV factors.
-
-    Owns what no single shard does — the capacitance matrix
-    ``C = I + Q_f^T D^{-1} P_f`` and its LU — and drives the per-shard
-    steps of the kernels in ``factors.shards``, all in this process.  It
-    is the drop-in :class:`repro.krr.solvers.KernelSystemSolver` a sharded
-    artifact restores to, and the base of
-    :class:`repro.distributed.DistributedSolver`, whose ``fit`` builds the
-    factors it then solves, refits and saves with.
-
-    Parameters
-    ----------
-    factors:
-        The coupling state with its shard kernels (from
-        :meth:`ShardedFactors.from_arrays`).  While its ``C`` is not
-        assembled, run :meth:`couple` before solving.
-
-    Notes
-    -----
-    The solver is *restored*, not fitted: calling :meth:`fit` raises.  A
-    λ-only ``refit(lam)`` *is* supported (the per-shard compression is
-    λ-free): zero recompressions, zero worker processes.
-    """
-
-    name = "sharded"
-
-    def __init__(self, factors: Optional[ShardedFactors] = None):
-        super().__init__()
-        #: the coupling state every verb runs on (``None`` until a
-        #: :class:`repro.distributed.DistributedSolver` fit)
-        self.factors: Optional[ShardedFactors] = None
-        self.plan_: Optional[ShardPlan] = None
-        self._cap_lu = None
-        if factors is not None:
-            self._adopt(factors)
-            self._fitted = True
-
-    def _fit_impl(self, X_permuted, tree, kernel, lam) -> None:
-        raise RuntimeError(
-            "ShardedULVSolver is restored from persisted factors and cannot "
-            "be fitted from data; train through "
-            "repro.distributed.DistributedSolver instead (lambda-only "
-            "refit() is supported)")
-
-    # Refuse up front: the base fit() would first drop the report and any
-    # streamed corrections of the restored state.  This covers
-    # refit_kernel() too, which is a fit on the retained context.
-    fit = _fit_impl
-
-    # ----------------------------------------------------------- capacitance
-    def _adopt(self, factors: ShardedFactors) -> None:
-        """Solve with ``factors`` from now on, LU-factoring its ``C``.
-
-        Nothing is replaced until the LU exists, so a failure here leaves
-        the previous factors answering.
-        """
-        C = factors.C
-        self._cap_lu = (scipy.linalg.lu_factor(C)
-                        if C is not None and C.shape[0] else None)
-        self.factors, self.plan_ = factors, factors.plan
-        self.report.shards = factors.plan.n_shards
-
-    def couple(self) -> None:
-        """Reassemble and re-factor the capacitance system against the
-        shards' current factorizations (:meth:`ShardedFactors.capacitance`)."""
-        self.factors.C = self.factors.capacitance()
-        self._adopt(self.factors)
-
-    # ----------------------------------------------------------------- verbs
-    def _refit_impl(self, lam: float) -> None:
-        """λ-only refit: every local ULV at the new shift, then the
-        capacitance system.  ``report.timings`` holds the round's
-        wall-clock ``factorization`` and ``coupling_merge``.
-
-        A failure part-way leaves the shards at mixed λ: the solver is
-        then unfitted, so it neither solves nor saves from that state.
-        """
-        try:
-            t0 = time.perf_counter()
-            for shard in self.factors.shards:
-                shard.refit(lam)
-            t1 = time.perf_counter()
-            self.couple()
-        except BaseException:
-            self._fitted = False
-            raise
-        self.report.timings = {"factorization": t1 - t0,
-                               "coupling_merge": time.perf_counter() - t1}
-
-    def _solve_impl(self, y: np.ndarray) -> np.ndarray:
-        """``M^{-1} y = z - H C^{-1} Q_f^T z`` with ``z = D^{-1} y``.
-
-        ``y`` holds the right-hand side(s) in the permuted ordering, shape
-        ``(n,)`` or ``(n, k)``; all ``k`` columns cost one multi-RHS solve
-        per shard, not ``k``.  Returns the solution in the shape of ``y``;
-        a row-count mismatch with the plan raises :class:`ValueError`.
-        """
-        factors = self.factors
-        plan = factors.plan
-        y = np.asarray(y, dtype=np.float64)
-        if y.shape[0] != plan.n:
-            raise ValueError(f"y has {y.shape[0]} rows, expected {plan.n}")
-        ranges = [slice(*plan.shard_range(s)) for s in range(plan.n_shards)]
-        log = TimingLog()
-        with log.phase("solve"):
-            u = np.zeros((factors.coupling_rank,) + y.shape[1:])
-            Z = []
-            for shard, r, qg in zip(factors.shards, ranges, factors.qg_idx):
-                z, g = shard.solve(y[r])
-                Z.append(z)
-                if g.size:
-                    u[qg] = g
-            v = (scipy.linalg.lu_solve(self._cap_lu, u)
-                 if self._cap_lu is not None else u)
-            W = np.empty(y.shape)
-            for shard, r, pg, z in zip(factors.shards, ranges,
-                                       factors.pg_idx, Z):
-                W[r] = shard.correct(z, np.ascontiguousarray(v[pg]))
-        self.report.add_timings(log)
-        return W
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        if self.factors is None:
-            return f"{type(self).__name__}(unfitted)"
-        return (f"{type(self).__name__}(shards={self.factors.plan.n_shards}, "
-                f"n={self.factors.plan.n}, "
-                f"coupling_rank={self.factors.coupling_rank})")

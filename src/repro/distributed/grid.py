@@ -17,7 +17,7 @@ coupling tolerances — travels with the ``fit`` command instead (see
 nothing.  A fit round is the only work a grid does.  Each worker ships its
 shard's factors back in its reply and keeps only its block cluster tree
 for the next warm fit, so the solves and λ-refits of a fitted model run in
-the calling process (:class:`repro.distributed.ShardedULVSolver`) and a
+the calling process (:class:`repro.distributed.DistributedSolver`) and a
 grid can be shut down, reused or lost without touching them.
 
 The grid is context-managed and fail-fast: a worker that dies or misses a

@@ -1,4 +1,4 @@
-"""`DistributedSolver`: the process-sharded drop-in HSS training solver.
+"""`DistributedSolver`: the process-sharded HSS training solver.
 
 Implements the :class:`repro.krr.solvers.KernelSystemSolver` interface, so
 the existing estimators gain process-level sharding through the ordinary
@@ -15,12 +15,12 @@ numerics and coupling blocks.
 That round is all the workers do: each returns its shard's factors and
 its owned coupling blocks.  The solver locates the coupling factors,
 rebuilds the :class:`repro.distributed.ShardKernel` of every shard and
-assembles the capacitance system in this process.  It *is* the
-:class:`repro.distributed.ShardedULVSolver` a sharded artifact restores
-to, plus the grid: ``solve``, ``refit``, ``partial_fit`` and saving are
-that class's and send no grid message (see
-:mod:`repro.distributed.factors`), so a fitted solver keeps working after
-its grid is closed, reused by another fit, or lost to a worker crash.
+assembles the capacitance system in this process.  ``solve``, ``refit``,
+``partial_fit`` and saving are the coupling system over those shard
+kernels (see :mod:`repro.distributed.factors`) and send no grid message,
+so a fitted solver keeps working after its grid is closed, reused by
+another fit, or lost to a worker crash.  A sharded artifact restores onto
+this class too, so a reloaded model re-fits through a grid of its own.
 """
 
 from __future__ import annotations
@@ -29,17 +29,19 @@ import time
 from typing import Dict, Optional, Tuple
 
 import numpy as np
+import scipy.linalg
 
 from ..config import HMatrixOptions, HSSOptions
-from ..krr.solvers import KernelSystemSolver
-from .factors import ShardedFactors, ShardedULVSolver
+from ..krr.solvers import HSSSolver, KernelSystemSolver
+from ..utils.timing import TimingLog
+from .factors import ShardedFactors
 from .grid import WorkerGrid
 from .plan import ShardPlan, resolve_shards
 from .shard import ShardKernel
 from .worker import FitSpec
 
 
-class DistributedSolver(ShardedULVSolver):
+class DistributedSolver(KernelSystemSolver):
     """Process-sharded HSS solver (the paper's rank-per-subtree model).
 
     Parameters
@@ -77,6 +79,8 @@ class DistributedSolver(ShardedULVSolver):
     """
 
     name = "distributed"
+    _recipe_options = HSSSolver._recipe_options + (
+        "coupling_rel_tol", "coupling_max_rank", "cut_level")
 
     def __init__(self,
                  shards: Optional[int] = None,
@@ -91,6 +95,11 @@ class DistributedSolver(ShardedULVSolver):
                  start_method: Optional[str] = None,
                  grid: Optional[WorkerGrid] = None):
         super().__init__()
+        #: the coupling state every verb runs on (``None`` until a fit or
+        #: an artifact restore)
+        self.factors: Optional[ShardedFactors] = None
+        self.plan_: Optional[ShardPlan] = None
+        self._cap_lu = None
         self.shards = shards
         self.hss_options = hss_options if hss_options is not None else HSSOptions()
         self.hmatrix_options = (hmatrix_options if hmatrix_options is not None
@@ -108,6 +117,11 @@ class DistributedSolver(ShardedULVSolver):
         self.warm_start_: bool = False
         #: full distributed compressions performed (λ-only refits add none)
         self.compression_count = 0
+
+    def recipe(self) -> Tuple[str, int, Dict[str, object]]:
+        shards = (self.plan_.n_shards if self.plan_ is not None
+                  else resolve_shards(self.shards))
+        return "hss", shards, super().recipe()[2]
 
     # ------------------------------------------------------------------- grid
     def _resolve_grid(self, plan: ShardPlan,
@@ -137,9 +151,6 @@ class DistributedSolver(ShardedULVSolver):
         return self._owned_grid
 
     # ------------------------------------------------------------------- fit
-    # A DistributedSolver fits from data, unlike the restored base class.
-    fit = KernelSystemSolver.fit
-
     def _fit_impl(self, X_permuted, tree, kernel, lam) -> None:
         from ..serving.serialize import kernel_to_spec
 
@@ -207,6 +218,73 @@ class DistributedSolver(ShardedULVSolver):
         report.max_rank = int(max(i["max_rank"] for i in infos))
         report.random_vectors = int(max(i["random_vectors"] for i in infos))
 
+    # ----------------------------------------------------------- capacitance
+    def _adopt(self, factors: ShardedFactors) -> None:
+        """Solve with ``factors`` from now on, LU-factoring its ``C``.
+
+        Nothing is replaced until the LU exists, so a failure here leaves
+        the previous factors answering.
+        """
+        C = factors.C
+        self._cap_lu = (scipy.linalg.lu_factor(C)
+                        if C is not None and C.shape[0] else None)
+        self.factors, self.plan_ = factors, factors.plan
+        self.report.shards = factors.plan.n_shards
+
+    # ----------------------------------------------------------------- verbs
+    def _refit_impl(self, lam: float) -> None:
+        """λ-only refit: every local ULV at the new shift, then the
+        capacitance system.  ``report.timings`` holds the round's
+        wall-clock ``factorization`` and ``coupling_merge``.
+
+        A failure part-way leaves the shards at mixed λ: the solver is
+        then unfitted, so it neither solves nor saves from that state.
+        """
+        try:
+            t0 = time.perf_counter()
+            for shard in self.factors.shards:
+                shard.refit(lam)
+            t1 = time.perf_counter()
+            self.factors.C = self.factors.capacitance()
+            self._adopt(self.factors)
+        except BaseException:
+            self._fitted = False
+            raise
+        self.report.timings = {"factorization": t1 - t0,
+                               "coupling_merge": time.perf_counter() - t1}
+
+    def _solve_impl(self, y: np.ndarray) -> np.ndarray:
+        """``M^{-1} y = z - H C^{-1} Q_f^T z`` with ``z = D^{-1} y``.
+
+        ``y`` holds the right-hand side(s) in the permuted ordering, shape
+        ``(n,)`` or ``(n, k)``; all ``k`` columns cost one multi-RHS solve
+        per shard, not ``k``.  Returns the solution in the shape of ``y``;
+        a row-count mismatch with the plan raises :class:`ValueError`.
+        """
+        factors = self.factors
+        plan = factors.plan
+        y = np.asarray(y, dtype=np.float64)
+        if y.shape[0] != plan.n:
+            raise ValueError(f"y has {y.shape[0]} rows, expected {plan.n}")
+        ranges = [slice(*plan.shard_range(s)) for s in range(plan.n_shards)]
+        log = TimingLog()
+        with log.phase("solve"):
+            u = np.zeros((factors.coupling_rank,) + y.shape[1:])
+            Z = []
+            for shard, r, qg in zip(factors.shards, ranges, factors.qg_idx):
+                z, g = shard.solve(y[r])
+                Z.append(z)
+                if g.size:
+                    u[qg] = g
+            v = (scipy.linalg.lu_solve(self._cap_lu, u)
+                 if self._cap_lu is not None else u)
+            W = np.empty(y.shape)
+            for shard, r, pg, z in zip(factors.shards, ranges,
+                                       factors.pg_idx, Z):
+                W[r] = shard.correct(z, np.ascontiguousarray(v[pg]))
+        self.report.add_timings(log)
+        return W
+
     # ------------------------------------------------------------- lifecycle
     def close(self) -> None:
         """Shut down the owned worker grid (idempotent).
@@ -223,3 +301,10 @@ class DistributedSolver(ShardedULVSolver):
             self.close()
         except Exception:
             pass
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        if self.factors is None:
+            return f"{type(self).__name__}(unfitted)"
+        return (f"{type(self).__name__}(shards={self.factors.plan.n_shards}, "
+                f"n={self.factors.plan.n}, "
+                f"coupling_rank={self.factors.coupling_rank})")

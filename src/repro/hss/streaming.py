@@ -46,7 +46,7 @@ and hot-swap the result.
 
 The base solve is an abstract multi-RHS callable, so the same wrapper
 streams on top of a serial :class:`repro.hss.ULVFactorization` or the
-:class:`repro.distributed.ShardedULVSolver` of a sharded model (fitted
+:class:`repro.distributed.DistributedSolver` of a sharded model (fitted
 or reloaded; its shard kernels live in the calling process, so the
 correction right-hand sides cost one multi-RHS Woodbury solve and no
 worker process).

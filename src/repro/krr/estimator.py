@@ -205,6 +205,13 @@ class KernelRidgeEstimator:
                 f"no training targets available for {verb} (artifact saved "
                 "by an older version); call fit() instead")
 
+    def _build_solver(self) -> KernelSystemSolver:
+        """The training solver of this model's solver knobs: the one
+        :meth:`fit` trains and an artifact of the model is restored onto."""
+        return build_training_solver(
+            self._solver_spec, seed=self.seed, shards=self.shards,
+            solver_options=self._solver_options)
+
     @staticmethod
     def _train(solver: KernelSystemSolver, step, targets: np.ndarray,
                undo=None) -> np.ndarray:
@@ -249,9 +256,7 @@ class KernelRidgeEstimator:
             clustering = cluster(X, options=self._clustering_options)
         targets_perm = targets[clustering.perm]
 
-        solver = build_training_solver(
-            self._solver_spec, seed=self.seed, shards=self.shards,
-            solver_options=self._solver_options)
+        solver = self._build_solver()
         weights = self._train(
             solver, lambda: solver.fit(clustering.X, clustering.tree,
                                        self.kernel, self.lam), targets_perm)
@@ -331,9 +336,8 @@ class KernelRidgeEstimator:
         Raises
         ------
         RuntimeError
-            If the model is unfitted, streamed updates are in effect, the
-            solver retains nothing to re-fit on, or a legacy artifact
-            lacks the training targets.
+            If the model is unfitted, streamed updates are in effect, or
+            a legacy artifact lacks the training targets.
         """
         self._require_fitted("refit_kernel()")
         stream = self.solver_.stream

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 import scipy.linalg
@@ -92,8 +92,20 @@ class KernelSystemSolver(abc.ABC):
         #: ``(X_permuted, tree, kernel)`` of the last fit — what
         #: :meth:`refit_kernel` re-fits on and what streaming corrections
         #: and lazy dense refits rebuild kernel blocks from (``None``
-        #: before a fit and for factor-only restored artifacts)
+        #: until a fit, or an artifact restore, sets it)
         self._context = None
+
+    #: constructor options that shape the fitted system (:meth:`recipe`)
+    _recipe_options: Tuple[str, ...] = ()
+
+    def recipe(self) -> Tuple[str, int, Dict[str, object]]:
+        """``(solver, shards, solver_options)``: the
+        :func:`build_training_solver` arguments that build this solver —
+        its :func:`make_solver` name, resolved process count and the
+        constructor options that shape the fitted system, not the seed (the
+        model's knob) nor deployment settings.  Model artifacts store it."""
+        return self.name, 1, {key: getattr(self, key)
+                              for key in self._recipe_options}
 
     @abc.abstractmethod
     def _fit_impl(self, X_permuted: np.ndarray, tree: Optional[ClusterTree],
@@ -217,16 +229,11 @@ class KernelSystemSolver(abc.ABC):
         Raises
         ------
         RuntimeError
-            If the solver has not been fitted, or retains no context to
-            re-fit on (e.g. a factor-only legacy artifact).
+            If the solver has not been fitted.
         """
         if not self._fitted:
             raise RuntimeError(
                 "solver must be fitted before calling refit_kernel()")
-        if self._context is None:
-            raise RuntimeError(
-                f"the {self.name!r} solver retains no training points to "
-                "re-fit a new kernel on; a full fit is required")
         X_permuted, tree, _ = self._context
         return self.fit(X_permuted, tree, kernel,
                         self.lam_ if lam is None else lam)
@@ -257,9 +264,8 @@ class KernelSystemSolver(abc.ABC):
         Raises
         ------
         RuntimeError
-            If unfitted, or the solver retains no training points to
-            build correction blocks from (e.g. the CG baseline, or a
-            factor-only legacy artifact).
+            If unfitted, or the solver keeps no factorization to build
+            correction blocks around (the CG baseline).
         """
         if not self._fitted:
             raise RuntimeError(
@@ -278,11 +284,6 @@ class KernelSystemSolver(abc.ABC):
 
     def _ensure_stream(self) -> StreamingULVSolver:
         if self._stream is None:
-            if self._context is None:
-                raise RuntimeError(
-                    f"the {self.name!r} solver does not support streaming "
-                    "updates (no training points retained to build "
-                    "correction blocks from)")
             X_base, _, kernel = self._context
             self._stream = StreamingULVSolver(
                 self._stream_base_solve, X_base, kernel, self.lam_)
@@ -342,10 +343,6 @@ class DenseSolver(KernelSystemSolver):
             # First refit (or restored from an artifact): rebuild the
             # λ-free kernel matrix once from the stored training points;
             # further refits reuse it and pay only the factorization.
-            if self._context is None:
-                raise RuntimeError(
-                    "dense solver holds no kernel matrix and no training "
-                    "points to rebuild it from; a full fit is required")
             X_permuted, _, kernel = self._context
             with log.phase("construction"):
                 self._K = kernel.matrix(X_permuted)
@@ -393,6 +390,8 @@ class HSSSolver(KernelSystemSolver):
     """
 
     name = "hss"
+    _recipe_options = ("hss_options", "hmatrix_options",
+                       "use_hmatrix_sampling")
 
     #: column-tile size of the exact-sampling matmat
     #: (:data:`repro.hss.compressed.MATMAT_COL_TILE`)
@@ -469,6 +468,7 @@ class CGSolver(KernelSystemSolver):
     """Conjugate-gradient solver on the exact (matrix-free) kernel operator."""
 
     name = "cg"
+    _recipe_options = ("tol", "max_iter")
 
     def __init__(self, tol: float = 1e-6, max_iter: Optional[int] = None):
         super().__init__()

@@ -10,7 +10,6 @@ from:
 * :func:`aca_blocks` / :func:`aca` / :func:`aca_full` — adaptive cross
   approximation, used to compress admissible H-matrix blocks from a few of
   their rows and columns (``aca_blocks``: many blocks in lock-step),
-* :func:`randomized_range_finder` — adaptive randomized range estimation,
 * :class:`LowRank` — a small ``U @ V.T`` container with memory accounting.
 """
 
@@ -19,7 +18,6 @@ from .truncated_svd import truncated_svd, singular_values, effective_rank
 from .rrqr import rrqr, rank_from_tolerance
 from .interpolative import row_id, column_id, InterpolativeDecomposition
 from .aca import aca, aca_blocks, aca_full, ACAResult
-from .randomized import randomized_range_finder, randomized_svd
 
 __all__ = [
     "LowRank",
@@ -35,6 +33,4 @@ __all__ = [
     "aca_blocks",
     "aca_full",
     "ACAResult",
-    "randomized_range_finder",
-    "randomized_svd",
 ]

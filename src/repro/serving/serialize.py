@@ -44,14 +44,14 @@ import os
 import re
 import uuid
 import zipfile
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..clustering.api import ClusteringResult
 from ..clustering.tree import ClusterTree
-from ..config import ClusteringOptions
+from ..config import ClusteringOptions, HMatrixOptions, HSSOptions
 from ..hss.generators import HSSNodeData
 from ..hss.hss_matrix import HSSMatrix
 from ..hss.ulv import ULVFactorization, _NodeFactors
@@ -65,12 +65,13 @@ from ..utils.timing import TimingLog
 
 #: format tag written into every artifact header
 FORMAT_TAG = "repro.serving/model"
-#: schema version this library writes, and the highest it reads (7 stores
+#: schema version this library writes, and the highest it reads (8 stores
+#: the solver's recipe — its name, shard count and options — in the header,
 #: the symmetric HSS generators without their skeleton indices and the
 #: symmetric ULV factors in version 4's columnar container; 3 indexed the
 #: payload with JSON, and 1 and 2 stored one zip member per array — see
 #: docs/serving.md)
-FORMAT_VERSION = 7
+FORMAT_VERSION = 8
 
 KIND_BINARY = "kernel_ridge_classifier"
 KIND_MULTICLASS = "one_vs_all_classifier"
@@ -560,6 +561,9 @@ def _verify(path: str, header: Dict[str, object], actual: str) -> None:
 #: newest schema version whose ``ulv.*`` sections hold factors this reader
 #: does not restore (the general, two-transform ULV)
 _LAST_GENERAL_ULV_VERSION = 5
+#: newest schema version that stored ``row_skeleton`` (and the λ-free
+#: markers) with the HSS generators
+_LAST_SKELETON_VERSION = 6
 #: an HSS generator key: its node (under ``hss.`` or ``dist.<s>.hss.``)
 #: and its field
 _GENERATOR_KEY = re.compile(r"((?:dist\.\d+\.)?hss\.\d+\.)(\w+)")
@@ -583,13 +587,15 @@ def _upgrade(path: str, header: Dict[str, object],
     * every ``V`` / ``B21`` / ``col_skeleton`` copy (versions 1-4) must be
       bitwise what it copies, and is dropped;
     * generators without the λ-free marker (``hss_lam_free`` in the
-      config of an hss model, ``dist.lam_free`` in a sharded one) have the
-      ridge shift baked in; λI has no off-diagonal block, so the shift is
-      subtracted from the diagonal of every leaf ``D``;
+      config of an hss model, ``dist.lam_free`` in a sharded one; versions
+      1-6) have the ridge shift baked in; λI has no off-diagonal block, so
+      the shift is subtracted from the diagonal of every leaf ``D``;
     * the general ULV factors of versions 1-5, and the factors of
       baked-shift generators, are replaced by a cold factorization of the
       stored HSS matrix at the model's λ (:func:`_refactor`);
-    * ``row_skeleton`` and both markers are dropped.
+    * ``row_skeleton`` and both markers (versions 1-6) are dropped;
+    * the solver's class name (versions 1-7) becomes its recipe
+      (:func:`_upgrade_recipe`).
 
     Raises
     ------
@@ -597,33 +603,14 @@ def _upgrade(path: str, header: Dict[str, object],
         If a copy is not a copy, or the payload does not make the HSS
         matrices and ULV factors the steps rebuild.
     """
-    if header["version"] == FORMAT_VERSION:
+    version = header["version"]
+    if version == FORMAT_VERSION:
         return header, arrays
     config = dict(header.get("config") or {})
-    fields = {key: match[2] for key in arrays
-              if (match := _GENERATOR_KEY.fullmatch(key)) is not None}
     try:
-        config.setdefault("clustering_options", asdict(ClusteringOptions(
-            method=str(config["clustering"]),
-            leaf_size=int(config["leaf_size"]), seed=config.get("seed"))))
-        for key, name in fields.items():
-            if name in _COPIES:
-                _check_copy(arrays, key, name)
-        lam_free = {"hss": config.pop("hss_lam_free", False),
-                    "sharded": np.any(arrays.get("dist.lam_free", 0))}
-        baked = not lam_free.get(config.get("solver_state"), True)
-        arrays = {key: a for key, a in arrays.items()
-                  if fields.get(key) not in _DROPPED_FIELDS
-                  and key != "dist.lam_free"}
-        lam = float(config["lam"])
-        if baked:
-            for key, name in fields.items():
-                if name == "D":
-                    D = np.array(arrays[key], dtype=np.float64)
-                    D[np.diag_indices_from(D)] -= lam
-                    arrays[key] = D
-        if baked or header["version"] <= _LAST_GENERAL_ULV_VERSION:
-            _refactor(config, arrays, lam)
+        if version <= _LAST_SKELETON_VERSION:
+            arrays = _upgrade_generators(config, arrays, version)
+        _upgrade_recipe(config)
     except KeyError as exc:
         raise ArtifactError(
             f"{path!r} is missing required entry {exc} and cannot be "
@@ -632,6 +619,57 @@ def _upgrade(path: str, header: Dict[str, object],
         raise ArtifactError(
             f"{path!r} has a corrupted HSS / ULV payload: {exc}") from exc
     return {**header, "version": FORMAT_VERSION, "config": config}, arrays
+
+
+def _upgrade_generators(config: Dict[str, object],
+                        arrays: Dict[str, np.ndarray],
+                        version: int) -> Dict[str, np.ndarray]:
+    """The generator and ULV steps of :func:`_upgrade` for a version 1-6
+    archive: the new arrays (``config`` is updated in place)."""
+    fields = {key: match[2] for key in arrays
+              if (match := _GENERATOR_KEY.fullmatch(key)) is not None}
+    config.setdefault("clustering_options", asdict(ClusteringOptions(
+        method=str(config["clustering"]),
+        leaf_size=int(config["leaf_size"]), seed=config.get("seed"))))
+    for key, name in fields.items():
+        if name in _COPIES:
+            _check_copy(arrays, key, name)
+    lam_free = {"hss": config.pop("hss_lam_free", False),
+                "sharded": np.any(arrays.get("dist.lam_free", 0))}
+    baked = not lam_free.get(config.get("solver_state"), True)
+    arrays = {key: a for key, a in arrays.items()
+              if fields.get(key) not in _DROPPED_FIELDS
+              and key != "dist.lam_free"}
+    lam = float(config["lam"])
+    if baked:
+        for key, name in fields.items():
+            if name == "D":
+                D = np.array(arrays[key], dtype=np.float64)
+                D[np.diag_indices_from(D)] -= lam
+                arrays[key] = D
+    if baked or version <= _LAST_GENERAL_ULV_VERSION:
+        _refactor(config, arrays, lam)
+    return arrays
+
+
+def _upgrade_recipe(config: Dict[str, object]) -> None:
+    """Replace the solver class name of a version 1-7 header by its recipe.
+
+    ``sharded`` / ``distributed`` (versions 2-7) become ``hss`` with the
+    stored ``shards`` (2, the least count that shards, when a predict-only
+    archive stored none); the CG ``cg_tol`` / ``cg_max_iter`` extras become
+    its options.  The compression options were never stored: ``{}``, the
+    defaults such a model was always rebuilt with.
+    """
+    sharded = config["solver"] in ("sharded", "distributed")
+    if sharded:
+        config["solver"] = "hss"
+    config["shards"] = int(config.pop("shards", 2)) if sharded else 1
+    options = {}
+    if "cg_tol" in config:
+        options = {"tol": config.pop("cg_tol"),
+                   "max_iter": config.pop("cg_max_iter", None)}
+    config["solver_options"] = options
 
 
 def _check_copy(arrays: Dict[str, np.ndarray], key: str, name: str) -> None:
@@ -691,6 +729,23 @@ def _json_safe_seed(seed) -> Optional[object]:
     return seed if isinstance(seed, (bool, int, float, str, type(None))) else None
 
 
+#: the option objects a header's ``solver_options`` stores as their fields
+_OPTION_TYPES = {"hss_options": HSSOptions, "hmatrix_options": HMatrixOptions}
+
+
+def _options_to_json(options: Dict[str, object]) -> Dict[str, object]:
+    """A solver recipe's options as header JSON (option objects as dicts)."""
+    return {key: asdict(value) if is_dataclass(value)
+            else value.item() if isinstance(value, np.generic) else value
+            for key, value in options.items()}
+
+
+def _options_from_json(options: Dict[str, object]) -> Dict[str, object]:
+    """The inverse of :func:`_options_to_json`."""
+    return {key: _OPTION_TYPES[key](**value) if key in _OPTION_TYPES
+            else value for key, value in options.items()}
+
+
 def _stream_arrays(solver: KernelSystemSolver) -> Dict[str, np.ndarray]:
     """Streaming-state section (``stream.*``) of a solver with live
     Woodbury corrections; empty when the solver never streamed (or the
@@ -727,111 +782,93 @@ def _solver_arrays(solver: Optional[KernelSystemSolver],
         arrays.update(stream_arrays)
         return "dense", {"cho_lower": bool(lower), **stream_cfg}, arrays
     if isinstance(solver, CGSolver):
-        max_iter = solver.max_iter
-        return "cg", {"cg_tol": solver.tol,
-                      "cg_max_iter": None if max_iter is None else int(max_iter)}, {}
-    # Lazy import: the distributed package depends on this module.  A
-    # DistributedSolver is a ShardedULVSolver that fits.
-    from ..distributed.factors import ShardedULVSolver
+        return "cg", {}, {}
+    # Lazy import: the distributed package depends on this module.
+    from ..distributed.solver import DistributedSolver
     # A failed λ-refit flips _fitted off and may leave the shards at mixed
     # λ; persist no factorization in that case rather than an inconsistent
     # one.
-    if isinstance(solver, ShardedULVSolver) and solver._fitted:
-        factors = solver.factors
-        arrays = factors.to_arrays(prefix="dist.")
+    if isinstance(solver, DistributedSolver) and solver._fitted:
+        arrays = solver.factors.to_arrays(prefix="dist.")
         arrays.update(stream_arrays)
-        return ("sharded",
-                {"shards": int(factors.plan.n_shards), **stream_cfg},
-                arrays)
+        return "sharded", stream_cfg, arrays
     return "none", {}, {}
 
 
-def _attach_stream(solver: KernelSystemSolver, config: Dict[str, object],
-                   arrays: Dict[str, np.ndarray], tree: ClusterTree,
-                   X_train: np.ndarray, kernel: Kernel) -> KernelSystemSolver:
-    """Reattach the streaming layer of a restored solver.
-
-    Every factor-carrying restored solver gets its fit context back so
-    ``partial_fit`` / ``refit`` / ``refit_kernel`` work offline on
-    reloaded artifacts; artifacts saved with live corrections
-    (``streaming`` config flag) additionally rehydrate the correction
-    state, with the base factors — and therefore the context — applying
-    to the stored ``stream.X_base`` rather than the effective training
-    set.
-    """
-    if not getattr(solver, "_fitted", False):
-        return solver
-    if config.get("streaming"):
-        try:
-            X_base = np.asarray(arrays["stream.X_base"], dtype=np.float64)
-            kept = np.asarray(arrays["stream.kept"], dtype=np.intp)
-            X_add = np.asarray(arrays["stream.X_add"], dtype=np.float64)
-        except KeyError as exc:
-            raise ArtifactError(
-                f"artifact flags streaming state but is missing {exc}"
-            ) from exc
-        solver._context = (X_base, tree, kernel)
-        solver._ensure_stream().restore_state(kept, X_add)
-    else:
-        solver._context = (X_train, tree, kernel)
-    return solver
-
-
-def _restore_solver(config: Dict[str, object], arrays: Dict[str, np.ndarray],
-                    tree: ClusterTree, X_train: np.ndarray, kernel: Kernel,
+def _restore_solver(model, config: Dict[str, object],
+                    arrays: Dict[str, np.ndarray], tree: ClusterTree,
+                    X_train: np.ndarray, kernel: Kernel,
                     lam: float) -> Optional[KernelSystemSolver]:
+    """The solver of a loaded model (``None`` for a predict-only archive).
+
+    It is built by the call that trains the model
+    (``model._build_solver()``, on the header's recipe), and the state
+    ``solver_state`` names is attached to it, with the fit context every
+    later verb re-fits or streams on.  A model saved with live corrections
+    (``streaming``) gets them back; its base factors — and therefore its
+    context — describe the stored ``stream.X_base``.
+    """
     state = config.get("solver_state", "none")
-    if state == "sharded":
-        from ..distributed.factors import ShardedFactors, ShardedULVSolver
-        try:
-            factors = ShardedFactors.from_arrays(arrays, tree, lam,
-                                                 prefix="dist.")
-        except (KeyError, ValueError) as exc:
-            raise ArtifactError(
-                f"corrupted sharded-factor payload: {exc}") from exc
-        solver = ShardedULVSolver(factors)
-        solver.lam_ = lam
-        return _attach_stream(solver, config, arrays, tree, X_train, kernel)
-    if state == "hss":
-        solver = HSSSolver(seed=config.get("seed"))
-        try:
-            solver.hss_ = hss_from_arrays(arrays, tree)
-            if "ulv.meta" in arrays:
-                solver.factorization_ = ulv_from_arrays(arrays, solver.hss_,
-                                                        lam=lam)
-        except (KeyError, ValueError) as exc:
-            raise ArtifactError(
-                f"corrupted HSS / ULV payload: {exc}") from exc
-        solver.compression_count = 1
-        solver._fitted = solver.factorization_ is not None
-        solver.lam_ = lam
-        return _attach_stream(solver, config, arrays, tree, X_train, kernel)
-    if state == "dense":
-        solver = DenseSolver()
-        solver._cho = (np.asarray(arrays["solver.cho_c"], dtype=np.float64),
-                       bool(config.get("cho_lower", True)))
-        solver._fitted = True
-        solver.lam_ = lam
-        # The λ-free kernel matrix is not persisted; refit() rebuilds it
-        # lazily from the restored fit context.
-        return _attach_stream(solver, config, arrays, tree, X_train, kernel)
+    if state == "none":
+        return None
+    # Lazy import: the distributed package depends on this module.
+    from ..distributed.factors import ShardedFactors
+    from ..distributed.solver import DistributedSolver
+    solver = model._build_solver()
+    kind = {"hss": HSSSolver, "dense": DenseSolver, "cg": CGSolver,
+            "sharded": DistributedSolver}.get(state)
+    if kind is None or not isinstance(solver, kind):
+        raise ArtifactError(
+            f"solver state {state!r} does not fit the {config['solver']!r} "
+            f"solver on {config['shards']} shard(s)")
     if state == "cg":
-        max_iter = config.get("cg_max_iter")
-        solver = CGSolver(tol=float(config.get("cg_tol", 1e-6)),
-                          max_iter=None if max_iter is None else int(max_iter))
-        # CG keeps no factorization: refit just rebuilds the (cheap)
+        # CG keeps no factorization: the fit rebuilds the (cheap)
         # matrix-free operator from the stored training points.
-        solver.fit(X_train, tree, kernel, lam)
-        return solver
-    return None
+        return solver.fit(X_train, tree, kernel, lam)
+    try:
+        if state == "sharded":
+            solver._adopt(ShardedFactors.from_arrays(arrays, tree, lam,
+                                                     prefix="dist."))
+        elif state == "dense":
+            # The λ-free kernel matrix is not persisted; refit() rebuilds
+            # it lazily from the restored fit context.
+            solver._cho = (np.asarray(arrays["solver.cho_c"],
+                                      dtype=np.float64),
+                           bool(config.get("cho_lower", True)))
+        else:
+            solver.hss_ = hss_from_arrays(arrays, tree)
+            solver.compression_count = 1
+            if "ulv.meta" not in arrays:
+                return solver  # generators only: nothing solves
+            solver.factorization_ = ulv_from_arrays(arrays, solver.hss_,
+                                                    lam=lam)
+        solver._fitted, solver.lam_ = True, lam
+        if not config.get("streaming"):
+            solver._context = (X_train, tree, kernel)
+            return solver
+        solver._context = (np.asarray(arrays["stream.X_base"],
+                                      dtype=np.float64), tree, kernel)
+        solver._ensure_stream().restore_state(
+            np.asarray(arrays["stream.kept"], dtype=np.intp),
+            np.asarray(arrays["stream.X_add"], dtype=np.float64))
+    except (KeyError, ValueError) as exc:
+        payload = "Cholesky" if state == "dense" else "HSS / ULV"
+        raise ArtifactError(f"corrupted {payload} payload: {exc}") from exc
+    return solver
 
 
 def _model_config(model, include_factorization: bool):
     if model.clustering_ is None or model.weights_ is None:
         raise ArtifactError("only fitted models can be saved")
     solver = model.solver_
-    solver_name = solver.name if solver is not None else str(model._solver_spec)
     state, solver_cfg, solver_arrays = _solver_arrays(solver, include_factorization)
+    # A predict-only reload holds no solver: its knobs build the recipe's.
+    name, shards, options = (solver if solver is not None
+                             else model._build_solver()).recipe()
+    if state == "sharded" and shards == 1:
+        # One process rebuilds the serial hss solver: no load attaches them.
+        raise ArtifactError("the factors of a one-shard DistributedSolver "
+                            "cannot be saved; use include_factorization=False")
     clustering = model.clustering_options
     config: Dict[str, object] = {
         "h": float(model.h),
@@ -841,7 +878,9 @@ def _model_config(model, include_factorization: bool):
         "clustering": model.clustering_.method,
         "clustering_options": {**asdict(clustering),
                                "seed": _json_safe_seed(clustering.seed)},
-        "solver": solver_name,
+        "solver": name,
+        "shards": int(shards),
+        "solver_options": _options_to_json(options),
         "solver_state": state,
         "kernel": kernel_to_spec(model.kernel),
     }
@@ -959,7 +998,10 @@ def _model_from_arrays(path: str, header: Dict[str, object],
                           **config["clustering_options"]),
                       kernel=kernel,
                       leaf_size=int(config["leaf_size"]),
-                      seed=config.get("seed"))
+                      seed=config.get("seed"),
+                      shards=int(config["shards"]),
+                      solver_options=_options_from_json(
+                          config["solver_options"]))
         if kind == KIND_BINARY:
             model = KernelRidgeClassifier(**common)
         elif kind == KIND_MULTICLASS:
@@ -971,6 +1013,9 @@ def _model_from_arrays(path: str, header: Dict[str, object],
         raise ArtifactError(
             f"{path!r} is missing required entry {exc} and cannot be "
             f"loaded") from exc
+    except (TypeError, ValueError) as exc:
+        raise ArtifactError(
+            f"{path!r} has an invalid model configuration: {exc}") from exc
 
     model.clustering_ = ClusteringResult(method=str(config["clustering"]),
                                          tree=tree, X=X_train)
@@ -979,8 +1024,8 @@ def _model_from_arrays(path: str, header: Dict[str, object],
     if _TARGETS_KEY[kind] in arrays:
         model._targets_perm = np.asarray(arrays[_TARGETS_KEY[kind]],
                                          dtype=np.float64)
-    model.solver_ = _restore_solver(config, arrays, tree, X_train, kernel,
-                                    lam)
+    model.solver_ = _restore_solver(model, config, arrays, tree, X_train,
+                                    kernel, lam)
     return model
 
 

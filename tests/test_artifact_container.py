@@ -101,7 +101,7 @@ class TestPackedContainerGuard:
         small.save(str(tmp_path / "small.npz"))
         with zipfile.ZipFile(tmp_path / "small.npz") as zf:
             assert sorted(zf.namelist()) == members
-        assert read_artifact(packed).version == FORMAT_VERSION == 7
+        assert read_artifact(packed).version == FORMAT_VERSION == 8
         profiler = cProfile.Profile()
         gc.collect()
         gc.disable()
@@ -490,6 +490,30 @@ def test_inconsistent_hss_payload_raises_artifact_error(tmp_path, packed,
         load_model(path)
 
 
+#: header edits that leave a checksummed archive whose recipe cannot
+#: rebuild the stored solver
+BAD_RECIPES = {
+    "state-of-another-solver": ({"shards": 2}, "does not fit"),
+    "unknown-compression-option": (
+        {"solver_options": {"hss_options": {"tolerance": 0.1}}},
+        "invalid model configuration"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_RECIPES))
+def test_a_recipe_that_cannot_rebuild_the_solver_raises_artifact_error(
+        tmp_path, packed, name):
+    """The header's recipe builds the solver the stored state is attached
+    to; one that builds another solver, or none, fails the load, typed."""
+    edit, message = BAD_RECIPES[name]
+    header, arrays = _read_archive(packed)
+    path = str(tmp_path / "model.npz")
+    _write_archive(path, {**header, "config": {**header["config"], **edit}},
+                   arrays)
+    with pytest.raises(ArtifactError, match=message):
+        load_model(path)
+
+
 @pytest.mark.parametrize("kwargs", [dict(solver="hss"),
                                     dict(solver="hss", shards=2)],
                          ids=["hss", "shards2"])
@@ -502,7 +526,7 @@ def test_saved_hss_is_the_symmetric_format(tmp_path, susy, kwargs):
     try:
         path = str(tmp_path / "model.npz")
         artifact = model.save(path)
-        assert artifact.version == FORMAT_VERSION == 7
+        assert artifact.version == FORMAT_VERSION == 8
         assert "hss_lam_free" not in artifact.config
     finally:
         if hasattr(model.solver_, "close"):

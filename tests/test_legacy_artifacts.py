@@ -7,15 +7,17 @@ the last writer of the JSON-indexed container (schema version 3),
 ``tests/data/legacy_v4_<model>.npz`` by the last writer that stored the
 per-node ``V`` / ``B21`` / ``col_skeleton`` copies of the symmetric HSS
 format (schema version 4), ``tests/data/legacy_v5_<model>.npz`` by the
-last writer of the general ULV factors (schema version 5) and
+last writer of the general ULV factors (schema version 5),
 ``tests/data/legacy_v6_<model>.npz`` by the last writer of the
-``row_skeleton`` indices and the λ-free markers (schema version 6; see
-``tests/data/make_legacy_artifacts.py`` for how).  They are the users of
+``row_skeleton`` indices and the λ-free markers (schema version 6) and
+``tests/data/legacy_v7_<model>.npz`` by the last writer whose header
+named the fitted solver's class instead of its recipe (schema version 7;
+see ``tests/data/make_legacy_artifacts.py`` for how).  They are the users of
 the reader's ``version <= 2`` and ``version == 3`` containers and of
 every step of its one upgrade chain: each loads with its checksum
 verified and every stored copy checked against what it copies, factors
 its stored HSS matrix again instead of reading the general ULV factors,
-predicts what its writer predicted, re-saves as a version-7 archive whose
+predicts what its writer predicted, re-saves as a version-8 archive whose
 checksum the docs recipe recomputes, and takes every lifecycle verb a
 freshly saved model takes — a ``refit`` from the factors it was loaded
 with included.  Every generation of a model upgrades to the arrays of its
@@ -36,10 +38,14 @@ import numpy as np
 import pytest
 from conftest import cold_refactor, docs_recipe
 
+from repro.datasets import gaussian_mixture
+from repro.distributed import DistributedSolver
 from repro.hss import ULVFactorization
+from repro.krr import KernelRidgeClassifier
+from repro.krr.solvers import build_training_solver
 from repro.serving import ArtifactError, load_model, read_artifact
-from repro.serving.serialize import (FORMAT_VERSION, _read_archive,
-                                     _upgrade, _write_archive)
+from repro.serving.serialize import (FORMAT_VERSION, _options_to_json,
+                                     _read_archive, _upgrade, _write_archive)
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 MODELS = ("hss", "dense", "ova", "sharded", "midstream")
@@ -48,7 +54,7 @@ MODELS = ("hss", "dense", "ova", "sharded", "midstream")
 FIXTURES = {"hss": ("hss", 1), "dense": ("dense", 1), "ova": ("ova", 1),
             "sharded": ("sharded", 2), "midstream": ("midstream", 1),
             **{f"v{version}_{model}": (model, version)
-               for version in (3, 4, 5, 6) for model in MODELS}}
+               for version in (3, 4, 5, 6, 7) for model in MODELS}}
 #: the per-node copies schema versions 1-4 stored
 COPIES = ("V", "B21", "col_skeleton")
 #: keys of the general ULV factors schema versions 1-5 stored, and no
@@ -86,7 +92,8 @@ def test_loads_predicts_and_resaves_as_the_current_version(
     if model_name != "dense":
         assert any(key.endswith(".V") for key in stored) == (version <= 4)
         assert any(key.endswith(".g2") for key in stored) == (version <= 5)
-        assert any(key.endswith(".row_skeleton") for key in stored)
+        assert any(key.endswith(".row_skeleton") for key in stored) \
+            == (version <= 6)
 
     model = load_model(source)
     queries = expected["queries"]
@@ -99,7 +106,7 @@ def test_loads_predicts_and_resaves_as_the_current_version(
 
     path = str(tmp_path / "model.npz")
     new = model.save(path)
-    assert new.version == FORMAT_VERSION == 7
+    assert new.version == FORMAT_VERSION == 8
     _, resaved = _read_archive(path)
     assert not [key for key in resaved if key.rpartition(".")[2]
                 in COPIES + GENERAL_ULV + ("row_skeleton", "lam_free")]
@@ -146,11 +153,10 @@ def test_lifecycle_verbs_work_on_the_loaded_model(name, expected):
     assert np.all(np.isfinite(model.weights_))
 
     model = _load(name)
-    if model_name in ("sharded", "midstream"):
-        # The refusals a fresh artifact of the same kind gives: restored
-        # per-shard factors cannot be re-fitted from data, and Woodbury
+    if model_name == "midstream":
+        # The refusal a fresh artifact of the same kind gives: Woodbury
         # corrections do not survive a kernel change.
-        with pytest.raises(RuntimeError, match="cannot be fitted|recompress"):
+        with pytest.raises(RuntimeError, match="recompress"):
             model.refit_kernel(1.2)
     else:
         model.refit_kernel(1.2)
@@ -161,7 +167,8 @@ def test_lifecycle_verbs_work_on_the_loaded_model(name, expected):
 @pytest.mark.parametrize("name", ["hss", "ova", "sharded", "midstream",
                                   "v3_hss", "v3_sharded", "v4_hss",
                                   "v4_sharded", "v5_hss", "v5_sharded",
-                                  "v6_hss", "v6_sharded"])
+                                  "v6_hss", "v6_sharded", "v7_hss",
+                                  "v7_sharded"])
 def test_refit_from_the_stored_factors_is_bitwise_a_cold_factorization(
         name, monkeypatch):
     """The λ-free half of the factors a legacy archive loads with is the
@@ -173,6 +180,66 @@ def test_refit_from_the_stored_factors_is_bitwise_a_cold_factorization(
         cold.refit(2.0)
     assert np.array_equal(warm.weights_, cold.weights_)
     assert not np.array_equal(warm.weights_, _load(name).weights_)
+
+
+@pytest.fixture(scope="module")
+def sharded_h_move():
+    """The weights of the fixtures' ``shards=2`` model, trained again on
+    its writer's training set and moved to ``h = 1.1``."""
+    X, y = gaussian_mixture(n=64, d=3, seed=0)
+    return KernelRidgeClassifier(
+        h=1.0, lam=1.0, solver="hss", shards=2, clustering="two_means",
+        leaf_size=24, seed=0).fit(X, y).refit_kernel(1.1).weights_
+
+
+@pytest.mark.parametrize("name", ["sharded"] + [
+    f"v{version}_sharded" for version in (3, 4, 5, 6, 7)])
+def test_a_sharded_archive_recompresses_to_a_cold_sharded_fit(
+        name, sharded_h_move):
+    """An old header named the restoring class (``sharded``) or the
+    training one (``distributed``); the upgrade makes it the ``hss`` recipe
+    on the stored two shards, so ``recompress`` is the cold ``shards=2``
+    fit on the model's own training rows, and ``refit_kernel`` the h-move
+    of the model its writer saved."""
+    model = _load(name)
+    assert (model._solver_spec, model.shards) == ("hss", 2)
+    X, labels = model.X_train_.copy(), model._targets_perm.copy()
+    model.recompress()
+    cold = KernelRidgeClassifier(
+        h=model.h, lam=model.lam, solver="hss", shards=2,
+        clustering=model.clustering_options, seed=model.seed).fit(X, labels)
+    assert isinstance(model.solver_, DistributedSolver)
+    assert model.solver_.plan_.n_shards == 2
+    np.testing.assert_array_equal(model.weights_, cold.weights_)
+
+    model = _load(name).refit_kernel(1.1)
+    assert isinstance(model.solver_, DistributedSolver)
+    np.testing.assert_array_equal(model.weights_, sharded_h_move)
+
+
+def test_a_version_7_cg_header_keeps_its_options(tmp_path):
+    """A version-7 CG header stored its tolerance as ``cg_tol`` /
+    ``cg_max_iter`` extras: the upgrade makes them the recipe's options,
+    so a reload's ``recompress`` solves at that tolerance, like the
+    never-saved model."""
+    X = _load("v7_hss").X_train_
+    y = np.where(X[:, 0] > 0, 1.0, -1.0)
+    model = KernelRidgeClassifier(h=1.0, lam=1.0, solver="cg", shards=1,
+                                  seed=0, solver_options={"tol": 1e-2})
+    model.fit(X, y)
+    path = str(tmp_path / "model.npz")
+    header, arrays = _read_archive(model.save(path).path)
+    config = dict(header["config"])
+    del config["shards"], config["solver_options"]
+    config.update(cg_tol=1e-2, cg_max_iter=None)
+    _write_archive(path, {**header, "version": 7, "config": config}, arrays)
+
+    loaded = load_model(path)
+    assert loaded._solver_options == {"tol": 1e-2, "max_iter": None}
+    loaded.recompress()
+    assert loaded.solver_.tol == 1e-2
+    np.testing.assert_array_equal(loaded.weights_,
+                                  model.recompress().weights_)
 
 
 @pytest.mark.parametrize("copy", COPIES)
@@ -217,10 +284,10 @@ def _upgraded(name):
 def test_every_generation_upgrades_to_the_newest_ones_arrays(model_name):
     """Each fixture of a generation was its predecessor loaded and saved
     again, so the upgrade chain from any of them ends at the arrays the
-    version-6 fixture upgrades to: copies dropped, the same ULV factors
+    version-7 fixture upgrades to: copies dropped, the same ULV factors
     and capacitance matrix, bitwise."""
-    _, newest = _upgraded(f"v6_{model_name}")
-    for prefix in ("", "v3_", "v4_", "v5_"):
+    _, newest = _upgraded(f"v7_{model_name}")
+    for prefix in ("", "v3_", "v4_", "v5_", "v6_"):
         _, arrays = _upgraded(prefix + model_name)
         _same_arrays(arrays, newest)
 
@@ -229,21 +296,26 @@ def test_every_generation_upgrades_to_the_newest_ones_arrays(model_name):
 def test_the_upgrade_is_what_the_writer_saves_for_the_loaded_model(
         name, tmp_path):
     """The upgraded config and arrays are, key for key and bit for bit,
-    those a version-7 save of the loaded model writes — but for the
-    ``solver`` of the version-2 sharded header, which names the solver
-    that trained the model (``distributed``) where a re-save names the one
-    that restores it (``sharded``)."""
+    those a version-8 save of the loaded model writes — but for the
+    ``solver_options``: an old header stored no compression options, so
+    the upgrade gives ``{}`` and the re-save stores the options that
+    ``{}`` builds, the defaults, in full."""
     header, arrays = _upgraded(name)
     assert header["version"] == FORMAT_VERSION
     path = str(tmp_path / "model.npz")
     load_model(os.path.join(DATA, f"legacy_{name}.npz")).save(path)
     saved_header, saved = _read_archive(path)
     config = dict(header["config"])
-    if name == "sharded":
-        assert config.pop("solver") == "distributed"
-        assert saved_header["config"].pop("solver") == "sharded"
-    assert config == saved_header["config"]
+    saved_config = dict(saved_header["config"])
+    assert config.pop("solver_options") == {}
+    options = saved_config.pop("solver_options")
+    assert config == saved_config
     _same_arrays(arrays, saved)
+    n_shards = 2 if FIXTURES[name][0] == "sharded" else 1
+    assert (config["solver"], config["shards"]) == (
+        "dense" if FIXTURES[name][0] == "dense" else "hss", n_shards)
+    default = build_training_solver(config["solver"], shards=n_shards)
+    assert options == _options_to_json(default.recipe()[2])
 
 
 @pytest.mark.parametrize("model_name", ["hss", "ova", "sharded"])

@@ -14,6 +14,11 @@ estimator ∈ {binary, one-vs-all, regressor} × solver ∈ {dense, hss}:
   the factors it started from keep solving and are released afterwards;
 * non-finite generators are refused by the cold and the warm factorization
   alike, leaving the previous factors and weights in place;
+* reload = original: a saved and reloaded model takes every verb to
+  bitwise the weights the never-saved model reaches — whatever its solver
+  options and shard count, because the artifact's recipe rebuilds its
+  solver with the call that trained it — and a single-process model stays
+  single-process under ``REPRO_SHARDS``;
 
 plus what makes the h-move cheap without a second code path:
 
@@ -33,14 +38,14 @@ import pytest
 from conftest import assert_same_hss, cold_refactor, same_hmatrix_blocks
 
 from repro.clustering import cluster
-from repro.config import HMatrixOptions
+from repro.config import HMatrixOptions, HSSOptions
 from repro.datasets import gaussian_mixture
 from repro.hmatrix import build_hmatrix
 from repro.hss import ULVFactorization, compress_kernel
 from repro.kernels import GaussianKernel, KernelOperator
 from repro.krr import (KernelRidgeClassifier, KernelRidgeRegressor,
                        OneVsAllClassifier)
-from repro.krr.solvers import KernelSystemSolver
+from repro.krr.solvers import HSSSolver, KernelSystemSolver
 
 ESTIMATORS = {"binary": KernelRidgeClassifier,
               "one-vs-all": OneVsAllClassifier,
@@ -219,6 +224,64 @@ def test_lam_move_from_resident_factors_is_bitwise_cold(kind, problem,
         streamed[1].refit(0.5)
     assert streamed[0].solver_.stream.active
     np.testing.assert_array_equal(streamed[0].weights_, streamed[1].weights_)
+
+
+#: models whose solver options or shard count a reload must rebuild
+RELOAD_CASES = {
+    "dense": ("binary", dict(solver="dense", shards=1)),
+    "hss-rel_tol-0.01": ("binary", dict(
+        solver="hss", shards=1,
+        solver_options={"hss_options": HSSOptions(rel_tol=0.01)})),
+    "cg-tol-0.01": ("binary", dict(solver="cg", shards=1,
+                                   solver_options={"tol": 1e-2})),
+    "shards2": ("binary", dict(solver="hss", shards=2)),
+    "one-vs-all-shards2": ("one-vs-all", dict(solver="hss", shards=2)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(RELOAD_CASES))
+def test_a_reloaded_model_takes_every_verb_like_the_original(points, case,
+                                                             tmp_path):
+    kind, kwargs = RELOAD_CASES[case]
+    X_all, y_binary = points
+    y_all = _labels(kind, X_all, y_binary)
+    X, y = X_all[:-N_ADD], y_all[:-N_ADD]
+    X_add, y_add = X_all[-N_ADD:], y_all[-N_ADD:]
+    original = ESTIMATORS[kind](h=1.0, lam=1.0, seed=0, **kwargs).fit(X, y)
+    original.save(str(tmp_path / "model.npz"))
+    loaded = type(original).load(str(tmp_path / "model.npz"))
+    assert type(loaded.solver_) is type(original.solver_)
+
+    moves = [lambda m: m.refit(2.0), lambda m: m.refit_kernel(1.1),
+             lambda m: m.recompress()]
+    if kwargs["solver"] == "cg":
+        for model in (original, loaded):   # no factors to stream around
+            with pytest.raises(RuntimeError, match="streaming"):
+                model.partial_fit(X_add, y_add)
+    else:
+        moves.append(lambda m: m.partial_fit(X_add, y_add,
+                                             remove=REMOVE).recompress())
+    for move in moves:
+        move(original)
+        move(loaded)
+        assert (loaded.h, loaded.lam) == (original.h, original.lam)
+        assert type(loaded.solver_) is type(original.solver_)
+        assert loaded.solver_.recipe() == original.solver_.recipe()
+        np.testing.assert_array_equal(loaded.weights_, original.weights_)
+
+
+def test_a_single_process_reload_stays_single_process(points, tmp_path,
+                                                      monkeypatch):
+    X, y = points
+    model = KernelRidgeClassifier(h=1.0, lam=1.0, seed=0, shards=1).fit(X, y)
+    model.save(str(tmp_path / "model.npz"))
+    monkeypatch.setenv("REPRO_SHARDS", "2")
+    loaded = KernelRidgeClassifier.load(str(tmp_path / "model.npz"))
+    assert loaded.shards == 1
+    loaded.recompress()
+    assert isinstance(loaded.solver_, HSSSolver)
+    np.testing.assert_array_equal(loaded.weights_,
+                                  model.recompress().weights_)
 
 
 def test_replaced_factors_keep_solving_and_are_then_released(points):

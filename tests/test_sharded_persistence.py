@@ -8,8 +8,8 @@ The acceptance contract of the sharded-artifact schema:
 * loaded **in a genuinely fresh process**, it predicts identically and
   ``solve()`` with a *new* right-hand side matches the serial HSS solver
   within the compression tolerance;
-* the restored :class:`repro.distributed.ShardedULVSolver` reproduces the
-  live distributed solves, re-saves losslessly, and serves through the
+* the restored :class:`repro.distributed.DistributedSolver` reproduces
+  the live distributed solves, re-saves losslessly, and serves through the
   one :class:`repro.serving.PredictionEngine`;
 * multi-class models (one multi-RHS distributed solve for all classes)
   persist the same way.
@@ -28,10 +28,11 @@ import pytest
 
 from repro.config import HSSOptions
 from repro.datasets import load_dataset
-from repro.distributed import ShardedFactors, ShardedULVSolver
+from repro.distributed import DistributedSolver, ShardedFactors
 from repro.krr import KernelRidgeClassifier, OneVsAllClassifier
 from repro.krr.solvers import HSSSolver
-from repro.serving import ModelStore, PredictionEngine, read_artifact
+from repro.serving import (ArtifactError, ModelStore, PredictionEngine,
+                           read_artifact)
 from repro.serving.serialize import FORMAT_VERSION, _read_archive, _upgrade
 
 #: tight compression tolerance, as in tests/test_distributed.py: keeps the
@@ -68,11 +69,19 @@ def serial_reference(problem, sharded_model):
 def test_sharded_artifact_schema(tmp_path, sharded_model):
     store = ModelStore(tmp_path)
     record = store.save(sharded_model, "susy-sharded")
-    assert record.version == FORMAT_VERSION == 7
+    assert record.version == FORMAT_VERSION == 8
     artifact = read_artifact(record.archive_path)
-    assert artifact.version == 7
+    assert artifact.version == 8
     assert artifact.config["solver_state"] == "sharded"
+    # The header stores the recipe: the make_solver name, the resolved
+    # shard count and the options that shape the fitted system.
+    assert artifact.config["solver"] == "hss"
     assert artifact.config["shards"] == 2
+    options = artifact.config["solver_options"]
+    assert options["hss_options"]["rel_tol"] == TIGHT.rel_tol
+    assert sorted(options) == [
+        "coupling_max_rank", "coupling_rel_tol", "cut_level",
+        "hmatrix_options", "hss_options", "use_hmatrix_sampling"]
 
 
 def test_sharded_section_is_the_documented_layout(tmp_path, sharded_model):
@@ -149,7 +158,7 @@ def test_fresh_process_load_and_resolve(tmp_path, problem, sharded_model,
         f"fresh-process load failed:\n{result.stderr}")
 
     with np.load(out_path) as npz:
-        assert str(npz["solver"]) == "ShardedULVSolver"
+        assert str(npz["solver"]) == "DistributedSolver"
         w_fresh = npz["w"]
         labels_fresh = npz["labels"]
     # Predictions are bitwise identical across the process boundary.
@@ -201,6 +210,14 @@ def test_reload_solves_bitwise_like_the_fitted_model(tmp_path, problem,
                                   sharded_model.solver_.solve(Y))
 
 
+def _restored(factors):
+    """A solver over ``factors``, as ``load_model`` attaches them."""
+    solver = DistributedSolver(shards=factors.plan.n_shards)
+    solver._adopt(factors)
+    solver._fitted = True
+    return solver
+
+
 def test_refactor_on_load_is_the_stored_factorization(tmp_path, problem,
                                                       sharded_model):
     """The upgrade's refactor step — what a schema 1-5 archive gets on
@@ -219,10 +236,9 @@ def test_refactor_on_load_is_the_stored_factorization(tmp_path, problem,
     assert upgraded["dist.C"] is not arrays["dist.C"]
     np.testing.assert_array_equal(upgraded["dist.C"], arrays["dist.C"])
     tree = sharded_model.clustering_.tree
-    stored = ShardedULVSolver(
-        ShardedFactors.from_arrays(arrays, tree, problem.lam))
-    fresh = ShardedULVSolver(
-        ShardedFactors.from_arrays(upgraded, tree, problem.lam))
+    stored = _restored(ShardedFactors.from_arrays(arrays, tree, problem.lam))
+    fresh = _restored(ShardedFactors.from_arrays(upgraded, tree,
+                                                 problem.lam))
     rhs = np.random.default_rng(53).standard_normal(
         (problem.X_train.shape[0], 2))
     np.testing.assert_array_equal(fresh.solve(rhs), stored.solve(rhs))
@@ -233,10 +249,10 @@ def test_loaded_solver_roundtrips_again(tmp_path, problem, sharded_model):
     store = ModelStore(tmp_path)
     store.save(sharded_model, "gen0")
     gen1 = store.load("gen0")
-    assert isinstance(gen1.solver_, ShardedULVSolver)
+    assert isinstance(gen1.solver_, DistributedSolver)
     store.save(gen1, "gen1")
     gen2 = store.load("gen1")
-    assert isinstance(gen2.solver_, ShardedULVSolver)
+    assert isinstance(gen2.solver_, DistributedSolver)
     rhs = np.random.default_rng(3).standard_normal(problem.X_train.shape[0])
     assert np.array_equal(gen1.solver_.solve(rhs), gen2.solver_.solve(rhs))
     assert np.array_equal(gen1.predict(problem.X_test),
@@ -258,15 +274,6 @@ def test_loaded_model_drives_sharded_service(tmp_path, problem, sharded_model):
         problem.X_test, block_size=64))
 
 
-def test_restored_solver_rejects_refit(tmp_path, problem, sharded_model):
-    store = ModelStore(tmp_path)
-    store.save(sharded_model, "frozen")
-    loaded = store.load("frozen")
-    with pytest.raises(RuntimeError, match="cannot.*refit"):
-        loaded.solver_.fit(loaded.X_train_, loaded.clustering_.tree,
-                           loaded.kernel, loaded.lam)
-
-
 def test_sharded_artifact_reload_then_refit(tmp_path, problem, sharded_model):
     """A reloaded ``shards=2`` model re-factors at a new λ offline: the
     persisted λ-free per-shard compressions are ULV-refactored in-process
@@ -275,7 +282,7 @@ def test_sharded_artifact_reload_then_refit(tmp_path, problem, sharded_model):
     store = ModelStore(tmp_path)
     store.save(sharded_model, "refit-me")
     loaded = store.load("refit-me")
-    assert isinstance(loaded.solver_, ShardedULVSolver)
+    assert isinstance(loaded.solver_, DistributedSolver)
     new_lam = 2.0 * problem.lam
     loaded.refit(new_lam)
     assert loaded.lam == new_lam
@@ -298,9 +305,9 @@ def test_sharded_artifact_reload_then_refit(tmp_path, problem, sharded_model):
 
 
 def test_failed_refit_state_is_never_persisted(tmp_path, sharded_model):
-    """A ShardedULVSolver whose refit failed mid-way (_fitted=False, shards
-    potentially at mixed λ) must refuse solves and must not ship its
-    factors into an artifact."""
+    """A reloaded DistributedSolver whose refit failed mid-way
+    (_fitted=False, shards potentially at mixed λ) must refuse solves and
+    must not ship its factors into an artifact."""
     store = ModelStore(tmp_path)
     store.save(sharded_model, "pre-fail")
     loaded = store.load("pre-fail")
@@ -312,6 +319,24 @@ def test_failed_refit_state_is_never_persisted(tmp_path, sharded_model):
     # Predictions (weights) survive; the inconsistent factorization does not.
     assert reloaded.solver_ is None
     np.testing.assert_array_equal(reloaded.weights_, loaded.weights_)
+
+
+def test_a_one_shard_distributed_model_saves_only_its_weights(tmp_path,
+                                                             problem):
+    """One process is the single-process hss recipe, which cannot take a
+    shard's factors back; saving them is refused rather than written into
+    an archive no load could rebuild, and the weights still save."""
+    clf = KernelRidgeClassifier(h=problem.h, lam=problem.lam, seed=0,
+                                solver=DistributedSolver(shards=1))
+    clf.fit(problem.X_train, problem.y_train)
+    path = str(tmp_path / "model.npz")
+    with pytest.raises(ArtifactError, match="one-shard"):
+        clf.save(path)
+    clf.save(path, include_factorization=False)
+    loaded = KernelRidgeClassifier.load(path)
+    assert (loaded.solver_, loaded.shards) == (None, 1)
+    np.testing.assert_array_equal(loaded.predict(problem.X_test),
+                                  clf.predict(problem.X_test))
 
 
 def test_multiclass_sharded_persistence(tmp_path, problem):
@@ -327,7 +352,7 @@ def test_multiclass_sharded_persistence(tmp_path, problem):
     record = store.save(ova, "ova-sharded")
     assert record.version == FORMAT_VERSION
     loaded = store.load("ova-sharded")
-    assert isinstance(loaded.solver_, ShardedULVSolver)
+    assert isinstance(loaded.solver_, DistributedSolver)
     assert np.array_equal(loaded.predict(problem.X_test),
                           ova.predict(problem.X_test))
     Y = np.random.default_rng(9).standard_normal(

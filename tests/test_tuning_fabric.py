@@ -64,11 +64,9 @@ def compressed_pair(data):
 class TestReloadedKernelMove:
     def test_refit_kernel_after_artifact_reload(self, tmp_path, data):
         X, y = data
-        # shards=1 pins the single-process artifact format: a sharded
-        # artifact reloads as the restored-only ShardedULVSolver, which
-        # has no data pipeline to rebuild a new kernel from.
-        clf = KernelRidgeClassifier(h=1.0, lam=1.0, solver="hss", seed=0,
-                                    shards=1)
+        # No shard pin: under REPRO_SHARDS=2 the model trains sharded, and
+        # its reload re-fits the new kernel through a grid of its own.
+        clf = KernelRidgeClassifier(h=1.0, lam=1.0, solver="hss", seed=0)
         clf.fit(X, y)
         clf.save(str(tmp_path / "model.npz"))
         loaded = KernelRidgeClassifier.load(str(tmp_path / "model.npz"))
@@ -76,8 +74,7 @@ class TestReloadedKernelMove:
         # tree to reuse: a cold compression on the restored tree, still
         # bitwise equal to a cold fit
         loaded.refit_kernel(2.3, lam=0.5)
-        cold = KernelRidgeClassifier(h=2.3, lam=0.5, solver="hss", seed=0,
-                                     shards=1)
+        cold = KernelRidgeClassifier(h=2.3, lam=0.5, solver="hss", seed=0)
         cold.fit(X, y)
         np.testing.assert_array_equal(loaded.weights_, cold.weights_)
 
